@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import (
     CertificationError,
@@ -30,6 +30,7 @@ from .exact_algebra import (
     MultiPoly,
     RationalFunction,
     ev_leq,
+    ev_min,
     ev_sub,
 )
 from .ordered_value import GroupElement, compare
@@ -57,28 +58,6 @@ class TraceStep:
     C: tuple
     monomial: bool
     residues: tuple  # (position, Fraction) pairs for C members
-    names_after: tuple
-    beta_after: tuple
-
-
-@dataclass(frozen=True)
-class LiftEvent:
-    extra: int
-
-
-@dataclass(frozen=True)
-class ProtectEvent:
-    positions: tuple
-
-
-@dataclass(frozen=True)
-class ReframeEvent:
-    """A driver replaced one parameter wholesale (limit continuations)."""
-
-    position: int
-    name: str
-    beta: GroupElement
-    old_in_new: object  # RationalFunction giving the old parameter in new ones
     names_after: tuple
     beta_after: tuple
 
@@ -137,7 +116,7 @@ class Frame:
         self.betas = tuple(betas)
         self.protected = frozenset(protected)
         self.history = tuple(history)
-        self.forward = dict(forward) if forward is not None else None
+        self.forward = dict(forward)
         self.pullbacks = tuple(pullbacks)
         self.unit_log = dict(unit_log)
         self.matrix = matrix
@@ -181,119 +160,15 @@ class Frame:
                 out = t if out is None else out + t
         return out if out is not None else self.betas[0] * 0
 
-    def monomial_spec(self, group) -> Monomial:
-        return Monomial(group, self.betas)
-
-    def is_monomial_history(self) -> bool:
-        for s in self.history:
-            if isinstance(s, TraceStep) and not s.monomial:
-                return False
-            if isinstance(s, ReframeEvent):
-                return False
-        return True
-
-    # -- the blow-up -------------------------------------------------------------
-
-    def blowup(self, J, c_provider: Callable | None = None) -> "Frame":
-        return framed_blowup(self, J, c_provider)
-
     def pullback_of(self, f) -> RationalFunction:
         """Express a polynomial/RF over current parameters in the originals."""
-        if isinstance(f, RationalFunction):
-            return self.pullback_of(f.num) / self.pullback_of(f.den)
-        if not isinstance(f, MultiPoly):
+        if not isinstance(f, (MultiPoly, RationalFunction)):
             raise TypeError("pullback of a non-polynomial")
         if f.width != self.width:
             raise UnknownVariable("parameter arity mismatch")
-        n = len(self.original_names)
-        out = RationalFunction.zero(n)
-        for e, c in f.terms.items():
-            term = RationalFunction(MultiPoly.constant(n, c))
-            for k, power in enumerate(e):
-                if power:
-                    term = term * self.pullbacks[k] ** power
-            out = out + term
-        return out
-
-    def value_of(self, spec, f) -> object:
-        """Spec value of an expression over current parameters."""
-        if isinstance(f, MultiPoly) and f.is_single_term():
-            e, c = f.single_term()
-            return self.monomial_value(e)
-        return spec.value(self.pullback_of(f))
-
-    # -- history events ----------------------------------------------------------
-
-    def lifted(self, extra: int = 1) -> "Frame":
-        """Embed all values into a higher rank (zero-prepended)."""
-        if extra < 1:
-            raise ValueError("lift needs a positive rank increase")
-        # init values stay at their recorded rank; replays lift on the event
-        return Frame(
-            self.names,
-            self.original_names,
-            self.init_betas,
-            tuple(b.lift(extra) for b in self.betas),
-            self.protected,
-            self.history + (LiftEvent(extra),),
-            self.forward,
-            self.pullbacks,
-            self.unit_log,
-            self.matrix,
-            self.matrix_inv,
-        )
-
-    def with_protected(self, positions) -> "Frame":
-        pos = tuple(sorted(set(int(p) for p in positions) - self.protected))
-        if not pos:
-            return self
-        return Frame(
-            self.names,
-            self.original_names,
-            self.init_betas,
-            self.betas,
-            self.protected | set(pos),
-            self.history + (ProtectEvent(pos),),
-            self.forward,
-            self.pullbacks,
-            self.unit_log,
-            self.matrix,
-            self.matrix_inv,
-        )
-
-    def reframed(self, position, name, beta, pullback, old_in_new) -> "Frame":
-        """Replace the parameter at `position` with a driver-defined one.
-
-        `pullback` expresses the new parameter in the original variables;
-        `old_in_new` expresses the replaced parameter in the new frame.
-        The forward monomial map is dropped: images are no longer monomial.
-        """
-        if not beta.is_positive():
-            raise CertificationError("reframed parameter value must be positive")
-        if name in self.names and self.names.index(name) != position:
-            raise ValueError(f"replacement name {name!r} collides")
-        names = list(self.names)
-        names[position] = name
-        betas = list(self.betas)
-        betas[position] = beta
-        pullbacks = list(self.pullbacks)
-        pullbacks[position] = pullback
-        event = ReframeEvent(
-            position, name, beta, old_in_new, tuple(names), tuple(betas)
-        )
-        return Frame(
-            names,
-            self.original_names,
-            self.init_betas,
-            betas,
-            self.protected,
-            self.history + (event,),
-            None,
-            pullbacks,
-            self.unit_log,
-            self.matrix,
-            self.matrix_inv,
-        )
+        if isinstance(f, RationalFunction):
+            return _rf_substitute(f, self.pullbacks)
+        return _mp_substitute(f, self.pullbacks)
 
 
 def _unique_unit_name(unit_log, base: str) -> str:
@@ -399,18 +274,15 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     matrix = tuple(tuple(g_apply(row)) for row in frame.matrix)
 
     # forward images: transform exponents, move C exponents into units
-    if frame.forward is None:
-        forward = None
-    else:
-        forward = {}
-        for name, img in frame.forward.items():
-            e = g_apply(img.exps)
-            units = Counter(dict(img.units))
-            for q in C:
-                if e[q]:
-                    units[unit_names[q]] += e[q]
-                    e[q] = 0
-            forward[name] = ForwardImage(tuple(e), _counter_items(units))
+    forward = {}
+    for name, img in frame.forward.items():
+        e = g_apply(img.exps)
+        units = Counter(dict(img.units))
+        for q in C:
+            if e[q]:
+                units[unit_names[q]] += e[q]
+                e[q] = 0
+        forward[name] = ForwardImage(tuple(e), _counter_items(units))
 
     # pullbacks: new_q = old_q/old_j (B), shifted quotient (C), unchanged else
     pullbacks = list(frame.pullbacks)
@@ -469,8 +341,6 @@ def _compose_inverse(prev_inv, J, j, m):
 
 def substitute_monomial(frame: Frame, exps) -> tuple:
     """Image of an original-variable Laurent monomial: (exponents, units)."""
-    if frame.forward is None:
-        raise CertificationError("monomial forward map is gone after reframing")
     if len(exps) != len(frame.original_names):
         raise UnknownVariable("original arity mismatch")
     out = [0] * frame.width
@@ -486,19 +356,8 @@ def substitute_monomial(frame: Frame, exps) -> tuple:
     return tuple(out), _counter_items(units)
 
 
-def substitute(frame: Frame, p: MultiPoly) -> list:
-    """Per-term images of a polynomial over the original variables."""
-    out = []
-    for e in sorted(p.terms, key=lambda t: (sum(t), t)):
-        exps, units = substitute_monomial(frame, e)
-        out.append((p.terms[e], exps, units))
-    return out
-
-
 def verify_forward(frame: Frame) -> bool:
     """Check every original variable is its recorded monomial times units."""
-    if frame.forward is None:
-        raise CertificationError("monomial forward map is gone after reframing")
     n = len(frame.original_names)
     for k, name in enumerate(frame.original_names):
         img = frame.forward[name]
@@ -524,13 +383,7 @@ def transport(frame: Frame, expr, from_step: int = 0) -> RationalFunction:
     if cur.width != m:
         raise UnknownVariable("parameter arity mismatch")
     for step in frame.history[from_step:]:
-        if isinstance(step, (LiftEvent, ProtectEvent)):
-            continue
         images = [RationalFunction(MultiPoly.variable(m, q)) for q in range(m)]
-        if isinstance(step, ReframeEvent):
-            images[step.position] = step.old_in_new
-            cur = _rf_substitute(cur, images)
-            continue
         var_j = RationalFunction(MultiPoly.variable(m, step.j))
         for q in step.B:
             images[q] = RationalFunction(MultiPoly.variable(m, q)) * var_j
@@ -587,8 +440,7 @@ def _transform_exponents(e, step: TraceStep):
 
 def transform_exponents(e, steps) -> tuple:
     for step in steps:
-        if isinstance(step, TraceStep):
-            e = _transform_exponents(e, step)
+        e = _transform_exponents(e, step)
     return tuple(e)
 
 
@@ -735,37 +587,33 @@ def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, c_provider=None)
         raise UnknownVariable("expression arity mismatch")
     group = frame.betas[0].group
     frame_val = Monomial(group, frame.betas)
-    pullback = frame.pullback_of(f)
-    target_value = spec.value(pullback)
-    ok, witness = is_non_degenerate_over_frame(spec, frame_val, f, target_value)
+    target_value = spec.value(frame.pullback_of(f))
+    ok, witness = is_non_degenerate(spec, frame_val, f, target_value)
     if not ok:
         raise DegenerateInput("monomial value differs from the assigned value")
     start = len(frame.history)
     result = principalize(frame, witness, c_provider)
-    eps = result.generators[result.index]
     f_new = transport(result.frame, RationalFunction(f), from_step=start)
-    unit = f_new / RationalFunction(MultiPoly.monomial(result.frame.width, eps))
-    _assert_unit(unit)
-    # exact value certificate through the pullback oracle
-    mono_value = result.frame.monomial_value(eps)
-    assert compare(mono_value, target_value) == 0, "monomial value drifted"
-    check = result.frame.pullback_of(unit)
-    assert compare(spec.value(check), target_value * 0) == 0, "unit value is not zero"
+    eps, unit, value = _factor_as_unit(result.frame, spec, f_new, target_value)
     return MonomializeCertificate(
-        result.frame, eps, unit, mono_value, result.frame.history[start:]
+        result.frame, eps, unit, value, result.frame.history[start:]
     )
 
 
-def is_non_degenerate_over_frame(spec, frame_val, f, target_value):
-    """Like valuation_core.is_non_degenerate but with a precomputed value."""
-    best = None
-    for e in f.terms:
-        v = frame_val.monomial_value(e)
-        if best is None or compare(v, best) < 0:
-            best = v
-    if compare(best, target_value) != 0:
-        return False, None
-    return True, minimalize_monomials(f.terms.keys())
+def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
+    """Split T into monomial times certified unit; exact value checks."""
+    eps = None
+    for e in T.num.terms:
+        eps = e if eps is None else ev_min(eps, e)
+    unit = T / RationalFunction(MultiPoly.monomial(fr.width, eps))
+    _assert_unit(unit)
+    value = fr.monomial_value(eps)
+    if compare(value, target) != 0:
+        raise CertificationError("monomial value differs from the element value")
+    zero = spec.value(1)
+    if compare(spec.value(fr.pullback_of(unit)), zero) != 0:
+        raise CertificationError("unit value is not zero")
+    return eps, unit, value
 
 
 def _assert_unit(r: RationalFunction):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .blowup_engine import (
     CStepData,
     Frame,
-    TraceStep,
+    _factor_as_unit,
     divide_monomials,
     framed_blowup,
     monomialize_nondegenerate,
@@ -38,7 +38,6 @@ from .errors import (
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly
 from .ordered_value import compare, format_element, is_sentinel, parse_element
 from .puiseux import (
-    _factor_as_unit,
     monomialize_limit_successor,
     prepare_successor,
     puiseux_package,
@@ -80,7 +79,7 @@ class MasterState:
 
 
 def steps_used(state: MasterState) -> int:
-    return sum(1 for h in state.frame.history if isinstance(h, TraceStep))
+    return len(state.frame.history)
 
 
 def _budget_error(state: MasterState, task: str) -> BudgetExceeded:
@@ -114,7 +113,7 @@ def _fresh_state(spec, frame: Frame, chain, budget: int, targets=()) -> MasterSt
 def _after_steps(state: MasterState, frame: Frame) -> MasterState:
     """Push every stored exponent vector and unit through the new steps."""
     base = len(state.frame.history)
-    steps = [h for h in frame.history[base:] if isinstance(h, TraceStep)]
+    steps = frame.history[base:]
     if not steps:
         return replace(state, frame=frame)
     pairs = tuple(
@@ -286,23 +285,33 @@ def advance(state: MasterState) -> MasterState:
 # -- chain construction ----------------------------------------------------------
 
 
-def _variable_lattice(spec, names) -> Lattice:
-    width = len(names) - 1
-    weights = [
+def _variable_weights(spec, width: int) -> list:
+    """Values of the coefficient variables u_1, ..., u_width."""
+    return [
         spec.value(UniPoly.constant(width, RationalFunction(MultiPoly.variable(width, i))))
         for i in range(width)
     ]
-    return Lattice.from_variables(list(names[:-1]), weights)
 
 
-def _chain_for(spec, f: UniPoly, names) -> tuple:
-    """Successor chain [u_n, Q_2, ...] whose last key dominates epsilon(f)."""
-    base = UniPoly.x(f.width)
-    chain = [ChainLink(base, None)]
+def _variable_lattice(spec, names) -> Lattice:
+    return Lattice.from_variables(list(names[:-1]), _variable_weights(spec, len(names) - 1))
+
+
+def _chain_for(spec, f: UniPoly, names, links=None) -> tuple:
+    """Successor chain [u_n, Q_2, ...] whose last key dominates epsilon(f).
+
+    ``links`` is a chain to extend; by default the chain starts at u_n.
+    """
+    chain = list(links) if links else [ChainLink(UniPoly.x(f.width), None)]
     target = epsilon(spec, f).epsilon
     if is_sentinel(target):
         return tuple(chain)
     lattice = _variable_lattice(spec, names)
+    for i in range(1, len(chain)):
+        prev = chain[i - 1].key
+        lattice = lattice.extended(
+            LatticeGenerator(f"Q{i}", spec.value(prev), kind="key", key=prev)
+        )
     while True:
         cur = epsilon(spec, chain[-1].key).epsilon
         if not is_sentinel(cur) and compare(cur, target) >= 0:
@@ -324,11 +333,7 @@ def _chain_for(spec, f: UniPoly, names) -> tuple:
 
 def _initial_frame(spec, names) -> Frame:
     width = len(names) - 1
-    betas = [
-        spec.value(UniPoly.constant(width, RationalFunction(MultiPoly.variable(width, i))))
-        for i in range(width)
-    ]
-    betas.append(spec.value(UniPoly.x(width)))
+    betas = _variable_weights(spec, width) + [spec.value(UniPoly.x(width))]
     return Frame.initial(list(names), betas)
 
 
@@ -407,48 +412,6 @@ class UniformizeOutcome:
         return self.state.frame
 
 
-def _ensure_chain(state: MasterState, f: UniPoly, names) -> MasterState:
-    """Queue further successors until the chain dominates epsilon(f)."""
-    target = epsilon(state.spec, f).epsilon
-    if is_sentinel(target):
-        return state
-    links = state.chain + state.keys_pending
-    tail = links[-1].key
-    cur = epsilon(state.spec, tail).epsilon
-    if not is_sentinel(cur) and compare(cur, target) >= 0:
-        return state
-    lattice = _variable_lattice(state.spec, names)
-    for i, link in enumerate(links[1:], start=1):
-        lattice = lattice.extended(
-            LatticeGenerator(
-                f"Q{i}", state.spec.value(links[i - 1].key), kind="key", key=links[i - 1].key
-            )
-        )
-    pending = list(state.keys_pending)
-    while True:
-        cur = epsilon(state.spec, tail).epsilon
-        if not is_sentinel(cur) and compare(cur, target) >= 0:
-            return replace(state, keys_pending=tuple(pending))
-        if len(links) + len(pending) >= MAX_CHAIN:
-            raise LimitSuccessorRequired(
-                f"no key within {MAX_CHAIN} successors dominates the target invariant"
-            )
-        try:
-            succ, cert = next_successor(state.spec, tail, lattice)
-        except MaximalKey as exc:
-            raise LimitSuccessorRequired(str(exc)) from exc
-        lattice = lattice.extended(
-            LatticeGenerator(
-                f"Q{len(links) + len(pending)}",
-                state.spec.value(tail),
-                kind="key",
-                key=tail,
-            )
-        )
-        pending.append(ChainLink(succ, cert))
-        tail = succ
-
-
 def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
     """Shared-frame monomialization with the minimal element dividing all.
 
@@ -478,7 +441,8 @@ def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
     state = _fresh_state(spec, _initial_frame(spec, names), chain, budget)
     entries = {}
     for idx in order:
-        state = _ensure_chain(state, fs[idx], names)
+        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending)
+        state = replace(state, keys_pending=links[len(state.chain):])
         while state.keys_pending or state.targets_pending:
             state = advance(state)
         state, entries[idx] = _finalize(state, fs[idx])
@@ -617,14 +581,6 @@ def _frame_from_records(group, records) -> Frame:
     frame = Frame.initial(names, betas, [p - 1 for p in init.get("protected", [])])
     for rec in records[1:]:
         event = rec.get("event")
-        if event == "lift":
-            frame = frame.lifted(int(rec["extra"]))
-            continue
-        if event == "protect":
-            frame = frame.with_protected([int(p) - 1 for p in rec["positions"]])
-            continue
-        if event == "reframe":
-            raise ParseError("states with reframed parameters cannot be reloaded")
         if event is not None:
             raise ParseError(f"unknown trace event {event!r}")
         residues = rec.get("residues", {})

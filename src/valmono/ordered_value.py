@@ -433,8 +433,6 @@ def compare(a, b) -> int:
 
 
 def add(a, b):
-    if isinstance(a, _Sentinel):
-        return a + b
     return a + b
 
 

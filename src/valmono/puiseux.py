@@ -21,7 +21,7 @@ from fractions import Fraction
 from .blowup_engine import (
     CStepData,
     Frame,
-    _assert_unit,
+    _factor_as_unit,
     divide_monomials,
     monomialize_nondegenerate,
     tau,
@@ -32,11 +32,9 @@ from .blowup_engine import (
 from .errors import (
     CertificationError,
     DeltaNotOne,
-    EmptyCenter,
     NonBinomialInput,
     NonMonicKey,
     NonUnitFactor,
-    ProtectedCenter,
     RecursionBudgetExceeded,
     ResidueFieldExtension,
     TranscendentalResidue,
@@ -58,7 +56,7 @@ from .exact_algebra import (
     to_unipoly,
 )
 from .ordered_value import compare, is_sentinel
-from .successors import Lattice, LatticeGenerator, check_limit_successor, lattice_multiplier, relation_lattice
+from .successors import check_limit_successor
 
 
 # -- exact rational powers ---------------------------------------------------
@@ -212,7 +210,6 @@ class PuiseuxProblem:
     element: RationalFunction  # the exact element over frame parameters
     term_value: object
     target_value: object
-    relation_basis: tuple
     new_name: str | None = None
 
 
@@ -301,7 +298,6 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None, new_name
         element,
         v1,
         target,
-        tuple(relation_lattice(frame.betas)),
         new_name,
     )
 
@@ -374,22 +370,6 @@ class PuiseuxPackage:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
-    """Split T into monomial times certified unit; exact value checks."""
-    eps = None
-    for e in T.num.terms:
-        eps = e if eps is None else ev_min(eps, e)
-    unit = T / RationalFunction(MultiPoly.monomial(fr.width, eps))
-    _assert_unit(unit)
-    value = fr.monomial_value(eps)
-    if compare(value, target) != 0:
-        raise CertificationError("monomial value differs from the element value")
-    zero = spec.value(1)
-    if compare(spec.value(fr.pullback_of(unit)), zero) != 0:
-        raise CertificationError("unit value is not zero")
-    return eps, unit, value
-
-
 def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_name=None) -> PuiseuxPackage:
     """Resolve a decorated binomial into monomial times unit.
 
@@ -423,7 +403,7 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     if compare(spec.value(record.pullback), zero) != 0:
         raise CertificationError("terminal unit value is not zero")
     zbar = RationalFunction(MultiPoly.variable(fr.width, new_position)) + residue
-    if fr.forward is not None and not verify_forward(fr):
+    if not verify_forward(fr):
         raise CertificationError("forward images fail the substitution check")
 
     reports = []
@@ -456,40 +436,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
         steps,
         tuple(reports),
     )
-
-
-def j_puiseux_package(frame: Frame, spec, j, new_name=None) -> PuiseuxPackage:
-    """Resolve the relation satisfied by one parameter's value.
-
-    The binomial is u_j^alpha - r*w^x with (alpha, x) the minimal multiple
-    of beta_j over the other unprotected parameters and r the certified
-    residue of the value-zero quotient.
-    """
-    if isinstance(j, str):
-        j = frame.position(j)
-    if j in frame.protected:
-        raise ProtectedCenter(f"parameter {frame.names[j]!r} is protected")
-    others = [q for q in range(frame.width) if q != j and q not in frame.protected]
-    if not others:
-        raise EmptyCenter("no parameters left to carry the relation")
-    gens = [
-        LatticeGenerator(frame.names[q], frame.betas[q], kind="variable", index=q)
-        for q in others
-    ]
-    alpha, sol = lattice_multiplier(frame.betas[j], Lattice(gens))
-    e1 = [0] * frame.width
-    e2 = [0] * frame.width
-    e1[j] = alpha
-    for q, x in zip(others, sol):
-        if x >= 0:
-            e2[q] = x
-        else:
-            e1[q] = -x
-    m1 = RationalFunction(MultiPoly.monomial(frame.width, tuple(e1)))
-    m2 = RationalFunction(MultiPoly.monomial(frame.width, tuple(e2)))
-    r = residue_of_unit(spec, frame.pullback_of(m1 / m2))
-    parts = ((Fraction(1), tuple(e1), None), (-r, tuple(e2), None))
-    return puiseux_package(frame, spec, parts=parts, position=j, new_name=new_name)
 
 
 # -- successors over frames --------------------------------------------------

@@ -3,13 +3,12 @@
 The lattice solver answers "what is the least multiple of this value that
 the already-available values generate", by exact integer echelon reduction.
 On top of it: binomial successor construction, successor verification,
-optimality with monomial-level refinement, the limit test, and
-unit-decorated key elements.
+the limit test, and unit-decorated key elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -27,11 +26,9 @@ from .exact_algebra import (
     RationalFunction,
     UniPoly,
     q_expansion,
-    to_multipoly,
-    to_unipoly,
 )
 from .ordered_value import GroupElement, compare, is_sentinel
-from .valuation_core import initial_part, truncated_value
+from .valuation_core import truncated_value
 
 
 @dataclass(frozen=True)
@@ -65,18 +62,8 @@ class Lattice:
 
     def extended(self, gen: LatticeGenerator) -> "Lattice":
         if gen.value.rank != self.rank:
-            gen = LatticeGenerator(
-                gen.label, gen.value.lift(self.rank - gen.value.rank), gen.kind, gen.index, gen.key
-            )
+            gen = replace(gen, value=gen.value.lift(self.rank - gen.value.rank))
         return Lattice(self.generators + [gen])
-
-    def lifted(self, extra: int = 1) -> "Lattice":
-        return Lattice(
-            [
-                LatticeGenerator(g.label, g.value.lift(extra), g.kind, g.index, g.key)
-                for g in self.generators
-            ]
-        )
 
 
 def _flatten(v: GroupElement, names) -> list:
@@ -87,22 +74,17 @@ def _flatten(v: GroupElement, names) -> list:
     return out
 
 
-def _column_echelon_solve(cols: list, target: list):
-    """Minimal h >= 1 and integer x with sum x_i cols_i = h*target.
+def _hermite(cols: list):
+    """Column Hermite reduction of integer columns: (A, U, pivots).
 
-    cols and target hold Fractions; raises NotInDivisibleHull when no
-    multiple of the target lies in the integer span of the columns.
+    A = cols*U column by column, with U unimodular; pivots lists the
+    (row, column) positions of the echelon form, each pivot positive.
+    Columns of A past the last pivot are zero, and the matching columns
+    of U span the integer relations among the input columns.
     """
     k = len(cols)
-    dim = len(target)
-    den = 1
-    for col in cols:
-        for a in col:
-            den = lcm(den, a.denominator)
-    for a in target:
-        den = lcm(den, a.denominator)
-    A = [[int(a * den) for a in col] for col in cols]  # column major
-    t = [Fraction(a * den) for a in target]
+    dim = len(cols[0]) if cols else 0
+    A = [list(col) for col in cols]  # column major
     U = [[1 if i == j else 0 for i in range(k)] for j in range(k)]  # column major
 
     def col_axpy(j, j0, q):
@@ -132,11 +114,32 @@ def _column_echelon_solve(cols: list, target: list):
                 U[c] = [-a for a in U[c]]
             pivots.append((r, c))
             c += 1
+    return A, U, pivots
+
+
+def _common_denominator(rows) -> int:
+    den = 1
+    for row in rows:
+        for a in row:
+            den = lcm(den, a.denominator)
+    return den
+
+
+def _column_echelon_solve(cols: list, target: list):
+    """Minimal h >= 1 and integer x with sum x_i cols_i = h*target.
+
+    cols and target hold Fractions; raises NotInDivisibleHull when no
+    multiple of the target lies in the integer span of the columns.
+    """
+    k = len(cols)
+    den = _common_denominator(cols + [target])
+    A, U, pivots = _hermite([[int(a * den) for a in col] for col in cols])
+    t = [Fraction(a * den) for a in target]
 
     # forward substitution; rows without a pivot must have zero residual
     w = [Fraction(0)] * k
     ci = 0
-    for r in range(dim):
+    for r in range(len(target)):
         resid = t[r]
         for j in range(ci):
             resid -= A[j][r] * w[j]
@@ -161,43 +164,12 @@ def relation_lattice(values) -> list:
         return []
     names = vals[0].group.names
     cols = [_flatten(v, names) for v in vals]
-    k = len(cols)
-    den = 1
-    for col in cols:
-        for a in col:
-            den = lcm(den, a.denominator)
-    A = [[int(a * den) for a in col] for col in cols]
-    U = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-
-    def col_axpy(j, j0, q):
-        A[j] = [a - q * b for a, b in zip(A[j], A[j0])]
-        U[j] = [a - q * b for a, b in zip(U[j], U[j0])]
-
-    dim = len(A[0]) if A else 0
-    c = 0
-    for r in range(dim):
-        if c >= k:
-            break
-        while True:
-            nz = [j for j in range(c, k) if A[j][r]]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(A[j][r]))
-            for j in nz:
-                if j != j0:
-                    col_axpy(j, j0, A[j][r] // A[j0][r])
-        nz = [j for j in range(c, k) if A[j][r]]
-        if nz:
-            j0 = nz[0]
-            A[c], A[j0] = A[j0], A[c]
-            U[c], U[j0] = U[j0], U[c]
-            c += 1
-
+    den = _common_denominator(cols)
+    A, U, _ = _hermite([[int(a * den) for a in col] for col in cols])
     out = []
-    for j in range(k):
-        if any(A[j]):
+    for a_col, vec in zip(A, U):
+        if any(a_col):
             continue
-        vec = U[j]
         g = 0
         for a in vec:
             g = gcd(g, a)
@@ -334,7 +306,8 @@ def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice)
     """Truncation drop plus degree minimality through the lattice multiplier."""
     if lattice.rank < spec.rank:
         # base values embed into composite towers by zero-prepending
-        lattice = lattice.lifted(spec.rank - lattice.rank)
+        extra = spec.rank - lattice.rank
+        lattice = Lattice([replace(g, value=g.value.lift(extra)) for g in lattice.generators])
     rep = truncated_value(spec, q1, q2)
     v2 = spec.value(q2)
     value_check = compare(rep.value, v2) < 0
@@ -351,44 +324,6 @@ def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice)
     if passed:
         assert leading, "verified successor with non-monic leading expansion coefficient"
     return VerifyReport(passed, value_check, degree_check, alpha, rep.value, v2, leading)
-
-
-def is_optimal(spec, q1: UniPoly, q2: UniPoly):
-    """All expansion terms minimal, refined to the monomial level.
-
-    Returns (flag, optimalization): the optimalization keeps, inside every
-    expansion coefficient, only the monomials whose term value is minimal.
-    """
-    rep = truncated_value(spec, q1, q2)
-    parts = q_expansion(q2, q1)
-    vq = spec.value(q1)
-    keep = UniPoly.zero(q2.width)
-    power = UniPoly.one(q2.width)
-    optimal = True
-    for j, part in enumerate(parts):
-        if j:
-            power = power * q1
-        if part.is_zero():
-            continue
-        shift = vq * j if j else vq * 0
-        if all(c.is_polynomial() for c in part.coeffs):
-            full = to_multipoly(part)
-            kept = {}
-            for e, cf in full.terms.items():
-                mv = spec.value(MultiPoly(full.width, {e: cf}))
-                if compare(mv + shift, rep.value) == 0:
-                    kept[e] = cf
-                else:
-                    optimal = False
-            if kept:
-                keep = keep + to_unipoly(MultiPoly(full.width, kept)) * power
-        else:
-            tv = spec.value(part) + shift
-            if compare(tv, rep.value) == 0:
-                keep = keep + part * power
-            else:
-                optimal = False
-    return optimal, keep
 
 
 def check_limit_successor(spec, q: UniPoly, q_prime: UniPoly):

@@ -2,9 +2,7 @@
 
 A trace is one JSON object per line. The first line is an ``init`` event
 carrying the group, parameter names, starting values, and protected set;
-blow-up steps follow with 1-based positions; ``lift``, ``protect`` and
-``reframe`` events record rank growth, newly protected parameters, and
-driver substitutions.
+blow-up steps follow with 1-based positions.
 
 The replay verifier re-executes the value bookkeeping from the init line
 alone and fails on any disagreement with the recorded steps.
@@ -15,10 +13,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .blowup_engine import Frame, LiftEvent, ProtectEvent, ReframeEvent, TraceStep
+from .blowup_engine import Frame
 from .errors import CertificationError, ParseError
 from .ordered_value import compare, format_element, parse_element
-from .serde import format_rational, group_from_json, group_to_json
+from .serde import group_from_json, group_to_json
 
 
 def _beta_map(names, betas) -> dict:
@@ -28,55 +26,28 @@ def _beta_map(names, betas) -> dict:
 def trace_records(frame: Frame) -> list:
     """The full trace of a frame as JSON-ready records."""
     group = frame.betas[0].group
-    added = set()
-    for item in frame.history:
-        if isinstance(item, ProtectEvent):
-            added.update(item.positions)
     records = [
         {
             "event": "init",
             "group": group_to_json(group),
             "params": list(frame.original_names),
             "beta": _beta_map(frame.original_names, frame.init_betas),
-            "protected": sorted(p + 1 for p in frame.protected - added),
+            "protected": sorted(p + 1 for p in frame.protected),
         }
     ]
     for item in frame.history:
-        if isinstance(item, TraceStep):
-            rec = {
-                "J": [q + 1 for q in item.J],
-                "j": item.j + 1,
-                "B": [q + 1 for q in item.B],
-                "C": [q + 1 for q in item.C],
-                "monomial": item.monomial,
-                "names": list(item.names_after),
-                "beta_after": _beta_map(item.names_after, item.beta_after),
-            }
-            if item.C:
-                rec["residues"] = {
-                    str(q + 1): str(Fraction(r)) for q, r in item.residues
-                }
-            records.append(rec)
-        elif isinstance(item, LiftEvent):
-            records.append({"event": "lift", "extra": item.extra})
-        elif isinstance(item, ProtectEvent):
-            records.append(
-                {"event": "protect", "positions": [p + 1 for p in item.positions]}
-            )
-        elif isinstance(item, ReframeEvent):
-            records.append(
-                {
-                    "event": "reframe",
-                    "position": item.position + 1,
-                    "name": item.name,
-                    "beta": format_element(item.beta),
-                    "old_in_new": format_rational(item.old_in_new, item.names_after),
-                    "names": list(item.names_after),
-                    "beta_after": _beta_map(item.names_after, item.beta_after),
-                }
-            )
-        else:  # pragma: no cover - frames only hold the four record kinds
-            raise TypeError(f"unknown history item {item!r}")
+        rec = {
+            "J": [q + 1 for q in item.J],
+            "j": item.j + 1,
+            "B": [q + 1 for q in item.B],
+            "C": [q + 1 for q in item.C],
+            "monomial": item.monomial,
+            "names": list(item.names_after),
+            "beta_after": _beta_map(item.names_after, item.beta_after),
+        }
+        if item.C:
+            rec["residues"] = {str(q + 1): str(Fraction(r)) for q, r in item.residues}
+        records.append(rec)
     return records
 
 
@@ -133,7 +104,6 @@ class _ReplayState:
         self.protected = set(int(p) - 1 for p in init.get("protected", []))
         self.matrix = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
         self.steps = 0
-        self.events = 0
 
     def check_positive(self, where):
         for n, b in zip(self.names, self.betas):
@@ -153,28 +123,6 @@ def replay_trace(records) -> dict:
     for idx, rec in enumerate(records[1:], start=1):
         where = f"record {idx}"
         event = rec.get("event")
-        if event == "lift":
-            extra = int(rec["extra"])
-            if extra < 1:
-                raise CertificationError(f"{where}: lift with non-positive extra")
-            st.betas = [b.lift(extra) for b in st.betas]
-            st.events += 1
-            continue
-        if event == "protect":
-            st.protected.update(int(p) - 1 for p in rec.get("positions", []))
-            st.events += 1
-            continue
-        if event == "reframe":
-            pos = int(rec["position"]) - 1
-            if pos < 0 or pos >= len(st.names):
-                raise CertificationError(f"{where}: reframe position out of range")
-            beta = parse_element(st.group, rec["beta"])
-            if not beta.is_positive():
-                raise CertificationError(f"{where}: reframed value not positive")
-            st.names[pos] = rec["name"]
-            st.betas[pos] = beta
-            st.events += 1
-            continue
         if event is not None:
             raise CertificationError(f"{where}: unknown event {event!r}")
 
@@ -245,7 +193,6 @@ def replay_trace(records) -> dict:
     return {
         "ok": True,
         "steps": st.steps,
-        "events": st.events,
         "det": int(det),
         "params": list(st.names),
         "beta": _beta_map(st.names, st.betas),
@@ -267,12 +214,7 @@ def to_dot(records) -> str:
             beta = ", ".join(f"{k}={v}" for k, v in rec.get("beta", {}).items())
             label = f"init\\n{beta}"
         elif event is not None:
-            detail = {
-                "lift": lambda: f"extra={rec.get('extra')}",
-                "protect": lambda: f"positions={rec.get('positions')}",
-                "reframe": lambda: f"{rec.get('name')} at {rec.get('position')}",
-            }.get(event, lambda: "")()
-            label = f"{event}\\n{detail}"
+            label = f"{event}\\n"
         else:
             kind = "monomial" if rec.get("monomial") else "equal-value"
             label = f"step {idx}\\nJ={rec['J']} j={rec['j']}\\n{kind}"

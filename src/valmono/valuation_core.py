@@ -10,8 +10,8 @@ Three spec variants form towers:
 * ``Augmented``: same rank as its base; value is the minimum of
   base(p_j) + j*assigned over the key expansion.
 
-On top of the specs: epsilon reports, truncation reports, initial parts,
-and non-degeneracy against a frame's monomial valuation.
+On top of the specs: epsilon reports, truncation reports, and
+non-degeneracy against a frame's monomial valuation.
 """
 
 from __future__ import annotations
@@ -295,27 +295,6 @@ def truncated_value(spec, q: UniPoly, p: UniPoly) -> TruncationReport:
     return TruncationReport(best, S, max(S), tuple(terms))
 
 
-@dataclass
-class InitialPart:
-    value: object
-    indices: tuple
-    minimal_terms: UniPoly
-
-
-def initial_part(spec, q: UniPoly, p: UniPoly) -> InitialPart:
-    """The sub-sum of minimal-value expansion terms."""
-    report = truncated_value(spec, q, p)
-    parts = q_expansion(p, q)
-    keep = UniPoly.zero(p.width)
-    power = UniPoly.one(p.width)
-    for j, part in enumerate(parts):
-        if j:
-            power = power * q
-        if j in report.S:
-            keep = keep + part * power
-    return InitialPart(report.value, report.S, keep)
-
-
 def minimalize_monomials(exponents) -> list:
     """Drop exponent vectors componentwise above another; dedupe; sort."""
     uniq = sorted(set(tuple(e) for e in exponents), key=lambda e: (sum(e), e))
@@ -326,16 +305,17 @@ def minimalize_monomials(exponents) -> list:
     return out
 
 
-def is_non_degenerate(spec, frame_val: Monomial, f: MultiPoly):
+def is_non_degenerate(spec, frame_val: Monomial, f: MultiPoly, value=None):
     """Compare the frame's monomial value with the spec value on f.
 
+    ``value`` is the spec value of f when the caller already has it.
     Returns (flag, witness): the witness is the minimalized monomial
     support of f, and exists only when the values agree.
     """
     if f.is_zero():
         raise ZeroPolynomial("non-degeneracy of the zero polynomial")
     vu = frame_val.value(f)
-    v = spec.value(f)
+    v = spec.value(f) if value is None else value
     if compare(vu, v) == 0:
         return True, minimalize_monomials(f.terms.keys())
     return False, None

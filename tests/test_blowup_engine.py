@@ -6,6 +6,7 @@ import pytest
 from valmono.blowup_engine import (
     CStepData,
     Frame,
+    _factor_as_unit,
     divide_monomials,
     framed_blowup,
     monomialize_nondegenerate,
@@ -253,6 +254,20 @@ def test_monomialize_nondegenerate_golden():
     y = MultiPoly.variable(2, 1)
     assert cert.unit == RationalFunction(one + y)
     assert len(cert.steps) == 1
+
+
+def test_factor_as_unit_checks_raise():
+    # the checks are exceptions, so they hold under python -O as well
+    fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    eps, unit, value = _factor_as_unit(fr, spec, RationalFunction(x + x * y), el((1,)))
+    assert eps == (1, 0) and unit == RationalFunction(MultiPoly.one(2) + y)
+    with pytest.raises(CertificationError, match="monomial value"):
+        _factor_as_unit(fr, spec, RationalFunction(x + x * y), el((0, 1)))
+    with pytest.raises(CertificationError, match="constant term"):
+        _factor_as_unit(fr, spec, RationalFunction(x + y), el((1,)))
 
 
 def test_monomialize_degenerate_rejected():

@@ -199,6 +199,13 @@ def test_limit_link_through_master_loop():
     assert compare(spec.value(st.frame.pullback_of(st.key_image)), el((5,))) == 0
 
 
+def test_chain_extends_from_a_prefix():
+    chain = _chain_for(NU3, Q, NAMES)
+    assert len(chain) == 2
+    assert _chain_for(NU3, Q, NAMES, chain[:1]) == chain
+    assert _chain_for(NU3, Q, NAMES, chain) == chain
+
+
 def test_chain_stalls_raise_limit_required():
     xx = MultiPoly.variable(1, 0)
     U = UniPoly.x(1)

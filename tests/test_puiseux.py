@@ -25,7 +25,6 @@ from valmono.ordered_value import compare, standard_group
 from valmono.puiseux import (
     _integer_root,
     _rational_power,
-    j_puiseux_package,
     make_problem,
     monomialize_limit_successor,
     prepare_successor,
@@ -58,11 +57,11 @@ NU3 = Composite(Q, NU2)
 Q3 = MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1})
 
 
-def tower_frame() -> Frame:
+def tower_frame(protected=()) -> Frame:
     bx = NU3.value(UniPoly.constant(2, RationalFunction(x2)))
     by = NU3.value(UniPoly.constant(2, RationalFunction(y2)))
     bz = NU3.value(X)
-    return Frame.initial(["x", "y", "z"], [bx, by, bz])
+    return Frame.initial(["x", "y", "z"], [bx, by, bz], protected=protected)
 
 
 def test_integer_root_and_rational_power():
@@ -121,7 +120,6 @@ def test_make_problem_golden_fields():
     assert prob.rel0 == (-2, -1, 2)
     assert prob.term_value == el((0,), (2, 2))
     assert prob.target_value == el((1,), (0,))
-    assert prob.relation_basis == ((2, 1, -2),)
 
 
 def test_package_golden_run():
@@ -205,23 +203,9 @@ def test_package_orientation_free():
 
 
 def test_package_protected_positions_rejected():
-    fr = tower_frame().with_protected([2])
+    fr = tower_frame(protected=[2])
     with pytest.raises(ProtectedCenter):
         puiseux_package(fr, NU3, f=Q3)
-
-
-def test_j_package_matches_direct():
-    fr = tower_frame()
-    pkg = j_puiseux_package(fr, NU3, "z", new_name="t")
-    assert pkg.exponents == (2, 2, 1)
-    assert pkg.residue == 1
-    assert pkg.problem.rho == 1
-    assert [t[:2] for t in pkg.problem.terms] == [
-        (Fraction(1), (0, 0, 2)),
-        (Fraction(-1), (2, 1, 0)),
-    ]
-    with pytest.raises(ProtectedCenter):
-        j_puiseux_package(tower_frame().with_protected([2]), NU3, "z")
 
 
 def test_prepare_successor_identity_chain():

@@ -15,7 +15,6 @@ from valmono.successors import (
     Lattice,
     LatticeGenerator,
     check_limit_successor,
-    is_optimal,
     lattice_multiplier,
     make_key_element,
     next_successor,
@@ -132,8 +131,6 @@ def test_next_successor_golden():
     assert rep.passed and rep.alpha == 2
     # the truncated value sits strictly below the assigned value
     assert compare(rep.truncated, tower.value(succ)) < 0
-    flag, opt = is_optimal(tower, X, succ)
-    assert flag and opt == succ
 
 
 def test_next_successor_alpha_one():
@@ -183,15 +180,6 @@ def test_verify_negative_cases():
     )
     rep2 = verify_immediate_successor(NU3, X, X**2, lat)
     assert not rep2.passed and not rep2.value_check and rep2.degree_check
-
-
-def test_is_optimal_refines_monomials():
-    noisy = Q + UniPoly.constant(2, x**9)
-    flag, opt = is_optimal(NU3, X, noisy)
-    assert not flag
-    assert opt == Q
-    flag2, opt2 = is_optimal(NU3, X, Q)
-    assert flag2 and opt2 == Q
 
 
 def test_check_limit_successor():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from valmono.blowup_engine import CStepData, Frame, divide_monomials, framed_blowup
-from valmono.errors import CertificationError
-from valmono.exact_algebra import MultiPoly, RationalFunction
+from valmono.errors import CertificationError, ParseError
+from valmono.exact_algebra import UniPoly
+from valmono.orchestrator import ChainLink, _fresh_state, state_from_json, state_to_json
 from valmono.ordered_value import GroupElement, standard_group
 from valmono.trace import (
     read_trace,
@@ -15,6 +16,7 @@ from valmono.trace import (
     verify_trace_file,
     write_trace,
 )
+from valmono.valuation_core import Monomial
 
 G = standard_group()
 
@@ -91,21 +93,31 @@ def test_replay_equal_value_step():
         replay_trace(broken)
 
 
-def test_replay_lift_protect_reframe():
-    fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
-    fr = framed_blowup(fr, [0, 1])
-    fr = fr.lifted(1)
-    fr = fr.with_protected([0])
-    new_pullback = fr.pullbacks[1] + 1
-    old_in_new = RationalFunction(MultiPoly.variable(2, 1)) - 1
-    fr = fr.reframed(1, "t", el((0,), (5,)), new_pullback, old_in_new)
+REMOVED_EVENTS = [
+    {"event": "lift", "extra": 1},
+    {"event": "protect", "positions": [1]},
+    {"event": "reframe", "position": 2, "name": "t", "beta": "(0, 5)"},
+]
+
+
+def test_replay_rejects_lift_protect_reframe():
+    fr = framed_blowup(Frame.initial(["x", "y"], [el((1,)), el((0, 1))]), [0, 1])
     recs = trace_records(fr)
-    kinds = [r.get("event") for r in recs]
-    assert kinds == ["init", None, "lift", "protect", "reframe"]
-    report = replay_trace(recs)
-    assert report["ok"] and report["params"] == ["x", "t"]
-    assert report["beta"]["t"] == "(0, 5)"
-    # a protected center in a later record is rejected
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    frame = Frame.initial(["x", "u"], spec.weights)
+    blob = state_to_json(_fresh_state(spec, frame, [ChainLink(UniPoly.x(1), None)], 10))
+    for event in REMOVED_EVENTS:
+        with pytest.raises(CertificationError, match="unknown event"):
+            replay_trace(recs + [event])
+        with pytest.raises(ParseError, match="unknown trace event"):
+            state_from_json(dict(blob, trace=blob["trace"] + [event]))
+    state_from_json(blob)
+    # a center through a parameter protected at init is still refused
+    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((2,))], protected=[0])
+    fr = framed_blowup(fr, [1, 2])
+    recs = trace_records(fr)
+    assert recs[0]["protected"] == [1]
+    assert replay_trace(recs)["steps"] == 1
     tampered = recs + [
         {
             "J": [1, 2],
@@ -113,11 +125,11 @@ def test_replay_lift_protect_reframe():
             "B": [2],
             "C": [],
             "monomial": True,
-            "names": ["x", "t"],
+            "names": ["x", "y", "z"],
             "beta_after": {},
         }
     ]
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="protected"):
         replay_trace(tampered)
 
 

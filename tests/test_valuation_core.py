@@ -26,7 +26,6 @@ from valmono.valuation_core import (
     Composite,
     Monomial,
     epsilon,
-    initial_part,
     is_non_degenerate,
     truncated_value,
 )
@@ -161,20 +160,6 @@ def test_truncation_derivative_bound():
             assert compare(vd, bound) >= 0
 
 
-def test_initial_part():
-    part = initial_part(NU3, X, Q)
-    assert part.indices == (0, 2)
-    assert part.minimal_terms == Q
-    single = X**3
-    got = initial_part(NU3, X, single)
-    assert got.minimal_terms == single
-    # 5 < 2 + 2*pi, so only the constant term survives under the monomial spec
-    p = X**2 + UniPoly.constant(2, x**5)
-    got2 = initial_part(NU2, X, p)
-    assert got2.minimal_terms == UniPoly.constant(2, x**5)
-    assert got2.indices == (0,)
-
-
 def test_non_degenerate_witness():
     f = MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1)
     ok, N = is_non_degenerate(NU2, NU2, f)
@@ -193,6 +178,8 @@ def test_degenerate_detected():
     f = MultiPoly(3, {(0, 0, 2): Fraction(1), (2, 1, 0): Fraction(-1)})
     ok, N = is_non_degenerate(aug, NU2, f)
     assert not ok and N is None
+    # a precomputed value stands in for the spec evaluation
+    assert is_non_degenerate(aug, NU2, f, value=NU2.value(f)) == (True, [(0, 0, 2), (2, 1, 0)])
     with pytest.raises(ZeroPolynomial):
         is_non_degenerate(aug, NU2, MultiPoly.zero(3))
 
