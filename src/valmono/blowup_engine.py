@@ -3,8 +3,8 @@
 A Frame is an immutable snapshot of a coordinate chart: parameter names
 with their values, the protected positions, forward images of the original
 variables (monomial times logged units), exact pullbacks of every current
-parameter to the original variables, and the running exponent matrix with
-its inverse.
+parameter to the original variables, and the inverse of the running
+exponent matrix.
 
 Every operation returns a new Frame; histories are append-only, so traces
 can be replayed and cross-checked step by step.
@@ -92,7 +92,6 @@ class Frame:
         "forward",
         "pullbacks",
         "unit_log",
-        "matrix",
         "matrix_inv",
     )
 
@@ -107,7 +106,6 @@ class Frame:
         forward,
         pullbacks,
         unit_log,
-        matrix,
         matrix_inv,
     ):
         self.names = tuple(names)
@@ -119,7 +117,6 @@ class Frame:
         self.forward = dict(forward)
         self.pullbacks = tuple(pullbacks)
         self.unit_log = dict(unit_log)
-        self.matrix = matrix
         self.matrix_inv = matrix_inv
         for b in self.betas:
             if not b.is_positive():
@@ -140,7 +137,7 @@ class Frame:
         forward = {n: ForwardImage(ident[k], ()) for k, n in enumerate(names)}
         pullbacks = tuple(RationalFunction(MultiPoly.variable(m, k)) for k in range(m))
         betas = tuple(betas)
-        return cls(names, names, betas, betas, prot, (), forward, pullbacks, {}, ident, ident)
+        return cls(names, names, betas, betas, prot, (), forward, pullbacks, {}, ident)
 
     @property
     def width(self) -> int:
@@ -271,8 +268,6 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         out[j] = sum(e[q] for q in J)
         return out
 
-    matrix = tuple(tuple(g_apply(row)) for row in frame.matrix)
-
     # forward images: transform exponents, move C exponents into units
     forward = {}
     for name, img in frame.forward.items():
@@ -312,7 +307,6 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         forward,
         pullbacks,
         unit_log,
-        matrix,
         _compose_inverse(frame.matrix_inv, J, j, m),
     )
     return new

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .blowup_engine import divide_monomials, principalize
-from .errors import ParseError, ValmonoError
+from .errors import CertificationError, ParseError, ValmonoError
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, divided_derivative
 from .orchestrator import (
     _initial_frame,
@@ -310,11 +310,10 @@ def _cmd_puiseux(args) -> int:
     return 0
 
 
-def _cmd_monomialize(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
-    f = parse_unipoly(_one_poly(args.poly), names)
+def _run_saving_state(args, run):
+    """Run the master loop; with --state, save its state even when it fails."""
     try:
-        out = monomialize(spec, f, args.budget, names=names)
+        out = run()
     except ValmonoError as exc:
         state = getattr(exc, "state", None)
         if state is not None and args.state:
@@ -322,6 +321,13 @@ def _cmd_monomialize(args) -> int:
         raise
     if args.state:
         save_state(out.state, args.state)
+    return out
+
+
+def _cmd_monomialize(args) -> int:
+    _group, names, spec = _load_spec(args.spec)
+    f = parse_unipoly(_one_poly(args.poly), names)
+    out = _run_saving_state(args, lambda: monomialize(spec, f, args.budget, names=names))
     _finish_trace(args, out.frame)
     payload = {
         "verb": "monomialize",
@@ -348,15 +354,9 @@ def _cmd_monomialize(args) -> int:
 def _cmd_uniformize(args) -> int:
     _group, names, spec = _load_spec(args.spec)
     polys = [parse_unipoly(p, names) for p in _many_polys(args.polys)]
-    try:
-        out = embedded_uniformize(spec, polys, args.budget, names=names)
-    except ValmonoError as exc:
-        state = getattr(exc, "state", None)
-        if state is not None and args.state:
-            save_state(state, args.state)
-        raise
-    if args.state:
-        save_state(out.state, args.state)
+    out = _run_saving_state(
+        args, lambda: embedded_uniformize(spec, polys, args.budget, names=names)
+    )
     _finish_trace(args, out.frame)
     payload = {
         "verb": "uniformize",
@@ -396,41 +396,46 @@ def _golden_problem():
     return G, el, x, y, X, Q, nu2, Composite(Q, nu2)
 
 
+def _check(ok, what: str) -> None:
+    """A selftest check that also runs under python -O."""
+    if not ok:
+        raise CertificationError(f"check failed: {what}")
+
+
 def _selftest_cases(seed: int):
     G, el, x, y, X, Q, nu2, nu3 = _golden_problem()
-    zero2 = el((0, 0), (0, 0))
 
     def case_epsilon():
         rep = epsilon(nu3, Q)
-        assert compare(rep.epsilon, el((1, 0), (-1, -1))) == 0
-        assert compare(epsilon(nu3, X).epsilon, el((0, 0), (1, 1))) == 0
+        _check(compare(rep.epsilon, el((1, 0), (-1, -1))) == 0, "epsilon(Q)")
+        _check(compare(epsilon(nu3, X).epsilon, el((0, 0), (1, 1))) == 0, "epsilon(z)")
         for plain in (x, y):
             r = epsilon(nu3, UniPoly.constant(2, RationalFunction(plain)))
-            assert is_sentinel(r.epsilon)
+            _check(is_sentinel(r.epsilon), "epsilon of a constant")
 
     def case_truncation():
         rep = truncated_value(nu3, Q, Q)
-        assert compare(rep.value, el((1, 0), (0, 0))) == 0
+        _check(compare(rep.value, el((1, 0), (0, 0))) == 0, "truncated value of Q")
         dq = divided_derivative(Q, 1)
         rep2 = truncated_value(nu3, Q, dq)
-        assert compare(rep2.value, el((0, 0), (1, 1))) == 0
+        _check(compare(rep2.value, el((0, 0), (1, 1))) == 0, "truncated value of dQ")
 
     def case_successor():
         lattice = _variable_lattice(nu2, ["x", "y", "z"])
         succ, cert = next_successor(nu2, X, lattice)
-        assert succ == Q and cert.alpha == 2
+        _check(succ == Q and cert.alpha == 2, "successor of z")
         rep = verify_immediate_successor(nu3, X, Q, lattice)
-        assert rep.passed and rep.alpha == 2
+        _check(rep.passed and rep.alpha == 2, "immediate successor check")
 
     def case_package():
         frame = _initial_frame(nu3, ["x", "y", "z"])
         f = MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1})
         pkg = puiseux_package(frame, nu3, f=f, new_name="t")
-        assert pkg.exponents == (2, 2, 1)
-        assert pkg.residue == 1
-        assert compare(pkg.value, el((1, 0), (0, 0))) == 0
+        _check(pkg.exponents == (2, 2, 1), "package exponents")
+        _check(pkg.residue == 1, "package residue")
+        _check(compare(pkg.value, el((1, 0), (0, 0))) == 0, "package value")
         report = replay_trace(trace_records(pkg.frame))
-        assert report["ok"] and report["steps"] == 3
+        _check(report["ok"] and report["steps"] == 3, "package trace replay")
 
     def case_limit():
         xx = MultiPoly.variable(1, 0)
@@ -441,16 +446,17 @@ def _selftest_cases(seed: int):
         spec = Augmented(spec_u4, P2, el((5, 0)))
         frame = _initial_frame(spec, ["x", "u"])
         res = monomialize_limit_successor(frame, spec, U, P2, new_name="t")
-        assert res.exponents == (4, 1)
-        assert compare(res.value, el((5, 0))) == 0
+        _check(res.exponents == (4, 1), "limit exponents")
+        _check(compare(res.value, el((5, 0))) == 0, "limit value")
         report = replay_trace(trace_records(res.frame))
-        assert report["ok"]
+        _check(report["ok"], "limit trace replay")
 
     def case_monomialize():
         out = monomialize(nu3, Q, DEFAULT_BUDGET, names=["x", "y", "z"])
-        assert out.exponents == (2, 2, 1)
+        _check(out.exponents == (2, 2, 1), "monomialize exponents")
         recon = out.frame.pullback_of(RationalFunction(out.monomial()) * out.unit)
-        assert recon == RationalFunction(MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1}))
+        q3 = RationalFunction(MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1}))
+        _check(recon == q3, "monomial times unit pulls back to Q")
 
     def case_multiplicative():
         rng = random.Random(seed)
@@ -459,7 +465,7 @@ def _selftest_cases(seed: int):
             p2 = _random_unipoly(rng)
             lhs = truncated_value(nu3, Q, p1 * p2).value
             rhs = truncated_value(nu3, Q, p1).value + truncated_value(nu3, Q, p2).value
-            assert compare(lhs, rhs) == 0
+            _check(compare(lhs, rhs) == 0, "truncated value is multiplicative")
 
     return [
         ("epsilon-goldens", case_epsilon),

@@ -53,10 +53,6 @@ def ev_leq(a: ExponentVector, b: ExponentVector) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def ev_total(a: ExponentVector) -> int:
-    return sum(a)
-
-
 def ev_support(a: ExponentVector) -> tuple:
     return tuple(i for i, x in enumerate(a) if x)
 
@@ -288,11 +284,6 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         return self.den.is_constant() and self.num.is_laurent_free()
-
-    def as_multipoly(self) -> MultiPoly:
-        if not self.den.is_constant():
-            raise ValueError("not a polynomial")
-        return self.num
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()

@@ -1,9 +1,10 @@
-"""Master scheduling loop over divisibility slices, keys and targets.
+"""Master scheduling loop over divisibility slices and key polynomials.
 
 The infinite interleaved sequence is realized as resumable macro-rounds
 under an explicit budget counted in blow-up steps. Each round processes
-one finite slice of monomial pairs, monomializes the next pending key
-polynomial, and monomializes the next queued coefficient-ring element.
+one finite slice of monomial pairs and monomializes the next pending key
+polynomial. State files (version 2) store polynomials as the same text
+that problem files use.
 
 The state is a value: ``advance`` returns a new state and never mutates
 its input, so callers may fork explorations by keeping old states. All
@@ -16,12 +17,11 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import trace
 from .blowup_engine import (
-    CStepData,
     Frame,
     _factor_as_unit,
     divide_monomials,
-    framed_blowup,
     monomialize_nondegenerate,
     transform_exponents,
     transport,
@@ -43,11 +43,18 @@ from .puiseux import (
     puiseux_package,
     valuation_driver,
 )
-from .serde import load_problem, problem_to_json
+from .serde import (
+    format_multipoly,
+    format_unipoly,
+    load_problem,
+    parse_polynomial,
+    parse_unipoly,
+    problem_to_json,
+)
 from .successors import Lattice, LatticeGenerator, SuccessorCertificate, next_successor
 from .valuation_core import epsilon
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 # chain extension is capped: a run that keeps producing successors without
 # reaching the target invariant is treated as a limit point
@@ -70,12 +77,8 @@ class MasterState:
     slice_index: int
     chain: tuple  # ChainLink entries already monomialized
     keys_pending: tuple  # ChainLink entries waiting for their package
-    targets_pending: tuple  # MultiPoly elements over the original variables
-    key_poly: UniPoly  # last monomialized key
-    key_image: RationalFunction  # its image over the current parameters
+    key_image: RationalFunction  # image of chain[-1].key over the current parameters
     key_pos: int  # frame position of the parameter carrying the key
-    processed_pairs: tuple  # divisibility pairs done so far, kept current
-    target_log: tuple  # (exponents, unit, value) per finished target
 
 
 def steps_used(state: MasterState) -> int:
@@ -91,7 +94,7 @@ def _budget_error(state: MasterState, task: str) -> BudgetExceeded:
     return exc
 
 
-def _fresh_state(spec, frame: Frame, chain, budget: int, targets=()) -> MasterState:
+def _fresh_state(spec, frame: Frame, chain, budget: int) -> MasterState:
     links = tuple(chain)
     pos = frame.width - 1
     return MasterState(
@@ -101,33 +104,15 @@ def _fresh_state(spec, frame: Frame, chain, budget: int, targets=()) -> MasterSt
         slice_index=0,
         chain=links[:1],
         keys_pending=links[1:],
-        targets_pending=tuple(targets),
-        key_poly=links[0].key,
         key_image=RationalFunction(MultiPoly.variable(frame.width, pos)),
         key_pos=pos,
-        processed_pairs=(),
-        target_log=(),
     )
 
 
 def _after_steps(state: MasterState, frame: Frame) -> MasterState:
-    """Push every stored exponent vector and unit through the new steps."""
-    base = len(state.frame.history)
-    steps = frame.history[base:]
-    if not steps:
-        return replace(state, frame=frame)
-    pairs = tuple(
-        (transform_exponents(a, steps), transform_exponents(b, steps))
-        for a, b in state.processed_pairs
-    )
-    image = transport(frame, state.key_image, from_step=base)
-    tlog = tuple(
-        (transform_exponents(e, steps), transport(frame, u, from_step=base), v)
-        for e, u, v in state.target_log
-    )
-    return replace(
-        state, frame=frame, processed_pairs=pairs, key_image=image, target_log=tlog
-    )
+    """Push the key image through the new steps."""
+    image = transport(frame, state.key_image, from_step=len(state.frame.history))
+    return replace(state, frame=frame, key_image=image)
 
 
 # -- pair enumeration -----------------------------------------------------------
@@ -204,14 +189,14 @@ def _run_slice(state: MasterState) -> MasterState:
                 for p, q in queue
             ]
             a, b = res.alpha, res.gamma
-        assert ev_leq(a, b), "slice pair failed to divide"
-        st = replace(st, processed_pairs=st.processed_pairs + ((a, b),))
+        if not ev_leq(a, b):
+            raise CertificationError("slice pair failed to divide")
     return st
 
 
 def _key_exps_unit(state: MasterState):
     """Current monomial-times-unit split of the key image."""
-    target = state.spec.value(state.key_poly)
+    target = state.spec.value(state.chain[-1].key)
     eps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, target)
     return eps, unit
 
@@ -224,14 +209,14 @@ def _run_key(state: MasterState) -> MasterState:
     link = state.keys_pending[0]
     st = state
     if link.certificate is not None and link.certificate.kind == "limit":
-        res = monomialize_limit_successor(st.frame, st.spec, st.key_poly, link.key)
+        res = monomialize_limit_successor(st.frame, st.spec, st.chain[-1].key, link.key)
         st = _after_steps(st, res.frame)
         image = RationalFunction(res.monomial()) * res.unit
         pos = res.package.new_position
     else:
         exps, unit = _key_exps_unit(st)
         fr2, parts, _ = prepare_successor(
-            st.frame, st.spec, link.key, st.key_poly, exps, unit
+            st.frame, st.spec, link.key, st.chain[-1].key, exps, unit
         )
         st = _after_steps(st, fr2)
         pkg = puiseux_package(st.frame, st.spec, parts=parts, position=st.key_pos)
@@ -242,43 +227,17 @@ def _run_key(state: MasterState) -> MasterState:
         st,
         chain=st.chain + (link,),
         keys_pending=st.keys_pending[1:],
-        key_poly=link.key,
         key_image=image,
         key_pos=pos,
     )
 
 
-def _run_target(state: MasterState) -> MasterState:
-    if not state.targets_pending:
-        return state
-    if steps_used(state) >= state.budget:
-        raise _budget_error(state, "target monomialization")
-    t = state.targets_pending[0]
-    img = transport(state.frame, RationalFunction(t))
-    if not img.den.is_single_term():
-        raise CertificationError("target transported outside the parameter ring")
-    try:
-        cert = monomialize_nondegenerate(
-            state.frame, state.spec, img.num, valuation_driver(state.spec)
-        )
-    except DegenerateInput:
-        # not resolvable yet; later slices or keys must expose the monomial
-        return state
-    st = _after_steps(state, cert.frame)
-    return replace(
-        st,
-        targets_pending=st.targets_pending[1:],
-        target_log=st.target_log + ((cert.exponents, cert.unit, cert.value),),
-    )
-
-
 def advance(state: MasterState) -> MasterState:
-    """One macro-round: a divisibility slice, one key, one target."""
+    """One macro-round: a divisibility slice and one key."""
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "advance")
     st = _run_slice(state)
     st = _run_key(st)
-    st = _run_target(st)
     return replace(st, slice_index=st.slice_index + 1)
 
 
@@ -380,7 +339,7 @@ def _finalize(state: MasterState, f: UniPoly):
     return state, (cert.exponents, cert.unit, cert.value)
 
 
-def monomialize(spec, f: UniPoly, budget: int, names=None, targets=()) -> MonomializeOutcome:
+def monomialize(spec, f: UniPoly, budget: int, names=None) -> MonomializeOutcome:
     """Certified monomial-times-unit form of f under the given valuation.
 
     Extends the key chain until its invariant dominates epsilon(f), runs
@@ -394,8 +353,8 @@ def monomialize(spec, f: UniPoly, budget: int, names=None, targets=()) -> Monomi
     if len(names) != f.width + 1:
         raise ParseError("name list does not match the polynomial arity")
     chain = _chain_for(spec, f, names)
-    state = _fresh_state(spec, _initial_frame(spec, names), chain, budget, targets)
-    while state.keys_pending or state.targets_pending:
+    state = _fresh_state(spec, _initial_frame(spec, names), chain, budget)
+    while state.keys_pending:
         state = advance(state)
     state, (exps, unit, value) = _finalize(state, f)
     return MonomializeOutcome(state=state, exponents=exps, unit=unit, value=value)
@@ -439,26 +398,30 @@ def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
 
     chain = _chain_for(spec, fs[first], names)
     state = _fresh_state(spec, _initial_frame(spec, names), chain, budget)
-    entries = {}
+    exps_at = {}  # per input index: (exponents, step count when they were taken)
     for idx in order:
         links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending)
         state = replace(state, keys_pending=links[len(state.chain):])
-        while state.keys_pending or state.targets_pending:
+        while state.keys_pending:
             state = advance(state)
-        state, entries[idx] = _finalize(state, fs[idx])
+        state, (exps, _, _) = _finalize(state, fs[idx])
+        exps_at[idx] = (exps, steps_used(state))
 
-    # divisibility phase: the first element's monomial must divide the rest
+    # divisibility phase: the first element's monomial must divide the rest.
+    # A blow-up maps monomial times unit to monomial' times unit' with the
+    # exponents moved by transform_exponents, so no element is re-factored.
     driver = valuation_driver(spec)
     for idx in order[1:]:
-        e1 = _current_exps(state, fs[first], values[first])
-        ej = _current_exps(state, fs[idx], values[idx])
+        e1, ej = (
+            transform_exponents(e, state.frame.history[start:])
+            for e, start in (exps_at[first], exps_at[idx])
+        )
         if ev_leq(e1, ej):
             continue
         if steps_used(state) >= state.budget:
             raise _budget_error(state, f"divisibility of element {idx}")
         res = divide_monomials(state.frame, e1, ej, driver)
         state = _after_steps(state, res.frame)
-        state = replace(state, processed_pairs=state.processed_pairs + ((res.alpha, res.gamma),))
 
     final = {}
     for idx in order:
@@ -466,7 +429,8 @@ def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
         final[idx] = _factor_as_unit(state.frame, spec, T, values[idx])
     e1 = final[first][0]
     for idx in order[1:]:
-        assert ev_leq(e1, final[idx][0]), "minimal element fails to divide"
+        if not ev_leq(e1, final[idx][0]):
+            raise CertificationError("minimal element fails to divide")
     return UniformizeOutcome(
         state=state,
         order=order,
@@ -474,163 +438,87 @@ def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
     )
 
 
-def _current_exps(state: MasterState, f: UniPoly, value) -> tuple:
-    T = transport(state.frame, RationalFunction(to_multipoly(f)))
-    eps, _, _ = _factor_as_unit(state.frame, state.spec, T, value)
-    return eps
-
-
 # -- versioned state files ---------------------------------------------------------
 
 
-def _poly_json(p: MultiPoly) -> dict:
-    return {
-        "width": p.width,
-        "terms": [[list(e), str(c)] for e, c in sorted(p.terms.items())],
-    }
-
-
-def _poly_from(obj) -> MultiPoly:
-    return MultiPoly(
-        int(obj["width"]),
-        {tuple(int(x) for x in e): Fraction(c) for e, c in obj["terms"]},
-    )
-
-
-def _rf_json(r: RationalFunction) -> dict:
-    return {"num": _poly_json(r.num), "den": _poly_json(r.den)}
-
-
-def _rf_from(obj) -> RationalFunction:
-    return RationalFunction(_poly_from(obj["num"]), _poly_from(obj["den"]))
-
-
-def _unipoly_json(p: UniPoly) -> dict:
-    return {"width": p.width, "coeffs": [_rf_json(c) for c in p.coeffs]}
-
-
-def _unipoly_from(obj) -> UniPoly:
-    return UniPoly(int(obj["width"]), [_rf_from(c) for c in obj["coeffs"]])
-
-
-def _cert_json(cert: SuccessorCertificate | None):
+def _cert_json(cert: SuccessorCertificate | None, names):
     if cert is None:
         return None
     return {
         "kind": cert.kind,
         "alpha": cert.alpha,
-        "monomial": None if cert.monomial is None else _poly_json(cert.monomial),
+        "monomial": None if cert.monomial is None else format_multipoly(cert.monomial, names[:-1]),
         "key_powers": [[label, int(p)] for label, p in cert.key_powers],
         "residue": None if cert.residue is None else str(cert.residue),
         "base_value": format_element(cert.base_value),
     }
 
 
-def _cert_from(obj, group):
+def _cert_from(obj, group, names):
     if obj is None:
         return None
     return SuccessorCertificate(
         kind=obj["kind"],
         alpha=int(obj["alpha"]),
-        monomial=None if obj["monomial"] is None else _poly_from(obj["monomial"]),
+        monomial=None if obj["monomial"] is None else parse_polynomial(obj["monomial"], names[:-1]),
         key_powers=tuple((label, int(p)) for label, p in obj["key_powers"]),
         residue=None if obj["residue"] is None else Fraction(obj["residue"]),
         base_value=parse_element(group, obj["base_value"]),
     )
 
 
-def _link_json(link: ChainLink) -> dict:
-    return {"key": _unipoly_json(link.key), "certificate": _cert_json(link.certificate)}
+def _link_json(link: ChainLink, names) -> dict:
+    return {
+        "key": format_unipoly(link.key, names[:-1], names[-1]),
+        "certificate": _cert_json(link.certificate, names),
+    }
 
 
-def _link_from(obj, group) -> ChainLink:
-    return ChainLink(_unipoly_from(obj["key"]), _cert_from(obj["certificate"], group))
+def _link_from(obj, group, names) -> ChainLink:
+    return ChainLink(parse_unipoly(obj["key"], names), _cert_from(obj["certificate"], group, names))
 
 
 def state_to_json(state: MasterState) -> dict:
-    from .trace import trace_records
-
     group = state.frame.betas[0].group
     names = list(state.frame.original_names)
+    image = state.key_image
     return {
         "version": STATE_VERSION,
         "problem": problem_to_json(group, names, state.spec),
         "budget": state.budget,
         "slice_index": state.slice_index,
-        "trace": trace_records(state.frame),
-        "chain": [_link_json(l) for l in state.chain],
-        "keys_pending": [_link_json(l) for l in state.keys_pending],
-        "targets_pending": [_poly_json(t) for t in state.targets_pending],
-        "key_poly": _unipoly_json(state.key_poly),
-        "key_image": _rf_json(state.key_image),
+        "trace": trace.trace_records(state.frame),
+        "chain": [_link_json(l, names) for l in state.chain],
+        "keys_pending": [_link_json(l, names) for l in state.keys_pending],
+        "key_image": {
+            "num": format_multipoly(image.num, state.frame.names),
+            "den": format_multipoly(image.den, state.frame.names),
+        },
         "key_pos": state.key_pos,
-        "processed_pairs": [[list(a), list(b)] for a, b in state.processed_pairs],
-        "target_log": [
-            {"exponents": list(e), "unit": _rf_json(u), "value": format_element(v)}
-            for e, u, v in state.target_log
-        ],
     }
-
-
-def _frame_from_records(group, records) -> Frame:
-    init = records[0]
-    if init.get("event") != "init":
-        raise ParseError("state trace must start with an init record")
-    names = list(init["params"])
-    betas = [parse_element(group, init["beta"][n]) for n in names]
-    frame = Frame.initial(names, betas, [p - 1 for p in init.get("protected", [])])
-    for rec in records[1:]:
-        event = rec.get("event")
-        if event is not None:
-            raise ParseError(f"unknown trace event {event!r}")
-        residues = rec.get("residues", {})
-        names_after = list(rec["names"])
-        beta_after = rec["beta_after"]
-
-        def provider(fr, q, j, _rec=rec, _res=residues, _na=names_after, _ba=beta_after):
-            r = _res.get(str(q + 1))
-            if r is None:
-                return None
-            return CStepData(
-                residue=Fraction(r),
-                beta_new=parse_element(group, _ba[_na[q]]),
-                new_name=_na[q],
-            )
-
-        frame = framed_blowup(frame, [int(q) - 1 for q in rec["J"]], provider)
-        if list(frame.names) != names_after:
-            raise ParseError("replayed parameter names drift from the record")
-    return frame
 
 
 def state_from_json(obj) -> MasterState:
     if obj.get("version") != STATE_VERSION:
         raise ParseError(f"unsupported state version {obj.get('version')!r}")
-    group, _names, spec = load_problem(obj["problem"])
-    frame = _frame_from_records(group, obj["trace"])
+    group, names, spec = load_problem(obj["problem"])
+    frame = trace._frame_from_records(group, obj["trace"])
+    chain = tuple(_link_from(l, group, names) for l in obj["chain"])
+    if not chain:
+        raise ParseError("state chain is empty")
+    image = obj["key_image"]
     return MasterState(
         spec=spec,
         frame=frame,
         budget=int(obj["budget"]),
         slice_index=int(obj["slice_index"]),
-        chain=tuple(_link_from(l, group) for l in obj["chain"]),
-        keys_pending=tuple(_link_from(l, group) for l in obj["keys_pending"]),
-        targets_pending=tuple(_poly_from(t) for t in obj["targets_pending"]),
-        key_poly=_unipoly_from(obj["key_poly"]),
-        key_image=_rf_from(obj["key_image"]),
+        chain=chain,
+        keys_pending=tuple(_link_from(l, group, names) for l in obj["keys_pending"]),
+        key_image=RationalFunction(
+            parse_polynomial(image["num"], frame.names),
+            parse_polynomial(image["den"], frame.names),
+        ),
         key_pos=int(obj["key_pos"]),
-        processed_pairs=tuple(
-            (tuple(int(x) for x in a), tuple(int(x) for x in b))
-            for a, b in obj["processed_pairs"]
-        ),
-        target_log=tuple(
-            (
-                tuple(int(x) for x in t["exponents"]),
-                _rf_from(t["unit"]),
-                parse_element(group, t["value"]),
-            )
-            for t in obj["target_log"]
-        ),
     )
 
 

@@ -449,25 +449,6 @@ def div_by_positive_int(a, n: int):
     return GroupElement(tuple(s * Fraction(1, n) for s in a.entries))
 
 
-def minimum(values):
-    """Smallest of a nonempty iterable under the total order."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if compare(v, best) < 0:
-            best = v
-    return best
-
-
-def maximum(values):
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if compare(v, best) > 0:
-            best = v
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Text form: elements "(s1, s2)", scalars "a + b*g", rationals "p/q".
 

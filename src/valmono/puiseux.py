@@ -117,7 +117,7 @@ def _parallel_ratio(m, rel):
 # -- residues of value-zero elements -----------------------------------------
 
 
-def _as_multipoly(p):
+def _multipoly_or_none(p):
     if isinstance(p, MultiPoly):
         return p
     if isinstance(p, RationalFunction):
@@ -131,7 +131,7 @@ def _as_multipoly(p):
 def _residue_candidates(spec, A, B) -> set:
     """Rational candidates for the residue of A/B, every level of the tower."""
     out: set = set()
-    Am, Bm = _as_multipoly(A), _as_multipoly(B)
+    Am, Bm = _multipoly_or_none(A), _multipoly_or_none(B)
     if Am is None or Bm is None:
         return out
     for e in set(Am.terms) & set(Bm.terms):
@@ -591,9 +591,10 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, ne
 
     # the new parameter is exactly the normalized candidate P / b'_1
     P_orig = RationalFunction(to_multipoly(P))
-    if pkg.frame.pullbacks[tpos] != P_orig / pkg.frame.pullback_of(RationalFunction(b1p)):
+    candidate = P_orig / pkg.frame.pullback_of(RationalFunction(b1p))
+    if pkg.frame.pullbacks[tpos] != candidate:
         raise CertificationError("the new parameter is not the normalized candidate")
 
     target = spec.value(P_orig)
     eps, unit, value = _factor_as_unit(pkg.frame, spec, T, target)
-    return LimitMonomialization(pkg.frame, eps, unit, value, pkg, b1p, P_orig / pkg.frame.pullback_of(RationalFunction(b1p)))
+    return LimitMonomialization(pkg.frame, eps, unit, value, pkg, b1p, candidate)

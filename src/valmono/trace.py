@@ -5,7 +5,8 @@ carrying the group, parameter names, starting values, and protected set;
 blow-up steps follow with 1-based positions.
 
 The replay verifier re-executes the value bookkeeping from the init line
-alone and fails on any disagreement with the recorded steps.
+alone and fails on any disagreement with the recorded steps. The state
+loader rebuilds a ``Frame`` from the same records.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .blowup_engine import Frame
+from .blowup_engine import CStepData, Frame, framed_blowup
 from .errors import CertificationError, ParseError
 from .ordered_value import compare, format_element, parse_element
 from .serde import group_from_json, group_to_json
@@ -71,6 +72,38 @@ def read_trace(path) -> list:
     return records
 
 
+def _frame_from_records(group, records) -> Frame:
+    """Rebuild a frame by re-running the recorded blow-ups from the init record."""
+    init = records[0]
+    if init.get("event") != "init":
+        raise ParseError("state trace must start with an init record")
+    names = list(init["params"])
+    betas = [parse_element(group, init["beta"][n]) for n in names]
+    frame = Frame.initial(names, betas, [p - 1 for p in init.get("protected", [])])
+    for rec in records[1:]:
+        event = rec.get("event")
+        if event is not None:
+            raise ParseError(f"unknown trace event {event!r}")
+        residues = rec.get("residues", {})
+        names_after = list(rec["names"])
+        beta_after = rec["beta_after"]
+
+        def provider(fr, q, j, _res=residues, _na=names_after, _ba=beta_after):
+            r = _res.get(str(q + 1))
+            if r is None:
+                return None
+            return CStepData(
+                residue=Fraction(r),
+                beta_new=parse_element(group, _ba[_na[q]]),
+                new_name=_na[q],
+            )
+
+        frame = framed_blowup(frame, [int(q) - 1 for q in rec["J"]], provider)
+        if list(frame.names) != names_after:
+            raise ParseError("replayed parameter names drift from the record")
+    return frame
+
+
 def _det(matrix) -> Fraction:
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
@@ -102,7 +135,7 @@ class _ReplayState:
             raise CertificationError(f"init record lacks values for {missing}")
         self.betas = [parse_element(self.group, beta_map[n]) for n in self.names]
         self.protected = set(int(p) - 1 for p in init.get("protected", []))
-        self.matrix = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
+        self.rows = [[1 if i == k else 0 for k in range(m)] for i in range(m)]
         self.steps = 0
 
     def check_positive(self, where):
@@ -183,11 +216,11 @@ def replay_trace(records) -> dict:
                 if compare(rec_b, b) != 0:
                     raise CertificationError(f"{where}: recorded value of {n!r} drifts")
 
-        for row in st.matrix:
+        for row in st.rows:
             row[j] = sum(row[q] for q in J)
         st.steps += 1
 
-    det = _det(st.matrix)
+    det = _det(st.rows)
     if abs(det) != 1:
         raise CertificationError(f"exponent matrix determinant {det} is not a unit")
     return {

@@ -237,9 +237,6 @@ class EpsilonReport:
     b: int | None
     I: tuple
 
-    def is_finite(self) -> bool:
-        return not is_sentinel(self.epsilon)
-
 
 def epsilon(spec, p: UniPoly) -> EpsilonReport:
     """max over b >= 1 of (value(p) - value(divided_derivative(p, b)))/b."""
@@ -268,10 +265,6 @@ class TruncationReport:
     S: tuple
     delta: int | None
     terms: tuple
-
-    @property
-    def delta_is_one(self) -> bool:
-        return self.delta == 1
 
 
 def truncated_value(spec, q: UniPoly, p: UniPoly) -> TruncationReport:

@@ -1,9 +1,14 @@
 """CLI verbs, output formats, exit codes, trace and state files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valmono
 from valmono.cli import main
 from valmono.orchestrator import load_state
 from valmono.trace import verify_trace_file
@@ -179,3 +184,18 @@ def test_selftest_passes(specs, capsys):
     assert main(["selftest", "--format", "json", "--seed", "7"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(case["ok"] for case in payload["results"])
+
+
+def test_selftest_checks_under_optimize():
+    # with compare broken every golden value check must fail, also under -O
+    code = (
+        "import sys, valmono.cli as cli\n"
+        "cli.compare = lambda a, b: 1\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(valmono.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "FAIL epsilon-goldens" in proc.stderr

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from valmono.errors import BudgetExceeded, LimitSuccessorRequired, ZeroPolynomial
+from valmono.blowup_engine import transform_exponents
+from valmono.errors import BudgetExceeded, LimitSuccessorRequired, ParseError, ZeroPolynomial
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
 from valmono.ordered_value import compare, standard_group
 from valmono.orchestrator import (
@@ -103,7 +104,7 @@ def test_budget_zero_and_resume():
             tight = advance(tight)
     part = exc2.value.state
     resumed = replace(part, budget=10_000)
-    while resumed.keys_pending or resumed.targets_pending:
+    while resumed.keys_pending:
         resumed = advance(resumed)
     assert len(resumed.chain) == 2
     assert steps_used(resumed) == 3
@@ -125,6 +126,56 @@ def test_state_roundtrip_and_determinism():
     assert stepped.slice_index == back.slice_index + 1
 
 
+def _assert_state_roundtrip(state):
+    blob = json.loads(json.dumps(state_to_json(state)))
+    back = state_from_json(blob)
+    assert state_to_json(back) == blob
+    assert back.key_image == state.key_image
+    keys = [link.key for link in state.chain + state.keys_pending]
+    assert [link.key for link in back.chain + back.keys_pending] == keys
+    return blob
+
+
+def test_state_roundtrip_partial_uniformize_and_tower():
+    # a partial state from an exhausted budget, with its key still pending
+    with pytest.raises(BudgetExceeded) as exc:
+        monomialize(NU3, Q, 0, names=NAMES)
+    blob = _assert_state_roundtrip(exc.value.state)
+    assert blob["chain"] == [{"key": "z", "certificate": None}]
+    assert blob["keys_pending"][0]["key"] == "z^2 - x^2*y"
+    assert blob["keys_pending"][0]["certificate"]["monomial"] == "x^2*y"
+
+    x2y = UniPoly.constant(2, RationalFunction(x2**2 * y2))
+    out = embedded_uniformize(NU3, [x2y, Q], 10_000, names=NAMES)
+    _assert_state_roundtrip(out.state)
+
+    # rank-1 tower s2 over (x, z): the key parameter comes back primed
+    xx, Z = MultiPoly.variable(1, 0), UniPoly.x(1)
+    K2 = Z**2 - UniPoly.constant(1, xx**3)
+    s1 = Augmented(Monomial(G, [el((1,)), el((1,))]), Z, el((Fraction(3, 2),)))
+    s2 = Augmented(s1, K2, el((Fraction(13, 4),)))
+    st = monomialize(s2, K2 * K2, 10_000, names=["x", "z"]).state
+    assert st.frame.names == ("x", "z'")
+    blob = _assert_state_roundtrip(st)
+    assert blob["chain"][1]["key"] == "z^2 - x^3"
+    assert blob["key_image"]["num"] == "x^6*z'^4 + 3*x^6*z'^3 + 3*x^6*z'^2 + x^6*z'"
+    # a Laurent image with a non-monomial denominator keeps its text form
+    xz = MultiPoly(2, {(7, 0): Fraction(-2, 3), (7, 1): Fraction(-2, 3)})
+    laurent = replace(st, key_image=st.key_image / RationalFunction(xz))
+    blob = _assert_state_roundtrip(laurent)
+    assert blob["key_image"]["den"] == "z' + 1"
+    assert "x^-1" in blob["key_image"]["num"]
+
+
+def test_state_rejects_v1_and_empty_chain():
+    blob = state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)
+    assert blob["version"] == 2
+    with pytest.raises(ParseError):
+        state_from_json(dict(blob, version=1))
+    with pytest.raises(ParseError):
+        state_from_json(dict(blob, chain=[]))
+
+
 def test_enumerate_pairs_slices():
     chain = _chain_for(NU3, Q, NAMES)
     st = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 100)
@@ -141,11 +192,15 @@ def test_enumerate_pairs_slices():
 def test_processed_pairs_invariant():
     chain = _chain_for(NU3, Q, NAMES)
     st = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 500)
+    slices = []  # (pairs, step count when the slice started)
     for _ in range(6):
+        slices.append((enumerate_pairs(st, st.slice_index), steps_used(st)))
         st = advance(st)
-    assert len(st.processed_pairs) == 1 + 2 + 3 + 4 + 5 + 6
-    for a, b in st.processed_pairs:
-        assert ev_leq(a, b)
+    assert sum(len(pairs) for pairs, _ in slices) == 1 + 2 + 3 + 4 + 5 + 6
+    for pairs, start in slices:
+        later = st.frame.history[start:]
+        for a, b in pairs:
+            assert ev_leq(transform_exponents(a, later), transform_exponents(b, later))
 
 
 def test_uniformize_golden_pair():
