@@ -215,7 +215,8 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         if q == j:
             continue
         c = compare(frame.betas[q], beta_j)
-        assert c >= 0, "center index does not minimize the value"
+        if c < 0:
+            raise CertificationError("center index does not minimize the value")
         (C if c == 0 else B).append(q)
 
     c_data = {}
@@ -245,20 +246,16 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         if names[q] in frame.names or list(names).count(names[q]) > 1:
             raise ValueError(f"replacement name {names[q]!r} collides")
 
+    # one quotient old_q/old_j per member: B pullbacks, C units and C pullbacks
+    quotients = {q: frame.pullbacks[q] / frame.pullbacks[j] for q in B + C}
+
     # unit log entries for C members
     unit_log = dict(frame.unit_log)
     residues = []
     unit_names = {}
     for q in C:
         uname = _unique_unit_name(unit_log, frame.names[q])
-        shifted_pullback = frame.pullbacks[q] / frame.pullbacks[j] - c_data[q].residue
-        unit_log[uname] = UnitRecord(
-            uname,
-            len(frame.history),
-            q,
-            c_data[q].residue,
-            shifted_pullback + c_data[q].residue,
-        )
+        unit_log[uname] = UnitRecord(uname, len(frame.history), q, c_data[q].residue, quotients[q])
         unit_names[q] = uname
         residues.append((q, c_data[q].residue))
 
@@ -282,9 +279,9 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     # pullbacks: new_q = old_q/old_j (B), shifted quotient (C), unchanged else
     pullbacks = list(frame.pullbacks)
     for q in B:
-        pullbacks[q] = frame.pullbacks[q] / frame.pullbacks[j]
+        pullbacks[q] = quotients[q]
     for q in C:
-        pullbacks[q] = frame.pullbacks[q] / frame.pullbacks[j] - c_data[q].residue
+        pullbacks[q] = quotients[q] - c_data[q].residue
 
     step = TraceStep(
         J=tuple(J),
@@ -297,7 +294,13 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         beta_after=tuple(betas),
     )
 
-    new = Frame(
+    # exponent rows act on the right (e_current = e_original @ M); the step's
+    # inverse subtracts row j from every other center row of M^-1
+    inv = [list(row) for row in frame.matrix_inv]
+    for q in B + C:
+        inv[q] = [a - b for a, b in zip(inv[q], inv[j])]
+
+    return Frame(
         names,
         frame.original_names,
         frame.init_betas,
@@ -307,27 +310,8 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         forward,
         pullbacks,
         unit_log,
-        _compose_inverse(frame.matrix_inv, J, j, m),
+        tuple(tuple(row) for row in inv),
     )
-    return new
-
-
-def _compose_inverse(prev_inv, J, j, m):
-    """prev_inv composed with the elementary inverse of this step."""
-    # step matrix G: row q, col j gets 1 for q in J; G_inv: col j gets -1 there
-    g_inv = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-    for q in J:
-        if q != j:
-            g_inv[q][j] = -1
-    # new_inv = g_inv @ prev_inv? matrices act on exponent row vectors on the
-    # right: e_current = e_original @ M, so M_inv accumulates on the left.
-    out = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for k in range(m):
-            if g_inv[a][k]:
-                for b in range(m):
-                    out[a][b] += g_inv[a][k] * prev_inv[k][b]
-    return tuple(tuple(row) for row in out)
 
 
 # -- substitution ----------------------------------------------------------------
@@ -491,8 +475,8 @@ def divide_monomials(frame: Frame, alpha, gamma, c_provider=None) -> DivideResul
         (a, b), at, gt, _, _ = tau(alpha, gamma)
         if a == 0:
             break
-        if prev_tau is not None:
-            assert (a, b) < prev_tau, "tau character failed to decrease"
+        if prev_tau is not None and not (a, b) < prev_tau:
+            raise CertificationError("tau character failed to decrease")
         prev_tau = (a, b)
         J = _center_from_tau(frame, at, gt)
         frame = framed_blowup(frame, J, c_provider)
@@ -504,16 +488,17 @@ def divide_monomials(frame: Frame, alpha, gamma, c_provider=None) -> DivideResul
     # the lower-value monomial divides; equality gives mutual divisibility
     c = compare(value_alpha, value_gamma)
     if c < 0:
-        assert ev_leq(alpha, gamma), "division direction contradicts the values"
-        divider = "alpha"
+        divider, divides = "alpha", ev_leq(alpha, gamma)
     elif c > 0:
-        assert ev_leq(gamma, alpha), "division direction contradicts the values"
-        divider = "gamma"
+        divider, divides = "gamma", ev_leq(gamma, alpha)
     else:
-        assert alpha == gamma, "equal values must collapse to one monomial"
-        divider = "equal"
-    assert frame.monomial_value(alpha) == value_alpha
-    assert frame.monomial_value(gamma) == value_gamma
+        if alpha != gamma:
+            raise CertificationError("equal values must collapse to one monomial")
+        divider, divides = "equal", True
+    if not divides:
+        raise CertificationError("division direction contradicts the values")
+    if frame.monomial_value(alpha) != value_alpha or frame.monomial_value(gamma) != value_gamma:
+        raise CertificationError("a blow-up changed the value of a monomial")
     return DivideResult(frame, alpha, gamma, steps, divider)
 
 
@@ -555,8 +540,8 @@ def principalize(frame: Frame, N, c_provider=None) -> PrincipalizeResult:
     for i in range(1, len(gens)):
         if compare(frame.monomial_value(gens[i]), frame.monomial_value(gens[best])) < 0:
             best = i
-    for e in gens:
-        assert ev_leq(gens[best], e), "principal generator fails to divide"
+    if not all(ev_leq(gens[best], e) for e in gens):
+        raise CertificationError("principal generator fails to divide")
     return PrincipalizeResult(frame, tuple(gens), best, frame.history[start:])
 
 

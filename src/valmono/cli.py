@@ -97,11 +97,9 @@ def _exponents(text: str, width: int) -> tuple:
     return out
 
 
-def _element_text(v) -> str:
-    return format_element(v)
-
-
 def _emit(args, payload: dict, lines: list) -> None:
+    if args.format == "dot":  # the trace graph was already printed
+        return
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -133,7 +131,7 @@ def _cmd_eval(args) -> int:
     _group, names, spec = _load_spec(args.spec)
     f = parse_unipoly(_one_poly(args.poly), names)
     v = spec.value(f)
-    _emit(args, {"verb": "eval", "value": _element_text(v)}, [_element_text(v)])
+    _emit(args, {"verb": "eval", "value": format_element(v)}, [format_element(v)])
     return 0
 
 
@@ -142,7 +140,7 @@ def _cmd_epsilon(args) -> int:
     _group, names, spec = _load_spec(args.spec)
     f = parse_unipoly(_one_poly(args.poly), names)
     rep = epsilon(spec, f)
-    text = _element_text(rep.epsilon)
+    text = format_element(rep.epsilon)
     payload = {
         "verb": "epsilon",
         "epsilon": text,
@@ -161,10 +159,10 @@ def _cmd_truncate(args) -> int:
     rep = truncated_value(spec, q, f)
     payload = {
         "verb": "truncate",
-        "value": _element_text(rep.value),
+        "value": format_element(rep.value),
         "S": list(rep.S),
         "delta": rep.delta,
-        "terms": [_element_text(t) for t in rep.terms],
+        "terms": [format_element(t) for t in rep.terms],
     }
     _emit(
         args,
@@ -192,8 +190,8 @@ def _cmd_successor(args) -> int:
             "value_check": rep.value_check,
             "degree_check": rep.degree_check,
             "alpha": rep.alpha,
-            "truncated": _element_text(rep.truncated),
-            "value": _element_text(rep.value),
+            "truncated": format_element(rep.truncated),
+            "value": format_element(rep.value),
         }
         _emit(
             args,
@@ -216,7 +214,7 @@ def _cmd_successor(args) -> int:
         "alpha": cert.alpha,
         "residue": str(cert.residue),
         "monomial": format_multipoly(cert.monomial, names[:-1]),
-        "base_value": _element_text(cert.base_value),
+        "base_value": format_element(cert.base_value),
     }
     _emit(
         args,
@@ -241,17 +239,16 @@ def _cmd_divide(args) -> int:
         "steps": len(res.steps),
         "params": list(res.frame.names),
     }
-    if args.format != "dot":
-        _emit(
-            args,
-            payload,
-            [
-                f"divider = {res.divider}",
-                f"alpha -> {list(res.alpha)}",
-                f"gamma -> {list(res.gamma)}",
-                f"steps = {len(res.steps)}",
-            ],
-        )
+    _emit(
+        args,
+        payload,
+        [
+            f"divider = {res.divider}",
+            f"alpha -> {list(res.alpha)}",
+            f"gamma -> {list(res.gamma)}",
+            f"steps = {len(res.steps)}",
+        ],
+    )
     return 0
 
 
@@ -267,15 +264,14 @@ def _cmd_principalize(args) -> int:
         "index": res.index,
         "steps": len(res.steps),
     }
-    if args.format != "dot":
-        _emit(
-            args,
-            payload,
-            [
-                f"principal generator = {list(res.generators[res.index])}",
-                f"steps = {len(res.steps)}",
-            ],
-        )
+    _emit(
+        args,
+        payload,
+        [
+            f"principal generator = {list(res.generators[res.index])}",
+            f"steps = {len(res.steps)}",
+        ],
+    )
     return 0
 
 
@@ -290,23 +286,22 @@ def _cmd_puiseux(args) -> int:
         "params": list(pkg.frame.names),
         "exponents": list(pkg.exponents),
         "unit": format_rational(pkg.unit, pkg.frame.names),
-        "value": _element_text(pkg.value),
+        "value": format_element(pkg.value),
         "residue": str(pkg.residue),
         "new_parameter": pkg.new_name,
         "steps": len(pkg.steps),
     }
-    if args.format != "dot":
-        _emit(
-            args,
-            payload,
-            [
-                f"monomial exponents = {list(pkg.exponents)} over {list(pkg.frame.names)}",
-                f"unit = {payload['unit']}",
-                f"value = {payload['value']}",
-                f"residue = {pkg.residue}",
-                f"steps = {len(pkg.steps)}",
-            ],
-        )
+    _emit(
+        args,
+        payload,
+        [
+            f"monomial exponents = {list(pkg.exponents)} over {list(pkg.frame.names)}",
+            f"unit = {payload['unit']}",
+            f"value = {payload['value']}",
+            f"residue = {pkg.residue}",
+            f"steps = {len(pkg.steps)}",
+        ],
+    )
     return 0
 
 
@@ -334,20 +329,19 @@ def _cmd_monomialize(args) -> int:
         "params": list(out.frame.names),
         "exponents": list(out.exponents),
         "unit": format_rational(out.unit, out.frame.names),
-        "value": _element_text(out.value),
+        "value": format_element(out.value),
         "steps": steps_used(out.state),
     }
-    if args.format != "dot":
-        _emit(
-            args,
-            payload,
-            [
-                f"monomial exponents = {list(out.exponents)} over {list(out.frame.names)}",
-                f"unit = {payload['unit']}",
-                f"value = {payload['value']}",
-                f"steps = {payload['steps']}",
-            ],
-        )
+    _emit(
+        args,
+        payload,
+        [
+            f"monomial exponents = {list(out.exponents)} over {list(out.frame.names)}",
+            f"unit = {payload['unit']}",
+            f"value = {payload['value']}",
+            f"steps = {payload['steps']}",
+        ],
+    )
     return 0
 
 
@@ -366,16 +360,15 @@ def _cmd_uniformize(args) -> int:
             {
                 "exponents": list(e),
                 "unit": format_rational(u, out.frame.names),
-                "value": _element_text(v),
+                "value": format_element(v),
             }
             for e, u, v in out.entries
         ],
     }
-    if args.format != "dot":
-        lines = [f"order = {list(out.order)} over {list(out.frame.names)}"]
-        for i, entry in enumerate(payload["entries"]):
-            lines.append(f"f{i + 1}: exponents = {entry['exponents']} value = {entry['value']}")
-        _emit(args, payload, lines)
+    lines = [f"order = {list(out.order)} over {list(out.frame.names)}"]
+    for i, entry in enumerate(payload["entries"]):
+        lines.append(f"f{i + 1}: exponents = {entry['exponents']} value = {entry['value']}")
+    _emit(args, payload, lines)
     return 0
 
 

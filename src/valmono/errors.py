@@ -90,8 +90,8 @@ class DeltaNotOne(ValmonoError):
     """Limit recipes require the minimal index set to reach exactly 1."""
 
 
-class RecursionBudgetExceeded(ValmonoError):
-    """Coefficient recursion exceeded its depth or membership budget."""
+class NonPolynomialImage(ValmonoError):
+    """An image over a frame is not a polynomial, or not a monomial, of the required shape."""
 
 
 class BudgetExceeded(ValmonoError):

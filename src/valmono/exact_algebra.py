@@ -293,6 +293,16 @@ class RationalFunction:
             raise ValueError("not a constant")
         return self.num.constant_value()
 
+    def laurent_free(self) -> tuple:
+        """(num*m, den*m) for the least monomial m clearing the numerator's negative exponents."""
+        lows = ev_zero(self.width)
+        for e in self.num.terms:
+            lows = ev_min(lows, e)
+        if not any(lows):
+            return self.num, self.den
+        m = ev_scale(lows, -1)
+        return self.num.shift(m), self.den.shift(m)
+
     def __add__(self, other):
         other = RationalFunction.of(other, self.width)
         return RationalFunction(

@@ -35,7 +35,7 @@ from .errors import (
     NonBinomialInput,
     NonMonicKey,
     NonUnitFactor,
-    RecursionBudgetExceeded,
+    NonPolynomialImage,
     ResidueFieldExtension,
     TranscendentalResidue,
     UnknownVariable,
@@ -159,15 +159,8 @@ def residue_of_unit(spec, h) -> Fraction:
     v = spec.value(h)
     if is_sentinel(v) or compare(v, zero) != 0:
         raise NonUnitFactor("residue of an element with nonzero value")
-    num, den = h.num, h.den
     # a folded Laurent numerator hides the shared supports; unfold it
-    lift = None
-    for e in num.terms:
-        lift = e if lift is None else ev_min(lift, e)
-    lift = tuple(max(-t, 0) for t in lift)
-    if any(lift):
-        num = num.shift(lift)
-        den = den.shift(lift)
+    num, den = h.laurent_free()
     vden = spec.value(RationalFunction(den))
     for c in sorted(set(_residue_candidates(spec, num, den))):
         if c == 0:
@@ -460,28 +453,40 @@ def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_
     alpha = len(parts_key) - 1
 
     key_exps = tuple(int(x) for x in key_exps)
-    if not all(c.is_polynomial() for c in p0.coeffs):
-        raise RecursionBudgetExceeded("successor coefficient is not polynomial")
     start = len(frame.history)
-    img = transport(frame, RationalFunction(to_multipoly(p0)))
-    if img.den != 1:
-        raise RecursionBudgetExceeded("coefficient image is not polynomial over the frame")
-    poly = img.num
-    if poly.is_single_term():
-        e0, c0 = poly.single_term()
-        part0 = (c0, e0, None)
-    else:
-        if not poly.is_laurent_free():
-            raise RecursionBudgetExceeded("coefficient image is not free of denominators")
-        cert = monomialize_nondegenerate(frame, spec, poly, valuation_driver(spec))
-        frame = cert.frame
-        key_exps = transform_exponents(key_exps, cert.steps)
-        if key_unit is not None:
-            key_unit = transport(frame, key_unit, from_step=start)
-        part0 = (Fraction(1), cert.exponents, cert.unit)
+    frame, part0 = _coefficient_part(frame, spec, p0)
+    _, key_exps, key_unit = _moved_part(frame, (Fraction(1), key_exps, key_unit), start)
     u1 = key_unit**alpha if key_unit is not None else None
     parts = ((Fraction(1), ev_scale(key_exps, alpha), u1), part0)
     return frame, parts, alpha
+
+
+def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
+    """A key-expansion coefficient over the frame: (frame, (c, exps, unit)).
+
+    A single-term image is kept with no unit; a longer one is monomialized
+    in place, which extends the frame.
+    """
+    if not all(c.is_polynomial() for c in coeff.coeffs):
+        raise NonPolynomialImage("expansion coefficient is not polynomial")
+    img = transport(frame, RationalFunction(to_multipoly(coeff)))
+    if img.den != 1:
+        raise NonPolynomialImage("coefficient image is not polynomial over the frame")
+    poly = img.num
+    if poly.is_single_term():
+        e, c = poly.single_term()
+        return frame, (c, e, None)
+    if not poly.is_laurent_free():
+        raise NonPolynomialImage("coefficient image is not free of denominators")
+    cert = monomialize_nondegenerate(frame, spec, poly, valuation_driver(spec))
+    return cert.frame, (Fraction(1), cert.exponents, cert.unit)
+
+
+def _moved_part(frame: Frame, part, start: int):
+    """A (c, exps, unit) part over the step-``start`` frame, in current parameters."""
+    c, e, u = part
+    e = transform_exponents(e, frame.history[start:])
+    return c, e, (transport(frame, u, from_step=start) if u is not None else None)
 
 
 @dataclass
@@ -519,56 +524,35 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, ne
     for idx, bj in enumerate(parts_key):
         if bj.is_zero():
             continue
-        if not all(c.is_polynomial() for c in bj.coeffs):
-            raise RecursionBudgetExceeded("expansion coefficient is not polynomial")
         start = len(fr.history)
-        img = transport(fr, RationalFunction(to_multipoly(bj)))
-        if img.den != 1:
-            raise RecursionBudgetExceeded("coefficient image is not polynomial over the frame")
-        poly = img.num
-        if poly.is_single_term():
-            e, c = poly.single_term()
-            rec[idx] = [e, None, c]
-            continue
-        if not poly.is_laurent_free():
-            raise RecursionBudgetExceeded("coefficient image is not free of denominators")
-        cert = monomialize_nondegenerate(fr, spec, poly, valuation_driver(spec))
-        fr = cert.frame
-        for other in rec.values():
-            other[0] = transform_exponents(other[0], cert.steps)
-            if other[1] is not None:
-                other[1] = transport(fr, other[1], from_step=start)
-        rec[idx] = [cert.exponents, cert.unit, Fraction(1)]
+        fr, part = _coefficient_part(fr, spec, bj)
+        rec = {i: _moved_part(fr, other, start) for i, other in rec.items()}
+        rec[idx] = part
     if 0 not in rec or 1 not in rec:
         raise CertificationError("limit candidate lacks its first two expansion terms")
 
     k_img = transport(fr, RationalFunction(to_multipoly(key)))
     if k_img.den != 1 or not k_img.num.is_single_term():
-        raise RecursionBudgetExceeded("key image over the frame is not a monomial")
+        raise NonPolynomialImage("key image over the frame is not a monomial")
     k_exps, k_coeff = k_img.num.single_term()
 
     # every term beyond the first two must sit in their monomial ideal
-    lead = [ev_add(rec[i][0], ev_scale(k_exps, i)) for i in (0, 1)]
+    lead = [ev_add(rec[i][1], ev_scale(k_exps, i)) for i in (0, 1)]
     for i in sorted(rec):
         if i < 2:
             continue
-        e = ev_add(rec[i][0], ev_scale(k_exps, i))
+        e = ev_add(rec[i][1], ev_scale(k_exps, i))
         if not any(ev_leq(a, e) for a in lead):
-            raise RecursionBudgetExceeded("truncation tail escapes the monomial ideal")
+            raise NonPolynomialImage("truncation tail escapes the monomial ideal")
 
     # enforce b1 | b0 so the terminal step sees a bare relation
-    e0, u0, c0 = rec[0]
-    e1, u1, c1 = rec[1]
+    (c0, e0, u0), (c1, e1, u1) = rec[0], rec[1]
     if not ev_leq(e1, e0):
         start = len(fr.history)
-        dres = divide_monomials(fr, e1, e0, valuation_driver(spec))
-        fr = dres.frame
-        e1, e0 = dres.alpha, dres.gamma
-        k_exps = transform_exponents(k_exps, dres.steps)
-        if u0 is not None:
-            u0 = transport(fr, u0, from_step=start)
-        if u1 is not None:
-            u1 = transport(fr, u1, from_step=start)
+        fr = divide_monomials(fr, e1, e0, valuation_driver(spec)).frame
+        c0, e0, u0 = _moved_part(fr, (c0, e0, u0), start)
+        c1, e1, u1 = _moved_part(fr, (c1, e1, u1), start)
+        _, k_exps, _ = _moved_part(fr, (k_coeff, k_exps, None), start)
 
     position = None
     if len(ev_support(k_exps)) == 1:
@@ -579,14 +563,14 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, ne
     # exact re-expansion of the full candidate in the new parameter
     T = transport(pkg.frame, RationalFunction(to_multipoly(P)))
     if T.den != 1:
-        raise RecursionBudgetExceeded("candidate image is not polynomial over the frame")
+        raise NonPolynomialImage("candidate image is not polynomial over the frame")
     tpos = pkg.new_position
     by_t = {}
     for e, c in T.num.terms.items():
         stripped = tuple(0 if i == tpos else x for i, x in enumerate(e))
         by_t.setdefault(e[tpos], {})[stripped] = c
     if set(by_t) != {1}:
-        raise RecursionBudgetExceeded("re-expansion in the new parameter is not linear")
+        raise NonPolynomialImage("re-expansion in the new parameter is not linear")
     b1p = MultiPoly(pkg.frame.width, by_t[1])
 
     # the new parameter is exactly the normalized candidate P / b'_1

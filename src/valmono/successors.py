@@ -14,6 +14,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
+    CertificationError,
     MaximalKey,
     NonUnitFactor,
     NotInDivisibleHull,
@@ -202,7 +203,7 @@ def lattice_multiplier(v: GroupElement, lattice: Lattice):
     if acc is None:
         acc = lattice.generators[0].value * 0
     if compare(acc, v * h) != 0:
-        raise AssertionError("lattice solver produced an invalid combination")
+        raise CertificationError("lattice solver produced an invalid combination")
     return h, x
 
 
@@ -321,8 +322,8 @@ def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice)
     parts = q_expansion(q2, q1)
     leading = bool(parts) and parts[-1] == UniPoly.one(q1.width)
     passed = value_check and degree_check
-    if passed:
-        assert leading, "verified successor with non-monic leading expansion coefficient"
+    if passed and not leading:
+        raise CertificationError("verified successor with non-monic leading expansion coefficient")
     return VerifyReport(passed, value_check, degree_check, alpha, rep.value, v2, leading)
 
 

@@ -242,12 +242,9 @@ def to_dot(records) -> str:
     prev = None
     for idx, rec in enumerate(records):
         node = f"n{idx}"
-        event = rec.get("event")
-        if event == "init":
+        if rec.get("event") == "init":
             beta = ", ".join(f"{k}={v}" for k, v in rec.get("beta", {}).items())
             label = f"init\\n{beta}"
-        elif event is not None:
-            label = f"{event}\\n"
         else:
             kind = "monomial" if rec.get("monomial") else "equal-value"
             label = f"step {idx}\\nJ={rec['J']} j={rec['j']}\\n{kind}"

@@ -10,7 +10,8 @@ Three spec variants form towers:
 * ``Augmented``: same rank as its base; value is the minimum of
   base(p_j) + j*assigned over the key expansion.
 
-On top of the specs: epsilon reports, truncation reports, and
+All three take their input through one shared ``value``; each keeps only
+its own rule. On top of the specs: epsilon reports, truncation reports, and
 non-degeneracy against a frame's monomial valuation.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NonMonicKey, RankMismatch, ZeroPolynomial
+from .errors import CertificationError, NonMonicKey, RankMismatch, ZeroPolynomial
 from .exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -35,24 +36,49 @@ from .ordered_value import (
     PLUS_INFINITY,
     GroupElement,
     ValueGroup,
-    add,
     compare,
     div_by_positive_int,
     is_sentinel,
-    neg,
 )
 
 
-def _scale(v, k: int):
-    """k*v for a GroupElement or sentinel, k >= 0."""
-    if is_sentinel(v):
-        if k == 0:
-            raise ValueError("0 * infinity")
-        return v
-    return v * k
+class _Spec:
+    """The one input path shared by every spec variant.
+
+    A nonzero constant has value zero. A rational function over all
+    variables, Laurent numerators included, is first multiplied through by
+    the monomial that clears its numerator's negative exponents, then valued
+    as numerator minus denominator. Polynomials reach ``_value_multipoly``,
+    which splits them along the last variable unless the variant has a
+    direct rule; coefficients over the base variables and ``UniPoly``
+    values reach the variant's own rule, ``_value_unipoly``.
+    """
+
+    def value(self, f):
+        if isinstance(f, (int, Fraction)):
+            return PLUS_INFINITY if f == 0 else self.group.zero(self.rank)
+        if isinstance(f, MultiPoly):
+            return self._value_multipoly(f)
+        if isinstance(f, RationalFunction):
+            if f.width == self.width:
+                num, den = f.laurent_free()
+                return self._value_multipoly(num) - self._value_multipoly(den)
+            if f.width != self.width - 1:
+                raise ValueError("rational function width mismatch")
+            f = UniPoly(f.width, [f])
+        if not isinstance(f, UniPoly):
+            raise TypeError(f"cannot evaluate {type(f).__name__}")
+        if f.width != self.width - 1:
+            raise ValueError("univariate base width mismatch")
+        if f.is_zero():
+            return PLUS_INFINITY
+        return self._value_unipoly(f)
+
+    def _value_multipoly(self, p: MultiPoly):
+        return self.value(to_unipoly(p))
 
 
-class Monomial:
+class Monomial(_Spec):
     """Monomial valuation: positional weights, one per variable, all > 0.
 
     The last variable is the distinguished one; univariate inputs over
@@ -75,7 +101,6 @@ class Monomial:
         self.weights = weights
         self.rank = rank
         self.width = len(weights)
-        self._head = Monomial(group, weights[:-1]) if len(weights) > 1 else None
 
     def monomial_value(self, exps) -> GroupElement:
         out = None
@@ -87,11 +112,8 @@ class Monomial:
             out = self.weights[0] * 0
         return out
 
-    def _value_multipoly(self, p: MultiPoly):
-        if p.is_zero():
-            return PLUS_INFINITY
-        if p.width != self.width:
-            raise ValueError(f"polynomial width {p.width} != {self.width}")
+    def _min_value(self, p: MultiPoly):
+        """Least monomial value over the terms of p; Laurent exponents allowed."""
         best = None
         for e in p.terms:
             v = self.monomial_value(e)
@@ -99,43 +121,26 @@ class Monomial:
                 best = v
         return best
 
-    def _value_coeff(self, c: RationalFunction):
-        """Value of a width n-1 coefficient under the first n-1 weights."""
-        if c.is_zero():
+    def _value_multipoly(self, p: MultiPoly):
+        if p.is_zero():
             return PLUS_INFINITY
-        if self._head is None:
-            return self.weights[0] * 0
-        return add(self._head._value_multipoly(c.num), neg(self._head._value_multipoly(c.den)))
+        if p.width != self.width:
+            raise ValueError(f"polynomial width {p.width} != {self.width}")
+        return self._min_value(p)
 
-    def value(self, f):
-        if isinstance(f, (int, Fraction)):
-            return PLUS_INFINITY if f == 0 else self.weights[0] * 0
-        if isinstance(f, MultiPoly):
-            return self._value_multipoly(f)
-        if isinstance(f, RationalFunction):
-            if f.width == self.width:
-                return add(self._value_multipoly(f.num), neg(self._value_multipoly(f.den)))
-            if f.width == self.width - 1:
-                return self._value_coeff(f)
-            raise ValueError("rational function width mismatch")
-        if isinstance(f, UniPoly):
-            if f.width != self.width - 1:
-                raise ValueError("univariate base width mismatch")
-            if f.is_zero():
-                return PLUS_INFINITY
-            w_last = self.weights[-1]
-            best = None
-            for i, c in enumerate(f.coeffs):
-                if c.is_zero():
-                    continue
-                v = add(self._value_coeff(c), _scale(w_last, i) if i else w_last * 0)
-                if best is None or compare(v, best) < 0:
-                    best = v
-            return best
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
+    def _value_unipoly(self, f: UniPoly):
+        w_last = self.weights[-1]
+        best = None
+        for i, c in enumerate(f.coeffs):
+            if c.is_zero():
+                continue
+            v = self._min_value(c.num) - self._min_value(c.den) + w_last * i
+            if best is None or compare(v, best) < 0:
+                best = v
+        return best
 
 
-class Composite:
+class Composite(_Spec):
     """Key-adic order prepended to an inner valuation of the coefficient.
 
     value(P) = (n, inner(p_n)) where p_n is the first nonzero coefficient
@@ -153,38 +158,17 @@ class Composite:
         self.rank = inner.rank + 1
         self.width = inner.width
 
-    def _order_scalar(self, n: int):
-        return self.group.scalar(value=Fraction(n))
-
-    def _prepend(self, n: int, v) -> GroupElement:
-        if is_sentinel(v):
-            raise ValueError("inner value of a nonzero coefficient must be finite")
-        return GroupElement((self._order_scalar(n),) + v.entries)
-
-    def value(self, f):
-        if isinstance(f, (int, Fraction)):
-            if f == 0:
-                return PLUS_INFINITY
-            return self._prepend(0, self.inner.value(1))
-        if isinstance(f, MultiPoly):
-            f = to_unipoly(f)
-        if isinstance(f, RationalFunction):
-            if f.width == self.width - 1:
-                f = UniPoly(f.width, [f])
-            else:
-                return add(self.value(f.num), neg(self.value(f.den)))
-        if not isinstance(f, UniPoly):
-            raise TypeError(f"cannot evaluate {type(f).__name__}")
-        if f.is_zero():
-            return PLUS_INFINITY
-        parts = q_expansion(f, self.key)
-        for n, p in enumerate(parts):
+    def _value_unipoly(self, f: UniPoly):
+        for n, p in enumerate(q_expansion(f, self.key)):
             if not p.is_zero():
-                return self._prepend(n, self.inner.value(p))
-        raise AssertionError("nonzero polynomial with zero expansion")
+                v = self.inner.value(p)
+                if is_sentinel(v):
+                    raise ValueError("inner value of a nonzero coefficient must be finite")
+                return GroupElement((self.group.scalar(value=Fraction(n)),) + v.entries)
+        raise CertificationError("nonzero polynomial with zero expansion")
 
 
-class Augmented:
+class Augmented(_Spec):
     """Truncation with an assigned key value strictly above the base value."""
 
     kind = "augmented"
@@ -204,25 +188,12 @@ class Augmented:
         self.rank = base.rank
         self.width = base.width
 
-    def value(self, f):
-        if isinstance(f, (int, Fraction)):
-            return self.base.value(f)
-        if isinstance(f, MultiPoly):
-            f = to_unipoly(f)
-        if isinstance(f, RationalFunction):
-            if f.width == self.width - 1:
-                f = UniPoly(f.width, [f])
-            else:
-                return add(self.value(f.num), neg(self.value(f.den)))
-        if not isinstance(f, UniPoly):
-            raise TypeError(f"cannot evaluate {type(f).__name__}")
-        if f.is_zero():
-            return PLUS_INFINITY
+    def _value_unipoly(self, f: UniPoly):
         best = None
         for j, p in enumerate(q_expansion(f, self.key)):
             if p.is_zero():
                 continue
-            v = add(self.base.value(p), _scale(self.assigned, j) if j else self.assigned * 0)
+            v = self.base.value(p) + self.assigned * j
             if best is None or compare(v, best) < 0:
                 best = v
         return best
@@ -249,7 +220,7 @@ def epsilon(spec, p: UniPoly) -> EpsilonReport:
     hits: list[int] = []
     for b in range(1, p.degree + 1):
         d = divided_derivative(p, b)
-        q = div_by_positive_int(add(vp, neg(spec.value(d))), b)
+        q = div_by_positive_int(vp - spec.value(d), b)
         c = 1 if best is None else compare(q, best)
         if c > 0:
             best = q
@@ -279,7 +250,7 @@ def truncated_value(spec, q: UniPoly, p: UniPoly) -> TruncationReport:
         if part.is_zero():
             terms.append(PLUS_INFINITY)
         else:
-            terms.append(add(spec.value(part), _scale(vq, j) if j else vq * 0))
+            terms.append(spec.value(part) + vq * j)
     best = None
     for t in terms:
         if best is None or compare(t, best) < 0:

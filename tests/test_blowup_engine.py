@@ -322,3 +322,14 @@ def test_transport_roundtrip_against_pullback():
         moved = transport(fr, RationalFunction(p))
         # pulling the transported expression back must recover p
         assert fr.pullback_of(moved) == RationalFunction(p)
+
+
+def test_divide_rejects_a_center_that_does_not_lower_tau(monkeypatch):
+    # a center outside the reduced pair leaves tau where it was; the loop
+    # must stop with a certification error, also under python -O
+    import valmono.blowup_engine as engine
+
+    monkeypatch.setattr(engine, "_center_from_tau", lambda frame, at, gt: [0, 2])
+    fr = Frame.initial(["x", "y", "z"], [el((1, 0)), el((0, 1)), el((1, 1))])
+    with pytest.raises(CertificationError, match="tau character failed to decrease"):
+        divide_monomials(fr, (1, 0, 0), (0, 1, 0))

@@ -150,6 +150,20 @@ def test_monomialize_with_artifacts(specs, capsys):
     assert part.keys_pending and part.budget == 0
 
 
+@pytest.mark.parametrize("poly", ["2*z + 3*x^2*y", "z^2 - x^2*y + 5*x*z"])
+def test_monomialize_laurent_unit_value(specs, capsys, poly):
+    trace = specs["dir"] / "laurent.jsonl"
+    rc = main(["monomialize", "--spec", specs["nu3"], "--poly", poly, "--trace", str(trace), "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["exponents"] == [2, 0, 1]
+    assert verify_trace_file(str(trace))["ok"]
+
+    # dot output is the trace graph alone
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", poly, "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph trace {") and out.rstrip().endswith("}")
+
+
 def test_uniformize_verb(specs, capsys):
     rc = main(
         ["uniformize", "--spec", specs["nu2"], "--polys", "x;x+y", "--format", "json"]

@@ -82,6 +82,19 @@ def test_rational_function_monomial_denominator_folds():
     assert r.num.terms == {(-1, -1): Fraction(1)}
 
 
+def test_rational_function_laurent_free():
+    # the denominator's common factor x*y^2 folds into the numerator as
+    # x*y^-2 + x^-1*y^-1; the least clearing monomial is that factor again
+    r = RationalFunction(x**2 + y, x * y**2 * (x + y))
+    assert r.num.terms == {(1, -2): Fraction(1), (-1, -1): Fraction(1)}
+    assert r.laurent_free() == (x**2 + y, x * y**2 * (x + y))
+    # only negative exponents are cleared; polynomial numerators stay as they are
+    assert RationalFunction(x.shift((0, -1)) + y**2, x + y).laurent_free() == (x + y**3, x * y + y**2)
+    s = RationalFunction(x + y, x - y)
+    assert s.laurent_free() == (s.num, s.den)
+    assert RationalFunction.zero(X2).laurent_free() == (MultiPoly.zero(X2), MultiPoly.one(X2))
+
+
 def test_rational_function_cross_multiplication_equality():
     # (x^2 - y^2)/(x - y) equals x + y without any gcd computation
     assert RationalFunction(x * x - y * y, x - y) == rf(x + y)

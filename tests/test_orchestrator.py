@@ -8,7 +8,7 @@ import pytest
 
 from valmono.blowup_engine import transform_exponents
 from valmono.errors import BudgetExceeded, LimitSuccessorRequired, ParseError, ZeroPolynomial
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_unipoly
 from valmono.ordered_value import compare, standard_group
 from valmono.orchestrator import (
     ChainLink,
@@ -44,6 +44,23 @@ Q = X**2 - (x2**2) * y2
 NU2 = Monomial(G, [el((1,)), el((0, 2)), el((1, 1))])
 NU3 = Composite(Q, NU2)
 NAMES = ["x", "y", "z"]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 1): 2, (2, 1, 0): 3},  # 2*z + 3*x^2*y
+        {(0, 0, 2): 1, (2, 1, 0): -1, (1, 0, 1): 5},  # z^2 - x^2*y + 5*x*z
+    ],
+)
+def test_monomialize_laurent_unit_value(terms):
+    # the unit's pullback has a negative z power in its numerator; its
+    # value check used to stop at to_unipoly with a ValueError
+    f = MultiPoly(3, terms)
+    out = monomialize(NU3, to_unipoly(f), 10_000, names=NAMES)
+    recon = out.frame.pullback_of(RationalFunction(out.monomial()) * out.unit)
+    assert recon == RationalFunction(f)
+    assert compare(out.value, NU3.value(f)) == 0
 
 
 def test_monomialize_golden_key():

@@ -203,6 +203,20 @@ def test_augmented_value_rule():
     assert aug.value(X**2) == el((6, 2))
 
 
+@pytest.mark.parametrize("kind", ["monomial", "composite", "augmented"])
+def test_laurent_numerator_value(kind):
+    spec = {
+        "monomial": NU2,
+        "composite": NU3,
+        "augmented": Augmented(NU2, Q, el((3, 2))),  # 3 + 2*pi > NU2(Q) = 2 + 2*pi
+    }[kind]
+    x3, y3, z3 = (MultiPoly.variable(3, k) for k in range(3))
+    # the common factor z of the denominator folds into the numerator as z^-1
+    r = RationalFunction(z3**2 - x3**2 * y3 + x3 * z3 * 5, z3 * (x3 + y3))
+    assert any(e[-1] < 0 for e in r.num.terms)
+    assert spec.value(r) == spec.value(r.num * z3) - spec.value(r.den * z3)
+
+
 def test_composite_is_multiplicative():
     rng = random.Random(SEED + 3)
     for _ in range(60):
