@@ -1,10 +1,14 @@
 """Framed blow-ups and the divisibility machinery built on them.
 
 A Frame is an immutable snapshot of a coordinate chart: parameter names
-with their values, the protected positions, forward images of the original
-variables (monomial times logged units), exact pullbacks of every current
-parameter to the original variables, and the inverse of the running
-exponent matrix.
+with their values, the protected positions, the step history, exact
+pullbacks of every current parameter to the original variables, and the
+inverse of the running exponent matrix.
+
+The history is the one record of what each blow-up did: its center, chart
+index, residues and, for each equal-value member, the value-zero unit
+old_q/old_j. Forward images of the original variables (monomial times
+units) are read off it when a check needs them.
 
 Every operation returns a new Frame; histories are append-only, so traces
 can be replayed and cross-checked step by step.
@@ -12,7 +16,6 @@ can be replayed and cross-checked step by step.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -34,7 +37,7 @@ from .exact_algebra import (
     ev_sub,
 )
 from .ordered_value import GroupElement, compare
-from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials
+from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials, monomial_value
 
 
 @dataclass(frozen=True)
@@ -60,25 +63,7 @@ class TraceStep:
     residues: tuple  # (position, Fraction) pairs for C members
     names_after: tuple
     beta_after: tuple
-
-
-@dataclass(frozen=True)
-class ForwardImage:
-    exps: tuple  # exponents over current positions
-    units: tuple  # (unit name, power) pairs, canonical order
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    name: str
-    step: int  # history index that created it
-    position: int
-    residue: Fraction
-    pullback: RationalFunction  # over the original variables; value 0
-
-
-def _counter_items(c: Counter) -> tuple:
-    return tuple(sorted((k, v) for k, v in c.items() if v))
+    units: tuple  # (position, old_q/old_j over the originals) pairs for C members
 
 
 class Frame:
@@ -89,9 +74,7 @@ class Frame:
         "betas",
         "protected",
         "history",
-        "forward",
         "pullbacks",
-        "unit_log",
         "matrix_inv",
     )
 
@@ -103,9 +86,7 @@ class Frame:
         betas,
         protected,
         history,
-        forward,
         pullbacks,
-        unit_log,
         matrix_inv,
     ):
         self.names = tuple(names)
@@ -114,9 +95,7 @@ class Frame:
         self.betas = tuple(betas)
         self.protected = frozenset(protected)
         self.history = tuple(history)
-        self.forward = dict(forward)
         self.pullbacks = tuple(pullbacks)
-        self.unit_log = dict(unit_log)
         self.matrix_inv = matrix_inv
         for b in self.betas:
             if not b.is_positive():
@@ -134,28 +113,16 @@ class Frame:
         for p in protected:
             prot.add(p if isinstance(p, int) else names.index(p))
         ident = tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m))
-        forward = {n: ForwardImage(ident[k], ()) for k, n in enumerate(names)}
         pullbacks = tuple(RationalFunction(MultiPoly.variable(m, k)) for k in range(m))
         betas = tuple(betas)
-        return cls(names, names, betas, betas, prot, (), forward, pullbacks, {}, ident)
+        return cls(names, names, betas, betas, prot, (), pullbacks, ident)
 
     @property
     def width(self) -> int:
         return len(self.names)
 
-    def position(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariable(f"no parameter named {name!r}") from None
-
     def monomial_value(self, exps) -> GroupElement:
-        out = None
-        for e, b in zip(exps, self.betas):
-            if e:
-                t = b * e
-                out = t if out is None else out + t
-        return out if out is not None else self.betas[0] * 0
+        return monomial_value(self.betas, exps)
 
     def pullback_of(self, f) -> RationalFunction:
         """Express a polynomial/RF over current parameters in the originals."""
@@ -166,15 +133,6 @@ class Frame:
         if isinstance(f, RationalFunction):
             return _rf_substitute(f, self.pullbacks)
         return _mp_substitute(f, self.pullbacks)
-
-
-def _unique_unit_name(unit_log, base: str) -> str:
-    name = f"{base}_bar"
-    k = 1
-    while name in unit_log:
-        k += 1
-        name = f"{base}_bar{k}"
-    return name
 
 
 def _primed(names, q) -> str:
@@ -249,33 +207,6 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     # one quotient old_q/old_j per member: B pullbacks, C units and C pullbacks
     quotients = {q: frame.pullbacks[q] / frame.pullbacks[j] for q in B + C}
 
-    # unit log entries for C members
-    unit_log = dict(frame.unit_log)
-    residues = []
-    unit_names = {}
-    for q in C:
-        uname = _unique_unit_name(unit_log, frame.names[q])
-        unit_log[uname] = UnitRecord(uname, len(frame.history), q, c_data[q].residue, quotients[q])
-        unit_names[q] = uname
-        residues.append((q, c_data[q].residue))
-
-    # step matrix: column j accumulates the center
-    def g_apply(e):
-        out = list(e)
-        out[j] = sum(e[q] for q in J)
-        return out
-
-    # forward images: transform exponents, move C exponents into units
-    forward = {}
-    for name, img in frame.forward.items():
-        e = g_apply(img.exps)
-        units = Counter(dict(img.units))
-        for q in C:
-            if e[q]:
-                units[unit_names[q]] += e[q]
-                e[q] = 0
-        forward[name] = ForwardImage(tuple(e), _counter_items(units))
-
     # pullbacks: new_q = old_q/old_j (B), shifted quotient (C), unchanged else
     pullbacks = list(frame.pullbacks)
     for q in B:
@@ -289,9 +220,10 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         B=tuple(B),
         C=tuple(C),
         monomial=not C,
-        residues=tuple(residues),
+        residues=tuple((q, c_data[q].residue) for q in C),
         names_after=tuple(names),
         beta_after=tuple(betas),
+        units=tuple((q, quotients[q]) for q in C),
     )
 
     # exponent rows act on the right (e_current = e_original @ M); the step's
@@ -307,9 +239,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         betas,
         frame.protected,
         frame.history + (step,),
-        forward,
         pullbacks,
-        unit_log,
         tuple(tuple(row) for row in inv),
     )
 
@@ -317,34 +247,32 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
 # -- substitution ----------------------------------------------------------------
 
 
-def substitute_monomial(frame: Frame, exps) -> tuple:
-    """Image of an original-variable Laurent monomial: (exponents, units)."""
-    if len(exps) != len(frame.original_names):
-        raise UnknownVariable("original arity mismatch")
-    out = [0] * frame.width
-    units = Counter()
-    for name, k in zip(frame.original_names, exps):
-        if not k:
-            continue
-        img = frame.forward[name]
-        for i, e in enumerate(img.exps):
-            out[i] += k * e
-        for uname, p in img.units:
-            units[uname] += k * p
-    return tuple(out), _counter_items(units)
+def forward_image(frame: Frame, k: int) -> tuple:
+    """Original variable k as (exponents over current positions, units).
+
+    Read off the history: before each step, the exponent of every
+    equal-value member moves into that step's unit for the member, as
+    (unit pullback, power) pairs in step order.
+    """
+    e = tuple(1 if i == k else 0 for i in range(frame.width))
+    units = []
+    for step in frame.history:
+        units.extend((pullback, e[q]) for q, pullback in step.units if e[q])
+        e = _transform_exponents(e, step)
+    return e, tuple(units)
 
 
 def verify_forward(frame: Frame) -> bool:
-    """Check every original variable is its recorded monomial times units."""
+    """Check every original variable is its forward image: monomial times units."""
     n = len(frame.original_names)
-    for k, name in enumerate(frame.original_names):
-        img = frame.forward[name]
+    for k in range(n):
+        exps, units = forward_image(frame, k)
         acc = RationalFunction(MultiPoly.one(n))
-        for i, e in enumerate(img.exps):
+        for i, e in enumerate(exps):
             if e:
                 acc = acc * frame.pullbacks[i] ** e
-        for uname, p in img.units:
-            acc = acc * frame.unit_log[uname].pullback ** p
+        for pullback, p in units:
+            acc = acc * pullback ** p
         if acc != RationalFunction(MultiPoly.variable(n, k)):
             return False
     return True
@@ -437,11 +365,6 @@ def _center_from_tau(frame: Frame, at, gt):
             break
         K.append(q)
         total += gt[q]
-    # prune largest-first while the threshold still holds
-    for q in sorted(K, key=lambda q: (-gt[q], q)):
-        if total - gt[q] >= need:
-            K.remove(q)
-            total -= gt[q]
     return sorted(set(base) | set(K))
 
 

@@ -128,9 +128,6 @@ class MultiPoly:
     def is_laurent_free(self) -> bool:
         return all(all(x >= 0 for x in e) for e in self.terms)
 
-    def support(self) -> list:
-        return sorted(self.terms, key=_grlex_key)
-
     def leading(self) -> tuple:
         """Greatest term under graded lex; determinism only."""
         e = max(self.terms, key=_grlex_key)

@@ -390,10 +390,8 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     eps, unit, value = _factor_as_unit(fr, spec, T, problem.target_value)
 
     # the terminal unit is the certificate that the relation was consumed
-    step_index = start + len(steps) - 1
-    record = next(r for r in fr.unit_log.values() if r.step == step_index)
     zero = spec.value(1)
-    if compare(spec.value(record.pullback), zero) != 0:
+    if compare(spec.value(dict(last.units)[new_position]), zero) != 0:
         raise CertificationError("terminal unit value is not zero")
     zbar = RationalFunction(MultiPoly.variable(fr.width, new_position)) + residue
     if not verify_forward(fr):

@@ -15,6 +15,7 @@ from .exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly, t
 from .ordered_value import (
     IndependentGenerator,
     ValueGroup,
+    compare,
     format_element,
     parse_element,
     pi_generator,
@@ -164,7 +165,10 @@ def parse_polynomial(text: str, names) -> MultiPoly:
 
 def parse_unipoly(text: str, names) -> UniPoly:
     """Parse over all variables and split along the last one."""
-    return to_unipoly(parse_polynomial(text, names))
+    p = parse_polynomial(text, names)
+    if any(e[-1] < 0 for e in p.terms):
+        raise ParseError(f"negative power of the distinguished variable {names[-1]!r}")
+    return to_unipoly(p)
 
 
 def _out_key(e):
@@ -271,6 +275,8 @@ def spec_from_json(group: ValueGroup, names, obj):
         ranks = {w.rank for w in parsed}
         if len(ranks) != 1:
             raise RankMismatch("monomial weights of mixed rank")
+        if not all(w.is_positive() for w in parsed):
+            raise ParseError("monomial weights must be strictly positive")
         return Monomial(group, parsed)
     if kind == "composite":
         inner = spec_from_json(group, names, obj["inner"])
@@ -280,6 +286,8 @@ def spec_from_json(group: ValueGroup, names, obj):
         base = spec_from_json(group, names, obj["base"])
         key = parse_unipoly(str(obj["key"]), names)
         assigned = parse_element(group, str(obj["value"]), rank=base.rank)
+        if compare(assigned, base.value(key)) <= 0:
+            raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key")
         return Augmented(base, key, assigned)
     raise ParseError(f"unknown spec kind {kind!r}")
 

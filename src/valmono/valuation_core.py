@@ -42,6 +42,16 @@ from .ordered_value import (
 )
 
 
+def monomial_value(weights, exps) -> GroupElement:
+    """Value of the Laurent monomial with these exponents: sum of e * weight."""
+    out = None
+    for e, w in zip(exps, weights):
+        if e:
+            term = w * e
+            out = term if out is None else out + term
+    return out if out is not None else weights[0] * 0
+
+
 class _Spec:
     """The one input path shared by every spec variant.
 
@@ -103,20 +113,13 @@ class Monomial(_Spec):
         self.width = len(weights)
 
     def monomial_value(self, exps) -> GroupElement:
-        out = None
-        for e, w in zip(exps, self.weights):
-            if e:
-                term = w * e
-                out = term if out is None else out + term
-        if out is None:
-            out = self.weights[0] * 0
-        return out
+        return monomial_value(self.weights, exps)
 
     def _min_value(self, p: MultiPoly):
         """Least monomial value over the terms of p; Laurent exponents allowed."""
         best = None
         for e in p.terms:
-            v = self.monomial_value(e)
+            v = monomial_value(self.weights, e)
             if best is None or compare(v, best) < 0:
                 best = v
         return best

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from valmono.blowup_engine import Frame, divide_monomials, tau, transform_exponents
+from valmono.blowup_engine import Frame, divide_monomials, forward_image, tau, transform_exponents
 from valmono.cli import main as cli_main
 from valmono.errors import DeltaNotOne
 from valmono.exact_algebra import (
@@ -201,12 +201,11 @@ def test_criterion_5_binomial_package():
         recon = pkg.frame.pullback_of(RationalFunction(pkg.monomial()) * pkg.unit)
         assert recon == RationalFunction(q3)
         # clause 4: originals stay monomial-times-unit, units certified
-        fwd = pkg.frame.forward
-        assert fwd["x"].exps == (1, 0, 0) and fwd["x"].units == ()
-        assert fwd["y"].exps == (0, 2, 0) and fwd["z"].exps == (1, 1, 0)
-        for name in ("y", "z"):
-            for uname, power in fwd[name].units:
-                upb = pkg.frame.unit_log[uname].pullback
+        fx, fy, fz = (forward_image(pkg.frame, k) for k in range(3))
+        assert fx == ((1, 0, 0), ())
+        assert fy[0] == (0, 2, 0) and fz[0] == (1, 1, 0)
+        for _, units in (fy, fz):
+            for upb, power in units:
                 assert compare(NU3.value(upb), zero) == 0 and power != 0
         assert all(r["gcd"] == 1 for r in pkg.reports)
         EMITTED.append(("package", pkg.frame))

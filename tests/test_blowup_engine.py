@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,13 +9,14 @@ from valmono.blowup_engine import (
     Frame,
     _factor_as_unit,
     divide_monomials,
+    forward_image,
     framed_blowup,
     monomialize_nondegenerate,
     principalize,
-    substitute_monomial,
     tau,
     transform_exponents,
     transport,
+    verify_forward,
 )
 from valmono.errors import (
     CertificationError,
@@ -49,8 +51,8 @@ def test_initial_frame():
     fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
     assert fr.names == ("x", "y")
     assert fr.width == 2
-    assert fr.forward["x"].exps == (1, 0)
-    assert fr.forward["y"].exps == (0, 1)
+    assert forward_image(fr, 0) == ((1, 0), ())
+    assert forward_image(fr, 1) == ((0, 1), ())
     assert fr.pullbacks[0] == rf_var(2, 0)
     assert fr.matrix_inv == ((1, 0), (0, 1))
     assert fr.monomial_value((2, 3)) == el((2, 3))
@@ -68,11 +70,11 @@ def test_single_blowup_strict():
     assert fr2.betas == (el((1,)), el((-1, 1)))
     assert fr2.names == ("x", "y")
     # old y = new x * new y
-    assert fr2.forward["y"].exps == (1, 1)
-    assert fr2.forward["x"].exps == (1, 0)
+    assert forward_image(fr2, 1) == ((1, 1), ())
+    assert forward_image(fr2, 0) == ((1, 0), ())
     # the second parameter pulls back to y/x
     assert fr2.pullbacks[1] == rf_var(2, 1) / rf_var(2, 0)
-    assert tuple(fr2.forward[n].exps for n in fr2.original_names) == ((1, 0), (1, 1))
+    assert tuple(forward_image(fr2, k)[0] for k in range(2)) == ((1, 0), (1, 1))
     assert fr2.matrix_inv == ((1, 0), (-1, 1))
 
 
@@ -102,12 +104,10 @@ def test_equal_value_with_driver():
     assert fr2.names == ("x", "y'")
     assert fr2.betas == (el((1,)), el((2,)))
     # old y = x * (unit), unit = y/x with residue 1
-    assert fr2.forward["y"].exps == (1, 0)
-    ((uname, power),) = fr2.forward["y"].units
-    assert power == 1
-    rec = fr2.unit_log[uname]
-    assert rec.residue == 1
-    assert rec.pullback == rf_var(2, 1) / rf_var(2, 0)
+    exps, ((pullback, power),) = forward_image(fr2, 1)
+    assert exps == (1, 0) and power == 1
+    assert step.residues == ((1, 1),)
+    assert pullback == rf_var(2, 1) / rf_var(2, 0)
     # shifted parameter pulls back to y/x - 1
     assert fr2.pullbacks[1] == rf_var(2, 1) / rf_var(2, 0) - Fraction(1)
     # transport: x - y becomes -x*y' in the new chart
@@ -125,16 +125,35 @@ def test_driver_data_validation():
         framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((-2,))))
 
 
-def test_substitute_monomial_and_units():
+def test_forward_image_and_units():
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
     fr2 = framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((2,))))
-    exps, units = substitute_monomial(fr2, (1, 2))
-    # x*y^2 = x^3 * unit^2
-    assert exps == (3, 0)
-    assert len(units) == 1 and units[0][1] == 2
-    # Laurent input: y/x = unit
-    exps, units = substitute_monomial(fr2, (-1, 1))
-    assert exps == (0, 0) and units[0][1] == 1
+    # x stays x; y = x * unit with unit = y/x, the value-zero quotient
+    assert forward_image(fr2, 0) == ((1, 0), ())
+    exps, ((unit, power),) = forward_image(fr2, 1)
+    assert exps == (1, 0) and power == 1
+    # x*y^2 = x^3 * unit^2 and the Laurent monomial y/x = unit
+    x, y = rf_var(2, 0), rf_var(2, 1)
+    assert fr2.pullbacks[0] ** 3 * unit**2 == x * y**2
+    assert unit == y / x
+    assert verify_forward(fr2)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda units: tuple((q, u * 2) for q, u in units), lambda units: ()],
+    ids=["unit-times-2", "unit-dropped"],
+)
+def test_verify_forward_rejects_a_tampered_step(tamper):
+    fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
+    fr2 = framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((2,))))
+    bad = dataclasses.replace(fr2.history[0], units=tamper(fr2.history[0].units))
+    tampered = Frame(
+        fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, fr2.protected,
+        (bad,), fr2.pullbacks, fr2.matrix_inv,
+    )
+    assert verify_forward(fr2)
+    assert not verify_forward(tampered)
 
 
 def test_tau_basics():
@@ -209,15 +228,15 @@ def test_divide_random_property():
             assert ev_leq(res.gamma, res.alpha)
         # on monomial histories the forward exponent rows invert matrix_inv
         m = res.frame.width
-        rows = [res.frame.forward[n].exps for n in res.frame.original_names]
+        rows = [forward_image(res.frame, k)[0] for k in range(m)]
         prod = [
             [sum(rows[a][k] * res.frame.matrix_inv[k][b] for k in range(m)) for b in range(m)]
             for a in range(m)
         ]
         assert prod == [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-        for k, name in enumerate(res.frame.original_names):
+        for k in range(m):
             e = tuple(1 if i == k else 0 for i in range(m))
-            assert transform_exponents(e, res.frame.history) == res.frame.forward[name].exps
+            assert transform_exponents(e, res.frame.history) == forward_image(res.frame, k)[0]
         done += 1
     assert done == 40
 

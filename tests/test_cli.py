@@ -191,6 +191,29 @@ def test_parse_errors_exit_two(specs, capsys):
     capsys.readouterr()
 
 
+MALFORMED = {
+    "negative-power": (NU3["val"], "z^-1", "negative power of the distinguished variable 'z'"),
+    "nonpositive-weight": (
+        {"kind": "monomial", "weights": {**NU2["val"]["weights"], "x": "-1"}},
+        "z",
+        "monomial weights must be strictly positive",
+    ),
+    "augmented-value-below-key": (
+        {"kind": "augmented", "base": NU2["val"], "key": "z", "value": "1"},
+        "z",
+        "augmented value '1' must exceed the base value of its key",
+    ),
+}
+
+
+@pytest.mark.parametrize("val, poly, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_two(tmp_path, capsys, val, poly, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({**NU2, "val": val}))
+    assert main(["eval", "--spec", str(spec), "--poly", poly]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_selftest_passes(specs, capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -6,11 +6,13 @@ as x^2*y^2*t times the unit 1 + t. Every frozen number below was derived by
 replaying the blow-ups by hand before the module existed.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from valmono.blowup_engine import Frame, transport
+from valmono import puiseux
+from valmono.blowup_engine import Frame, forward_image, transport
 from valmono.errors import (
     CertificationError,
     DeltaNotOne,
@@ -157,18 +159,47 @@ def test_package_certificate_clauses():
     recon = pkg.frame.pullback_of(RationalFunction(pkg.monomial()) * pkg.unit)
     assert recon == RationalFunction(Q3)
     # (4) each original variable is a monomial in the parameters times units
-    fwd = pkg.frame.forward
-    assert fwd["x"].exps == (1, 0, 0) and fwd["x"].units == ()
-    assert fwd["y"].exps == (0, 2, 0) and [p for _, p in fwd["y"].units] == [1]
-    assert fwd["z"].exps == (1, 1, 0) and [p for _, p in fwd["z"].units] == [1]
-    uname = fwd["y"].units[0][0]
-    upb = pkg.frame.unit_log[uname].pullback
+    fx, fy, fz = (forward_image(pkg.frame, k) for k in range(3))
+    assert fx == ((1, 0, 0), ())
+    assert fy[0] == (0, 2, 0) and [p for _, p in fy[1]] == [1]
+    assert fz[0] == (1, 1, 0) and [p for _, p in fz[1]] == [1]
+    upb = fy[1][0][0]
     assert upb == RationalFunction(MultiPoly(3, {(0, 0, 2): 1}), MultiPoly(3, {(2, 1, 0): 1}))
     assert compare(NU3.value(upb), zero) == 0
     # gcd of the reduced difference stays 1 at every step
     assert all(r["gcd"] == 1 for r in pkg.reports)
     # the relation lattice of the entry values is generated by the binomial
     assert relation_lattice([fr.betas[0], fr.betas[1], fr.betas[2]]) == [(2, 1, -2)]
+
+
+def _with_terminal_unit_times(result, factor):
+    """The divide result with its last step's unit multiplied by factor."""
+    fr = result.frame
+    units = tuple((q, u * factor) for q, u in fr.history[-1].units)
+    last = dataclasses.replace(fr.history[-1], units=units)
+    frame = Frame(
+        fr.names, fr.original_names, fr.init_betas, fr.betas, fr.protected,
+        fr.history[:-1] + (last,), fr.pullbacks, fr.matrix_inv,
+    )
+    return dataclasses.replace(result, frame=frame, steps=result.steps[:-1] + (last,))
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [
+        # still value zero: only the substitution check sees it
+        (Fraction(2), "forward images fail the substitution check"),
+        (RationalFunction(MultiPoly.variable(3, 0)), "terminal unit value is not zero"),
+    ],
+    ids=["times-2", "times-x"],
+)
+def test_package_rejects_a_tampered_terminal_unit(monkeypatch, factor, message):
+    divide = puiseux.divide_monomials
+    monkeypatch.setattr(
+        puiseux, "divide_monomials", lambda *args: _with_terminal_unit_times(divide(*args), factor)
+    )
+    with pytest.raises(CertificationError, match=message):
+        puiseux_package(tower_frame(), NU3, f=Q3, new_name="t")
 
 
 def test_package_transport_consistency():
