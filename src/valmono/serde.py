@@ -17,6 +17,7 @@ from .ordered_value import (
     ValueGroup,
     compare,
     format_element,
+    is_sentinel,
     parse_element,
     pi_generator,
     unit_generator,
@@ -235,15 +236,29 @@ def format_unipoly(p: UniPoly, names, var: str) -> str:
 # -- value groups and specs ------------------------------------------------------
 
 
+def _field(obj, key):
+    """A required field of a problem's JSON object."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _finite_element(group: ValueGroup, text, rank=None):
+    value = parse_element(group, str(text), rank=rank)
+    if is_sentinel(value):
+        raise ParseError(f"value {text!r} must be finite")
+    return value
+
+
 def group_from_json(obj) -> ValueGroup:
     gens = []
-    for entry in obj["generators"]:
+    for entry in _field(obj, "generators"):
         if entry == "1":
             gens.append(unit_generator())
         elif entry == "pi":
             gens.append(pi_generator())
         elif isinstance(entry, dict) and "rational" in entry:
-            gens.append(IndependentGenerator(entry["name"], rational=Fraction(entry["rational"])))
+            gens.append(IndependentGenerator(_field(entry, "name"), rational=Fraction(entry["rational"])))
         else:
             raise ParseError(f"unsupported generator {entry!r}")
     return ValueGroup(gens)
@@ -265,13 +280,13 @@ def group_to_json(group: ValueGroup) -> dict:
 
 
 def spec_from_json(group: ValueGroup, names, obj):
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "monomial":
-        weights_map = obj["weights"]
+        weights_map = _field(obj, "weights")
         missing = [n for n in names if n not in weights_map]
         if missing:
             raise ParseError(f"missing weights for {missing}")
-        parsed = [parse_element(group, str(weights_map[n])) for n in names]
+        parsed = [_finite_element(group, weights_map[n]) for n in names]
         ranks = {w.rank for w in parsed}
         if len(ranks) != 1:
             raise RankMismatch("monomial weights of mixed rank")
@@ -279,13 +294,13 @@ def spec_from_json(group: ValueGroup, names, obj):
             raise ParseError("monomial weights must be strictly positive")
         return Monomial(group, parsed)
     if kind == "composite":
-        inner = spec_from_json(group, names, obj["inner"])
-        key = parse_unipoly(str(obj["key"]), names)
+        inner = spec_from_json(group, names, _field(obj, "inner"))
+        key = parse_unipoly(str(_field(obj, "key")), names)
         return Composite(key, inner)
     if kind == "augmented":
-        base = spec_from_json(group, names, obj["base"])
-        key = parse_unipoly(str(obj["key"]), names)
-        assigned = parse_element(group, str(obj["value"]), rank=base.rank)
+        base = spec_from_json(group, names, _field(obj, "base"))
+        key = parse_unipoly(str(_field(obj, "key")), names)
+        assigned = _finite_element(group, _field(obj, "value"), rank=base.rank)
         if compare(assigned, base.value(key)) <= 0:
             raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key")
         return Augmented(base, key, assigned)
@@ -317,10 +332,10 @@ def spec_to_json(spec, names) -> dict:
 def _innermost_weight_names(val_obj) -> list:
     cur = val_obj
     while True:
-        kind = cur.get("kind")
+        kind = _field(cur, "kind")
         if kind == "monomial":
-            return list(cur["weights"].keys())
-        cur = cur["inner"] if kind == "composite" else cur["base"]
+            return list(_field(cur, "weights"))
+        cur = _field(cur, "inner" if kind == "composite" else "base")
 
 
 def load_problem(obj):
@@ -330,7 +345,7 @@ def load_problem(obj):
     weight-map order; the last name is the distinguished variable.
     """
     group = group_from_json(obj.get("group", {"generators": ["1", "pi"]}))
-    val = obj["val"]
+    val = _field(obj, "val")
     names = list(obj.get("vars") or _innermost_weight_names(val))
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names")

@@ -191,25 +191,46 @@ def test_parse_errors_exit_two(specs, capsys):
     capsys.readouterr()
 
 
+AUG = {"kind": "augmented", "base": NU2["val"], "key": "z", "value": "5"}
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# problem file, polynomial, stderr message
 MALFORMED = {
-    "negative-power": (NU3["val"], "z^-1", "negative power of the distinguished variable 'z'"),
+    "negative-power": ({**NU2, "val": NU3["val"]}, "z^-1", "negative power of the distinguished variable 'z'"),
     "nonpositive-weight": (
-        {"kind": "monomial", "weights": {**NU2["val"]["weights"], "x": "-1"}},
+        {**NU2, "val": {"kind": "monomial", "weights": {**NU2["val"]["weights"], "x": "-1"}}},
         "z",
         "monomial weights must be strictly positive",
     ),
     "augmented-value-below-key": (
-        {"kind": "augmented", "base": NU2["val"], "key": "z", "value": "1"},
+        {**NU2, "val": {**AUG, "value": "1"}},
         "z",
         "augmented value '1' must exceed the base value of its key",
     ),
+    "infinite-weight": (
+        {**NU2, "val": {"kind": "monomial", "weights": {**NU2["val"]["weights"], "x": "inf"}}},
+        "z",
+        "value 'inf' must be finite",
+    ),
+    "infinite-augmented-value": ({**NU2, "val": {**AUG, "value": "inf"}}, "z", "value 'inf' must be finite"),
+    "no-val": (_without(NU2, "val"), "z", "missing field 'val'"),
+    "no-weights": ({**NU2, "val": {"kind": "monomial"}}, "z", "missing field 'weights'"),
+    "no-key": ({**NU2, "val": _without(AUG, "key")}, "z", "missing field 'key'"),
+    "no-value": ({**NU2, "val": _without(AUG, "value")}, "z", "missing field 'value'"),
+    "no-base": ({**NU2, "val": _without(AUG, "base")}, "z", "missing field 'base'"),
+    "no-inner": ({**NU2, "val": _without(NU3["val"], "inner")}, "z", "missing field 'inner'"),
+    "no-generators": ({**NU2, "group": {}}, "z", "missing field 'generators'"),
 }
 
 
-@pytest.mark.parametrize("val, poly, message", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_input_exits_two(tmp_path, capsys, val, poly, message):
+@pytest.mark.parametrize("problem, poly, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_two(tmp_path, capsys, problem, poly, message):
     spec = tmp_path / "bad.json"
-    spec.write_text(json.dumps({**NU2, "val": val}))
+    spec.write_text(json.dumps(problem))
     assert main(["eval", "--spec", str(spec), "--poly", poly]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,17 @@ import pytest
 from valmono.blowup_engine import CStepData, Frame, divide_monomials, framed_blowup
 from valmono.errors import CertificationError, ParseError
 from valmono.exact_algebra import UniPoly
-from valmono.orchestrator import ChainLink, _fresh_state, state_from_json, state_to_json
+from valmono.orchestrator import (
+    ChainLink,
+    _fresh_state,
+    _initial_frame,
+    monomialize,
+    state_from_json,
+    state_to_json,
+)
 from valmono.ordered_value import GroupElement, standard_group
+from valmono.puiseux import puiseux_package
+from valmono.serde import load_problem, parse_polynomial, parse_unipoly
 from valmono.trace import (
     read_trace,
     replay_trace,
@@ -53,30 +64,163 @@ def test_write_read_replay(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(fr, path)
     report = verify_trace_file(path)
-    assert report["ok"] and report["steps"] == 3 and abs(report["det"]) == 1
+    assert report["ok"] and report["steps"] == 3
     assert report["beta"]["x"] == "-3 + pi"
 
 
-def test_replay_catches_tampering(tmp_path):
-    fr = three_step_frame()
-    path = tmp_path / "trace.jsonl"
-    write_trace(fr, path)
-    records = read_trace(path)
+README_PROBLEM = {
+    "group": {"generators": ["1", "pi"]},
+    "vars": ["x", "y", "z"],
+    "val": {
+        "kind": "composite",
+        "key": "z^2 - x^2*y",
+        "inner": {"kind": "monomial", "weights": {"x": "1", "y": "2*pi", "z": "1+pi"}},
+    },
+}
 
-    bad = [dict(r) for r in records]
-    bad[1]["j"] = 1  # the argmin is position 2
-    with pytest.raises(CertificationError):
-        replay_trace(bad)
+TOWER_PROBLEM = {
+    "group": {"generators": ["1"]},
+    "vars": ["x", "z"],
+    "val": {
+        "kind": "augmented",
+        "key": "z^2 - x^3",
+        "value": "13/4",
+        "base": {
+            "kind": "augmented",
+            "key": "z",
+            "value": "3/2",
+            "base": {"kind": "monomial", "weights": {"x": "1", "z": "1"}},
+        },
+    },
+}
 
-    bad = [dict(r) for r in records]
-    bad[1]["beta_after"] = dict(bad[1]["beta_after"], x="1 + pi")
-    with pytest.raises(CertificationError):
-        replay_trace(bad)
 
-    bad = [dict(r) for r in records]
-    bad[1]["monomial"] = False
-    with pytest.raises(CertificationError):
-        replay_trace(bad)
+def _fresh_blob(spec, frame) -> dict:
+    key = UniPoly.x(frame.width - 1)
+    return state_to_json(_fresh_state(spec, frame, [ChainLink(key, None)], 10))
+
+
+def _monomialize_blob(problem, text) -> dict:
+    _, names, spec = load_problem(problem)
+    return state_to_json(monomialize(spec, parse_unipoly(text, names), 1000, names=names).state)
+
+
+def tampering_sources() -> dict:
+    """Traces with monomial and equal-value steps, each inside a state file."""
+    rng = random.Random(20260814 + 41)  # the draws of test_divide_random_property
+    betas = [el((1,)), el((0, 1)), el((3, 2))]
+    blobs = {}
+    while len(blobs) < 4:
+        alpha, gamma = (tuple(rng.randrange(5) for _ in range(3)) for _ in range(2))
+        frame = divide_monomials(Frame.initial(["x", "y", "z"], betas), alpha, gamma).frame
+        if frame.history:
+            blobs[f"divide-{alpha}-{gamma}"] = _fresh_blob(Monomial(G, betas), frame)
+    _, names, nu3 = load_problem(README_PROBLEM)
+    q = parse_polynomial("z^2 - x^2*y", names)
+    package = puiseux_package(_initial_frame(nu3, names), nu3, f=q, new_name="t")
+    blobs["puiseux"] = _fresh_blob(nu3, package.frame)
+    blobs["readme-monomialize"] = _monomialize_blob(README_PROBLEM, "z^2 - x^2*y")
+    blobs["tower-monomialize"] = _monomialize_blob(TOWER_PROBLEM, "z^2 - x^3")
+    return blobs
+
+
+def _dup_center(recs, i):
+    recs[i]["J"].append(recs[i]["J"][0])
+
+
+def _other_chart(recs, i):
+    recs[i]["j"] = next(q for q in recs[i]["J"] if q != recs[i]["j"])
+
+
+def _chart_in(field):
+    def tamper(recs, i):
+        recs[i][field].append(recs[i]["j"])
+
+    return tamper
+
+
+def _rename_chart(recs, i):
+    recs[i]["names"][recs[i]["j"] - 1] += "_t"
+
+
+def _unshifted_strict_value(recs, i):
+    rec, prev = recs[i], recs[i - 1]
+    name = rec["names"][rec["B"][0] - 1]
+    rec["beta_after"][name] = (prev.get("beta_after") or prev["beta"])[name]
+
+
+def _zero_residue(recs, i):
+    recs[i]["residues"][str(recs[i]["C"][0])] = "0"
+
+
+def _chart_residue(recs, i):
+    recs[i].setdefault("residues", {})[str(recs[i]["j"])] = "1"
+
+
+def _keep_name(recs, i):
+    rec, prev = recs[i], recs[i - 1]
+    q = rec["C"][0] - 1
+    old = (prev.get("names") or prev["params"])[q]
+    rec["beta_after"][old] = rec["beta_after"].pop(rec["names"][q])
+    rec["names"][q] = old
+
+
+def _nonpositive_value(recs, i):
+    rec = recs[i]
+    rec["beta_after"][rec["names"][rec["C"][0] - 1]] = "-1"
+
+
+DIFFERS = "differs from its replayed step"
+
+# name -> (field the step record must have nonempty, or None; tamper(records, index); expected message)
+TAMPERS = {
+    "J-duplicate": (None, _dup_center, DIFFERS),
+    "J-one-member": (None, lambda recs, i: recs[i].update(J=[recs[i]["j"]]), "at least two"),
+    "J-out-of-range": (None, lambda recs, i: recs[i]["J"].append(99), "out of range"),
+    "j": (None, _other_chart, DIFFERS),
+    "B": (None, _chart_in("B"), DIFFERS),
+    "C": (None, _chart_in("C"), DIFFERS),
+    "monomial": (None, lambda recs, i: recs[i].update(monomial=not recs[i]["monomial"]), DIFFERS),
+    "names": (None, _rename_chart, DIFFERS),
+    "beta-after-B": ("B", _unshifted_strict_value, DIFFERS),
+    "residue-zero": ("C", _zero_residue, "zero residue"),
+    "residue-missing": ("C", lambda recs, i: recs[i].pop("residues"), "needs residue data"),
+    "residue-on-chart": (None, _chart_residue, DIFFERS),
+    "extra-key": (None, lambda recs, i: recs[i].update(note="x"), DIFFERS),
+    "kept-name": ("C", _keep_name, "collides"),
+    "beta-after-C-nonpositive": ("C", _nonpositive_value, "must be positive"),
+}
+
+
+def test_replay_catches_tampering():
+    """One field of one record changed: replay and the state loader both refuse."""
+    sources = tampering_sources()
+    hits = {case: 0 for case in TAMPERS}
+    missed = []
+    for source, blob in sources.items():
+        records = blob["trace"]
+        assert replay_trace(records)["steps"] == len(records) - 1
+        state_from_json(blob)
+        for case, (need, tamper, message) in TAMPERS.items():
+            idx = next((i for i, rec in enumerate(records) if i and (need is None or rec[need])), None)
+            if idx is None:
+                continue
+            hits[case] += 1
+            bad = json.loads(json.dumps(records))
+            tamper(bad, idx)
+            for load, error in (
+                (replay_trace, CertificationError),
+                (lambda recs: state_from_json(dict(blob, trace=recs)), ParseError),
+            ):
+                try:
+                    load(bad)
+                    missed.append((source, case, "accepted"))
+                except error as exc:
+                    if not re.search(message, str(exc)):
+                        missed.append((source, case, str(exc)))
+    assert not missed
+    assert sum(1 for blob in sources.values() if any(r.get("C") for r in blob["trace"][1:])) >= 3
+    assert all(hits.values()), hits
 
 
 def test_replay_equal_value_step():
@@ -107,7 +251,7 @@ def test_replay_rejects_lift_protect_reframe():
     frame = Frame.initial(["x", "u"], spec.weights)
     blob = state_to_json(_fresh_state(spec, frame, [ChainLink(UniPoly.x(1), None)], 10))
     for event in REMOVED_EVENTS:
-        with pytest.raises(CertificationError, match="unknown event"):
+        with pytest.raises(CertificationError, match="unknown trace event"):
             replay_trace(recs + [event])
         with pytest.raises(ParseError, match="unknown trace event"):
             state_from_json(dict(blob, trace=blob["trace"] + [event]))
