@@ -10,8 +10,18 @@ index, residues and, for each equal-value member, the value-zero unit
 old_q/old_j. Forward images of the original variables (monomial times
 units) are read off it when a check needs them.
 
+Every parameter value is a proved value of the parameter's pullback: the
+initial values and each equal-value member's value (its unit minus its
+residue) are compared with the spec by ``check_frame_values``, and a strict
+member's value beta_q - beta_j is exact for any valuation. Values are
+positive, so a Laurent-free unit whose numerator and denominator have a
+nonzero constant term has value exactly zero: the constant is the one term
+of least value. Certificates rest on this instead of pulling units back.
+
 Every operation returns a new Frame; histories are append-only, so traces
-can be replayed and cross-checked step by step.
+can be replayed and cross-checked step by step. The one field set after
+construction, ``checked``, remembers how many steps ``check_frame_values``
+has passed under which spec, and a blow-up hands it on to the new frame.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ class Frame:
         "history",
         "pullbacks",
         "matrix_inv",
+        "checked",
     )
 
     def __init__(
@@ -97,6 +108,7 @@ class Frame:
         self.history = tuple(history)
         self.pullbacks = tuple(pullbacks)
         self.matrix_inv = matrix_inv
+        self.checked = None  # (spec, n): the first n steps passed check_frame_values
         for b in self.betas:
             if not b.is_positive():
                 raise CertificationError("parameter value must stay positive")
@@ -232,7 +244,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     for q in B + C:
         inv[q] = [a - b for a, b in zip(inv[q], inv[j])]
 
-    return Frame(
+    out = Frame(
         names,
         frame.original_names,
         frame.init_betas,
@@ -242,6 +254,8 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         pullbacks,
         tuple(tuple(row) for row in inv),
     )
+    out.checked = frame.checked  # the history only grows, so checked steps stay checked
+    return out
 
 
 # -- substitution ----------------------------------------------------------------
@@ -483,44 +497,73 @@ class MonomializeCertificate:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, c_provider=None) -> MonomializeCertificate:
-    """Factor a non-degenerate element as monomial times certified unit."""
+def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, value, c_provider=None) -> MonomializeCertificate:
+    """Factor a non-degenerate element as monomial times certified unit.
+
+    ``value`` is the spec value of f's pullback, which the caller knows
+    from the element it transported into the frame.
+    """
     if f.width != frame.width:
         raise UnknownVariable("expression arity mismatch")
     group = frame.betas[0].group
     frame_val = Monomial(group, frame.betas)
-    target_value = spec.value(frame.pullback_of(f))
-    ok, witness = is_non_degenerate(spec, frame_val, f, target_value)
+    ok, witness = is_non_degenerate(spec, frame_val, f, value)
     if not ok:
         raise DegenerateInput("monomial value differs from the assigned value")
     start = len(frame.history)
     result = principalize(frame, witness, c_provider)
     f_new = transport(result.frame, RationalFunction(f), from_step=start)
-    eps, unit, value = _factor_as_unit(result.frame, spec, f_new, target_value)
+    eps, unit, value = _factor_as_unit(result.frame, spec, f_new, value)
     return MonomializeCertificate(
         result.frame, eps, unit, value, result.frame.history[start:]
     )
 
 
+def check_frame_values(frame: Frame, spec) -> None:
+    """Compare every parameter value the frame took from outside with the spec.
+
+    Those are the initial values, spec values of the original variables,
+    and each equal-value member's value, the spec value of its unit minus
+    its residue. Strict members' values are differences of these. Steps
+    already checked under the same spec are not checked again.
+    """
+    done_spec, start = frame.checked or (None, 0)
+    if done_spec is not spec:
+        start = 0
+        n = len(frame.original_names)
+        for k, beta in enumerate(frame.init_betas):
+            if compare(spec.value(MultiPoly.variable(n, k)), beta) != 0:
+                raise CertificationError("initial parameter value differs from the valuation")
+    for step in frame.history[start:]:
+        residues = dict(step.residues)
+        for q, unit in step.units:
+            if compare(spec.value(unit - residues[q]), step.beta_after[q]) != 0:
+                raise CertificationError("equal-value parameter value differs from the valuation")
+    frame.checked = (spec, len(frame.history))
+
+
 def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
-    """Split T into monomial times certified unit; exact value checks."""
+    """Split T into monomial times certified unit; exact value checks.
+
+    The unit's value is zero without pulling it back: once the frame's
+    values are checked against the spec, each is the value of its
+    parameter's pullback, and every term of the unit's numerator and
+    denominator other than the nonzero constant has positive value, so the
+    constant alone attains the least value, zero.
+    """
+    check_frame_values(fr, spec)
     eps = None
     for e in T.num.terms:
         eps = e if eps is None else ev_min(eps, e)
     unit = T / RationalFunction(MultiPoly.monomial(fr.width, eps))
-    _assert_unit(unit)
-    value = fr.monomial_value(eps)
-    if compare(value, target) != 0:
-        raise CertificationError("monomial value differs from the element value")
-    zero = spec.value(1)
-    if compare(spec.value(fr.pullback_of(unit)), zero) != 0:
-        raise CertificationError("unit value is not zero")
-    return eps, unit, value
-
-
-def _assert_unit(r: RationalFunction):
-    for part in (r.num, r.den):
+    for part in (unit.num, unit.den):
         if not part.is_laurent_free():
             raise CertificationError("unit with negative parameter exponents")
         if part.constant_value() == 0:
             raise CertificationError("unit without constant term")
+        if not all(fr.monomial_value(e).is_positive() for e in part.terms if any(e)):
+            raise CertificationError("unit term of non-positive value")
+    value = fr.monomial_value(eps)
+    if compare(value, target) != 0:
+        raise CertificationError("monomial value differs from the element value")
+    return eps, unit, value

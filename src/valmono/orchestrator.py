@@ -21,6 +21,7 @@ from . import trace
 from .blowup_engine import (
     Frame,
     _factor_as_unit,
+    check_frame_values,
     divide_monomials,
     monomialize_nondegenerate,
     transform_exponents,
@@ -321,19 +322,20 @@ class MonomializeOutcome:
 def _finalize(state: MasterState, f: UniPoly):
     """Monomialize one element in the current frame, advancing on demand."""
     poly = to_multipoly(f)
+    expected = state.spec.value(f)
     while True:
         img = transport(state.frame, RationalFunction(poly))
         if not img.den.is_single_term():
             raise CertificationError("element transported outside the parameter ring")
+        # a single-term denominator is folded into the numerator, so img.num pulls back to f
         try:
             cert = monomialize_nondegenerate(
-                state.frame, state.spec, img.num, valuation_driver(state.spec)
+                state.frame, state.spec, img.num, expected, valuation_driver(state.spec)
             )
             break
         except DegenerateInput:
             state = advance(state)
     state = _after_steps(state, cert.frame)
-    expected = state.spec.value(f)
     if compare(cert.value, expected) != 0:
         raise CertificationError("certificate value differs from the valuation")
     return state, (cert.exponents, cert.unit, cert.value)
@@ -503,6 +505,10 @@ def state_from_json(obj) -> MasterState:
         raise ParseError(f"unsupported state version {obj.get('version')!r}")
     group, names, spec = load_problem(obj["problem"])
     frame = trace._frame_from_records(group, obj["trace"])
+    try:
+        check_frame_values(frame, spec)
+    except CertificationError as exc:
+        raise ParseError(f"state trace: {exc}") from exc
     chain = tuple(_link_from(l, group, names) for l in obj["chain"])
     if not chain:
         raise ParseError("state chain is empty")

@@ -386,9 +386,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     new_position = last.C[0]
     residue = dict(last.residues)[new_position]
 
-    T = transport(fr, problem.element, from_step=start)
-    eps, unit, value = _factor_as_unit(fr, spec, T, problem.target_value)
-
     # the terminal unit is the certificate that the relation was consumed
     zero = spec.value(1)
     if compare(spec.value(dict(last.units)[new_position]), zero) != 0:
@@ -396,6 +393,9 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     zbar = RationalFunction(MultiPoly.variable(fr.width, new_position)) + residue
     if not verify_forward(fr):
         raise CertificationError("forward images fail the substitution check")
+
+    T = transport(fr, problem.element, from_step=start)
+    eps, unit, value = _factor_as_unit(fr, spec, T, problem.target_value)
 
     reports = []
     a_cur, g_cur = problem.delta, problem.gamma
@@ -476,7 +476,7 @@ def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
         return frame, (c, e, None)
     if not poly.is_laurent_free():
         raise NonPolynomialImage("coefficient image is not free of denominators")
-    cert = monomialize_nondegenerate(frame, spec, poly, valuation_driver(spec))
+    cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), valuation_driver(spec))
     return cert.frame, (Fraction(1), cert.exponents, cert.unit)
 
 

@@ -258,7 +258,12 @@ def group_from_json(obj) -> ValueGroup:
         elif entry == "pi":
             gens.append(pi_generator())
         elif isinstance(entry, dict) and "rational" in entry:
-            gens.append(IndependentGenerator(_field(entry, "name"), rational=Fraction(entry["rational"])))
+            name = _field(entry, "name")
+            try:
+                rational = Fraction(entry["rational"])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ParseError(f"generator {name!r} has invalid rational {entry['rational']!r}") from None
+            gens.append(IndependentGenerator(name, rational=rational))
         else:
             raise ParseError(f"unsupported generator {entry!r}")
     return ValueGroup(gens)

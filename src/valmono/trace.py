@@ -9,7 +9,9 @@ through ``framed_blowup`` (center, residue, positivity and name checks) and
 requires every record to equal the record its replayed step emits (chart
 index, B/C split, renames, values). Each step adds columns to the chart
 column, so the exponent matrix is unimodular by construction. Equal-value
-residues, names and values are read from the record, not from the valuation.
+residues, names and values are read from the record, not from the valuation;
+a trace carries no valuation, and the state loader compares them with its
+problem's spec.
 """
 
 from __future__ import annotations

@@ -264,7 +264,7 @@ def test_monomialize_nondegenerate_golden():
     fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
     spec = Monomial(G, [el((1,)), el((0, 1))])
     f = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
-    cert = monomialize_nondegenerate(fr, spec, f)
+    cert = monomialize_nondegenerate(fr, spec, f, spec.value(f))
     assert cert.exponents == (1, 0)
     assert cert.value == el((1,))
     one = MultiPoly.one(2)
@@ -301,9 +301,9 @@ def test_monomialize_degenerate_rejected():
     x3 = MultiPoly.variable(3, 0)
     y3 = MultiPoly.variable(3, 1)
     with pytest.raises(DegenerateInput):
-        monomialize_nondegenerate(fr, nu3, z3**2 - x3**2 * y3)
+        monomialize_nondegenerate(fr, nu3, z3**2 - x3**2 * y3, nu3.value(z3**2 - x3**2 * y3))
     # while x + y stays non-degenerate under the same tower
-    cert = monomialize_nondegenerate(fr, nu3, x3 + y3)
+    cert = monomialize_nondegenerate(fr, nu3, x3 + y3, nu3.value(x3 + y3))
     assert cert.exponents == (1, 0, 0)
     assert cert.value == el((0,), (1,))
 
@@ -316,7 +316,7 @@ def test_monomialize_three_vars():
     y = MultiPoly.variable(3, 1)
     z = MultiPoly.variable(3, 2)
     f = x**3 + y**2 * z
-    cert = monomialize_nondegenerate(fr, spec, f)
+    cert = monomialize_nondegenerate(fr, spec, f, spec.value(f))
     # value of x^3 is 3, of y^2 z is 1 + 5pi: the monomial is the x-part
     assert cert.value == el((3,))
     assert cert.frame.monomial_value(cert.exponents) == el((3,))

@@ -224,6 +224,11 @@ MALFORMED = {
     "no-base": ({**NU2, "val": _without(AUG, "base")}, "z", "missing field 'base'"),
     "no-inner": ({**NU2, "val": _without(NU3["val"], "inner")}, "z", "missing field 'inner'"),
     "no-generators": ({**NU2, "group": {}}, "z", "missing field 'generators'"),
+    "generator-rational": (
+        {**NU2, "group": {"generators": [{"name": "h", "rational": "abc"}]}},
+        "z",
+        "generator 'h' has invalid rational 'abc'",
+    ),
 }
 
 

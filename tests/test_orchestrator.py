@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from valmono.blowup_engine import transform_exponents
-from valmono.errors import BudgetExceeded, LimitSuccessorRequired, ParseError, ZeroPolynomial
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_unipoly
+from valmono.blowup_engine import Frame, _factor_as_unit, transform_exponents
+from valmono.errors import (
+    BudgetExceeded,
+    CertificationError,
+    LimitSuccessorRequired,
+    ParseError,
+    ZeroPolynomial,
+)
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
 from valmono.ordered_value import compare, standard_group
 from valmono.orchestrator import (
     ChainLink,
@@ -24,6 +30,7 @@ from valmono.orchestrator import (
     steps_used,
 )
 from valmono.successors import SuccessorCertificate
+from valmono.trace import replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial
 
 G = standard_group()
@@ -44,6 +51,15 @@ Q = X**2 - (x2**2) * y2
 NU2 = Monomial(G, [el((1,)), el((0, 2)), el((1, 1))])
 NU3 = Composite(Q, NU2)
 NAMES = ["x", "y", "z"]
+
+# the rank-1 tower over (x, z) of the tower workload: s1 = [z; 3/2], s2 = [K2; 13/4], s3 = [K3; 53/8]
+XZ = MultiPoly.variable(1, 0)
+Z = UniPoly.x(1)
+K2 = Z**2 - UniPoly.constant(1, XZ**3)
+K3 = K2**2 - UniPoly.constant(1, XZ**5) * Z
+S1 = Augmented(Monomial(G, [el((1,)), el((1,))]), Z, el((Fraction(3, 2),)))
+S2 = Augmented(S1, K2, el((Fraction(13, 4),)))
+S3 = Augmented(S2, K3, el((Fraction(53, 8),)))
 
 
 @pytest.mark.parametrize(
@@ -167,11 +183,7 @@ def test_state_roundtrip_partial_uniformize_and_tower():
     _assert_state_roundtrip(out.state)
 
     # rank-1 tower s2 over (x, z): the key parameter comes back primed
-    xx, Z = MultiPoly.variable(1, 0), UniPoly.x(1)
-    K2 = Z**2 - UniPoly.constant(1, xx**3)
-    s1 = Augmented(Monomial(G, [el((1,)), el((1,))]), Z, el((Fraction(3, 2),)))
-    s2 = Augmented(s1, K2, el((Fraction(13, 4),)))
-    st = monomialize(s2, K2 * K2, 10_000, names=["x", "z"]).state
+    st = monomialize(S2, K2 * K2, 10_000, names=["x", "z"]).state
     assert st.frame.names == ("x", "z'")
     blob = _assert_state_roundtrip(st)
     assert blob["chain"][1]["key"] == "z^2 - x^3"
@@ -288,3 +300,97 @@ def test_chain_stalls_raise_limit_required():
     # the binomial successors u - c*x^4 never reach epsilon(P2): limit point
     with pytest.raises(LimitSuccessorRequired):
         monomialize(spec, P2, 10_000, names=["x", "u"])
+
+
+def _pull_back(frame, p: MultiPoly) -> MultiPoly:
+    """A polynomial over the frame's parameters, over the originals.
+
+    Each step is undone in turn: new_q = old_q/old_j (strict) or
+    old_q/old_j - residue (equal-value). The chart parameter old_j is one
+    variable, so every intermediate stays a Laurent polynomial, where
+    Frame.pullback_of's rational functions swell on a 537-term unit.
+    """
+    m = frame.width
+    for step in reversed(frame.history):
+        over_j = MultiPoly.monomial(m, tuple(-1 if k == step.j else 0 for k in range(m)))
+        images = [MultiPoly.variable(m, k) for k in range(m)]
+        for q in step.B:
+            images[q] = images[q] * over_j
+        for q, r in step.residues:
+            images[q] = images[q] * over_j - r
+        powers = [[MultiPoly.one(m)] for _ in range(m)]
+        out = MultiPoly.zero(m)
+        for e, c in p.terms.items():
+            term = MultiPoly.constant(m, c)
+            for k, ek in enumerate(e):
+                while len(powers[k]) <= ek:
+                    powers[k].append(powers[k][-1] * images[k])
+                term = term * powers[k][ek]
+            out = out + term
+        p = out
+    return p
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [(S3, K3**2 + UniPoly.constant(1, XZ**13)), (S2, K2 * UniPoly.constant(1, XZ) + UniPoly.constant(1, XZ**6))],
+    ids=["s3-K3^2+x13", "s2-K2x+x6"],
+)
+def test_tower_elements_certify(spec, f):
+    # seconds (s2) and over a minute (s3) while each unit was pulled back to be valued
+    out = monomialize(spec, f, 10_000, names=["x", "z"])
+    T = RationalFunction(out.monomial()) * out.unit
+    assert _pull_back(out.frame, T.num) == to_multipoly(f) * _pull_back(out.frame, T.den)
+    assert compare(out.value, spec.value(f)) == 0
+    assert replay_trace(trace_records(out.frame))["steps"] == steps_used(out.state)
+
+
+def _frame_with(frame, **fields):
+    slots = ("names", "original_names", "init_betas", "betas", "protected", "history", "pullbacks", "matrix_inv")
+    return Frame(**{**{k: getattr(frame, k) for k in slots}, **fields})
+
+
+def _last_equal_value_step(frame, change):
+    """The frame with its last equal-value step's first C member changed."""
+    i = max(i for i, step in enumerate(frame.history) if step.C)
+    step = frame.history[i]
+    history = list(frame.history)
+    history[i] = change(step, step.C[0])
+    return _frame_with(frame, history=tuple(history))
+
+
+def _doubled_value(step, q):
+    beta_after = list(step.beta_after)
+    beta_after[q] = beta_after[q] * 2
+    return replace(step, beta_after=tuple(beta_after))
+
+
+def _residue_seven(step, q):
+    return replace(step, residues=tuple((p, Fraction(7) if p == q else r) for p, r in step.residues))
+
+
+def _doubled_initial_value(frame):
+    return _frame_with(frame, init_betas=(frame.init_betas[0] * 2,) + frame.init_betas[1:])
+
+
+FRAME_TAMPERS = {
+    "beta-after": lambda frame: _last_equal_value_step(frame, _doubled_value),
+    "residue": lambda frame: _last_equal_value_step(frame, _residue_seven),
+    "initial-beta": _doubled_initial_value,
+}
+
+
+@pytest.mark.parametrize("tamper", FRAME_TAMPERS.values(), ids=FRAME_TAMPERS)
+@pytest.mark.parametrize(
+    "spec, f, names",
+    [(NU3, Q, NAMES), (S2, K2 * K2, ["x", "z"])],
+    ids=["readme", "tower-s2"],
+)
+def test_certificate_rejects_a_frame_value_off_the_spec(spec, f, names, tamper):
+    # the unit's value is proved from the frame's values, so each value the
+    # frame took from outside is compared with the spec first
+    out = monomialize(spec, f, 10_000, names=names)
+    T = RationalFunction(out.monomial()) * out.unit
+    assert _factor_as_unit(_frame_with(out.frame), spec, T, out.value)[0] == out.exponents
+    with pytest.raises(CertificationError, match="parameter value differs from the valuation"):
+        _factor_as_unit(tamper(out.frame), spec, T, out.value)

@@ -16,9 +16,9 @@ from valmono.orchestrator import (
     state_from_json,
     state_to_json,
 )
-from valmono.ordered_value import GroupElement, standard_group
+from valmono.ordered_value import GroupElement, format_element, parse_element, standard_group
 from valmono.puiseux import puiseux_package
-from valmono.serde import load_problem, parse_polynomial, parse_unipoly
+from valmono.serde import group_from_json, load_problem, parse_polynomial, parse_unipoly
 from valmono.trace import (
     read_trace,
     replay_trace,
@@ -170,7 +170,20 @@ def _nonpositive_value(recs, i):
     rec["beta_after"][rec["names"][rec["C"][0] - 1]] = "-1"
 
 
+def _doubled_value(recs, i):
+    rec = recs[i]
+    name = rec["names"][rec["C"][0] - 1]
+    value = parse_element(group_from_json(recs[0]["group"]), rec["beta_after"][name])
+    rec["beta_after"][name] = format_element(value * 2)
+
+
+def _residue_seven(recs, i):
+    recs[i]["residues"][str(recs[i]["C"][0])] = "7"
+
+
 DIFFERS = "differs from its replayed step"
+# only the state loader, which holds the problem's spec, sees these tampers
+SPEC_DIFFERS = "equal-value parameter value differs from the valuation"
 
 # name -> (field the step record must have nonempty, or None; tamper(records, index); expected message)
 TAMPERS = {
@@ -189,11 +202,17 @@ TAMPERS = {
     "extra-key": (None, lambda recs, i: recs[i].update(note="x"), DIFFERS),
     "kept-name": ("C", _keep_name, "collides"),
     "beta-after-C-nonpositive": ("C", _nonpositive_value, "must be positive"),
+    "beta-after-C-doubled": ("C", _doubled_value, SPEC_DIFFERS),
+    "residue-seven": ("C", _residue_seven, SPEC_DIFFERS),
 }
 
 
 def test_replay_catches_tampering():
-    """One field of one record changed: replay and the state loader both refuse."""
+    """One field of one record changed: replay and the state loader both refuse.
+
+    The state loader also compares equal-value values with the problem's
+    spec, which replay without a spec cannot do.
+    """
     sources = tampering_sources()
     hits = {case: 0 for case in TAMPERS}
     missed = []
@@ -208,10 +227,14 @@ def test_replay_catches_tampering():
             hits[case] += 1
             bad = json.loads(json.dumps(records))
             tamper(bad, idx)
-            for load, error in (
+            loaders = [
                 (replay_trace, CertificationError),
                 (lambda recs: state_from_json(dict(blob, trace=recs)), ParseError),
-            ):
+            ]
+            if message == SPEC_DIFFERS:
+                assert replay_trace(bad)["ok"]
+                loaders = loaders[1:]
+            for load, error in loaders:
                 try:
                     load(bad)
                     missed.append((source, case, "accepted"))
