@@ -1,14 +1,16 @@
 """Framed blow-ups and the divisibility machinery built on them.
 
 A Frame is an immutable snapshot of a coordinate chart: parameter names
-with their values, the protected positions, the step history, exact
-pullbacks of every current parameter to the original variables, and the
+with their values, the protected positions, the step history and the
 inverse of the running exponent matrix.
 
 The history is the one record of what each blow-up did: its center, chart
 index, residues and, for each equal-value member, the value-zero unit
-old_q/old_j. Forward images of the original variables (monomial times
-units) are read off it when a check needs them.
+old_q/old_j. Every substitution is read off it: ``transport`` pushes an
+expression forward through the steps and ``Frame.pullback_of`` undoes them
+newest first, both through the one per-step kernel ``_step_image``, and
+forward images of the original variables (monomial times units) come from
+the same steps.
 
 Every parameter value is a proved value of the parameter's pullback: the
 initial values and each equal-value member's value (its unit minus its
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .errors import (
@@ -42,9 +45,11 @@ from .errors import (
 from .exact_algebra import (
     MultiPoly,
     RationalFunction,
+    ev_add,
     ev_leq,
     ev_min,
     ev_sub,
+    ev_unit,
 )
 from .ordered_value import GroupElement, compare
 from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials, monomial_value
@@ -84,29 +89,17 @@ class Frame:
         "betas",
         "protected",
         "history",
-        "pullbacks",
         "matrix_inv",
         "checked",
     )
 
-    def __init__(
-        self,
-        names,
-        original_names,
-        init_betas,
-        betas,
-        protected,
-        history,
-        pullbacks,
-        matrix_inv,
-    ):
+    def __init__(self, names, original_names, init_betas, betas, protected, history, matrix_inv):
         self.names = tuple(names)
         self.original_names = tuple(original_names)
         self.init_betas = tuple(init_betas)
         self.betas = tuple(betas)
         self.protected = frozenset(protected)
         self.history = tuple(history)
-        self.pullbacks = tuple(pullbacks)
         self.matrix_inv = matrix_inv
         self.checked = None  # (spec, n): the first n steps passed check_frame_values
         for b in self.betas:
@@ -125,9 +118,8 @@ class Frame:
         for p in protected:
             prot.add(p if isinstance(p, int) else names.index(p))
         ident = tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m))
-        pullbacks = tuple(RationalFunction(MultiPoly.variable(m, k)) for k in range(m))
         betas = tuple(betas)
-        return cls(names, names, betas, betas, prot, (), pullbacks, ident)
+        return cls(names, names, betas, betas, prot, (), ident)
 
     @property
     def width(self) -> int:
@@ -137,14 +129,26 @@ class Frame:
         return monomial_value(self.betas, exps)
 
     def pullback_of(self, f) -> RationalFunction:
-        """Express a polynomial/RF over current parameters in the originals."""
+        """Express a polynomial/RF over current parameters in the originals.
+
+        The steps are undone newest first on numerator and denominator.
+        Undoing one gives x_j negative powers, and x_j may be an equal-value
+        member of an earlier step, so before each step both are multiplied
+        by the least monomial that clears the step's equal-value exponents.
+        """
         if not isinstance(f, (MultiPoly, RationalFunction)):
             raise TypeError("pullback of a non-polynomial")
         if f.width != self.width:
             raise UnknownVariable("parameter arity mismatch")
-        if isinstance(f, RationalFunction):
-            return _rf_substitute(f, self.pullbacks)
-        return _mp_substitute(f, self.pullbacks)
+        f = RationalFunction.of(f)
+        num, den = f.num, f.den
+        for step in reversed(self.history):
+            clear = [0] * self.width
+            for e in (*num.terms, *den.terms):
+                for q in step.C:
+                    clear[q] = max(clear[q], -e[q])
+            num, den = _step_image(num.shift(clear), step, False), _step_image(den.shift(clear), step, False)
+        return RationalFunction(num, den)
 
 
 def _primed(names, q) -> str:
@@ -162,7 +166,8 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
 
     The chart index j minimizes the value over J (ties: smallest position).
     Members whose value drops to zero are the equal-value set C; each needs
-    driver-supplied residue data and is replaced by its shifted quotient.
+    residue data from ``c_provider(frame, q, j, unit)``, given its unit
+    old_q/old_j over the originals, and is replaced by its shifted quotient.
     """
     m = frame.width
     J = sorted(set(int(q) for q in J))
@@ -189,9 +194,11 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
             raise CertificationError("center index does not minimize the value")
         (C if c == 0 else B).append(q)
 
-    c_data = {}
+    c_data, units = {}, {}
     for q in C:
-        data = c_provider(frame, q, j) if c_provider is not None else None
+        # the value-zero unit old_q/old_j over the originals
+        units[q] = frame.pullback_of(MultiPoly.monomial(m, ev_sub(ev_unit(m, q), ev_unit(m, j))))
+        data = c_provider(frame, q, j, units[q]) if c_provider is not None else None
         if data is None:
             raise ResidueUndefined(
                 "equal-value center member needs residue data from the value tower"
@@ -216,16 +223,6 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         if names[q] in frame.names or list(names).count(names[q]) > 1:
             raise ValueError(f"replacement name {names[q]!r} collides")
 
-    # one quotient old_q/old_j per member: B pullbacks, C units and C pullbacks
-    quotients = {q: frame.pullbacks[q] / frame.pullbacks[j] for q in B + C}
-
-    # pullbacks: new_q = old_q/old_j (B), shifted quotient (C), unchanged else
-    pullbacks = list(frame.pullbacks)
-    for q in B:
-        pullbacks[q] = quotients[q]
-    for q in C:
-        pullbacks[q] = quotients[q] - c_data[q].residue
-
     step = TraceStep(
         J=tuple(J),
         j=j,
@@ -235,7 +232,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         residues=tuple((q, c_data[q].residue) for q in C),
         names_after=tuple(names),
         beta_after=tuple(betas),
-        units=tuple((q, quotients[q]) for q in C),
+        units=tuple((q, units[q]) for q in C),
     )
 
     # exponent rows act on the right (e_current = e_original @ M); the step's
@@ -244,16 +241,8 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     for q in B + C:
         inv[q] = [a - b for a, b in zip(inv[q], inv[j])]
 
-    out = Frame(
-        names,
-        frame.original_names,
-        frame.init_betas,
-        betas,
-        frame.protected,
-        frame.history + (step,),
-        pullbacks,
-        tuple(tuple(row) for row in inv),
-    )
+    out = Frame(names, frame.original_names, frame.init_betas, betas, frame.protected,
+                frame.history + (step,), tuple(tuple(row) for row in inv))
     out.checked = frame.checked  # the history only grows, so checked steps stay checked
     return out
 
@@ -281,12 +270,9 @@ def verify_forward(frame: Frame) -> bool:
     n = len(frame.original_names)
     for k in range(n):
         exps, units = forward_image(frame, k)
-        acc = RationalFunction(MultiPoly.one(n))
-        for i, e in enumerate(exps):
-            if e:
-                acc = acc * frame.pullbacks[i] ** e
-        for pullback, p in units:
-            acc = acc * pullback ** p
+        acc = frame.pullback_of(MultiPoly.monomial(n, exps))
+        for unit, p in units:
+            acc = acc * unit**p
         if acc != RationalFunction(MultiPoly.variable(n, k)):
             return False
     return True
@@ -296,38 +282,50 @@ def transport(frame: Frame, expr, from_step: int = 0) -> RationalFunction:
     """Rewrite an expression over step-`from_step` parameters into current ones.
 
     Each step substitutes old_q -> new_q*new_j (strict members) and
-    old_q -> (new_q + residue)*new_j (equal-value members).
+    old_q -> (new_q + residue)*new_j (equal-value members). The numerator
+    and denominator are made free of negative exponents once and pushed
+    through every step as polynomials; one rational function is built at
+    the end.
     """
     m = frame.width
-    cur = RationalFunction.of(expr, m) if not isinstance(expr, RationalFunction) else expr
+    cur = RationalFunction.of(expr, m)
     if cur.width != m:
         raise UnknownVariable("parameter arity mismatch")
+    num, den = cur.laurent_free()
     for step in frame.history[from_step:]:
-        images = [RationalFunction(MultiPoly.variable(m, q)) for q in range(m)]
-        var_j = RationalFunction(MultiPoly.variable(m, step.j))
-        for q in step.B:
-            images[q] = RationalFunction(MultiPoly.variable(m, q)) * var_j
-        res = dict(step.residues)
-        for q in step.C:
-            images[q] = (RationalFunction(MultiPoly.variable(m, q)) + res[q]) * var_j
-        cur = _rf_substitute(cur, images)
-    return cur
+        num, den = _step_image(num, step, True), _step_image(den, step, True)
+    return RationalFunction(num, den)
 
 
-def _mp_substitute(p: MultiPoly, images) -> RationalFunction:
-    m = p.width
-    out = RationalFunction.zero(m)
+def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
+    """One step's substitution in a polynomial, forward (old parameters to new) or back.
+
+    Exponents move by ``_transform_exponents`` (sign -1 back), and the power
+    k >= 0 of each equal-value member q becomes (x_q + r)^k forward or
+    (x_q - r*x_j)^k back, r its residue, built once per distinct power tuple.
+    """
+    m, j = p.width, step.j
+    factors, terms = {}, {}
     for e, c in p.terms.items():
-        term = RationalFunction(MultiPoly.constant(m, c))
-        for k, power in enumerate(e):
-            if power:
-                term = term * images[k] ** power
-        out = out + term
-    return out
-
-
-def _rf_substitute(r: RationalFunction, images) -> RationalFunction:
-    return _mp_substitute(r.num, images) / _mp_substitute(r.den, images)
+        base = _transform_exponents(e, step, 1 if forward else -1)
+        powers = tuple(e[q] for q in step.C)
+        if powers not in factors:
+            factors[powers] = MultiPoly.one(m)
+            for (q, r), k in zip(step.residues, powers):
+                if k < 0:
+                    raise ValueError("negative power of an equal-value member")
+                # binomial theorem: the terms x_q^i * (r, or -r*x_j back)^(k-i)
+                s, dj = (r, 0) if forward else (-r, 1)
+                power = {}
+                for i in range(k + 1):
+                    x = [0] * m
+                    x[q], x[j] = i, dj * (k - i)
+                    power[tuple(x)] = comb(k, i) * s ** (k - i)
+                factors[powers] = factors[powers] * MultiPoly(m, power)
+        for fe, fc in factors[powers].terms.items():
+            t = ev_add(base, fe)
+            terms[t] = terms.get(t, 0) + c * fc
+    return MultiPoly(m, terms)
 
 
 # -- tau and the divisibility loop -------------------------------------------------
@@ -350,9 +348,10 @@ def tau(alpha, gamma):
     return (sum(at), sum(gt)), at, gt, delta, swapped
 
 
-def _transform_exponents(e, step: TraceStep):
+def _transform_exponents(e, step: TraceStep, sign=1):
+    """Exponents after the step; with sign -1, before it. Equal-value members drop out."""
     out = list(e)
-    out[step.j] = sum(e[q] for q in step.J)
+    out[step.j] += sign * sum(e[q] for q in step.J if q != step.j)
     for q in step.C:
         out[q] = 0
     return tuple(out)
@@ -507,7 +506,7 @@ def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, value, c_provide
         raise UnknownVariable("expression arity mismatch")
     group = frame.betas[0].group
     frame_val = Monomial(group, frame.betas)
-    ok, witness = is_non_degenerate(spec, frame_val, f, value)
+    ok, witness = is_non_degenerate(frame_val, f, value)
     if not ok:
         raise DegenerateInput("monomial value differs from the assigned value")
     start = len(frame.history)

@@ -94,6 +94,8 @@ def _exponents(text: str, width: int) -> tuple:
         raise ParseError(f"bad exponent list {text!r}") from exc
     if len(out) != width:
         raise ParseError(f"exponent list {text!r} needs {width} entries")
+    if any(e < 0 for e in out):
+        raise ParseError(f"exponent list {text!r} has a negative entry")
     return out
 
 

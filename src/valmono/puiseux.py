@@ -176,8 +176,7 @@ def residue_of_unit(spec, h) -> Fraction:
 def valuation_driver(spec):
     """Equal-value step data taken straight from the valuation's residues."""
 
-    def driver(fr, q, j):
-        h = fr.pullbacks[q] / fr.pullbacks[j]
+    def driver(fr, q, j, h):
         c = residue_of_unit(spec, h)
         v = spec.value(h - c)
         if is_sentinel(v) or not v.is_positive():
@@ -304,8 +303,7 @@ def _package_driver(problem: PuiseuxProblem):
     """
     spec = problem.spec
 
-    def driver(fr: Frame, q: int, j: int):
-        h = fr.pullbacks[q] / fr.pullbacks[j]
+    def driver(fr: Frame, q: int, j: int, h: RationalFunction):
         m = ev_sub(fr.matrix_inv[q], fr.matrix_inv[j])
         t = _parallel_ratio(m, problem.rel0)
         root_missing = False
@@ -574,7 +572,7 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, ne
     # the new parameter is exactly the normalized candidate P / b'_1
     P_orig = RationalFunction(to_multipoly(P))
     candidate = P_orig / pkg.frame.pullback_of(RationalFunction(b1p))
-    if pkg.frame.pullbacks[tpos] != candidate:
+    if pkg.frame.pullback_of(MultiPoly.variable(pkg.frame.width, tpos)) != candidate:
         raise CertificationError("the new parameter is not the normalized candidate")
 
     target = spec.value(P_orig)

@@ -80,7 +80,7 @@ def _recorded_c_data(group, rec):
     """The residue, name and value a step record gives each equal-value member."""
     names, residues, values = rec["names"], rec.get("residues", {}), rec["beta_after"]
 
-    def provider(frame, q, j):
+    def provider(frame, q, j, unit):
         r = residues.get(str(q + 1))
         return None if r is None else CStepData(Fraction(r), parse_element(group, values[names[q]]), names[q])
 

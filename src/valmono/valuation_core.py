@@ -272,17 +272,14 @@ def minimalize_monomials(exponents) -> list:
     return out
 
 
-def is_non_degenerate(spec, frame_val: Monomial, f: MultiPoly, value=None):
-    """Compare the frame's monomial value with the spec value on f.
+def is_non_degenerate(frame_val: Monomial, f: MultiPoly, value):
+    """Compare the frame's monomial value with ``value``, the spec value of f.
 
-    ``value`` is the spec value of f when the caller already has it.
     Returns (flag, witness): the witness is the minimalized monomial
     support of f, and exists only when the values agree.
     """
     if f.is_zero():
         raise ZeroPolynomial("non-degeneracy of the zero polynomial")
-    vu = frame_val.value(f)
-    v = spec.value(f) if value is None else value
-    if compare(vu, v) == 0:
+    if compare(frame_val.value(f), value) == 0:
         return True, minimalize_monomials(f.terms.keys())
     return False, None

@@ -229,7 +229,7 @@ def test_criterion_6_limit_recipe():
             assert res.exponents == (deg, 1)
             assert compare(res.value, el((deg + 1,))) == 0
             # the new last parameter is the package candidate itself
-            assert res.frame.pullbacks[res.package.new_position] == res.candidate
+            assert res.frame.pullback_of(MultiPoly.variable(2, res.package.new_position)) == res.candidate
             recon = res.frame.pullback_of(RationalFunction(res.monomial()) * res.unit)
             assert recon == RationalFunction(
                 MultiPoly(2, {(0, 1): 1, (deg, 0): 1})

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from valmono.errors import (
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
 from valmono.ordered_value import GroupElement, compare, standard_group
+from valmono.serde import parse_polynomial
 from valmono.valuation_core import Composite, Monomial
 
 SEED = 20260814
@@ -53,7 +55,7 @@ def test_initial_frame():
     assert fr.width == 2
     assert forward_image(fr, 0) == ((1, 0), ())
     assert forward_image(fr, 1) == ((0, 1), ())
-    assert fr.pullbacks[0] == rf_var(2, 0)
+    assert fr.pullback_of(MultiPoly.variable(2, 0)) == rf_var(2, 0)
     assert fr.matrix_inv == ((1, 0), (0, 1))
     assert fr.monomial_value((2, 3)) == el((2, 3))
     with pytest.raises(ValueError):
@@ -73,7 +75,7 @@ def test_single_blowup_strict():
     assert forward_image(fr2, 1) == ((1, 1), ())
     assert forward_image(fr2, 0) == ((1, 0), ())
     # the second parameter pulls back to y/x
-    assert fr2.pullbacks[1] == rf_var(2, 1) / rf_var(2, 0)
+    assert fr2.pullback_of(MultiPoly.variable(2, 1)) == rf_var(2, 1) / rf_var(2, 0)
     assert tuple(forward_image(fr2, k)[0] for k in range(2)) == ((1, 0), (1, 1))
     assert fr2.matrix_inv == ((1, 0), (-1, 1))
 
@@ -95,7 +97,7 @@ def test_equal_value_needs_residue_data():
 def test_equal_value_with_driver():
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
 
-    def driver(frame, q, j):
+    def driver(frame, q, j, unit):
         return CStepData(residue=Fraction(1), beta_new=el((2,)))
 
     fr2 = framed_blowup(fr, [0, 1], driver)
@@ -109,7 +111,7 @@ def test_equal_value_with_driver():
     assert step.residues == ((1, 1),)
     assert pullback == rf_var(2, 1) / rf_var(2, 0)
     # shifted parameter pulls back to y/x - 1
-    assert fr2.pullbacks[1] == rf_var(2, 1) / rf_var(2, 0) - Fraction(1)
+    assert fr2.pullback_of(MultiPoly.variable(2, 1)) == rf_var(2, 1) / rf_var(2, 0) - Fraction(1)
     # transport: x - y becomes -x*y' in the new chart
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
@@ -120,21 +122,21 @@ def test_equal_value_with_driver():
 def test_driver_data_validation():
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
     with pytest.raises(CertificationError):
-        framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(0), el((2,))))
+        framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(0), el((2,))))
     with pytest.raises(CertificationError):
-        framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((-2,))))
+        framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((-2,))))
 
 
 def test_forward_image_and_units():
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
-    fr2 = framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((2,))))
+    fr2 = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,))))
     # x stays x; y = x * unit with unit = y/x, the value-zero quotient
     assert forward_image(fr2, 0) == ((1, 0), ())
     exps, ((unit, power),) = forward_image(fr2, 1)
     assert exps == (1, 0) and power == 1
     # x*y^2 = x^3 * unit^2 and the Laurent monomial y/x = unit
     x, y = rf_var(2, 0), rf_var(2, 1)
-    assert fr2.pullbacks[0] ** 3 * unit**2 == x * y**2
+    assert fr2.pullback_of(MultiPoly.variable(2, 0)) ** 3 * unit**2 == x * y**2
     assert unit == y / x
     assert verify_forward(fr2)
 
@@ -146,11 +148,11 @@ def test_forward_image_and_units():
 )
 def test_verify_forward_rejects_a_tampered_step(tamper):
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
-    fr2 = framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(1), el((2,))))
+    fr2 = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,))))
     bad = dataclasses.replace(fr2.history[0], units=tamper(fr2.history[0].units))
     tampered = Frame(
         fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, fr2.protected,
-        (bad,), fr2.pullbacks, fr2.matrix_inv,
+        (bad,), fr2.matrix_inv,
     )
     assert verify_forward(fr2)
     assert not verify_forward(tampered)
@@ -199,7 +201,7 @@ def test_divide_equal_values_collapse():
     # The final identification is an equal-value step, so a driver is needed.
     fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
     res = divide_monomials(
-        fr, (2, 0), (0, 1), lambda f, q, j: CStepData(Fraction(1), el((5,)))
+        fr, (2, 0), (0, 1), lambda f, q, j, unit: CStepData(Fraction(1), el((5,)))
     )
     assert res.divider == "equal"
     assert res.alpha == res.gamma == (2, 0)
@@ -341,6 +343,119 @@ def test_transport_roundtrip_against_pullback():
         moved = transport(fr, RationalFunction(p))
         # pulling the transported expression back must recover p
         assert fr.pullback_of(moved) == RationalFunction(p)
+
+
+# -- transport and pullback_of over seeded frames -------------------------------
+
+RESIDUES = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
+
+
+def _seeded_frame(rng):
+    """A frame over x, y, z after 1-4 blow-ups; small values make ties, so equal-value members."""
+    fr = Frame.initial(["x", "y", "z"], [el((rng.randrange(1, 3),)) for _ in range(3)])
+    for _ in range(rng.randrange(1, 5)):
+        J = rng.sample(range(3), rng.choice((2, 3)))
+        fr = framed_blowup(fr, J, lambda f, q, j, unit: CStepData(rng.choice(RESIDUES), el((rng.randrange(1, 3),))))
+    return fr
+
+
+def _seeded_poly(rng, low, constant=None):
+    terms = {(0, 0, 0): constant} if constant else {}
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(low, 3) for _ in range(3))
+        terms[e] = terms.get(e, 0) + (rng.randrange(-3, 4) or 1)
+    return MultiPoly(3, terms)
+
+
+def _round_trip_inputs(rng):
+    """(polynomial, monomial x unit, general rational function) over x, y, z."""
+    poly = _seeded_poly(rng, 0)
+    monomial = MultiPoly.monomial(3, tuple(rng.randrange(3) for _ in range(3)))
+    unit = RationalFunction(_seeded_poly(rng, 0, constant=1), _seeded_poly(rng, 0, constant=rng.choice((2, -1))))
+    general = RationalFunction(_seeded_poly(rng, -1), _seeded_poly(rng, -1) + _seeded_poly(rng, 0))
+    return RationalFunction(poly), RationalFunction(monomial) * unit, general
+
+
+def _terms_digest(r):
+    text = repr((sorted(r.num.terms.items()), sorted(r.den.terms.items())))
+    return f"{len(r.num.terms)}/{len(r.den.terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+
+
+# transport's (polynomial, monomial x unit) outputs on the 40 seeded frames, as
+# "numerator terms/denominator terms:digest of the sorted terms", recorded when
+# every frame stored the pullback of each parameter and transport substituted
+# rational-function images term by term
+TRANSPORT_TABLE = (
+    ("27/1:95ca3553583a", "310/5:da6a57abc684"),
+    ("2/1:91e43b7fadfc", "76/9:ca109c169138"),
+    ("3/1:b65f5c3e57d1", "4/3:ddf37b582d29"),
+    ("5/1:29a8c4ec0802", "11/7:44298e0e18f7"),
+    ("14/1:4bc627d3d11c", "51/8:c179c11a80af"),
+    ("49/1:a76f62308e17", "41/35:bb6f82e320de"),
+    ("137/1:99ee1e9b09a8", "606/43:d428cf25bad0"),
+    ("10/1:36f4a921c4e6", "51/9:9721c6578c13"),
+    ("3/1:6e1d4bc7061a", "2/2:c78093e9369a"),
+    ("36/1:c036c0ccd80a", "165/31:a8a67114c79d"),
+    ("5/1:c15aa87e4bc3", "8/4:319782798192"),
+    ("6/1:dee9d5370361", "9/9:ed7015ef5d64"),
+    ("5/1:96bbf8ca7b03", "20/28:511d495287b2"),
+    ("1/1:7d096af9efc6", "2/3:1ff7e32a1be9"),
+    ("3/1:3cdd189d7054", "4/2:1d6728bdb012"),
+    ("7/1:fd87b16346aa", "5/4:9405eb83b303"),
+    ("2/1:2757820caded", "2/4:d8fd02a54aef"),
+    ("258/1:1f18c6b9cd1d", "1386/282:683597da62ec"),
+    ("2/1:a68e5e12640c", "5/4:78822c6bb780"),
+    ("3/1:147801bb197e", "42/14:b6d220eec43f"),
+    ("6/1:6b4a6fbc82bb", "24/7:7a16cc403309"),
+    ("10/1:b3629af81062", "122/16:951178383eeb"),
+    ("4/1:fd284cd28207", "16/7:54a68c263d5e"),
+    ("20/1:b9bc1ae6b747", "71/10:df44831cf5f3"),
+    ("2/1:bd0644a59bf4", "4/3:c634a9839d46"),
+    ("2/1:49162a90dbf3", "2/2:e1717e66f449"),
+    ("5/1:20e97992fa5c", "3/3:c897145e526c"),
+    ("6/1:9ba6e430c6e7", "36/5:17b1ce9ad93f"),
+    ("38/1:898ca3bda337", "40/43:e80473dc1c4f"),
+    ("62/1:d15b948116fb", "196/4:973564474311"),
+    ("39/1:4bb697de1729", "373/34:46fc8826dd6f"),
+    ("2/1:f92da58f9e3c", "6/4:a420aea365de"),
+    ("2/1:fc052f33d283", "3/4:727e61ebabdc"),
+    ("6/1:b66945b85e2c", "58/6:b5d75f28fbf8"),
+    ("1/1:de4d5c8753b1", "3/2:ee3f27e4cc5a"),
+    ("78/1:175b10c3cc90", "177/9:47816649e9be"),
+    ("76/1:fc36bed12988", "40/26:098e7d8642a1"),
+    ("15/1:fc6040d70ea5", "3/26:05849d9d5412"),
+    ("1/1:ad0878094917", "3/4:dc0663712237"),
+    ("1/1:7cf736e9aefe", "11/15:d965832c9aaa"),
+)
+
+
+def test_transport_and_pullback_round_trip_table():
+    rng = random.Random(SEED + 43)
+    residues = set()
+    for row in TRANSPORT_TABLE:
+        fr = _seeded_frame(rng)
+        residues |= {r for step in fr.history for _, r in step.residues}
+        poly, monomial_unit, general = _round_trip_inputs(rng)
+        moved = [transport(fr, r) for r in (poly, monomial_unit, general)]
+        assert tuple(_terms_digest(t) for t in moved[:2]) == row
+        # a general rational function may come out in another form of the same function
+        for r, t in zip((poly, monomial_unit, general), moved):
+            assert fr.pullback_of(t) == r
+    assert residues == set(RESIDUES)
+
+
+def test_transport_of_a_laurent_input_stays_small():
+    # values x:2, y:1, z:1, then three blow-ups whose equal-value members have
+    # residues 2, 1 and 1/2; substituting rational-function images term by
+    # term gave 919/609 terms here
+    fr = Frame.initial(["x", "y", "z"], [el((2,)), el((1,)), el((1,))])
+    for J, residue, value in [((0, 1, 2), 2, 2), ((0, 1, 2), 1, 1), ((1, 2), Fraction(1, 2), 1)]:
+        fr = framed_blowup(fr, J, lambda f, q, j, unit, r=residue, v=value: CStepData(Fraction(r), el((v,))))
+    assert [(s.j, s.B, s.C) for s in fr.history] == [(1, (0,), (2,)), (0, (2,), (1,)), (1, (), (2,))]
+    r = RationalFunction(parse_polynomial("-1/3*y*z^-1 + 1/3*x^-1*y*z^-2 + 1/3*x^-2*y^-1*z^-2", ["x", "y", "z"]))
+    moved = transport(fr, r)
+    assert len(moved.num.terms) + len(moved.den.terms) <= 60
+    assert fr.pullback_of(moved) == r
 
 
 def test_divide_rejects_a_center_that_does_not_lower_tau(monkeypatch):

@@ -240,6 +240,19 @@ def test_malformed_input_exits_two(tmp_path, capsys, problem, poly, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# exponent lists of Laurent monomials, which the divide loop does not certify
+NEGATIVE_EXPONENTS = {
+    "divide": ["divide", "--alpha=2,-3,1", "--gamma=-1,2,0"],
+    "principalize": ["principalize", "--gens=-1,0,0;0,1,0"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_EXPONENTS.values(), ids=NEGATIVE_EXPONENTS)
+def test_negative_exponents_exit_two(specs, capsys, argv):
+    assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 2
+    assert "has a negative entry" in capsys.readouterr().err
+
+
 def test_selftest_passes(specs, capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -302,35 +302,6 @@ def test_chain_stalls_raise_limit_required():
         monomialize(spec, P2, 10_000, names=["x", "u"])
 
 
-def _pull_back(frame, p: MultiPoly) -> MultiPoly:
-    """A polynomial over the frame's parameters, over the originals.
-
-    Each step is undone in turn: new_q = old_q/old_j (strict) or
-    old_q/old_j - residue (equal-value). The chart parameter old_j is one
-    variable, so every intermediate stays a Laurent polynomial, where
-    Frame.pullback_of's rational functions swell on a 537-term unit.
-    """
-    m = frame.width
-    for step in reversed(frame.history):
-        over_j = MultiPoly.monomial(m, tuple(-1 if k == step.j else 0 for k in range(m)))
-        images = [MultiPoly.variable(m, k) for k in range(m)]
-        for q in step.B:
-            images[q] = images[q] * over_j
-        for q, r in step.residues:
-            images[q] = images[q] * over_j - r
-        powers = [[MultiPoly.one(m)] for _ in range(m)]
-        out = MultiPoly.zero(m)
-        for e, c in p.terms.items():
-            term = MultiPoly.constant(m, c)
-            for k, ek in enumerate(e):
-                while len(powers[k]) <= ek:
-                    powers[k].append(powers[k][-1] * images[k])
-                term = term * powers[k][ek]
-            out = out + term
-        p = out
-    return p
-
-
 @pytest.mark.parametrize(
     "spec, f",
     [(S3, K3**2 + UniPoly.constant(1, XZ**13)), (S2, K2 * UniPoly.constant(1, XZ) + UniPoly.constant(1, XZ**6))],
@@ -340,13 +311,13 @@ def test_tower_elements_certify(spec, f):
     # seconds (s2) and over a minute (s3) while each unit was pulled back to be valued
     out = monomialize(spec, f, 10_000, names=["x", "z"])
     T = RationalFunction(out.monomial()) * out.unit
-    assert _pull_back(out.frame, T.num) == to_multipoly(f) * _pull_back(out.frame, T.den)
+    assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(f))
     assert compare(out.value, spec.value(f)) == 0
     assert replay_trace(trace_records(out.frame))["steps"] == steps_used(out.state)
 
 
 def _frame_with(frame, **fields):
-    slots = ("names", "original_names", "init_betas", "betas", "protected", "history", "pullbacks", "matrix_inv")
+    slots = ("names", "original_names", "init_betas", "betas", "protected", "history", "matrix_inv")
     return Frame(**{**{k: getattr(frame, k) for k in slots}, **fields})
 
 

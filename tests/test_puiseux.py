@@ -179,7 +179,7 @@ def _with_terminal_unit_times(result, factor):
     last = dataclasses.replace(fr.history[-1], units=units)
     frame = Frame(
         fr.names, fr.original_names, fr.init_betas, fr.betas, fr.protected,
-        fr.history[:-1] + (last,), fr.pullbacks, fr.matrix_inv,
+        fr.history[:-1] + (last,), fr.matrix_inv,
     )
     return dataclasses.replace(result, frame=frame, steps=result.steps[:-1] + (last,))
 
@@ -321,7 +321,7 @@ def test_limit_successor_golden():
     assert res.unit == RationalFunction.one(2)
     assert res.coefficient == MultiPoly(2, {(4, 0): 1})
     # the new parameter is exactly P / b1': certified by pullback identity
-    assert res.frame.pullbacks[res.package.new_position] == res.candidate
+    assert res.frame.pullback_of(MultiPoly.variable(2, res.package.new_position)) == res.candidate
     expected = RationalFunction(
         MultiPoly(2, {(0, 1): 1, (4, 0): 1}), MultiPoly(2, {(4, 0): 1})
     )

@@ -248,7 +248,7 @@ def test_replay_catches_tampering():
 
 def test_replay_equal_value_step():
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
-    fr = framed_blowup(fr, [0, 1], lambda f, q, j: CStepData(Fraction(2), el((3,))))
+    fr = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(2), el((3,))))
     recs = trace_records(fr)
     assert recs[1]["C"] == [2] and recs[1]["residues"] == {"2": "2"}
     report = replay_trace(recs)
