@@ -77,7 +77,8 @@ class MultiPoly:
         self.width = width
         clean = {}
         for e, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 if len(e) != width:
                     raise ValueError(f"exponent arity {len(e)} != width {width}")
@@ -116,6 +117,9 @@ class MultiPoly:
 
     def constant_value(self) -> Fraction:
         return self.terms.get(ev_zero(self.width), Fraction(0))
+
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and self.terms.get(ev_zero(self.width)) == 1
 
     def is_single_term(self) -> bool:
         return len(self.terms) == 1
@@ -216,10 +220,13 @@ class MultiPoly:
 class RationalFunction:
     """Quotient of two MultiPoly values.
 
-    Normal form: a zero numerator forces denominator 1; a single-term
-    denominator is folded into the (Laurent) numerator; otherwise the
-    denominator is made Laurent-free with no common monomial factor and
-    scaled so its graded-lex leading coefficient is 1.
+    Normal form: a zero numerator forces denominator 1; a denominator that
+    is exactly 1 is kept as is; any other single-term denominator is folded
+    into the (Laurent) numerator; otherwise the denominator is made
+    Laurent-free with no common monomial factor and scaled so its graded-lex
+    leading coefficient is 1.  Sums and products of two fractions with
+    denominator 1 skip the denominator products, which would give the same
+    result.
     """
 
     __slots__ = ("num", "den")
@@ -235,8 +242,9 @@ class RationalFunction:
             den = MultiPoly.one(num.width)
         elif den.is_single_term():
             e, c = den.single_term()
-            num = num.shift(ev_scale(e, -1)) * (1 / c)
-            den = MultiPoly.one(num.width)
+            if c != 1 or any(e):
+                num = num.shift(ev_scale(e, -1)) * (1 / c)
+                den = MultiPoly.one(num.width)
         else:
             lows = None
             for e in den.terms:
@@ -302,6 +310,8 @@ class RationalFunction:
 
     def __add__(self, other):
         other = RationalFunction.of(other, self.width)
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num + other.num)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -320,6 +330,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = RationalFunction.of(other, self.width)
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -398,9 +410,6 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
-
-    def leading(self) -> RationalFunction:
-        return self.coeffs[-1]
 
     def coeff(self, i: int) -> RationalFunction:
         if 0 <= i < len(self.coeffs):
@@ -490,20 +499,29 @@ def divided_derivative(p: UniPoly, b: int) -> UniPoly:
 
 
 def euclid_div(p: UniPoly, q: UniPoly) -> tuple:
-    """p = quot*q + rem with deg rem < deg q; q must be monic of degree >= 1."""
+    """p = quot*q + rem with deg rem < deg q; q must be monic of degree >= 1.
+
+    One schoolbook pass over p's coefficients, coefficient by coefficient:
+    for each degree i from the top down to m = deg q, c = rem[i] becomes
+    quot[i - m] and c*q[k] is subtracted from rem[i - m + k] for each
+    nonzero q[k] below the top.
+    """
     if q.degree < 1 or not q.is_monic():
         raise NonMonicDivisor("divisor must be monic of positive degree")
-    quot = UniPoly.zero(p.width)
-    rem = p
-    while rem.degree >= q.degree:
-        d = rem.degree - q.degree
-        t = UniPoly.x_power(p.width, d).scale(rem.leading())
-        quot = quot + t
-        new_rem = rem - t * q
-        if not new_rem.degree < rem.degree:
+    m = q.degree
+    top = q.coeffs[m]
+    lower = [(k, b) for k, b in enumerate(q.coeffs[:m]) if not b.is_zero()]
+    rem = list(p.coeffs)
+    quot = [None] * max(len(rem) - m, 0)
+    for i in range(len(rem) - 1, m - 1, -1):
+        c = quot[i - m] = rem[i]
+        if c.is_zero():
+            continue
+        if not (c - c * top).is_zero():
             raise ArithmeticError("division failed to reduce the degree")
-        rem = new_rem
-    return quot, rem
+        for k, b in lower:
+            rem[i - m + k] = rem[i - m + k] - c * b
+    return UniPoly(p.width, quot), UniPoly(p.width, rem[:m])
 
 
 def q_expansion(p: UniPoly, q: UniPoly) -> list:

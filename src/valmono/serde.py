@@ -244,7 +244,10 @@ def _field(obj, key):
 
 
 def _finite_element(group: ValueGroup, text, rank=None):
-    value = parse_element(group, str(text), rank=rank)
+    try:
+        value = parse_element(group, str(text), rank=rank)
+    except RankMismatch as exc:
+        raise ParseError(str(exc)) from None
     if is_sentinel(value):
         raise ParseError(f"value {text!r} must be finite")
     return value
@@ -284,6 +287,15 @@ def group_to_json(group: ValueGroup) -> dict:
     return {"generators": out}
 
 
+def _monic_key(obj, names) -> UniPoly:
+    """The key of a composite or augmented spec; it must be monic of positive degree."""
+    text = str(_field(obj, "key"))
+    key = parse_unipoly(text, names)
+    if key.degree < 1 or not key.is_monic():
+        raise ParseError(f"key {text!r} must be monic of positive degree in {names[-1]!r}")
+    return key
+
+
 def spec_from_json(group: ValueGroup, names, obj):
     kind = _field(obj, "kind")
     if kind == "monomial":
@@ -294,17 +306,16 @@ def spec_from_json(group: ValueGroup, names, obj):
         parsed = [_finite_element(group, weights_map[n]) for n in names]
         ranks = {w.rank for w in parsed}
         if len(ranks) != 1:
-            raise RankMismatch("monomial weights of mixed rank")
+            raise ParseError("monomial weights of mixed rank")
         if not all(w.is_positive() for w in parsed):
             raise ParseError("monomial weights must be strictly positive")
         return Monomial(group, parsed)
     if kind == "composite":
         inner = spec_from_json(group, names, _field(obj, "inner"))
-        key = parse_unipoly(str(_field(obj, "key")), names)
-        return Composite(key, inner)
+        return Composite(_monic_key(obj, names), inner)
     if kind == "augmented":
         base = spec_from_json(group, names, _field(obj, "base"))
-        key = parse_unipoly(str(_field(obj, "key")), names)
+        key = _monic_key(obj, names)
         assigned = _finite_element(group, _field(obj, "value"), rank=base.rank)
         if compare(assigned, base.value(key)) <= 0:
             raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key")

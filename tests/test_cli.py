@@ -229,6 +229,26 @@ MALFORMED = {
         "z",
         "generator 'h' has invalid rational 'abc'",
     ),
+    "composite-key-not-monic": (
+        {**NU2, "val": {"kind": "composite", "key": "2*z^2 - x^3", "inner": NU2["val"]}},
+        "z",
+        "key '2*z^2 - x^3' must be monic of positive degree in 'z'",
+    ),
+    "augmented-key-not-monic": (
+        {**NU2, "val": {**AUG, "key": "2*z^2 - x^3"}},
+        "z",
+        "key '2*z^2 - x^3' must be monic of positive degree in 'z'",
+    ),
+    "weights-of-mixed-rank": (
+        {"group": NU2["group"], "vars": ["x", "z"], "val": {"kind": "monomial", "weights": {"x": "1", "z": "(1, 2)"}}},
+        "z",
+        "monomial weights of mixed rank",
+    ),
+    "augmented-value-rank": (
+        {**NU2, "val": {**AUG, "value": "(1, 2)"}},
+        "z",
+        "expected rank 1, got 2 in '(1, 2)'",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -66,6 +67,16 @@ def test_multipoly_ring_identities():
     assert p * MultiPoly.one(X2) == p
     assert p * MultiPoly.zero(X2) == MultiPoly.zero(X2)
     assert (x + y) ** 2 == x * x + 2 * x * y + y * y
+
+
+def test_multipoly_stores_nonzero_fractions():
+    # int and str coefficients are wrapped, zeros dropped, Fractions kept as they are
+    half = Fraction(1, 2)
+    p = MultiPoly(X2, {(1, 0): 2, (0, 1): 0, (0, 0): "3/4", (2, 2): half})
+    assert p.terms == {(1, 0): Fraction(2), (0, 0): Fraction(3, 4), (2, 2): half}
+    assert all(type(c) is Fraction for c in p.terms.values()) and p.terms[(2, 2)] is half
+    with pytest.raises(ValueError, match="exponent arity 3 != width 2"):
+        MultiPoly(X2, {(1, 0, 0): 1})
 
 
 def test_multipoly_laurent_shift():
@@ -220,6 +231,98 @@ def test_q_expansion_round_trip():
         parts = q_expansion(p, q)
         assert all(c.degree < q.degree for c in parts)
         assert from_q_expansion(parts, q) == p
+
+
+def _recast(rng, kind: str, p: UniPoly) -> UniPoly:
+    """p with each coefficient kept, given a Laurent monomial factor, or divided by x + k*y + c."""
+    if kind == "polynomial":
+        return p
+    if kind == "laurent":
+        return UniPoly(X2, [c * rf(MultiPoly.monomial(X2, (-rng.randint(0, 2), -rng.randint(0, 2)))) for c in p.coeffs])
+    return UniPoly(X2, [c / rf(x + rng.randint(1, 3) * y + rng.randint(0, 2)) for c in p.coeffs])
+
+
+def _kernel_inputs():
+    """(kind, divisor degree, p, q) rows: three draws per kind and degree 1-4, deg p > deg q."""
+    rng = random.Random(SEED + 5)
+    for kind in ("polynomial", "laurent", "rational"):
+        for m in range(1, 5):
+            for _ in range(3):
+                d = m + rng.randint(1, 4)
+                top = MultiPoly.monomial(X2, (rng.randint(0, 2), rng.randint(0, 2)), rng.choice((1, -2, Fraction(3, 2))))
+                p = _recast(rng, kind, random_unipoly(rng, X2, max_deg=d - 1) + UniPoly.x_power(X2, d).scale(top))
+                q = UniPoly.x_power(X2, m) + _recast(rng, kind, random_unipoly(rng, X2, max_deg=m - 1))
+                yield kind, m, p, q
+
+
+def _kernel_digest(polys) -> str:
+    text = repr([[(sorted(c.num.terms.items()), sorted(c.den.terms.items())) for c in p.coeffs] for p in polys])
+    return "/".join(str(len(p.coeffs)) for p in polys) + ":" + hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# euclid_div (quotient, remainder) and q_expansion parts on the seeded rows, as
+# "coefficient count of each result/...:digest of every coefficient's sorted
+# numerator and denominator terms", recorded when each division step built
+# x^d * leading coefficient and subtracted its product with the divisor
+KERNEL_TABLE = (
+    ("5/1:ac4e4b01e99a", "1/1/1/1/1/1:7cdf880ce507"),
+    ("3/1:d46ce2574b6b", "1/1/1/1:4d29e171d4e0"),
+    ("4/1:d90312a7b539", "1/1/0/0/1:f39006e467a6"),
+    ("5/2:618897ac8724", "2/2/2/1:a93b9a0b517c"),
+    ("3/1:84346d3c4a37", "1/0/1:d7a11d0cdbd8"),
+    ("5/2:8de91eb60941", "2/0/0/1:eea5d79eccca"),
+    ("4/2:679fdd61ce0c", "2/2/1:a0f44d168c1b"),
+    ("5/3:3c10ddb13e25", "3/2/2:d639032c7cf2"),
+    ("3/3:1b19a828f72b", "3/3:db5d451bf109"),
+    ("5/0:571456162154", "0/0/1:c827a7b55906"),
+    ("2/4:532ba01448a0", "4/2:2db064bf3bce"),
+    ("4/3:725a2bb3a9c9", "3/4:9bfe3154cb22"),
+    ("2/0:760900fced9e", "0/0/1:92e8e27992d1"),
+    ("5/1:2f03f7d8649a", "1/1/1/1/1/1:f14769d1fba3"),
+    ("3/1:475875752ebf", "1/1/1/1:2921caa5a027"),
+    ("2/2:fe68212cce02", "2/2:bc080dca65c6"),
+    ("3/2:0ba0b9a12d0f", "2/0/1:96a66aea0478"),
+    ("2/2:bfc328fa6013", "2/2:61fde6ba5995"),
+    ("2/3:8895b762c5c6", "3/2:aa8162fba792"),
+    ("2/3:3561f69e7bd1", "3/2:875149b156c5"),
+    ("5/3:f170821b8178", "3/3/2:7f02977d1548"),
+    ("2/4:fed0f643e624", "4/2:6ef69fd2eca9"),
+    ("4/4:21cf1bd28f8f", "4/4:0fee345c9aab"),
+    ("4/4:cfef922ef3a2", "4/4:c58fbea0aba6"),
+    ("5/1:4369eb8cdb0a", "1/1/1/0/0/1:4b02a3c09913"),
+    ("4/1:828f9a787a49", "1/0/0/0/1:798c256a8c22"),
+    ("3/1:e5d6c89619d4", "1/1/1/1:779d2f30c7ff"),
+    ("4/2:79cf7ab469d3", "2/2/2:d5cbeaf5abf1"),
+    ("4/2:4fef2a657286", "2/2/2:bfc990eae57a"),
+    ("2/1:055bb914c776", "1/2:7f628f981d49"),
+    ("5/0:482d79aabc36", "0/0/2:1435e5fb2053"),
+    ("2/3:e14f232ad700", "3/2:abebb896f0f3"),
+    ("5/3:4e1d039c81c8", "3/2/2:6ab1788a6df6"),
+    ("5/4:3bf103636d58", "4/4/1:c09c46f8ee56"),
+    ("5/4:9049c648a07c", "4/3/1:e90faa5c8ee2"),
+    ("5/4:f5fe64bb6b78", "4/3/1:e25362e1b0c2"),
+)
+
+
+def test_kernel_output_table():
+    rows = list(_kernel_inputs())
+    assert len(rows) == len(KERNEL_TABLE)
+    for (kind, m, p, q), want in zip(rows, KERNEL_TABLE):
+        quot, rem = euclid_div(p, q)
+        parts = q_expansion(p, q)
+        assert (_kernel_digest([quot, rem]), _kernel_digest(parts)) == want, (kind, m)
+        for r in [quot, rem, *parts]:
+            for c in r.coeffs:
+                assert all(type(v) is Fraction for part in (c.num, c.den) for v in part.terms.values())
+
+
+def test_euclid_div_keeps_the_degree_check(monkeypatch):
+    # a divisor with leading coefficient 2 that claims to be monic
+    X = UniPoly.x(X2)
+    q = X.scale(2) + rf(x)
+    monkeypatch.setattr(UniPoly, "is_monic", lambda self: True)
+    with pytest.raises(ArithmeticError, match="division failed to reduce the degree"):
+        euclid_div(X**3 + rf(y), q)
 
 
 def test_multipoly_unipoly_round_trip():
