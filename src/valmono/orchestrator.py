@@ -253,20 +253,24 @@ def _variable_weights(spec, width: int) -> list:
     ]
 
 
-def _variable_lattice(spec, names) -> Lattice:
-    return Lattice.from_variables(list(names[:-1]), _variable_weights(spec, len(names) - 1))
+def _variable_lattice(spec, names, weights=None) -> Lattice:
+    if weights is None:
+        weights = _variable_weights(spec, len(names) - 1)
+    return Lattice.from_variables(list(names[:-1]), weights)
 
 
-def _chain_for(spec, f: UniPoly, names, links=None) -> tuple:
+def _chain_for(spec, f: UniPoly, names, links=None, weights=None) -> tuple:
     """Successor chain [u_n, Q_2, ...] whose last key dominates epsilon(f).
 
     ``links`` is a chain to extend; by default the chain starts at u_n.
+    ``weights`` are the values of the coefficient variables when the caller
+    has them already.
     """
     chain = list(links) if links else [ChainLink(UniPoly.x(f.width), None)]
     target = epsilon(spec, f).epsilon
     if is_sentinel(target):
         return tuple(chain)
-    lattice = _variable_lattice(spec, names)
+    lattice = _variable_lattice(spec, names, weights)
     for i in range(1, len(chain)):
         prev = chain[i - 1].key
         lattice = lattice.extended(
@@ -291,9 +295,11 @@ def _chain_for(spec, f: UniPoly, names, links=None) -> tuple:
         chain.append(ChainLink(succ, cert))
 
 
-def _initial_frame(spec, names) -> Frame:
+def _initial_frame(spec, names, weights=None) -> Frame:
     width = len(names) - 1
-    betas = _variable_weights(spec, width) + [spec.value(UniPoly.x(width))]
+    if weights is None:
+        weights = _variable_weights(spec, width)
+    betas = weights + [spec.value(UniPoly.x(width))]
     return Frame.initial(list(names), betas)
 
 
@@ -354,8 +360,9 @@ def monomialize(spec, f: UniPoly, budget: int, names=None) -> MonomializeOutcome
     names = list(names) if names else _default_names(f.width + 1)
     if len(names) != f.width + 1:
         raise ParseError("name list does not match the polynomial arity")
-    chain = _chain_for(spec, f, names)
-    state = _fresh_state(spec, _initial_frame(spec, names), chain, budget)
+    weights = _variable_weights(spec, f.width)
+    chain = _chain_for(spec, f, names, weights=weights)
+    state = _fresh_state(spec, _initial_frame(spec, names, weights), chain, budget)
     while state.keys_pending:
         state = advance(state)
     state, (exps, unit, value) = _finalize(state, f)
@@ -398,11 +405,12 @@ def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
             first = i
     order = (first,) + tuple(i for i in range(len(fs)) if i != first)
 
-    chain = _chain_for(spec, fs[first], names)
-    state = _fresh_state(spec, _initial_frame(spec, names), chain, budget)
+    weights = _variable_weights(spec, fs[0].width)
+    chain = _chain_for(spec, fs[first], names, weights=weights)
+    state = _fresh_state(spec, _initial_frame(spec, names, weights), chain, budget)
     exps_at = {}  # per input index: (exponents, step count when they were taken)
     for idx in order:
-        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending)
+        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights)
         state = replace(state, keys_pending=links[len(state.chain):])
         while state.keys_pending:
             state = advance(state)

@@ -6,6 +6,13 @@ real generators.  The generator set is treated as linearly independent over
 the rationals, so a nonzero combination is never zero and sign decisions by
 interval refinement always terminate.  Two sentinels extend the order:
 ``PLUS_INFINITY`` above everything and ``MINUS_INFINITY`` below everything.
+
+Canonical form: a scalar stores only its nonzero coefficients, each a
+``Fraction``, in the order its group declares the generators.  ``Scalar(...)``
+establishes it for any input.  Arithmetic whose result already has it (sums,
+negations, multiples, the differences that comparisons take) builds the result
+with the private ``Scalar._canonical``, which trusts its input; no other module
+calls it.  ``Scalar.sign`` is the one place a sign is decided.
 """
 
 from __future__ import annotations
@@ -103,7 +110,7 @@ def pi_generator(name: str = "pi") -> IndependentGenerator:
 class ValueGroup:
     """Shared generator context for scalars and group elements."""
 
-    __slots__ = ("names", "_by_name")
+    __slots__ = ("names", "_by_name", "_rational")
 
     def __init__(self, generators: Iterable[IndependentGenerator]):
         gens = tuple(generators)
@@ -113,6 +120,8 @@ class ValueGroup:
                 raise ValueError(f"duplicate generator {g.name!r}")
             self._by_name[g.name] = g
         self.names = tuple(g.name for g in gens)
+        # name -> exact value, or None for a generator known by enclosures
+        self._rational = {g.name: g.rational for g in gens}
         if not self.names:
             raise ValueError("a value group needs at least one generator")
 
@@ -185,11 +194,33 @@ class Scalar:
         for name in group.names:
             c = coeffs.get(name)
             if c:
-                ordered.append((name, Fraction(c)))
+                ordered.append((name, c if type(c) is Fraction else Fraction(c)))
         self.coeffs = tuple(ordered)
 
-    def _dict(self) -> dict:
-        return dict(self.coeffs)
+    @classmethod
+    def _canonical(cls, group: ValueGroup, coeffs: tuple) -> "Scalar":
+        """A scalar from ``coeffs`` already in canonical form: no check, no copy."""
+        s = object.__new__(cls)
+        s.group = group
+        s.coeffs = coeffs
+        return s
+
+    def _combined(self, other: "Scalar", subtract: bool) -> "Scalar":
+        # self + other or self - other, in self's group
+        d = dict(self.coeffs)
+        if subtract:
+            for name, c in other.coeffs:
+                d[name] = d.get(name, 0) - c
+        else:
+            for name, c in other.coeffs:
+                d[name] = d.get(name, 0) + c
+        return Scalar._canonical(self.group, tuple((name, d[name]) for name in self.group.names if d.get(name)))
+
+    def _order(self, other: "Scalar") -> int:
+        """Sign of self - other; the difference is built only when the two differ."""
+        if self.coeffs == other.coeffs:
+            return 0
+        return self._combined(other, True).sign()
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -197,12 +228,13 @@ class Scalar:
     def sign(self) -> int:
         exact = Fraction(0)
         irr = []
+        rational = self.group._rational
         for name, c in self.coeffs:
-            g = self.group.generator(name)
-            if g.rational is not None:
-                exact += c * g.rational
+            r = rational[name]
+            if r is not None:
+                exact += c * r
             else:
-                irr.append((c, g))
+                irr.append((c, self.group._by_name[name]))
         if not irr:
             return (exact > 0) - (exact < 0)
         for level in range(_MAX_REFINE):
@@ -225,22 +257,24 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        d = self._dict()
-        for name, c in other.coeffs:
-            d[name] = d.get(name, Fraction(0)) + c
-        return Scalar(self.group, d)
+        return self._combined(other, False)
 
     def __neg__(self):
-        return Scalar(self.group, {name: -c for name, c in self.coeffs})
+        return Scalar._canonical(self.group, tuple((name, -c) for name, c in self.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self + (-other)
+        return self._combined(other, True)
 
     def __mul__(self, k):
-        k = Fraction(k)
-        return Scalar(self.group, {name: c * k for name, c in self.coeffs})
+        if type(k) is not int:
+            k = Fraction(k)
+        if k == 1:
+            return self
+        if not k:
+            return Scalar._canonical(self.group, ())
+        return Scalar._canonical(self.group, tuple((name, c * k) for name, c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -252,16 +286,16 @@ class Scalar:
         return hash(self.coeffs)
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._order(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._order(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._order(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._order(other) >= 0
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"
@@ -375,6 +409,8 @@ class GroupElement:
         return GroupElement(tuple(-s for s in self.entries))
 
     def __mul__(self, k: int):
+        if k == 1:
+            return self
         return GroupElement(tuple(s * k for s in self.entries))
 
     __rmul__ = __mul__
@@ -392,7 +428,7 @@ class GroupElement:
         if other.rank != self.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
         for a, b in zip(self.entries, other.entries):
-            s = (a - b).sign()
+            s = a._order(b)
             if s:
                 return s
         return 0

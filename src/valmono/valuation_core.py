@@ -137,7 +137,11 @@ class Monomial(_Spec):
         for i, c in enumerate(f.coeffs):
             if c.is_zero():
                 continue
-            v = self._min_value(c.num) - self._min_value(c.den) + w_last * i
+            v = self._min_value(c.num)
+            if not c.den.is_one():
+                v = v - self._min_value(c.den)
+            if i:
+                v = v + w_last * i
             if best is None or compare(v, best) < 0:
                 best = v
         return best
@@ -162,7 +166,9 @@ class Composite(_Spec):
         self.width = inner.width
 
     def _value_unipoly(self, f: UniPoly):
-        for n, p in enumerate(q_expansion(f, self.key)):
+        # below the key's degree f is its own expansion, of order 0
+        parts = (f,) if f.degree < self.key.degree else q_expansion(f, self.key)
+        for n, p in enumerate(parts):
             if not p.is_zero():
                 v = self.inner.value(p)
                 if is_sentinel(v):
@@ -192,11 +198,17 @@ class Augmented(_Spec):
         self.width = base.width
 
     def _value_unipoly(self, f: UniPoly):
+        # Below the key's degree f is its own expansion, so the base value
+        # stands (MacLane 1936).
+        if f.degree < self.key.degree:
+            return self.base.value(f)
         best = None
         for j, p in enumerate(q_expansion(f, self.key)):
             if p.is_zero():
                 continue
-            v = self.base.value(p) + self.assigned * j
+            v = self.base.value(p)
+            if j:
+                v = v + self.assigned * j
             if best is None or compare(v, best) < 0:
                 best = v
         return best

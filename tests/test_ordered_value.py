@@ -1,5 +1,7 @@
 """Order, arithmetic and text round-trips for value-group elements."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from valmono.ordered_value import (
     PLUS_INFINITY,
     GroupElement,
     IndependentGenerator,
+    Scalar,
     ValueGroup,
     compare,
     div_by_positive_int,
@@ -211,3 +214,123 @@ def test_custom_generator_interval():
     a = g.element(g.scalar(0, s=2))
     b = g.element(g.scalar(3))
     assert compare(a, b) == -1
+
+
+def _sqrt2_enclosure(level):
+    k = level + 3
+    lo = Fraction(math.isqrt(2 * 10 ** (2 * k)), 10 ** k)
+    return lo, lo + Fraction(1, 10 ** k)
+
+
+def _kernel_groups():
+    """standard_group() and a group with two enclosure generators, pi and r = sqrt(2)."""
+    two = [unit_generator(), pi_generator(), IndependentGenerator("r", enclose=_sqrt2_enclosure)]
+    return [(standard_group, standard_group()), (lambda: ValueGroup(two), ValueGroup(two))]
+
+
+def _sparse_scalar(group, rng):
+    """A scalar whose coefficient on each generator is zero one time in three."""
+    coeffs = {}
+    for name in group.names:
+        if rng.randrange(3):
+            coeffs[name] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Scalar(group, coeffs)
+
+
+def _kernel_results(make_group, group, rank, rng):
+    """Every kernel operation on one seeded pair (a, b) of rank-``rank`` elements."""
+    a = GroupElement(tuple(_sparse_scalar(group, rng) for _ in range(rank)))
+    b = GroupElement(tuple(_sparse_scalar(group, rng) for _ in range(rank)))
+    if rng.randrange(2):  # share a leading entry, so compare must look further
+        b = GroupElement(a.entries[:1] + b.entries[1:])
+    twin = GroupElement(tuple(Scalar(group, dict(s.coeffs)) for s in a.entries))
+    other_zero = make_group().zero(rank)  # equal generators, another group instance
+    k = rng.choice((-3, -1, 2, 5))
+    q = Fraction(rng.choice((-5, -1, 1, 3)), rng.choice((2, 3, 7)))
+    n = rng.randint(1, 6)
+    elements = [
+        (a, a + b), (a, a - b), (b, b - a), (a, -a), (a, a + group.zero(rank)),
+        (other_zero, other_zero + a), (a, a + other_zero), (a, a - twin),
+        (a, a * 0), (a, a * 1), (a, a * k), (a, k * a), (a, a * q), (a, a * Fraction(1)),
+        (a, div_by_positive_int(a, n)), (a, div_by_positive_int(a, 1)),
+    ]
+    scalars = []
+    orders = [compare(a, b), compare(b, a), compare(a, twin)]
+    for s, t, u in zip(a.entries, b.entries, twin.entries):
+        scalars += [(s, s + t), (s, s - t), (s, -s), (s, s * 0), (s, s * 1), (s, s * k), (s, s * q)]
+        for lhs, rhs in ((s, t), (t, s), (s, u)):
+            orders += [lhs < rhs, lhs <= rhs, lhs > rhs, lhs >= rhs]
+    return elements, scalars, orders
+
+
+def _kernel_rows():
+    """(group index, rank, results) rows: four seeded draws per group and rank 1-3."""
+    rng = random.Random(SEED + 7)
+    for g, (make_group, group) in enumerate(_kernel_groups()):
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                yield g, rank, _kernel_results(make_group, group, rank, rng)
+
+
+def _scalar_key(s):
+    return tuple((name, c.numerator, c.denominator) for name, c in s.coeffs)
+
+
+def _kernel_digest(elements, scalars, orders) -> str:
+    text = repr((
+        [tuple(_scalar_key(s) for s in r.entries) for _, r in elements],
+        [_scalar_key(r) for _, r in scalars],
+        orders,
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _assert_canonical(left_group, s):
+    assert s.group is left_group
+    ranks = [left_group.names.index(name) for name, _ in s.coeffs]
+    assert ranks == sorted(set(ranks))
+    assert all(type(c) is Fraction and c != 0 for _, c in s.coeffs)
+
+
+# sums, differences, negations, products by 0, 1, ints and Fractions, halvings,
+# element comparisons and Scalar <, <=, >, >= on the seeded rows, recorded
+# when every result went through the canonicalising Scalar constructor
+ORDERED_VALUE_KERNEL_TABLE = (
+    "e4b8359cdd67",
+    "eecfba8805ca",
+    "83edbbba68df",
+    "d756f22cbbf7",
+    "45777a674430",
+    "cf60a38fd4f8",
+    "78055efb388e",
+    "b395be96108c",
+    "d2bef1edc2eb",
+    "7fff8b9a8be7",
+    "e69e5975d1bb",
+    "d4d4e7a745dd",
+    "8d8efd91ee3c",
+    "a75962f8301e",
+    "dc29d6c69bb0",
+    "cbbf5b64b60a",
+    "5802a33a6c31",
+    "d5cc25c82c37",
+    "5d08d2ef2117",
+    "cdccef00e3e1",
+    "9640844d6858",
+    "71f1113b656f",
+    "880721d5cd39",
+    "73ac3c3d583b",
+)
+
+
+def test_kernel_output_table():
+    rows = list(_kernel_rows())
+    assert len(rows) == len(ORDERED_VALUE_KERNEL_TABLE)
+    for (g, rank, results), want in zip(rows, ORDERED_VALUE_KERNEL_TABLE):
+        assert _kernel_digest(*results) == want, (g, rank)
+        elements, scalars, _ = results
+        for left, r in elements:
+            for s in r.entries:
+                _assert_canonical(left.group, s)
+        for left, r in scalars:
+            _assert_canonical(left.group, r)

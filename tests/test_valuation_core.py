@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -10,6 +11,7 @@ from valmono.exact_algebra import (
     UniPoly,
     divided_derivative,
     euclid_div,
+    q_expansion,
 )
 from valmono.ordered_value import (
     MINUS_INFINITY,
@@ -27,6 +29,7 @@ from valmono.valuation_core import (
     Monomial,
     epsilon,
     is_non_degenerate,
+    monomial_value,
     truncated_value,
 )
 
@@ -280,3 +283,85 @@ def test_truncation_monotone_in_key():
         assert compare(small, big) <= 0
         if compare(small, NU3.value(f)) == 0:
             assert compare(big, NU3.value(f)) == 0
+
+
+# The rank-1 tower s1 < s2 < s3 over (x, z) of the benchmark's tower workload:
+# v(x) = v(z) = 1 at the base, then keys z, K2 = z^2 - x^3, K3 = K2^2 - x^5 z.
+def _tower():
+    t = lambda a: G.element(sc(a))  # noqa: E731
+    xt, Z = MultiPoly.variable(1, 0), UniPoly.x(1)
+    k2 = Z**2 - xt**3
+    s1 = Augmented(Monomial(G, [t(1), t(1)]), Z, t(Fraction(3, 2)))
+    s2 = Augmented(s1, k2, t(Fraction(13, 4)))
+    return s1, s2, Augmented(s2, k2**2 - Z * xt**5, t(Fraction(53, 8)))
+
+
+def _value_from_definition(spec, f: UniPoly):
+    """The value of a nonzero f read off each layer's definition, expanding in every key."""
+    lowest = cmp_to_key(compare)
+    if isinstance(spec, Monomial):
+        def least(p):
+            return min((monomial_value(spec.weights, e) for e in p.terms), key=lowest)
+
+        return min(
+            (least(c.num) - least(c.den) + spec.weights[-1] * i for i, c in enumerate(f.coeffs) if not c.is_zero()),
+            key=lowest,
+        )
+    parts = q_expansion(f, spec.key)
+    if isinstance(spec, Composite):
+        n = next(j for j, p in enumerate(parts) if not p.is_zero())
+        return GroupElement((G.scalar(n),) + _value_from_definition(spec.inner, parts[n]).entries)
+    return min(
+        (_value_from_definition(spec.base, p) + spec.assigned * j for j, p in enumerate(parts) if not p.is_zero()),
+        key=lowest,
+    )
+
+
+def _seeded_coefficient(rng, width: int):
+    """A nonzero coefficient over ``width`` variables; every other one has a denominator other than 1.
+
+    Over two variables a denominator without a constant term has a nonzero
+    value; over one it keeps a constant term, as the normal form strips
+    common monomial factors.
+    """
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 3) for _ in range(width))
+            terms[e] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2)))
+        num = MultiPoly(width, terms)
+        if not num.is_zero():
+            break
+    if rng.randrange(2):
+        return RationalFunction(num)
+    den = MultiPoly.constant(width, rng.randint(0, 3) if width > 1 else rng.randint(1, 3))
+    for k in range(width):
+        den = den + MultiPoly.variable(width, k) ** rng.randint(1, 2) * rng.randint(1, 2)
+    return RationalFunction(num, den)
+
+
+def _seeded_of_degree(rng, width: int, degree: int) -> UniPoly:
+    coeffs = [_seeded_coefficient(rng, width) if rng.randrange(3) else 0 for _ in range(degree)]
+    return UniPoly(width, coeffs + [_seeded_coefficient(rng, width)])
+
+
+def test_tower_values_match_the_definition():
+    """Degrees below, at and above each key's degree; below it no expansion is needed."""
+    s1, s2, s3 = _tower()
+    specs = [s1, s2, s3, NU3, Augmented(NU2, Q, el((3, 2)))]
+    rng = random.Random(SEED + 8)
+    for spec in specs:
+        m = spec.key.degree
+        for degree in range(m + 3):
+            for _ in range(3):
+                f = _seeded_of_degree(rng, spec.width - 1, degree)
+                assert spec.value(f) == _value_from_definition(spec, f), (spec.kind, m, degree)
+        for j in (1, 2):
+            multiple = spec.key**j * _seeded_coefficient(rng, spec.width - 1)
+            for f in (multiple, multiple + _seeded_of_degree(rng, spec.width - 1, m - 1)):
+                assert spec.value(f) == _value_from_definition(spec, f), (spec.kind, m, "key power", j)
+    for spec in (s1.base, NU2):
+        for degree in range(4):
+            for _ in range(4):
+                f = _seeded_of_degree(rng, spec.width - 1, degree)
+                assert spec.value(f) == _value_from_definition(spec, f), (spec.kind, degree)
