@@ -22,6 +22,10 @@ class RankMismatch(ValmonoError):
     """Two group elements of different finite rank were combined."""
 
 
+class ForeignGenerator(ValmonoError):
+    """An operand carries a generator that the left operand's value group does not declare."""
+
+
 class DivideByNonPositive(ValmonoError):
     """Division of a group element by an integer < 1."""
 

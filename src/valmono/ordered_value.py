@@ -12,7 +12,24 @@ Canonical form: a scalar stores only its nonzero coefficients, each a
 establishes it for any input.  Arithmetic whose result already has it (sums,
 negations, multiples, the differences that comparisons take) builds the result
 with the private ``Scalar._canonical``, which trusts its input; no other module
-calls it.  ``Scalar.sign`` is the one place a sign is decided.
+calls it.  ``Scalar.sign`` is the one place a scalar's sign is decided.
+
+A generator fixes its sign when it is built: a rational one from its value, an
+enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
+after ``_MAX_REFINE`` levels).  ``Scalar.sign`` then decides by the first rule
+that applies:
+
+* no coefficients: sign 0;
+* one coefficient ``c`` on generator ``g``: ``sign(c) * sign(g)``;
+* one enclosure generator ``g`` with coefficient ``c``, the rational terms
+  summing to ``exact``: the side of ``t = -exact / c`` on which ``g``'s
+  enclosures fall, refined level by level; these are exactly the levels at
+  which the interval sum would exclude zero;
+* otherwise the sum of the enclosures, refined until it excludes zero.
+
+Arithmetic and comparisons work in the left operand's group.  A right operand
+that carries a generator name the left group does not declare raises
+``ForeignGenerator``; another group instance with the same names is accepted.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .errors import DivideByNonPositive, ParseError, RankMismatch
+from .errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
 
 # Refinement levels before giving up; dependent generators are user error.
 _MAX_REFINE = 64
@@ -62,10 +79,11 @@ class IndependentGenerator:
     """One scalar-field generator: an exact rational or a refinable enclosure.
 
     ``enclose(level)`` must return rational bounds ``lo < hi`` that strictly
-    shrink as ``level`` grows.
+    shrink as ``level`` grows.  ``sign`` is fixed when the generator is built;
+    an enclosure that never excludes zero raises ``ArithmeticError`` then.
     """
 
-    __slots__ = ("name", "rational", "_enclose")
+    __slots__ = ("name", "rational", "_enclose", "sign")
 
     def __init__(
         self,
@@ -78,6 +96,10 @@ class IndependentGenerator:
         self.name = name
         self.rational = None if rational is None else Fraction(rational)
         self._enclose = enclose
+        if self.rational is not None:
+            self.sign = (self.rational > 0) - (self.rational < 0)
+        else:
+            self.sign = self._side(0)
 
     def enclosure(self, level: int) -> tuple[Fraction, Fraction]:
         if self.rational is not None:
@@ -87,6 +109,19 @@ class IndependentGenerator:
         if not lo < hi:
             raise ValueError(f"enclosure for {self.name!r} must satisfy lo < hi")
         return lo, hi
+
+    def _side(self, t) -> int:
+        """Sign of ``g - t`` for an enclosure generator: refine until an enclosure excludes t."""
+        for level in range(_MAX_REFINE):
+            lo, hi = self.enclosure(level)
+            if lo > t:
+                return 1
+            if hi < t:
+                return -1
+        raise ArithmeticError(
+            f"interval refinement failed to separate {self.name!r} from {t}; "
+            "generators are not rationally independent"
+        )
 
     def __repr__(self):
         if self.rational is not None:
@@ -127,6 +162,12 @@ class ValueGroup:
 
     def generator(self, name: str) -> IndependentGenerator:
         return self._by_name[name]
+
+    def _check_declares(self, s: "Scalar") -> None:
+        """Raise ``ForeignGenerator`` when ``s`` carries a generator this group does not declare."""
+        for name, _ in s.coeffs:
+            if name not in self._by_name:
+                raise ForeignGenerator(f"generator {name!r} is not declared by {self!r}")
 
     def scalar(self, value=0, **named) -> "Scalar":
         """Build a scalar from a rational and/or name=coefficient terms.
@@ -207,6 +248,15 @@ class Scalar:
 
     def _combined(self, other: "Scalar", subtract: bool) -> "Scalar":
         # self + other or self - other, in self's group
+        group = self.group
+        if other.group is not group:
+            group._check_declares(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs and other.group is group:
+            if subtract:
+                return Scalar._canonical(group, tuple((name, -c) for name, c in other.coeffs))
+            return Scalar._canonical(group, other.coeffs)
         d = dict(self.coeffs)
         if subtract:
             for name, c in other.coeffs:
@@ -214,7 +264,7 @@ class Scalar:
         else:
             for name, c in other.coeffs:
                 d[name] = d.get(name, 0) + c
-        return Scalar._canonical(self.group, tuple((name, d[name]) for name in self.group.names if d.get(name)))
+        return Scalar._canonical(group, tuple((name, d[name]) for name in group.names if d.get(name)))
 
     def _order(self, other: "Scalar") -> int:
         """Sign of self - other; the difference is built only when the two differ."""
@@ -226,17 +276,30 @@ class Scalar:
         return not self.coeffs
 
     def sign(self) -> int:
-        exact = Fraction(0)
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0
+        by_name = self.group._by_name
+        if len(coeffs) == 1:
+            name, c = coeffs[0]
+            g_sign = by_name[name].sign
+            return g_sign if c > 0 else -g_sign
+        exact = 0
         irr = []
         rational = self.group._rational
-        for name, c in self.coeffs:
+        for name, c in coeffs:
             r = rational[name]
             if r is not None:
                 exact += c * r
             else:
-                irr.append((c, self.group._by_name[name]))
+                irr.append((c, by_name[name]))
         if not irr:
             return (exact > 0) - (exact < 0)
+        if len(irr) == 1:
+            # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
+            c, g = irr[0]
+            side = g._side(-exact / c)
+            return side if c > 0 else -side
         for level in range(_MAX_REFINE):
             lo = hi = exact
             for c, g in irr:
@@ -470,6 +533,33 @@ def compare(a, b) -> int:
 
 def add(a, b):
     return a + b
+
+
+def linear_combination(ks, elements) -> GroupElement:
+    """The sum of ``k * v`` over ``zip(ks, elements)`` in one pass, equal to the term-by-term sum.
+
+    Each result entry takes the group of that entry of the first element with
+    a nonzero k; with every k zero the result is ``elements[0] * 0``.
+    """
+    terms = [(k if type(k) is int else Fraction(k), v) for k, v in zip(ks, elements) if k]
+    if not terms:
+        return elements[0] * 0
+    lead = terms[0][1]
+    for _, v in terms:
+        if v.rank != lead.rank:
+            raise RankMismatch(f"rank {lead.rank} vs {v.rank}")
+    out = []
+    for j, first in enumerate(lead.entries):
+        group = first.group
+        acc = {}
+        for k, v in terms:
+            s = v.entries[j]
+            if s.group is not group:
+                group._check_declares(s)
+            for name, c in s.coeffs:
+                acc[name] = acc.get(name, 0) + c * k
+        out.append(Scalar._canonical(group, tuple((name, acc[name]) for name in group.names if acc.get(name))))
+    return GroupElement(tuple(out))
 
 
 def neg(a):

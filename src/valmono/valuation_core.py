@@ -39,17 +39,13 @@ from .ordered_value import (
     compare,
     div_by_positive_int,
     is_sentinel,
+    linear_combination,
 )
 
 
 def monomial_value(weights, exps) -> GroupElement:
     """Value of the Laurent monomial with these exponents: sum of e * weight."""
-    out = None
-    for e, w in zip(exps, weights):
-        if e:
-            term = w * e
-            out = term if out is None else out + term
-    return out if out is not None else weights[0] * 0
+    return linear_combination(exps, weights)
 
 
 class _Spec:

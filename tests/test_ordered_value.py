@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from valmono.errors import DivideByNonPositive, ParseError, RankMismatch
+from valmono.errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
 from valmono.ordered_value import (
+    _MAX_REFINE,
     MINUS_INFINITY,
     PLUS_INFINITY,
     GroupElement,
@@ -19,6 +20,7 @@ from valmono.ordered_value import (
     div_by_positive_int,
     format_element,
     format_scalar,
+    linear_combination,
     parse_element,
     parse_scalar,
     pi_generator,
@@ -334,3 +336,180 @@ def test_kernel_output_table():
                 _assert_canonical(left.group, s)
         for left, r in scalars:
             _assert_canonical(left.group, r)
+
+
+def _reference_sign(s):
+    """(sign, level): sum every term's enclosure, a rational term as a point, level by level."""
+    for level in range(_MAX_REFINE):
+        lo = hi = Fraction(0)
+        for name, c in s.coeffs:
+            glo, ghi = s.group.generator(name).enclosure(level)
+            lo, hi = lo + min(c * glo, c * ghi), hi + max(c * glo, c * ghi)
+        if lo > 0:
+            return 1, level
+        if hi < 0:
+            return -1, level
+        if lo == hi == 0:
+            return 0, level
+    raise ArithmeticError("no level separates the sum from zero")
+
+
+def _recording(name, enclose):
+    """A generator that logs the level of every enclosure asked of it after it is built."""
+    levels = []
+
+    def logged(level):
+        levels.append(level)
+        return enclose(level)
+
+    g = IndependentGenerator(name, enclose=logged)
+    levels.clear()
+    return g, levels
+
+
+def _sign_groups():
+    signed = [unit_generator(), IndependentGenerator("m", rational=Fraction(-7, 3)),
+              IndependentGenerator("z", rational=0), pi_generator()]
+    return [standard_group(), _kernel_groups()[1][1], ValueGroup(signed)]
+
+
+def test_sign_table_matches_the_interval_sum():
+    rng = random.Random(SEED + 9)
+    rows = 0
+    for group in _sign_groups():
+        for _ in range(120):
+            names = rng.sample(group.names, rng.randint(0, min(3, len(group.names))))
+            s = group.scalar(0, **{n: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for n in names})
+            assert s.sign() == _reference_sign(s)[0], s
+            rows += 1
+        zero = group.scalar(0, **{"1": 0})
+        assert zero.sign() == 0
+    # rational generators of either sign and of value zero, alone and cancelling
+    g = _sign_groups()[2]
+    for s, want in ((g.scalar(0, m=2), -1), (g.scalar(0, m=-1), 1), (g.scalar(0, z=5), 0),
+                    (g.scalar(7, m=3), 0), (g.scalar(7, m=3, z=-1), 0), (g.scalar(0, z=1, pi=-2), -1)):
+        assert s.sign() == _reference_sign(s)[0] == want, s
+    assert rows == 360
+
+
+# pi convergents: t - pi has the sign of (-1)**n, and the deeper ones need
+# enclosures past level 0 at the default VALMONO_PI_DIGITS
+PI_CONVERGENTS = (
+    (Fraction(3), 0), (Fraction(22, 7), 0), (Fraction(333, 106), 0), (Fraction(355, 113), 0),
+    (Fraction(411557987, 131002976), 1), (Fraction(139755218526789, 44485467702853), 2),
+)
+
+
+def _near_141(level):
+    w = Fraction(1, 10 ** (level + 1))
+    return Fraction(141, 100) - w, Fraction(142, 100) + w
+
+
+def test_sign_refines_to_the_level_the_interval_sum_needs():
+    pi, levels = _recording("pi", pi_generator().enclosure)
+    group = ValueGroup([unit_generator(), pi])
+    for t, level in PI_CONVERGENTS:
+        for k in (1, -3, Fraction(2, 5)):
+            s = group.scalar(k * t, pi=-k)
+            levels.clear()
+            sign = s.sign()
+            assert max(levels) == level, (t, k)
+            assert (sign, level) == _reference_sign(s)
+            assert sign == (1 if t > Fraction(314159265358979, 10 ** 14) else -1) * (1 if k > 0 else -1)
+    levels.clear()
+    assert group.scalar(0, pi=-2).sign() == -1 and not levels  # one coefficient: the generator's own sign
+    # t is a level-0 bound itself: level 0 does not exclude it, level 1 does
+    g, levels = _recording("g", _near_141)
+    group = ValueGroup([unit_generator(), g])
+    for t, side in ((Fraction(131, 100), -1), (Fraction(152, 100), 1)):
+        for k in (1, -2):
+            s = group.scalar(k * t, g=-k)
+            levels.clear()
+            assert (s.sign(), max(levels)) == _reference_sign(s) == (side if k > 0 else -side, 1)
+
+
+def test_sign_raises_where_no_enclosure_separates():
+    with pytest.raises(ArithmeticError):
+        IndependentGenerator("z", enclose=lambda level: (Fraction(-1, level + 2), Fraction(1, level + 2)))
+
+    def near_one(level):
+        w = Fraction(1, 2 ** (level + 1))
+        return 1 - w, 1 + w
+
+    group = ValueGroup([unit_generator(), IndependentGenerator("u", enclose=near_one),
+                        IndependentGenerator("w", enclose=near_one)])
+    for s in (group.scalar(1, u=-1), group.scalar(0, u=2, w=-2)):
+        with pytest.raises(ArithmeticError):
+            s.sign()
+        with pytest.raises(ArithmeticError):
+            _reference_sign(s)
+    assert group.scalar(2, u=-1).sign() == 1
+
+
+def _term_by_term(ks, elements):
+    out = None
+    for k, v in zip(ks, elements):
+        if k:
+            term = v * k
+            out = term if out is None else out + term
+    return out if out is not None else elements[0] * 0
+
+
+def test_linear_combination_equals_the_term_by_term_sum():
+    rng = random.Random(SEED + 10)
+    cases = 0
+    for make_group, group in _kernel_groups():
+        instances = (group, make_group())  # same generators, two group instances
+        for rank in (1, 2, 3):
+            for _ in range(8):
+                n = rng.randint(1, 4)
+                weights = []
+                for _ in range(n):
+                    g = rng.choice(instances)
+                    weights.append(GroupElement(tuple(_sparse_scalar(g, rng) for _ in range(rank))))
+                for ks in ([rng.randint(0, 3) for _ in range(n)],
+                           [rng.randint(-4, 4) for _ in range(n)],
+                           [0] * n,
+                           [0] * (n - 1) + [rng.choice((-2, 1, 3))],
+                           [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]):
+                    got = linear_combination(ks, weights)
+                    assert got == _term_by_term(ks, weights), ks
+                    assert got.rank == rank
+                    lead = next((v for k, v in zip(ks, weights) if k), weights[0])
+                    for s in got.entries:
+                        _assert_canonical(lead.group, s)
+                    cases += 1
+    assert cases == 240
+    a = standard_group()
+    with pytest.raises(RankMismatch):
+        linear_combination([1, 1], [a.zero(1), a.zero(2)])
+    assert linear_combination([1, 0], [a.zero(1), a.zero(2)]) == a.zero(1)
+
+
+def test_foreign_generators_raise():
+    # r = 5: an order that dropped r would claim 1 > 5
+    a = standard_group()
+    b = ValueGroup([unit_generator(), IndependentGenerator("r", rational=5)])
+    x, y = a.scalar(1), b.scalar(0, r=1)
+    for op in (lambda: x + y, lambda: x - y, lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+               lambda: a.zero_scalar() + y, lambda: a.zero_scalar() - y,
+               lambda: compare(a.element(x), b.element(y)), lambda: a.element(x) + b.element(y),
+               lambda: a.element(x) - b.element(y), lambda: linear_combination([1, 2], [a.element(x), b.element(y)])):
+        with pytest.raises(ForeignGenerator):
+            op()
+    # b declares every generator x carries, so the order is decided: 5 > 1
+    assert y > x and compare(b.element(y), a.element(x)) == 1
+    assert (y - x).group is b and (y - x) == b.scalar(-1, r=1)
+
+
+def test_same_names_in_another_group_instance_still_combine():
+    a, twin = standard_group(), standard_group()
+    swapped = ValueGroup([pi_generator(), unit_generator()])  # same names, other declaration order
+    for other in (twin, swapped):
+        s = other.scalar(2, pi=1)
+        for r in (a.scalar(1) + s, a.zero_scalar() + s, a.zero_scalar() - s, a.scalar(0, pi=1) - s):
+            _assert_canonical(a, r)
+        assert a.zero_scalar() + s == a.scalar(2, pi=1)
+        assert a.zero_scalar() - s == a.scalar(-2, pi=-1)
+        assert a.scalar(6) > s and compare(a.element(a.scalar(6)), other.element(s)) == 1
+        assert linear_combination([1, 2], [a.element(a.scalar(1)), other.element(s)]) == a.element(a.scalar(5, pi=2))

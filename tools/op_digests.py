@@ -1,14 +1,18 @@
-"""Print the check digest of every op of one benchmark workload.
+"""Print the check digest of every op of benchmark workloads at given seeds.
 
-    python3 tools/op_digests.py --workload running|tower|queries --seed N
+    python3 tools/op_digests.py --workload running|tower|queries|all --seed N [--seed M ...]
 
-Builds the workload with ``perfbench``'s own builders (read only), runs each
-op and each probe once, checks its output with the op's own check and
-prints a sorted JSON map from op id to the digest, or to ``ERR <type>:
+For each workload (``all`` means every one) and each seed, builds the
+workload with ``perfbench``'s own builders (read only), runs each op and each
+probe once and checks its output with the op's own check.  Prints one sorted
+JSON map from ``workload/seed/op`` to the digest, or to ``ERR <type>:
 <message>`` when the run or the check raised.  Each op runs under the
-workload's per-op cap from ``perfbench/contract.json``.  Run it in two
-checkouts and ``diff`` the outputs to show that a change does the same
-work: same certificates, same trace bytes, same failures.
+workload's per-op cap from ``perfbench/contract.json``.  To show that a
+change does the same work (same certificates, same trace bytes, same
+failures), run the same command in both checkouts and compare the outputs:
+
+    python3 tools/op_digests.py --workload all --seed 1 --seed 101 > a.json
+    cmp a.json b.json
 """
 
 from __future__ import annotations
@@ -47,10 +51,16 @@ def op_digests(workload: str, seed: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
+    ap.add_argument("--seed", type=int, required=True, action="append", help="repeat for several seeds")
     args = ap.parse_args(argv)
-    print(json.dumps(op_digests(args.workload, args.seed), indent=1))
+    workloads = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
+    out = {}
+    for workload in workloads:
+        for seed in args.seed:
+            for op_id, digest in op_digests(workload, seed).items():
+                out[f"{workload}/{seed}/{op_id}"] = digest
+    print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
 
