@@ -27,8 +27,8 @@ that applies:
   which the interval sum would exclude zero;
 * otherwise the sum of the enclosures, refined until it excludes zero.
 
-Arithmetic and comparisons work in the left operand's group.  A right operand
-that carries a generator name the left group does not declare raises
+Arithmetic and comparisons work in the left operand's group.  An operand that
+carries a generator name the result's group does not declare raises
 ``ForeignGenerator``; another group instance with the same names is accepted.
 """
 
@@ -163,12 +163,6 @@ class ValueGroup:
     def generator(self, name: str) -> IndependentGenerator:
         return self._by_name[name]
 
-    def _check_declares(self, s: "Scalar") -> None:
-        """Raise ``ForeignGenerator`` when ``s`` carries a generator this group does not declare."""
-        for name, _ in s.coeffs:
-            if name not in self._by_name:
-                raise ForeignGenerator(f"generator {name!r} is not declared by {self!r}")
-
     def scalar(self, value=0, **named) -> "Scalar":
         """Build a scalar from a rational and/or name=coefficient terms.
 
@@ -246,17 +240,27 @@ class Scalar:
         s.coeffs = coeffs
         return s
 
+    @classmethod
+    def _from_sums(cls, group: ValueGroup, sums: dict) -> "Scalar":
+        """The scalar of ``sums`` (name -> coefficient, zeros allowed) in ``group``.
+
+        Raises ``ForeignGenerator`` when ``sums`` names a generator that
+        ``group`` does not declare; the names are looked at only when the
+        canonical form dropped some, by cancellation or as foreign.
+        """
+        coeffs = tuple((name, sums[name]) for name in group.names if sums.get(name))
+        if len(coeffs) < len(sums) and not sums.keys() <= group._by_name.keys():
+            foreign = sorted(sums.keys() - group._by_name.keys())
+            raise ForeignGenerator(f"generator {foreign[0]!r} is not declared by {group!r}")
+        return cls._canonical(group, coeffs)
+
     def _combined(self, other: "Scalar", subtract: bool) -> "Scalar":
         # self + other or self - other, in self's group
         group = self.group
-        if other.group is not group:
-            group._check_declares(other)
         if not other.coeffs:
             return self
         if not self.coeffs and other.group is group:
-            if subtract:
-                return Scalar._canonical(group, tuple((name, -c) for name, c in other.coeffs))
-            return Scalar._canonical(group, other.coeffs)
+            return -other if subtract else other
         d = dict(self.coeffs)
         if subtract:
             for name, c in other.coeffs:
@@ -264,7 +268,7 @@ class Scalar:
         else:
             for name, c in other.coeffs:
                 d[name] = d.get(name, 0) + c
-        return Scalar._canonical(group, tuple((name, d[name]) for name in group.names if d.get(name)))
+        return Scalar._from_sums(group, d)
 
     def _order(self, other: "Scalar") -> int:
         """Sign of self - other; the difference is built only when the two differ."""
@@ -550,15 +554,11 @@ def linear_combination(ks, elements) -> GroupElement:
             raise RankMismatch(f"rank {lead.rank} vs {v.rank}")
     out = []
     for j, first in enumerate(lead.entries):
-        group = first.group
         acc = {}
         for k, v in terms:
-            s = v.entries[j]
-            if s.group is not group:
-                group._check_declares(s)
-            for name, c in s.coeffs:
+            for name, c in v.entries[j].coeffs:
                 acc[name] = acc.get(name, 0) + c * k
-        out.append(Scalar._canonical(group, tuple((name, acc[name]) for name in group.names if acc.get(name))))
+        out.append(Scalar._from_sums(first.group, acc))
     return GroupElement(tuple(out))
 
 

@@ -405,7 +405,8 @@ def _near_141(level):
     return Fraction(141, 100) - w, Fraction(142, 100) + w
 
 
-def test_sign_refines_to_the_level_the_interval_sum_needs():
+def test_sign_refines_to_the_level_the_interval_sum_needs(monkeypatch):
+    monkeypatch.delenv("VALMONO_PI_DIGITS", raising=False)  # the levels below hold at the default width
     pi, levels = _recording("pi", pi_generator().enclosure)
     group = ValueGroup([unit_generator(), pi])
     for t, level in PI_CONVERGENTS:
@@ -494,7 +495,9 @@ def test_foreign_generators_raise():
     for op in (lambda: x + y, lambda: x - y, lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
                lambda: a.zero_scalar() + y, lambda: a.zero_scalar() - y,
                lambda: compare(a.element(x), b.element(y)), lambda: a.element(x) + b.element(y),
-               lambda: a.element(x) - b.element(y), lambda: linear_combination([1, 2], [a.element(x), b.element(y)])):
+               lambda: a.element(x) - b.element(y), lambda: linear_combination([1, 2], [a.element(x), b.element(y)]),
+               # r cancels in the sum, but the operands still carry it
+               lambda: linear_combination([1, 1, -1], [a.element(x), b.element(y), b.element(y)])):
         with pytest.raises(ForeignGenerator):
             op()
     # b declares every generator x carries, so the order is decided: 5 > 1
