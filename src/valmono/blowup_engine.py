@@ -324,7 +324,8 @@ def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
                 factors[powers] = factors[powers] * MultiPoly(m, power)
         for fe, fc in factors[powers].terms.items():
             t = ev_add(base, fe)
-            terms[t] = terms.get(t, 0) + c * fc
+            old = terms.get(t)
+            terms[t] = c * fc if old is None else old + c * fc
     return MultiPoly(m, terms)
 
 

@@ -5,10 +5,16 @@ Three layers, all over exact rationals:
 * ``MultiPoly``: multivariate Laurent polynomials in the base variables,
   stored as a map from exponent tuples to nonzero rationals.
 * ``RationalFunction``: a quotient of two ``MultiPoly`` values; the
-  coefficient field of everything univariate.
+  coefficient field of everything univariate.  A denominator equal to 1 is
+  always the one shared ``MultiPoly.one(width)``, so a fraction with
+  denominator 1 costs no extra polynomial and is recognised by identity.
 * ``UniPoly``: polynomials in one distinguished variable with
   ``RationalFunction`` coefficients; carries Euclidean division, divided
   derivatives and expansion along a monic key.
+
+Polynomials are immutable values: no code writes into a ``terms`` map after
+``MultiPoly.__init__`` has built it, and results share coefficients and whole
+polynomials with their operands.  Sharing the 1 relies on this.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ def _grlex_key(e: ExponentVector):
     return (sum(e), e)
 
 
+_ONES: dict = {}  # width -> the shared polynomial 1, built on first use
+
+
 class MultiPoly:
     """Laurent polynomial: finite map exponent tuple -> nonzero Fraction."""
 
@@ -93,15 +102,19 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, width: int, c) -> "MultiPoly":
-        return cls(width, {ev_zero(width): Fraction(c)})
+        return cls(width, {ev_zero(width): c})
 
     @classmethod
     def one(cls, width: int) -> "MultiPoly":
-        return cls.constant(width, 1)
+        """The shared 1 of this width."""
+        one = _ONES.get(width)
+        if one is None:
+            one = _ONES[width] = MultiPoly(width, {ev_zero(width): Fraction(1)})
+        return one
 
     @classmethod
     def monomial(cls, width: int, exps: Sequence[int], c=1) -> "MultiPoly":
-        return cls(width, {tuple(exps): Fraction(c)})
+        return cls(width, {tuple(exps): c})
 
     @classmethod
     def variable(cls, width: int, i: int) -> "MultiPoly":
@@ -119,6 +132,8 @@ class MultiPoly:
         return self.terms.get(ev_zero(self.width), Fraction(0))
 
     def is_one(self) -> bool:
+        if self is _ONES.get(self.width):
+            return True
         return len(self.terms) == 1 and self.terms.get(ev_zero(self.width)) == 1
 
     def is_single_term(self) -> bool:
@@ -151,7 +166,8 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
         return MultiPoly(self.width, terms)
 
     __radd__ = __add__
@@ -164,7 +180,12 @@ class MultiPoly:
             other = MultiPoly.constant(self.width, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            old = terms.get(e)
+            terms[e] = -c if old is None else old - c
+        return MultiPoly(self.width, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -179,7 +200,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = ev_add(e1, e2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                old = terms.get(e)
+                terms[e] = c1 * c2 if old is None else old + c1 * c2
         return MultiPoly(self.width, terms)
 
     __rmul__ = __mul__
@@ -220,31 +242,36 @@ class MultiPoly:
 class RationalFunction:
     """Quotient of two MultiPoly values.
 
-    Normal form: a zero numerator forces denominator 1; a denominator that
-    is exactly 1 is kept as is; any other single-term denominator is folded
-    into the (Laurent) numerator; otherwise the denominator is made
-    Laurent-free with no common monomial factor and scaled so its graded-lex
-    leading coefficient is 1.  Sums and products of two fractions with
-    denominator 1 skip the denominator products, which would give the same
-    result.
+    Normal form: a zero numerator forces denominator 1; a single-term
+    denominator is folded into the (Laurent) numerator; otherwise the
+    denominator is made Laurent-free with no common monomial factor and
+    scaled so its graded-lex leading coefficient is 1.  Denominator 1 is
+    always the shared ``MultiPoly.one(width)``: a fraction built with no
+    denominator or with that object skips normalisation, and ``is_one``,
+    sums, differences and products of fractions with denominator 1 skip
+    the denominator products, which would give the same result.
+    Polynomials are immutable values, so fractions share them freely.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.one(num.width)
+        one = MultiPoly.one(num.width)
+        if den is None or den is one:
+            self.num = num
+            self.den = one
+            return
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.width != den.width:
             raise ValueError("numerator and denominator width differ")
         if num.is_zero():
-            den = MultiPoly.one(num.width)
+            den = one
         elif den.is_single_term():
             e, c = den.single_term()
             if c != 1 or any(e):
                 num = num.shift(ev_scale(e, -1)) * (1 / c)
-                den = MultiPoly.one(num.width)
+            den = one
         else:
             lows = None
             for e in den.terms:
@@ -285,6 +312,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
+        if self.den.is_one():
+            return self.num.is_one()
         return self.num == self.den
 
     def is_polynomial(self) -> bool:
@@ -323,6 +352,8 @@ class RationalFunction:
 
     def __sub__(self, other):
         other = RationalFunction.of(other, self.width)
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num - other.num)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -330,8 +361,11 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = RationalFunction.of(other, self.width)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num * other.num)
+        if other.den.is_one():
+            if other.num.is_one():
+                return self
+            if self.den.is_one():
+                return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -360,7 +394,7 @@ class RationalFunction:
     __hash__ = None
 
     def __repr__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den.is_one():
             return f"RF({self.num!r})"
         return f"RF({self.num!r} / {self.den!r})"
 

@@ -648,7 +648,10 @@ def parse_scalar(group: ValueGroup, text: str) -> Scalar:
         if m.group("gen2") is not None:
             name, c = m.group("gen2"), Fraction(1)
         else:
-            c = Fraction(m.group("num"))
+            try:
+                c = Fraction(m.group("num"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {term!r}") from None
             name = m.group("gen1") or "1"
         if name not in group._by_name:
             raise ParseError(f"unknown generator {name!r} in {text!r}")

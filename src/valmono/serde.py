@@ -46,6 +46,8 @@ def _tokenize(text: str) -> list:
         pos = m.end()
         if m.lastgroup == "frac":
             p, q = m.group("frac").split("/")
+            if not int(q):
+                raise ParseError(f"zero denominator in {m.group('frac')!r}")
             out.append(("num", Fraction(int(p), int(q))))
         elif m.lastgroup == "int":
             out.append(("num", Fraction(m.group("int"))))

@@ -249,6 +249,16 @@ MALFORMED = {
         "z",
         "expected rank 1, got 2 in '(1, 2)'",
     ),
+    "zero-denominator-weight": (
+        {**NU2, "val": {"kind": "monomial", "weights": {**NU2["val"]["weights"], "x": "1/0"}}},
+        "z",
+        "zero denominator in '1/0'",
+    ),
+    "zero-denominator-augmented-value": (
+        {**NU2, "val": {**AUG, "value": "2 - 3/0*pi"}},
+        "z",
+        "zero denominator in '3/0*pi'",
+    ),
 }
 
 
@@ -258,6 +268,20 @@ def test_malformed_input_exits_two(tmp_path, capsys, problem, poly, message):
     spec.write_text(json.dumps(problem))
     assert main(["eval", "--spec", str(spec), "--poly", poly]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a rational literal with denominator 0 in a polynomial or key argument
+ZERO_DENOMINATOR = {
+    "eval-poly": ["eval", "--poly", "1/0"],
+    "monomialize-poly": ["monomialize", "--poly", "z+1/0"],
+    "truncate-key": ["truncate", "--key", "z + 2 / 0", "--poly", "z"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATOR.values(), ids=ZERO_DENOMINATOR)
+def test_zero_denominator_exits_two(specs, capsys, argv):
+    assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: zero denominator in '")
 
 
 # exponent lists of Laurent monomials, which the divide loop does not certify

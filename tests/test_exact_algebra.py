@@ -342,3 +342,143 @@ def test_multipoly_unipoly_round_trip():
     for _ in range(30):
         q = random_multipoly(rng, 3, max_terms=5)
         assert to_multipoly(to_unipoly(q)) == q
+
+
+def _fraction_inputs() -> list:
+    """Seeded polynomial, Laurent and rational fractions, then fractions whose denominator
+    normalises to 1 in different ways, single-term denominators that fold, and a one over a
+    denominator that is not 1."""
+    rng = random.Random(SEED + 6)
+    out = []
+    for kind in ("polynomial", "laurent", "rational"):
+        for _ in range(3):
+            num = random_multipoly(rng, X2, max_terms=3, max_exp=2) + rng.randint(-2, 2)
+            if kind == "laurent":
+                num = num.shift((-rng.randint(0, 2), -rng.randint(0, 2)))
+            den = x + rng.randint(1, 3) * y + rng.randint(0, 2) if kind == "rational" else None
+            out.append((kind, RationalFunction(num, den)))
+    p = x * y - 2 * y**2 + Fraction(1, 3)
+    a = RationalFunction(x + y, x - 2 * y)
+    out += [
+        ("den None", RationalFunction(p)),
+        ("explicit den 1", RationalFunction(p, MultiPoly(X2, {(0, 0): 1}))),
+        ("x/x", rf(x) / rf(x)),
+        ("x*p/x", RationalFunction(x * p, x)),
+        ("of int", RationalFunction.of(3, X2)),
+        ("of Fraction", RationalFunction.of(Fraction(-2, 3), X2)),
+        ("of 1", RationalFunction.of(1, X2)),
+        ("a + -a", a + (-a)),
+        ("a - a", a - a),
+        ("p - p", rf(p) - rf(p)),
+        ("den 2xy", RationalFunction(p, 2 * x * y)),
+        ("den 1/2", RationalFunction(p, MultiPoly.constant(X2, Fraction(1, 2)))),
+        ("den y^-1", RationalFunction(x + 1, y.shift((0, -2)))),
+        ("(x+y)/(x+y)", RationalFunction(x + y, x + y)),
+        ("a", a),
+    ]
+    return out
+
+
+def _fraction_rows():
+    """(label, a, b): each input with the next one and with a seeded partner."""
+    values = _fraction_inputs()
+    rng = random.Random(SEED + 7)
+    for i, (la, a) in enumerate(values):
+        for lb, b in (values[(i + 1) % len(values)], values[rng.randrange(len(values))]):
+            yield f"{la} | {lb}", a, b
+
+
+def _fraction_results(a: RationalFunction, b: RationalFunction) -> list:
+    """Every operation of the table on one pair; fractions and polynomials stay objects."""
+    out = [a + b, a - b, a * b, -a, a**0, a**2, a**3, b + 1, 1 - b, b * 1, 1 * b, b * Fraction(1), b * Fraction(-3, 2)]
+    out += [a / b if not b.is_zero() else "b = 0", a**-1 if not a.is_zero() else "a = 0"]
+    out += [a == b, a == 1, b == Fraction(-2, 3), a.is_one(), b.is_one(), a.num.is_one(), a.den.is_one()]
+    out += [UniPoly(X2, [b, a]).is_monic(), UniPoly(X2, [a, b]).is_monic(), (UniPoly.x(X2).scale(b) + a).is_monic()]
+    try:
+        m = to_multipoly(UniPoly(X2, [a, b, a * b]))
+    except ValueError as exc:
+        out.append(str(exc))
+    else:
+        out += [m, *to_unipoly(m).coeffs]
+    return out
+
+
+def _fraction_digest(results) -> str:
+    def text(r):
+        if isinstance(r, RationalFunction):
+            return (sorted(r.num.terms.items()), sorted(r.den.terms.items()))
+        if isinstance(r, MultiPoly):
+            return (r.width, sorted(r.terms.items()))
+        return r
+
+    return hashlib.sha256(repr([text(r) for r in results]).encode()).hexdigest()[:12]
+
+
+# every operation on the seeded pairs, as "digest of each result's sorted numerator
+# and denominator terms (booleans and error messages as they are)", recorded when every
+# fraction built a fresh 1 polynomial as its denominator and polynomial sums started
+# from Fraction(0)
+FRACTION_TABLE = (
+    ('polynomial | polynomial', '1dd3aed464c6'),
+    ('polynomial | polynomial', '201e00cff3a2'),
+    ('polynomial | polynomial', '23cddc60c1f4'),
+    ('polynomial | of Fraction', '839577e21928'),
+    ('polynomial | laurent', '820018f4af9b'),
+    ('polynomial | rational', '78140e753a5e'),
+    ('laurent | laurent', 'f34bbcf4c8ba'),
+    ('laurent | of Fraction', '722cdb882124'),
+    ('laurent | laurent', '969a8b2af465'),
+    ('laurent | a - a', '6cd8a4b35eb0'),
+    ('laurent | rational', '69929b6dcb34'),
+    ('laurent | den None', 'dead64b1158f'),
+    ('rational | rational', 'ac6fb2bc7488'),
+    ('rational | rational', 'be127f2442a5'),
+    ('rational | rational', '20d01e329e62'),
+    ('rational | den y^-1', '500046c3df75'),
+    ('rational | den None', '2e97c3c0efc8'),
+    ('rational | laurent', 'fd7cd66ed8f8'),
+    ('den None | explicit den 1', '490ce1add3f6'),
+    ('den None | (x+y)/(x+y)', 'e6a562d6f973'),
+    ('explicit den 1 | x/x', '06becf3098e7'),
+    ('explicit den 1 | rational', 'd9332deff624'),
+    ('x/x | x*p/x', '41e320097000'),
+    ('x/x | of int', 'ebbea230934b'),
+    ('x*p/x | of int', 'b5fdaca0521f'),
+    ('x*p/x | a', 'e6b37939ff04'),
+    ('of int | of Fraction', 'a00571352466'),
+    ('of int | explicit den 1', '156a217c2512'),
+    ('of Fraction | of 1', 'c17d75d9d877'),
+    ('of Fraction | laurent', '1a5ecd7cd3de'),
+    ('of 1 | a + -a', '157b39773de4'),
+    ('of 1 | laurent', 'c77ab1a14a83'),
+    ('a + -a | a - a', '4435c66140d7'),
+    ('a + -a | of 1', 'b2ce96db2c7e'),
+    ('a - a | p - p', '4435c66140d7'),
+    ('a - a | x/x', 'b2ce96db2c7e'),
+    ('p - p | den 2xy', 'f88b6fce69bc'),
+    ('p - p | of int', '0a82c9ebbb92'),
+    ('den 2xy | den 1/2', 'cb75ee829e15'),
+    ('den 2xy | laurent', '9fd91511f8c5'),
+    ('den 1/2 | den y^-1', 'bb37a21b5712'),
+    ('den 1/2 | of 1', '49df9b657af1'),
+    ('den y^-1 | (x+y)/(x+y)', '9ffa856fa947'),
+    ('den y^-1 | den 2xy', '3b5cf2cc7094'),
+    ('(x+y)/(x+y) | a', '388d14400c6f'),
+    ('(x+y)/(x+y) | explicit den 1', '30ade57e7c8c'),
+    ('a | polynomial', '595cd6200db6'),
+    ('a | p - p', '8dc6fc26f771'),
+)
+
+
+def test_fraction_output_table():
+    rows = list(_fraction_rows())
+    assert [label for label, _, _ in rows] == [label for label, _ in FRACTION_TABLE]
+    for (label, a, b), (_, want) in zip(rows, FRACTION_TABLE):
+        results = _fraction_results(a, b)
+        assert _fraction_digest(results) == want, label
+        for r in results:
+            parts = (r.num, r.den) if isinstance(r, RationalFunction) else (r,) if isinstance(r, MultiPoly) else ()
+            assert all(type(v) is Fraction and v for part in parts for v in part.terms.values()), label
+            # denominator 1 is the shared polynomial 1
+            if isinstance(r, RationalFunction) and r.den.terms == {(0, 0): 1}:
+                assert r.den is MultiPoly.one(X2), label

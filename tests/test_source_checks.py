@@ -1,10 +1,14 @@
 """Source guards: every certification check in the package survives ``python -O``,
-and only ``ordered_value`` builds a scalar that skips canonicalisation."""
+only ``ordered_value`` builds a scalar that skips canonicalisation, and no module
+writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
+one polynomial 1 per width)."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import valmono
+from valmono import Composite, Monomial, MultiPoly, UniPoly, monomialize, standard_group
 
 
 def _silent_checks(path: Path) -> list:
@@ -55,3 +59,86 @@ def test_the_scalar_guard_sees_calls_and_lookups(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("def f(g, s):\n    a = Scalar._canonical(g, ())\n    return getattr(s, '_canonical')\n")
     assert _trusted_scalar_uses(sample) == ["sample.py:2", "sample.py:3: string"]
+
+
+_TERMS_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear")
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _terms_writes(path: Path) -> list:
+    """Every write into an ``X.terms`` mapping in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        kind = type(node).__name__
+        for target in targets:
+            if kind == "AugAssign" and _is_terms(target):
+                found.append(f"{path.name}:{node.lineno}: {kind}")
+            found += [
+                f"{path.name}:{node.lineno}: {kind}"
+                for sub in ast.walk(target)
+                if isinstance(sub, ast.Subscript) and _is_terms(sub.value)
+            ]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _TERMS_MUTATORS and _is_terms(node.func.value):
+                found.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+    return sorted(found, key=lambda hit: int(hit.split(":")[1]))
+
+
+def test_no_module_writes_into_polynomial_terms():
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = [hit for path in sources for hit in _terms_writes(path)]
+    assert found == [], "polynomials are immutable values; build a new MultiPoly instead: " + ", ".join(found)
+
+
+def test_the_terms_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(p, q, e):\n"
+        "    p.terms[e] = 1\n"
+        "    p.terms[e] += 1\n"
+        "    del q.terms[e]\n"
+        "    p.terms.update({})\n"
+        "    p.terms.pop(e)\n"
+        "    p.terms.popitem()\n"
+        "    p.terms.setdefault(e, 1)\n"
+        "    p.terms.clear()\n"
+        "    a, q.terms[e] = 1, 2\n"
+        "    p.terms |= {}\n"
+        "    p.terms[e]: int = 1\n"
+        "    return dict(p.terms), p.terms.get(e), p.terms[e]\n"
+    )
+    assert _terms_writes(sample) == [
+        "sample.py:2: Assign",
+        "sample.py:3: AugAssign",
+        "sample.py:4: Delete",
+        "sample.py:5: update",
+        "sample.py:6: pop",
+        "sample.py:7: popitem",
+        "sample.py:8: setdefault",
+        "sample.py:9: clear",
+        "sample.py:10: Assign",
+        "sample.py:11: AugAssign",
+        "sample.py:12: AnnAssign",
+    ]
+
+
+def test_the_shared_one_survives_the_readme_problem():
+    G = standard_group()
+    w = lambda a, b: G.element(G.scalar(value=Fraction(a), pi=Fraction(b)))  # noqa: E731
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    Q = UniPoly.x(2) ** 2 - x**2 * y
+    nu3 = Composite(Q, Monomial(G, [w(1, 0), w(0, 2), w(1, 1)]))
+    out = monomialize(nu3, Q, 10_000, names=["x", "y", "z"])
+    assert out.exponents == (2, 2, 1)
+    for width in (2, 3):
+        assert MultiPoly.one(width) is MultiPoly.one(width)
+        assert MultiPoly.one(width).terms == {(0,) * width: Fraction(1)}
