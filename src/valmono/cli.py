@@ -3,8 +3,9 @@
 Every verb maps to one library operation. Exit code 0 means the operation
 ran and its postcondition was certified; 2 means the inputs did not parse;
 3 means the operation ran but certification failed, with a diagnostic on
-stderr. Traces written with --trace are replayed through the verifier
-before the process reports success.
+stderr. A trace-producing verb checks its frame's values against the
+problem's valuation and replays its trace through the verifier before the
+process reports success.
 
 Set VALMONO_PI_DIGITS to deepen the default precision of the pi generator.
 """
@@ -12,13 +13,14 @@ Set VALMONO_PI_DIGITS to deepen the default precision of the pi generator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 
-from .blowup_engine import divide_monomials, principalize
+from .blowup_engine import check_frame_values, divide_monomials, principalize
 from .errors import CertificationError, ParseError, ValmonoError
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, divided_derivative
 from .orchestrator import (
@@ -36,6 +38,7 @@ from .serde import (
     format_rational,
     format_unipoly,
     load_problem,
+    parse_key,
     parse_polynomial,
     parse_unipoly,
 )
@@ -82,11 +85,6 @@ def _many_polys(value: str) -> list:
     return src
 
 
-def _load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_problem(json.load(fh))
-
-
 def _exponents(text: str, width: int) -> tuple:
     try:
         out = tuple(int(p) for p in text.split(","))
@@ -99,47 +97,30 @@ def _exponents(text: str, width: int) -> tuple:
     return out
 
 
-def _emit(args, payload: dict, lines: list) -> None:
-    if args.format == "dot":  # the trace graph was already printed
-        return
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _finish_trace(args, frame) -> list:
-    """Write the trace if asked, then always replay it through the verifier."""
+def _finish_trace(args, frame, spec) -> None:
+    """Write the trace if asked, then always check and replay it through the verifier."""
     records = trace_records(frame)
-    if getattr(args, "trace", None):
+    if args.trace:
         write_trace(frame, args.trace)
+    check_frame_values(frame, spec)
     replay_trace(records)
     if args.format == "dot":
         print(to_dot(records))
-    return records
-
-
-def _require_not_dot(args) -> None:
-    if args.format == "dot":
-        raise ParseError("dot output is only available for trace-producing verbs")
 
 
 # -- verbs ------------------------------------------------------------------------
+# Each verb takes the parsed arguments and the problem's names and spec, and
+# returns its JSON payload and text lines, plus a failure message for stderr
+# when it ran but did not certify.
 
 
-def _cmd_eval(args) -> int:
-    _require_not_dot(args)
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_eval(args, names, spec):
     f = parse_unipoly(_one_poly(args.poly), names)
-    v = spec.value(f)
-    _emit(args, {"verb": "eval", "value": format_element(v)}, [format_element(v)])
-    return 0
+    v = format_element(spec.value(f))
+    return {"verb": "eval", "value": v}, [v]
 
 
-def _cmd_epsilon(args) -> int:
-    _require_not_dot(args)
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_epsilon(args, names, spec):
     f = parse_unipoly(_one_poly(args.poly), names)
     rep = epsilon(spec, f)
     text = format_element(rep.epsilon)
@@ -149,14 +130,11 @@ def _cmd_epsilon(args) -> int:
         "b": rep.b,
         "I": list(rep.I),
     }
-    _emit(args, payload, [f"epsilon = {text}", f"b = {rep.b}", f"I = {list(rep.I)}"])
-    return 0
+    return payload, [f"epsilon = {text}", f"b = {rep.b}", f"I = {list(rep.I)}"]
 
 
-def _cmd_truncate(args) -> int:
-    _require_not_dot(args)
-    _group, names, spec = _load_spec(args.spec)
-    q = parse_unipoly(_one_poly(args.key), names)
+def _cmd_truncate(args, names, spec):
+    q = parse_key(_one_poly(args.key), names)
     f = parse_unipoly(_one_poly(args.poly), names)
     rep = truncated_value(spec, q, f)
     payload = {
@@ -166,22 +144,11 @@ def _cmd_truncate(args) -> int:
         "delta": rep.delta,
         "terms": [format_element(t) for t in rep.terms],
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"value = {payload['value']}",
-            f"S = {payload['S']}",
-            f"delta = {rep.delta}",
-        ],
-    )
-    return 0
+    return payload, [f"value = {payload['value']}", f"S = {payload['S']}", f"delta = {rep.delta}"]
 
 
-def _cmd_successor(args) -> int:
-    _require_not_dot(args)
-    _group, names, spec = _load_spec(args.spec)
-    q = parse_unipoly(_one_poly(args.key), names)
+def _cmd_successor(args, names, spec):
+    q = parse_key(_one_poly(args.key), names)
     lattice = _variable_lattice(spec, names)
     if args.check:
         cand = parse_unipoly(_one_poly(args.check), names)
@@ -195,19 +162,14 @@ def _cmd_successor(args) -> int:
             "truncated": format_element(rep.truncated),
             "value": format_element(rep.value),
         }
-        _emit(
-            args,
-            payload,
-            [
-                f"passed = {rep.passed}",
-                f"alpha = {rep.alpha}",
-                f"truncated = {payload['truncated']} < assigned = {payload['value']}",
-            ],
-        )
+        lines = [
+            f"passed = {rep.passed}",
+            f"alpha = {rep.alpha}",
+            f"truncated = {payload['truncated']} < assigned = {payload['value']}",
+        ]
         if not rep.passed:
-            print("successor verification failed", file=sys.stderr)
-            return 3
-        return 0
+            return payload, lines, "successor verification failed"
+        return payload, lines
     succ, cert = next_successor(spec, q, lattice)
     text = format_unipoly(succ, names[:-1], names[-1])
     payload = {
@@ -218,21 +180,15 @@ def _cmd_successor(args) -> int:
         "monomial": format_multipoly(cert.monomial, names[:-1]),
         "base_value": format_element(cert.base_value),
     }
-    _emit(
-        args,
-        payload,
-        [text, f"alpha = {cert.alpha}", f"residue = {cert.residue}"],
-    )
-    return 0
+    return payload, [text, f"alpha = {cert.alpha}", f"residue = {cert.residue}"]
 
 
-def _cmd_divide(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_divide(args, names, spec):
     frame = _initial_frame(spec, names)
     alpha = _exponents(args.alpha, frame.width)
     gamma = _exponents(args.gamma, frame.width)
     res = divide_monomials(frame, alpha, gamma, valuation_driver(spec))
-    _finish_trace(args, res.frame)
+    _finish_trace(args, res.frame, spec)
     payload = {
         "verb": "divide",
         "divider": res.divider,
@@ -241,48 +197,36 @@ def _cmd_divide(args) -> int:
         "steps": len(res.steps),
         "params": list(res.frame.names),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"divider = {res.divider}",
-            f"alpha -> {list(res.alpha)}",
-            f"gamma -> {list(res.gamma)}",
-            f"steps = {len(res.steps)}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"divider = {res.divider}",
+        f"alpha -> {list(res.alpha)}",
+        f"gamma -> {list(res.gamma)}",
+        f"steps = {len(res.steps)}",
+    ]
 
 
-def _cmd_principalize(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_principalize(args, names, spec):
     frame = _initial_frame(spec, names)
     gens = [_exponents(part, frame.width) for part in args.gens.split(";") if part.strip()]
     res = principalize(frame, gens, valuation_driver(spec))
-    _finish_trace(args, res.frame)
+    _finish_trace(args, res.frame, spec)
     payload = {
         "verb": "principalize",
         "generators": [list(e) for e in res.generators],
         "index": res.index,
         "steps": len(res.steps),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"principal generator = {list(res.generators[res.index])}",
-            f"steps = {len(res.steps)}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"principal generator = {list(res.generators[res.index])}",
+        f"steps = {len(res.steps)}",
+    ]
 
 
-def _cmd_puiseux(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_puiseux(args, names, spec):
     frame = _initial_frame(spec, names)
     f = parse_polynomial(_one_poly(args.poly), names)
     pkg = puiseux_package(frame, spec, f=f)
-    _finish_trace(args, pkg.frame)
+    _finish_trace(args, pkg.frame, spec)
     payload = {
         "verb": "puiseux",
         "params": list(pkg.frame.names),
@@ -293,18 +237,13 @@ def _cmd_puiseux(args) -> int:
         "new_parameter": pkg.new_name,
         "steps": len(pkg.steps),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"monomial exponents = {list(pkg.exponents)} over {list(pkg.frame.names)}",
-            f"unit = {payload['unit']}",
-            f"value = {payload['value']}",
-            f"residue = {pkg.residue}",
-            f"steps = {len(pkg.steps)}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"monomial exponents = {list(pkg.exponents)} over {list(pkg.frame.names)}",
+        f"unit = {payload['unit']}",
+        f"value = {payload['value']}",
+        f"residue = {pkg.residue}",
+        f"steps = {len(pkg.steps)}",
+    ]
 
 
 def _run_saving_state(args, run):
@@ -321,11 +260,10 @@ def _run_saving_state(args, run):
     return out
 
 
-def _cmd_monomialize(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_monomialize(args, names, spec):
     f = parse_unipoly(_one_poly(args.poly), names)
     out = _run_saving_state(args, lambda: monomialize(spec, f, args.budget, names=names))
-    _finish_trace(args, out.frame)
+    _finish_trace(args, out.frame, spec)
     payload = {
         "verb": "monomialize",
         "params": list(out.frame.names),
@@ -334,26 +272,20 @@ def _cmd_monomialize(args) -> int:
         "value": format_element(out.value),
         "steps": steps_used(out.state),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"monomial exponents = {list(out.exponents)} over {list(out.frame.names)}",
-            f"unit = {payload['unit']}",
-            f"value = {payload['value']}",
-            f"steps = {payload['steps']}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"monomial exponents = {list(out.exponents)} over {list(out.frame.names)}",
+        f"unit = {payload['unit']}",
+        f"value = {payload['value']}",
+        f"steps = {payload['steps']}",
+    ]
 
 
-def _cmd_uniformize(args) -> int:
-    _group, names, spec = _load_spec(args.spec)
+def _cmd_uniformize(args, names, spec):
     polys = [parse_unipoly(p, names) for p in _many_polys(args.polys)]
     out = _run_saving_state(
         args, lambda: embedded_uniformize(spec, polys, args.budget, names=names)
     )
-    _finish_trace(args, out.frame)
+    _finish_trace(args, out.frame, spec)
     payload = {
         "verb": "uniformize",
         "params": list(out.frame.names),
@@ -370,8 +302,7 @@ def _cmd_uniformize(args) -> int:
     lines = [f"order = {list(out.order)} over {list(out.frame.names)}"]
     for i, entry in enumerate(payload["entries"]):
         lines.append(f"f{i + 1}: exponents = {entry['exponents']} value = {entry['value']}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- selftest ---------------------------------------------------------------------
@@ -487,8 +418,7 @@ def _random_unipoly(rng) -> UniPoly:
             return p
 
 
-def _cmd_selftest(args) -> int:
-    _require_not_dot(args)
+def _cmd_selftest(args, _names, _spec):
     failures = 0
     results = []
     for name, fn in _selftest_cases(args.seed):
@@ -500,104 +430,93 @@ def _cmd_selftest(args) -> int:
             print(f"FAIL {name}: {exc}", file=sys.stderr)
         else:
             results.append({"case": name, "ok": True})
-            if args.format != "json":
-                print(f"PASS {name}")
-    if args.format == "json":
-        print(json.dumps({"verb": "selftest", "results": results}, sort_keys=True))
+    payload = {"verb": "selftest", "results": results}
+    lines = [f"PASS {r['case']}" for r in results if r["ok"]]
     if failures:
-        print(f"{failures} selftest case(s) failed", file=sys.stderr)
-        return 3
-    return 0
+        return payload, lines, f"{failures} selftest case(s) failed"
+    return payload, lines
 
 
 # -- entry point --------------------------------------------------------------------
 
+# every option a verb can take, with its argparse settings
+_OPTIONS = {
+    "--spec": {"required": True, "help": "problem JSON (group/vars/val)"},
+    "--format": {"choices": ["json", "text", "dot"], "default": "text"},
+    "--trace": {"help": "write the JSONL blow-up trace here"},
+    "--budget": {"type": int, "default": DEFAULT_BUDGET},
+    "--state": {"help": "write the resumable state JSON here"},
+    "--poly": {"required": True},
+    "--key": {"required": True},
+    "--check": {"help": "candidate successor to verify instead"},
+    "--alpha": {"required": True, "help": "comma-separated exponents"},
+    "--gamma": {"required": True, "help": "comma-separated exponents"},
+    "--gens": {"required": True, "help": "semicolon-separated exponent lists"},
+    "--polys": {"required": True, "help": "semicolon-separated, or a file"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+}
+_QUERY = ("--spec", "--format")
+_TRACED = (*_QUERY, "--trace")  # only verbs with --trace offer --format dot
+_RESUMABLE = (*_TRACED, "--budget", "--state")
 
-def _build_parser() -> argparse.ArgumentParser:
+# verb: (help, handler, its options in help order)
+_VERBS = {
+    "eval": ("value of a polynomial", _cmd_eval, (*_QUERY, "--poly")),
+    "epsilon": ("the epsilon invariant", _cmd_epsilon, (*_QUERY, "--poly")),
+    "truncate": ("truncated value along a key", _cmd_truncate, (*_QUERY, "--key", "--poly")),
+    "successor": ("build or check an immediate successor", _cmd_successor, (*_QUERY, "--key", "--check")),
+    "divide": ("make one monomial divide another", _cmd_divide, (*_TRACED, "--alpha", "--gamma")),
+    "principalize": ("principalize a monomial ideal", _cmd_principalize, (*_TRACED, "--gens")),
+    "puiseux": ("Puiseux package of a decorated binomial", _cmd_puiseux, (*_TRACED, "--poly")),
+    "monomialize": ("certified monomial times unit form", _cmd_monomialize, (*_RESUMABLE, "--poly")),
+    "uniformize": ("shared-frame monomialization of a list", _cmd_uniformize, (*_RESUMABLE, "--polys")),
+    "selftest": ("run the golden example suite", _cmd_selftest, ("--format", "--seed")),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for every verb in _VERBS, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="valmono",
         description="Exact valuation invariants and effective monomialization.",
         epilog="Set VALMONO_PI_DIGITS to deepen the default pi precision.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, trace=False, budget=False, state=False):
-        p.add_argument("--spec", required=True, help="problem JSON (group/vars/val)")
-        p.add_argument("--format", choices=["json", "text", "dot"], default="text")
-        if trace:
-            p.add_argument("--trace", help="write the JSONL blow-up trace here")
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        if state:
-            p.add_argument("--state", help="write the resumable state JSON here")
-
-    p = sub.add_parser("eval", help="value of a polynomial")
-    common(p)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("epsilon", help="the epsilon invariant")
-    common(p)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_epsilon)
-
-    p = sub.add_parser("truncate", help="truncated value along a key")
-    common(p)
-    p.add_argument("--key", required=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_truncate)
-
-    p = sub.add_parser("successor", help="build or check an immediate successor")
-    common(p)
-    p.add_argument("--key", required=True)
-    p.add_argument("--check", help="candidate successor to verify instead")
-    p.set_defaults(fn=_cmd_successor)
-
-    p = sub.add_parser("divide", help="make one monomial divide another")
-    common(p, trace=True)
-    p.add_argument("--alpha", required=True, help="comma-separated exponents")
-    p.add_argument("--gamma", required=True, help="comma-separated exponents")
-    p.set_defaults(fn=_cmd_divide)
-
-    p = sub.add_parser("principalize", help="principalize a monomial ideal")
-    common(p, trace=True)
-    p.add_argument("--gens", required=True, help="semicolon-separated exponent lists")
-    p.set_defaults(fn=_cmd_principalize)
-
-    p = sub.add_parser("puiseux", help="Puiseux package of a decorated binomial")
-    common(p, trace=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_puiseux)
-
-    p = sub.add_parser("monomialize", help="certified monomial times unit form")
-    common(p, trace=True, budget=True, state=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_monomialize)
-
-    p = sub.add_parser("uniformize", help="shared-frame monomialization of a list")
-    common(p, trace=True, budget=True, state=True)
-    p.add_argument("--polys", required=True, help="semicolon-separated, or a file")
-    p.set_defaults(fn=_cmd_uniformize)
-
-    p = sub.add_parser("selftest", help="run the golden example suite")
-    p.add_argument("--format", choices=["json", "text", "dot"], default="text")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for verb, (help_text, _handler, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    _help, handler, options = _VERBS[args.verb]
     try:
-        return args.fn(args)
+        if args.format == "dot" and "--trace" not in options:
+            raise ParseError("dot output is only available for trace-producing verbs")
+        names = spec = None
+        if "--spec" in options:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                _group, names, spec = load_problem(json.load(fh))
+        payload, lines, *failure = handler(args, names, spec)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        elif args.format == "text":
+            for line in lines:
+                print(line)
+        # with --format dot the trace graph was already printed
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValmonoError as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 3
+    if failure:
+        print(*failure, file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

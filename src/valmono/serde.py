@@ -238,10 +238,12 @@ def format_unipoly(p: UniPoly, names, var: str) -> str:
 # -- value groups and specs ------------------------------------------------------
 
 
-def _field(obj, key):
-    """A required field of a problem's JSON object."""
+def _field(obj, key, kind=None):
+    """A required field of a problem's JSON object, of JSON type ``kind`` when given."""
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}")
+    if kind is not None and not isinstance(obj[key], kind):
+        raise ParseError(f"field {key!r} must be a JSON {'object' if kind is dict else 'list'}")
     return obj[key]
 
 
@@ -257,7 +259,7 @@ def _finite_element(group: ValueGroup, text, rank=None):
 
 def group_from_json(obj) -> ValueGroup:
     gens = []
-    for entry in _field(obj, "generators"):
+    for entry in _field(obj, "generators", list):
         if entry == "1":
             gens.append(unit_generator())
         elif entry == "pi":
@@ -271,7 +273,10 @@ def group_from_json(obj) -> ValueGroup:
             gens.append(IndependentGenerator(name, rational=rational))
         else:
             raise ParseError(f"unsupported generator {entry!r}")
-    return ValueGroup(gens)
+    try:
+        return ValueGroup(gens)
+    except ValueError as exc:  # no generators, or one named twice
+        raise ParseError(str(exc)) from None
 
 
 def group_to_json(group: ValueGroup) -> dict:
@@ -289,9 +294,8 @@ def group_to_json(group: ValueGroup) -> dict:
     return {"generators": out}
 
 
-def _monic_key(obj, names) -> UniPoly:
-    """The key of a composite or augmented spec; it must be monic of positive degree."""
-    text = str(_field(obj, "key"))
+def parse_key(text: str, names) -> UniPoly:
+    """A key polynomial; it must be monic of positive degree in the last variable."""
     key = parse_unipoly(text, names)
     if key.degree < 1 or not key.is_monic():
         raise ParseError(f"key {text!r} must be monic of positive degree in {names[-1]!r}")
@@ -301,7 +305,7 @@ def _monic_key(obj, names) -> UniPoly:
 def spec_from_json(group: ValueGroup, names, obj):
     kind = _field(obj, "kind")
     if kind == "monomial":
-        weights_map = _field(obj, "weights")
+        weights_map = _field(obj, "weights", dict)
         missing = [n for n in names if n not in weights_map]
         if missing:
             raise ParseError(f"missing weights for {missing}")
@@ -314,10 +318,10 @@ def spec_from_json(group: ValueGroup, names, obj):
         return Monomial(group, parsed)
     if kind == "composite":
         inner = spec_from_json(group, names, _field(obj, "inner"))
-        return Composite(_monic_key(obj, names), inner)
+        return Composite(parse_key(str(_field(obj, "key")), names), inner)
     if kind == "augmented":
         base = spec_from_json(group, names, _field(obj, "base"))
-        key = _monic_key(obj, names)
+        key = parse_key(str(_field(obj, "key")), names)
         assigned = _finite_element(group, _field(obj, "value"), rank=base.rank)
         if compare(assigned, base.value(key)) <= 0:
             raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key")
@@ -352,7 +356,7 @@ def _innermost_weight_names(val_obj) -> list:
     while True:
         kind = _field(cur, "kind")
         if kind == "monomial":
-            return list(_field(cur, "weights"))
+            return list(_field(cur, "weights", dict))
         cur = _field(cur, "inner" if kind == "composite" else "base")
 
 
@@ -362,12 +366,16 @@ def load_problem(obj):
     Returns (group, names, spec). Variable order defaults to the innermost
     weight-map order; the last name is the distinguished variable.
     """
+    if not isinstance(obj, dict):
+        raise ParseError("a problem must be a JSON object")
     group = group_from_json(obj.get("group", {"generators": ["1", "pi"]}))
     val = _field(obj, "val")
-    names = list(obj.get("vars") or _innermost_weight_names(val))
+    names = obj.get("vars") or _innermost_weight_names(val)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ParseError("field 'vars' must be a JSON list of variable names")
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names")
-    return group, names, spec_from_json(group, names, val)
+    return group, list(names), spec_from_json(group, names, val)
 
 
 def problem_to_json(group: ValueGroup, names, spec) -> dict:

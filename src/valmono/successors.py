@@ -16,6 +16,7 @@ from typing import Sequence
 from .errors import (
     CertificationError,
     MaximalKey,
+    NonMonicKey,
     NonUnitFactor,
     NotInDivisibleHull,
     RankMismatch,
@@ -253,6 +254,8 @@ def next_successor(spec, q: UniPoly, lattice: Lattice):
     """
     if q.is_zero():
         raise ZeroPolynomial("successor of the zero polynomial")
+    if not q.is_monic():
+        raise NonMonicKey("a successor needs a monic key")
     v = spec.value(q)
     try:
         alpha, solution = lattice_multiplier(v, lattice)

@@ -1,14 +1,20 @@
 """CLI verbs, output formats, exit codes, trace and state files."""
 
+import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import valmono
+from valmono import cli
 from valmono.cli import main
 from valmono.orchestrator import load_state
 from valmono.trace import verify_trace_file
@@ -259,6 +265,17 @@ MALFORMED = {
         "z",
         "zero denominator in '3/0*pi'",
     ),
+    "problem-is-a-list": ([NU2], "z", "a problem must be a JSON object"),
+    "problem-is-a-string": ("NU2", "z", "a problem must be a JSON object"),
+    "vars-is-a-number": ({**NU2, "vars": 5}, "z", "field 'vars' must be a JSON list of variable names"),
+    "vars-is-a-string": ({**NU2, "vars": "xyz"}, "z", "field 'vars' must be a JSON list of variable names"),
+    "no-generator": ({**NU2, "group": {"generators": []}}, "z", "a value group needs at least one generator"),
+    "duplicate-generator": ({**NU2, "group": {"generators": ["1", "1"]}}, "z", "duplicate generator '1'"),
+    "weights-as-a-list": (
+        {**NU2, "val": {"kind": "monomial", "weights": ["1", "2*pi", "1+pi"]}},
+        "z",
+        "field 'weights' must be a JSON object",
+    ),
 }
 
 
@@ -284,6 +301,20 @@ def test_zero_denominator_exits_two(specs, capsys, argv):
     assert capsys.readouterr().err.startswith("error: zero denominator in '")
 
 
+# a --key follows the rule of a problem file's key: monic of positive degree
+NON_MONIC_KEY = {
+    "successor": ["successor", "--key", "2*z"],
+    "successor-degree-0": ["successor", "--key", "x"],
+    "truncate": ["truncate", "--key", "2*z", "--poly", "z^2 - x^2*y"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_MONIC_KEY.values(), ids=NON_MONIC_KEY)
+def test_non_monic_key_exits_two(specs, capsys, argv):
+    assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: key {argv[2]!r} must be monic of positive degree in 'z'\n"
+
+
 # exponent lists of Laurent monomials, which the divide loop does not certify
 NEGATIVE_EXPONENTS = {
     "divide": ["divide", "--alpha=2,-3,1", "--gamma=-1,2,0"],
@@ -295,6 +326,54 @@ NEGATIVE_EXPONENTS = {
 def test_negative_exponents_exit_two(specs, capsys, argv):
     assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 2
     assert "has a negative entry" in capsys.readouterr().err
+
+
+# verbs whose frames take equal-value parameter values from the valuation driver
+DRIVEN_FRAME = {
+    "divide": ["divide", "--alpha", "0,0,2", "--gamma", "2,1,0"],
+    "principalize": ["principalize", "--gens", "0,0,2;2,1,0"],
+}
+
+
+@pytest.mark.parametrize("argv", DRIVEN_FRAME.values(), ids=DRIVEN_FRAME)
+def test_frame_values_checked_against_the_spec(specs, capsys, monkeypatch, argv):
+    # a driver that doubles each shifted parameter's value builds a frame that
+    # replays cleanly but disagrees with the valuation
+    real_driver = cli.valuation_driver
+
+    def doubling_driver(spec):
+        driver = real_driver(spec)
+
+        def step(fr, q, j, h):
+            data = driver(fr, q, j, h)
+            return replace(data, beta_new=data.beta_new + data.beta_new)
+
+        return step
+
+    monkeypatch.setattr(cli, "valuation_driver", doubling_driver)
+    assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err == "not certified: equal-value parameter value differs from the valuation\n"
+
+
+def test_parser_built_once(tmp_path):
+    # count top-level parsers by their prog; a verb's subparser is "valmono <verb>"
+    code = (
+        "import argparse, contextlib, io, sys\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: progs.append(k.get('prog')) or init(self, *a, **k)\n"
+        "from valmono import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(['eval', '--spec', sys.argv[1], '--poly', 'z']) for _ in range(4)]\n"
+        "print(codes, progs.count('valmono'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(valmono.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stdout == "[2, 2, 2, 2] 1\n", proc.stderr
 
 
 def test_selftest_passes(specs, capsys):
@@ -319,3 +398,126 @@ def test_selftest_checks_under_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert "FAIL epsilon-goldens" in proc.stderr
+
+
+# -- every verb and format in one process ------------------------------------------
+
+# id, command line with {nu2}/{nu3}/{bad}/{trace}/{state} placeholders, then the exit
+# code and digests of stdout, stderr, trace bytes and state bytes (None: empty or
+# not written). The digests were recorded before the verbs shared one parser,
+# except in the four rows marked below.
+OUTPUT_TABLE = [
+    ("eval-text", "eval --spec {nu3} --poly 'z^2 - x^2*y'",
+     0, "819fe7980c086e4d", None, None, None),
+    ("eval-json", "eval --spec {nu3} --poly 'z^2 - x^2*y' --format json",
+     0, "39471aec18c230de", None, None, None),
+    ("eval-dot", "eval --spec {nu3} --poly 'z^2 - x^2*y' --format dot",
+     2, None, "2dba09d7e364c409", None, None),
+    ("epsilon-text", "epsilon --spec {nu3} --poly 'z^2 - x^2*y'",
+     0, "8dcead36d41cb65c", None, None, None),
+    ("epsilon-json", "epsilon --spec {nu3} --poly x --format json",
+     0, "64049838136ce267", None, None, None),
+    ("truncate-text", "truncate --spec {nu3} --key 'z^2 - x^2*y' --poly 'z^2 - x^2*y'",
+     0, "12c5459e5dca4880", None, None, None),
+    ("truncate-json", "truncate --spec {nu3} --key 'z^2 - x^2*y' --poly 'z^3 - x*z' --format json",
+     0, "630b9e7ee6828d9e", None, None, None),
+    ("truncate-dot", "truncate --spec {nu3} --key 'z^2 - x^2*y' --poly 'z^2 - x^2*y' --format dot",
+     2, None, "2dba09d7e364c409", None, None),
+    ("successor-text", "successor --spec {nu2} --key z",
+     0, "70c12592e8c85578", None, None, None),
+    ("successor-json", "successor --spec {nu2} --key z --format json",
+     0, "3ca2877a37677801", None, None, None),
+    ("successor-check-text", "successor --spec {nu3} --key z --check 'z^2 - x^2*y'",
+     0, "28eb78aadc1dd113", None, None, None),
+    ("successor-check-fails", "successor --spec {nu3} --key z --check 'z^3'",
+     3, "faab78f48abd06a3", "595c7b6575ac249d", None, None),
+    ("successor-check-fails-json", "successor --spec {nu3} --key z --check 'z^3' --format json",
+     3, "462eb797405cfa87", "595c7b6575ac249d", None, None),
+    ("divide-text", "divide --spec {nu3} --alpha 0,0,2 --gamma 2,1,0 --trace {trace}",
+     0, "8ca2e2aaebe7d64c", None, "38c13a3513a62b55", None),
+    ("divide-json", "divide --spec {nu3} --alpha 0,0,2 --gamma 2,1,0 --format json",
+     0, "f9a4b8d6bccff7d5", None, None, None),
+    ("divide-dot", "divide --spec {nu3} --alpha 0,0,2 --gamma 2,1,0 --format dot --trace {trace}",
+     0, "8655bf50ce015c51", None, "38c13a3513a62b55", None),
+    ("principalize-text", "principalize --spec {nu3} --gens '3,0,0;0,2,1' --trace {trace}",
+     0, "6d9821ac5dec10d9", None, "97254a5b388cb1e1", None),
+    ("principalize-json", "principalize --spec {nu3} --gens '0,0,2;2,1,0' --format json --trace {trace}",
+     0, "97fcece35cdccbce", None, "38c13a3513a62b55", None),
+    ("principalize-dot", "principalize --spec {nu3} --gens '3,0,0;0,2,1' --format dot",
+     0, "d9bb5e23ffb1c5ff", None, None, None),
+    ("puiseux-text", "puiseux --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace}",
+     0, "3e779e3662ca46e6", None, "38c13a3513a62b55", None),
+    ("puiseux-json", "puiseux --spec {nu3} --poly 'z^2 - x^2*y' --format json",
+     0, "e2fa85021e624c43", None, None, None),
+    ("puiseux-dot", "puiseux --spec {nu3} --poly 'z^2 - x^2*y' --format dot",
+     0, "8655bf50ce015c51", None, None, None),
+    ("puiseux-not-certified", "puiseux --spec {nu2} --poly 'z^2 - x^2*y' --trace {trace}",
+     3, None, "e5d324b14df09783", None, None),
+    ("monomialize-text", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace} --state {state}",
+     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "31410e3cf033acb2"),
+    ("monomialize-json", "monomialize --spec {nu3} --poly '2*z + 3*x^2*y' --format json --trace {trace} --state {state}",
+     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "10676134fa3fce7f"),
+    ("monomialize-dot", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --format dot --state {state}",
+     0, "8655bf50ce015c51", None, None, "31410e3cf033acb2"),
+    ("monomialize-budget-0", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --budget 0 --trace {trace} --state {state}",
+     3, None, "e6f86ffa89c64daa", None, "57c191005aee1448"),
+    ("uniformize-text", "uniformize --spec {nu2} --polys 'x;x+y' --trace {trace} --state {state}",
+     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "acc79c09f41c6a47"),
+    ("uniformize-json", "uniformize --spec {nu3} --polys 'x^2*y;z^2 - x^2*y' --format json --trace {trace} --state {state}",
+     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "31410e3cf033acb2"),
+    ("uniformize-dot", "uniformize --spec {nu2} --polys 'x;x+y' --format dot",
+     0, "8040302626e8cb19", None, None, None),
+    ("missing-spec", "eval --spec {nu3}.missing --poly z",
+     2, None, "e1f585812f3527c8", None, None),
+    ("parse-error", "eval --spec {nu3} --poly 'z^^2'",
+     2, None, "de7beb7a8e61e6cd", None, None),
+    # these four exited 0, 0, 3 and 3 until malformed problem files and
+    # non-monic keys became parse errors
+    ("vars-as-string", "eval --spec {bad} --poly z",
+     2, None, "6d86e2d411adc5a8", None, None),
+    ("successor-key-not-monic", "successor --spec {nu3} --key '2*z'",
+     2, None, "70177a37c2055676", None, None),
+    ("successor-key-degree-0", "successor --spec {nu3} --key x",
+     2, None, "77d8ee9739c29149", None, None),
+    ("truncate-key-not-monic", "truncate --spec {nu3} --key '2*z' --poly 'z^2 - x^2*y'",
+     2, None, "70177a37c2055676", None, None),
+    ("selftest-text", "selftest",
+     0, "90812dba8f294c3e", None, None, None),
+    ("selftest-json", "selftest --format json --seed 7",
+     0, "1dab05ba8222a8d6", None, None, None),
+    ("selftest-dot", "selftest --format dot",
+     2, None, "2dba09d7e364c409", None, None),
+    ("unknown-verb", "frobnicate --spec {nu3}",
+     2, None, "d1dfb47d6c95fadc", None, None),
+]
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16] if data else None
+
+
+def _run_output_table(tmp_path) -> list:
+    """Run every OUTPUT_TABLE row through one imported main, in table order."""
+    paths = {"nu2": tmp_path / "nu2.json", "nu3": tmp_path / "nu3.json", "bad": tmp_path / "bad.json"}
+    paths["nu2"].write_text(json.dumps(NU2))
+    paths["nu3"].write_text(json.dumps(NU3))
+    paths["bad"].write_text(json.dumps({**NU3, "vars": "xyz"}))
+    results = []
+    for k, (row_id, command, *_expected) in enumerate(OUTPUT_TABLE):
+        files = {"trace": tmp_path / f"{k}.jsonl", "state": tmp_path / f"{k}.state.json"}
+        argv = [a.format(**paths, **files) for a in shlex.split(command)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+        texts = [s.getvalue().replace(str(tmp_path), "<tmp>").encode() for s in (out, err)]
+        stored = [f.read_bytes() if f.exists() else None for f in files.values()]
+        results.append((row_id, rc, *(_digest(b) for b in texts + stored)))
+    return results
+
+
+def test_cli_output_table(tmp_path):
+    expected = [(row_id, *digests) for row_id, _command, *digests in OUTPUT_TABLE]
+    assert _run_output_table(tmp_path) == expected

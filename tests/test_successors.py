@@ -5,6 +5,7 @@ import pytest
 
 from valmono.errors import (
     MaximalKey,
+    NonMonicKey,
     NonUnitFactor,
     NotInDivisibleHull,
     ResidueUndefined,
@@ -147,6 +148,12 @@ def test_next_successor_maximal():
     lat = Lattice.from_variables(["x"], [el((1,))])
     with pytest.raises(MaximalKey):
         next_successor(spec, UniPoly.x(1), lat)
+
+
+def test_next_successor_needs_a_monic_key():
+    # 2*z has a value and a lattice multiplier, but 4*z^2 - x^2*y is no successor
+    with pytest.raises(NonMonicKey):
+        next_successor(NU2, X * 2, VARS_XY)
 
 
 def test_next_successor_key_factor():
