@@ -442,7 +442,7 @@ def _cmd_selftest(args, _names, _spec):
 # every option a verb can take, with its argparse settings
 _OPTIONS = {
     "--spec": {"required": True, "help": "problem JSON (group/vars/val)"},
-    "--format": {"choices": ["json", "text", "dot"], "default": "text"},
+    "--format": {"choices": ["json", "text"], "default": "text"},
     "--trace": {"help": "write the JSONL blow-up trace here"},
     "--budget": {"type": int, "default": DEFAULT_BUDGET},
     "--state": {"help": "write the resumable state JSON here"},
@@ -456,7 +456,7 @@ _OPTIONS = {
     "--seed": {"type": int, "default": DEFAULT_SEED},
 }
 _QUERY = ("--spec", "--format")
-_TRACED = (*_QUERY, "--trace")  # only verbs with --trace offer --format dot
+_TRACED = (*_QUERY, "--trace")
 _RESUMABLE = (*_TRACED, "--budget", "--state")
 
 # verb: (help, handler, its options in help order)
@@ -486,7 +486,10 @@ def _parser() -> argparse.ArgumentParser:
     for verb, (help_text, _handler, options) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         for flag in options:
-            p.add_argument(flag, **_OPTIONS[flag])
+            settings = _OPTIONS[flag]
+            if flag == "--format" and "--trace" in options:  # only a trace has a dot graph
+                settings = {**settings, "choices": [*settings["choices"], "dot"]}
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -494,8 +497,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _help, handler, options = _VERBS[args.verb]
     try:
-        if args.format == "dot" and "--trace" not in options:
-            raise ParseError("dot output is only available for trace-producing verbs")
         names = spec = None
         if "--spec" in options:
             with open(args.spec, "r", encoding="utf-8") as fh:

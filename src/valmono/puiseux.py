@@ -6,11 +6,15 @@ until the element factors as monomial times certified unit. All steps but the
 last are combinatorial; the last one creates the new dependent parameter,
 whose shifted quotient carries the residue of the binomial relation.
 
-Residues are exact rationals. Candidates are generated from the relation
-(powers of the initial ratio) or from coefficient comparisons, and every
-candidate is certified by an exact value computation before use; inputs whose
-residue would need a proper field extension are rejected with
-``ResidueFieldExtension`` or ``TranscendentalResidue``.
+Residues are exact rationals, and they come only from coefficient
+comparisons: a candidate is the ratio of a coefficient shared by numerator
+and denominator at some level of the tower, and it is accepted only when an
+exact value computation certifies v(h - c) > 0. Every equal-value step,
+the package's terminal one included, takes its residue this way through
+``valuation_driver``. When no rational residue exists the step raises
+``TranscendentalResidue``; the package raises its parent
+``ResidueFieldExtension`` instead when the quotient is a rational power of
+the binomial relation, whose residue would then need a root.
 """
 
 from __future__ import annotations
@@ -55,63 +59,8 @@ from .exact_algebra import (
     to_multipoly,
     to_unipoly,
 )
-from .ordered_value import compare, is_sentinel
+from .ordered_value import PLUS_INFINITY, compare, is_sentinel
 from .successors import check_limit_successor
-
-
-# -- exact rational powers ---------------------------------------------------
-
-
-def _integer_root(n: int, k: int):
-    """Exact k-th root of n >= 0, or None."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1) or k == 1:
-        return n
-    r = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r**k == n else None
-
-
-def _rational_power(base: Fraction, t: Fraction):
-    """base**t when the result is rational, else None."""
-    base = Fraction(base)
-    if base == 0:
-        return Fraction(0) if t > 0 else None
-    p, q = t.numerator, t.denominator
-    if p < 0:
-        base = 1 / base
-        p = -p
-    if q == 1:
-        return base**p
-    if base < 0 and q % 2 == 0:
-        return None
-    ra = _integer_root(abs(base.numerator), q)
-    rb = _integer_root(base.denominator, q)
-    if ra is None or rb is None:
-        return None
-    root = Fraction(-ra if base < 0 else ra, rb)
-    return root**p
-
-
-def _parallel_ratio(m, rel):
-    """Fraction t with m == t*rel componentwise, else None."""
-    t = None
-    for a, b in zip(m, rel):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        s = Fraction(a, b)
-        if t is None:
-            t = s
-        elif s != t:
-            return None
-    return t if t is not None else Fraction(0)
 
 
 # -- residues of value-zero elements -----------------------------------------
@@ -147,41 +96,44 @@ def _residue_candidates(spec, A, B) -> set:
     return out
 
 
-def residue_of_unit(spec, h) -> Fraction:
-    """Exact rational residue of a value-zero element, value-certified.
+def residue_of_unit(spec, h) -> tuple:
+    """Exact rational residue c of a value-zero element, with v(h - c).
 
-    The residue c satisfies value(h - c) > 0; candidates come from shared
-    monomials of numerator and denominator at every key-expansion level.
+    The residue is the unique rational with v(h - c) > 0; candidates come
+    from shared monomials of numerator and denominator at every
+    key-expansion level. The value returned with it is the one that
+    certified it, plus infinity when h is the constant c.
     """
     if isinstance(h, MultiPoly):
         h = RationalFunction(h)
-    zero = spec.value(1)
-    v = spec.value(h)
-    if is_sentinel(v) or compare(v, zero) != 0:
-        raise NonUnitFactor("residue of an element with nonzero value")
     # a folded Laurent numerator hides the shared supports; unfold it
     num, den = h.laurent_free()
-    vden = spec.value(RationalFunction(den))
-    for c in sorted(set(_residue_candidates(spec, num, den))):
+    vden = spec.value(den)
+    if compare(spec.value(num), vden) != 0:
+        raise NonUnitFactor("residue of an element with nonzero value")
+    for c in sorted(_residue_candidates(spec, num, den)):
         if c == 0:
             continue
         shifted = num - den * c
         if shifted.is_zero():
-            return c
-        if compare(spec.value(RationalFunction(shifted)), vden) > 0:
-            return c
+            return c, PLUS_INFINITY
+        v = spec.value(shifted) - vden
+        if v.is_positive():
+            return c, v
     raise TranscendentalResidue("no rational residue matches the element")
 
 
-def valuation_driver(spec):
-    """Equal-value step data taken straight from the valuation's residues."""
+def valuation_driver(spec, new_name=None):
+    """Equal-value step data taken straight from the valuation's residues.
+
+    A new parameter is called ``new_name`` while no parameter has that name.
+    """
 
     def driver(fr, q, j, h):
-        c = residue_of_unit(spec, h)
-        v = spec.value(h - c)
-        if is_sentinel(v) or not v.is_positive():
+        c, v = residue_of_unit(spec, h)
+        if is_sentinel(v):
             raise CertificationError("shifted quotient value is not positive")
-        return CStepData(Fraction(c), v, None)
+        return CStepData(c, v, new_name if new_name not in fr.names else None)
 
     return driver
 
@@ -197,15 +149,13 @@ class PuiseuxProblem:
     shift: tuple  # common exponent part of the two terms
     delta: tuple  # reduced exponents, distinguished side
     gamma: tuple  # reduced exponents, other side
-    rho: Fraction  # effective initial ratio: residue of w^(delta-gamma)
     rel0: tuple  # delta - gamma in original coordinates
     element: RationalFunction  # the exact element over frame parameters
     term_value: object
     target_value: object
-    new_name: str | None = None
 
 
-def make_problem(frame: Frame, spec, f=None, parts=None, position=None, new_name=None) -> PuiseuxProblem:
+def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> PuiseuxProblem:
     """Validate and orient a decorated binomial over the frame.
 
     Exactly one of ``f`` (a plain two-term polynomial) or ``parts``
@@ -272,9 +222,6 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None, new_name
     if compare(target, v1) <= 0:
         raise CertificationError("the binomial carries no cancellation under the valuation")
 
-    r1 = residue_of_unit(spec, frame.pullback_of(u1)) if u1 is not None else Fraction(1)
-    r2 = residue_of_unit(spec, frame.pullback_of(u2)) if u2 is not None else Fraction(1)
-    rho = -(c2 * r2) / (c1 * r1)
     rel = ev_sub(d1, d2)
     n = len(frame.original_names)
     rel0 = tuple(sum(rel[i] * frame.matrix_inv[i][k] for i in range(m)) for k in range(n))
@@ -285,59 +232,51 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None, new_name
         shift,
         d1,
         d2,
-        rho,
         rel0,
         element,
         v1,
         target,
-        new_name,
     )
 
 
-def _package_driver(problem: PuiseuxProblem):
-    """Residue data for the terminal equal-value step of a package.
-
-    The quotient's pullback exponent must be a rational multiple t of the
-    binomial relation; the residue is then rho**t, certified by an exact
-    value comparison before it is accepted.
-    """
-    spec = problem.spec
-
-    def driver(fr: Frame, q: int, j: int, h: RationalFunction):
-        m = ev_sub(fr.matrix_inv[q], fr.matrix_inv[j])
-        t = _parallel_ratio(m, problem.rel0)
-        root_missing = False
-        cands = []
-        if t is not None:
-            c = _rational_power(problem.rho, t)
-            if c is None:
-                root_missing = True
-            elif c != 0:
-                cands.append(c)
-        for c in sorted(_residue_candidates(spec, h.num, h.den)):
-            if c and c not in cands:
-                cands.append(c)
-        for c in cands:
-            diff = h - c
-            if diff.is_zero():
-                continue
-            v = spec.value(diff)
-            if not is_sentinel(v) and v.is_positive():
-                name = None
-                if problem.new_name and problem.new_name not in fr.names:
-                    name = problem.new_name
-                return CStepData(Fraction(c), v, name)
+def _parallel_ratio(m, rel):
+    """Fraction t with m == t*rel componentwise, else None."""
+    t = None
+    for a, b in zip(m, rel):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        s = Fraction(a, b)
         if t is None:
-            raise TranscendentalResidue(
-                "equal-value quotient lies outside the binomial relation"
-            )
-        if root_missing:
-            raise ResidueFieldExtension(
-                f"the residue needs an exact rational power {problem.rho}**{t}"
-            )
-        raise CertificationError("no candidate residue certifies at the equal-value step")
+            t = s
+        elif s != t:
+            return None
+    return t if t is not None else Fraction(0)
 
-    return driver
+
+def _package_driver(problem: PuiseuxProblem, new_name):
+    """The valuation driver, naming the new parameter ``new_name``.
+
+    A quotient without a rational residue whose pullback exponent is a
+    rational multiple t of the binomial relation raises
+    ``ResidueFieldExtension``: its residue is a root of order t's
+    denominator.
+    """
+    driver = valuation_driver(problem.spec, new_name)
+
+    def package_driver(fr: Frame, q: int, j: int, h: RationalFunction):
+        try:
+            return driver(fr, q, j, h)
+        except TranscendentalResidue:
+            t = _parallel_ratio(ev_sub(fr.matrix_inv[q], fr.matrix_inv[j]), problem.rel0)
+            if t is None:
+                raise
+            raise ResidueFieldExtension(
+                f"the residue needs a root of order {t.denominator} of the binomial's ratio"
+            ) from None
+
+    return package_driver
 
 
 # -- the package ----------------------------------------------------------------
@@ -368,9 +307,9 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     the last creates exactly one dependent parameter whose shifted quotient
     is a value-zero unit, and the element's monomial carries its full value.
     """
-    problem = make_problem(frame, spec, f=f, parts=parts, position=position, new_name=new_name)
+    problem = make_problem(frame, spec, f=f, parts=parts, position=position)
     start = len(frame.history)
-    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem))
+    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, new_name))
     if result.divider != "equal":
         raise CertificationError("the package did not collapse the binomial")
     fr = result.frame

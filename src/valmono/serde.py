@@ -363,16 +363,19 @@ def _innermost_weight_names(val_obj) -> list:
 def load_problem(obj):
     """Full problem JSON: {"group": ..., "vars": [...], "val": {...}}.
 
-    Returns (group, names, spec). Variable order defaults to the innermost
-    weight-map order; the last name is the distinguished variable.
+    Returns (group, names, spec). Without a ``vars`` key the variable order
+    is the innermost weight-map order; the last name is the distinguished
+    variable.
     """
     if not isinstance(obj, dict):
         raise ParseError("a problem must be a JSON object")
     group = group_from_json(obj.get("group", {"generators": ["1", "pi"]}))
     val = _field(obj, "val")
-    names = obj.get("vars") or _innermost_weight_names(val)
+    names = obj["vars"] if "vars" in obj else _innermost_weight_names(val)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError("field 'vars' must be a JSON list of variable names")
+    if not names:
+        raise ParseError("field 'vars' names no variable")
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names")
     return group, list(names), spec_from_json(group, names, val)

@@ -193,8 +193,11 @@ def test_polys_from_file(specs, capsys):
 def test_parse_errors_exit_two(specs, capsys):
     assert main(["eval", "--spec", specs["nu3"], "--poly", "z^^2"]) == 2
     assert main(["eval", "--spec", str(specs["dir"] / "missing.json"), "--poly", "z"]) == 2
-    assert main(["eval", "--spec", specs["nu3"], "--poly", "z", "--format", "dot"]) == 2
-    capsys.readouterr()
+    # only trace-producing verbs offer dot: argparse rejects the choice
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--spec", specs["nu3"], "--poly", "z", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 AUG = {"kind": "augmented", "base": NU2["val"], "key": "z", "value": "5"}
@@ -269,6 +272,12 @@ MALFORMED = {
     "problem-is-a-string": ("NU2", "z", "a problem must be a JSON object"),
     "vars-is-a-number": ({**NU2, "vars": 5}, "z", "field 'vars' must be a JSON list of variable names"),
     "vars-is-a-string": ({**NU2, "vars": "xyz"}, "z", "field 'vars' must be a JSON list of variable names"),
+    # a falsy vars is malformed too: only a missing key means weight-map order
+    "vars-is-zero": ({**NU2, "vars": 0}, "z", "field 'vars' must be a JSON list of variable names"),
+    "vars-is-empty-string": ({**NU2, "vars": ""}, "z", "field 'vars' must be a JSON list of variable names"),
+    "vars-is-false": ({**NU2, "vars": False}, "z", "field 'vars' must be a JSON list of variable names"),
+    "vars-is-null": ({**NU2, "vars": None}, "z", "field 'vars' must be a JSON list of variable names"),
+    "vars-is-empty-list": ({**NU2, "vars": []}, "z", "field 'vars' names no variable"),
     "no-generator": ({**NU2, "group": {"generators": []}}, "z", "a value group needs at least one generator"),
     "duplicate-generator": ({**NU2, "group": {"generators": ["1", "1"]}}, "z", "duplicate generator '1'"),
     "weights-as-a-list": (
@@ -405,14 +414,16 @@ def test_selftest_checks_under_optimize():
 # id, command line with {nu2}/{nu3}/{bad}/{trace}/{state} placeholders, then the exit
 # code and digests of stdout, stderr, trace bytes and state bytes (None: empty or
 # not written). The digests were recorded before the verbs shared one parser,
-# except in the four rows marked below.
+# except in the rows marked below.
 OUTPUT_TABLE = [
     ("eval-text", "eval --spec {nu3} --poly 'z^2 - x^2*y'",
      0, "819fe7980c086e4d", None, None, None),
     ("eval-json", "eval --spec {nu3} --poly 'z^2 - x^2*y' --format json",
      0, "39471aec18c230de", None, None, None),
+    # the three *-dot rows of verbs without --trace end in argparse's "invalid
+    # choice" since only trace-producing verbs offer dot
     ("eval-dot", "eval --spec {nu3} --poly 'z^2 - x^2*y' --format dot",
-     2, None, "2dba09d7e364c409", None, None),
+     2, None, "cd79888e0f6fd1bd", None, None),
     ("epsilon-text", "epsilon --spec {nu3} --poly 'z^2 - x^2*y'",
      0, "8dcead36d41cb65c", None, None, None),
     ("epsilon-json", "epsilon --spec {nu3} --poly x --format json",
@@ -422,7 +433,7 @@ OUTPUT_TABLE = [
     ("truncate-json", "truncate --spec {nu3} --key 'z^2 - x^2*y' --poly 'z^3 - x*z' --format json",
      0, "630b9e7ee6828d9e", None, None, None),
     ("truncate-dot", "truncate --spec {nu3} --key 'z^2 - x^2*y' --poly 'z^2 - x^2*y' --format dot",
-     2, None, "2dba09d7e364c409", None, None),
+     2, None, "ee97153ce0ae2632", None, None),
     ("successor-text", "successor --spec {nu2} --key z",
      0, "70c12592e8c85578", None, None, None),
     ("successor-json", "successor --spec {nu2} --key z --format json",
@@ -486,7 +497,7 @@ OUTPUT_TABLE = [
     ("selftest-json", "selftest --format json --seed 7",
      0, "1dab05ba8222a8d6", None, None, None),
     ("selftest-dot", "selftest --format dot",
-     2, None, "2dba09d7e364c409", None, None),
+     2, None, "f49b1f9037be97a1", None, None),
     ("unknown-verb", "frobnicate --spec {nu3}",
      2, None, "d1dfb47d6c95fadc", None, None),
 ]

@@ -23,10 +23,8 @@ from valmono.errors import (
     TranscendentalResidue,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly
-from valmono.ordered_value import compare, standard_group
+from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
-    _integer_root,
-    _rational_power,
     make_problem,
     monomialize_limit_successor,
     prepare_successor,
@@ -66,27 +64,15 @@ def tower_frame(protected=()) -> Frame:
     return Frame.initial(["x", "y", "z"], [bx, by, bz], protected=protected)
 
 
-def test_integer_root_and_rational_power():
-    assert _integer_root(0, 3) == 0
-    assert _integer_root(27, 3) == 3
-    assert _integer_root(28, 3) is None
-    assert _integer_root(10**24, 4) == 10**6
-    assert _rational_power(Fraction(4), Fraction(1, 2)) == 2
-    assert _rational_power(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
-    assert _rational_power(Fraction(8, 27), Fraction(-1, 3)) == Fraction(3, 2)
-    assert _rational_power(Fraction(-8), Fraction(1, 3)) == -2
-    assert _rational_power(Fraction(-4), Fraction(1, 2)) is None
-    assert _rational_power(Fraction(3), Fraction(1, 2)) is None
-    assert _rational_power(Fraction(5), Fraction(0)) == 1
-
-
 def test_residue_of_unit_through_the_tower():
     # z^2/(x^2 y) has value zero; the key relation pins its residue to 1
     h = RationalFunction(MultiPoly(3, {(0, 0, 2): 1}), MultiPoly(3, {(2, 1, 0): 1}))
-    assert residue_of_unit(NU3, h) == 1
-    assert residue_of_unit(NU3, 3 * h) == 3
     one_plus = RationalFunction(MultiPoly(3, {(0, 0, 0): 2, (1, 0, 0): 5}))
-    assert residue_of_unit(NU3, one_plus) == 2
+    # the value returned with the residue is v(h - c), the one that certified it
+    for unit, c, v in [(h, 1, el((1,), (-2, -2))), (3 * h, 3, el((1,), (-2, -2))), (one_plus, 2, el((0,), (1,)))]:
+        assert residue_of_unit(NU3, unit) == (c, v)
+        assert NU3.value(unit - c) == v
+    assert residue_of_unit(NU3, RationalFunction(MultiPoly(3, {(0, 0, 0): 5}))) == (5, PLUS_INFINITY)
     with pytest.raises(NonUnitFactor):
         residue_of_unit(NU3, RationalFunction(MultiPoly(3, {(1, 0, 0): 1})))
     # under the bare monomial valuation the quotient is transcendental
@@ -118,7 +104,6 @@ def test_make_problem_golden_fields():
     assert prob.delta == (0, 0, 2)
     assert prob.gamma == (2, 1, 0)
     assert prob.shift == (0, 0, 0)
-    assert prob.rho == 1
     assert prob.rel0 == (-2, -1, 2)
     assert prob.term_value == el((0,), (2, 2))
     assert prob.target_value == el((1,), (0,))
@@ -270,8 +255,52 @@ def test_residue_field_extension_rejected():
         ],
     )
     f = MultiPoly(2, {(0, 2): 1, (2, 0): -3})
-    with pytest.raises(ResidueFieldExtension):
+    with pytest.raises(ResidueFieldExtension, match="a root of order 2") as exc:
         puiseux_package(fr, spec, f=f)
+    assert type(exc.value) is ResidueFieldExtension
+
+
+def _key_frame(spec):
+    x = UniPoly.constant(1, RationalFunction(MultiPoly.variable(1, 0)))
+    return Frame.initial(["x", "u"], [spec.value(x), spec.value(UniPoly.x(1))])
+
+
+def _key_specs(key, weights, assigned):
+    base = Monomial(G, [el((w,)) for w in weights])
+    return {"composite": Composite(key, base), "augmented": Augmented(base, key, el((assigned,)))}
+
+
+def _binomial_key(c, a, b):
+    # u^a - c x^b as a key over x and as a package input over (x, u)
+    key = UniPoly.x(1) ** a - UniPoly.constant(1, c * MultiPoly.variable(1, 0) ** b)
+    return key, MultiPoly(2, {(0, a): 1, (b, 0): -c})
+
+
+@pytest.mark.parametrize("kind", ["composite", "augmented"])
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-5), Fraction(7, 3)], ids=str)
+def test_package_residue_is_the_key_coefficient(kind, c):
+    # u^2 - c x^3 at weights x:2, u:3: the terminal quotient u^2/x^3 has residue c
+    key, f = _binomial_key(c, 2, 3)
+    spec = _key_specs(key, (2, 3), 7)[kind]
+    pkg = puiseux_package(_key_frame(spec), spec, f=f)
+    assert pkg.residue == c
+    assert pkg.exponents == (6, 1)
+    assert len(pkg.steps) == 3
+    report = replay_trace(trace_records(pkg.frame))
+    assert report["ok"] and report["steps"] == 3
+
+
+@pytest.mark.parametrize("kind", ["composite", "augmented"])
+@pytest.mark.parametrize("c", [Fraction(-3), Fraction(-4), Fraction(-8), Fraction(4)], ids=str)
+def test_package_without_a_rational_root_is_a_field_extension(kind, c):
+    # u^2 - c x^2 at weights 1, 1: the residue of u/x would be a square root
+    # of c, not rational for -3, -4 and -8; for 4 the reducible key's
+    # valuation gives u/x no rational residue either
+    key, f = _binomial_key(c, 2, 2)
+    spec = _key_specs(key, (1, 1), 3)[kind]
+    with pytest.raises(ResidueFieldExtension, match="a root of order 2") as exc:
+        puiseux_package(_key_frame(spec), spec, f=f)
+    assert type(exc.value) is ResidueFieldExtension
 
 
 def test_transcendental_quotient_rejected():

@@ -1,7 +1,8 @@
 """Source guards: every certification check in the package survives ``python -O``,
-only ``ordered_value`` builds a scalar that skips canonicalisation, and no module
+only ``ordered_value`` builds a scalar that skips canonicalisation, no module
 writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
-one polynomial 1 per width)."""
+one polynomial 1 per width), and equal-value residue data has one source besides
+recorded traces: the valuation driver."""
 
 import ast
 from fractions import Fraction
@@ -129,6 +130,43 @@ def test_the_terms_guard_sees_each_form(tmp_path):
         "sample.py:11: AugAssign",
         "sample.py:12: AnnAssign",
     ]
+
+
+def _c_step_builders(path: Path) -> list:
+    """``module.function`` for every ``CStepData(...)`` call in one source file,
+    named by the top-level definition that holds it."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if callee == "CStepData":
+                    found.append(f"{path.stem}.{owner}")
+    return found
+
+
+def test_only_the_valuation_driver_builds_residue_data():
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = sorted(hit for path in sources for hit in _c_step_builders(path))
+    assert found == ["puiseux.valuation_driver", "trace._recorded_c_data"], (
+        "take equal-value residues from puiseux.valuation_driver: " + ", ".join(found)
+    )
+
+
+def test_the_residue_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "X = CStepData(1, 2)\n"
+        "def f(c, v):\n"
+        "    def g(fr):\n"
+        "        return CStepData(c, v)\n"
+        "    return g\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return blowup_engine.CStepData(1, 2)\n"
+    )
+    assert _c_step_builders(sample) == ["sample.<module>", "sample.f", "sample.K"]
 
 
 def test_the_shared_one_survives_the_readme_problem():
