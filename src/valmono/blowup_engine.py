@@ -50,6 +50,7 @@ from .exact_algebra import (
     ev_min,
     ev_sub,
     ev_unit,
+    normal_rational,
 )
 from .ordered_value import GroupElement, compare
 from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials, monomial_value
@@ -75,7 +76,7 @@ class TraceStep:
     B: tuple
     C: tuple
     monomial: bool
-    residues: tuple  # (position, Fraction) pairs for C members
+    residues: tuple  # (position, residue in rational normal form) pairs for C members
     names_after: tuple
     beta_after: tuple
     units: tuple  # (position, old_q/old_j over the originals) pairs for C members
@@ -229,7 +230,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         B=tuple(B),
         C=tuple(C),
         monomial=not C,
-        residues=tuple((q, c_data[q].residue) for q in C),
+        residues=tuple((q, normal_rational(c_data[q].residue)) for q in C),
         names_after=tuple(names),
         beta_after=tuple(betas),
         units=tuple((q, units[q]) for q in C),

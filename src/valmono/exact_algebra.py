@@ -12,6 +12,13 @@ Three layers, all over exact rationals:
   ``RationalFunction`` coefficients; carries Euclidean division, divided
   derivatives and expansion along a monic key.
 
+Every stored rational has one normal form, set by ``normal_rational``: an
+``int`` when the value is an integer, otherwise a ``Fraction`` with
+denominator > 1.  Most coefficients are integers, and ``int`` arithmetic is
+far cheaper than ``Fraction``'s.  ``int / int`` is a float, so a quotient of
+coefficients is always written ``Fraction(a, b)``.  Anything that is not an
+``int`` or a ``Fraction`` (a float, a string, a ``bool``) raises ``TypeError``.
+
 Polynomials are immutable values: no code writes into a ``terms`` map after
 ``MultiPoly.__init__`` has built it, and results share coefficients and whole
 polynomials with their operands.  Sharing the 1 relies on this.
@@ -74,11 +81,27 @@ def _grlex_key(e: ExponentVector):
     return (sum(e), e)
 
 
+# -- rational normal form ----------------------------------------------------
+
+def normal_rational(c):
+    """``c`` in normal form: an int when integral, else a Fraction with denominator > 1.
+
+    Only ``int`` and ``Fraction`` are exact rationals here; a ``bool`` is
+    rejected like a float or a string, so a truth value never turns into 0 or 1.
+    """
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be an int or a Fraction, not {t.__name__}: {c!r}")
+
+
 _ONES: dict = {}  # width -> the shared polynomial 1, built on first use
 
 
 class MultiPoly:
-    """Laurent polynomial: finite map exponent tuple -> nonzero Fraction."""
+    """Laurent polynomial: finite map exponent tuple -> nonzero rational in normal form."""
 
     __slots__ = ("width", "terms")
 
@@ -86,8 +109,8 @@ class MultiPoly:
         self.width = width
         clean = {}
         for e, c in terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            if type(c) is not int:
+                c = normal_rational(c)
             if c:
                 if len(e) != width:
                     raise ValueError(f"exponent arity {len(e)} != width {width}")
@@ -109,7 +132,7 @@ class MultiPoly:
         """The shared 1 of this width."""
         one = _ONES.get(width)
         if one is None:
-            one = _ONES[width] = MultiPoly(width, {ev_zero(width): Fraction(1)})
+            one = _ONES[width] = MultiPoly(width, {ev_zero(width): 1})
         return one
 
     @classmethod
@@ -128,8 +151,8 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return not self.terms or self.terms.keys() == {ev_zero(self.width)}
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(ev_zero(self.width), Fraction(0))
+    def constant_value(self):
+        return self.terms.get(ev_zero(self.width), 0)
 
     def is_one(self) -> bool:
         if self is _ONES.get(self.width):
@@ -192,6 +215,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = normal_rational(other)
             return MultiPoly(self.width, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -269,8 +293,10 @@ class RationalFunction:
             den = one
         elif den.is_single_term():
             e, c = den.single_term()
-            if c != 1 or any(e):
-                num = num.shift(ev_scale(e, -1)) * (1 / c)
+            if any(e):
+                num = num.shift(ev_scale(e, -1))
+            if c != 1:
+                num = num * Fraction(1, c)
             den = one
         else:
             lows = None
@@ -281,8 +307,9 @@ class RationalFunction:
                 den = den.shift(ev_scale(lows, -1))
             _, lc = den.leading()
             if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+                inv = Fraction(1, lc)
+                num = num * inv
+                den = den * inv
         self.num = num
         self.den = den
 
@@ -322,7 +349,7 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
         return self.num.constant_value()
@@ -528,7 +555,7 @@ def divided_derivative(p: UniPoly, b: int) -> UniPoly:
         return UniPoly.zero(p.width)
     return UniPoly(
         p.width,
-        [p.coeffs[i] * Fraction(comb(i, b)) for i in range(b, len(p.coeffs))],
+        [p.coeffs[i] * comb(i, b) for i in range(b, len(p.coeffs))],
     )
 
 
@@ -611,6 +638,5 @@ def to_multipoly(p: UniPoly) -> MultiPoly:
             raise ValueError("coefficient is not polynomial")
         scale = c.den.constant_value()
         for e, coeff in c.num.terms.items():
-            full = e + (k,)
-            terms[full] = terms.get(full, Fraction(0)) + coeff / scale
+            terms[e + (k,)] = coeff if scale == 1 else Fraction(coeff, scale)
     return MultiPoly(width, terms)

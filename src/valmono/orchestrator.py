@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly
+from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, normal_rational, to_multipoly
 from .ordered_value import compare, format_element, is_sentinel, parse_element
 from .puiseux import (
     monomialize_limit_successor,
@@ -472,7 +472,7 @@ def _cert_from(obj, group, names):
         alpha=int(obj["alpha"]),
         monomial=None if obj["monomial"] is None else parse_polynomial(obj["monomial"], names[:-1]),
         key_powers=tuple((label, int(p)) for label, p in obj["key_powers"]),
-        residue=None if obj["residue"] is None else Fraction(obj["residue"]),
+        residue=None if obj["residue"] is None else normal_rational(Fraction(obj["residue"])),
         base_value=parse_element(group, obj["base_value"]),
     )
 

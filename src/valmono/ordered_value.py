@@ -7,12 +7,16 @@ the rationals, so a nonzero combination is never zero and sign decisions by
 interval refinement always terminate.  Two sentinels extend the order:
 ``PLUS_INFINITY`` above everything and ``MINUS_INFINITY`` below everything.
 
-Canonical form: a scalar stores only its nonzero coefficients, each a
-``Fraction``, in the order its group declares the generators.  ``Scalar(...)``
-establishes it for any input.  Arithmetic whose result already has it (sums,
+Canonical form: a scalar stores only its nonzero coefficients, each in the
+rational normal form of ``exact_algebra.normal_rational`` (an ``int`` when
+integral, else a ``Fraction`` with denominator > 1), in the order its group
+declares the generators; a generator's rational value takes the same form.
+``Scalar(...)`` establishes it for any ``int`` or ``Fraction`` input and raises
+``TypeError`` for any other.  Arithmetic whose result already has it (sums,
 negations, multiples, the differences that comparisons take) builds the result
 with the private ``Scalar._canonical``, which trusts its input; no other module
-calls it.  ``Scalar.sign`` is the one place a scalar's sign is decided.
+calls it.  Sums and products still put each coefficient in normal form, since
+``1/2 + 1/2`` and ``1/2 * 2`` are integral.  ``Scalar.sign`` is the one place a scalar's sign is decided.
 
 A generator fixes its sign when it is built: a rational one from its value, an
 enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
@@ -41,6 +45,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
+from .exact_algebra import normal_rational
 
 # Refinement levels before giving up; dependent generators are user error.
 _MAX_REFINE = 64
@@ -52,12 +57,11 @@ def _arctan_inv_bounds(m: int, terms: int) -> tuple[Fraction, Fraction]:
     x = Fraction(1, m)
     x2 = x * x
     term = x
-    total = Fraction(0)
-    prev = Fraction(0)
+    total = prev = 0
     for k in range(max(2, terms)):
         prev = total
         total += term if k % 2 == 0 else -term
-        term = term * x2 * (2 * k + 1) / (2 * k + 3)
+        term = term * x2 * Fraction(2 * k + 1, 2 * k + 3)
     return (total, prev) if total < prev else (prev, total)
 
 
@@ -94,7 +98,7 @@ class IndependentGenerator:
         if (rational is None) == (enclose is None):
             raise ValueError("need exactly one of a rational value or an enclosure callback")
         self.name = name
-        self.rational = None if rational is None else Fraction(rational)
+        self.rational = None if rational is None else normal_rational(rational)
         self._enclose = enclose
         if self.rational is not None:
             self.sign = (self.rational > 0) - (self.rational < 0)
@@ -169,8 +173,8 @@ class ValueGroup:
         ``value`` lands on the generator literally named "1" when present,
         otherwise it must be zero.
         """
-        coeffs: dict[str, Fraction] = {}
-        v = Fraction(value)
+        coeffs: dict = {}
+        v = normal_rational(value)
         if v:
             if "1" not in self._by_name:
                 raise ValueError("no unit generator named '1' to hold a rational part")
@@ -178,9 +182,9 @@ class ValueGroup:
         for name, c in named.items():
             if name not in self._by_name:
                 raise ValueError(f"unknown generator {name!r}")
-            c = Fraction(c)
+            c = normal_rational(c)
             if c:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + c
+                coeffs[name] = coeffs.get(name, 0) + c
         return Scalar(self, coeffs)
 
     def zero_scalar(self) -> "Scalar":
@@ -216,9 +220,10 @@ def standard_group() -> ValueGroup:
 class Scalar:
     """A finite rational combination of the group's generators.
 
-    Canonical form drops zero coefficients and orders terms by generator
-    declaration; with independent generators, structural equality is
-    semantic equality.
+    Canonical form drops zero coefficients, keeps each coefficient in the
+    rational normal form (an int when integral, else a Fraction) and orders
+    terms by generator declaration; with independent generators, structural
+    equality is semantic equality.
     """
 
     __slots__ = ("group", "coeffs")
@@ -227,9 +232,10 @@ class Scalar:
         self.group = group
         ordered = []
         for name in group.names:
-            c = coeffs.get(name)
-            if c:
-                ordered.append((name, c if type(c) is Fraction else Fraction(c)))
+            if name in coeffs:
+                c = normal_rational(coeffs[name])
+                if c:
+                    ordered.append((name, c))
         self.coeffs = tuple(ordered)
 
     @classmethod
@@ -248,7 +254,7 @@ class Scalar:
         ``group`` does not declare; the names are looked at only when the
         canonical form dropped some, by cancellation or as foreign.
         """
-        coeffs = tuple((name, sums[name]) for name in group.names if sums.get(name))
+        coeffs = tuple((name, normal_rational(sums[name])) for name in group.names if sums.get(name))
         if len(coeffs) < len(sums) and not sums.keys() <= group._by_name.keys():
             foreign = sorted(sums.keys() - group._by_name.keys())
             raise ForeignGenerator(f"generator {foreign[0]!r} is not declared by {group!r}")
@@ -302,7 +308,7 @@ class Scalar:
         if len(irr) == 1:
             # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
             c, g = irr[0]
-            side = g._side(-exact / c)
+            side = g._side(Fraction(-exact, c))
             return side if c > 0 else -side
         for level in range(_MAX_REFINE):
             lo = hi = exact
@@ -336,12 +342,12 @@ class Scalar:
 
     def __mul__(self, k):
         if type(k) is not int:
-            k = Fraction(k)
+            k = normal_rational(k)
         if k == 1:
             return self
         if not k:
             return Scalar._canonical(self.group, ())
-        return Scalar._canonical(self.group, tuple((name, c * k) for name, c in self.coeffs))
+        return Scalar._canonical(self.group, tuple((name, normal_rational(c * k)) for name, c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -545,7 +551,12 @@ def linear_combination(ks, elements) -> GroupElement:
     Each result entry takes the group of that entry of the first element with
     a nonzero k; with every k zero the result is ``elements[0] * 0``.
     """
-    terms = [(k if type(k) is int else Fraction(k), v) for k, v in zip(ks, elements) if k]
+    terms = []
+    for k, v in zip(ks, elements):
+        if type(k) is not int:
+            k = normal_rational(k)
+        if k:
+            terms.append((k, v))
     if not terms:
         return elements[0] * 0
     lead = terms[0][1]
@@ -622,7 +633,7 @@ def parse_scalar(group: ValueGroup, text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty scalar")
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict = {}
     i = 0
     sign = 1
     if s[0] in "+-":
@@ -646,16 +657,16 @@ def parse_scalar(group: ValueGroup, text: str) -> Scalar:
         if not m:
             raise ParseError(f"bad scalar term: {term!r}")
         if m.group("gen2") is not None:
-            name, c = m.group("gen2"), Fraction(1)
+            name, c = m.group("gen2"), 1
         else:
             try:
-                c = Fraction(m.group("num"))
+                c = normal_rational(Fraction(m.group("num")))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {term!r}") from None
             name = m.group("gen1") or "1"
         if name not in group._by_name:
             raise ParseError(f"unknown generator {name!r} in {text!r}")
-        coeffs[name] = coeffs.get(name, Fraction(0)) + sgn * c
+        coeffs[name] = coeffs.get(name, 0) + sgn * c
     if "1" in coeffs and "1" not in group._by_name:
         raise ParseError(f"no unit generator to hold the rational part of {text!r}")
     return Scalar(group, coeffs)

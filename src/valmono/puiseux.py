@@ -55,6 +55,7 @@ from .exact_algebra import (
     ev_scale,
     ev_sub,
     ev_support,
+    normal_rational,
     q_expansion,
     to_multipoly,
     to_unipoly,
@@ -84,7 +85,7 @@ def _residue_candidates(spec, A, B) -> set:
     if Am is None or Bm is None:
         return out
     for e in set(Am.terms) & set(Bm.terms):
-        out.add(Am.terms[e] / Bm.terms[e])
+        out.add(Fraction(Am.terms[e], Bm.terms[e]))
     kind = getattr(spec, "kind", "")
     if kind in ("composite", "augmented") and Am.is_laurent_free() and Bm.is_laurent_free():
         inner = spec.inner if kind == "composite" else spec.base
@@ -175,7 +176,7 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> Puise
         parts = tuple((c, e, None) for e, c in sorted(f.terms.items()))
     norm = []
     for c, e, u in parts:
-        c = Fraction(c)
+        c = normal_rational(c)
         if c == 0:
             raise NonBinomialInput("term with zero coefficient")
         e = tuple(int(x) for x in e)
@@ -390,9 +391,9 @@ def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_
     key_exps = tuple(int(x) for x in key_exps)
     start = len(frame.history)
     frame, part0 = _coefficient_part(frame, spec, p0)
-    _, key_exps, key_unit = _moved_part(frame, (Fraction(1), key_exps, key_unit), start)
+    _, key_exps, key_unit = _moved_part(frame, (1, key_exps, key_unit), start)
     u1 = key_unit**alpha if key_unit is not None else None
-    parts = ((Fraction(1), ev_scale(key_exps, alpha), u1), part0)
+    parts = ((1, ev_scale(key_exps, alpha), u1), part0)
     return frame, parts, alpha
 
 
@@ -414,7 +415,7 @@ def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
     if not poly.is_laurent_free():
         raise NonPolynomialImage("coefficient image is not free of denominators")
     cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), valuation_driver(spec))
-    return cert.frame, (Fraction(1), cert.exponents, cert.unit)
+    return cert.frame, (1, cert.exponents, cert.unit)
 
 
 def _moved_part(frame: Frame, part, start: int):

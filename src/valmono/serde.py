@@ -50,7 +50,7 @@ def _tokenize(text: str) -> list:
                 raise ParseError(f"zero denominator in {m.group('frac')!r}")
             out.append(("num", Fraction(int(p), int(q))))
         elif m.lastgroup == "int":
-            out.append(("num", Fraction(m.group("int"))))
+            out.append(("num", int(m.group("int"))))
         elif m.lastgroup == "name":
             out.append(("name", m.group("name")))
         else:
@@ -129,7 +129,8 @@ class _PolyParser:
                 e, c = base.single_term()
                 if c != 1 and c != -1:
                     raise ParseError("negative exponent on a non-monic monomial")
-                return MultiPoly.monomial(self.width, tuple(x * k for x in e), c**k)
+                # c is 1 or -1, so c**k == c**-k, and a negative power of an int is a float
+                return MultiPoly.monomial(self.width, tuple(x * k for x in e), c**-k)
             return base**k
         return base
 
@@ -266,10 +267,14 @@ def group_from_json(obj) -> ValueGroup:
             gens.append(pi_generator())
         elif isinstance(entry, dict) and "rational" in entry:
             name = _field(entry, "name")
+            raw = entry["rational"]
             try:
-                rational = Fraction(entry["rational"])
+                rational = Fraction(raw)
             except (TypeError, ValueError, ZeroDivisionError):
-                raise ParseError(f"generator {name!r} has invalid rational {entry['rational']!r}") from None
+                rational = None
+            # a JSON float is inexact, and true or false is no number
+            if rational is None or type(raw) not in (int, str):
+                raise ParseError(f"generator {name!r} has invalid rational {raw!r}")
             gens.append(IndependentGenerator(name, rational=rational))
         else:
             raise ParseError(f"unsupported generator {entry!r}")

@@ -72,7 +72,7 @@ def _flatten(v: GroupElement, names) -> list:
     out = []
     for s in v.entries:
         d = dict(s.coeffs)
-        out.extend(d.get(n, Fraction(0)) for n in names)
+        out.extend(d.get(n, 0) for n in names)
     return out
 
 
@@ -130,23 +130,23 @@ def _common_denominator(rows) -> int:
 def _column_echelon_solve(cols: list, target: list):
     """Minimal h >= 1 and integer x with sum x_i cols_i = h*target.
 
-    cols and target hold Fractions; raises NotInDivisibleHull when no
+    cols and target hold rationals; raises NotInDivisibleHull when no
     multiple of the target lies in the integer span of the columns.
     """
     k = len(cols)
     den = _common_denominator(cols + [target])
     A, U, pivots = _hermite([[int(a * den) for a in col] for col in cols])
-    t = [Fraction(a * den) for a in target]
+    t = [int(a * den) for a in target]
 
     # forward substitution; rows without a pivot must have zero residual
-    w = [Fraction(0)] * k
+    w = [0] * k
     ci = 0
     for r in range(len(target)):
         resid = t[r]
         for j in range(ci):
             resid -= A[j][r] * w[j]
         if ci < len(pivots) and pivots[ci][0] == r:
-            w[ci] = resid / A[ci][r]
+            w[ci] = Fraction(resid, A[ci][r])
             ci += 1
         elif resid:
             raise NotInDivisibleHull("no multiple of the value lies in the lattice")
@@ -282,7 +282,7 @@ def next_successor(spec, q: UniPoly, lattice: Lattice):
         if alpha2 != alpha:
             raise
         f, mono, key_part = _build_witness(sub, solution2, width, q)
-    residue = Fraction(1)
+    residue = 1
     successor = q**alpha - f.scale(residue)
     cert = SuccessorCertificate(
         kind="optimal",

@@ -169,7 +169,7 @@ class Composite(_Spec):
                 v = self.inner.value(p)
                 if is_sentinel(v):
                     raise ValueError("inner value of a nonzero coefficient must be finite")
-                return GroupElement((self.group.scalar(value=Fraction(n)),) + v.entries)
+                return GroupElement((self.group.scalar(value=n),) + v.entries)
         raise CertificationError("nonzero polynomial with zero expansion")
 
 

@@ -377,7 +377,7 @@ def _round_trip_inputs(rng):
 
 
 def _terms_digest(r):
-    text = repr((sorted(r.num.terms.items()), sorted(r.den.terms.items())))
+    text = repr(tuple(sorted((e, Fraction(c)) for e, c in p.terms.items()) for p in (r.num, r.den)))
     return f"{len(r.num.terms)}/{len(r.den.terms)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 

@@ -238,6 +238,16 @@ MALFORMED = {
         "z",
         "generator 'h' has invalid rational 'abc'",
     ),
+    "generator-rational-float": (
+        {**NU2, "group": {"generators": [{"name": "h", "rational": 0.1}]}},
+        "z",
+        "generator 'h' has invalid rational 0.1",
+    ),
+    "generator-rational-bool": (
+        {**NU2, "group": {"generators": [{"name": "h", "rational": True}]}},
+        "z",
+        "generator 'h' has invalid rational True",
+    ),
     "composite-key-not-monic": (
         {**NU2, "val": {"kind": "composite", "key": "2*z^2 - x^3", "inner": NU2["val"]}},
         "z",

@@ -49,6 +49,16 @@ def random_unipoly(rng: random.Random, width: int, max_deg=4) -> UniPoly:
     )
 
 
+def _fraction_terms(p: MultiPoly) -> list:
+    """p's terms sorted, each coefficient read as a Fraction, so digests see values only."""
+    return sorted((e, Fraction(c)) for e, c in p.terms.items())
+
+
+def _is_normal(c) -> bool:
+    """The rational normal form: a nonzero int, or a Fraction with denominator > 1."""
+    return type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1
+
+
 def test_exponent_vector_helpers():
     assert ev_add((1, 2), (3, -1)) == (4, 1)
     assert ev_sub((1, 2), (3, -1)) == (-2, 3)
@@ -70,11 +80,11 @@ def test_multipoly_ring_identities():
 
 
 def test_multipoly_stores_nonzero_fractions():
-    # int and str coefficients are wrapped, zeros dropped, Fractions kept as they are
+    # zeros dropped, integral Fractions stored as ints, other Fractions kept as they are
     half = Fraction(1, 2)
-    p = MultiPoly(X2, {(1, 0): 2, (0, 1): 0, (0, 0): "3/4", (2, 2): half})
-    assert p.terms == {(1, 0): Fraction(2), (0, 0): Fraction(3, 4), (2, 2): half}
-    assert all(type(c) is Fraction for c in p.terms.values()) and p.terms[(2, 2)] is half
+    p = MultiPoly(X2, {(1, 0): 2, (0, 1): 0, (0, 0): Fraction(3, 4), (2, 2): half, (3, 0): Fraction(6, 3)})
+    assert p.terms == {(1, 0): Fraction(2), (0, 0): Fraction(3, 4), (2, 2): half, (3, 0): 2}
+    assert all(_is_normal(c) for c in p.terms.values()) and p.terms[(2, 2)] is half
     with pytest.raises(ValueError, match="exponent arity 3 != width 2"):
         MultiPoly(X2, {(1, 0, 0): 1})
 
@@ -256,7 +266,7 @@ def _kernel_inputs():
 
 
 def _kernel_digest(polys) -> str:
-    text = repr([[(sorted(c.num.terms.items()), sorted(c.den.terms.items())) for c in p.coeffs] for p in polys])
+    text = repr([[(_fraction_terms(c.num), _fraction_terms(c.den)) for c in p.coeffs] for p in polys])
     return "/".join(str(len(p.coeffs)) for p in polys) + ":" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -313,7 +323,7 @@ def test_kernel_output_table():
         assert (_kernel_digest([quot, rem]), _kernel_digest(parts)) == want, (kind, m)
         for r in [quot, rem, *parts]:
             for c in r.coeffs:
-                assert all(type(v) is Fraction for part in (c.num, c.den) for v in part.terms.values())
+                assert all(_is_normal(v) for part in (c.num, c.den) for v in part.terms.values())
 
 
 def test_euclid_div_keeps_the_degree_check(monkeypatch):
@@ -406,9 +416,9 @@ def _fraction_results(a: RationalFunction, b: RationalFunction) -> list:
 def _fraction_digest(results) -> str:
     def text(r):
         if isinstance(r, RationalFunction):
-            return (sorted(r.num.terms.items()), sorted(r.den.terms.items()))
+            return (_fraction_terms(r.num), _fraction_terms(r.den))
         if isinstance(r, MultiPoly):
-            return (r.width, sorted(r.terms.items()))
+            return (r.width, _fraction_terms(r))
         return r
 
     return hashlib.sha256(repr([text(r) for r in results]).encode()).hexdigest()[:12]
@@ -478,7 +488,7 @@ def test_fraction_output_table():
         assert _fraction_digest(results) == want, label
         for r in results:
             parts = (r.num, r.den) if isinstance(r, RationalFunction) else (r,) if isinstance(r, MultiPoly) else ()
-            assert all(type(v) is Fraction and v for part in parts for v in part.terms.values()), label
+            assert all(_is_normal(v) for part in parts for v in part.terms.values()), label
             # denominator 1 is the shared polynomial 1
             if isinstance(r, RationalFunction) and r.den.terms == {(0, 0): 1}:
                 assert r.den is MultiPoly.one(X2), label

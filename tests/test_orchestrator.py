@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from valmono.blowup_engine import Frame, _factor_as_unit, transform_exponents
+from valmono.blowup_engine import Frame, TraceStep, _factor_as_unit, principalize, transform_exponents
 from valmono.errors import (
     BudgetExceeded,
     CertificationError,
@@ -15,9 +15,10 @@ from valmono.errors import (
     ZeroPolynomial,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
-from valmono.ordered_value import compare, standard_group
+from valmono.ordered_value import GroupElement, Scalar, compare, is_sentinel, standard_group
 from valmono.orchestrator import (
     ChainLink,
+    MasterState,
     _chain_for,
     _fresh_state,
     _initial_frame,
@@ -29,8 +30,9 @@ from valmono.orchestrator import (
     state_to_json,
     steps_used,
 )
+from valmono.puiseux import valuation_driver
 from valmono.successors import SuccessorCertificate
-from valmono.trace import replay_trace, trace_records
+from valmono.trace import _frame_from_records, replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial
 
 G = standard_group()
@@ -365,3 +367,66 @@ def test_certificate_rejects_a_frame_value_off_the_spec(spec, f, names, tamper):
     assert _factor_as_unit(_frame_with(out.frame), spec, T, out.value)[0] == out.exponents
     with pytest.raises(CertificationError, match="parameter value differs from the valuation"):
         _factor_as_unit(tamper(out.frame), spec, T, out.value)
+
+
+def _stored_rationals(obj):
+    """Every rational ``obj`` stores: polynomial terms, scalar coefficients,
+    generator values, step residues and successor residues."""
+    if obj is None or is_sentinel(obj):
+        return
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _stored_rationals(item)
+    elif isinstance(obj, MultiPoly):
+        yield from obj.terms.values()
+    elif isinstance(obj, RationalFunction):
+        yield from _stored_rationals((obj.num, obj.den))
+    elif isinstance(obj, UniPoly):
+        yield from _stored_rationals(obj.coeffs)
+    elif isinstance(obj, Scalar):
+        yield from (c for _, c in obj.coeffs)
+        yield from (r for r in obj.group._rational.values() if r is not None)
+    elif isinstance(obj, GroupElement):
+        yield from _stored_rationals(obj.entries)
+    elif isinstance(obj, Frame):
+        yield from _stored_rationals((obj.init_betas, obj.betas, obj.history))
+    elif isinstance(obj, TraceStep):
+        yield from (r for _, r in obj.residues)
+        yield from _stored_rationals(obj.beta_after)
+        yield from _stored_rationals([u for _, u in obj.units])
+    elif isinstance(obj, MasterState):
+        yield from _stored_rationals((obj.frame, obj.chain, obj.keys_pending, obj.key_image))
+    elif isinstance(obj, ChainLink):
+        yield from _stored_rationals((obj.key, obj.certificate))
+    elif isinstance(obj, SuccessorCertificate):
+        yield from _stored_rationals((obj.monomial, obj.base_value))
+        if obj.residue is not None:
+            yield obj.residue
+    else:
+        raise TypeError(f"no walk for {type(obj).__name__}")
+
+
+def test_every_stored_coefficient_is_in_normal_form():
+    # an int when integral, else a Fraction with denominator > 1: in frame
+    # values, trace residues, units, certificate units and resumable state
+    readme = monomialize(NU3, Q, 10_000, names=NAMES)
+    x2y = UniPoly.constant(2, RationalFunction(x2**2 * y2))
+    uniform = embedded_uniformize(NU3, [x2y, Q], 10_000, names=NAMES)
+    tower = monomialize(S3, K3 * K3 + UniPoly.constant(1, XZ**13), 10_000, names=["x", "z"])
+    ideal = principalize(_initial_frame(NU3, NAMES), [(3, 0, 0), (0, 2, 1)], valuation_driver(NU3))
+    stores = [
+        readme.state, readme.unit, readme.value,
+        uniform.state, [(unit, value) for _, unit, value in uniform.entries],
+        tower.state, tower.unit, tower.value,
+        ideal.frame,
+    ]
+    # the same frames read back from their traces, and the states from their files
+    for frame in (readme.frame, uniform.frame, tower.frame, ideal.frame):
+        stores.append(_frame_from_records(frame.betas[0].group, trace_records(frame)))
+    for state in (readme.state, uniform.state, tower.state):
+        stores.append(state_from_json(json.loads(json.dumps(state_to_json(state)))))
+    found = list(_stored_rationals(stores))
+    assert any(type(c) is int for c in found) and any(type(c) is Fraction for c in found)
+    bad = [c for c in found if not (type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1)]
+    assert bad == []
+    assert [r for _, r in tower.frame.history[-1].residues], "the tower run ends with an equal-value step"

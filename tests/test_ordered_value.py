@@ -3,11 +3,13 @@
 import hashlib
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from valmono.errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
+from valmono.exact_algebra import MultiPoly
 from valmono.ordered_value import (
     _MAX_REFINE,
     MINUS_INFINITY,
@@ -291,7 +293,7 @@ def _assert_canonical(left_group, s):
     assert s.group is left_group
     ranks = [left_group.names.index(name) for name, _ in s.coeffs]
     assert ranks == sorted(set(ranks))
-    assert all(type(c) is Fraction and c != 0 for _, c in s.coeffs)
+    assert all(type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1 for _, c in s.coeffs)
 
 
 # sums, differences, negations, products by 0, 1, ints and Fractions, halvings,
@@ -516,3 +518,42 @@ def test_same_names_in_another_group_instance_still_combine():
         assert a.zero_scalar() - s == a.scalar(-2, pi=-1)
         assert a.scalar(6) > s and compare(a.element(a.scalar(6)), other.element(s)) == 1
         assert linear_combination([1, 2], [a.element(a.scalar(1)), other.element(s)]) == a.element(a.scalar(5, pi=2))
+
+
+# every constructor and product that stores a coefficient, given the rational c
+# (the products multiply a coefficient 1 by c)
+COEFFICIENT_SITES = {
+    "MultiPoly": lambda G, c: MultiPoly(1, {(1,): c}).terms.get((1,), 0),
+    "Scalar": lambda G, c: dict(Scalar(G, {"pi": c}).coeffs).get("pi", 0),
+    "ValueGroup.scalar value": lambda G, c: dict(G.scalar(c).coeffs).get("1", 0),
+    "ValueGroup.scalar named": lambda G, c: dict(G.scalar(pi=c).coeffs).get("pi", 0),
+    "Scalar * k": lambda G, c: dict((G.scalar(pi=1) * c).coeffs).get("pi", 0),
+    "k * Scalar": lambda G, c: dict((c * G.scalar(pi=1)).coeffs).get("pi", 0),
+    "linear_combination": lambda G, c: dict(linear_combination([c], [G.element(G.scalar(pi=1))]).entries[0].coeffs).get("pi", 0),
+}
+RATIONAL_INPUTS = [(3, 3), (Fraction(6, 2), 3), (Fraction(-1, 3), Fraction(-1, 3)), (0, 0), (Fraction(0, 5), 0)]
+NON_RATIONAL_INPUTS = [0.1, 2.0, 0.0, "1/3", True, False, None, Decimal("0.5")]
+
+
+@pytest.mark.parametrize("site", COEFFICIENT_SITES.values(), ids=COEFFICIENT_SITES)
+def test_coefficients_take_one_normal_form_and_only_rationals(group, site):
+    # an int when integral, else a Fraction with denominator > 1; a float, a
+    # string, a bool or None raises instead of becoming a nearby rational
+    for c, want in RATIONAL_INPUTS:
+        got = site(group, c)
+        assert got == want and type(got) is type(want), (c, got)
+    for c in NON_RATIONAL_INPUTS:
+        with pytest.raises(TypeError, match="coefficient must be an int or a Fraction"):
+            site(group, c)
+
+
+def test_integral_sums_and_products_are_ints(group):
+    half = group.scalar(pi=Fraction(1, 2))
+    one = group.element(group.scalar(pi=1))
+    for s in (half * 2, 2 * half, half + half, half - group.scalar(pi=Fraction(-1, 2)),
+              linear_combination([Fraction(1, 2), Fraction(1, 2)], [one, one]).entries[0],
+              div_by_positive_int(group.element(group.scalar(pi=4)), 2).entries[0] * Fraction(1, 2)):
+        assert s.coeffs == (("pi", 1),) and type(s.coeffs[0][1]) is int
+    x = MultiPoly.variable(1, 0)
+    for p in (x * Fraction(1, 2) + x * Fraction(1, 2), (x * Fraction(2, 3)) * Fraction(3, 2), x * Fraction(-2, -2)):
+        assert p.terms == {(1,): 1} and type(p.terms[(1,)]) is int

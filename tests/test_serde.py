@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,13 @@ def test_parse_expressions():
     assert parse_polynomial("x - - y", NAMES) == parse_polynomial("x + y", NAMES)
     # Laurent exponents on monomials pass through
     assert parse_polynomial("x^-2*y", NAMES).terms == {(-2, 1, 0): Fraction(1)}
+
+
+def test_laurent_monomials_keep_integer_coefficients():
+    # a negative power of the int 1 or -1 is a float in Python; the parser stores the int
+    for text, exps, c in (("x^-2*y", (-2, 1, 0), 1), ("(-x)^-3", (-3, 0, 0), -1), ("(-y)^-2*z", (0, -2, 1), 1)):
+        terms = parse_polynomial(text, NAMES).terms
+        assert terms == {exps: c} and type(terms[exps]) is int, text
 
 
 def test_parse_errors():
@@ -96,6 +104,17 @@ def test_group_round_trip():
     assert group_to_json(g2) == {"generators": [{"name": "half", "rational": "1/2"}]}
     with pytest.raises(ParseError):
         group_from_json({"generators": ["e"]})
+
+
+def test_generator_rationals_are_exact():
+    # JSON ints and strings give exact rationals, stored as an int when integral
+    for raw, want in ((3, 3), ("-4/2", -2), ("1/10", Fraction(1, 10)), ("0.1", Fraction(1, 10))):
+        r = group_from_json({"generators": [{"name": "h", "rational": raw}]}).generator("h").rational
+        assert r == want and type(r) is type(want), raw
+    # a JSON float is inexact and a boolean is no number
+    for raw in (0.1, 2.0, True, False, None, [1]):
+        with pytest.raises(ParseError, match=re.escape(f"generator 'h' has invalid rational {raw!r}")):
+            group_from_json({"generators": [{"name": "h", "rational": raw}]})
 
 
 def test_load_problem_golden():

@@ -1,8 +1,9 @@
 """Source guards: every certification check in the package survives ``python -O``,
 only ``ordered_value`` builds a scalar that skips canonicalisation, no module
 writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
-one polynomial 1 per width), and equal-value residue data has one source besides
-recorded traces: the valuation driver."""
+one polynomial 1 per width), equal-value residue data has one source besides
+recorded traces: the valuation driver, and only rational functions are divided
+with ``/`` (a quotient of int coefficients would be a float)."""
 
 import ast
 from fractions import Fraction
@@ -167,6 +168,55 @@ def test_the_residue_guard_sees_each_form(tmp_path):
         "        return blowup_engine.CStepData(1, 2)\n"
     )
     assert _c_step_builders(sample) == ["sample.<module>", "sample.f", "sample.K"]
+
+
+def _divisions(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``/`` and ``/=`` in one source file,
+    the owner being the innermost enclosing class or function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+
+
+# the functions that divide rational functions; a coefficient quotient is Fraction(a, b)
+RATIONAL_FUNCTION_DIVISIONS = {
+    "blowup_engine._factor_as_unit",
+    "exact_algebra.RationalFunction.__rtruediv__",
+    "puiseux.monomialize_limit_successor",
+}
+
+
+def test_coefficients_are_never_divided_with_a_slash():
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    hits = [hit for path in sources for hit in _divisions(path)]
+    assert {hit.rsplit(":", 1)[0] for hit in hits} >= RATIONAL_FUNCTION_DIVISIONS
+    found = [hit for hit in hits if hit.rsplit(":", 1)[0] not in RATIONAL_FUNCTION_DIVISIONS]
+    assert found == [], "int / int is a float; write a coefficient quotient as Fraction(a, b): " + ", ".join(found)
+
+
+def test_the_division_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "HALF = 1 / 2\n"
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    return a // b, '1/2', Fraction(a, b)\n"
+        "class K:\n"
+        "    def m(self, c):\n"
+        "        def inner():\n"
+        "            return [1 / c]\n"
+        "        return -self.x / c\n"
+    )
+    assert _divisions(sample) == ["sample.<module>:1", "sample.f:3", "sample.K.m.inner:8", "sample.K.m:9"]
 
 
 def test_the_shared_one_survives_the_readme_problem():
