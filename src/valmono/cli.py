@@ -6,8 +6,6 @@ ran and its postcondition was certified; 2 means the inputs did not parse;
 stderr. A trace-producing verb checks its frame's values against the
 problem's valuation and replays its trace through the verifier before the
 process reports success.
-
-Set VALMONO_PI_DIGITS to deepen the default precision of the pi generator.
 """
 
 from __future__ import annotations
@@ -480,7 +478,6 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valmono",
         description="Exact valuation invariants and effective monomialization.",
-        epilog="Set VALMONO_PI_DIGITS to deepen the default pi precision.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, _handler, options) in _VERBS.items():

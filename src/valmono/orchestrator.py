@@ -6,6 +6,11 @@ one finite slice of monomial pairs and monomializes the next pending key
 polynomial. State files (version 2) store polynomials as the same text
 that problem files use.
 
+One element loop serves both entry points: ``monomialize`` is its
+one-element case, and ``embedded_uniformize`` runs it over a list, the
+element of minimal value first, then makes that element's monomial divide
+the others. The slices and that divisibility phase share one pair divider.
+
 The state is a value: ``advance`` returns a new state and never mutates
 its input, so callers may fork explorations by keeping old states. All
 enumeration orders are fixed, making runs byte-for-byte reproducible.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 from . import trace
 from .blowup_engine import (
@@ -174,60 +180,55 @@ def enumerate_pairs(state: MasterState, j: int) -> list:
 # -- macro-rounds ---------------------------------------------------------------
 
 
-def _run_slice(state: MasterState) -> MasterState:
+def _divide_pairs(state: MasterState, pairs) -> MasterState:
+    """Blow up until a divides b for each queued (a, b, task), in queue order.
+
+    The steps of each division move the exponents still queued. A division
+    that would start past the budget raises BudgetExceeded naming its task.
+    """
     driver = valuation_driver(state.spec)
-    queue = list(enumerate_pairs(state, state.slice_index))
-    st = state
+    queue = list(pairs)
     while queue:
-        a, b = queue.pop(0)
+        a, b, task = queue.pop(0)
         if not ev_leq(a, b):
-            if steps_used(st) >= st.budget:
-                raise _budget_error(st, f"slice {st.slice_index}")
-            res = divide_monomials(st.frame, a, b, driver)
-            st = _after_steps(st, res.frame)
+            if steps_used(state) >= state.budget:
+                raise _budget_error(state, task)
+            res = divide_monomials(state.frame, a, b, driver)
+            state = _after_steps(state, res.frame)
             queue = [
-                (transform_exponents(p, res.steps), transform_exponents(q, res.steps))
-                for p, q in queue
+                (transform_exponents(p, res.steps), transform_exponents(q, res.steps), t)
+                for p, q, t in queue
             ]
             a, b = res.alpha, res.gamma
         if not ev_leq(a, b):
-            raise CertificationError("slice pair failed to divide")
-    return st
-
-
-def _key_exps_unit(state: MasterState):
-    """Current monomial-times-unit split of the key image."""
-    target = state.spec.value(state.chain[-1].key)
-    eps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, target)
-    return eps, unit
+            raise CertificationError(f"pair failed to divide at {task}")
+    return state
 
 
 def _run_key(state: MasterState) -> MasterState:
+    """Monomialize the next pending key, if any, from the image of the last one."""
     if not state.keys_pending:
         return state
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "key monomialization")
-    link = state.keys_pending[0]
-    st = state
+    link, prev = state.keys_pending[0], state.chain[-1].key
     if link.certificate is not None and link.certificate.kind == "limit":
-        res = monomialize_limit_successor(st.frame, st.spec, st.chain[-1].key, link.key)
-        st = _after_steps(st, res.frame)
+        res = monomialize_limit_successor(state.frame, state.spec, prev, link.key)
+        state = _after_steps(state, res.frame)
         image = RationalFunction(res.monomial()) * res.unit
         pos = res.package.new_position
     else:
-        exps, unit = _key_exps_unit(st)
-        fr2, parts, _ = prepare_successor(
-            st.frame, st.spec, link.key, st.chain[-1].key, exps, unit
-        )
-        st = _after_steps(st, fr2)
-        pkg = puiseux_package(st.frame, st.spec, parts=parts, position=st.key_pos)
-        st = _after_steps(st, pkg.frame)
+        exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, state.spec.value(prev))
+        fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev, exps, unit)
+        state = _after_steps(state, fr2)
+        pkg = puiseux_package(state.frame, state.spec, parts=parts, position=state.key_pos)
+        state = _after_steps(state, pkg.frame)
         image = RationalFunction(pkg.monomial()) * pkg.unit
         pos = pkg.new_position
     return replace(
-        st,
-        chain=st.chain + (link,),
-        keys_pending=st.keys_pending[1:],
+        state,
+        chain=state.chain + (link,),
+        keys_pending=state.keys_pending[1:],
         key_image=image,
         key_pos=pos,
     )
@@ -237,7 +238,8 @@ def advance(state: MasterState) -> MasterState:
     """One macro-round: a divisibility slice and one key."""
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "advance")
-    st = _run_slice(state)
+    task = f"slice {state.slice_index}"
+    st = _divide_pairs(state, [(a, b, task) for a, b in enumerate_pairs(state, state.slice_index)])
     st = _run_key(st)
     return replace(st, slice_index=st.slice_index + 1)
 
@@ -325,10 +327,9 @@ class MonomializeOutcome:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def _finalize(state: MasterState, f: UniPoly):
-    """Monomialize one element in the current frame, advancing on demand."""
+def _finalize(state: MasterState, f: UniPoly, expected):
+    """Monomialize one element of value `expected` in the current frame, advancing on demand."""
     poly = to_multipoly(f)
-    expected = state.spec.value(f)
     while True:
         img = transport(state.frame, RationalFunction(poly))
         if not img.den.is_single_term():
@@ -347,25 +348,55 @@ def _finalize(state: MasterState, f: UniPoly):
     return state, (cert.exponents, cert.unit, cert.value)
 
 
+def _monomialize_in_turn(spec, fs, budget: int, names):
+    """Monomialize the elements one after another in one shared frame.
+
+    The element of minimal value goes first (ties: input order), the rest
+    follow in input order. Each extends the key chain until its invariant
+    dominates epsilon of the element, runs macro-rounds until every chain
+    key is a frame monomial, then factors the transported element.
+    Returns (state, order, done): per input index, `done` holds the
+    element's (exponents, unit, value) and the step count they were taken at.
+    """
+    fs = list(fs)
+    if not fs:
+        raise ZeroPolynomial("empty input list")
+    width = fs[0].width
+    if any(f.width != width for f in fs):
+        raise ParseError("mixed arities in the input list")
+    if any(f.is_zero() for f in fs):
+        raise ZeroPolynomial("cannot monomialize the zero polynomial")
+    names = list(names) if names else _default_names(width + 1)
+    if len(names) != width + 1:
+        raise ParseError("name list does not match the polynomial arity")
+
+    values = [spec.value(f) for f in fs]
+    first = min(range(len(fs)), key=cmp_to_key(lambda i, j: compare(values[i], values[j])))
+    order = (first,) + tuple(i for i in range(len(fs)) if i != first)
+
+    weights = _variable_weights(spec, width)
+    base = [ChainLink(UniPoly.x(width), None)]
+    state = _fresh_state(spec, _initial_frame(spec, names, weights), base, budget)
+    done = {}
+    for idx in order:
+        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights)
+        state = replace(state, keys_pending=links[len(state.chain):])
+        while state.keys_pending:
+            state = advance(state)
+        state, entry = _finalize(state, fs[idx], values[idx])
+        done[idx] = (entry, steps_used(state))
+    return state, order, done
+
+
 def monomialize(spec, f: UniPoly, budget: int, names=None) -> MonomializeOutcome:
     """Certified monomial-times-unit form of f under the given valuation.
 
-    Extends the key chain until its invariant dominates epsilon(f), runs
-    macro-rounds until every chain key is a frame monomial, then factors
-    the transported element. Raises LimitSuccessorRequired when the chain
-    cannot be extended by a binomial successor.
+    The one-element case of the loop that embedded_uniformize runs. Raises
+    LimitSuccessorRequired when the chain cannot be extended by a binomial
+    successor.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot monomialize the zero polynomial")
-    names = list(names) if names else _default_names(f.width + 1)
-    if len(names) != f.width + 1:
-        raise ParseError("name list does not match the polynomial arity")
-    weights = _variable_weights(spec, f.width)
-    chain = _chain_for(spec, f, names, weights=weights)
-    state = _fresh_state(spec, _initial_frame(spec, names, weights), chain, budget)
-    while state.keys_pending:
-        state = advance(state)
-    state, (exps, unit, value) = _finalize(state, f)
+    state, _, done = _monomialize_in_turn(spec, [f], budget, names)
+    (exps, unit, value), _ = done[0]
     return MonomializeOutcome(state=state, exponents=exps, unit=unit, value=value)
 
 
@@ -383,69 +414,30 @@ class UniformizeOutcome:
 def embedded_uniformize(spec, fs, budget: int, names=None) -> UniformizeOutcome:
     """Shared-frame monomialization with the minimal element dividing all.
 
-    The element of minimal value is processed first (ties: input order);
-    afterwards its monomial is made to divide every other monomial by
-    direct divisibility slices on the recorded exponents.
+    The elements are monomialized in turn, the element of minimal value
+    first; afterwards its monomial is made to divide every other monomial
+    by the pair divider on the recorded exponents.
     """
     fs = list(fs)
-    if not fs:
-        raise ZeroPolynomial("empty input list")
-    widths = {f.width for f in fs}
-    if len(widths) != 1:
-        raise ParseError("mixed arities in the input list")
-    for f in fs:
-        if f.is_zero():
-            raise ZeroPolynomial("cannot monomialize the zero polynomial")
-    names = list(names) if names else _default_names(fs[0].width + 1)
-
-    values = [spec.value(f) for f in fs]
-    first = 0
-    for i in range(1, len(fs)):
-        if compare(values[i], values[first]) < 0:
-            first = i
-    order = (first,) + tuple(i for i in range(len(fs)) if i != first)
-
-    weights = _variable_weights(spec, fs[0].width)
-    chain = _chain_for(spec, fs[first], names, weights=weights)
-    state = _fresh_state(spec, _initial_frame(spec, names, weights), chain, budget)
-    exps_at = {}  # per input index: (exponents, step count when they were taken)
-    for idx in order:
-        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights)
-        state = replace(state, keys_pending=links[len(state.chain):])
-        while state.keys_pending:
-            state = advance(state)
-        state, (exps, _, _) = _finalize(state, fs[idx])
-        exps_at[idx] = (exps, steps_used(state))
+    state, order, done = _monomialize_in_turn(spec, fs, budget, names)
 
     # divisibility phase: the first element's monomial must divide the rest.
     # A blow-up maps monomial times unit to monomial' times unit' with the
     # exponents moved by transform_exponents, so no element is re-factored.
-    driver = valuation_driver(spec)
-    for idx in order[1:]:
-        e1, ej = (
-            transform_exponents(e, state.frame.history[start:])
-            for e, start in (exps_at[first], exps_at[idx])
-        )
-        if ev_leq(e1, ej):
-            continue
-        if steps_used(state) >= state.budget:
-            raise _budget_error(state, f"divisibility of element {idx}")
-        res = divide_monomials(state.frame, e1, ej, driver)
-        state = _after_steps(state, res.frame)
+    history = state.frame.history
+    exps = {idx: transform_exponents(e, history[start:]) for idx, ((e, _, _), start) in done.items()}
+    tasks = [(exps[order[0]], exps[idx], f"divisibility of element {idx}") for idx in order[1:]]
+    state = _divide_pairs(state, tasks)
 
-    final = {}
-    for idx in order:
-        T = transport(state.frame, RationalFunction(to_multipoly(fs[idx])))
-        final[idx] = _factor_as_unit(state.frame, spec, T, values[idx])
-    e1 = final[first][0]
+    entries = []
+    for idx, f in enumerate(fs):
+        T = transport(state.frame, RationalFunction(to_multipoly(f)))
+        entries.append(_factor_as_unit(state.frame, spec, T, done[idx][0][2]))
+    e1 = entries[order[0]][0]
     for idx in order[1:]:
-        if not ev_leq(e1, final[idx][0]):
+        if not ev_leq(e1, entries[idx][0]):
             raise CertificationError("minimal element fails to divide")
-    return UniformizeOutcome(
-        state=state,
-        order=order,
-        entries=tuple(final[i] for i in range(len(fs))),
-    )
+    return UniformizeOutcome(state=state, order=order, entries=tuple(entries))
 
 
 # -- versioned state files ---------------------------------------------------------

@@ -33,12 +33,12 @@ that applies:
 
 Arithmetic and comparisons work in the left operand's group.  An operand that
 carries a generator name the result's group does not declare raises
-``ForeignGenerator``; another group instance with the same names is accepted.
+``ForeignGenerator``, as ``Scalar(group, coeffs)`` does for a name ``group``
+does not declare; another group instance with the same names is accepted.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -73,10 +73,9 @@ def _pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
     return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
 
 
-def _default_pi_terms() -> int:
-    # Each arctan(1/5) term adds ~1.4 decimal digits.
-    digits = int(os.environ.get("VALMONO_PI_DIGITS", "12"))
-    return max(4, digits)
+# arctan(1/5) terms at enclosure level 0; each term adds ~1.4 decimal digits
+# and ``Scalar.sign`` refines further on demand
+_PI_TERMS = 12
 
 
 class IndependentGenerator:
@@ -138,10 +137,8 @@ def unit_generator(name: str = "1") -> IndependentGenerator:
 
 
 def pi_generator(name: str = "pi") -> IndependentGenerator:
-    base = _default_pi_terms()
-
     def enclose(level: int) -> tuple[Fraction, Fraction]:
-        return _pi_bounds(base + 8 * level)
+        return _pi_bounds(_PI_TERMS + 8 * level)
 
     return IndependentGenerator(name, enclose=enclose)
 
@@ -236,6 +233,10 @@ class Scalar:
                 c = normal_rational(coeffs[name])
                 if c:
                     ordered.append((name, c))
+        # as in _from_sums, the names are looked at only when some were dropped
+        if len(ordered) < len(coeffs) and not coeffs.keys() <= group._by_name.keys():
+            foreign = sorted(coeffs.keys() - group._by_name.keys())
+            raise ForeignGenerator(f"generator {foreign[0]!r} is not declared by {group!r}")
         self.coeffs = tuple(ordered)
 
     @classmethod

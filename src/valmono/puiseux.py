@@ -370,7 +370,7 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
 # -- successors over frames --------------------------------------------------
 
 
-def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_exps, key_unit=None, position=None):
+def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_exps, key_unit=None):
     """Binomial parts over the frame for a successor q^alpha - f.
 
     key_exps/key_unit give the frame factorization of the current key q.

@@ -261,6 +261,78 @@ def test_uniformize_reorders_by_value():
     assert steps_used(out.state) >= 1
 
 
+def _one(run):
+    """An entry point over a one-element list: monomialize its element."""
+    return lambda spec, fs, budget, names: run(spec, *fs, budget, names=names)
+
+
+ENTRY_POINTS = {"monomialize": _one(monomialize), "uniformize": embedded_uniformize}
+ZERO2 = UniPoly(2, [])
+
+
+@pytest.mark.parametrize(
+    "entry, fs, names, error",
+    [
+        ("uniformize", [], NAMES, ZeroPolynomial),
+        ("uniformize", [Q, K2], NAMES, ParseError),
+        ("monomialize", [ZERO2], NAMES, ZeroPolynomial),
+        ("uniformize", [Q, ZERO2], NAMES, ZeroPolynomial),
+        ("monomialize", [Q], ["x", "z"], ParseError),
+        ("uniformize", [Q], ["x", "z"], ParseError),
+        ("monomialize", [Q], NAMES + ["w"], ParseError),
+        ("uniformize", [Q, Q], NAMES + ["w"], ParseError),
+    ],
+    ids=[
+        "uniformize-empty", "uniformize-mixed-arities", "monomialize-zero", "uniformize-zero",
+        "monomialize-short-names", "uniformize-short-names", "monomialize-long-names", "uniformize-long-names",
+    ],
+)
+def test_entry_points_reject_bad_inputs_with_narrow_errors(entry, fs, names, error):
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](NU3, fs, 10_000, names)
+
+
+@pytest.mark.parametrize(
+    "spec, f, names",
+    [(NU3, Q, NAMES), (S2, K2 * UniPoly.constant(1, XZ) + UniPoly.constant(1, XZ**6), ["x", "z"])],
+    ids=["readme", "tower-s2"],
+)
+def test_monomialize_is_the_one_element_uniformize(spec, f, names):
+    one = monomialize(spec, f, 10_000, names=names)
+    out = embedded_uniformize(spec, [f], 10_000, names=names)
+    assert out.order == (0,)
+    (exps, _, value), = out.entries
+    assert exps == one.exponents and compare(value, one.value) == 0
+    assert trace_records(out.frame) == trace_records(one.frame)
+
+
+def test_uniformize_extends_the_chain_once_per_element(monkeypatch):
+    import valmono.orchestrator as orchestrator
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _chain_for(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "_chain_for", counted)
+    x2y = UniPoly.constant(2, RationalFunction(x2**2 * y2))
+    out = embedded_uniformize(NU3, [x2y, Q], 10_000, names=NAMES)
+    assert out.order == (0, 1)
+    assert calls == [x2y, Q]
+
+
+def test_uniformize_budget_stops_at_the_divisibility_phase():
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    fy = UniPoly(1, [RationalFunction.zero(1), RationalFunction.one(1)])
+    fx = UniPoly.constant(1, RationalFunction(MultiPoly.variable(1, 0)))
+    # both are frame monomials already; only x | y needs a blow-up
+    with pytest.raises(BudgetExceeded) as exc:
+        embedded_uniformize(spec, [fy, fx], 0, names=["x", "y"])
+    assert exc.value.task == "divisibility of element 0"
+    assert exc.value.state.frame.history == ()
+
+
 def test_limit_link_through_master_loop():
     xx = MultiPoly.variable(1, 0)
     U = UniPoly.x(1)

@@ -395,7 +395,7 @@ def test_sign_table_matches_the_interval_sum():
 
 
 # pi convergents: t - pi has the sign of (-1)**n, and the deeper ones need
-# enclosures past level 0 at the default VALMONO_PI_DIGITS
+# enclosures past level 0
 PI_CONVERGENTS = (
     (Fraction(3), 0), (Fraction(22, 7), 0), (Fraction(333, 106), 0), (Fraction(355, 113), 0),
     (Fraction(411557987, 131002976), 1), (Fraction(139755218526789, 44485467702853), 2),
@@ -407,8 +407,7 @@ def _near_141(level):
     return Fraction(141, 100) - w, Fraction(142, 100) + w
 
 
-def test_sign_refines_to_the_level_the_interval_sum_needs(monkeypatch):
-    monkeypatch.delenv("VALMONO_PI_DIGITS", raising=False)  # the levels below hold at the default width
+def test_sign_refines_to_the_level_the_interval_sum_needs():
     pi, levels = _recording("pi", pi_generator().enclosure)
     group = ValueGroup([unit_generator(), pi])
     for t, level in PI_CONVERGENTS:
@@ -505,6 +504,21 @@ def test_foreign_generators_raise():
     # b declares every generator x carries, so the order is decided: 5 > 1
     assert y > x and compare(b.element(y), a.element(x)) == 1
     assert (y - x).group is b and (y - x) == b.scalar(-1, r=1)
+
+
+def test_scalar_constructor_rejects_undeclared_generators():
+    # "e" used to be dropped, leaving 2*pi
+    g = standard_group()
+    with pytest.raises(ForeignGenerator, match="'e'"):
+        Scalar(g, {"e": 1, "pi": 2})
+    with pytest.raises(ForeignGenerator):
+        Scalar(g, {"e": 0})
+    assert Scalar(g, {"pi": 2, "1": 0}) == g.scalar(0, pi=2)
+    # the group's own builders keep their narrower errors
+    with pytest.raises(ValueError, match="unknown generator"):
+        g.scalar(0, e=1)
+    with pytest.raises(ParseError):
+        parse_scalar(g, "2*pi + e")
 
 
 def test_same_names_in_another_group_instance_still_combine():

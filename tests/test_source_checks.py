@@ -2,8 +2,9 @@
 only ``ordered_value`` builds a scalar that skips canonicalisation, no module
 writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
 one polynomial 1 per width), equal-value residue data has one source besides
-recorded traces: the valuation driver, and only rational functions are divided
-with ``/`` (a quotient of int coefficients would be a float)."""
+recorded traces: the valuation driver, only rational functions are divided
+with ``/`` (a quotient of int coefficients would be a float), and no module reads
+the environment (every setting is an argument)."""
 
 import ast
 from fractions import Fraction
@@ -217,6 +218,44 @@ def test_the_division_guard_sees_each_form(tmp_path):
         "        return -self.x / c\n"
     )
     assert _divisions(sample) == ["sample.<module>:1", "sample.f:3", "sample.K.m.inner:8", "sample.K.m:9"]
+
+
+_ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(path: Path) -> list:
+    """Every ``os.environ`` or ``os.getenv`` use, as attribute or import, in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS:
+            found.append((node.lineno, node.col_offset, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, 0, a.name) for a in node.names if a.name in _ENVIRONMENT_READERS]
+    return [f"{path.name}:{line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_no_module_reads_the_environment():
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = [hit for path in sources for hit in _environment_reads(path)]
+    assert found == [], "pass settings as arguments or CLI options, not environment variables: " + ", ".join(found)
+
+
+def test_the_environment_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "def f():\n"
+        "    return os.environ.get('A'), os.getenv('B')\n"
+        "def g():\n"
+        "    return os.environ['C'], os.path.exists('D')\n"
+    )
+    assert _environment_reads(sample) == [
+        "sample.py:2: getenv",
+        "sample.py:4: environ",
+        "sample.py:4: getenv",
+        "sample.py:6: environ",
+    ]
 
 
 def test_the_shared_one_survives_the_readme_problem():
