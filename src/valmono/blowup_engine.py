@@ -186,14 +186,20 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
             j = q
     beta_j = frame.betas[j]
 
-    B, C = [], []
+    # one difference per member: its sign splits B from C, and it is a B member's new value
+    B, C, diffs = [], [], {}
     for q in J:
         if q == j:
             continue
-        c = compare(frame.betas[q], beta_j)
-        if c < 0:
+        d = frame.betas[q] - beta_j
+        sg = d.sign()
+        if sg < 0:
             raise CertificationError("center index does not minimize the value")
-        (C if c == 0 else B).append(q)
+        if sg:
+            B.append(q)
+            diffs[q] = d
+        else:
+            C.append(q)
 
     c_data, units = {}, {}
     for q in C:
@@ -213,7 +219,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     # values
     betas = list(frame.betas)
     for q in B:
-        betas[q] = betas[q] - beta_j
+        betas[q] = diffs[q]
     for q in C:
         betas[q] = c_data[q].beta_new
 

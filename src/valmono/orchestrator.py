@@ -364,6 +364,8 @@ def _monomialize_in_turn(spec, fs, budget: int, names):
     width = fs[0].width
     if any(f.width != width for f in fs):
         raise ParseError("mixed arities in the input list")
+    if width != spec.width - 1:
+        raise ParseError(f"input arity {width + 1} does not match the valuation's {spec.width} variables")
     if any(f.is_zero() for f in fs):
         raise ZeroPolynomial("cannot monomialize the zero polynomial")
     names = list(names) if names else _default_names(width + 1)

@@ -7,34 +7,43 @@ the rationals, so a nonzero combination is never zero and sign decisions by
 interval refinement always terminate.  Two sentinels extend the order:
 ``PLUS_INFINITY`` above everything and ``MINUS_INFINITY`` below everything.
 
-Canonical form: a scalar stores only its nonzero coefficients, each in the
-rational normal form of ``exact_algebra.normal_rational`` (an ``int`` when
-integral, else a ``Fraction`` with denominator > 1), in the order its group
-declares the generators; a generator's rational value takes the same form.
-``Scalar(...)`` establishes it for any ``int`` or ``Fraction`` input and raises
-``TypeError`` for any other.  Arithmetic whose result already has it (sums,
-negations, multiples, the differences that comparisons take) builds the result
-with the private ``Scalar._canonical``, which trusts its input; no other module
-calls it.  Sums and products still put each coefficient in normal form, since
-``1/2 + 1/2`` and ``1/2 * 2`` are integral.  ``Scalar.sign`` is the one place a scalar's sign is decided.
+Canonical form: a scalar stores one integer numerator per generator, aligned
+with its group's declared names, over one positive integer denominator, with
+``gcd(den, *nums) == 1``; the zero scalar is all zeros over 1.  ``Scalar.coeffs``
+shows it as ``(name, coefficient)`` pairs for the nonzero coefficients, each in
+the rational normal form of ``exact_algebra.normal_rational`` (an ``int`` when
+integral, else a ``Fraction`` with denominator > 1); a generator's rational
+value takes the same form.  ``Scalar(...)`` establishes the canonical form for
+any ``int`` or ``Fraction`` input and raises ``TypeError`` for any other.
+Arithmetic (sums, negations, multiples, quotients by positive integers, linear
+combinations) works on the integers alone and reduces by one gcd; it builds
+the result with the private ``Scalar._canonical``, which trusts its input; no
+other module calls it.  A comparison takes the sign of the integer numerators
+of the difference over the product of the denominators, without building a
+scalar.  ``_sign_of`` is the one place a scalar's sign is decided.
 
 A generator fixes its sign when it is built: a rational one from its value, an
 enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
-after ``_MAX_REFINE`` levels).  ``Scalar.sign`` then decides by the first rule
-that applies:
+after ``_MAX_REFINE`` levels).  A group holds its rational generators' values
+as integers over one common denominator, so the rational terms of a scalar sum
+to an integer ``exact`` over a positive denominator.  The sign is decided by
+the first rule that applies:
 
 * no coefficients: sign 0;
 * one coefficient ``c`` on generator ``g``: ``sign(c) * sign(g)``;
-* one enclosure generator ``g`` with coefficient ``c``, the rational terms
-  summing to ``exact``: the side of ``t = -exact / c`` on which ``g``'s
-  enclosures fall, refined level by level; these are exactly the levels at
-  which the interval sum would exclude zero;
+* no enclosure generator: the sign of ``exact``;
+* one enclosure generator ``g`` with coefficient ``c``: the side of
+  ``t = -exact / c`` on which ``g``'s enclosures fall, refined level by level
+  and decided by integer cross-multiplication with the bounds' numerators and
+  denominators; these are exactly the levels at which the interval sum would
+  exclude zero;
 * otherwise the sum of the enclosures, refined until it excludes zero.
 
 Arithmetic and comparisons work in the left operand's group.  An operand that
 carries a generator name the result's group does not declare raises
 ``ForeignGenerator``, as ``Scalar(group, coeffs)`` does for a name ``group``
-does not declare; another group instance with the same names is accepted.
+does not declare; another group instance with the same names is accepted, in
+any declaration order (its numerators are then mapped by name).
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Optional
 
 from .errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
@@ -81,9 +92,10 @@ _PI_TERMS = 12
 class IndependentGenerator:
     """One scalar-field generator: an exact rational or a refinable enclosure.
 
-    ``enclose(level)`` must return rational bounds ``lo < hi`` that strictly
-    shrink as ``level`` grows.  ``sign`` is fixed when the generator is built;
-    an enclosure that never excludes zero raises ``ArithmeticError`` then.
+    ``enclose(level)`` must return rational bounds ``lo < hi`` (ints or
+    Fractions) that strictly shrink as ``level`` grows.  ``sign`` is fixed
+    when the generator is built; an enclosure that never excludes zero raises
+    ``ArithmeticError`` then.
     """
 
     __slots__ = ("name", "rational", "_enclose", "sign")
@@ -102,25 +114,26 @@ class IndependentGenerator:
         if self.rational is not None:
             self.sign = (self.rational > 0) - (self.rational < 0)
         else:
-            self.sign = self._side(0)
+            self.sign = self._side(0, 1)
 
-    def enclosure(self, level: int) -> tuple[Fraction, Fraction]:
+    def enclosure(self, level: int) -> tuple:
         if self.rational is not None:
             return (self.rational, self.rational)
         lo, hi = self._enclose(level)
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
+        if not lo.numerator * hi.denominator < hi.numerator * lo.denominator:
             raise ValueError(f"enclosure for {self.name!r} must satisfy lo < hi")
         return lo, hi
 
-    def _side(self, t) -> int:
-        """Sign of ``g - t`` for an enclosure generator: refine until an enclosure excludes t."""
+    def _side(self, a: int, b: int) -> int:
+        """Sign of ``g - a/b`` (``b > 0``) for an enclosure generator: refine until an enclosure excludes a/b."""
         for level in range(_MAX_REFINE):
             lo, hi = self.enclosure(level)
-            if lo > t:
+            if lo.numerator * b > a * lo.denominator:
                 return 1
-            if hi < t:
+            if hi.numerator * b < a * hi.denominator:
                 return -1
+        g = gcd(a, b)
+        t = a // g if g == b else f"{a // g}/{b // g}"
         raise ArithmeticError(
             f"interval refinement failed to separate {self.name!r} from {t}; "
             "generators are not rationally independent"
@@ -146,7 +159,7 @@ def pi_generator(name: str = "pi") -> IndependentGenerator:
 class ValueGroup:
     """Shared generator context for scalars and group elements."""
 
-    __slots__ = ("names", "_by_name", "_rational")
+    __slots__ = ("names", "_by_name", "_rational", "_rat_den", "_rat_nums", "_gens", "_zero")
 
     def __init__(self, generators: Iterable[IndependentGenerator]):
         gens = tuple(generators)
@@ -156,10 +169,18 @@ class ValueGroup:
                 raise ValueError(f"duplicate generator {g.name!r}")
             self._by_name[g.name] = g
         self.names = tuple(g.name for g in gens)
-        # name -> exact value, or None for a generator known by enclosures
-        self._rational = {g.name: g.rational for g in gens}
         if not self.names:
             raise ValueError("a value group needs at least one generator")
+        # name -> exact value, or None for a generator known by enclosures
+        self._rational = {g.name: g.rational for g in gens}
+        # the rational values as integers over one denominator R, None at an enclosure generator
+        self._rat_den = lcm(*(g.rational.denominator for g in gens if g.rational is not None))
+        self._rat_nums = tuple(
+            None if g.rational is None else g.rational.numerator * (self._rat_den // g.rational.denominator)
+            for g in gens
+        )
+        self._gens = gens
+        self._zero = (0,) * len(gens)
 
     def generator(self, name: str) -> IndependentGenerator:
         return self._by_name[name]
@@ -185,7 +206,7 @@ class ValueGroup:
         return Scalar(self, coeffs)
 
     def zero_scalar(self) -> "Scalar":
-        return Scalar(self, {})
+        return Scalar._canonical(self, self._zero, 1)
 
     def element(self, *scalars) -> "GroupElement":
         entries = []
@@ -214,119 +235,162 @@ def standard_group() -> ValueGroup:
     return ValueGroup([unit_generator(), pi_generator()])
 
 
+def _sign_of(group: ValueGroup, nums) -> int:
+    """Sign of the scalar with these numerators over any positive denominator.
+
+    The rational terms sum to ``exact / R``, ``R`` the group's common
+    denominator; every decision below is on ``R`` times the scalar.
+    """
+    if not any(nums):
+        return 0
+    exact = 0
+    irr = []
+    for n, r, g in zip(nums, group._rat_nums, group._gens):
+        if n:
+            if r is None:
+                irr.append((n, g))
+            else:
+                exact += n * r
+    if not irr:
+        return (exact > 0) - (exact < 0)
+    R = group._rat_den
+    if len(irr) == 1:
+        n, g = irr[0]
+        if not exact and nums.count(0) == len(nums) - 1:
+            return g.sign if n > 0 else -g.sign
+        # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
+        c = n * R
+        if c > 0:
+            return g._side(-exact, c)
+        return -g._side(exact, -c)
+    for level in range(_MAX_REFINE):
+        lo = hi = exact
+        for n, g in irr:
+            glo, ghi = g.enclosure(level)
+            c = n * R
+            if c > 0:
+                lo, hi = lo + c * glo, hi + c * ghi
+            else:
+                lo, hi = lo + c * ghi, hi + c * glo
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise ArithmeticError(
+        "interval refinement failed to separate from zero; "
+        "generators are not rationally independent"
+    )
+
+
+def _reduced(group: ValueGroup, nums, den: int) -> "Scalar":
+    """The scalar ``nums / den`` (``den > 0``) in ``group``, divided through by the gcd."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return Scalar._canonical(group, tuple(n // g for n in nums), den // g)
+    return Scalar._canonical(group, tuple(nums), den)
+
+
+def _aligned(s: "Scalar", group: ValueGroup):
+    """``s``'s numerators in ``group``'s declaration order.
+
+    Raises ``ForeignGenerator`` when ``s`` has a nonzero coefficient on a
+    generator that ``group`` does not declare.
+    """
+    if s.group is group or s.group.names == group.names:
+        return s.nums
+    out = [0] * len(group.names)
+    foreign = []
+    for name, n in zip(s.group.names, s.nums):
+        if n:
+            if name in group._by_name:
+                out[group.names.index(name)] = n
+            else:
+                foreign.append(name)
+    if foreign:
+        raise ForeignGenerator(f"generator {min(foreign)!r} is not declared by {group!r}")
+    return out
+
+
 class Scalar:
     """A finite rational combination of the group's generators.
 
-    Canonical form drops zero coefficients, keeps each coefficient in the
-    rational normal form (an int when integral, else a Fraction) and orders
-    terms by generator declaration; with independent generators, structural
-    equality is semantic equality.
+    Stored as integer numerators aligned with the group's names over one
+    positive denominator, divided through by their gcd; with independent
+    generators, structural equality is semantic equality.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "nums", "den")
 
     def __init__(self, group: ValueGroup, coeffs: dict):
-        self.group = group
-        ordered = []
-        for name in group.names:
-            if name in coeffs:
-                c = normal_rational(coeffs[name])
-                if c:
-                    ordered.append((name, c))
-        # as in _from_sums, the names are looked at only when some were dropped
-        if len(ordered) < len(coeffs) and not coeffs.keys() <= group._by_name.keys():
+        vals = [normal_rational(coeffs[name]) if name in coeffs else 0 for name in group.names]
+        # the names are looked at only when some coefficient was dropped
+        if len(vals) - vals.count(0) < len(coeffs) and not coeffs.keys() <= group._by_name.keys():
             foreign = sorted(coeffs.keys() - group._by_name.keys())
             raise ForeignGenerator(f"generator {foreign[0]!r} is not declared by {group!r}")
-        self.coeffs = tuple(ordered)
+        den = 1
+        for c in vals:
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        self.group = group
+        self.nums = tuple(vals) if den == 1 else tuple(
+            c * den if type(c) is int else c.numerator * (den // c.denominator) for c in vals
+        )
+        self.den = den
 
     @classmethod
-    def _canonical(cls, group: ValueGroup, coeffs: tuple) -> "Scalar":
-        """A scalar from ``coeffs`` already in canonical form: no check, no copy."""
+    def _canonical(cls, group: ValueGroup, nums: tuple, den: int) -> "Scalar":
+        """A scalar from numerators and a denominator already in canonical form: no check, no copy."""
         s = object.__new__(cls)
         s.group = group
-        s.coeffs = coeffs
+        s.nums = nums
+        s.den = den
         return s
 
-    @classmethod
-    def _from_sums(cls, group: ValueGroup, sums: dict) -> "Scalar":
-        """The scalar of ``sums`` (name -> coefficient, zeros allowed) in ``group``.
-
-        Raises ``ForeignGenerator`` when ``sums`` names a generator that
-        ``group`` does not declare; the names are looked at only when the
-        canonical form dropped some, by cancellation or as foreign.
-        """
-        coeffs = tuple((name, normal_rational(sums[name])) for name in group.names if sums.get(name))
-        if len(coeffs) < len(sums) and not sums.keys() <= group._by_name.keys():
-            foreign = sorted(sums.keys() - group._by_name.keys())
-            raise ForeignGenerator(f"generator {foreign[0]!r} is not declared by {group!r}")
-        return cls._canonical(group, coeffs)
+    @property
+    def coeffs(self) -> tuple:
+        """``(name, coefficient)`` for each nonzero coefficient, in declaration order and normal form."""
+        den = self.den
+        if den == 1:
+            return tuple((name, n) for name, n in zip(self.group.names, self.nums) if n)
+        return tuple(
+            (name, n // den if n % den == 0 else Fraction(n, den))
+            for name, n in zip(self.group.names, self.nums) if n
+        )
 
     def _combined(self, other: "Scalar", subtract: bool) -> "Scalar":
         # self + other or self - other, in self's group
         group = self.group
-        if not other.coeffs:
+        if not any(other.nums):
             return self
-        if not self.coeffs and other.group is group:
+        if other.group is group and not any(self.nums):
             return -other if subtract else other
-        d = dict(self.coeffs)
+        a, b = self.nums, other.nums if other.group is group else _aligned(other, group)
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(group, list(map(sub if subtract else add, a, b)), da)
         if subtract:
-            for name, c in other.coeffs:
-                d[name] = d.get(name, 0) - c
+            nums = [x * db - y * da for x, y in zip(a, b)]
         else:
-            for name, c in other.coeffs:
-                d[name] = d.get(name, 0) + c
-        return Scalar._from_sums(group, d)
+            nums = [x * db + y * da for x, y in zip(a, b)]
+        return _reduced(group, nums, da * db)
 
     def _order(self, other: "Scalar") -> int:
-        """Sign of self - other; the difference is built only when the two differ."""
-        if self.coeffs == other.coeffs:
-            return 0
-        return self._combined(other, True).sign()
+        """Sign of self - other, from the integer numerators of a positive multiple of it."""
+        group = self.group
+        a, b = self.nums, other.nums if other.group is group else _aligned(other, group)
+        da, db = self.den, other.den
+        if da == db:
+            if a == b:
+                return 0
+            return _sign_of(group, list(map(sub, a, b)))
+        return _sign_of(group, [x * db - y * da for x, y in zip(a, b)])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.nums)
 
     def sign(self) -> int:
-        coeffs = self.coeffs
-        if not coeffs:
-            return 0
-        by_name = self.group._by_name
-        if len(coeffs) == 1:
-            name, c = coeffs[0]
-            g_sign = by_name[name].sign
-            return g_sign if c > 0 else -g_sign
-        exact = 0
-        irr = []
-        rational = self.group._rational
-        for name, c in coeffs:
-            r = rational[name]
-            if r is not None:
-                exact += c * r
-            else:
-                irr.append((c, by_name[name]))
-        if not irr:
-            return (exact > 0) - (exact < 0)
-        if len(irr) == 1:
-            # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
-            c, g = irr[0]
-            side = g._side(Fraction(-exact, c))
-            return side if c > 0 else -side
-        for level in range(_MAX_REFINE):
-            lo = hi = exact
-            for c, g in irr:
-                glo, ghi = g.enclosure(level)
-                if c > 0:
-                    lo, hi = lo + c * glo, hi + c * ghi
-                else:
-                    lo, hi = lo + c * ghi, hi + c * glo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-        raise ArithmeticError(
-            "interval refinement failed to separate from zero; "
-            "generators are not rationally independent"
-        )
+        return _sign_of(self.group, self.nums)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -334,7 +398,7 @@ class Scalar:
         return self._combined(other, False)
 
     def __neg__(self):
-        return Scalar._canonical(self.group, tuple((name, -c) for name, c in self.coeffs))
+        return Scalar._canonical(self.group, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -347,14 +411,21 @@ class Scalar:
         if k == 1:
             return self
         if not k:
-            return Scalar._canonical(self.group, ())
-        return Scalar._canonical(self.group, tuple((name, normal_rational(c * k)) for name, c in self.coeffs))
+            return Scalar._canonical(self.group, self.group._zero, 1)
+        if type(k) is int:
+            return _reduced(self.group, [n * k for n in self.nums], self.den)
+        p = k.numerator
+        return _reduced(self.group, [n * p for n in self.nums], self.den * k.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         # structural: same named coefficients, regardless of group instance
-        return isinstance(other, Scalar) and self.coeffs == other.coeffs
+        if not isinstance(other, Scalar):
+            return False
+        if other.group is self.group or other.group.names == self.group.names:
+            return self.den == other.den and self.nums == other.nums
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -430,6 +501,14 @@ def is_sentinel(v) -> bool:
     return isinstance(v, _Sentinel)
 
 
+def _lex_sign(entries) -> int:
+    for s in entries:
+        sg = _sign_of(s.group, s.nums)
+        if sg:
+            return sg
+    return 0
+
+
 class GroupElement:
     """A lex-ordered tuple of scalars; all entries share one group."""
 
@@ -451,12 +530,12 @@ class GroupElement:
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.entries)
 
+    def sign(self) -> int:
+        """Sign in the lexicographic order: that of the first entry with a nonzero sign."""
+        return _lex_sign(self.entries)
+
     def is_positive(self) -> bool:
-        for s in self.entries:
-            sg = s.sign()
-            if sg:
-                return sg > 0
-        return False
+        return _lex_sign(self.entries) > 0
 
     def lift(self, extra: int = 1) -> "GroupElement":
         # Order embedding into rank+extra: prepend zero coordinates.
@@ -470,14 +549,16 @@ class GroupElement:
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        return GroupElement(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return GroupElement(tuple(a._combined(b, False) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         if isinstance(other, _Sentinel):
             raise ValueError("cannot subtract a sentinel")
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self + (-other)
+        if other.rank != self.rank:
+            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
+        return GroupElement(tuple(a._combined(b, True) for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
         return GroupElement(tuple(-s for s in self.entries))
@@ -499,7 +580,7 @@ class GroupElement:
         return hash(self.entries)
 
     def _cmp(self, other) -> int:
-        if other.rank != self.rank:
+        if len(other.entries) != len(self.entries):
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
         for a, b in zip(self.entries, other.entries):
             s = a._order(b)
@@ -552,25 +633,34 @@ def linear_combination(ks, elements) -> GroupElement:
     Each result entry takes the group of that entry of the first element with
     a nonzero k; with every k zero the result is ``elements[0] * 0``.
     """
-    terms = []
+    terms = []  # (p, q, entries) for each nonzero k = p/q
     for k, v in zip(ks, elements):
         if type(k) is not int:
             k = normal_rational(k)
         if k:
-            terms.append((k, v))
-    if not terms:
-        return elements[0] * 0
-    lead = terms[0][1]
-    for _, v in terms:
-        if v.rank != lead.rank:
-            raise RankMismatch(f"rank {lead.rank} vs {v.rank}")
+            terms.append((k, 1, v.entries) if type(k) is int else (k.numerator, k.denominator, v.entries))
+    lead = terms[0][2] if terms else elements[0].entries
+    for _, _, entries in terms:
+        if len(entries) != len(lead):
+            raise RankMismatch(f"rank {len(lead)} vs {len(entries)}")
     out = []
-    for j, first in enumerate(lead.entries):
-        acc = {}
-        for k, v in terms:
-            for name, c in v.entries[j].coeffs:
-                acc[name] = acc.get(name, 0) + c * k
-        out.append(Scalar._from_sums(first.group, acc))
+    for j, first in enumerate(lead):
+        group = first.group
+        acc, den = None, 1
+        for p, q, entries in terms:
+            s = entries[j]
+            nums = s.nums if s.group is group else _aligned(s, group)
+            if not any(nums):
+                continue
+            d = s.den * q
+            if acc is None:
+                acc, den = [p * x for x in nums], d
+            elif d == den:
+                acc = [a + p * x for a, x in zip(acc, nums)]
+            else:  # acc/den + p*nums/d over the denominator den*d
+                acc = [a * d + p * den * x for a, x in zip(acc, nums)]
+                den *= d
+        out.append(Scalar._canonical(group, group._zero, 1) if acc is None else _reduced(group, acc, den))
     return GroupElement(tuple(out))
 
 
@@ -584,32 +674,32 @@ def div_by_positive_int(a, n: int):
         raise ValueError("cannot divide a sentinel")
     if not isinstance(n, int) or n < 1:
         raise DivideByNonPositive(f"divisor must be a positive integer, got {n!r}")
-    return GroupElement(tuple(s * Fraction(1, n) for s in a.entries))
+    return GroupElement(tuple(_reduced(s.group, s.nums, s.den * n) for s in a.entries))
 
 
 # ---------------------------------------------------------------------------
 # Text form: elements "(s1, s2)", scalars "a + b*g", rationals "p/q".
 
-def format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def format_scalar(s: Scalar) -> str:
-    if not s.coeffs:
-        return "0"
     parts = []
-    for name, c in s.coeffs:
+    den = s.den
+    for name, n in zip(s.group.names, s.nums):
+        if not n:
+            continue
+        g = gcd(n, den)
+        p, q = abs(n) // g, den // g  # |coefficient| = p/q in lowest terms
+        size = str(p) if q == 1 else f"{p}/{q}"
         if name == "1":
-            body = format_fraction(abs(c))
-        elif abs(c) == 1:
+            body = size
+        elif p == q:
             body = name
         else:
-            body = f"{format_fraction(abs(c))}*{name}"
+            body = f"{size}*{name}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 def format_element(v) -> str:

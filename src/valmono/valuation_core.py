@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CertificationError, NonMonicKey, RankMismatch, ZeroPolynomial
+from .errors import CertificationError, NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
 from .exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -70,12 +70,12 @@ class _Spec:
                 num, den = f.laurent_free()
                 return self._value_multipoly(num) - self._value_multipoly(den)
             if f.width != self.width - 1:
-                raise ValueError("rational function width mismatch")
+                raise UnknownVariable("rational function width mismatch")
             f = UniPoly(f.width, [f])
         if not isinstance(f, UniPoly):
             raise TypeError(f"cannot evaluate {type(f).__name__}")
         if f.width != self.width - 1:
-            raise ValueError("univariate base width mismatch")
+            raise UnknownVariable("univariate base width mismatch")
         if f.is_zero():
             return PLUS_INFINITY
         return self._value_unipoly(f)
@@ -124,7 +124,7 @@ class Monomial(_Spec):
         if p.is_zero():
             return PLUS_INFINITY
         if p.width != self.width:
-            raise ValueError(f"polynomial width {p.width} != {self.width}")
+            raise UnknownVariable(f"polynomial width {p.width} != {self.width}")
         return self._min_value(p)
 
     def _value_unipoly(self, f: UniPoly):

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from valmono.errors import (
     CertificationError,
     LimitSuccessorRequired,
     ParseError,
+    UnknownVariable,
     ZeroPolynomial,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
@@ -292,6 +294,33 @@ def test_entry_points_reject_bad_inputs_with_narrow_errors(entry, fs, names, err
         ENTRY_POINTS[entry](NU3, fs, 10_000, names)
 
 
+XZ_BASE = Monomial(G, [el((1,)), el((1,))])  # over (x, z)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_an_element_of_another_arity_than_the_spec(entry):
+    # Q and the names are over (x, y, z), the valuation over (x, z): a narrow
+    # error before any value is computed, not a bare ValueError from valuing Q
+    with pytest.raises(ParseError, match="arity"):
+        ENTRY_POINTS[entry](XZ_BASE, [Q], 100, NAMES)
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [
+        (XZ_BASE, Q),  # a UniPoly over one base variable too many
+        (S2, Q),
+        (NU3, K2),  # one too few
+        (XZ_BASE, MultiPoly.variable(3, 0)),  # a polynomial over all variables
+        (XZ_BASE, RationalFunction(MultiPoly.variable(4, 0))),
+    ],
+    ids=["monomial-unipoly", "augmented-unipoly", "composite-unipoly", "monomial-multipoly", "monomial-rational"],
+)
+def test_valuing_an_element_of_another_arity_raises_unknown_variable(spec, f):
+    with pytest.raises(UnknownVariable):
+        spec.value(f)
+
+
 @pytest.mark.parametrize(
     "spec, f, names",
     [(NU3, Q, NAMES), (S2, K2 * UniPoly.constant(1, XZ) + UniPoly.constant(1, XZ**6), ["x", "z"])],
@@ -502,3 +531,43 @@ def test_every_stored_coefficient_is_in_normal_form():
     bad = [c for c in found if not (type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1)]
     assert bad == []
     assert [r for _, r in tower.frame.history[-1].residues], "the tower run ends with an equal-value step"
+
+
+def _reachable_scalars(obj, seen):
+    """Every Scalar reachable from ``obj`` through containers and the attributes of valmono objects."""
+    if id(obj) in seen or obj is None or isinstance(obj, (str, int, Fraction, MultiPoly, RationalFunction, UniPoly)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Scalar):
+        yield obj
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from _reachable_scalars(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            yield from _reachable_scalars(item, seen)
+    elif type(obj).__module__.startswith("valmono.") and not callable(obj):
+        slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        for name in [*getattr(obj, "__dict__", {}), *slots]:
+            yield from _reachable_scalars(getattr(obj, name, None), seen)
+
+
+def test_every_stored_scalar_is_integer_scaled():
+    # the runs of test_every_stored_coefficient_is_in_normal_form: each scalar
+    # holds int numerators, one per generator, over a positive int denominator
+    # with gcd 1, and the zero scalar is all zeros over 1
+    readme = monomialize(NU3, Q, 10_000, names=NAMES)
+    x2y = UniPoly.constant(2, RationalFunction(x2**2 * y2))
+    uniform = embedded_uniformize(NU3, [x2y, Q], 10_000, names=NAMES)
+    tower = monomialize(S3, K3 * K3 + UniPoly.constant(1, XZ**13), 10_000, names=["x", "z"])
+    runs = [readme, uniform, tower]
+    stores = list(runs)
+    for out in runs:  # the frames read back from their traces, and the states from their files
+        stores.append(_frame_from_records(out.frame.betas[0].group, trace_records(out.frame)))
+        stores.append(state_from_json(json.loads(json.dumps(state_to_json(out.state)))))
+    scalars = list(_reachable_scalars(stores, set()))
+    assert len(scalars) > 100 and any(s.den > 1 for s in scalars) and any(not any(s.nums) for s in scalars)
+    for s in scalars:
+        assert type(s.nums) is tuple and len(s.nums) == len(s.group.names), s
+        assert all(type(n) is int for n in s.nums) and type(s.den) is int and s.den > 0, s
+        assert gcd(s.den, *s.nums) == 1, s

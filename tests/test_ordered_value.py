@@ -571,3 +571,117 @@ def test_integral_sums_and_products_are_ints(group):
     x = MultiPoly.variable(1, 0)
     for p in (x * Fraction(1, 2) + x * Fraction(1, 2), (x * Fraction(2, 3)) * Fraction(3, 2), x * Fraction(-2, -2)):
         assert p.terms == {(1,): 1} and type(p.terms[(1,)]) is int
+
+
+# -- the kernel against a Fraction reference ------------------------------------
+# A reference scalar is a dict name -> nonzero Fraction; a reference group maps
+# each name to its rational value, or to None for pi.
+
+PI_LO = Fraction(314159265358979, 10**14)
+PI_HI = PI_LO + Fraction(1, 10**14)
+
+
+def _ref_combination(pairs):
+    """Sum of k * ref over ``(k, ref)`` pairs, zeros dropped."""
+    out = {}
+    for k, ref in pairs:
+        for name, c in ref.items():
+            out[name] = out.get(name, 0) + k * Fraction(c)
+    return {name: c for name, c in out.items() if c}
+
+
+def _ref_sign(values, ref):
+    lo = hi = Fraction(0)
+    for name, c in ref.items():
+        r = values[name]
+        glo, ghi = (PI_LO, PI_HI) if r is None else (r, r)
+        lo, hi = lo + min(c * glo, c * ghi), hi + max(c * glo, c * ghi)
+    assert lo > 0 or hi < 0 or lo == hi == 0, ref
+    return (lo > 0) - (hi < 0)
+
+
+def _assert_scalar(s, ref, group):
+    """``s`` lies in ``group``, holds exactly ``ref`` and shows it in the normal form."""
+    _assert_canonical(group, s)
+    assert dict(s.coeffs) == ref, (s, ref)
+
+
+def _equivalence_groups():
+    """(group, values, other groups with the same names) per row family."""
+    h = Fraction(-5, 3)
+    with_h = [unit_generator(), IndependentGenerator("h", rational=h), pi_generator()]
+    return [
+        (standard_group(), {"1": 1, "pi": None},
+         [standard_group(), ValueGroup([pi_generator(), unit_generator()])]),
+        (ValueGroup(with_h), {"1": 1, "h": h, "pi": None},
+         [ValueGroup(with_h), ValueGroup(with_h[::-1])]),
+    ]
+
+
+# the tower's values 3/2, 13/4 and 53/8, partners that make their sums
+# integral (1/2, 3/4, 11/8), and pi-mixed coefficients over the same denominators
+TOWER_COEFFS = (Fraction(3, 2), Fraction(13, 4), Fraction(53, 8), Fraction(1, 2), Fraction(3, 4),
+                Fraction(11, 8), Fraction(-3, 2), Fraction(-13, 4), 1, -2, 0)
+EQUIVALENCE_FACTORS = (0, 1, 2, -3, Fraction(1, 2), Fraction(2, 3), Fraction(-4, 13), Fraction(8, 53), Fraction(16, 1))
+
+
+def _equivalence_refs(names, rng):
+    refs = [{"1": c} for c in TOWER_COEFFS if c]
+    refs += [{"1": Fraction(3, 2), "pi": Fraction(-1, 2)}, {"1": Fraction(13, 4), "pi": Fraction(-1, 4)},
+             {"pi": Fraction(53, 8)}, {}]
+    if "h" in names:
+        refs += [{"h": Fraction(3, 2), "1": Fraction(5, 2)}, {"h": Fraction(-13, 4)}, {"h": 1, "pi": Fraction(1, 8)}]
+    for _ in range(12):
+        ref = {name: rng.choice(TOWER_COEFFS) for name in names if rng.randrange(3)}
+        refs.append({name: c for name, c in ref.items() if c})
+    return refs
+
+
+def test_kernel_equals_the_fraction_reference():
+    rng = random.Random(SEED + 11)
+    rows = 0
+    for group, values, others in _equivalence_groups():
+        refs = _equivalence_refs(group.names, rng)
+        for ra in refs:
+            a = Scalar(group, ra)
+            _assert_scalar(a, ra, group)
+            assert a.sign() == _ref_sign(values, ra)
+            _assert_scalar(-a, _ref_combination([(-1, ra)]), group)
+            for k in EQUIVALENCE_FACTORS:
+                want = _ref_combination([(k, ra)])
+                _assert_scalar(a * k, want, group)
+                _assert_scalar(k * a, want, group)
+            for n in (1, 2, 3, 8):
+                (q,) = div_by_positive_int(GroupElement((a,)), n).entries
+                _assert_scalar(q, _ref_combination([(Fraction(1, n), ra)]), group)
+            for other in (group, *others):
+                rb = rng.choice(refs)
+                b = Scalar(other, rb)
+                _assert_scalar(a + b, _ref_combination([(1, ra), (1, rb)]), group)
+                _assert_scalar(a - b, _ref_combination([(1, ra), (-1, rb)]), group)
+                _assert_scalar(b - a, _ref_combination([(1, rb), (-1, ra)]), other)
+                want = _ref_sign(values, _ref_combination([(1, ra), (-1, rb)]))
+                assert compare(GroupElement((a,)), GroupElement((b,))) == want
+                assert compare(GroupElement((a, b)), GroupElement((b, a))) == want
+                assert ((a < b), (a <= b), (a > b), (a >= b)) == (want < 0, want <= 0, want > 0, want >= 0)
+                ks = (rng.choice(EQUIVALENCE_FACTORS), rng.choice(EQUIVALENCE_FACTORS), Fraction(3, 2))
+                (got,) = linear_combination(ks, [GroupElement((s,)) for s in (a, b, a)]).entries
+                lead = next((s for k, s in zip(ks, (a, b, a)) if k), a)
+                _assert_scalar(got, _ref_combination(zip(ks, (ra, rb, ra))), lead.group)
+                if other.names == group.names:
+                    assert (a == b) == (ra == rb)
+                twin = Scalar(other, ra)
+                assert compare(GroupElement((a,)), GroupElement((twin,))) == 0
+                for x, y in ((a, b), (a, twin)):
+                    if x == y:
+                        assert hash(x) == hash(y)
+                rows += 1
+    assert rows == 3 * (26 + 29)  # each reference scalar against three groups
+    # the tower's values with the partners that make them integral
+    g = standard_group()
+    for x, y, total in ((Fraction(3, 2), Fraction(1, 2), 2), (Fraction(13, 4), Fraction(3, 4), 4),
+                        (Fraction(53, 8), Fraction(11, 8), 8)):
+        a, b = g.scalar(x, pi=x), g.scalar(y, pi=-x)
+        (lc,) = linear_combination([1, 1], [GroupElement((a,)), GroupElement((b,))]).entries
+        for s in (a + b, lc, a * 2 - b * 2 + g.scalar(4 * y - total, pi=-4 * x)):
+            assert s.coeffs == (("1", total),) and type(s.coeffs[0][1]) is int

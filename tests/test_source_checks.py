@@ -3,8 +3,9 @@ only ``ordered_value`` builds a scalar that skips canonicalisation, no module
 writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
 one polynomial 1 per width), equal-value residue data has one source besides
 recorded traces: the valuation driver, only rational functions are divided
-with ``/`` (a quotient of int coefficients would be a float), and no module reads
-the environment (every setting is an argument)."""
+with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
+in ``ordered_value`` builds no ``Fraction``, and no module reads the environment
+(every setting is an argument)."""
 
 import ast
 from fractions import Fraction
@@ -218,6 +219,56 @@ def test_the_division_guard_sees_each_form(tmp_path):
         "        return -self.x / c\n"
     )
     assert _divisions(sample) == ["sample.<module>:1", "sample.f:3", "sample.K.m.inner:8", "sample.K.m:9"]
+
+
+def _fraction_constructions(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``Fraction(...)`` call in one source file,
+    the owner being the innermost enclosing class or function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == "Fraction":
+                found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+
+
+# the pi enclosure's series, the text parser and the normal-form view of a
+# scalar's coefficients; scalar arithmetic and signs run on int numerators
+FRACTION_SITES = {
+    "ordered_value._arctan_inv_bounds",
+    "ordered_value.parse_scalar",
+    "ordered_value.Scalar.coeffs",
+}
+
+
+def test_scalar_arithmetic_builds_no_fraction():
+    hits = _fraction_constructions(Path(valmono.__file__).parent / "ordered_value.py")
+    assert {hit.rsplit(":", 1)[0] for hit in hits} == FRACTION_SITES
+    found = [hit for hit in hits if hit.rsplit(":", 1)[0] not in FRACTION_SITES]
+    assert found == [], "keep scalars as int numerators over one denominator: " + ", ".join(found)
+
+
+def test_the_fraction_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "HALF = Fraction(1, 2)\n"
+        "def f(a):\n"
+        "    return a * fractions.Fraction(3, 4)\n"
+        "class S:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            return [Fraction(self.n, self.d)]\n"
+        "        return Fraction\n"
+    )
+    assert _fraction_constructions(sample) == ["sample.<module>:1", "sample.f:3", "sample.S.m.inner:7"]
 
 
 _ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
