@@ -18,9 +18,9 @@ any ``int`` or ``Fraction`` input and raises ``TypeError`` for any other.
 Arithmetic (sums, negations, multiples, quotients by positive integers, linear
 combinations) works on the integers alone and reduces by one gcd; it builds
 the result with the private ``Scalar._canonical``, which trusts its input; no
-other module calls it.  A comparison takes the sign of the integer numerators
-of the difference over the product of the denominators, without building a
-scalar.  ``_sign_of`` is the one place a scalar's sign is decided.
+other module calls it.  A comparison takes the sign of the difference, built
+only when the two scalars differ.  ``Scalar.sign`` is the one place a scalar's
+sign is decided.
 
 A generator fixes its sign when it is built: a rational one from its value, an
 enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
@@ -52,7 +52,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, sub
 from typing import Callable, Iterable, Optional
 
 from .errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
@@ -235,53 +234,6 @@ def standard_group() -> ValueGroup:
     return ValueGroup([unit_generator(), pi_generator()])
 
 
-def _sign_of(group: ValueGroup, nums) -> int:
-    """Sign of the scalar with these numerators over any positive denominator.
-
-    The rational terms sum to ``exact / R``, ``R`` the group's common
-    denominator; every decision below is on ``R`` times the scalar.
-    """
-    if not any(nums):
-        return 0
-    exact = 0
-    irr = []
-    for n, r, g in zip(nums, group._rat_nums, group._gens):
-        if n:
-            if r is None:
-                irr.append((n, g))
-            else:
-                exact += n * r
-    if not irr:
-        return (exact > 0) - (exact < 0)
-    R = group._rat_den
-    if len(irr) == 1:
-        n, g = irr[0]
-        if not exact and nums.count(0) == len(nums) - 1:
-            return g.sign if n > 0 else -g.sign
-        # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
-        c = n * R
-        if c > 0:
-            return g._side(-exact, c)
-        return -g._side(exact, -c)
-    for level in range(_MAX_REFINE):
-        lo = hi = exact
-        for n, g in irr:
-            glo, ghi = g.enclosure(level)
-            c = n * R
-            if c > 0:
-                lo, hi = lo + c * glo, hi + c * ghi
-            else:
-                lo, hi = lo + c * ghi, hi + c * glo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-    raise ArithmeticError(
-        "interval refinement failed to separate from zero; "
-        "generators are not rationally independent"
-    )
-
-
 def _reduced(group: ValueGroup, nums, den: int) -> "Scalar":
     """The scalar ``nums / den`` (``den > 0``) in ``group``, divided through by the gcd."""
     if den != 1:
@@ -367,8 +319,6 @@ class Scalar:
             return -other if subtract else other
         a, b = self.nums, other.nums if other.group is group else _aligned(other, group)
         da, db = self.den, other.den
-        if da == db:
-            return _reduced(group, list(map(sub if subtract else add, a, b)), da)
         if subtract:
             nums = [x * db - y * da for x, y in zip(a, b)]
         else:
@@ -376,21 +326,62 @@ class Scalar:
         return _reduced(group, nums, da * db)
 
     def _order(self, other: "Scalar") -> int:
-        """Sign of self - other, from the integer numerators of a positive multiple of it."""
-        group = self.group
-        a, b = self.nums, other.nums if other.group is group else _aligned(other, group)
-        da, db = self.den, other.den
-        if da == db:
-            if a == b:
-                return 0
-            return _sign_of(group, list(map(sub, a, b)))
-        return _sign_of(group, [x * db - y * da for x, y in zip(a, b)])
+        """Sign of self - other; the difference is built only when the two differ."""
+        if other.group is self.group and self.den == other.den and self.nums == other.nums:
+            return 0
+        return self._combined(other, True).sign()
 
     def is_zero(self) -> bool:
         return not any(self.nums)
 
     def sign(self) -> int:
-        return _sign_of(self.group, self.nums)
+        """The one place a scalar's sign is decided.
+
+        The rational terms sum to ``exact / (R * den)``, ``R`` the group's
+        common denominator; every decision below is on ``R * den`` times the
+        scalar.
+        """
+        nums = self.nums
+        if not any(nums):
+            return 0
+        group = self.group
+        exact = 0
+        irr = []
+        for n, r, g in zip(nums, group._rat_nums, group._gens):
+            if n:
+                if r is None:
+                    irr.append((n, g))
+                else:
+                    exact += n * r
+        if not irr:
+            return (exact > 0) - (exact < 0)
+        R = group._rat_den
+        if len(irr) == 1:
+            n, g = irr[0]
+            if not exact and nums.count(0) == len(nums) - 1:
+                return g.sign if n > 0 else -g.sign
+            # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
+            c = n * R
+            if c > 0:
+                return g._side(-exact, c)
+            return -g._side(exact, -c)
+        for level in range(_MAX_REFINE):
+            lo = hi = exact
+            for n, g in irr:
+                glo, ghi = g.enclosure(level)
+                c = n * R
+                if c > 0:
+                    lo, hi = lo + c * glo, hi + c * ghi
+                else:
+                    lo, hi = lo + c * ghi, hi + c * glo
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+        raise ArithmeticError(
+            "interval refinement failed to separate from zero; "
+            "generators are not rationally independent"
+        )
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -501,14 +492,6 @@ def is_sentinel(v) -> bool:
     return isinstance(v, _Sentinel)
 
 
-def _lex_sign(entries) -> int:
-    for s in entries:
-        sg = _sign_of(s.group, s.nums)
-        if sg:
-            return sg
-    return 0
-
-
 class GroupElement:
     """A lex-ordered tuple of scalars; all entries share one group."""
 
@@ -531,11 +514,14 @@ class GroupElement:
         return all(s.is_zero() for s in self.entries)
 
     def sign(self) -> int:
-        """Sign in the lexicographic order: that of the first entry with a nonzero sign."""
-        return _lex_sign(self.entries)
+        """Sign in the lexicographic order: that of the first nonzero entry."""
+        for s in self.entries:
+            if any(s.nums):
+                return s.sign()
+        return 0
 
     def is_positive(self) -> bool:
-        return _lex_sign(self.entries) > 0
+        return self.sign() > 0
 
     def lift(self, extra: int = 1) -> "GroupElement":
         # Order embedding into rank+extra: prepend zero coordinates.
@@ -655,8 +641,6 @@ def linear_combination(ks, elements) -> GroupElement:
             d = s.den * q
             if acc is None:
                 acc, den = [p * x for x in nums], d
-            elif d == den:
-                acc = [a + p * x for a, x in zip(acc, nums)]
             else:  # acc/den + p*nums/d over the denominator den*d
                 acc = [a * d + p * den * x for a, x in zip(acc, nums)]
                 den *= d

@@ -448,6 +448,24 @@ def test_sign_raises_where_no_enclosure_separates():
     assert group.scalar(2, u=-1).sign() == 1
 
 
+def test_every_sign_decision_goes_through_scalar_sign(group, monkeypatch):
+    # the per-layer benchmark counts sign decisions by wrapping Scalar.sign
+    asked = []
+    sign = Scalar.sign
+
+    def counted(s):
+        asked.append(format_scalar(s))
+        return sign(s)
+
+    monkeypatch.setattr(Scalar, "sign", counted)
+    a = group.element(0, group.scalar(1, pi=-1))
+    b = group.element(0, 3)
+    assert compare(a, b) == -1 and a < b and not a >= b
+    assert not a.is_positive() and (b - a).sign() == 1
+    # equal entries and zero entries are settled without a sign decision
+    assert asked == ["-2 - pi", "-2 - pi", "-2 - pi", "1 - pi", "2 + pi"]
+
+
 def _term_by_term(ks, elements):
     out = None
     for k, v in zip(ks, elements):
