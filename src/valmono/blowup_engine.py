@@ -1,8 +1,8 @@
 """Framed blow-ups and the divisibility machinery built on them.
 
 A Frame is an immutable snapshot of a coordinate chart: parameter names
-with their values, the protected positions, the step history and the
-inverse of the running exponent matrix.
+with their values, the step history and the inverse of the running
+exponent matrix.
 
 The history is the one record of what each blow-up did: its center, chart
 index, residues and, for each equal-value member, the value-zero unit
@@ -16,9 +16,12 @@ Every parameter value is a proved value of the parameter's pullback: the
 initial values and each equal-value member's value (its unit minus its
 residue) are compared with the spec by ``check_frame_values``, and a strict
 member's value beta_q - beta_j is exact for any valuation. Values are
-positive, so a Laurent-free unit whose numerator and denominator have a
-nonzero constant term has value exactly zero: the constant is the one term
-of least value. Certificates rest on this instead of pulling units back.
+positive, proved once where they come from: ``Frame.initial`` checks the
+starting values, ``framed_blowup`` the values a step makes, and the
+constructor is a plain record. So a Laurent-free unit whose numerator and
+denominator have a nonzero constant term has value exactly zero: the
+constant is the one term of least value. Certificates rest on this instead
+of pulling units back.
 
 Every operation returns a new Frame; histories are append-only, so traces
 can be replayed and cross-checked step by step. The one field set after
@@ -38,7 +41,6 @@ from .errors import (
     DegenerateInput,
     EmptyCenter,
     EmptyIdeal,
-    ProtectedCenter,
     ResidueUndefined,
     UnknownVariable,
 )
@@ -88,39 +90,34 @@ class Frame:
         "original_names",
         "init_betas",
         "betas",
-        "protected",
         "history",
         "matrix_inv",
         "checked",
     )
 
-    def __init__(self, names, original_names, init_betas, betas, protected, history, matrix_inv):
+    def __init__(self, names, original_names, init_betas, betas, history, matrix_inv):
         self.names = tuple(names)
         self.original_names = tuple(original_names)
         self.init_betas = tuple(init_betas)
         self.betas = tuple(betas)
-        self.protected = frozenset(protected)
         self.history = tuple(history)
         self.matrix_inv = matrix_inv
         self.checked = None  # (spec, n): the first n steps passed check_frame_values
-        for b in self.betas:
-            if not b.is_positive():
-                raise CertificationError("parameter value must stay positive")
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def initial(cls, names, betas, protected=()) -> "Frame":
+    def initial(cls, names, betas) -> "Frame":
+        """The chart of the original parameters; the one way in for outside values."""
         names = tuple(names)
         m = len(names)
         if len(set(names)) != m:
             raise ValueError("duplicate parameter names")
-        prot = set()
-        for p in protected:
-            prot.add(p if isinstance(p, int) else names.index(p))
-        ident = tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m))
         betas = tuple(betas)
-        return cls(names, names, betas, betas, prot, (), ident)
+        if not all(b.is_positive() for b in betas):
+            raise CertificationError("parameter value must stay positive")
+        ident = tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m))
+        return cls(names, names, betas, betas, (), ident)
 
     @property
     def width(self) -> int:
@@ -176,9 +173,6 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         raise EmptyCenter("center needs at least two parameters")
     if any(q < 0 or q >= m for q in J):
         raise UnknownVariable("center position out of range")
-    hit = [q for q in J if q in frame.protected]
-    if hit:
-        raise ProtectedCenter(f"center touches protected positions {hit}")
 
     j = J[0]
     for q in J[1:]:
@@ -186,7 +180,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
             j = q
     beta_j = frame.betas[j]
 
-    # one difference per member: its sign splits B from C, and it is a B member's new value
+    # one difference per member: its sign splits B from C and proves positive a B member's new value
     B, C, diffs = [], [], {}
     for q in J:
         if q == j:
@@ -248,7 +242,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     for q in B + C:
         inv[q] = [a - b for a, b in zip(inv[q], inv[j])]
 
-    out = Frame(names, frame.original_names, frame.init_betas, betas, frame.protected,
+    out = Frame(names, frame.original_names, frame.init_betas, betas,
                 frame.history + (step,), tuple(tuple(row) for row in inv))
     out.checked = frame.checked  # the history only grows, so checked steps stay checked
     return out
@@ -408,9 +402,6 @@ def divide_monomials(frame: Frame, alpha, gamma, c_provider=None) -> DivideResul
     gamma = tuple(int(g) for g in gamma)
     if len(alpha) != frame.width or len(gamma) != frame.width:
         raise UnknownVariable("exponent arity mismatch")
-    for q in frame.protected:
-        if alpha[q] or gamma[q]:
-            raise ProtectedCenter("exponents touch a protected parameter")
     value_alpha = frame.monomial_value(alpha)
     value_gamma = frame.monomial_value(gamma)
     start = len(frame.history)

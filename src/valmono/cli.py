@@ -79,7 +79,9 @@ def _one_poly(value: str) -> str:
 def _many_polys(value: str) -> list:
     src = _read_source(value)
     if isinstance(src, str):
-        return [p for p in src.split(";") if p.strip()]
+        src = [p for p in src.split(";") if p.strip()]
+    if not src:
+        raise ParseError("no polynomial in the input list")
     return src
 
 
@@ -206,6 +208,8 @@ def _cmd_divide(args, names, spec):
 def _cmd_principalize(args, names, spec):
     frame = _initial_frame(spec, names)
     gens = [_exponents(part, frame.width) for part in args.gens.split(";") if part.strip()]
+    if not gens:
+        raise ParseError("no exponent list in --gens")
     res = principalize(frame, gens, valuation_driver(spec))
     _finish_trace(args, res.frame, spec)
     payload = {

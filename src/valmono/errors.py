@@ -58,10 +58,6 @@ class NonUnitFactor(ValmonoError):
     """A decorating factor of a key element must have value zero."""
 
 
-class ProtectedCenter(ValmonoError):
-    """The blow-up center touches a protected parameter."""
-
-
 class EmptyCenter(ValmonoError):
     """A blow-up center needs at least two parameters."""
 

@@ -342,9 +342,8 @@ def _finalize(state: MasterState, f: UniPoly, expected):
             break
         except DegenerateInput:
             state = advance(state)
+    # _factor_as_unit proved cert.value equal to expected
     state = _after_steps(state, cert.frame)
-    if compare(cert.value, expected) != 0:
-        raise CertificationError("certificate value differs from the valuation")
     return state, (cert.exponents, cert.unit, cert.value)
 
 
@@ -503,31 +502,36 @@ def state_to_json(state: MasterState) -> dict:
 
 
 def state_from_json(obj) -> MasterState:
-    if obj.get("version") != STATE_VERSION:
-        raise ParseError(f"unsupported state version {obj.get('version')!r}")
-    group, names, spec = load_problem(obj["problem"])
-    frame = trace._frame_from_records(group, obj["trace"])
+    """The state a ``state_to_json`` object holds; any malformed or tampered one raises ParseError."""
     try:
+        if obj.get("version") != STATE_VERSION:
+            raise ParseError(f"unsupported state version {obj.get('version')!r}")
+        group, names, spec = load_problem(obj["problem"])
+        frame = trace._frame_from_records(group, obj["trace"])
         check_frame_values(frame, spec)
-    except CertificationError as exc:
-        raise ParseError(f"state trace: {exc}") from exc
-    chain = tuple(_link_from(l, group, names) for l in obj["chain"])
-    if not chain:
-        raise ParseError("state chain is empty")
-    image = obj["key_image"]
-    return MasterState(
-        spec=spec,
-        frame=frame,
-        budget=int(obj["budget"]),
-        slice_index=int(obj["slice_index"]),
-        chain=chain,
-        keys_pending=tuple(_link_from(l, group, names) for l in obj["keys_pending"]),
-        key_image=RationalFunction(
-            parse_polynomial(image["num"], frame.names),
-            parse_polynomial(image["den"], frame.names),
-        ),
-        key_pos=int(obj["key_pos"]),
-    )
+        chain = tuple(_link_from(l, group, names) for l in obj["chain"])
+        if not chain:
+            raise ParseError("state chain is empty")
+        image = obj["key_image"]
+        budget, slice_index, key_pos = obj["budget"], obj["slice_index"], obj["key_pos"]
+        if ({type(budget), type(slice_index), type(key_pos)} != {int}
+                or slice_index < 0 or key_pos not in range(frame.width)):
+            raise ParseError(f"state budget {budget!r}, slice_index {slice_index!r} or key_pos {key_pos!r} is invalid")
+        return MasterState(
+            spec=spec,
+            frame=frame,
+            budget=budget,
+            slice_index=slice_index,
+            chain=chain,
+            keys_pending=tuple(_link_from(l, group, names) for l in obj["keys_pending"]),
+            key_image=RationalFunction(
+                parse_polynomial(image["num"], frame.names),
+                parse_polynomial(image["den"], frame.names),
+            ),
+            key_pos=key_pos,
+        )
+    except trace._MALFORMED as exc:
+        raise ParseError(f"malformed state: {type(exc).__name__}: {exc}") from exc
 
 
 def save_state(state: MasterState, path) -> None:

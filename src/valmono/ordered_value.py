@@ -158,7 +158,7 @@ def pi_generator(name: str = "pi") -> IndependentGenerator:
 class ValueGroup:
     """Shared generator context for scalars and group elements."""
 
-    __slots__ = ("names", "_by_name", "_rational", "_rat_den", "_rat_nums", "_gens", "_zero")
+    __slots__ = ("names", "_by_name", "_rat_den", "_rat_nums", "_gens", "_zero")
 
     def __init__(self, generators: Iterable[IndependentGenerator]):
         gens = tuple(generators)
@@ -170,8 +170,6 @@ class ValueGroup:
         self.names = tuple(g.name for g in gens)
         if not self.names:
             raise ValueError("a value group needs at least one generator")
-        # name -> exact value, or None for a generator known by enclosures
-        self._rational = {g.name: g.rational for g in gens}
         # the rational values as integers over one denominator R, None at an enclosure generator
         self._rat_den = lcm(*(g.rational.denominator for g in gens if g.rational is not None))
         self._rat_nums = tuple(

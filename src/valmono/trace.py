@@ -1,17 +1,18 @@
 """Blow-up trace files: emission, replay, DOT rendering.
 
 A trace is one JSON object per line. The first line is an ``init`` event
-carrying the group, parameter names, starting values, and protected set;
-blow-up steps follow with 1-based positions.
+carrying the group, parameter names and starting values; blow-up steps
+follow with 1-based positions.
 
-The one replay, ``_frame_from_records``, re-runs each recorded center
-through ``framed_blowup`` (center, residue, positivity and name checks) and
-requires every record to equal the record its replayed step emits (chart
-index, B/C split, renames, values). Each step adds columns to the chart
-column, so the exponent matrix is unimodular by construction. Equal-value
-residues, names and values are read from the record, not from the valuation;
-a trace carries no valuation, and the state loader compares them with its
-problem's spec.
+The one replay, ``_frame_from_records``, builds the starting frame with
+``Frame.initial``, which proves every starting value positive, re-runs each
+recorded center through ``framed_blowup`` (center, residue, positivity and
+name checks) and requires every record to equal the record its replayed
+step emits (chart index, B/C split, renames, values). Each step adds
+columns to the chart column, so the exponent matrix is unimodular by
+construction. Equal-value residues, names and values are read from the
+record, not from the valuation; a trace carries no valuation, and the state
+loader compares them with its problem's spec.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ def trace_records(frame: Frame) -> list:
         "group": group_to_json(frame.betas[0].group),
         "params": list(frame.original_names),
         "beta": _beta_map(frame.original_names, frame.init_betas),
-        "protected": sorted(p + 1 for p in frame.protected),
+        # always empty: the field stays in the trace format so trace bytes and
+        # digests are unchanged; replay refuses an init record that names one
+        "protected": [],
     }
     return [init] + [_step_record(item) for item in frame.history]
 
@@ -104,7 +107,7 @@ def _frame_from_records(group, records) -> Frame:
             raise ParseError("trace must start with an init record")
         names = list(init["params"])
         betas = [parse_element(group, init["beta"][n]) for n in names]
-        frame = Frame.initial(names, betas, [p - 1 for p in init["protected"]])
+        frame = Frame.initial(names, betas)
         emitted = trace_records(frame)[0]
         for idx, rec in enumerate(records):
             if idx:

@@ -24,7 +24,6 @@ from valmono.errors import (
     DegenerateInput,
     EmptyCenter,
     EmptyIdeal,
-    ProtectedCenter,
     ResidueUndefined,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
@@ -62,6 +61,24 @@ def test_initial_frame():
         Frame.initial(["x", "x"], [el((1,)), el((1,))])
 
 
+@pytest.mark.parametrize("beta", [el((0,)), el((-1,)), el((1, -1))], ids=["zero", "negative", "pi-negative"])
+def test_initial_frame_rejects_a_non_positive_value(beta):
+    with pytest.raises(CertificationError, match="parameter value must stay positive"):
+        Frame.initial(["x", "y"], [el((1,)), beta])
+
+
+def test_monomial_blowup_decides_no_positivity(monkeypatch):
+    # the chart index minimizes the value, so each strict member's difference is
+    # proved positive by its sign and no value is proved again afterwards
+    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((2,))])
+    asked = []
+    is_positive = GroupElement.is_positive
+    monkeypatch.setattr(GroupElement, "is_positive", lambda self: asked.append(self) or is_positive(self))
+    fr2 = framed_blowup(fr, [0, 1, 2])
+    assert fr2.history[0].monomial and fr2.history[0].B == (1, 2)
+    assert asked == []
+
+
 def test_single_blowup_strict():
     # values (1, pi): the chart index is the first parameter
     fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
@@ -81,9 +98,7 @@ def test_single_blowup_strict():
 
 
 def test_center_guards():
-    fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))], protected=["x"])
-    with pytest.raises(ProtectedCenter):
-        framed_blowup(fr, [0, 1])
+    fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
     with pytest.raises(EmptyCenter):
         framed_blowup(fr, [1])
 
@@ -150,10 +165,7 @@ def test_verify_forward_rejects_a_tampered_step(tamper):
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
     fr2 = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,))))
     bad = dataclasses.replace(fr2.history[0], units=tamper(fr2.history[0].units))
-    tampered = Frame(
-        fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, fr2.protected,
-        (bad,), fr2.matrix_inv,
-    )
+    tampered = Frame(fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, (bad,), fr2.matrix_inv)
     assert verify_forward(fr2)
     assert not verify_forward(tampered)
 

@@ -347,6 +347,21 @@ def test_negative_exponents_exit_two(specs, capsys, argv):
     assert "has a negative entry" in capsys.readouterr().err
 
 
+# an empty generator or polynomial list is malformed input, not a failed certificate
+EMPTY_LIST = {
+    "principalize-empty": (["principalize", "--gens", ""], "no exponent list in --gens"),
+    "principalize-separator-only": (["principalize", "--gens", ";"], "no exponent list in --gens"),
+    "uniformize-empty": (["uniformize", "--polys", ""], "no polynomial in the input list"),
+    "uniformize-separator-only": (["uniformize", "--polys", " ; "], "no polynomial in the input list"),
+}
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_LIST.values(), ids=EMPTY_LIST)
+def test_empty_list_exits_two(specs, capsys, argv, message):
+    assert main([argv[0], "--spec", specs["nu3"], *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # verbs whose frames take equal-value parameter values from the valuation driver
 DRIVEN_FRAME = {
     "divide": ["divide", "--alpha", "0,0,2", "--gamma", "2,1,0"],

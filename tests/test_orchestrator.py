@@ -200,13 +200,35 @@ def test_state_roundtrip_partial_uniformize_and_tower():
     assert "x^-1" in blob["key_image"]["num"]
 
 
-def test_state_rejects_v1_and_empty_chain():
-    blob = state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)
-    assert blob["version"] == 2
+def _without(field):
+    return lambda blob: {k: v for k, v in blob.items() if k != field}
+
+
+# one malformed field of a saved state; each must load as ParseError, not a bare KeyError or ValueError
+STATE_TAMPERS = {
+    "version-1": lambda blob: dict(blob, version=1),
+    "chain-empty": lambda blob: dict(blob, chain=[]),
+    **{f"no-{field}": _without(field) for field in
+       ("budget", "chain", "key_image", "key_pos", "slice_index", "trace", "keys_pending", "problem")},
+    "budget-text": lambda blob: dict(blob, budget="x"),
+    "budget-fraction": lambda blob: dict(blob, budget=1.5),
+    "slice-index-negative": lambda blob: dict(blob, slice_index=-1),
+    "key-pos-past-the-frame": lambda blob: dict(blob, key_pos=99),
+    "key-pos-negative": lambda blob: dict(blob, key_pos=-1),
+    "key-pos-bool": lambda blob: dict(blob, key_pos=True),
+    "key-image-no-den": lambda blob: dict(blob, key_image={"num": blob["key_image"]["num"]}),
+    "trace-empty": lambda blob: dict(blob, trace=[]),
+    "chain-link-no-key": lambda blob: dict(blob, chain=[{"certificate": None}]),
+    "not-an-object": lambda blob: list(blob),
+}
+
+
+@pytest.mark.parametrize("tamper", STATE_TAMPERS.values(), ids=STATE_TAMPERS)
+def test_state_rejects_a_malformed_field(tamper):
+    blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
+    assert blob["version"] == 2 and state_from_json(blob).key_pos == blob["key_pos"]
     with pytest.raises(ParseError):
-        state_from_json(dict(blob, version=1))
-    with pytest.raises(ParseError):
-        state_from_json(dict(blob, chain=[]))
+        state_from_json(tamper(blob))
 
 
 def test_enumerate_pairs_slices():
@@ -420,7 +442,7 @@ def test_tower_elements_certify(spec, f):
 
 
 def _frame_with(frame, **fields):
-    slots = ("names", "original_names", "init_betas", "betas", "protected", "history", "matrix_inv")
+    slots = ("names", "original_names", "init_betas", "betas", "history", "matrix_inv")
     return Frame(**{**{k: getattr(frame, k) for k in slots}, **fields})
 
 
@@ -486,7 +508,7 @@ def _stored_rationals(obj):
         yield from _stored_rationals(obj.coeffs)
     elif isinstance(obj, Scalar):
         yield from (c for _, c in obj.coeffs)
-        yield from (r for r in obj.group._rational.values() if r is not None)
+        yield from (r for r in (obj.group.generator(name).rational for name in obj.group.names) if r is not None)
     elif isinstance(obj, GroupElement):
         yield from _stored_rationals(obj.entries)
     elif isinstance(obj, Frame):

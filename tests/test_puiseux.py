@@ -18,7 +18,6 @@ from valmono.errors import (
     DeltaNotOne,
     NonBinomialInput,
     NonUnitFactor,
-    ProtectedCenter,
     ResidueFieldExtension,
     TranscendentalResidue,
 )
@@ -57,11 +56,11 @@ NU3 = Composite(Q, NU2)
 Q3 = MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1})
 
 
-def tower_frame(protected=()) -> Frame:
+def tower_frame() -> Frame:
     bx = NU3.value(UniPoly.constant(2, RationalFunction(x2)))
     by = NU3.value(UniPoly.constant(2, RationalFunction(y2)))
     bz = NU3.value(X)
-    return Frame.initial(["x", "y", "z"], [bx, by, bz], protected=protected)
+    return Frame.initial(["x", "y", "z"], [bx, by, bz])
 
 
 def test_residue_of_unit_through_the_tower():
@@ -162,10 +161,7 @@ def _with_terminal_unit_times(result, factor):
     fr = result.frame
     units = tuple((q, u * factor) for q, u in fr.history[-1].units)
     last = dataclasses.replace(fr.history[-1], units=units)
-    frame = Frame(
-        fr.names, fr.original_names, fr.init_betas, fr.betas, fr.protected,
-        fr.history[:-1] + (last,), fr.matrix_inv,
-    )
+    frame = Frame(fr.names, fr.original_names, fr.init_betas, fr.betas, fr.history[:-1] + (last,), fr.matrix_inv)
     return dataclasses.replace(result, frame=frame, steps=result.steps[:-1] + (last,))
 
 
@@ -215,12 +211,6 @@ def test_package_orientation_free():
     assert a.exponents == b.exponents
     assert a.unit == b.unit
     assert a.residue == b.residue
-
-
-def test_package_protected_positions_rejected():
-    fr = tower_frame(protected=[2])
-    with pytest.raises(ProtectedCenter):
-        puiseux_package(fr, NU3, f=Q3)
 
 
 def test_prepare_successor_identity_chain():

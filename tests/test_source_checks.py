@@ -4,8 +4,9 @@ writes into a polynomial's ``terms`` map (every fraction with denominator 1 shar
 one polynomial 1 per width), equal-value residue data has one source besides
 recorded traces: the valuation driver, only rational functions are divided
 with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
-in ``ordered_value`` builds no ``Fraction``, and no module reads the environment
-(every setting is an argument)."""
+in ``ordered_value`` builds no ``Fraction``, frames are built only where their
+values are proved positive, and no module reads the environment (every setting
+is an argument)."""
 
 import ast
 from fractions import Fraction
@@ -269,6 +270,53 @@ def test_the_fraction_guard_sees_each_form(tmp_path):
         "        return Fraction\n"
     )
     assert _fraction_constructions(sample) == ["sample.<module>:1", "sample.f:3", "sample.S.m.inner:7"]
+
+
+def _frame_builders(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``Frame(...)`` call in one source file,
+    and every ``cls(...)`` call inside class ``Frame``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == "Frame" or (callee == "cls" and owner.split(".")[0] == "Frame"):
+                found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+
+
+def test_frames_are_built_only_where_their_values_are_proved():
+    # Frame.__init__ is a plain record: Frame.initial proves the outside values
+    # positive and framed_blowup the values a step makes; nothing else builds one
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = sorted(hit.rsplit(":", 1)[0] for path in sources for hit in _frame_builders(path))
+    assert found == ["blowup_engine.Frame.initial", "blowup_engine.framed_blowup"], (
+        "build frames with Frame.initial or framed_blowup: " + ", ".join(found)
+    )
+
+
+def test_the_frame_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "F = Frame((), (), (), (), (), ())\n"
+        "def f(fr):\n"
+        "    return blowup_engine.Frame(*fr)\n"
+        "class Frame:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls()\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(), Frame.initial((), ())\n"
+    )
+    assert _frame_builders(sample) == ["sample.<module>:1", "sample.f:3", "sample.Frame.make:7"]
 
 
 _ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")

@@ -279,25 +279,27 @@ def test_replay_rejects_lift_protect_reframe():
         with pytest.raises(ParseError, match="unknown trace event"):
             state_from_json(dict(blob, trace=blob["trace"] + [event]))
     state_from_json(blob)
-    # a center through a parameter protected at init is still refused
-    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((2,))], protected=[0])
-    fr = framed_blowup(fr, [1, 2])
-    recs = trace_records(fr)
-    assert recs[0]["protected"] == [1]
-    assert replay_trace(recs)["steps"] == 1
-    tampered = recs + [
-        {
-            "J": [1, 2],
-            "j": 1,
-            "B": [2],
-            "C": [],
-            "monomial": True,
-            "names": ["x", "y", "z"],
-            "beta_after": {},
-        }
-    ]
-    with pytest.raises(CertificationError, match="protected"):
-        replay_trace(tampered)
+    # an init record with a protected parameter is refused
+    assert recs[0]["protected"] == []
+    protected = [dict(recs[0], protected=[1])] + recs[1:]
+    with pytest.raises(CertificationError, match="differs from its replayed step"):
+        replay_trace(protected)
+    with pytest.raises(ParseError, match="differs from its replayed step"):
+        state_from_json(dict(blob, trace=[dict(blob["trace"][0], protected=[1])]))
+
+
+@pytest.mark.parametrize("beta", ["0", "-1", "1 - pi"])
+def test_init_record_with_a_non_positive_value_is_refused(beta):
+    # Frame.initial is the one way in for a trace's starting values
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    frame = Frame.initial(["x", "u"], spec.weights)
+    blob = state_to_json(_fresh_state(spec, frame, [ChainLink(UniPoly.x(1), None)], 10))
+    init = blob["trace"][0]
+    bad = [dict(init, beta=dict(init["beta"], x=beta))]
+    with pytest.raises(CertificationError, match="parameter value must stay positive"):
+        replay_trace(bad)
+    with pytest.raises(ParseError, match="parameter value must stay positive"):
+        state_from_json(dict(blob, trace=bad))
 
 
 def test_dot_export():
