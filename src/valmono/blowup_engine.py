@@ -174,26 +174,27 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     if any(q < 0 or q >= m for q in J):
         raise UnknownVariable("center position out of range")
 
-    j = J[0]
+    # one difference per member against the chart index: its sign moves the
+    # index, splits B from C and proves positive a B member's new value
+    j, diffs = J[0], {}
     for q in J[1:]:
-        if compare(frame.betas[q], frame.betas[j]) < 0:
-            j = q
-    beta_j = frame.betas[j]
-
-    # one difference per member: its sign splits B from C and proves positive a B member's new value
-    B, C, diffs = [], [], {}
+        d = frame.betas[q] - frame.betas[j]
+        sg = d.sign()
+        if sg < 0:
+            j, diffs = q, {}
+        else:
+            diffs[q] = d, sg
+    B, C = [], []
     for q in J:
         if q == j:
             continue
-        d = frame.betas[q] - beta_j
-        sg = d.sign()
+        if q not in diffs:  # taken before the index moved
+            d = frame.betas[q] - frame.betas[j]
+            diffs[q] = d, d.sign()
+        d, sg = diffs[q]
         if sg < 0:
             raise CertificationError("center index does not minimize the value")
-        if sg:
-            B.append(q)
-            diffs[q] = d
-        else:
-            C.append(q)
+        (B if sg else C).append(q)
 
     c_data, units = {}, {}
     for q in C:
@@ -213,7 +214,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     # values
     betas = list(frame.betas)
     for q in B:
-        betas[q] = diffs[q]
+        betas[q] = diffs[q][0]
     for q in C:
         betas[q] = c_data[q].beta_new
 
@@ -471,13 +472,10 @@ def principalize(frame: Frame, N, c_provider=None) -> PrincipalizeResult:
         gens = [transform_exponents(e, result.steps) for e in gens]
         gens = minimalize_monomials(gens)
 
-    best = 0
-    for i in range(1, len(gens)):
-        if compare(frame.monomial_value(gens[i]), frame.monomial_value(gens[best])) < 0:
-            best = i
-    if not all(ev_leq(gens[best], e) for e in gens):
+    # every pair is comparable now, so minimalization has left the one least generator
+    if len(gens) != 1:
         raise CertificationError("principal generator fails to divide")
-    return PrincipalizeResult(frame, tuple(gens), best, frame.history[start:])
+    return PrincipalizeResult(frame, tuple(gens), 0, frame.history[start:])
 
 
 # -- non-degenerate monomialization -------------------------------------------------

@@ -41,7 +41,7 @@ from .serde import (
     parse_unipoly,
 )
 from .successors import next_successor, verify_immediate_successor
-from .trace import replay_trace, to_dot, trace_records, write_trace
+from .trace import replay_trace, to_dot, trace_records, write_records
 from .valuation_core import Augmented, Composite, Monomial, epsilon, truncated_value
 
 DEFAULT_SEED = 20260814
@@ -101,7 +101,7 @@ def _finish_trace(args, frame, spec) -> None:
     """Write the trace if asked, then always check and replay it through the verifier."""
     records = trace_records(frame)
     if args.trace:
-        write_trace(frame, args.trace)
+        write_records(records, args.trace)
     check_frame_values(frame, spec)
     replay_trace(records)
     if args.format == "dot":

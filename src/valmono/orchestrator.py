@@ -535,9 +535,10 @@ def state_from_json(obj) -> MasterState:
 
 
 def save_state(state: MasterState, path) -> None:
+    # encoded before the file is opened, so a failed encoding leaves the old file whole
+    text = json.dumps(state_to_json(state), indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_state(path) -> MasterState:

@@ -1,26 +1,32 @@
 """Exact arithmetic and total lexicographic order for value groups.
 
-A value group element is a fixed-length tuple of scalars compared
+A value group element is a fixed-length vector of scalars compared
 lexicographically; each scalar is a finite rational combination of declared
 real generators.  The generator set is treated as linearly independent over
 the rationals, so a nonzero combination is never zero and sign decisions by
 interval refinement always terminate.  Two sentinels extend the order:
 ``PLUS_INFINITY`` above everything and ``MINUS_INFINITY`` below everything.
 
-Canonical form: a scalar stores one integer numerator per generator, aligned
-with its group's declared names, over one positive integer denominator, with
-``gcd(den, *nums) == 1``; the zero scalar is all zeros over 1.  ``Scalar.coeffs``
-shows it as ``(name, coefficient)`` pairs for the nonzero coefficients, each in
-the rational normal form of ``exact_algebra.normal_rational`` (an ``int`` when
+Canonical form: an element of rank r stores ``nums``, r blocks of one integer
+numerator per generator in its group's declaration order, over one positive
+integer denominator ``den`` shared by every block, with ``gcd(den, *nums) ==
+1``; the zero element is all zeros over 1.  A ``Scalar`` is one block in the
+same form, with its own denominator; ``GroupElement.entries`` shows an
+element's blocks as scalars.  ``Scalar.coeffs`` shows a scalar as
+``(name, coefficient)`` pairs for the nonzero coefficients, each in the
+rational normal form of ``exact_algebra.normal_rational`` (an ``int`` when
 integral, else a ``Fraction`` with denominator > 1); a generator's rational
 value takes the same form.  ``Scalar(...)`` establishes the canonical form for
 any ``int`` or ``Fraction`` input and raises ``TypeError`` for any other.
-Arithmetic (sums, negations, multiples, quotients by positive integers, linear
-combinations) works on the integers alone and reduces by one gcd; it builds
-the result with the private ``Scalar._canonical``, which trusts its input; no
-other module calls it.  A comparison takes the sign of the difference, built
-only when the two scalars differ.  ``Scalar.sign`` is the one place a scalar's
-sign is decided.
+Element arithmetic (sums, negations, multiples, quotients by positive
+integers, linear combinations, ``lift``) is one pass over the flat integers,
+reduced by one gcd; it builds the result with the private
+``GroupElement._canonical``, which trusts its input, as ``Scalar._canonical``
+does; no other module calls them.  ``least_value`` finds the least of many
+monomial values in one integer pass.  A comparison takes the sign of the
+first nonzero block of the difference, built only when the two elements
+differ; ``Scalar.sign``, asked on that block, is the one place a sign is
+decided.
 
 A generator fixes its sign when it is built: a rational one from its value, an
 enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
@@ -30,8 +36,9 @@ to an integer ``exact`` over a positive denominator.  The sign is decided by
 the first rule that applies:
 
 * no coefficients: sign 0;
-* one coefficient ``c`` on generator ``g``: ``sign(c) * sign(g)``;
 * no enclosure generator: the sign of ``exact``;
+* ``exact`` and every enclosure term ``c * g`` of one sign (a zero ``exact``
+  aside): that sign, as for one coefficient ``c`` on ``g``, ``sign(c) * sign(g)``;
 * one enclosure generator ``g`` with coefficient ``c``: the side of
   ``t = -exact / c`` on which ``g``'s enclosures fall, refined level by level
   and decided by integer cross-multiplication with the bounds' numerators and
@@ -43,7 +50,8 @@ Arithmetic and comparisons work in the left operand's group.  An operand that
 carries a generator name the result's group does not declare raises
 ``ForeignGenerator``, as ``Scalar(group, coeffs)`` does for a name ``group``
 does not declare; another group instance with the same names is accepted, in
-any declaration order (its numerators are then mapped by name).
+any declaration order (its numerators are then mapped by name).  Equality and
+hashes go by name too, so such a twin of a value equals it and hashes alike.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Optional
 
 from .errors import DivideByNonPositive, ForeignGenerator, ParseError, RankMismatch
@@ -202,20 +211,11 @@ class ValueGroup:
                 coeffs[name] = coeffs.get(name, 0) + c
         return Scalar(self, coeffs)
 
-    def zero_scalar(self) -> "Scalar":
-        return Scalar._canonical(self, self._zero, 1)
-
     def element(self, *scalars) -> "GroupElement":
-        entries = []
-        for s in scalars:
-            if isinstance(s, Scalar):
-                entries.append(s)
-            else:
-                entries.append(self.scalar(s))
-        return GroupElement(tuple(entries))
+        return GroupElement(tuple(s if isinstance(s, Scalar) else self.scalar(s) for s in scalars))
 
     def zero(self, rank: int) -> "GroupElement":
-        return GroupElement(tuple(self.zero_scalar() for _ in range(rank)))
+        return GroupElement._canonical(self, rank, self._zero * rank, 1)
 
     def __eq__(self, other):
         return isinstance(other, ValueGroup) and self._by_name is other._by_name
@@ -232,42 +232,59 @@ def standard_group() -> ValueGroup:
     return ValueGroup([unit_generator(), pi_generator()])
 
 
-def _reduced(group: ValueGroup, nums, den: int) -> "Scalar":
-    """The scalar ``nums / den`` (``den > 0``) in ``group``, divided through by the gcd."""
+def _reduced(group: ValueGroup, rank: int, nums, den: int) -> "GroupElement":
+    """The element ``nums / den`` (``den > 0``) of ``group`` and ``rank``, divided through by the gcd."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
-            return Scalar._canonical(group, tuple(n // g for n in nums), den // g)
-    return Scalar._canonical(group, tuple(nums), den)
+            return GroupElement._canonical(group, rank, tuple(n // g for n in nums), den // g)
+    return GroupElement._canonical(group, rank, tuple(nums), den)
 
 
-def _aligned(s: "Scalar", group: ValueGroup):
-    """``s``'s numerators in ``group``'s declaration order.
+def _aligned(v, group: ValueGroup) -> tuple:
+    """The numerators of ``v`` (a scalar or an element) in ``group``'s declaration order, block by block.
 
-    Raises ``ForeignGenerator`` when ``s`` has a nonzero coefficient on a
+    Raises ``ForeignGenerator`` when ``v`` has a nonzero coefficient on a
     generator that ``group`` does not declare.
     """
-    if s.group is group or s.group.names == group.names:
-        return s.nums
-    out = [0] * len(group.names)
+    src = v.group.names
+    if v.group is group or src == group.names:
+        return v.nums
+    u, w = len(src), len(group.names)
+    out = [0] * (w * (len(v.nums) // u))
     foreign = []
-    for name, n in zip(s.group.names, s.nums):
+    for i, n in enumerate(v.nums):
         if n:
-            if name in group._by_name:
-                out[group.names.index(name)] = n
+            if src[i % u] in group._by_name:
+                out[i // u * w + group.names.index(src[i % u])] = n
             else:
-                foreign.append(name)
+                foreign.append(src[i % u])
     if foreign:
         raise ForeignGenerator(f"generator {min(foreign)!r} is not declared by {group!r}")
-    return out
+    return tuple(out)
+
+
+def _lead_sign(group: ValueGroup, nums, den: int) -> int:
+    """Lexicographic sign of ``nums / den``: that of its first nonzero block.
+
+    The block's sign is decided by ``Scalar.sign`` on a transient block
+    scalar, which need not be reduced: only its sign is asked.
+    """
+    for i, n in enumerate(nums):
+        if n:
+            w = len(group.names)
+            i -= i % w
+            return Scalar._canonical(group, tuple(nums[i:i + w]), den).sign()
+    return 0
 
 
 class Scalar:
-    """A finite rational combination of the group's generators.
+    """A finite rational combination of the group's generators: one block of a value.
 
     Stored as integer numerators aligned with the group's names over one
     positive denominator, divided through by their gcd; with independent
-    generators, structural equality is semantic equality.
+    generators, structural equality is semantic equality.  Arithmetic runs on
+    rank-1 ``GroupElement`` values.
     """
 
     __slots__ = ("group", "nums", "den")
@@ -308,30 +325,6 @@ class Scalar:
             for name, n in zip(self.group.names, self.nums) if n
         )
 
-    def _combined(self, other: "Scalar", subtract: bool) -> "Scalar":
-        # self + other or self - other, in self's group
-        group = self.group
-        if not any(other.nums):
-            return self
-        if other.group is group and not any(self.nums):
-            return -other if subtract else other
-        a, b = self.nums, other.nums if other.group is group else _aligned(other, group)
-        da, db = self.den, other.den
-        if subtract:
-            nums = [x * db - y * da for x, y in zip(a, b)]
-        else:
-            nums = [x * db + y * da for x, y in zip(a, b)]
-        return _reduced(group, nums, da * db)
-
-    def _order(self, other: "Scalar") -> int:
-        """Sign of self - other; the difference is built only when the two differ."""
-        if other.group is self.group and self.den == other.den and self.nums == other.nums:
-            return 0
-        return self._combined(other, True).sign()
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def sign(self) -> int:
         """The one place a scalar's sign is decided.
 
@@ -353,11 +346,15 @@ class Scalar:
                     exact += n * r
         if not irr:
             return (exact > 0) - (exact < 0)
+        # terms of one sign, the rational part counted as one term, need no enclosure
+        signs = {g.sign if n > 0 else -g.sign for n, g in irr}
+        if exact:
+            signs.add(1 if exact > 0 else -1)
+        if len(signs) == 1:
+            return signs.pop()
         R = group._rat_den
         if len(irr) == 1:
             n, g = irr[0]
-            if not exact and nums.count(0) == len(nums) - 1:
-                return g.sign if n > 0 else -g.sign
             # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
             c = n * R
             if c > 0:
@@ -381,55 +378,16 @@ class Scalar:
             "generators are not rationally independent"
         )
 
-    def __add__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._combined(other, False)
-
-    def __neg__(self):
-        return Scalar._canonical(self.group, tuple(-n for n in self.nums), self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._combined(other, True)
-
-    def __mul__(self, k):
-        if type(k) is not int:
-            k = normal_rational(k)
-        if k == 1:
-            return self
-        if not k:
-            return Scalar._canonical(self.group, self.group._zero, 1)
-        if type(k) is int:
-            return _reduced(self.group, [n * k for n in self.nums], self.den)
-        p = k.numerator
-        return _reduced(self.group, [n * p for n in self.nums], self.den * k.denominator)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        # structural: same named coefficients, regardless of group instance
+        # structural: same named coefficients, regardless of group instance or declaration order
         if not isinstance(other, Scalar):
             return False
         if other.group is self.group or other.group.names == self.group.names:
             return self.den == other.den and self.nums == other.nums
-        return self.coeffs == other.coeffs
+        return dict(self.coeffs) == dict(other.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
-
-    def __lt__(self, other):
-        return self._order(other) < 0
-
-    def __le__(self, other):
-        return self._order(other) <= 0
-
-    def __gt__(self, other):
-        return self._order(other) > 0
-
-    def __ge__(self, other):
-        return self._order(other) >= 0
+        return hash(frozenset(self.coeffs))
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"
@@ -491,86 +449,130 @@ def is_sentinel(v) -> bool:
 
 
 class GroupElement:
-    """A lex-ordered tuple of scalars; all entries share one group."""
+    """A lex-ordered vector of ``rank`` scalars of one group, stored flat.
 
-    __slots__ = ("entries",)
+    ``nums`` holds ``rank`` blocks of one integer numerator per generator of
+    ``group``, in declaration order, over the one positive denominator
+    ``den``, with ``gcd(den, *nums) == 1``.  ``GroupElement(entries)`` builds
+    one from scalars, mapping each into the first one's group.
+    """
+
+    __slots__ = ("group", "rank", "nums", "den")
 
     def __init__(self, entries: tuple):
         if not entries:
             raise ValueError("rank must be positive")
-        self.entries = entries
+        group = entries[0].group
+        # the lcm of reduced denominators leaves no common factor with the scaled numerators
+        den = lcm(*(s.den for s in entries))
+        nums = []
+        for s in entries:
+            m = den // s.den
+            nums.extend(n * m for n in _aligned(s, group))
+        self.group = group
+        self.rank = len(entries)
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def _canonical(cls, group: ValueGroup, rank: int, nums: tuple, den: int) -> "GroupElement":
+        """An element from flat numerators and a denominator already in canonical form: no check, no copy."""
+        v = object.__new__(cls)
+        v.group = group
+        v.rank = rank
+        v.nums = nums
+        v.den = den
+        return v
 
     @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    @property
-    def group(self) -> ValueGroup:
-        return self.entries[0].group
+    def entries(self) -> tuple:
+        """The blocks as canonical scalars: a read-only view."""
+        group, nums, den = self.group, self.nums, self.den
+        w = len(group.names)
+        out = []
+        for i in range(0, len(nums), w):
+            block = nums[i:i + w]
+            g = gcd(den, *block)
+            out.append(Scalar._canonical(group, tuple(n // g for n in block), den // g))
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.entries)
+        return not any(self.nums)
 
     def sign(self) -> int:
         """Sign in the lexicographic order: that of the first nonzero entry."""
-        for s in self.entries:
-            if any(s.nums):
-                return s.sign()
-        return 0
+        return _lead_sign(self.group, self.nums, self.den)
 
     def is_positive(self) -> bool:
         return self.sign() > 0
 
     def lift(self, extra: int = 1) -> "GroupElement":
         # Order embedding into rank+extra: prepend zero coordinates.
-        zero = self.group.zero_scalar()
-        return GroupElement(tuple([zero] * extra) + self.entries)
+        return GroupElement._canonical(self.group, self.rank + extra, self.group._zero * extra + self.nums, self.den)
+
+    def _combined(self, other: "GroupElement", subtract: bool) -> "GroupElement":
+        # self + other or self - other, in self's group
+        if other.rank != self.rank:
+            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
+        if not any(other.nums):
+            return self
+        b = other.nums if other.group is self.group else _aligned(other, self.group)
+        da, db = self.den, other.den
+        sb = -da if subtract else da
+        return _reduced(self.group, self.rank, [x * db + y * sb for x, y in zip(self.nums, b)], da * db)
 
     def __add__(self, other):
         if isinstance(other, _Sentinel):
             return other
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.rank != self.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        return GroupElement(tuple(a._combined(b, False) for a, b in zip(self.entries, other.entries)))
+        return self._combined(other, False)
 
     def __sub__(self, other):
         if isinstance(other, _Sentinel):
             raise ValueError("cannot subtract a sentinel")
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.rank != self.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        return GroupElement(tuple(a._combined(b, True) for a, b in zip(self.entries, other.entries)))
+        return self._combined(other, True)
 
     def __neg__(self):
-        return GroupElement(tuple(-s for s in self.entries))
+        return GroupElement._canonical(self.group, self.rank, tuple(-n for n in self.nums), self.den)
 
-    def __mul__(self, k: int):
+    def __mul__(self, k):
+        if type(k) is not int:
+            k = normal_rational(k)
         if k == 1:
             return self
-        return GroupElement(tuple(s * k for s in self.entries))
+        if not k:
+            return self.group.zero(self.rank)
+        p, q = (k, 1) if type(k) is int else (k.numerator, k.denominator)
+        return _reduced(self.group, self.rank, [n * p for n in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.entries == other.entries
-        )
+        # structural: same named coefficients, regardless of group instance or declaration order
+        if not isinstance(other, GroupElement) or other.rank != self.rank or other.den != self.den:
+            return False
+        try:
+            return self.nums == _aligned(other, self.group)
+        except ForeignGenerator:
+            return False
 
     def __hash__(self):
-        return hash(self.entries)
+        # by name, so that equal elements of groups declared in another order hash alike
+        names = self.group.names
+        w = len(names)
+        return hash((self.rank, self.den, frozenset((i // w, names[i % w], n) for i, n in enumerate(self.nums) if n)))
 
     def _cmp(self, other) -> int:
-        if len(other.entries) != len(self.entries):
+        if other.rank != self.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        for a, b in zip(self.entries, other.entries):
-            s = a._order(b)
-            if s:
-                return s
-        return 0
+        a, da, db = self.nums, self.den, other.den
+        b = other.nums if other.group is self.group else _aligned(other, self.group)
+        if da == db and a == b:
+            return 0
+        return _lead_sign(self.group, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __lt__(self, other):
         if isinstance(other, _Sentinel):
@@ -614,36 +616,61 @@ def add(a, b):
 def linear_combination(ks, elements) -> GroupElement:
     """The sum of ``k * v`` over ``zip(ks, elements)`` in one pass, equal to the term-by-term sum.
 
-    Each result entry takes the group of that entry of the first element with
-    a nonzero k; with every k zero the result is ``elements[0] * 0``.
+    The result takes the group of the first element with a nonzero k; with
+    every k zero it is ``elements[0] * 0``.
     """
-    terms = []  # (p, q, entries) for each nonzero k = p/q
+    group = acc = None
+    den = 1
     for k, v in zip(ks, elements):
         if type(k) is not int:
             k = normal_rational(k)
-        if k:
-            terms.append((k, 1, v.entries) if type(k) is int else (k.numerator, k.denominator, v.entries))
-    lead = terms[0][2] if terms else elements[0].entries
-    for _, _, entries in terms:
-        if len(entries) != len(lead):
-            raise RankMismatch(f"rank {len(lead)} vs {len(entries)}")
-    out = []
-    for j, first in enumerate(lead):
-        group = first.group
-        acc, den = None, 1
-        for p, q, entries in terms:
-            s = entries[j]
-            nums = s.nums if s.group is group else _aligned(s, group)
-            if not any(nums):
-                continue
-            d = s.den * q
-            if acc is None:
-                acc, den = [p * x for x in nums], d
-            else:  # acc/den + p*nums/d over the denominator den*d
-                acc = [a * d + p * den * x for a, x in zip(acc, nums)]
-                den *= d
-        out.append(Scalar._canonical(group, group._zero, 1) if acc is None else _reduced(group, acc, den))
-    return GroupElement(tuple(out))
+        if not k:
+            continue
+        if type(k) is int:
+            p, d = k, v.den
+        else:
+            p, d = k.numerator, v.den * k.denominator
+        if group is None:
+            group, rank = v.group, v.rank
+        elif v.rank != rank:
+            raise RankMismatch(f"rank {rank} vs {v.rank}")
+        nums = v.nums if v.group is group else _aligned(v, group)
+        if acc is None:
+            acc, den = [p * x for x in nums], d
+        elif d == den:
+            acc = [a + p * x for a, x in zip(acc, nums)]
+        else:  # acc/den + p*nums/d over the denominator den*d
+            acc = [a * d + p * den * x for a, x in zip(acc, nums)]
+            den *= d
+    if group is None:
+        return elements[0].group.zero(elements[0].rank)
+    return _reduced(group, rank, acc, den)
+
+
+def least_value(weights, exponent_vectors) -> GroupElement:
+    """The least ``linear_combination(e, weights)`` over one or more integer exponent vectors ``e``.
+
+    The weights are scaled once to one common denominator, so each term's
+    value is one integer row.  The least row is kept, compared by the sign of
+    the first nonzero block of the difference, and the first of equal rows
+    wins; one element, in the first weight's group, is built at the end.
+    """
+    group, rank = weights[0].group, weights[0].rank
+    den = lcm(*(w.den for w in weights))
+    rows = []
+    for w in weights:
+        if w.rank != rank:
+            raise RankMismatch(f"rank {rank} vs {w.rank}")
+        nums = w.nums if w.group is group else _aligned(w, group)
+        m = den // w.den
+        rows.append(nums if m == 1 else [n * m for n in nums])
+    cols = list(zip(*rows))
+    best = None
+    for e in exponent_vectors:
+        row = [sum(map(mul, e, c)) for c in cols]
+        if best is None or row != best and _lead_sign(group, [a - b for a, b in zip(row, best)], den) < 0:
+            best = row
+    return _reduced(group, rank, best, den)
 
 
 def neg(a):
@@ -656,16 +683,16 @@ def div_by_positive_int(a, n: int):
         raise ValueError("cannot divide a sentinel")
     if not isinstance(n, int) or n < 1:
         raise DivideByNonPositive(f"divisor must be a positive integer, got {n!r}")
-    return GroupElement(tuple(_reduced(s.group, s.nums, s.den * n) for s in a.entries))
+    return _reduced(a.group, a.rank, a.nums, a.den * n)
 
 
 # ---------------------------------------------------------------------------
 # Text form: elements "(s1, s2)", scalars "a + b*g", rationals "p/q".
 
-def format_scalar(s: Scalar) -> str:
+def _format_block(names, nums, den: int) -> str:
+    # each coefficient is reduced on its own, so the block need not be
     parts = []
-    den = s.den
-    for name, n in zip(s.group.names, s.nums):
+    for name, n in zip(names, nums):
         if not n:
             continue
         g = gcd(n, den)
@@ -684,12 +711,17 @@ def format_scalar(s: Scalar) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def format_scalar(s: Scalar) -> str:
+    return _format_block(s.group.names, s.nums, s.den)
+
+
 def format_element(v) -> str:
     if isinstance(v, _Sentinel):
         return "+inf" if v._sign > 0 else "-inf"
-    if v.rank == 1:
-        return format_scalar(v.entries[0])
-    return "(" + ", ".join(format_scalar(s) for s in v.entries) + ")"
+    names, nums = v.group.names, v.nums
+    w = len(names)
+    blocks = [_format_block(names, nums[i:i + w], v.den) for i in range(0, len(nums), w)]
+    return blocks[0] if v.rank == 1 else "(" + ", ".join(blocks) + ")"
 
 
 _TERM_RE = re.compile(
@@ -763,7 +795,7 @@ def parse_element(group: ValueGroup, text: str, rank: Optional[int] = None):
         entries = (parse_scalar(group, s),)
     el = GroupElement(entries)
     if rank is not None and el.rank != rank:
-        if el.rank == 1 and rank > 1 and el.entries[0].is_zero():
+        if el.rank == 1 and rank > 1 and el.is_zero():
             return group.zero(rank)
         raise RankMismatch(f"expected rank {rank}, got {el.rank} in {text!r}")
     return el

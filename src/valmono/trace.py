@@ -59,11 +59,16 @@ def trace_records(frame: Frame) -> list:
     return [init] + [_step_record(item) for item in frame.history]
 
 
-def write_trace(frame: Frame, path) -> list:
-    records = trace_records(frame)
+def write_records(records: list, path) -> None:
+    """Write trace records, one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
+
+
+def write_trace(frame: Frame, path) -> list:
+    records = trace_records(frame)
+    write_records(records, path)
     return records
 
 

@@ -39,6 +39,7 @@ from .ordered_value import (
     compare,
     div_by_positive_int,
     is_sentinel,
+    least_value,
     linear_combination,
 )
 
@@ -113,12 +114,7 @@ class Monomial(_Spec):
 
     def _min_value(self, p: MultiPoly):
         """Least monomial value over the terms of p; Laurent exponents allowed."""
-        best = None
-        for e in p.terms:
-            v = monomial_value(self.weights, e)
-            if best is None or compare(v, best) < 0:
-                best = v
-        return best
+        return least_value(self.weights, p.terms)
 
     def _value_multipoly(self, p: MultiPoly):
         if p.is_zero():
@@ -128,6 +124,9 @@ class Monomial(_Spec):
         return self._min_value(p)
 
     def _value_unipoly(self, f: UniPoly):
+        if all(c.den.is_one() for c in f.coeffs):
+            # one pass over every term, with its degree in the last variable appended
+            return least_value(self.weights, [e + (i,) for i, c in enumerate(f.coeffs) for e in c.num.terms])
         w_last = self.weights[-1]
         best = None
         for i, c in enumerate(f.coeffs):
@@ -169,7 +168,8 @@ class Composite(_Spec):
                 v = self.inner.value(p)
                 if is_sentinel(v):
                     raise ValueError("inner value of a nonzero coefficient must be finite")
-                return GroupElement((self.group.scalar(value=n),) + v.entries)
+                # (n, v): n in a new leading coordinate
+                return v.lift() if n == 0 else v.lift() + self.group.element(n, *[0] * v.rank)
         raise CertificationError("nonzero polynomial with zero expansion")
 
 

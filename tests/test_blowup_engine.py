@@ -79,6 +79,33 @@ def test_monomial_blowup_decides_no_positivity(monkeypatch):
     assert asked == []
 
 
+def _counting_differences(monkeypatch):
+    """Every subtraction and comparison of two elements, each of which takes their difference."""
+    taken = []
+    sub, cmp = GroupElement.__sub__, GroupElement._cmp
+    monkeypatch.setattr(GroupElement, "__sub__", lambda a, b: taken.append(("-", a, b)) or sub(a, b))
+    monkeypatch.setattr(GroupElement, "_cmp", lambda a, b: taken.append(("cmp", a, b)) or cmp(a, b))
+    return taken
+
+
+def test_one_difference_per_center_member(monkeypatch):
+    # the difference that places the chart index is the member's new value;
+    # only differences taken before the index moved are taken again
+    taken = _counting_differences(monkeypatch)
+    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((2,))])
+    assert framed_blowup(fr, [0, 1]).betas == (el((1,)), el((-1, 1)), el((2,)))
+    assert len(taken) == 1
+    taken.clear()
+    assert framed_blowup(fr, [0, 1, 2]).betas == (el((1,)), el((-1, 1)), el((1,)))
+    assert len(taken) == 2
+    taken.clear()
+    # z < x: the index moves to z, and x's difference is taken against it
+    fr = Frame.initial(["x", "y", "z"], [el((2,)), el((0, 1)), el((1,))])
+    step = framed_blowup(fr, [0, 1, 2]).history[0]
+    assert (step.j, step.B, step.beta_after) == (2, (0, 1), (el((1,)), el((-1, 1)), el((1,))))
+    assert len(taken) == 4
+
+
 def test_single_blowup_strict():
     # values (1, pi): the chart index is the first parameter
     fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
@@ -265,6 +292,27 @@ def test_principalize_single_and_pair():
     assert res.frame.monomial_value(gen) == el((2,))
     with pytest.raises(EmptyIdeal):
         principalize(fr, [])
+
+
+def test_principalize_values_no_generator_after_dividing(monkeypatch):
+    # with every pair comparable, minimalization leaves the one principal
+    # generator, so only the divide steps value monomials: four each
+    import valmono.blowup_engine as engine
+
+    valued = []
+    value = Frame.monomial_value
+    monkeypatch.setattr(Frame, "monomial_value", lambda self, e: valued.append(e) or value(self, e))
+    divides = []
+    divide = engine.divide_monomials
+    monkeypatch.setattr(engine, "divide_monomials", lambda *args: divides.append(args) or divide(*args))
+    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((1, 1))])
+    for gens in ([(3, 0, 0)], [(1, 0, 0), (2, 1, 0), (1, 0, 4)], [(3, 0, 0), (0, 2, 1)], [(2, 0, 0), (0, 2, 0), (0, 0, 2)]):
+        valued.clear()
+        divides.clear()
+        res = principalize(fr, gens)
+        assert len(res.generators) == 1 and res.index == 0
+        assert len(valued) == 4 * len(divides)
+    assert divides
 
 
 def test_principalize_dominated_dropped():

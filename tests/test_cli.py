@@ -557,3 +557,33 @@ def _run_output_table(tmp_path) -> list:
 def test_cli_output_table(tmp_path):
     expected = [(row_id, *digests) for row_id, _command, *digests in OUTPUT_TABLE]
     assert _run_output_table(tmp_path) == expected
+
+
+def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
+    # the records the CLI replays are the ones it writes; a second build of the
+    # run's records for the file was waste
+    built = []
+    records = valmono.trace.trace_records
+
+    def counted(frame):
+        built.append(frame)
+        return records(frame)
+
+    monkeypatch.setattr(valmono.trace, "trace_records", counted)
+    monkeypatch.setattr(cli, "trace_records", counted)
+    trace = specs["dir"] / "run.jsonl"
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    # the replay traces its own starting frame once; no frame is traced twice
+    assert len(built) == len({id(frame) for frame in built}) == 2
+    assert trace.read_text() == "".join(json.dumps(rec) + "\n" for rec in records(built[0]))
+
+
+def test_the_readme_run_writes_the_recorded_files(specs, capsys):
+    # the README's monomialize run; the digests are those of the OUTPUT_TABLE
+    # monomialize rows, recorded before states were written in one piece
+    trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
+                 "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "31410e3cf033acb2")

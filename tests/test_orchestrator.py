@@ -1,5 +1,6 @@
 """Master-loop scheduling: chains, slices, budgets, resumable state."""
 
+import io
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from valmono.errors import (
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
 from valmono.ordered_value import GroupElement, Scalar, compare, is_sentinel, standard_group
+from valmono import orchestrator
 from valmono.orchestrator import (
     ChainLink,
     MasterState,
@@ -28,6 +30,7 @@ from valmono.orchestrator import (
     embedded_uniformize,
     enumerate_pairs,
     monomialize,
+    save_state,
     state_from_json,
     state_to_json,
     steps_used,
@@ -555,29 +558,30 @@ def test_every_stored_coefficient_is_in_normal_form():
     assert [r for _, r in tower.frame.history[-1].residues], "the tower run ends with an equal-value step"
 
 
-def _reachable_scalars(obj, seen):
-    """Every Scalar reachable from ``obj`` through containers and the attributes of valmono objects."""
+def _reachable_values(obj, seen):
+    """Every stored Scalar and GroupElement reachable from ``obj`` through containers and the attributes of valmono objects."""
     if id(obj) in seen or obj is None or isinstance(obj, (str, int, Fraction, MultiPoly, RationalFunction, UniPoly)):
         return
     seen.add(id(obj))
-    if isinstance(obj, Scalar):
+    if isinstance(obj, (Scalar, GroupElement)):
         yield obj
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for item in obj:
-            yield from _reachable_scalars(item, seen)
+            yield from _reachable_values(item, seen)
     elif isinstance(obj, dict):
         for item in obj.items():
-            yield from _reachable_scalars(item, seen)
+            yield from _reachable_values(item, seen)
     elif type(obj).__module__.startswith("valmono.") and not callable(obj):
         slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
         for name in [*getattr(obj, "__dict__", {}), *slots]:
-            yield from _reachable_scalars(getattr(obj, name, None), seen)
+            yield from _reachable_values(getattr(obj, name, None), seen)
 
 
 def test_every_stored_scalar_is_integer_scaled():
-    # the runs of test_every_stored_coefficient_is_in_normal_form: each scalar
-    # holds int numerators, one per generator, over a positive int denominator
-    # with gcd 1, and the zero scalar is all zeros over 1
+    # the runs of test_every_stored_coefficient_is_in_normal_form: each stored
+    # value is a flat element, rank blocks of int numerators, one per
+    # generator, over one positive int denominator with gcd 1, the zero
+    # element all zeros over 1; no Scalar is stored, and zero blocks occur
     readme = monomialize(NU3, Q, 10_000, names=NAMES)
     x2y = UniPoly.constant(2, RationalFunction(x2**2 * y2))
     uniform = embedded_uniformize(NU3, [x2y, Q], 10_000, names=NAMES)
@@ -587,9 +591,28 @@ def test_every_stored_scalar_is_integer_scaled():
     for out in runs:  # the frames read back from their traces, and the states from their files
         stores.append(_frame_from_records(out.frame.betas[0].group, trace_records(out.frame)))
         stores.append(state_from_json(json.loads(json.dumps(state_to_json(out.state)))))
-    scalars = list(_reachable_scalars(stores, set()))
-    assert len(scalars) > 100 and any(s.den > 1 for s in scalars) and any(not any(s.nums) for s in scalars)
-    for s in scalars:
-        assert type(s.nums) is tuple and len(s.nums) == len(s.group.names), s
-        assert all(type(n) is int for n in s.nums) and type(s.den) is int and s.den > 0, s
-        assert gcd(s.den, *s.nums) == 1, s
+    values = list(_reachable_values(stores, set()))
+    assert not [v for v in values if isinstance(v, Scalar)]
+    assert sum(v.rank for v in values) > 100 and any(v.den > 1 for v in values) and any(v.rank > 1 for v in values)
+    assert any(not any(v.nums[:len(v.group.names)]) for v in values), "no stored value has a zero block"
+    for v in values:
+        assert type(v.rank) is int and v.rank > 0 and type(v.nums) is tuple, v
+        assert len(v.nums) == v.rank * len(v.group.names), v
+        assert all(type(n) is int for n in v.nums) and type(v.den) is int and v.den > 0, v
+        assert gcd(v.den, *v.nums) == 1 and (any(v.nums) or v.den == 1), v
+
+
+def test_a_state_that_fails_to_encode_leaves_the_old_file(tmp_path, monkeypatch):
+    # the text is encoded before the file is opened; a streamed encoding used to
+    # truncate the file and leave half a state behind
+    out = monomialize(NU3, Q, 10_000, names=NAMES)
+    path = tmp_path / "state.json"
+    save_state(out.state, path)
+    before = path.read_bytes()
+    streamed = io.StringIO()
+    json.dump(state_to_json(out.state), streamed, indent=1, sort_keys=True)
+    assert before == (streamed.getvalue() + "\n").encode()
+    monkeypatch.setattr(orchestrator, "state_to_json", lambda state: {"chain": [], "frame": object()})
+    with pytest.raises(TypeError):
+        save_state(out.state, path)
+    assert path.read_bytes() == before

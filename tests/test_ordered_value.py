@@ -1,5 +1,6 @@
 """Order, arithmetic and text round-trips for value-group elements."""
 
+import functools
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from valmono.ordered_value import (
     div_by_positive_int,
     format_element,
     format_scalar,
+    least_value,
     linear_combination,
     parse_element,
     parse_scalar,
@@ -241,6 +243,16 @@ def _sparse_scalar(group, rng):
     return Scalar(group, coeffs)
 
 
+def _one(s):
+    """The rank-1 element of one scalar: scalar arithmetic runs on these."""
+    return GroupElement((s,))
+
+
+def _block(v):
+    (s,) = v.entries
+    return s
+
+
 def _kernel_results(make_group, group, rank, rng):
     """Every kernel operation on one seeded pair (a, b) of rank-``rank`` elements."""
     a = GroupElement(tuple(_sparse_scalar(group, rng) for _ in range(rank)))
@@ -261,8 +273,9 @@ def _kernel_results(make_group, group, rank, rng):
     scalars = []
     orders = [compare(a, b), compare(b, a), compare(a, twin)]
     for s, t, u in zip(a.entries, b.entries, twin.entries):
-        scalars += [(s, s + t), (s, s - t), (s, -s), (s, s * 0), (s, s * 1), (s, s * k), (s, s * q)]
-        for lhs, rhs in ((s, t), (t, s), (s, u)):
+        es, et, eu = _one(s), _one(t), _one(u)
+        scalars += [(s, _block(r)) for r in (es + et, es - et, -es, es * 0, es * 1, es * k, es * q)]
+        for lhs, rhs in ((es, et), (et, es), (es, eu)):
             orders += [lhs < rhs, lhs <= rhs, lhs > rhs, lhs >= rhs]
     return elements, scalars, orders
 
@@ -297,8 +310,9 @@ def _assert_canonical(left_group, s):
 
 
 # sums, differences, negations, products by 0, 1, ints and Fractions, halvings,
-# element comparisons and Scalar <, <=, >, >= on the seeded rows, recorded
-# when every result went through the canonicalising Scalar constructor
+# element comparisons and <, <=, >, >= of one-entry elements on the seeded
+# rows, recorded when every result went through the canonicalising Scalar
+# constructor and scalars had their own operators
 ORDERED_VALUE_KERNEL_TABLE = (
     "e4b8359cdd67",
     "eecfba8805ca",
@@ -430,6 +444,25 @@ def test_sign_refines_to_the_level_the_interval_sum_needs():
             assert (s.sign(), max(levels)) == _reference_sign(s) == (side if k > 0 else -side, 1)
 
 
+def test_terms_of_one_sign_ask_no_enclosure():
+    # the rational part and every enclosure term share a sign: that sign, with
+    # no refinement; mixed signs still refine
+    pi, levels = _recording("pi", pi_generator().enclosure)
+    r, r_levels = _recording("r", _sqrt2_enclosure)
+    group = ValueGroup([unit_generator(), IndependentGenerator("m", rational=Fraction(-7, 3)), pi, r])
+    for s, want in ((group.scalar(1, pi=1), 1), (group.scalar(-2, pi=Fraction(-3, 4)), -1),
+                    (group.scalar(0, m=-1, pi=2), 1), (group.scalar(7, m=3, pi=-1), -1),
+                    (group.scalar(0, pi=1, r=5), 1), (group.scalar(-1, m=1, pi=-1, r=-2), -1)):
+        levels.clear()
+        r_levels.clear()
+        assert s.sign() == want and levels == r_levels == [], s
+        assert _reference_sign(s)[0] == want, s
+    for s in (group.scalar(4, pi=-1), group.scalar(0, pi=1, r=-2)):
+        levels.clear()
+        sign = s.sign()
+        assert levels and sign == _reference_sign(s)[0], s
+
+
 def test_sign_raises_where_no_enclosure_separates():
     with pytest.raises(ArithmeticError):
         IndependentGenerator("z", enclose=lambda level: (Fraction(-1, level + 2), Fraction(1, level + 2)))
@@ -510,18 +543,19 @@ def test_foreign_generators_raise():
     # r = 5: an order that dropped r would claim 1 > 5
     a = standard_group()
     b = ValueGroup([unit_generator(), IndependentGenerator("r", rational=5)])
-    x, y = a.scalar(1), b.scalar(0, r=1)
+    x, y = a.element(a.scalar(1)), b.element(b.scalar(0, r=1))
     for op in (lambda: x + y, lambda: x - y, lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
-               lambda: a.zero_scalar() + y, lambda: a.zero_scalar() - y,
-               lambda: compare(a.element(x), b.element(y)), lambda: a.element(x) + b.element(y),
-               lambda: a.element(x) - b.element(y), lambda: linear_combination([1, 2], [a.element(x), b.element(y)]),
+               lambda: a.zero(1) + y, lambda: a.zero(1) - y, lambda: compare(x, y),
+               lambda: compare(a.element(0, x.entries[0]), b.element(0, y.entries[0])),
+               lambda: linear_combination([1, 2], [x, y]), lambda: least_value([x, y], [(1, 1)]),
+               lambda: GroupElement((x.entries[0], y.entries[0])),
                # r cancels in the sum, but the operands still carry it
-               lambda: linear_combination([1, 1, -1], [a.element(x), b.element(y), b.element(y)])):
+               lambda: linear_combination([1, 1, -1], [x, y, y])):
         with pytest.raises(ForeignGenerator):
             op()
     # b declares every generator x carries, so the order is decided: 5 > 1
-    assert y > x and compare(b.element(y), a.element(x)) == 1
-    assert (y - x).group is b and (y - x) == b.scalar(-1, r=1)
+    assert y > x and compare(y, x) == 1 and x != y and y != x
+    assert (y - x).group is b and (y - x) == b.element(b.scalar(-1, r=1))
 
 
 def test_scalar_constructor_rejects_undeclared_generators():
@@ -543,13 +577,15 @@ def test_same_names_in_another_group_instance_still_combine():
     a, twin = standard_group(), standard_group()
     swapped = ValueGroup([pi_generator(), unit_generator()])  # same names, other declaration order
     for other in (twin, swapped):
-        s = other.scalar(2, pi=1)
-        for r in (a.scalar(1) + s, a.zero_scalar() + s, a.zero_scalar() - s, a.scalar(0, pi=1) - s):
-            _assert_canonical(a, r)
-        assert a.zero_scalar() + s == a.scalar(2, pi=1)
-        assert a.zero_scalar() - s == a.scalar(-2, pi=-1)
-        assert a.scalar(6) > s and compare(a.element(a.scalar(6)), other.element(s)) == 1
-        assert linear_combination([1, 2], [a.element(a.scalar(1)), other.element(s)]) == a.element(a.scalar(5, pi=2))
+        s = other.element(other.scalar(2, pi=1))
+        for r in (a.element(1) + s, a.zero(1) + s, a.zero(1) - s, a.element(a.scalar(0, pi=1)) - s):
+            assert r.group is a
+            _assert_canonical(a, _block(r))
+        assert a.zero(1) + s == a.element(a.scalar(2, pi=1)) == s
+        assert hash(a.element(a.scalar(2, pi=1))) == hash(s)
+        assert a.zero(1) - s == a.element(a.scalar(-2, pi=-1))
+        assert a.element(6) > s and compare(a.element(6), s) == 1
+        assert linear_combination([1, 2], [a.element(1), s]) == a.element(a.scalar(5, pi=2))
 
 
 # every constructor and product that stores a coefficient, given the rational c
@@ -559,8 +595,8 @@ COEFFICIENT_SITES = {
     "Scalar": lambda G, c: dict(Scalar(G, {"pi": c}).coeffs).get("pi", 0),
     "ValueGroup.scalar value": lambda G, c: dict(G.scalar(c).coeffs).get("1", 0),
     "ValueGroup.scalar named": lambda G, c: dict(G.scalar(pi=c).coeffs).get("pi", 0),
-    "Scalar * k": lambda G, c: dict((G.scalar(pi=1) * c).coeffs).get("pi", 0),
-    "k * Scalar": lambda G, c: dict((c * G.scalar(pi=1)).coeffs).get("pi", 0),
+    "one-entry element * k": lambda G, c: dict((G.element(G.scalar(pi=1)) * c).entries[0].coeffs).get("pi", 0),
+    "k * one-entry element": lambda G, c: dict((c * G.element(G.scalar(pi=1))).entries[0].coeffs).get("pi", 0),
     "linear_combination": lambda G, c: dict(linear_combination([c], [G.element(G.scalar(pi=1))]).entries[0].coeffs).get("pi", 0),
 }
 RATIONAL_INPUTS = [(3, 3), (Fraction(6, 2), 3), (Fraction(-1, 3), Fraction(-1, 3)), (0, 0), (Fraction(0, 5), 0)]
@@ -580,12 +616,14 @@ def test_coefficients_take_one_normal_form_and_only_rationals(group, site):
 
 
 def test_integral_sums_and_products_are_ints(group):
-    half = group.scalar(pi=Fraction(1, 2))
+    half = group.element(group.scalar(pi=Fraction(1, 2)))
     one = group.element(group.scalar(pi=1))
-    for s in (half * 2, 2 * half, half + half, half - group.scalar(pi=Fraction(-1, 2)),
-              linear_combination([Fraction(1, 2), Fraction(1, 2)], [one, one]).entries[0],
-              div_by_positive_int(group.element(group.scalar(pi=4)), 2).entries[0] * Fraction(1, 2)):
+    for v in (half * 2, 2 * half, half + half, half - group.element(group.scalar(pi=Fraction(-1, 2))),
+              linear_combination([Fraction(1, 2), Fraction(1, 2)], [one, one]),
+              div_by_positive_int(group.element(group.scalar(pi=4)), 2) * Fraction(1, 2)):
+        s = _block(v)
         assert s.coeffs == (("pi", 1),) and type(s.coeffs[0][1]) is int
+        assert v.nums == (0, 1) and v.den == 1
     x = MultiPoly.variable(1, 0)
     for p in (x * Fraction(1, 2) + x * Fraction(1, 2), (x * Fraction(2, 3)) * Fraction(3, 2), x * Fraction(-2, -2)):
         assert p.terms == {(1,): 1} and type(p.terms[(1,)]) is int
@@ -656,50 +694,134 @@ def _equivalence_refs(names, rng):
 
 
 def test_kernel_equals_the_fraction_reference():
+    # scalar arithmetic on one-entry elements, each result read back as its scalar
     rng = random.Random(SEED + 11)
     rows = 0
     for group, values, others in _equivalence_groups():
         refs = _equivalence_refs(group.names, rng)
         for ra in refs:
             a = Scalar(group, ra)
+            ea = _one(a)
             _assert_scalar(a, ra, group)
-            assert a.sign() == _ref_sign(values, ra)
-            _assert_scalar(-a, _ref_combination([(-1, ra)]), group)
+            assert a.sign() == _ref_sign(values, ra) == ea.sign()
+            _assert_scalar(_block(-ea), _ref_combination([(-1, ra)]), group)
             for k in EQUIVALENCE_FACTORS:
                 want = _ref_combination([(k, ra)])
-                _assert_scalar(a * k, want, group)
-                _assert_scalar(k * a, want, group)
+                _assert_scalar(_block(ea * k), want, group)
+                _assert_scalar(_block(k * ea), want, group)
             for n in (1, 2, 3, 8):
-                (q,) = div_by_positive_int(GroupElement((a,)), n).entries
+                (q,) = div_by_positive_int(ea, n).entries
                 _assert_scalar(q, _ref_combination([(Fraction(1, n), ra)]), group)
             for other in (group, *others):
                 rb = rng.choice(refs)
                 b = Scalar(other, rb)
-                _assert_scalar(a + b, _ref_combination([(1, ra), (1, rb)]), group)
-                _assert_scalar(a - b, _ref_combination([(1, ra), (-1, rb)]), group)
-                _assert_scalar(b - a, _ref_combination([(1, rb), (-1, ra)]), other)
+                eb = _one(b)
+                _assert_scalar(_block(ea + eb), _ref_combination([(1, ra), (1, rb)]), group)
+                _assert_scalar(_block(ea - eb), _ref_combination([(1, ra), (-1, rb)]), group)
+                _assert_scalar(_block(eb - ea), _ref_combination([(1, rb), (-1, ra)]), other)
                 want = _ref_sign(values, _ref_combination([(1, ra), (-1, rb)]))
-                assert compare(GroupElement((a,)), GroupElement((b,))) == want
+                assert compare(ea, eb) == want
                 assert compare(GroupElement((a, b)), GroupElement((b, a))) == want
-                assert ((a < b), (a <= b), (a > b), (a >= b)) == (want < 0, want <= 0, want > 0, want >= 0)
+                assert ((ea < eb), (ea <= eb), (ea > eb), (ea >= eb)) == (want < 0, want <= 0, want > 0, want >= 0)
                 ks = (rng.choice(EQUIVALENCE_FACTORS), rng.choice(EQUIVALENCE_FACTORS), Fraction(3, 2))
-                (got,) = linear_combination(ks, [GroupElement((s,)) for s in (a, b, a)]).entries
+                (got,) = linear_combination(ks, [ea, eb, ea]).entries
                 lead = next((s for k, s in zip(ks, (a, b, a)) if k), a)
                 _assert_scalar(got, _ref_combination(zip(ks, (ra, rb, ra))), lead.group)
-                if other.names == group.names:
-                    assert (a == b) == (ra == rb)
+                assert (a == b) == (ra == rb) == (ea == eb)
                 twin = Scalar(other, ra)
-                assert compare(GroupElement((a,)), GroupElement((twin,))) == 0
+                assert compare(ea, _one(twin)) == 0
                 for x, y in ((a, b), (a, twin)):
                     if x == y:
-                        assert hash(x) == hash(y)
+                        assert hash(x) == hash(y) and hash(_one(x)) == hash(_one(y))
                 rows += 1
     assert rows == 3 * (26 + 29)  # each reference scalar against three groups
     # the tower's values with the partners that make them integral
     g = standard_group()
     for x, y, total in ((Fraction(3, 2), Fraction(1, 2), 2), (Fraction(13, 4), Fraction(3, 4), 4),
                         (Fraction(53, 8), Fraction(11, 8), 8)):
-        a, b = g.scalar(x, pi=x), g.scalar(y, pi=-x)
-        (lc,) = linear_combination([1, 1], [GroupElement((a,)), GroupElement((b,))]).entries
-        for s in (a + b, lc, a * 2 - b * 2 + g.scalar(4 * y - total, pi=-4 * x)):
-            assert s.coeffs == (("1", total),) and type(s.coeffs[0][1]) is int
+        a, b = _one(g.scalar(x, pi=x)), _one(g.scalar(y, pi=-x))
+        lc = linear_combination([1, 1], [a, b])
+        for v in (a + b, lc, a * 2 - b * 2 + _one(g.scalar(4 * y - total, pi=-4 * x))):
+            assert _block(v).coeffs == (("1", total),) and type(_block(v).coeffs[0][1]) is int
+
+
+# -- flat elements against a Fraction reference ---------------------------------
+# A reference element is a list of reference scalars, one per block.
+
+
+def _ref_lex_sign(values, blocks):
+    """Lexicographic sign of a reference element: that of its first nonzero block."""
+    for ref in blocks:
+        if ref:
+            return _ref_sign(values, ref)
+    return 0
+
+
+def _ref_sum(pairs):
+    """Blockwise sum of k * reference element over ``(k, blocks)`` pairs."""
+    pairs = list(pairs)
+    return [_ref_combination([(k, blocks[i]) for k, blocks in pairs]) for i in range(len(pairs[0][1]))]
+
+
+def _assert_flat(v, group, ref):
+    """``v`` is canonical and flat in ``group`` and holds exactly the reference element ``ref``."""
+    assert v.group is group and v.rank == len(ref)
+    assert type(v.nums) is tuple and len(v.nums) == v.rank * len(group.names)
+    assert all(type(n) is int for n in v.nums) and type(v.den) is int and v.den > 0
+    assert math.gcd(v.den, *v.nums) == 1
+    assert [dict(s.coeffs) for s in v.entries] == ref, (v, ref)
+
+
+def _ref_block(names, rng):
+    """A reference scalar with mixed denominators, zero one time in four."""
+    if not rng.randrange(4):
+        return {}
+    ref = {name: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 8))) for name in names if rng.randrange(3)}
+    return {name: c for name, c in ref.items() if c}
+
+
+def test_flat_elements_equal_the_fraction_reference():
+    rng = random.Random(SEED + 12)
+    rows = 0
+    for group, values, others in _equivalence_groups():
+        for rank in (1, 2, 3):
+            for _ in range(12):
+                ra, rb = ([_ref_block(group.names, rng) for _ in range(rank)] for _ in range(2))
+                other = rng.choice((group, *others))
+                a = GroupElement(tuple(Scalar(group, r) for r in ra))
+                b = GroupElement(tuple(Scalar(other, r) for r in rb))
+                _assert_flat(a, group, ra)
+                _assert_flat(b, other, rb)
+                _assert_flat(a + b, group, _ref_sum([(1, ra), (1, rb)]))
+                _assert_flat(a - b, group, _ref_sum([(1, ra), (-1, rb)]))
+                _assert_flat(b - a, other, _ref_sum([(1, rb), (-1, ra)]))
+                _assert_flat(-a, group, _ref_sum([(-1, ra)]))
+                for k in (0, 1, -3, 4, Fraction(1, 2), Fraction(-8, 3), Fraction(6, 3)):
+                    _assert_flat(a * k, group, _ref_sum([(k, ra)]))
+                    _assert_flat(k * a, group, _ref_sum([(k, ra)]))
+                for n in (1, 2, 6):
+                    _assert_flat(div_by_positive_int(a, n), group, _ref_sum([(Fraction(1, n), ra)]))
+                for extra in (1, 2):
+                    _assert_flat(a.lift(extra), group, [{}] * extra + ra)
+                want = _ref_lex_sign(values, _ref_sum([(1, ra), (-1, rb)]))
+                assert compare(a, b) == want == -compare(b, a) == (a > b) - (a < b)
+                assert (a == b) == (ra == rb) == (b == a)
+                twin = GroupElement(tuple(Scalar(rng.choice(others), r) for r in ra))
+                assert a == twin and twin == a and hash(a) == hash(twin) and compare(a, twin) == 0
+                ks = [rng.choice((0, 2, -1, Fraction(3, 4), Fraction(-5, 2))) for _ in range(3)]
+                lead = next((v for k, v in zip(ks, (a, b, twin)) if k), a)
+                _assert_flat(linear_combination(ks, [a, b, twin]), lead.group, _ref_sum(zip(ks, (ra, rb, ra))))
+                # Laurent exponent vectors; the first weight's group holds the least value
+                exps = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(1, 5))]
+                sums = [_ref_sum(zip(e, (ra, rb, ra))) for e in exps]
+                least = sums[0]
+                for s in sums[1:]:
+                    if _ref_lex_sign(values, _ref_sum([(1, s), (-1, least)])) < 0:
+                        least = s
+                _assert_flat(least_value([a, b, twin], exps), group, least)
+                assert least_value([a, b, twin], exps) == min(
+                    (linear_combination(e, [a, b, twin]) for e in exps), key=functools.cmp_to_key(compare))
+                rows += 1
+    assert rows == 2 * 3 * 12
+    with pytest.raises(RankMismatch):
+        least_value([standard_group().zero(1), standard_group().zero(2)], [(1, 0)])
