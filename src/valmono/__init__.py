@@ -1,7 +1,8 @@
 """Exact valuation invariants and effective monomialization.
 
 Subpackages follow the pipeline: ordered_value (value groups), exact_algebra
-(polynomials over rational-function coefficients), valuation_core (valuations
+(Laurent polynomials, polynomials over them in the distinguished variable,
+and the rational functions of blow-up frames), valuation_core (valuations
 and their invariants), successors (key-polynomial chains), blowup_engine
 (framed blow-ups and the divisibility loop), puiseux (packages and successor
 preparation), orchestrator (the interleaved master sequence), cli.

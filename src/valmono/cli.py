@@ -338,7 +338,7 @@ def _selftest_cases(seed: int):
         _check(compare(rep.epsilon, el((1, 0), (-1, -1))) == 0, "epsilon(Q)")
         _check(compare(epsilon(nu3, X).epsilon, el((0, 0), (1, 1))) == 0, "epsilon(z)")
         for plain in (x, y):
-            r = epsilon(nu3, UniPoly.constant(2, RationalFunction(plain)))
+            r = epsilon(nu3, UniPoly.constant(2, plain))
             _check(is_sentinel(r.epsilon), "epsilon of a constant")
 
     def case_truncation():
@@ -414,7 +414,7 @@ def _random_unipoly(rng) -> UniPoly:
             for _ in range(rng.randint(0, 2)):
                 e = (rng.randint(0, 3), rng.randint(0, 3))
                 terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
-            coeffs.append(RationalFunction(MultiPoly(2, terms)))
+            coeffs.append(MultiPoly(2, terms))
         p = UniPoly(2, coeffs)
         if not p.is_zero():
             return p
@@ -476,16 +476,21 @@ _VERBS = {
 }
 
 
+# usage and help wrap at 78 columns whatever the terminal's width, so output is reproducible
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser for every verb in _VERBS, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="valmono",
         description="Exact valuation invariants and effective monomialization.",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, _handler, options) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
+        p = sub.add_parser(verb, help=help_text, formatter_class=_FORMATTER)
         for flag in options:
             settings = _OPTIONS[flag]
             if flag == "--format" and "--trace" in options:  # only a trace has a dot graph

@@ -4,13 +4,15 @@ Three layers, all over exact rationals:
 
 * ``MultiPoly``: multivariate Laurent polynomials in the base variables,
   stored as a map from exponent tuples to nonzero rationals.
-* ``RationalFunction``: a quotient of two ``MultiPoly`` values; the
-  coefficient field of everything univariate.  A denominator equal to 1 is
-  always the one shared ``MultiPoly.one(width)``, so a fraction with
-  denominator 1 costs no extra polynomial and is recognised by identity.
-* ``UniPoly``: polynomials in one distinguished variable with
-  ``RationalFunction`` coefficients; carries Euclidean division, divided
-  derivatives and expansion along a monic key.
+* ``UniPoly``: polynomials in one distinguished variable whose
+  coefficients are ``MultiPoly`` values over the other variables, Laurent
+  exponents allowed; carries Euclidean division, divided derivatives and
+  expansion along a monic key.
+* ``RationalFunction``: a quotient of two ``MultiPoly`` values over all the
+  variables, for the images and units of blow-up frames.  A denominator
+  equal to 1 is always the one shared ``MultiPoly.one(width)``, so a
+  fraction with denominator 1 costs no extra polynomial and is recognised
+  by identity.
 
 Every stored rational has one normal form, set by ``normal_rational``: an
 ``int`` when the value is an integer, otherwise a ``Fraction`` with
@@ -174,6 +176,15 @@ class MultiPoly:
         """Greatest term under graded lex; determinism only."""
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
+
+    # a polynomial read as the fraction p/1; perfbench reads UniPoly coefficients this way
+    @property
+    def num(self) -> "MultiPoly":
+        return self
+
+    @property
+    def den(self) -> "MultiPoly":
+        return MultiPoly.one(self.width)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -343,17 +354,6 @@ class RationalFunction:
             return self.num.is_one()
         return self.num == self.den
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant() and self.num.is_laurent_free()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.constant_value()
-
     def laurent_free(self) -> tuple:
         """(num*m, den*m) for the least monomial m clearing the numerator's negative exponents."""
         lows = ev_zero(self.width)
@@ -426,8 +426,19 @@ class RationalFunction:
         return f"RF({self.num!r} / {self.den!r})"
 
 
+def _coefficient(c, width: int) -> MultiPoly:
+    """A UniPoly coefficient: a MultiPoly, a rational constant, or a fraction over 1, unwrapped."""
+    if isinstance(c, MultiPoly):
+        return c
+    if isinstance(c, RationalFunction):
+        if c.den.is_one():
+            return c.num
+        raise TypeError("a UniPoly coefficient must be a polynomial, not a fraction")
+    return MultiPoly.constant(width, c)
+
+
 class UniPoly:
-    """Polynomial in the distinguished variable over rational functions.
+    """Polynomial in the distinguished variable over Laurent polynomials.
 
     ``coeffs[i]`` multiplies the i-th power; the tuple never ends in a zero.
     ``width`` is the arity of the base-variable layer.
@@ -436,8 +447,8 @@ class UniPoly:
     __slots__ = ("width", "coeffs")
 
     def __init__(self, width: int, coeffs: Iterable):
-        cs = [RationalFunction.of(c, width) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [c if type(c) is MultiPoly else _coefficient(c, width) for c in coeffs]
+        while cs and not cs[-1].terms:
             cs.pop()
         self.width = width
         self.coeffs = tuple(cs)
@@ -448,7 +459,7 @@ class UniPoly:
 
     @classmethod
     def constant(cls, width: int, c) -> "UniPoly":
-        return cls(width, [RationalFunction.of(c, width)])
+        return cls(width, [c])
 
     @classmethod
     def one(cls, width: int) -> "UniPoly":
@@ -472,10 +483,10 @@ class UniPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
-    def coeff(self, i: int) -> RationalFunction:
+    def coeff(self, i: int) -> MultiPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return RationalFunction.zero(self.width)
+        return MultiPoly.zero(self.width)
 
     def __add__(self, other):
         other = _as_unipoly(other, self.width)
@@ -497,7 +508,7 @@ class UniPoly:
         other = _as_unipoly(other, self.width)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.width)
-        out = [RationalFunction.zero(self.width)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [MultiPoly.zero(self.width)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -520,7 +531,7 @@ class UniPoly:
         return out
 
     def scale(self, c) -> "UniPoly":
-        c = RationalFunction.of(c, self.width)
+        c = _coefficient(c, self.width)
         return UniPoly(self.width, [a * c for a in self.coeffs])
 
     def __eq__(self, other):
@@ -542,7 +553,7 @@ def _as_unipoly(value, width: int) -> UniPoly:
         if value.width != width:
             raise ValueError("mixed base arity")
         return value
-    return UniPoly(width, [RationalFunction.of(value, width)])
+    return UniPoly(width, [value])
 
 
 # -- operations ---------------------------------------------------------------
@@ -623,20 +634,9 @@ def to_unipoly(p: MultiPoly) -> UniPoly:
             raise ValueError("negative power of the distinguished variable")
         buckets.setdefault(k, {})[e[:-1]] = c
     top = max(buckets) if buckets else -1
-    coeffs = [
-        RationalFunction(MultiPoly(width, buckets.get(k, {}))) for k in range(top + 1)
-    ]
-    return UniPoly(width, coeffs)
+    return UniPoly(width, [MultiPoly(width, buckets.get(k, {})) for k in range(top + 1)])
 
 
 def to_multipoly(p: UniPoly) -> MultiPoly:
-    """Inverse of to_unipoly; coefficients must be polynomial."""
-    width = p.width + 1
-    terms: dict = {}
-    for k, c in enumerate(p.coeffs):
-        if not c.den.is_constant():
-            raise ValueError("coefficient is not polynomial")
-        scale = c.den.constant_value()
-        for e, coeff in c.num.terms.items():
-            terms[e + (k,)] = coeff if scale == 1 else Fraction(coeff, scale)
-    return MultiPoly(width, terms)
+    """Inverse of to_unipoly."""
+    return MultiPoly(p.width + 1, {e + (k,): c for k, coeff in enumerate(p.coeffs) for e, c in coeff.terms.items()})

@@ -249,10 +249,7 @@ def advance(state: MasterState) -> MasterState:
 
 def _variable_weights(spec, width: int) -> list:
     """Values of the coefficient variables u_1, ..., u_width."""
-    return [
-        spec.value(UniPoly.constant(width, RationalFunction(MultiPoly.variable(width, i))))
-        for i in range(width)
-    ]
+    return [spec.value(UniPoly.constant(width, MultiPoly.variable(width, i))) for i in range(width)]
 
 
 def _variable_lattice(spec, names, weights=None) -> Lattice:
@@ -457,16 +454,27 @@ def _cert_json(cert: SuccessorCertificate | None, names):
     }
 
 
-def _cert_from(obj, group, names):
-    if obj is None:
-        return None
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ParseError(f"certificate {what} {value!r} must be an integer of at least 1")
+    return value
+
+
+def _cert_from(obj, group, names, prev_value):
+    """The certificate ``obj`` holds; ``prev_value`` is the value of the previous chain key."""
+    if obj["kind"] not in ("ordinary", "optimal", "limit"):
+        raise ParseError(f"unknown certificate kind {obj['kind']!r}")
+    alpha = _positive_int(obj["alpha"], "alpha")
+    base_value = parse_element(group, obj["base_value"])
+    if base_value != prev_value * alpha:
+        raise ParseError(f"certificate base value {obj['base_value']!r} is not {alpha} times the previous key's value")
     return SuccessorCertificate(
         kind=obj["kind"],
-        alpha=int(obj["alpha"]),
+        alpha=alpha,
         monomial=None if obj["monomial"] is None else parse_polynomial(obj["monomial"], names[:-1]),
-        key_powers=tuple((label, int(p)) for label, p in obj["key_powers"]),
+        key_powers=tuple((label, _positive_int(p, "key power")) for label, p in obj["key_powers"]),
         residue=None if obj["residue"] is None else normal_rational(Fraction(obj["residue"])),
-        base_value=parse_element(group, obj["base_value"]),
+        base_value=base_value,
     )
 
 
@@ -477,8 +485,14 @@ def _link_json(link: ChainLink, names) -> dict:
     }
 
 
-def _link_from(obj, group, names) -> ChainLink:
-    return ChainLink(parse_unipoly(obj["key"], names), _cert_from(obj["certificate"], group, names))
+def _links_from(objs, group, spec, names) -> list:
+    """Chain links in order; each certificate is checked against the key before it."""
+    links = []
+    for obj in objs:
+        prev = links[-1].key if links else None
+        cert = None if obj["certificate"] is None else _cert_from(obj["certificate"], group, names, spec.value(prev))
+        links.append(ChainLink(parse_unipoly(obj["key"], names), cert))
+    return links
 
 
 def state_to_json(state: MasterState) -> dict:
@@ -509,7 +523,8 @@ def state_from_json(obj) -> MasterState:
         group, names, spec = load_problem(obj["problem"])
         frame = trace._frame_from_records(group, obj["trace"])
         check_frame_values(frame, spec)
-        chain = tuple(_link_from(l, group, names) for l in obj["chain"])
+        links = _links_from(obj["chain"] + obj["keys_pending"], group, spec, names)
+        chain = tuple(links[:len(obj["chain"])])
         if not chain:
             raise ParseError("state chain is empty")
         image = obj["key_image"]
@@ -523,7 +538,7 @@ def state_from_json(obj) -> MasterState:
             budget=budget,
             slice_index=slice_index,
             chain=chain,
-            keys_pending=tuple(_link_from(l, group, names) for l in obj["keys_pending"]),
+            keys_pending=tuple(links[len(chain):]),
             key_image=RationalFunction(
                 parse_polynomial(image["num"], frame.names),
                 parse_polynomial(image["den"], frame.names),

@@ -70,10 +70,8 @@ from .successors import check_limit_successor
 def _multipoly_or_none(p):
     if isinstance(p, MultiPoly):
         return p
-    if isinstance(p, RationalFunction):
-        return p.num if p.den == 1 else None
     if isinstance(p, UniPoly):
-        if all(c.is_polynomial() for c in p.coeffs):
+        if all(c.is_laurent_free() for c in p.coeffs):
             return to_multipoly(p)
     return None
 
@@ -403,7 +401,7 @@ def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
     A single-term image is kept with no unit; a longer one is monomialized
     in place, which extends the frame.
     """
-    if not all(c.is_polynomial() for c in coeff.coeffs):
+    if not all(c.is_laurent_free() for c in coeff.coeffs):
         raise NonPolynomialImage("expansion coefficient is not polynomial")
     img = transport(frame, RationalFunction(to_multipoly(coeff)))
     if img.den != 1:

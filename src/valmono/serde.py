@@ -209,7 +209,7 @@ def format_multipoly(p: MultiPoly, names) -> str:
 
 def format_rational(r: RationalFunction, names) -> str:
     num = format_multipoly(r.num, names)
-    if r.den.is_constant() and r.den.constant_value() == 1:
+    if r.den.is_one():
         return num
     den = format_multipoly(r.den, names)
     return f"({num})/({den})"
@@ -217,23 +217,7 @@ def format_rational(r: RationalFunction, names) -> str:
 
 def format_unipoly(p: UniPoly, names, var: str) -> str:
     """Print over base names plus the distinguished variable."""
-    if p.is_zero():
-        return "0"
-    if all(c.is_polynomial() for c in p.coeffs):
-        return format_multipoly(to_multipoly(p), list(names) + [var])
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c.is_zero():
-            continue
-        xs = var if k == 1 else f"{var}^{k}" if k else ""
-        body = format_rational(c, names)
-        if xs and not (c.is_constant() and abs(c.constant_value()) == 1):
-            body = f"({body})*{xs}" if ("/" in body or " " in body) else f"{body}*{xs}"
-        elif xs:
-            body = xs if c.constant_value() > 0 else f"-{xs}"
-        parts.append(body if not parts else ("+ " + body if not body.startswith("-") else "- " + body[1:]))
-    return " ".join(parts)
+    return format_multipoly(to_multipoly(p), list(names) + [var])
 
 
 # -- value groups and specs ------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The lattice solver answers "what is the least multiple of this value that
 the already-available values generate", by exact integer echelon reduction.
-On top of it: binomial successor construction, successor verification,
-the limit test, and unit-decorated key elements.
+On top of it: binomial successor construction, successor verification
+and the limit test.
 """
 
 from __future__ import annotations
@@ -17,18 +17,12 @@ from .errors import (
     CertificationError,
     MaximalKey,
     NonMonicKey,
-    NonUnitFactor,
     NotInDivisibleHull,
     RankMismatch,
     ResidueUndefined,
     ZeroPolynomial,
 )
-from .exact_algebra import (
-    MultiPoly,
-    RationalFunction,
-    UniPoly,
-    q_expansion,
-)
+from .exact_algebra import MultiPoly, UniPoly, q_expansion
 from .ordered_value import GroupElement, compare, is_sentinel
 from .valuation_core import truncated_value
 
@@ -238,7 +232,7 @@ def _witness_from_solution(lattice: Lattice, solution, width: int):
 
 def _build_witness(lattice: Lattice, solution, width: int, q: UniPoly):
     mono, key_part = _witness_from_solution(lattice, solution, width)
-    f = UniPoly.constant(width, RationalFunction(mono))
+    f = UniPoly.constant(width, mono)
     for g, power in key_part:
         f = f * g.key**power
     if f.degree >= q.degree:
@@ -336,41 +330,3 @@ def check_limit_successor(spec, q: UniPoly, q_prime: UniPoly):
     v = spec.value(q_prime)
     ok = rep.delta == 1 and compare(rep.value, v) < 0
     return ok, rep
-
-
-@dataclass
-class KeyElement:
-    """Key expansion with value-zero unit decorations on its coefficients."""
-
-    base_key: UniPoly
-    coefficients: tuple  # (index, UniPoly) pairs, degree < deg base_key
-    units: tuple  # RationalFunction per coefficient, value 0
-
-    def associated_key(self) -> UniPoly:
-        out = UniPoly.zero(self.base_key.width)
-        for (j, c), _ in zip(self.coefficients, self.units):
-            out = out + c * self.base_key**j
-        return out
-
-    def element(self) -> UniPoly:
-        out = UniPoly.zero(self.base_key.width)
-        for (j, c), u in zip(self.coefficients, self.units):
-            out = out + (c * u) * self.base_key**j
-        return out
-
-
-def make_key_element(spec, base_key: UniPoly, coefficients, units) -> KeyElement:
-    coefficients = tuple((int(j), c) for j, c in coefficients)
-    units = tuple(RationalFunction.of(u, base_key.width) for u in units)
-    if len(units) != len(coefficients):
-        raise ValueError("one unit per coefficient required")
-    for _, c in coefficients:
-        if c.degree >= base_key.degree:
-            raise ValueError("expansion coefficient degree reaches the key degree")
-    zero_val = spec.value(1)
-    for u in units:
-        if u.is_zero():
-            raise NonUnitFactor("zero factor")
-        if compare(spec.value(u), zero_val) != 0:
-            raise NonUnitFactor("decoration with nonzero value")
-    return KeyElement(base_key, coefficients, units)

@@ -73,12 +73,19 @@ def write_trace(frame: Frame, path) -> list:
 
 
 def read_trace(path) -> list:
+    """The records of a trace file; a line that is not a JSON object raises ParseError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"trace line {n}: {exc}") from None
+                if not isinstance(rec, dict):
+                    raise ParseError(f"trace line {n}: a record must be a JSON object")
+                records.append(rec)
     if not records:
         raise ParseError("empty trace file")
     return records

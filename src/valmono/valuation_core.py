@@ -57,8 +57,8 @@ class _Spec:
     the monomial that clears its numerator's negative exponents, then valued
     as numerator minus denominator. Polynomials reach ``_value_multipoly``,
     which splits them along the last variable unless the variant has a
-    direct rule; coefficients over the base variables and ``UniPoly``
-    values reach the variant's own rule, ``_value_unipoly``.
+    direct rule; ``UniPoly`` values reach the variant's own rule,
+    ``_value_unipoly``.
     """
 
     def value(self, f):
@@ -67,12 +67,10 @@ class _Spec:
         if isinstance(f, MultiPoly):
             return self._value_multipoly(f)
         if isinstance(f, RationalFunction):
-            if f.width == self.width:
-                num, den = f.laurent_free()
-                return self._value_multipoly(num) - self._value_multipoly(den)
-            if f.width != self.width - 1:
+            if f.width != self.width:
                 raise UnknownVariable("rational function width mismatch")
-            f = UniPoly(f.width, [f])
+            num, den = f.laurent_free()
+            return self._value_multipoly(num) - self._value_multipoly(den)
         if not isinstance(f, UniPoly):
             raise TypeError(f"cannot evaluate {type(f).__name__}")
         if f.width != self.width - 1:
@@ -112,34 +110,17 @@ class Monomial(_Spec):
     def monomial_value(self, exps) -> GroupElement:
         return monomial_value(self.weights, exps)
 
-    def _min_value(self, p: MultiPoly):
-        """Least monomial value over the terms of p; Laurent exponents allowed."""
-        return least_value(self.weights, p.terms)
-
     def _value_multipoly(self, p: MultiPoly):
         if p.is_zero():
             return PLUS_INFINITY
         if p.width != self.width:
             raise UnknownVariable(f"polynomial width {p.width} != {self.width}")
-        return self._min_value(p)
+        # least monomial value over the terms; Laurent exponents allowed
+        return least_value(self.weights, p.terms)
 
     def _value_unipoly(self, f: UniPoly):
-        if all(c.den.is_one() for c in f.coeffs):
-            # one pass over every term, with its degree in the last variable appended
-            return least_value(self.weights, [e + (i,) for i, c in enumerate(f.coeffs) for e in c.num.terms])
-        w_last = self.weights[-1]
-        best = None
-        for i, c in enumerate(f.coeffs):
-            if c.is_zero():
-                continue
-            v = self._min_value(c.num)
-            if not c.den.is_one():
-                v = v - self._min_value(c.den)
-            if i:
-                v = v + w_last * i
-            if best is None or compare(v, best) < 0:
-                best = v
-        return best
+        # one pass over every term, with its degree in the last variable appended
+        return least_value(self.weights, [e + (i,) for i, c in enumerate(f.coeffs) for e in c.terms])
 
 
 class Composite(_Spec):

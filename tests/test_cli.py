@@ -554,9 +554,14 @@ def _run_output_table(tmp_path) -> list:
     return results
 
 
-def test_cli_output_table(tmp_path):
+def test_cli_output_table(tmp_path, monkeypatch):
     expected = [(row_id, *digests) for row_id, _command, *digests in OUTPUT_TABLE]
     assert _run_output_table(tmp_path) == expected
+    # usage messages wrap at a fixed width, not at the terminal's
+    monkeypatch.setenv("COLUMNS", "1000")
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    assert _run_output_table(wide) == expected
 
 
 def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):

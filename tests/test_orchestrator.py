@@ -207,6 +207,15 @@ def _without(field):
     return lambda blob: {k: v for k, v in blob.items() if k != field}
 
 
+def _certificate(**fields):
+    """The state with these fields of its last chain link's certificate replaced."""
+    def tamper(blob):
+        chain = [dict(link) for link in blob["chain"]]
+        chain[-1]["certificate"] = dict(chain[-1]["certificate"], **fields)
+        return dict(blob, chain=chain)
+    return tamper
+
+
 # one malformed field of a saved state; each must load as ParseError, not a bare KeyError or ValueError
 STATE_TAMPERS = {
     "version-1": lambda blob: dict(blob, version=1),
@@ -223,6 +232,17 @@ STATE_TAMPERS = {
     "trace-empty": lambda blob: dict(blob, trace=[]),
     "chain-link-no-key": lambda blob: dict(blob, chain=[{"certificate": None}]),
     "not-an-object": lambda blob: list(blob),
+    "alpha-fraction": _certificate(alpha=1.5),
+    "alpha-zero": _certificate(alpha=0),
+    "alpha-negative": _certificate(alpha=-3),
+    "alpha-text": _certificate(alpha="2"),
+    "alpha-bool": _certificate(alpha=True),
+    "alpha-not-matching-the-base-value": _certificate(alpha=1),
+    "kind-bogus": _certificate(kind="bogus"),
+    "key-power-fraction": _certificate(key_powers=[["Q1", 2.7]]),
+    "key-power-zero": _certificate(key_powers=[["Q1", 0]]),
+    "base-value-infinite": _certificate(base_value="+inf"),
+    "base-value-wrong": _certificate(base_value="(0, 1)"),
 }
 
 
@@ -230,6 +250,7 @@ STATE_TAMPERS = {
 def test_state_rejects_a_malformed_field(tamper):
     blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
     assert blob["version"] == 2 and state_from_json(blob).key_pos == blob["key_pos"]
+    assert state_from_json(_certificate(key_powers=[["Q1", 2]])(blob)).chain[-1].certificate.key_powers == (("Q1", 2),)
     with pytest.raises(ParseError):
         state_from_json(tamper(blob))
 

@@ -90,10 +90,13 @@ def test_format_unipoly():
     u = parse_unipoly("z^2 - x^2*y", NAMES)
     assert u.degree == 2
     assert format_unipoly(u, ["x", "y"], "z") == "z^2 - x^2*y"
+    # Laurent coefficients print with negative exponents and parse back
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
-    frac_coeff = UniPoly(2, [RationalFunction(x, MultiPoly.one(2) + y)])
-    assert "/" in format_unipoly(frac_coeff, ["x", "y"], "z")
+    laurent = UniPoly(2, [x.shift((0, -1)) * 3 + y, MultiPoly.monomial(2, (-2, 1), Fraction(1, 2)), -y.shift((0, -2))])
+    text = format_unipoly(laurent, ["x", "y"], "z")
+    assert text == "-y^-1*z^2 + 1/2*x^-2*y*z + y + 3*x*y^-1"
+    assert parse_unipoly(text, NAMES) == laurent
 
 
 def test_group_round_trip():

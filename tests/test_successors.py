@@ -6,18 +6,16 @@ import pytest
 from valmono.errors import (
     MaximalKey,
     NonMonicKey,
-    NonUnitFactor,
     NotInDivisibleHull,
     ResidueUndefined,
 )
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly
+from valmono.exact_algebra import MultiPoly, UniPoly
 from valmono.ordered_value import compare, div_by_positive_int, standard_group
 from valmono.successors import (
     Lattice,
     LatticeGenerator,
     check_limit_successor,
     lattice_multiplier,
-    make_key_element,
     next_successor,
     verify_immediate_successor,
 )
@@ -208,27 +206,3 @@ def test_check_limit_successor():
     aug3 = Augmented(spec2, P3, el((9,)))
     ok3, rep3 = check_limit_successor(aug3, U, P3)
     assert not ok3 and rep3.delta == 2
-
-
-def test_key_element():
-    unit = RationalFunction(MultiPoly.one(2), MultiPoly.one(2) + y)
-    assert compare(NU3.value(unit), NU3.value(1)) == 0
-    ke = make_key_element(
-        NU3,
-        X,
-        [(0, UniPoly.constant(2, -(x**2) * y)), (2, UniPoly.one(2))],
-        [unit, RationalFunction.one(2)],
-    )
-    assert ke.associated_key() == Q
-    elem = ke.element()
-    assert elem != Q
-    # unit decorations leave every truncation term value unchanged
-    from valmono.valuation_core import truncated_value
-
-    plain = truncated_value(NU3, X, Q)
-    decorated = truncated_value(NU3, X, elem)
-    assert decorated.value == plain.value and decorated.S == plain.S
-    with pytest.raises(NonUnitFactor):
-        make_key_element(NU3, X, [(0, UniPoly.one(2))], [RationalFunction(x)])
-    with pytest.raises(NonUnitFactor):
-        make_key_element(NU3, X, [(0, UniPoly.one(2))], [RationalFunction.zero(2)])

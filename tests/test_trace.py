@@ -68,6 +68,19 @@ def test_write_read_replay(tmp_path):
     assert report["beta"]["x"] == "-3 + pi"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("not json", r"trace line 2: Expecting value: line 1 column 1"), ("[1, 2]", "trace line 2: a record must be a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_a_bad_trace_line_is_a_parse_error(tmp_path, line, message):
+    path = tmp_path / "trace.jsonl"
+    lines = [json.dumps(rec) for rec in trace_records(three_step_frame())]
+    path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n")
+    with pytest.raises(ParseError, match=message):
+        verify_trace_file(path)
+
+
 README_PROBLEM = {
     "group": {"generators": ["1", "pi"]},
     "vars": ["x", "y", "z"],

@@ -304,7 +304,7 @@ def _value_from_definition(spec, f: UniPoly):
             return min((monomial_value(spec.weights, e) for e in p.terms), key=lowest)
 
         return min(
-            (least(c.num) - least(c.den) + spec.weights[-1] * i for i, c in enumerate(f.coeffs) if not c.is_zero()),
+            (least(c) + spec.weights[-1] * i for i, c in enumerate(f.coeffs) if not c.is_zero()),
             key=lowest,
         )
     parts = q_expansion(f, spec.key)
@@ -318,11 +318,10 @@ def _value_from_definition(spec, f: UniPoly):
 
 
 def _seeded_coefficient(rng, width: int):
-    """A nonzero coefficient over ``width`` variables; every other one has a denominator other than 1.
+    """A nonzero coefficient over ``width`` variables; every other one has negative exponents.
 
-    Over two variables a denominator without a constant term has a nonzero
-    value; over one it keeps a constant term, as the normal form strips
-    common monomial factors.
+    A Laurent coefficient is shifted until each variable's least exponent is
+    -1 or -2.
     """
     while True:
         terms = {}
@@ -333,11 +332,8 @@ def _seeded_coefficient(rng, width: int):
         if not num.is_zero():
             break
     if rng.randrange(2):
-        return RationalFunction(num)
-    den = MultiPoly.constant(width, rng.randint(0, 3) if width > 1 else rng.randint(1, 3))
-    for k in range(width):
-        den = den + MultiPoly.variable(width, k) ** rng.randint(1, 2) * rng.randint(1, 2)
-    return RationalFunction(num, den)
+        return num
+    return num.shift(tuple(-min(e[k] for e in num.terms) - rng.randint(1, 2) for k in range(width)))
 
 
 def _seeded_of_degree(rng, width: int, degree: int) -> UniPoly:
