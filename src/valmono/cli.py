@@ -97,9 +97,15 @@ def _exponents(text: str, width: int) -> tuple:
     return out
 
 
-def _finish_trace(args, frame, spec) -> None:
-    """Write the trace if asked, then always check and replay it through the verifier."""
+def _finish_trace(args, frame, spec, state=None) -> None:
+    """Save the state and write the trace if asked, then always check and replay the trace.
+
+    The frame's records are built once: the state file, the trace file and
+    the replay all take the same list.
+    """
     records = trace_records(frame)
+    if state is not None and args.state:
+        save_state(state, args.state, records)
     if args.trace:
         write_records(records, args.trace)
     check_frame_values(frame, spec)
@@ -249,23 +255,23 @@ def _cmd_puiseux(args, names, spec):
 
 
 def _run_saving_state(args, run):
-    """Run the master loop; with --state, save its state even when it fails."""
+    """Run the master loop; with --state, save the state of a run that fails.
+
+    A finished run's state is saved by ``_finish_trace``.
+    """
     try:
-        out = run()
+        return run()
     except ValmonoError as exc:
         state = getattr(exc, "state", None)
         if state is not None and args.state:
             save_state(state, args.state)
         raise
-    if args.state:
-        save_state(out.state, args.state)
-    return out
 
 
 def _cmd_monomialize(args, names, spec):
     f = parse_unipoly(_one_poly(args.poly), names)
     out = _run_saving_state(args, lambda: monomialize(spec, f, args.budget, names=names))
-    _finish_trace(args, out.frame, spec)
+    _finish_trace(args, out.frame, spec, out.state)
     payload = {
         "verb": "monomialize",
         "params": list(out.frame.names),
@@ -287,7 +293,7 @@ def _cmd_uniformize(args, names, spec):
     out = _run_saving_state(
         args, lambda: embedded_uniformize(spec, polys, args.budget, names=names)
     )
-    _finish_trace(args, out.frame, spec)
+    _finish_trace(args, out.frame, spec, out.state)
     payload = {
         "verb": "uniformize",
         "params": list(out.frame.names),

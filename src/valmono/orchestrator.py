@@ -14,6 +14,10 @@ the others. The slices and that divisibility phase share one pair divider.
 The state is a value: ``advance`` returns a new state and never mutates
 its input, so callers may fork explorations by keeping old states. All
 enumeration orders are fixed, making runs byte-for-byte reproducible.
+
+``save_state`` encodes the whole state, then writes it through
+``serde._write_file``, the package's one file writer, which overwrites an
+existing file in place.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .puiseux import (
     valuation_driver,
 )
 from .serde import (
+    _write_file,
     format_multipoly,
     format_unipoly,
     load_problem,
@@ -495,7 +500,8 @@ def _links_from(objs, group, spec, names) -> list:
     return links
 
 
-def state_to_json(state: MasterState) -> dict:
+def state_to_json(state: MasterState, records=None) -> dict:
+    """The JSON object of a state; ``records``, when given, must be ``trace.trace_records(state.frame)``."""
     group = state.frame.betas[0].group
     names = list(state.frame.original_names)
     image = state.key_image
@@ -504,7 +510,7 @@ def state_to_json(state: MasterState) -> dict:
         "problem": problem_to_json(group, names, state.spec),
         "budget": state.budget,
         "slice_index": state.slice_index,
-        "trace": trace.trace_records(state.frame),
+        "trace": trace.trace_records(state.frame) if records is None else records,
         "chain": [_link_json(l, names) for l in state.chain],
         "keys_pending": [_link_json(l, names) for l in state.keys_pending],
         "key_image": {
@@ -549,11 +555,9 @@ def state_from_json(obj) -> MasterState:
         raise ParseError(f"malformed state: {type(exc).__name__}: {exc}") from exc
 
 
-def save_state(state: MasterState, path) -> None:
-    # encoded before the file is opened, so a failed encoding leaves the old file whole
-    text = json.dumps(state_to_json(state), indent=1, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def save_state(state: MasterState, path, records=None) -> None:
+    """Write a state file; ``records`` as for ``state_to_json``. A failed encoding leaves the old file."""
+    _write_file(path, json.dumps(state_to_json(state, records), indent=1, sort_keys=True) + "\n")
 
 
 def load_state(path) -> MasterState:

@@ -2,12 +2,15 @@
 
 Covers polynomial expressions ("z^2 - x^2*y"), value groups, and valuation
 spec towers as JSON. Element and scalar strings live in ordered_value;
-this module builds the composite formats on top.
+this module builds the composite formats on top. ``_write_file`` is the one
+place the package writes a file: trace and state files go through it.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from fractions import Fraction
 
 from .errors import ParseError, RankMismatch
@@ -376,3 +379,33 @@ def problem_to_json(group: ValueGroup, names, spec) -> dict:
         "vars": list(names),
         "val": spec_to_json(spec, names),
     }
+
+
+# -- files -------------------------------------------------------------------------
+
+
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in place.
+
+    The text is encoded before the file is touched, so an encoding error
+    leaves the old file whole. The file is opened without ``O_TRUNC``,
+    written from its start, and then cut at the end of the new bytes: on
+    ext4 (``auto_da_alloc``), closing a file that was truncated to zero
+    starts its writeback, about 100 us on every rewrite of a trace or state.
+    As with ``open(path, "w")``, the file keeps its inode (hard links, a
+    symlink's target and the mode stay), a new file gets mode 0o666 under
+    the umask, and the bytes are the same on POSIX. Only a regular file is
+    cut, so a device such as ``/dev/null`` or a pipe still works as a target.
+
+    A process killed mid-write leaves the first bytes of the new text over
+    the rest of the old file. That is usually malformed, and ``read_trace``
+    with replay and ``state_from_json`` reject it (ParseError or
+    CertificationError). The one exception: where the bytes written equal
+    the old file's start, as when the new text is a prefix of the old file,
+    the complete old file remains, a valid artifact of the earlier run.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))

@@ -13,6 +13,10 @@ columns to the chart column, so the exponent matrix is unimodular by
 construction. Equal-value residues, names and values are read from the
 record, not from the valuation; a trace carries no valuation, and the state
 loader compares them with its problem's spec.
+
+``write_records`` encodes the whole trace, then writes it through
+``serde._write_file``, the package's one file writer, which overwrites an
+existing file in place.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from .blowup_engine import CStepData, Frame, framed_blowup
 from .errors import CertificationError, ParseError, ValmonoError
 from .ordered_value import format_element, parse_element
-from .serde import group_from_json, group_to_json
+from .serde import _write_file, group_from_json, group_to_json
 
 
 def _beta_map(names, betas) -> dict:
@@ -60,10 +64,8 @@ def trace_records(frame: Frame) -> list:
 
 
 def write_records(records: list, path) -> None:
-    """Write trace records, one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    """Write trace records, one JSON object per line; a record that fails to encode leaves the old file."""
+    _write_file(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
 def write_trace(frame: Frame, path) -> list:

@@ -582,6 +582,14 @@ def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
     # the replay traces its own starting frame once; no frame is traced twice
     assert len(built) == len({id(frame) for frame in built}) == 2
     assert trace.read_text() == "".join(json.dumps(rec) + "\n" for rec in records(built[0]))
+    # with --state too, the state file takes the records the trace file and the replay take
+    built.clear()
+    state = specs["dir"] / "run-state.json"
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y",
+                 "--trace", str(trace), "--state", str(state)]) == 0
+    capsys.readouterr()
+    assert len(built) == len({id(frame) for frame in built}) == 2
+    assert json.loads(state.read_text())["trace"] == records(built[0])
 
 
 def test_the_readme_run_writes_the_recorded_files(specs, capsys):
@@ -592,3 +600,24 @@ def test_the_readme_run_writes_the_recorded_files(specs, capsys):
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
     assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "31410e3cf033acb2")
+
+
+def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
+    # the README run over longer files at its paths: both are overwritten in
+    # place and cut at the new end, so they keep their inodes and lose the old tail
+    trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
+    for path in (trace, state):
+        path.write_text("a longer file from an earlier run\n" * 2000)
+    inodes = (trace.stat().st_ino, state.stat().st_ino)
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
+                 "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "31410e3cf033acb2")
+    assert (trace.stat().st_ino, state.stat().st_ino) == inodes
+
+
+def test_trace_and_state_can_go_to_a_device(specs, capsys):
+    # only a regular file is cut at the end of the new bytes; /dev/null cannot be
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y",
+                 "--trace", os.devnull, "--state", os.devnull]) == 0
+    assert capsys.readouterr().err == ""

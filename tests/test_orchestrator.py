@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -29,6 +30,7 @@ from valmono.orchestrator import (
     advance,
     embedded_uniformize,
     enumerate_pairs,
+    load_state,
     monomialize,
     save_state,
     state_from_json,
@@ -633,7 +635,25 @@ def test_a_state_that_fails_to_encode_leaves_the_old_file(tmp_path, monkeypatch)
     streamed = io.StringIO()
     json.dump(state_to_json(out.state), streamed, indent=1, sort_keys=True)
     assert before == (streamed.getvalue() + "\n").encode()
-    monkeypatch.setattr(orchestrator, "state_to_json", lambda state: {"chain": [], "frame": object()})
+    monkeypatch.setattr(orchestrator, "state_to_json", lambda state, records=None: {"chain": [], "frame": object()})
     with pytest.raises(TypeError):
         save_state(out.state, path)
     assert path.read_bytes() == before
+
+
+def test_a_shorter_state_is_written_over_a_longer_one_in_place(tmp_path):
+    # no stale tail after the new end; the inode stays, so a hard link made
+    # before the rewrite reads the new state
+    path, link = tmp_path / "state.json", tmp_path / "link.json"
+    longer = monomialize(NU3, Q, 10_000, names=NAMES).state
+    shorter = _fresh_state(NU3, _initial_frame(NU3, NAMES), [ChainLink(X, None)], 10)
+    encoded = [(json.dumps(state_to_json(s), indent=1, sort_keys=True) + "\n").encode() for s in (longer, shorter)]
+    assert len(encoded[1]) < len(encoded[0])
+    save_state(longer, path)
+    assert path.read_bytes() == encoded[0]
+    os.link(path, link)
+    inode = path.stat().st_ino
+    save_state(shorter, path)
+    assert path.read_bytes() == link.read_bytes() == encoded[1]
+    assert path.stat().st_ino == inode
+    assert state_to_json(load_state(link)) == state_to_json(shorter)

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import stat
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from valmono.errors import ParseError
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly
 from valmono.ordered_value import format_element, standard_group
 from valmono.serde import (
+    _write_file,
     format_multipoly,
     format_rational,
     format_unipoly,
@@ -170,3 +173,43 @@ def test_weight_order_follows_vars():
                 "val": {"kind": "monomial", "weights": {"x": "1"}},
             }
         )
+
+
+def _file_state(path) -> tuple:
+    """What a rewrite must keep or produce: link kind, mode, link count and bytes."""
+    st = os.stat(path)
+    return stat.S_ISLNK(os.lstat(path).st_mode), stat.S_IMODE(st.st_mode), st.st_nlink, path.read_bytes()
+
+
+def test_the_file_writer_keeps_what_open_w_keeps(tmp_path):
+    # _write_file overwrites in place instead of truncating to zero; whatever
+    # open(path, "w") keeps or makes, it keeps or makes the same
+    def write_with_open(path, text):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    results = []
+    for name, write in (("writer", _write_file), ("open", write_with_open)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "old.txt").write_text("an older and much longer text\n" * 40)
+        os.chmod(d / "old.txt", 0o640)
+        os.link(d / "old.txt", d / "hard.txt")
+        (d / "target.txt").write_text("target text that is longer than the new one\n")
+        os.symlink(d / "target.txt", d / "sym.txt")
+        inodes = {n: (d / n).stat().st_ino for n in ("old.txt", "target.txt")}
+        for n in ("new.txt", "old.txt", "sym.txt"):
+            write(d / n, f"{n}: caf\u00e9\nline two\n")
+        assert inodes == {n: (d / n).stat().st_ino for n in ("old.txt", "target.txt")}
+        results.append([_file_state(d / n) for n in ("new.txt", "old.txt", "hard.txt", "sym.txt", "target.txt")])
+    assert results[0] == results[1]
+    assert results[0][1] == (False, 0o640, 2, "old.txt: caf\u00e9\nline two\n".encode())
+    assert results[0][3][0] and results[0][3][3] == results[0][4][3]
+
+
+def test_the_file_writer_leaves_the_old_file_on_an_encoding_error(tmp_path):
+    path = tmp_path / "out.txt"
+    _write_file(path, "old text\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_file(path, "new \ud800 text\n")
+    assert path.read_bytes() == b"old text\n"

@@ -5,8 +5,8 @@ one polynomial 1 per width), equal-value residue data has one source besides
 recorded traces: the valuation driver, only rational functions are divided
 with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
 in ``ordered_value`` builds no ``Fraction``, frames are built only where their
-values are proved positive, and no module reads the environment (every setting
-is an argument)."""
+values are proved positive, no module reads the environment (every setting
+is an argument), and one function opens files for writing."""
 
 import ast
 from fractions import Fraction
@@ -355,6 +355,74 @@ def test_the_environment_guard_sees_each_form(tmp_path):
         "sample.py:4: getenv",
         "sample.py:6: environ",
     ]
+
+
+# calls taking (file, mode, ...); any other ``X.open`` is read as ``Path.open(mode, ...)``
+_PATH_FIRST_OPENERS = {("open", None), ("open", "io"), ("fdopen", "os"), ("fdopen", None)}
+
+
+def _may_write(mode) -> bool:
+    """A mode argument with w, a, x or +, or one that is not a string literal."""
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set("wax+") & set(mode.value))
+
+
+def _file_writes(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every call in one source file that may open a
+    file for writing: ``os.open``, an ``open``/``fdopen`` whose mode may write, and
+    ``write_text``/``write_bytes``; the owner is the innermost enclosing class or function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            base = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else None
+            at = 1 if (callee, base) in _PATH_FIRST_OPENERS else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > at:
+                mode = node.args[at]
+            if (callee in ("write_text", "write_bytes") or (callee, base) == ("open", "os")
+                    or callee in ("open", "fdopen") and _may_write(mode)):
+                found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+
+
+def test_only_the_file_writer_opens_files_for_writing():
+    # serde._write_file overwrites in place and encodes before it touches the
+    # file; a second writer would bring back truncate-to-zero or half-written files
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = sorted({hit.rsplit(":", 1)[0] for path in sources for hit in _file_writes(path)})
+    assert found == ["serde._write_file"], "write files through serde._write_file: " + ", ".join(found)
+
+
+def test_the_file_writer_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "W = open('log', 'a')\n"
+        "def f(p, fd, m):\n"
+        "    return open(p, 'w'), open(p, 'r+b', encoding=None), open(p, mode='x'), open(p, m)\n"
+        "def g(p, fd):\n"
+        "    return io.open(p, 'wb'), os.fdopen(fd, 'w'), os.open(p, os.O_RDONLY), p.open('w')\n"
+        "def h(p):\n"
+        "    p.write_text('t'), p.write_bytes(b''), p.open(mode='a')\n"
+        "    return open(p), open(p, 'r'), open(p, 'rb'), p.open(), p.open('r'), io.open(p), os.fdopen(3)\n"
+        "class K:\n"
+        "    def m(self, p):\n"
+        "        def inner():\n"
+        "            return open(p, 'wt', encoding='utf-8')\n"
+        "        return inner\n"
+    )
+    assert _file_writes(sample) == (
+        ["sample.<module>:1"] + ["sample.f:3"] * 4 + ["sample.g:5"] * 4 + ["sample.h:7"] * 3 + ["sample.K.m.inner:12"]
+    )
 
 
 def test_the_shared_one_survives_the_readme_problem():

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -25,6 +26,7 @@ from valmono.trace import (
     to_dot,
     trace_records,
     verify_trace_file,
+    write_records,
     write_trace,
 )
 from valmono.valuation_core import Monomial
@@ -330,3 +332,36 @@ def test_trace_json_is_plain(tmp_path):
     with open(path) as fh:
         for line, rec in zip(fh, recs):
             assert json.loads(line) == rec
+
+
+def _encoded(records) -> bytes:
+    return "".join(json.dumps(rec) + "\n" for rec in records).encode()
+
+
+def test_a_trace_that_fails_to_encode_leaves_the_old_file(tmp_path):
+    # the whole trace is encoded before the file is touched; encoding record by
+    # record into the open file used to leave the records before the bad one
+    path = tmp_path / "run.jsonl"
+    write_records([{"a": 1}, {"b": 2}], path)
+    before = path.read_bytes()
+    assert before == _encoded([{"a": 1}, {"b": 2}])
+    with pytest.raises(TypeError):
+        write_records([{"a": 1}, {"b": object()}], path)
+    assert path.read_bytes() == before
+
+
+def test_a_shorter_trace_is_written_over_a_longer_one_in_place(tmp_path):
+    # no stale tail after the new end; the inode stays, so a hard link made
+    # before the rewrite reads the new trace
+    path, link = tmp_path / "run.jsonl", tmp_path / "link.jsonl"
+    longer = trace_records(three_step_frame())
+    shorter = trace_records(Frame.initial(["x", "y"], [el((0, 1)), el((1,))]))
+    write_records(longer, path)
+    assert path.read_bytes() == _encoded(longer)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_records(shorter, path)
+    assert len(_encoded(shorter)) < len(_encoded(longer))
+    assert path.read_bytes() == link.read_bytes() == _encoded(shorter)
+    assert path.stat().st_ino == inode
+    assert read_trace(link) == shorter
