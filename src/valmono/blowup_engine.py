@@ -27,6 +27,10 @@ Every operation returns a new Frame; histories are append-only, so traces
 can be replayed and cross-checked step by step. The one field set after
 construction, ``checked``, remembers how many steps ``check_frame_values``
 has passed under which spec, and a blow-up hands it on to the new frame.
+``orchestrator._initial_frame`` takes its starting values from the spec,
+so its frame starts as checked with no steps; a frame that trace replay or
+the state loader builds from outside values starts unchecked, and its
+first check compares every initial value with the spec.
 """
 
 from __future__ import annotations

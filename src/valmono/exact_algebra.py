@@ -599,11 +599,17 @@ def euclid_div(p: UniPoly, q: UniPoly) -> tuple:
 def q_expansion(p: UniPoly, q: UniPoly) -> list:
     """Coefficients p_j with p = sum p_j q^j and deg p_j < deg q.
 
-    Computed by repeated Euclidean division; the zero polynomial expands
-    to the empty list.
+    Along a power q = z^m of the variable the expansion regroups p's
+    coefficients: p_j is the block ``p.coeffs[j*m:(j+1)*m]``, an all-zero
+    block being the zero polynomial. Along any other key it is computed by
+    repeated Euclidean division. The zero polynomial expands to the empty
+    list.
     """
     if q.degree < 1 or not q.is_monic():
         raise NonMonicDivisor("key must be monic of positive degree")
+    m = q.degree
+    if all(c.is_zero() for c in q.coeffs[:m]):
+        return [UniPoly(p.width, p.coeffs[i:i + m]) for i in range(0, len(p.coeffs), m)]
     out = []
     cur = p
     while not cur.is_zero():

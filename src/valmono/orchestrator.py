@@ -75,10 +75,16 @@ MAX_CHAIN = 32
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One certified key polynomial of the successor chain."""
+    """One certified key polynomial of the successor chain, with its value.
+
+    The value is computed once, where the link is made, and every later
+    step reads it from the link: the lattice generators, epsilon of the
+    key, the next successor and the key's monomialization.
+    """
 
     key: UniPoly
     certificate: SuccessorCertificate | None  # None for the base variable
+    value: object  # the spec value of key
 
 
 @dataclass(frozen=True)
@@ -106,16 +112,17 @@ def _budget_error(state: MasterState, task: str) -> BudgetExceeded:
     return exc
 
 
-def _fresh_state(spec, frame: Frame, chain, budget: int) -> MasterState:
-    links = tuple(chain)
+def _fresh_state(spec, frame: Frame, budget: int, pending=()) -> MasterState:
+    """The state before any round: the chain is the base link u_n, valued by
+    the frame's initial weight, and the ``pending`` links wait for their keys."""
     pos = frame.width - 1
     return MasterState(
         spec=spec,
         frame=frame,
         budget=int(budget),
         slice_index=0,
-        chain=links[:1],
-        keys_pending=links[1:],
+        chain=(ChainLink(UniPoly.x(pos), None, frame.init_betas[pos]),),
+        keys_pending=tuple(pending),
         key_image=RationalFunction(MultiPoly.variable(frame.width, pos)),
         key_pos=pos,
     )
@@ -216,15 +223,15 @@ def _run_key(state: MasterState) -> MasterState:
         return state
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "key monomialization")
-    link, prev = state.keys_pending[0], state.chain[-1].key
+    link, prev = state.keys_pending[0], state.chain[-1]
     if link.certificate is not None and link.certificate.kind == "limit":
-        res = monomialize_limit_successor(state.frame, state.spec, prev, link.key)
+        res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key)
         state = _after_steps(state, res.frame)
         image = RationalFunction(res.monomial()) * res.unit
         pos = res.package.new_position
     else:
-        exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, state.spec.value(prev))
-        fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev, exps, unit)
+        exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, prev.value)
+        fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
         state = _after_steps(state, fr2)
         pkg = puiseux_package(state.frame, state.spec, parts=parts, position=state.key_pos)
         state = _after_steps(state, pkg.frame)
@@ -263,48 +270,51 @@ def _variable_lattice(spec, names, weights=None) -> Lattice:
     return Lattice.from_variables(list(names[:-1]), weights)
 
 
-def _chain_for(spec, f: UniPoly, names, links=None, weights=None) -> tuple:
+def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) -> tuple:
     """Successor chain [u_n, Q_2, ...] whose last key dominates epsilon(f).
 
     ``links`` is a chain to extend; by default the chain starts at u_n.
-    ``weights`` are the values of the coefficient variables when the caller
-    has them already.
+    ``weights`` are the values of the coefficient variables, and ``value``
+    the value of f, when the caller has them already. Each new link is
+    valued once, here; the lattice generators, epsilon of the keys and the
+    next successor read the value from the link.
     """
-    chain = list(links) if links else [ChainLink(UniPoly.x(f.width), None)]
-    target = epsilon(spec, f).epsilon
+    z = UniPoly.x(f.width)
+    chain = list(links) if links else [ChainLink(z, None, spec.value(z))]
+    target = epsilon(spec, f, value).epsilon
     if is_sentinel(target):
         return tuple(chain)
     lattice = _variable_lattice(spec, names, weights)
-    for i in range(1, len(chain)):
-        prev = chain[i - 1].key
-        lattice = lattice.extended(
-            LatticeGenerator(f"Q{i}", spec.value(prev), kind="key", key=prev)
-        )
+    for i, link in enumerate(chain[:-1], 1):
+        lattice = lattice.extended(LatticeGenerator(f"Q{i}", link.value, kind="key", key=link.key))
     while True:
-        cur = epsilon(spec, chain[-1].key).epsilon
+        last = chain[-1]
+        cur = epsilon(spec, last.key, last.value).epsilon
         if not is_sentinel(cur) and compare(cur, target) >= 0:
             return tuple(chain)
         if len(chain) >= MAX_CHAIN:
             raise LimitSuccessorRequired(
                 f"no key within {MAX_CHAIN} successors dominates the target invariant"
             )
-        prev = chain[-1].key
         try:
-            succ, cert = next_successor(spec, prev, lattice)
+            succ, cert = next_successor(spec, last.key, lattice, last.value)
         except MaximalKey as exc:
             raise LimitSuccessorRequired(str(exc)) from exc
-        lattice = lattice.extended(
-            LatticeGenerator(f"Q{len(chain)}", spec.value(prev), kind="key", key=prev)
-        )
-        chain.append(ChainLink(succ, cert))
+        lattice = lattice.extended(LatticeGenerator(f"Q{len(chain)}", last.value, kind="key", key=last.key))
+        chain.append(ChainLink(succ, cert, spec.value(succ)))
 
 
 def _initial_frame(spec, names, weights=None) -> Frame:
+    """The chart of the original variables; ``weights`` as for ``_chain_for``.
+
+    Its values come from the spec, so the frame starts as checked under it.
+    """
     width = len(names) - 1
     if weights is None:
         weights = _variable_weights(spec, width)
-    betas = weights + [spec.value(UniPoly.x(width))]
-    return Frame.initial(list(names), betas)
+    frame = Frame.initial(list(names), weights + [spec.value(UniPoly.x(width))])
+    frame.checked = (spec, 0)
+    return frame
 
 
 def _default_names(width: int) -> list:
@@ -367,6 +377,8 @@ def _monomialize_in_turn(spec, fs, budget: int, names):
         raise ParseError("mixed arities in the input list")
     if width != spec.width - 1:
         raise ParseError(f"input arity {width + 1} does not match the valuation's {spec.width} variables")
+    if budget < 0:
+        raise ParseError(f"step budget {budget} is negative")
     if any(f.is_zero() for f in fs):
         raise ZeroPolynomial("cannot monomialize the zero polynomial")
     names = list(names) if names else _default_names(width + 1)
@@ -378,11 +390,10 @@ def _monomialize_in_turn(spec, fs, budget: int, names):
     order = (first,) + tuple(i for i in range(len(fs)) if i != first)
 
     weights = _variable_weights(spec, width)
-    base = [ChainLink(UniPoly.x(width), None)]
-    state = _fresh_state(spec, _initial_frame(spec, names, weights), base, budget)
+    state = _fresh_state(spec, _initial_frame(spec, names, weights), budget)
     done = {}
     for idx in order:
-        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights)
+        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights, values[idx])
         state = replace(state, keys_pending=links[len(state.chain):])
         while state.keys_pending:
             state = advance(state)
@@ -491,12 +502,12 @@ def _link_json(link: ChainLink, names) -> dict:
 
 
 def _links_from(objs, group, spec, names) -> list:
-    """Chain links in order; each certificate is checked against the key before it."""
+    """Chain links in order, each key valued once; each certificate is checked against the key before it."""
     links = []
     for obj in objs:
-        prev = links[-1].key if links else None
-        cert = None if obj["certificate"] is None else _cert_from(obj["certificate"], group, names, spec.value(prev))
-        links.append(ChainLink(parse_unipoly(obj["key"], names), cert))
+        cert = None if obj["certificate"] is None else _cert_from(obj["certificate"], group, names, links[-1].value)
+        key = parse_unipoly(obj["key"], names)
+        links.append(ChainLink(key, cert, spec.value(key)))
     return links
 
 
@@ -536,7 +547,7 @@ def state_from_json(obj) -> MasterState:
         image = obj["key_image"]
         budget, slice_index, key_pos = obj["budget"], obj["slice_index"], obj["key_pos"]
         if ({type(budget), type(slice_index), type(key_pos)} != {int}
-                or slice_index < 0 or key_pos not in range(frame.width)):
+                or budget < 0 or slice_index < 0 or key_pos not in range(frame.width)):
             raise ParseError(f"state budget {budget!r}, slice_index {slice_index!r} or key_pos {key_pos!r} is invalid")
         return MasterState(
             spec=spec,

@@ -240,17 +240,18 @@ def _build_witness(lattice: Lattice, solution, width: int, q: UniPoly):
     return f, mono, key_part
 
 
-def next_successor(spec, q: UniPoly, lattice: Lattice):
+def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
     """Build the binomial successor q^alpha - f of minimal alpha.
 
     Returns (successor, certificate). The witness monomial has coefficient
     one; the residue is 1 under the tower's monomial-split semantics.
+    ``value``, when given, is the caller's value of q, not computed again.
     """
     if q.is_zero():
         raise ZeroPolynomial("successor of the zero polynomial")
     if not q.is_monic():
         raise NonMonicKey("a successor needs a monic key")
-    v = spec.value(q)
+    v = spec.value(q) if value is None else value
     try:
         alpha, solution = lattice_multiplier(v, lattice)
     except NotInDivisibleHull as exc:

@@ -201,13 +201,16 @@ class EpsilonReport:
     I: tuple
 
 
-def epsilon(spec, p: UniPoly) -> EpsilonReport:
-    """max over b >= 1 of (value(p) - value(divided_derivative(p, b)))/b."""
+def epsilon(spec, p: UniPoly, value=None) -> EpsilonReport:
+    """max over b >= 1 of (value(p) - value(divided_derivative(p, b)))/b.
+
+    ``value``, when given, is the caller's value of p, not computed again.
+    """
     if p.is_zero():
         raise ZeroPolynomial("epsilon of the zero polynomial")
     if p.degree == 0:
         return EpsilonReport(MINUS_INFINITY, None, ())
-    vp = spec.value(p)
+    vp = spec.value(p) if value is None else value
     best = None
     hits: list[int] = []
     for b in range(1, p.degree + 1):

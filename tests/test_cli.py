@@ -156,6 +156,17 @@ def test_monomialize_with_artifacts(specs, capsys):
     assert part.keys_pending and part.budget == 0
 
 
+@pytest.mark.parametrize("verb, flag", [("monomialize", "--poly"), ("uniformize", "--polys")])
+def test_a_negative_budget_is_an_input_error(specs, capsys, verb, flag):
+    # exit 2, as for any bad input, not 3 for an exhausted budget; no file written
+    trace, state = specs["dir"] / "neg.jsonl", specs["dir"] / "neg-state.json"
+    rc = main([verb, "--spec", specs["nu3"], flag, "z^2 - x^2*y", "--budget", "-5",
+               "--trace", str(trace), "--state", str(state)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: step budget -5 is negative\n"
+    assert not trace.exists() and not state.exists()
+
+
 @pytest.mark.parametrize("poly", ["2*z + 3*x^2*y", "z^2 - x^2*y + 5*x*z"])
 def test_monomialize_laurent_unit_value(specs, capsys, poly):
     trace = specs["dir"] / "laurent.jsonl"

@@ -257,6 +257,40 @@ def test_q_expansion_round_trip():
         assert from_q_expansion(parts, q) == p
 
 
+def _expansion_by_division(p: UniPoly, q: UniPoly) -> list:
+    """The q-adic expansion by repeated Euclidean division, the general rule."""
+    out = []
+    while not p.is_zero():
+        p, rem = euclid_div(p, q)
+        out.append(rem)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_q_expansion_along_a_variable_power_regroups_the_coefficients(m):
+    # along z^m the blocks p.coeffs[j*m:(j+1)*m] are the expansion that
+    # division gives, Laurent coefficients and all-zero blocks included
+    rng = random.Random(SEED + 7 + m)
+    q = UniPoly.x_power(X2, m)
+    gap = [MultiPoly.zero(X2)] * m
+    inputs = [UniPoly.zero(X2)]
+    for _ in range(30):
+        p = _recast(rng, rng.choice(["polynomial", "laurent"]), random_unipoly(rng, X2, max_deg=7))
+        inputs.append(p)
+        if not p.is_zero():
+            # an all-zero middle block between two nonzero ones
+            inputs.append(UniPoly(X2, (list(p.coeffs) + gap)[:m] + gap + [MultiPoly.monomial(X2, (-1, 1))]))
+    assert any(len(p.coeffs) > 2 * m and all(c.is_zero() for c in p.coeffs[m:2 * m]) for p in inputs)
+    assert any(not c.is_laurent_free() for p in inputs for c in p.coeffs)
+    for p in inputs:
+        parts = q_expansion(p, q)
+        assert parts == _expansion_by_division(p, q)
+        assert parts == [UniPoly(X2, p.coeffs[i:i + m]) for i in range(0, len(p.coeffs), m)]
+        assert all(c.degree < m for c in parts)
+        assert from_q_expansion(parts, q) == p
+    assert q_expansion(UniPoly.zero(X2), q) == []
+
+
 def _recast(rng, kind: str, p: UniPoly) -> UniPoly:
     """p with each coefficient kept or given a Laurent monomial factor."""
     if kind == "polynomial":

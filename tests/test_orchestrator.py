@@ -9,7 +9,14 @@ from math import gcd
 
 import pytest
 
-from valmono.blowup_engine import Frame, TraceStep, _factor_as_unit, principalize, transform_exponents
+from valmono.blowup_engine import (
+    Frame,
+    TraceStep,
+    _factor_as_unit,
+    check_frame_values,
+    principalize,
+    transform_exponents,
+)
 from valmono.errors import (
     BudgetExceeded,
     CertificationError,
@@ -40,7 +47,7 @@ from valmono.orchestrator import (
 from valmono.puiseux import valuation_driver
 from valmono.successors import SuccessorCertificate
 from valmono.trace import _frame_from_records, replay_trace, trace_records
-from valmono.valuation_core import Augmented, Composite, Monomial
+from valmono.valuation_core import Augmented, Composite, Monomial, _Spec
 
 G = standard_group()
 
@@ -134,13 +141,13 @@ def test_monomialize_rejects_zero():
 def test_budget_zero_and_resume():
     chain = _chain_for(NU3, Q, NAMES)
     assert [link.key.degree for link in chain] == [1, 2]
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 0)
+    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 0, chain[1:])
     with pytest.raises(BudgetExceeded) as exc:
         advance(st)
     assert exc.value.state is st and exc.value.task == "advance"
 
     # resume the partial state with a real budget and finish the chain
-    tight = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 2)
+    tight = _fresh_state(NU3, _initial_frame(NU3, NAMES), 2, chain[1:])
     with pytest.raises(BudgetExceeded) as exc2:
         while True:
             tight = advance(tight)
@@ -227,6 +234,7 @@ STATE_TAMPERS = {
     "budget-text": lambda blob: dict(blob, budget="x"),
     "budget-fraction": lambda blob: dict(blob, budget=1.5),
     "slice-index-negative": lambda blob: dict(blob, slice_index=-1),
+    "budget-negative": lambda blob: dict(blob, budget=-7),
     "key-pos-past-the-frame": lambda blob: dict(blob, key_pos=99),
     "key-pos-negative": lambda blob: dict(blob, key_pos=-1),
     "key-pos-bool": lambda blob: dict(blob, key_pos=True),
@@ -259,7 +267,7 @@ def test_state_rejects_a_malformed_field(tamper):
 
 def test_enumerate_pairs_slices():
     chain = _chain_for(NU3, Q, NAMES)
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 100)
+    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 100, chain[1:])
     sizes = []
     for j in range(5):
         pairs = enumerate_pairs(st, j)
@@ -272,7 +280,7 @@ def test_enumerate_pairs_slices():
 
 def test_processed_pairs_invariant():
     chain = _chain_for(NU3, Q, NAMES)
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), chain, 500)
+    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 500, chain[1:])
     slices = []  # (pairs, step count when the slice started)
     for _ in range(6):
         slices.append((enumerate_pairs(st, st.slice_index), steps_used(st)))
@@ -340,6 +348,19 @@ ZERO2 = UniPoly(2, [])
 def test_entry_points_reject_bad_inputs_with_narrow_errors(entry, fs, names, error):
     with pytest.raises(error):
         ENTRY_POINTS[entry](NU3, fs, 10_000, names)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("f", [X, Q], ids=["z", "readme"])
+def test_entry_points_reject_a_negative_budget_before_any_value(entry, f, monkeypatch):
+    # z needs no step and the README polynomial needs three; both are refused
+    # as input errors, before any value is computed
+    def no_value(spec, g):
+        raise AssertionError("valued before the budget was checked")
+
+    monkeypatch.setattr(_Spec, "value", no_value)
+    with pytest.raises(ParseError, match="step budget -5 is negative"):
+        ENTRY_POINTS[entry](NU3, [f], -5, NAMES)
 
 
 XZ_BASE = Monomial(G, [el((1,)), el((1,))])  # over (x, z)
@@ -425,13 +446,86 @@ def test_limit_link_through_master_loop():
         residue=None,
         base_value=el((4,)),
     )
-    chain = (ChainLink(U, None), ChainLink(P2, limit_cert))
-    st = _fresh_state(spec, _initial_frame(spec, ["x", "u"]), chain, 10_000)
+    pending = (ChainLink(P2, limit_cert, spec.value(P2)),)
+    st = _fresh_state(spec, _initial_frame(spec, ["x", "u"]), 10_000, pending)
     while st.keys_pending:
         st = advance(st)
     assert st.key_pos == 1
     assert st.frame.names[1].startswith("u")
     assert compare(spec.value(st.frame.pullback_of(st.key_image)), el((5,))) == 0
+
+
+def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
+    """Top-level values (those not inside another value) of the tower anchor s2/K2 + x^4.
+
+    The element's value travels to epsilon, and each key's value travels
+    with its chain link. The initial frame is checked where its values come
+    from, so its variables are not valued again. (The Puiseux package
+    values its binomial's pullback, a rational function, as a check of its
+    own; that value is not one of these.) No expansion along the key z
+    divides.
+    """
+    from valmono import exact_algebra
+
+    f = K2 + UniPoly.constant(1, XZ**4)
+    valued, depth, divisors = [], [0], []
+    value, euclid_div = _Spec.value, exact_algebra.euclid_div
+
+    def top_level_value(spec, g):
+        if not depth[0]:
+            valued.append(g)
+        depth[0] += 1
+        try:
+            return value(spec, g)
+        finally:
+            depth[0] -= 1
+
+    def recorded_div(p, q):
+        divisors.append(q)
+        return euclid_div(p, q)
+
+    monkeypatch.setattr(_Spec, "value", top_level_value)
+    monkeypatch.setattr(exact_algebra, "euclid_div", recorded_div)
+    out = monomialize(S2, f, 10_000, names=["x", "z"])
+    keys = [link.key for link in out.state.chain]
+    assert keys == [Z, K2]
+    polys = [g for g in valued if isinstance(g, UniPoly)]
+    assert [sum(1 for g in polys if g == h) for h in [f] + keys] == [1, 1, 1]
+    variables = [MultiPoly.variable(2, k) for k in range(2)]
+    assert not [g for g in valued if isinstance(g, MultiPoly) and g in variables]
+    assert divisors and all(q != Z for q in divisors)
+    assert [compare(link.value, S2.value(link.key)) for link in out.state.chain] == [0, 0]
+
+
+def test_an_altered_initial_value_is_still_refused(tmp_path):
+    # only _initial_frame, whose values come from the spec, starts checked; a
+    # frame built from outside values by Frame.initial is compared in full
+    frame = _initial_frame(S2, ["x", "z"])
+    assert frame.checked == (S2, 0)
+    x_value, z_value = frame.init_betas
+    check_frame_values(Frame.initial(["x", "z"], frame.init_betas), S2)
+    for betas in ([x_value * 2, z_value], [x_value, z_value * 2]):
+        with pytest.raises(CertificationError, match="initial parameter value differs from the valuation"):
+            check_frame_values(Frame.initial(["x", "z"], betas), S2)
+    # a frame checked under one spec is compared in full under another
+    with pytest.raises(CertificationError, match="initial parameter value differs from the valuation"):
+        check_frame_values(frame, S1.base)
+
+    # a state with no steps yet, whose trace is its init record: altering a
+    # starting value there is refused by the loader, from JSON and from a file
+    with pytest.raises(BudgetExceeded) as exc:
+        monomialize(S2, K2 * K2, 0, names=["x", "z"])
+    blob = json.loads(json.dumps(state_to_json(exc.value.state)))
+    assert len(blob["trace"]) == 1 and state_from_json(blob).frame.init_betas == (x_value, z_value)
+    path = tmp_path / "state.json"
+    for name in ("x", "z"):
+        bad = json.loads(json.dumps(blob))
+        bad["trace"][0]["beta"][name] = "5"
+        with pytest.raises(ParseError, match="initial parameter value differs from the valuation"):
+            state_from_json(bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParseError, match="initial parameter value differs from the valuation"):
+            load_state(path)
 
 
 def test_chain_extends_from_a_prefix():
@@ -546,7 +640,7 @@ def _stored_rationals(obj):
     elif isinstance(obj, MasterState):
         yield from _stored_rationals((obj.frame, obj.chain, obj.keys_pending, obj.key_image))
     elif isinstance(obj, ChainLink):
-        yield from _stored_rationals((obj.key, obj.certificate))
+        yield from _stored_rationals((obj.key, obj.certificate, obj.value))
     elif isinstance(obj, SuccessorCertificate):
         yield from _stored_rationals((obj.monomial, obj.base_value))
         if obj.residue is not None:
@@ -646,7 +740,7 @@ def test_a_shorter_state_is_written_over_a_longer_one_in_place(tmp_path):
     # before the rewrite reads the new state
     path, link = tmp_path / "state.json", tmp_path / "link.json"
     longer = monomialize(NU3, Q, 10_000, names=NAMES).state
-    shorter = _fresh_state(NU3, _initial_frame(NU3, NAMES), [ChainLink(X, None)], 10)
+    shorter = _fresh_state(NU3, _initial_frame(NU3, NAMES), 10)
     encoded = [(json.dumps(state_to_json(s), indent=1, sort_keys=True) + "\n").encode() for s in (longer, shorter)]
     assert len(encoded[1]) < len(encoded[0])
     save_state(longer, path)

@@ -8,9 +8,7 @@ import pytest
 
 from valmono.blowup_engine import CStepData, Frame, divide_monomials, framed_blowup
 from valmono.errors import CertificationError, ParseError
-from valmono.exact_algebra import UniPoly
 from valmono.orchestrator import (
-    ChainLink,
     _fresh_state,
     _initial_frame,
     monomialize,
@@ -111,8 +109,7 @@ TOWER_PROBLEM = {
 
 
 def _fresh_blob(spec, frame) -> dict:
-    key = UniPoly.x(frame.width - 1)
-    return state_to_json(_fresh_state(spec, frame, [ChainLink(key, None)], 10))
+    return state_to_json(_fresh_state(spec, frame, 10))
 
 
 def _monomialize_blob(problem, text) -> dict:
@@ -287,7 +284,7 @@ def test_replay_rejects_lift_protect_reframe():
     recs = trace_records(fr)
     spec = Monomial(G, [el((1,)), el((0, 1))])
     frame = Frame.initial(["x", "u"], spec.weights)
-    blob = state_to_json(_fresh_state(spec, frame, [ChainLink(UniPoly.x(1), None)], 10))
+    blob = state_to_json(_fresh_state(spec, frame, 10))
     for event in REMOVED_EVENTS:
         with pytest.raises(CertificationError, match="unknown trace event"):
             replay_trace(recs + [event])
@@ -308,7 +305,7 @@ def test_init_record_with_a_non_positive_value_is_refused(beta):
     # Frame.initial is the one way in for a trace's starting values
     spec = Monomial(G, [el((1,)), el((0, 1))])
     frame = Frame.initial(["x", "u"], spec.weights)
-    blob = state_to_json(_fresh_state(spec, frame, [ChainLink(UniPoly.x(1), None)], 10))
+    blob = state_to_json(_fresh_state(spec, frame, 10))
     init = blob["trace"][0]
     bad = [dict(init, beta=dict(init["beta"], x=beta))]
     with pytest.raises(CertificationError, match="parameter value must stay positive"):
