@@ -58,7 +58,7 @@ from .exact_algebra import (
     ev_unit,
     normal_rational,
 )
-from .ordered_value import GroupElement, compare
+from .ordered_value import GroupElement, compare, least_value
 from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials, monomial_value
 
 
@@ -549,7 +549,8 @@ def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
     values are checked against the spec, each is the value of its
     parameter's pullback, and every term of the unit's numerator and
     denominator other than the nonzero constant has positive value, so the
-    constant alone attains the least value, zero.
+    constant alone attains the least value, zero. The terms are tested by
+    one ``least_value`` pass: the least is positive exactly when each is.
     """
     check_frame_values(fr, spec)
     eps = None
@@ -561,7 +562,8 @@ def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
             raise CertificationError("unit with negative parameter exponents")
         if part.constant_value() == 0:
             raise CertificationError("unit without constant term")
-        if not all(fr.monomial_value(e).is_positive() for e in part.terms if any(e)):
+        rest = [e for e in part.terms if any(e)]
+        if rest and not least_value(fr.betas, rest).is_positive():
             raise CertificationError("unit term of non-positive value")
     value = fr.monomial_value(eps)
     if compare(value, target) != 0:

@@ -573,27 +573,18 @@ def divided_derivative(p: UniPoly, b: int) -> UniPoly:
 def euclid_div(p: UniPoly, q: UniPoly) -> tuple:
     """p = quot*q + rem with deg rem < deg q; q must be monic of degree >= 1.
 
-    One schoolbook pass over p's coefficients, coefficient by coefficient:
-    for each degree i from the top down to m = deg q, c = rem[i] becomes
-    quot[i - m] and c*q[k] is subtracted from rem[i - m + k] for each
-    nonzero q[k] below the top.
+    One ``_division_round`` over p's coefficients. A step of it reduces the
+    degree only when c - c*q[m] is zero, which for p's nonzero top
+    coefficient c means q[m] == 1; that is checked once, before the round.
     """
     if q.degree < 1 or not q.is_monic():
         raise NonMonicDivisor("divisor must be monic of positive degree")
     m = q.degree
-    top = q.coeffs[m]
-    lower = [(k, b) for k, b in enumerate(q.coeffs[:m]) if not b.is_zero()]
-    rem = list(p.coeffs)
-    quot = [None] * max(len(rem) - m, 0)
-    for i in range(len(rem) - 1, m - 1, -1):
-        c = quot[i - m] = rem[i]
-        if c.is_zero():
-            continue
-        if not (c - c * top).is_zero():
-            raise ArithmeticError("division failed to reduce the degree")
-        for k, b in lower:
-            rem[i - m + k] = rem[i - m + k] - c * b
-    return UniPoly(p.width, quot), UniPoly(p.width, rem[:m])
+    if len(p.coeffs) > m and not q.coeffs[m].is_one():
+        raise ArithmeticError("division failed to reduce the degree")
+    lower = [(k, b) for k, b in enumerate(q.coeffs[:m]) if b.terms]
+    quot, rem = _division_round(list(p.coeffs), q, lower)
+    return UniPoly(p.width, quot), UniPoly(p.width, rem)
 
 
 def q_expansion(p: UniPoly, q: UniPoly) -> list:
@@ -601,21 +592,39 @@ def q_expansion(p: UniPoly, q: UniPoly) -> list:
 
     Along a power q = z^m of the variable the expansion regroups p's
     coefficients: p_j is the block ``p.coeffs[j*m:(j+1)*m]``, an all-zero
-    block being the zero polynomial. Along any other key it is computed by
-    repeated Euclidean division. The zero polynomial expands to the empty
-    list.
+    block being the zero polynomial. Along any other key q's nonzero lower
+    coefficients are listed once, and each p_j is the remainder of one
+    ``_division_round`` of the previous round's quotient, until the quotient
+    is zero. The zero polynomial expands to the empty list.
     """
     if q.degree < 1 or not q.is_monic():
         raise NonMonicDivisor("key must be monic of positive degree")
     m = q.degree
     if all(c.is_zero() for c in q.coeffs[:m]):
         return [UniPoly(p.width, p.coeffs[i:i + m]) for i in range(0, len(p.coeffs), m)]
-    out = []
-    cur = p
-    while not cur.is_zero():
-        cur, rem = euclid_div(cur, q)
-        out.append(rem)
+    lower = [(k, b) for k, b in enumerate(q.coeffs[:m]) if b.terms]
+    out, cs = [], list(p.coeffs)
+    while cs:
+        cs, rem = _division_round(cs, q, lower)
+        out.append(UniPoly(p.width, rem))
     return out
+
+
+def _division_round(cs: list, q: UniPoly, lower: list) -> tuple:
+    """Divide the coefficient list cs in place by the monic q of degree m; (quotient, remainder) lists.
+
+    ``lower`` holds the pairs (k, q[k]) of q's nonzero coefficients below
+    the top. Schoolbook, for each degree i from the top down to m: c = cs[i]
+    stays as a quotient coefficient and c*q[k] is subtracted from
+    cs[i - m + k] for each pair.
+    """
+    m = q.degree
+    for i in range(len(cs) - 1, m - 1, -1):
+        c = cs[i]
+        if c.terms:
+            for k, b in lower:
+                cs[i - m + k] = cs[i - m + k] - c * b
+    return cs[m:], cs[:m]
 
 
 def from_q_expansion(coeffs: Sequence[UniPoly], q: UniPoly) -> UniPoly:

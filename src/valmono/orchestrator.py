@@ -218,7 +218,12 @@ def _divide_pairs(state: MasterState, pairs) -> MasterState:
 
 
 def _run_key(state: MasterState) -> MasterState:
-    """Monomialize the next pending key, if any, from the image of the last one."""
+    """Monomialize the next pending key, if any, from the image of the last one.
+
+    The key's package ends in the image of the new key, monomial times
+    unit, which replaces the old image; the old one is not carried through
+    the key's own steps.
+    """
     if not state.keys_pending:
         return state
     if steps_used(state) >= state.budget:
@@ -226,19 +231,20 @@ def _run_key(state: MasterState) -> MasterState:
     link, prev = state.keys_pending[0], state.chain[-1]
     if link.certificate is not None and link.certificate.kind == "limit":
         res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key)
-        state = _after_steps(state, res.frame)
-        image = RationalFunction(res.monomial()) * res.unit
+        frame, image = res.frame, RationalFunction(res.monomial()) * res.unit
         pos = res.package.new_position
     else:
         exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, prev.value)
         fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
-        state = _after_steps(state, fr2)
-        pkg = puiseux_package(state.frame, state.spec, parts=parts, position=state.key_pos)
-        state = _after_steps(state, pkg.frame)
-        image = RationalFunction(pkg.monomial()) * pkg.unit
+        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos)
+        # the package's binomial pulls back to the new key, so both values agree
+        if compare(pkg.problem.target_value, link.value) != 0:
+            raise CertificationError("the package's binomial value differs from its key's value")
+        frame, image = pkg.frame, RationalFunction(pkg.monomial()) * pkg.unit
         pos = pkg.new_position
     return replace(
         state,
+        frame=frame,
         chain=state.chain + (link,),
         keys_pending=state.keys_pending[1:],
         key_image=image,

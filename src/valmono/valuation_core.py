@@ -11,8 +11,14 @@ Three spec variants form towers:
   base(p_j) + j*assigned over the key expansion.
 
 All three take their input through one shared ``value``; each keeps only
-its own rule. On top of the specs: epsilon reports, truncation reports, and
-non-degeneracy against a frame's monomial valuation.
+its own rule, ``_value_unipoly``. A value walks down the tower by MacLane's
+rule (1936): ``Augmented`` and ``Composite`` expand their input along their
+key and value each nonzero expansion coefficient, or an input below the
+key's degree, by calling the base's rule directly. The shared checks are
+made once, where the input enters: the coefficients have the input's width
+and are tested for zero on the way. On top of the specs: epsilon reports,
+truncation reports, and non-degeneracy against a frame's monomial
+valuation.
 """
 
 from __future__ import annotations
@@ -52,35 +58,41 @@ def monomial_value(weights, exps) -> GroupElement:
 class _Spec:
     """The one input path shared by every spec variant.
 
-    A nonzero constant has value zero. A rational function over all
-    variables, Laurent numerators included, is first multiplied through by
-    the monomial that clears its numerator's negative exponents, then valued
-    as numerator minus denominator. Polynomials reach ``_value_multipoly``,
-    which splits them along the last variable unless the variant has a
-    direct rule; ``UniPoly`` values reach the variant's own rule,
-    ``_value_unipoly``.
+    Inputs are told apart by their exact type, so a ``bool`` is refused like
+    any other non-polynomial. A nonzero constant number has value zero. A
+    rational function over all variables, Laurent numerators included, is
+    first multiplied through by the monomial that clears its numerator's
+    negative exponents, then valued as numerator minus denominator.
+    Polynomials reach ``_value_multipoly``, which splits them along the last
+    variable unless the variant has a direct rule; ``UniPoly`` values reach
+    the variant's own rule, ``_value_unipoly``, once their width is checked
+    and they are not zero.
     """
 
     def value(self, f):
-        if isinstance(f, (int, Fraction)):
-            return PLUS_INFINITY if f == 0 else self.group.zero(self.rank)
-        if isinstance(f, MultiPoly):
+        t = type(f)
+        if t is MultiPoly:
             return self._value_multipoly(f)
-        if isinstance(f, RationalFunction):
+        if t is UniPoly:
+            return self._value_checked(f)
+        if t is RationalFunction:
             if f.width != self.width:
                 raise UnknownVariable("rational function width mismatch")
             num, den = f.laurent_free()
             return self._value_multipoly(num) - self._value_multipoly(den)
-        if not isinstance(f, UniPoly):
-            raise TypeError(f"cannot evaluate {type(f).__name__}")
+        if t is int or t is Fraction:
+            return PLUS_INFINITY if f == 0 else self.group.zero(self.rank)
+        raise TypeError(f"cannot evaluate {t.__name__}")
+
+    def _value_multipoly(self, p: MultiPoly):
+        return self._value_checked(to_unipoly(p))
+
+    def _value_checked(self, f: UniPoly):
         if f.width != self.width - 1:
             raise UnknownVariable("univariate base width mismatch")
         if f.is_zero():
             return PLUS_INFINITY
         return self._value_unipoly(f)
-
-    def _value_multipoly(self, p: MultiPoly):
-        return self.value(to_unipoly(p))
 
 
 class Monomial(_Spec):
@@ -146,7 +158,7 @@ class Composite(_Spec):
         parts = (f,) if f.degree < self.key.degree else q_expansion(f, self.key)
         for n, p in enumerate(parts):
             if not p.is_zero():
-                v = self.inner.value(p)
+                v = self.inner._value_unipoly(p)
                 if is_sentinel(v):
                     raise ValueError("inner value of a nonzero coefficient must be finite")
                 # (n, v): n in a new leading coordinate
@@ -178,12 +190,12 @@ class Augmented(_Spec):
         # Below the key's degree f is its own expansion, so the base value
         # stands (MacLane 1936).
         if f.degree < self.key.degree:
-            return self.base.value(f)
+            return self.base._value_unipoly(f)
         best = None
         for j, p in enumerate(q_expansion(f, self.key)):
             if p.is_zero():
                 continue
-            v = self.base.value(p)
+            v = self.base._value_unipoly(p)
             if j:
                 v = v + self.assigned * j
             if best is None or compare(v, best) < 0:

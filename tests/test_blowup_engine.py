@@ -349,6 +349,29 @@ def test_factor_as_unit_checks_raise():
         _factor_as_unit(fr, spec, RationalFunction(x + y), el((1,)))
 
 
+def test_factor_as_unit_rejects_a_unit_it_cannot_certify():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    ident = ((1, 0), (0, 1))
+    # Frame.initial and framed_blowup keep values positive; a frame built
+    # directly may not, and then a unit's non-constant term may not be
+    # above its constant: every such term must have positive value
+    for y_value in (el((0,)), el((0, -1))):
+        fr = Frame(["x", "y"], ["x", "y"], spec.weights, [el((1,)), y_value], (), ident)
+        for T in (RationalFunction(x + x * y), RationalFunction(x + x * x + x * y), RationalFunction(x, y + 1)):
+            with pytest.raises(CertificationError, match="unit term of non-positive value"):
+                _factor_as_unit(fr, spec, T, el((1,)))
+    fr = Frame(["x", "y"], ["x", "y"], spec.weights, spec.weights, (), ident)
+    assert _factor_as_unit(fr, spec, RationalFunction(x + x * x + x * y), el((1,)))[0] == (1, 0)
+    # RationalFunction's normal form never leaves a monomial factor in a
+    # denominator; an object that skips it makes the unit Laurent
+    T = RationalFunction.__new__(RationalFunction)
+    T.num, T.den = MultiPoly.one(2), x + x * y
+    with pytest.raises(CertificationError, match="unit with negative parameter exponents"):
+        _factor_as_unit(fr, spec, T, el((0,)))
+
+
 def test_monomialize_degenerate_rejected():
     # z^2 - x^2 y has tower value above its monomial value
     x = MultiPoly.variable(2, 0)

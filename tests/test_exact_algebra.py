@@ -291,6 +291,27 @@ def test_q_expansion_along_a_variable_power_regroups_the_coefficients(m):
     assert q_expansion(UniPoly.zero(X2), q) == []
 
 
+@pytest.mark.parametrize("key", ["z-x", "K2", "K3"])
+def test_q_expansion_along_a_monic_key_matches_division(key):
+    # the expansion peels every remainder off one working list; it must
+    # equal repeated Euclidean division and sum back to the input
+    X = UniPoly.x(X2)
+    K2 = X**2 - rf(x**3)
+    q = {"z-x": X - rf(x), "K2": K2, "K3": K2**2 - X.scale(x**5)}[key]
+    rng = random.Random(SEED + 11 + q.degree)
+    for degree in range(13):
+        for kind in ("polynomial", "laurent"):
+            top = random_multipoly(rng, X2, max_terms=3, max_exp=2) + MultiPoly.monomial(X2, (2, 3))
+            coeffs = [random_multipoly(rng, X2, max_terms=3, max_exp=2) for _ in range(degree)] + [top]
+            p = _recast(rng, kind, UniPoly(X2, coeffs))
+            assert p.degree == degree
+            parts = q_expansion(p, q)
+            assert parts == _expansion_by_division(p, q)
+            assert len(parts) == degree // q.degree + 1
+            assert all(c.degree < q.degree for c in parts)
+            assert from_q_expansion(parts, q) == p
+
+
 def _recast(rng, kind: str, p: UniPoly) -> UniPoly:
     """p with each coefficient kept or given a Laurent monomial factor."""
     if kind == "polynomial":

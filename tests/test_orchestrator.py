@@ -469,7 +469,7 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
 
     f = K2 + UniPoly.constant(1, XZ**4)
     valued, depth, divisors = [], [0], []
-    value, euclid_div = _Spec.value, exact_algebra.euclid_div
+    value, division_round = _Spec.value, exact_algebra._division_round
 
     def top_level_value(spec, g):
         if not depth[0]:
@@ -480,12 +480,12 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def recorded_div(p, q):
+    def recorded_round(cs, q, lower):
         divisors.append(q)
-        return euclid_div(p, q)
+        return division_round(cs, q, lower)
 
     monkeypatch.setattr(_Spec, "value", top_level_value)
-    monkeypatch.setattr(exact_algebra, "euclid_div", recorded_div)
+    monkeypatch.setattr(exact_algebra, "_division_round", recorded_round)
     out = monomialize(S2, f, 10_000, names=["x", "z"])
     keys = [link.key for link in out.state.chain]
     assert keys == [Z, K2]
@@ -495,6 +495,23 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
     assert not [g for g in valued if isinstance(g, MultiPoly) and g in variables]
     assert divisors and all(q != Z for q in divisors)
     assert [compare(link.value, S2.value(link.key)) for link in out.state.chain] == [0, 0]
+
+
+def test_a_key_step_refuses_a_link_value_off_its_package():
+    # the package's binomial pulls back to the new key, so the value the
+    # package certifies for it must be the value its chain link carries
+    names = ["x", "z"]
+    state = _fresh_state(S2, _initial_frame(S2, names), 10_000)
+    links = _chain_for(S2, K2 + UniPoly.constant(1, XZ**4), names, state.chain)
+    assert [link.key for link in links] == [Z, K2]
+    done = orchestrator._run_key(replace(state, keys_pending=links[1:]))
+    assert done.chain[-1] is links[1] and not done.keys_pending
+    for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
+        tampered = replace(state, keys_pending=(replace(links[1], value=value),))
+        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+            orchestrator._run_key(tampered)
+        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+            advance(tampered)
 
 
 def test_an_altered_initial_value_is_still_refused(tmp_path):

@@ -4,7 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from valmono.errors import NonMonicKey, RankMismatch, ZeroPolynomial
+from valmono.errors import NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
 from valmono.exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -218,6 +218,31 @@ def test_laurent_numerator_value(kind):
     r = RationalFunction(z3**2 - x3**2 * y3 + x3 * z3 * 5, z3 * (x3 + y3))
     assert any(e[-1] < 0 for e in r.num.terms)
     assert spec.value(r) == spec.value(r.num * z3) - spec.value(r.den * z3)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "composite", "augmented"])
+def test_inputs_are_told_apart_by_exact_type(kind):
+    spec = {"monomial": NU2, "composite": NU3, "augmented": Augmented(NU2, Q, el((3, 2)))}[kind]
+    zero = spec.group.zero(spec.rank)
+    # a bool is no exact rational here, as in the polynomial arithmetic
+    for f in (True, False):
+        with pytest.raises(TypeError, match="cannot evaluate bool"):
+            spec.value(f)
+    with pytest.raises(TypeError, match="cannot evaluate float"):
+        spec.value(1.0)
+    assert spec.value(0) is PLUS_INFINITY
+    # a nonzero constant has value zero in every form it comes in
+    for c in (3, Fraction(-1, 2), MultiPoly.constant(3, 5), UniPoly.constant(2, Fraction(2, 3)),
+              RationalFunction(MultiPoly.constant(3, 7))):
+        assert spec.value(c) == zero
+    assert spec.value(MultiPoly.zero(3)) is PLUS_INFINITY
+    assert spec.value(UniPoly.zero(2)) is PLUS_INFINITY
+    # a polynomial of the wrong width, split along its last variable or not
+    wrong = "polynomial width 2 != 3" if kind == "monomial" else "univariate base width mismatch"
+    with pytest.raises(UnknownVariable, match=wrong):
+        spec.value(x + y)
+    with pytest.raises(UnknownVariable, match="univariate base width mismatch"):
+        spec.value(UniPoly(3, [MultiPoly.variable(3, 0)]))
 
 
 def test_composite_is_multiplicative():
