@@ -249,8 +249,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def shift(self, e: ExponentVector) -> "MultiPoly":
@@ -526,8 +527,9 @@ class UniPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c) -> "UniPoly":

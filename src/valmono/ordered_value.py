@@ -724,6 +724,14 @@ def format_element(v) -> str:
     return blocks[0] if v.rank == 1 else "(" + ", ".join(blocks) + ")"
 
 
+# One term of a scalar block, with the whitespace before and after it: a sign
+# (which only the first term may omit), then n, n/d, n*g, n/d*g or g.
+_SCALAR_TERM = re.compile(
+    r"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?:\s*\*\s*(?P<gen1>[A-Za-z_]\w*))?"
+    r"|(?P<gen2>[A-Za-z_]\w*))\s*"
+)
+
+# A term once every space is deleted, for the refusal messages.
 _TERM_RE = re.compile(
     r"""^(?:
         (?P<num>\d+(?:/\d+)?)(?:\*(?P<gen1>[A-Za-z_]\w*))?
@@ -733,52 +741,100 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_scalar(group: ValueGroup, text: str) -> Scalar:
-    """Inverse of format_scalar; accepts "1+pi", "2*pi", "-3/2*g", "0"."""
+def _read_block(group: ValueGroup, text: str):
+    """``text`` as one block: ``(numerators, denominator)``, not reduced; None when it is no block of ``group``.
+
+    One scan of ``_SCALAR_TERM`` from the start; each term adds its
+    coefficient into numerators over one common denominator, raised only by
+    a term whose denominator does not divide it.
+    """
+    names = group.names
+    nums = [0] * len(names)
+    den = 1
+    pos, end = 0, len(text)
+    while True:
+        m = _SCALAR_TERM.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            return None
+        name = m["gen2"] or m["gen1"] or "1"
+        p, q = int(m["num"] or 1), int(m["den"] or 1)
+        if not q or name not in group._by_name:
+            return None
+        if den % q:
+            r = q // gcd(den, q)
+            nums = [n * r for n in nums]
+            den *= r
+        i = names.index(name)
+        nums[i] += (-p if m["sign"] == "-" else p) * (den // q)
+        pos = m.end()
+        if pos == end:
+            return nums, den
+
+
+def _scalar_refusal(group: ValueGroup, text: str) -> Optional[ParseError]:
+    """Why ``text``, which ``_read_block`` refused, is no scalar; None when a space is the only fault.
+
+    Every space is deleted, and the text is split into terms at its signs: the
+    first term that is empty, malformed, over a zero denominator or on an
+    undeclared generator names the fault. When every term reads, the deleted
+    spaces split a number or a name, and ``_read_block`` reads the text
+    without them.
+    """
     s = text.strip().replace(" ", "")
     if not s:
-        raise ParseError("empty scalar")
-    coeffs: dict = {}
-    i = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    tokens = []
-    while i <= len(s):
-        if i == len(s) or s[i] in "+-":
-            tokens.append((sign, s[start:i]))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-            i += 1
-        else:
-            i += 1
-    for sgn, term in tokens:
+        return ParseError("empty scalar")
+    for term in re.split("[+-]", s[1:] if s[0] in "+-" else s):
         if not term:
-            raise ParseError(f"bad scalar: {text!r}")
+            return ParseError(f"bad scalar: {text!r}")
         m = _TERM_RE.match(term)
         if not m:
-            raise ParseError(f"bad scalar term: {term!r}")
-        if m.group("gen2") is not None:
-            name, c = m.group("gen2"), 1
-        else:
-            try:
-                c = normal_rational(Fraction(m.group("num")))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {term!r}") from None
-            name = m.group("gen1") or "1"
+            return ParseError(f"bad scalar term: {term!r}")
+        name = m["gen2"]
+        if name is None:
+            if not int(m["num"].partition("/")[2] or 1):
+                return ParseError(f"zero denominator in {term!r}")
+            name = m["gen1"] or "1"
         if name not in group._by_name:
-            raise ParseError(f"unknown generator {name!r} in {text!r}")
-        coeffs[name] = coeffs.get(name, 0) + sgn * c
-    if "1" in coeffs and "1" not in group._by_name:
-        raise ParseError(f"no unit generator to hold the rational part of {text!r}")
-    return Scalar(group, coeffs)
+            return ParseError(f"unknown generator {name!r} in {text!r}")
+    return None
+
+
+def _split_token(text: str) -> ParseError:
+    return ParseError(f"whitespace inside a number or a name in {text!r}")
+
+
+def parse_scalar(group: ValueGroup, text: str) -> Scalar:
+    """Inverse of format_scalar; accepts "1+pi", "2*pi", "-3/2*g", "0".
+
+    Grammar: ``scalar = [sign] term (sign term)*``, ``term = number ["*"
+    name] | name``, ``number = digits ["/" digits]``, where a name is a
+    generator of ``group`` and a bare number lands on the generator named
+    "1". Whitespace (``str.isspace``) may stand between tokens, around
+    signs, ``*`` and ``/``, but not inside a number or a name: "1 0" and
+    "p i" raise ``ParseError``. The text is read in one scan straight into
+    integer numerators over one denominator.
+    """
+    block = _read_block(group, text)
+    if block is None:
+        raise _scalar_refusal(group, text) or _split_token(text)
+    nums, den = block
+    g = gcd(den, *nums)
+    return Scalar._canonical(group, tuple(n // g for n in nums), den // g)
 
 
 def parse_element(group: ValueGroup, text: str, rank: Optional[int] = None):
-    """Inverse of format_element; accepts sentinels, "(a, b)" and bare scalars."""
+    """Inverse of format_element; accepts sentinels, "(a, b)" and bare scalars.
+
+    Grammar: ``element = sentinel | scalar | "(" scalar ("," scalar)* ")"``,
+    where a sentinel is ``+inf``, ``inf``, ``-inf``, ``+infinity``,
+    ``infinity`` or ``-infinity`` in any case, and each scalar follows
+    ``parse_scalar``'s grammar and whitespace rule. The blocks are read into
+    numerators over one denominator, and the element is built once. With
+    ``rank`` given, a rank-1 zero widens to the zero of that rank, and any
+    other rank raises ``RankMismatch``. A block that only a space inside a
+    number or a name spoils is refused after every other fault is looked
+    for, so that each such fault keeps its message.
+    """
     s = text.strip()
     low = s.lower()
     if low in ("+inf", "inf", "+infinity", "infinity"):
@@ -786,16 +842,29 @@ def parse_element(group: ValueGroup, text: str, rank: Optional[int] = None):
     if low in ("-inf", "-infinity"):
         return MINUS_INFINITY
     if s.startswith("(") and s.endswith(")"):
-        body = s[1:-1]
-        parts = [p for p in body.split(",")]
+        parts = s[1:-1].split(",")
         if any(not p.strip() for p in parts):
             raise ParseError(f"bad element: {text!r}")
-        entries = tuple(parse_scalar(group, p) for p in parts)
     else:
-        entries = (parse_scalar(group, s),)
-    el = GroupElement(entries)
-    if rank is not None and el.rank != rank:
-        if el.rank == 1 and rank > 1 and el.is_zero():
-            return group.zero(rank)
-        raise RankMismatch(f"expected rank {rank}, got {el.rank} in {text!r}")
-    return el
+        parts = (s,)
+    blocks = []
+    spaced = None
+    den = 1
+    for part in parts:
+        block = _read_block(group, part)
+        if block is None:
+            exc = _scalar_refusal(group, part)
+            if exc is not None:
+                raise exc
+            block = _read_block(group, part.replace(" ", ""))
+            spaced = spaced or part
+        blocks.append(block)
+        den = lcm(den, block[1])
+    n = len(blocks)
+    if rank is not None and n != rank and (n > 1 or rank < 2 or any(blocks[0][0])):
+        raise RankMismatch(f"expected rank {rank}, got {n} in {text!r}")
+    if spaced is not None:
+        raise _split_token(spaced)
+    if rank is not None and n != rank:
+        return group.zero(rank)
+    return _reduced(group, n, [x * (den // d) for nums, d in blocks for x in nums], den)

@@ -14,7 +14,7 @@ import stat
 from fractions import Fraction
 
 from .errors import ParseError, RankMismatch
-from .exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly, to_unipoly
+from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_add, to_multipoly, to_unipoly
 from .ordered_value import (
     IndependentGenerator,
     ValueGroup,
@@ -62,13 +62,31 @@ def _tokenize(text: str) -> list:
 
 
 class _PolyParser:
-    """Recursive descent over +, -, *, ^ and parentheses."""
+    """Recursive descent over +, -, *, ^ and parentheses, straight into one term map.
+
+    Grammar: ``expr = [signs] term (signs term)*``, ``term = factor ("*"
+    factor)*``, ``factor = atom ["^" ["-"] integer]``, ``atom = number | name
+    | "(" expr ")"``, where a run of signs multiplies out (``x - - y`` is
+    ``x + y``) and a number is an integer or ``p/q``. A term is one
+    coefficient and one exponent vector: a number multiplies the
+    coefficient, a variable adds to its exponent, ``^k`` raises a number to
+    the k-th power or scales a variable's exponent by k, and the sign folds
+    into the coefficient. Only a parenthesised factor is a polynomial; the
+    term multiplies those out, then scales and shifts the product by its
+    coefficient and exponents. ``expr`` adds each term into one map,
+    dropping a key whose sum is zero, and builds one ``MultiPoly`` at the
+    end. A negative power needs a single-term base with coefficient 1 or
+    -1 (a variable, the number 1, or a parenthesised term such as ``(-x)``),
+    and keeps that coefficient an ``int``.
+    """
 
     def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
-        self.names = list(names)
-        self.width = len(self.names)
+        self.width = len(names)
+        self.index = {}
+        for i, name in enumerate(names):
+            self.index.setdefault(name, i)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -77,6 +95,14 @@ class _PolyParser:
         tok = self.peek()
         self.pos += 1
         return tok
+
+    def take_op(self, op: str) -> bool:
+        """Take the next token when it is the operator ``op``."""
+        kind, val = self.peek()
+        if kind == "op" and val == op:
+            self.pos += 1
+            return True
+        return False
 
     def expect_op(self, op: str):
         kind, val = self.take()
@@ -89,78 +115,83 @@ class _PolyParser:
             raise ParseError(f"trailing input at token {self.pos}")
         return p
 
-    def signed_term(self) -> MultiPoly:
-        sign = 1
-        kind, val = self.peek()
-        while kind == "op" and val in "+-":
-            self.take()
-            if val == "-":
-                sign = -sign
-            kind, val = self.peek()
-        return self.term() * sign
-
     def expr(self) -> MultiPoly:
-        out = self.signed_term()
+        acc: dict = {}
         while True:
+            sign = 1
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                nxt = self.signed_term()
-                out = out + nxt if val == "+" else out - nxt
-            else:
-                return out
+            while kind == "op" and val in "+-":
+                self.pos += 1
+                if val == "-":
+                    sign = -sign
+                kind, val = self.peek()
+            self.term(acc, sign)
+            kind, val = self.peek()
+            if kind != "op" or val not in "+-":
+                return MultiPoly(self.width, acc)
 
-    def term(self) -> MultiPoly:
-        out = self.factor()
+    def term(self, acc: dict, coef) -> None:
+        """Add ``coef`` times the next product of factors into ``acc``."""
+        exps = [0] * self.width
+        poly = None
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                out = out * self.factor()
-            else:
-                return out
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k = self.exponent()
-            if k < 0:
-                if not base.is_single_term():
+            kind, val = self.take()
+            if kind == "op" and val == "(":
+                kind, val = "poly", self.expr()
+                self.expect_op(")")
+            elif kind == "name":
+                if val not in self.index:
+                    raise ParseError(f"unknown variable {val!r}")
+                val = self.index[val]
+            elif kind != "num":
+                raise ParseError(f"unexpected token {val!r}")
+            k = self.exponent() if self.take_op("^") else 1
+            if kind == "name":
+                exps[val] += k
+            elif k < 0:
+                if kind == "num":
+                    e, c = (), val
+                else:
+                    e, c = val.single_term() if val.is_single_term() else ((), 0)
+                if not c:
                     raise ParseError("negative exponent on a non-monomial")
-                e, c = base.single_term()
                 if c != 1 and c != -1:
                     raise ParseError("negative exponent on a non-monic monomial")
                 # c is 1 or -1, so c**k == c**-k, and a negative power of an int is a float
-                return MultiPoly.monomial(self.width, tuple(x * k for x in e), c**-k)
-            return base**k
-        return base
+                coef *= c**-k
+                for j, x in enumerate(e):
+                    exps[j] += x * k
+            elif kind == "num":
+                coef *= val**k
+            else:
+                if k != 1:
+                    val = val**k
+                poly = val if poly is None else poly * val
+            if not self.take_op("*"):
+                break
+        if not coef:
+            return
+        e = tuple(exps)
+        if poly is None:
+            items = ((e, coef),)
+        else:
+            items = ((ev_add(t, e), c * coef) for t, c in poly.terms.items())
+        for t, c in items:
+            old = acc.get(t)
+            if old is not None:
+                c += old
+                if not c:
+                    del acc[t]
+                    continue
+            acc[t] = c
 
     def exponent(self) -> int:
+        neg = self.take_op("-")
         kind, val = self.take()
-        neg = False
-        if kind == "op" and val == "-":
-            neg = True
-            kind, val = self.take()
         if kind != "num" or val.denominator != 1:
             raise ParseError("exponent must be an integer")
         k = int(val)
         return -k if neg else k
-
-    def atom(self) -> MultiPoly:
-        kind, val = self.take()
-        if kind == "num":
-            return MultiPoly.constant(self.width, val)
-        if kind == "name":
-            if val not in self.names:
-                raise ParseError(f"unknown variable {val!r}")
-            return MultiPoly.variable(self.width, self.names.index(val))
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {val!r}")
 
 
 def parse_polynomial(text: str, names) -> MultiPoly:

@@ -83,3 +83,36 @@ def test_unpaired_runs_are_refused():
         bench_pairs.summarize(_runs([1], [1]), [], BETTER, NO_FAILURES)
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [], BETTER, NO_FAILURES)
+
+
+def test_each_metric_gets_a_verdict_against_its_bound():
+    verdict = bench_pairs.bound_verdict
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    # 20% worse in the median is inside a bound of 0.25, 30% worse is beyond it
+    assert verdict(parent, [v * 1.2 for v in parent], "lower", 0.25) == "within bound"
+    assert verdict(parent, [v * 1.3 for v in parent], "lower", 0.25) == "worse beyond bound"
+    # where higher is better, a fall is the worse direction and a rise is never beyond the bound
+    assert verdict(parent, [v * 0.7 for v in parent], "higher", 0.25) == "worse beyond bound"
+    assert verdict(parent, [v * 1.5 for v in parent], "higher", 0.25) == "within bound"
+    # an equal ratio with no spread is within the tightest bound
+    assert verdict([0.9655] * 10, [0.9655] * 10, "higher", 0.001) == "within bound"
+    # the parent's IQR (0.4 over a median of 10) is wider than a bound of 0.01 ...
+    assert verdict(parent, [v * 1.005 for v in parent], "lower", 0.01) == "unresolved"
+    assert verdict(parent, [v * 1.5 for v in parent], "lower", 0.01) == "unresolved"
+    # ... unless every change run beats every parent run
+    assert verdict(parent, [9.6] * 10, "lower", 0.01) == "within bound"
+    assert verdict(parent, [10.4] * 10, "higher", 0.01) == "within bound"
+    assert verdict(parent, [9.6] * 9 + [9.7], "lower", 0.01) == "unresolved"
+    # a parent median of 0 allows no change, and any spread leaves it unresolved
+    assert verdict([0, 0, 0], [0, 0, 0], "lower", 0.25) == "within bound"
+    assert verdict([0, 0, 0], [0, 1, 1], "lower", 0.25) == "worse beyond bound"
+    assert verdict([0, 1, 0, 1], [0, 0, 0, 0], "lower", 0.25) == "unresolved"
+
+
+def test_the_summary_carries_the_verdicts_when_bounds_are_given():
+    parent = _runs([400, 410, 420, 430] * 3, [2.0, 2.1, 2.0, 2.1] * 3)
+    change = _runs([300, 310, 320, 330] * 3, [2.05] * 12)
+    rows = bench_pairs.summarize(parent, change, BETTER, NO_FAILURES, bounds={"ops_per_s": 0.1, "op_ms_p50": 0.25})
+    assert rows["metrics"]["ops_per_s"]["verdict"] == "worse beyond bound"
+    assert rows["metrics"]["op_ms_p50"]["verdict"] == "within bound"
+    assert "verdict" not in bench_pairs.summarize(parent, change, BETTER, NO_FAILURES)["metrics"]["ops_per_s"]

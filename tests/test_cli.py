@@ -306,6 +306,17 @@ MALFORMED = {
         "z",
         "field 'weights' must be a JSON object",
     ),
+    # a space inside a number or a name is refused, not deleted: "1 0" is not 10
+    "weight-with-a-space-in-a-number": (
+        {**NU2, "val": {"kind": "monomial", "weights": {"x": "1 0", "y": "2*pi", "z": "1+pi"}}},
+        "x",
+        "whitespace inside a number or a name in '1 0'",
+    ),
+    "weight-with-a-space-in-a-name": (
+        {**NU2, "val": {"kind": "monomial", "weights": {"x": "1", "y": "2*p i", "z": "1+pi"}}},
+        "x",
+        "whitespace inside a number or a name in '2*p i'",
+    ),
 }
 
 

@@ -169,6 +169,29 @@ def test_unipoly_coefficients_are_polynomials():
             UniPoly.x(X2).scale(bad)
 
 
+@pytest.mark.parametrize("cls", [MultiPoly, UniPoly])
+def test_powers_equal_repeated_products_and_square_only_for_bits_still_to_use(cls, monkeypatch):
+    p = x * y - 2 * x + Fraction(1, 3) if cls is MultiPoly else UniPoly(X2, [x - 1, y, Fraction(2, 3)])
+    one = cls.one(X2)
+    mul = cls.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    product = one
+    for k in range(10):
+        calls.clear()
+        monkeypatch.setattr(cls, "__mul__", counted)
+        power = p**k
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert power == product, k
+        # one product per set bit, one squaring per bit after the first
+        assert len(calls) == bin(k).count("1") + max(k.bit_length() - 1, 0), k
+        product = product * p
+
+
 def test_divided_derivative_golden():
     X = UniPoly.x(X2)
     q = X**2 - (x**2) * y

@@ -198,7 +198,7 @@ def test_element_text_roundtrip(group):
 
 
 def test_parse_errors(group):
-    for bad in ["", "( ,1)", "2**pi", "1+bogus", "(1,)"]:
+    for bad in ["", "( ,1)", "2**pi", "1+bogus", "(1,)", "1 0", "p i", "3/1 0*pi", "(1, 2 0)"]:
         with pytest.raises(ParseError):
             parse_element(group, bad)
 

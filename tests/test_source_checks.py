@@ -241,11 +241,10 @@ def _fraction_constructions(path: Path) -> list:
     return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
 
 
-# the pi enclosure's series, the text parser and the normal-form view of a
-# scalar's coefficients; scalar arithmetic and signs run on int numerators
+# the pi enclosure's series and the normal-form view of a scalar's
+# coefficients; scalar arithmetic, signs and the text parser run on int numerators
 FRACTION_SITES = {
     "ordered_value._arctan_inv_bounds",
-    "ordered_value.parse_scalar",
     "ordered_value.Scalar.coeffs",
 }
 

@@ -12,9 +12,14 @@ imports bytecode that an earlier run compiled (``setup_s`` and
 bytecode the tool removes or writes no file, and the benchmark writes its
 outputs under ``.perfbench_out/``.
 
-For each end-to-end metric it prints each side's median and quartiles and
-how many pairs the change won, ties counting for neither side; whether
-lower or higher is better comes from this repository's ``BENCHMARK.json``.
+For each end-to-end metric it prints each side's median and quartiles,
+how many pairs the change won, ties counting for neither side, and a
+verdict against the metric's bound; whether lower or higher is better, and
+the bound, come from this repository's ``BENCHMARK.json``. The verdict is
+"unresolved" when the parent's IQR is wider than the bound times the
+parent's median and not every change run beats every parent run; otherwise
+"worse beyond bound" when the change's median is worse than the parent's by
+more than the bound times the parent's median, and "within bound" when not.
 With ``--claim METRIC`` it also says whether a gain on that metric holds
 by the pair rule: at least ten pairs ran, the change wins at least nine
 tenths of them, the medians differ, in the better direction, by more than
@@ -44,17 +49,30 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(parent_runs, change_runs, better: dict, failures: dict, claim=None) -> dict:
+def bound_verdict(parent, change, better: str, bound: float) -> str:
+    """One metric's runs on each side against its bound: "within bound", "worse beyond bound" or "unresolved"."""
+    lo, median, hi = quartiles(parent)
+    sign = -1 if better == "lower" else 1
+    allowed = bound * abs(median)
+    if hi - lo > allowed and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    if sign * (quartiles(change)[1] - median) < -allowed:
+        return "worse beyond bound"
+    return "within bound"
+
+
+def summarize(parent_runs, change_runs, better: dict, failures: dict, claim=None, bounds=None) -> dict:
     """Compare paired runs: ``parent_runs[i]`` and ``change_runs[i]`` map metric name to value.
 
     ``better`` maps each metric to ``"lower"`` or ``"higher"``;
     ``failures`` maps ``"parent"`` and ``"change"`` to (failed ops,
-    attempted ops) over all of that side's runs. Returns
-    ``{"metrics": {name: {...}}, "claim": {...} or None}``; each metric row
-    holds both sides' quartiles, the change's wins, the ties, the pair
-    count and the median gain, positive when the change is better. The
-    claim lists the parts of the pair rule it does not meet; it holds when
-    there are none.
+    attempted ops) over all of that side's runs; ``bounds``, when given,
+    maps each metric to its bound. Returns ``{"metrics": {name: {...}},
+    "claim": {...} or None}``; each metric row holds both sides' quartiles,
+    the change's wins, the ties, the pair count, the median gain, positive
+    when the change is better, and with ``bounds`` the ``bound_verdict``.
+    The claim lists the parts of the pair rule it does not meet; it holds
+    when there are none.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same positive number of runs on each side")
@@ -72,6 +90,8 @@ def summarize(parent_runs, change_runs, better: dict, failures: dict, claim=None
             "pairs": len(diffs),
         }
         row["gain"] = sign * (row["change"][1] - row["parent"][1])
+        if bounds is not None:
+            row["verdict"] = bound_verdict(a, b, direction, bounds[name])
     verdict = None
     if claim is not None:
         row = rows[claim]
@@ -106,7 +126,7 @@ def _format(name: str, row: dict) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     return (f"{name}: parent {side(row['parent'])}, change {side(row['change'])}; "
-            f"change won {row['wins']} of {row['pairs']} pairs ({row['ties']} ties)")
+            f"change won {row['wins']} of {row['pairs']} pairs ({row['ties']} ties); {row['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -121,7 +141,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     if args.claim is not None and args.claim not in better:
         ap.error(f"--claim must be one of {', '.join(better)}")
 
@@ -136,7 +158,7 @@ def main(argv=None) -> int:
             failures[label] = (failed + result["failed"], attempted + result["attempted"])
             print(f"pair {i + 1} {label}: " + ", ".join(f"{k} {v:.4g}" for k, v in runs[label][-1].items()),
                   flush=True)
-    summary = summarize(runs["parent"], runs["change"], better, failures, args.claim)
+    summary = summarize(runs["parent"], runs["change"], better, failures, args.claim, bounds)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g}-s runs; failed of attempted "
           "ops: " + ", ".join(f"{label} {f} of {a}" for label, (f, a) in failures.items()))
     for name, row in summary["metrics"].items():
