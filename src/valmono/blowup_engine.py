@@ -10,7 +10,10 @@ old_q/old_j. Every substitution is read off it: ``transport`` pushes an
 expression forward through the steps and ``Frame.pullback_of`` undoes them
 newest first, both through the one per-step kernel ``_step_image``, and
 forward images of the original variables (monomial times units) come from
-the same steps.
+the same steps. The kernel moves each term's exponents by the step's
+relabelling and multiplies by a binomial only a term that carries a power
+of an equal-value member; ``Frame.pullback_of`` clears negative powers of
+such members first, and only at a step that has them.
 
 Every parameter value is a proved value of the parameter's pullback: the
 initial values and each equal-value member's value (its unit minus its
@@ -135,8 +138,9 @@ class Frame:
 
         The steps are undone newest first on numerator and denominator.
         Undoing one gives x_j negative powers, and x_j may be an equal-value
-        member of an earlier step, so before each step both are multiplied
-        by the least monomial that clears the step's equal-value exponents.
+        member of an earlier step, so before a step with equal-value members
+        both are multiplied by the least monomial that clears their negative
+        exponents, when some term has one.
         """
         if not isinstance(f, (MultiPoly, RationalFunction)):
             raise TypeError("pullback of a non-polynomial")
@@ -145,11 +149,14 @@ class Frame:
         f = RationalFunction.of(f)
         num, den = f.num, f.den
         for step in reversed(self.history):
-            clear = [0] * self.width
-            for e in (*num.terms, *den.terms):
-                for q in step.C:
-                    clear[q] = max(clear[q], -e[q])
-            num, den = _step_image(num.shift(clear), step, False), _step_image(den.shift(clear), step, False)
+            if step.C:
+                clear = [0] * self.width
+                for e in (*num.terms, *den.terms):
+                    for q in step.C:
+                        clear[q] = max(clear[q], -e[q])
+                if any(clear):
+                    num, den = num.shift(clear), den.shift(clear)
+            num, den = _step_image(num, step, False), _step_image(den, step, False)
         return RationalFunction(num, den)
 
 
@@ -306,8 +313,9 @@ def transport(frame: Frame, expr, from_step: int = 0) -> RationalFunction:
 def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
     """One step's substitution in a polynomial, forward (old parameters to new) or back.
 
-    Exponents move by ``_transform_exponents`` (sign -1 back), and the power
-    k >= 0 of each equal-value member q becomes (x_q + r)^k forward or
+    Every term's exponents move by ``_transform_exponents`` (sign -1 back).
+    A term with no power of an equal-value member is only relabelled; the
+    power k >= 0 of each equal-value member q becomes (x_q + r)^k forward or
     (x_q - r*x_j)^k back, r its residue, built once per distinct power tuple.
     """
     m, j = p.width, step.j
@@ -315,8 +323,12 @@ def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
     for e, c in p.terms.items():
         base = _transform_exponents(e, step, 1 if forward else -1)
         powers = tuple(e[q] for q in step.C)
-        if powers not in factors:
-            factors[powers] = MultiPoly.one(m)
+        if not any(powers):
+            old = terms.get(base)
+            terms[base] = c if old is None else old + c
+            continue
+        factor = factors.get(powers)
+        if factor is None:
             for (q, r), k in zip(step.residues, powers):
                 if k < 0:
                     raise ValueError("negative power of an equal-value member")
@@ -327,8 +339,9 @@ def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
                     x = [0] * m
                     x[q], x[j] = i, dj * (k - i)
                     power[tuple(x)] = comb(k, i) * s ** (k - i)
-                factors[powers] = factors[powers] * MultiPoly(m, power)
-        for fe, fc in factors[powers].terms.items():
+                factor = MultiPoly(m, power) if factor is None else factor * MultiPoly(m, power)
+            factors[powers] = factor
+        for fe, fc in factor.terms.items():
             t = ev_add(base, fe)
             old = terms.get(t)
             terms[t] = c * fc if old is None else old + c * fc

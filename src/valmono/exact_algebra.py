@@ -150,9 +150,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {ev_zero(self.width)}
-
     def constant_value(self):
         return self.terms.get(ev_zero(self.width), 0)
 

@@ -336,9 +336,10 @@ def spec_from_json(group: ValueGroup, names, obj):
         ranks = {w.rank for w in parsed}
         if len(ranks) != 1:
             raise ParseError("monomial weights of mixed rank")
-        if not all(w.is_positive() for w in parsed):
-            raise ParseError("monomial weights must be strictly positive")
-        return Monomial(group, parsed)
+        try:
+            return Monomial(group, parsed)
+        except ValueError:  # the constructor decides each weight's sign
+            raise ParseError("monomial weights must be strictly positive") from None
     if kind == "composite":
         inner = spec_from_json(group, names, _field(obj, "inner"))
         return Composite(parse_key(str(_field(obj, "key")), names), inner)

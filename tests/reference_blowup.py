@@ -1,0 +1,69 @@
+"""The blow-up substitution as it stood before a step only relabelled what it does not change.
+
+The reference for the differential tests in ``test_blowup_engine.py``:
+``step_image`` multiplies every term by its binomial factor, the shared 1
+when the term has no power of an equal-value member, and ``pullback_of``
+shifts both polynomials by the clearing vector before every undone step,
+zero or not. ``transport`` pushes an expression through the same kernel.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+from valmono.exact_algebra import MultiPoly, RationalFunction, ev_add
+
+
+def transform_exponents(e, step, sign=1):
+    out = list(e)
+    out[step.j] += sign * sum(e[q] for q in step.J if q != step.j)
+    for q in step.C:
+        out[q] = 0
+    return tuple(out)
+
+
+def step_image(p: MultiPoly, step, forward: bool) -> MultiPoly:
+    """One step's substitution in a polynomial, forward (old parameters to new) or back."""
+    m, j = p.width, step.j
+    factors, terms = {}, {}
+    for e, c in p.terms.items():
+        base = transform_exponents(e, step, 1 if forward else -1)
+        powers = tuple(e[q] for q in step.C)
+        if powers not in factors:
+            factors[powers] = MultiPoly.one(m)
+            for (q, r), k in zip(step.residues, powers):
+                if k < 0:
+                    raise ValueError("negative power of an equal-value member")
+                s, dj = (r, 0) if forward else (-r, 1)
+                power = {}
+                for i in range(k + 1):
+                    x = [0] * m
+                    x[q], x[j] = i, dj * (k - i)
+                    power[tuple(x)] = comb(k, i) * s ** (k - i)
+                factors[powers] = factors[powers] * MultiPoly(m, power)
+        for fe, fc in factors[powers].terms.items():
+            t = ev_add(base, fe)
+            old = terms.get(t)
+            terms[t] = c * fc if old is None else old + c * fc
+    return MultiPoly(m, terms)
+
+
+def pullback_of(frame, f) -> RationalFunction:
+    """``Frame.pullback_of`` through ``step_image``, shifting at every step."""
+    f = RationalFunction.of(f)
+    num, den = f.num, f.den
+    for step in reversed(frame.history):
+        clear = [0] * frame.width
+        for e in (*num.terms, *den.terms):
+            for q in step.C:
+                clear[q] = max(clear[q], -e[q])
+        num, den = step_image(num.shift(clear), step, False), step_image(den.shift(clear), step, False)
+    return RationalFunction(num, den)
+
+
+def transport(frame, expr, from_step: int = 0) -> RationalFunction:
+    """``blowup_engine.transport`` through ``step_image``."""
+    num, den = RationalFunction.of(expr, frame.width).laurent_free()
+    for step in frame.history[from_step:]:
+        num, den = step_image(num, step, True), step_image(den, step, True)
+    return RationalFunction(num, den)

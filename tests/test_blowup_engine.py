@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_blowup as ref
 
 from valmono.blowup_engine import (
     CStepData,
     Frame,
     _factor_as_unit,
+    _step_image,
     divide_monomials,
     forward_image,
     framed_blowup,
@@ -539,6 +541,126 @@ def test_transport_of_a_laurent_input_stays_small():
     moved = transport(fr, r)
     assert len(moved.num.terms) + len(moved.den.terms) <= 60
     assert fr.pullback_of(moved) == r
+
+
+# -- the per-step kernel against the reference in reference_blowup.py -----------
+
+
+def _stored(r):
+    """A polynomial's terms, or a fraction's numerator and denominator terms, in stored order."""
+    if isinstance(r, MultiPoly):
+        return list(r.terms.items())
+    return list(r.num.terms.items()), list(r.den.terms.items())
+
+
+def _seeded_laurent(rng):
+    """A nonzero Laurent polynomial over x, y, z with int and Fraction coefficients; a sixth are
+    the shared 1 and a sixth constants."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return MultiPoly.one(3)
+    if kind == 1:
+        return MultiPoly.constant(3, rng.choice((2, -1, Fraction(3, 2))))
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        e = tuple(rng.randrange(-2, 4) for _ in range(3))
+        terms[e] = terms.get(e, 0) + rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3)))
+    p = MultiPoly(3, terms)
+    return MultiPoly.one(3) if p.is_zero() else p
+
+
+def _image_or_refusal(kernel, p, step, forward):
+    try:
+        return _stored(kernel(p, step, forward))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_step_image_matches_the_reference():
+    # both directions, on steps with and without equal-value members; a
+    # negative power of such a member is refused by both alike
+    rng = random.Random(SEED + 44)
+    seen = {"monomial": 0, "equal-value": 0, "refused": 0, "moved": 0}
+    for _ in range(30):
+        fr = _seeded_frame(rng)
+        for step in fr.history:
+            seen["monomial" if step.monomial else "equal-value"] += 1
+            for _ in range(4):
+                p = _seeded_laurent(rng)
+                for forward in (True, False):
+                    out = _image_or_refusal(_step_image, p, step, forward)
+                    assert out == _image_or_refusal(ref.step_image, p, step, forward)
+                    seen["refused" if isinstance(out, str) else "moved"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_pullback_and_transport_match_the_reference():
+    rng = random.Random(SEED + 45)
+    kinds = set()
+    for _ in range(40):
+        fr = _seeded_frame(rng)
+        kinds.add(all(step.monomial for step in fr.history))
+        laurent = _seeded_laurent(rng)
+        fractions = (*_round_trip_inputs(rng), RationalFunction(laurent),
+                     RationalFunction(_seeded_laurent(rng), laurent))
+        for r in fractions:
+            assert _stored(fr.pullback_of(r)) == _stored(ref.pullback_of(fr, r))
+            assert _stored(transport(fr, r)) == _stored(ref.transport(fr, r))
+        for from_step in range(len(fr.history) + 1):
+            assert _stored(transport(fr, fractions[0], from_step)) == _stored(ref.transport(fr, fractions[0], from_step))
+    assert kinds == {True, False}  # frames with and without equal-value members
+
+
+def test_a_negative_equal_value_power_is_refused():
+    fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
+    step = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,)))).history[0]
+    assert step.C == (1,)
+    for forward in (True, False):
+        with pytest.raises(ValueError, match="negative power of an equal-value member"):
+            _step_image(MultiPoly(2, {(0, 0): 1, (2, -1): 3}), step, forward)
+        # a negative power of the chart index is only relabelled
+        assert _step_image(MultiPoly.monomial(2, (-1, 0), 3), step, forward) == MultiPoly.monomial(2, (-1, 0), 3)
+
+
+def _counting_shifts(monkeypatch):
+    """The vector of every MultiPoly.shift call."""
+    shifts = []
+    shift = MultiPoly.shift
+    monkeypatch.setattr(MultiPoly, "shift", lambda self, e: shifts.append(tuple(e)) or shift(self, e))
+    return shifts
+
+
+def test_a_pullback_clears_exponents_only_where_a_member_needs_it(monkeypatch):
+    shifts = _counting_shifts(monkeypatch)
+    rng = random.Random(SEED + 46)
+    # monomial steps only: values x:1, y:pi, z:2+pi never tie
+    fr = Frame.initial(["x", "y", "z"], [el((1,)), el((0, 1)), el((2, 1))])
+    for J in ((0, 1), (1, 2), (0, 2), (0, 1, 2)):
+        fr = framed_blowup(fr, J)
+    assert all(step.monomial for step in fr.history)
+    for _ in range(20):
+        p = _seeded_laurent(rng)
+        back = fr.pullback_of(p)
+        assert shifts == []
+        assert _stored(back) == _stored(ref.pullback_of(fr, p))  # which shifts at every step
+        shifts.clear()
+    # one equal-value step: y = x*(y' + 1); only a negative power of y' is cleared
+    fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
+    fr = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,))))
+    x, y = rf_var(2, 0), rf_var(2, 1)
+    expected = ((y - x) ** 3 / x**5, x / (y - x))
+    shifts.clear()
+    assert fr.pullback_of(MultiPoly.monomial(2, (-2, 3))) == expected[0]
+    assert shifts == []
+    assert fr.pullback_of(MultiPoly.monomial(2, (0, -1))) == expected[1]
+    assert shifts[:2] == [(0, 1), (0, 1)]  # numerator and denominator, before the step is undone
+    # a frame whose pullbacks take equal-value exponents below zero still round-trips
+    fr = Frame.initial(["x", "y", "z"], [el((2,)), el((1,)), el((1,))])
+    for J, residue, value in [((0, 1, 2), 2, 2), ((0, 1, 2), 1, 1), ((1, 2), Fraction(1, 2), 1)]:
+        fr = framed_blowup(fr, J, lambda f, q, j, unit, r=residue, v=value: CStepData(Fraction(r), el((v,))))
+    for _ in range(20):
+        r = RationalFunction(_seeded_laurent(rng))
+        assert fr.pullback_of(transport(fr, r)) == r
 
 
 def test_divide_rejects_a_center_that_does_not_lower_tau(monkeypatch):

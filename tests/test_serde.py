@@ -175,6 +175,25 @@ def test_weight_order_follows_vars():
         )
 
 
+def test_each_monomial_weight_sign_is_decided_once(monkeypatch):
+    # the loader checks the weights' rank and leaves their signs to Monomial,
+    # whose refusal it reports with its own message
+    from valmono.ordered_value import GroupElement
+
+    asked = []
+    is_positive = GroupElement.is_positive
+    monkeypatch.setattr(GroupElement, "is_positive", lambda self: asked.append(self) or is_positive(self))
+    spec = load_problem(NU2_JSON)[2]
+    assert asked == list(spec.weights)
+    for weight in ("-1", "0", "1 - pi"):
+        bad = {**NU2_JSON, "val": {"kind": "monomial", "weights": {**NU2_JSON["val"]["weights"], "y": weight}}}
+        with pytest.raises(ParseError, match="^monomial weights must be strictly positive$"):
+            load_problem(bad)
+    mixed = {**NU2_JSON, "val": {"kind": "monomial", "weights": {**NU2_JSON["val"]["weights"], "y": "(1, -1)"}}}
+    with pytest.raises(ParseError, match="^monomial weights of mixed rank$"):
+        load_problem(mixed)
+
+
 def _file_state(path) -> tuple:
     """What a rewrite must keep or produce: link kind, mode, link count and bytes."""
     st = os.stat(path)
