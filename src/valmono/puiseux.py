@@ -84,14 +84,12 @@ def _residue_candidates(spec, A, B) -> set:
         return out
     for e in set(Am.terms) & set(Bm.terms):
         out.add(Fraction(Am.terms[e], Bm.terms[e]))
-    kind = getattr(spec, "kind", "")
-    if kind in ("composite", "augmented") and Am.is_laurent_free() and Bm.is_laurent_free():
-        inner = spec.inner if kind == "composite" else spec.base
+    if getattr(spec, "kind", "") == "augmented" and Am.is_laurent_free() and Bm.is_laurent_free():
         pa = q_expansion(to_unipoly(Am), spec.key)
         pb = q_expansion(to_unipoly(Bm), spec.key)
         for j in range(min(len(pa), len(pb))):
             if not pa[j].is_zero() and not pb[j].is_zero():
-                out |= _residue_candidates(inner, pa[j], pb[j])
+                out |= _residue_candidates(spec.base, pa[j], pb[j])
     return out
 
 

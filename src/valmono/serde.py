@@ -341,6 +341,8 @@ def spec_from_json(group: ValueGroup, names, obj):
         except ValueError:  # the constructor decides each weight's sign
             raise ParseError("monomial weights must be strictly positive") from None
     if kind == "composite":
+        if "1" not in group.names:
+            raise ParseError("a composite valuation needs the generator '1' for its key order")
         inner = spec_from_json(group, names, _field(obj, "inner"))
         return Composite(parse_key(str(_field(obj, "key")), names), inner)
     if kind == "augmented":
@@ -359,11 +361,11 @@ def spec_to_json(spec, names) -> dict:
             "kind": "monomial",
             "weights": {n: format_element(w) for n, w in zip(names, spec.weights)},
         }
-    if isinstance(spec, Composite):
+    if isinstance(spec, Augmented) and spec.lifts:
         return {
             "kind": "composite",
             "key": format_unipoly(spec.key, names[:-1], names[-1]),
-            "inner": spec_to_json(spec.inner, names),
+            "inner": spec_to_json(spec.base, names),
         }
     if isinstance(spec, Augmented):
         return {

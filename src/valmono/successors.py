@@ -304,7 +304,7 @@ class VerifyReport:
 def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice) -> VerifyReport:
     """Truncation drop plus degree minimality through the lattice multiplier."""
     if lattice.rank < spec.rank:
-        # base values embed into composite towers by zero-prepending
+        # base values embed into rank-raising towers by zero-prepending
         extra = spec.rank - lattice.rank
         lattice = Lattice([replace(g, value=g.value.lift(extra)) for g in lattice.generators])
     rep = truncated_value(spec, q1, q2)

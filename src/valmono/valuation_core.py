@@ -1,22 +1,21 @@
 """Valuations and their derived invariants.
 
-Three spec variants form towers:
+Two spec shapes form towers:
 
 * ``Monomial``: weights per variable, value of a polynomial is the minimal
   weighted degree of its monomials, extended to quotients by subtraction.
-* ``Composite``: prepends the key-adic order as a new most-significant
-  coordinate; the remaining coordinates come from the inner spec evaluated
-  on the first nonzero expansion coefficient.
-* ``Augmented``: same rank as its base; value is the minimum of
-  base(p_j) + j*assigned over the key expansion.
+* ``Augmented``: MacLane's augmentation (1936); value is the minimum of
+  base(p_j) + j*assigned over the key expansion. ``Composite(key, inner)``
+  assigns e_0 = (1, 0, ..., 0) one rank above ``inner`` (Vaquie 2007):
+  base values are lifted with a leading 0 and term j leads with j, so the
+  first nonzero expansion coefficient gives the least term.
 
-All three take their input through one shared ``value``; each keeps only
-its own rule, ``_value_unipoly``. A value walks down the tower by MacLane's
-rule (1936): ``Augmented`` and ``Composite`` expand their input along their
-key and value each nonzero expansion coefficient, or an input below the
-key's degree, by calling the base's rule directly. The shared checks are
-made once, where the input enters: the coefficients have the input's width
-and are tested for zero on the way. On top of the specs: epsilon reports,
+Both take their input through one shared ``value``; each keeps only its own
+rule, ``_value_unipoly``. ``Augmented`` expands its input along its key and
+values each nonzero expansion coefficient, or an input below the key's
+degree, by calling the base's rule directly. The shared checks are made
+once, where the input enters: the coefficients have the input's width and
+are tested for zero on the way. On top of the specs: epsilon reports,
 truncation reports, and non-degeneracy against a frame's monomial
 valuation.
 """
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CertificationError, NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
+from .errors import NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
 from .exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -44,7 +43,6 @@ from .ordered_value import (
     ValueGroup,
     compare,
     div_by_positive_int,
-    is_sentinel,
     least_value,
     linear_combination,
 )
@@ -135,64 +133,49 @@ class Monomial(_Spec):
         return least_value(self.weights, [e + (i,) for i, c in enumerate(f.coeffs) for e in c.terms])
 
 
-class Composite(_Spec):
-    """Key-adic order prepended to an inner valuation of the coefficient.
-
-    value(P) = (n, inner(p_n)) where p_n is the first nonzero coefficient
-    of the key expansion of P. Rank grows by one.
-    """
-
-    kind = "composite"
-
-    def __init__(self, key: UniPoly, inner):
-        if key.degree < 1 or not key.is_monic():
-            raise NonMonicKey("composite key must be monic of positive degree")
-        self.key = key
-        self.inner = inner
-        self.group = inner.group
-        self.rank = inner.rank + 1
-        self.width = inner.width
-
-    def _value_unipoly(self, f: UniPoly):
-        # below the key's degree f is its own expansion, of order 0
-        parts = (f,) if f.degree < self.key.degree else q_expansion(f, self.key)
-        for n, p in enumerate(parts):
-            if not p.is_zero():
-                v = self.inner._value_unipoly(p)
-                if is_sentinel(v):
-                    raise ValueError("inner value of a nonzero coefficient must be finite")
-                # (n, v): n in a new leading coordinate
-                return v.lift() if n == 0 else v.lift() + self.group.element(n, *[0] * v.rank)
-        raise CertificationError("nonzero polynomial with zero expansion")
-
-
 class Augmented(_Spec):
-    """Truncation with an assigned key value strictly above the base value."""
+    """Augmentation of ``base`` along ``key``: the assigned value exceeds the
+    key's base value at the base's rank, or is e_0 one rank up (``lifts``)."""
 
     kind = "augmented"
 
     def __init__(self, base, key: UniPoly, assigned: GroupElement):
         if key.degree < 1 or not key.is_monic():
             raise NonMonicKey("augmented key must be monic of positive degree")
-        base_val = base.value(key)
-        if assigned.rank != base.rank:
-            raise RankMismatch("assigned value rank differs from base rank")
-        if not compare(assigned, base_val) > 0:
-            raise ValueError("assigned value must strictly exceed the base value of the key")
+        self.lifts = assigned.rank == base.rank + 1
+        if self.lifts:
+            # e_0 exceeds every lifted base value: the key's is not computed
+            group = base.group
+            if "1" not in group.names or assigned != group.element(1, *[0] * base.rank):
+                raise RankMismatch("an assigned value one rank above the base must be (1, 0, ..., 0)")
+        else:
+            base_val = base.value(key)
+            if assigned.rank != base.rank:
+                raise RankMismatch("assigned value rank differs from base rank")
+            if not compare(assigned, base_val) > 0:
+                raise ValueError("assigned value must strictly exceed the base value of the key")
         self.base = base
         self.key = key
         self.assigned = assigned
         self.group = base.group
-        self.rank = base.rank
+        self.rank = assigned.rank
         self.width = base.width
 
     def _value_unipoly(self, f: UniPoly):
         # Below the key's degree f is its own expansion, so the base value
         # stands (MacLane 1936).
         if f.degree < self.key.degree:
-            return self.base._value_unipoly(f)
+            v = self.base._value_unipoly(f)
+            return v.lift() if self.lifts else v
+        parts = q_expansion(f, self.key)
+        if self.lifts:
+            # term j leads with j and a lifted base value with 0, so the
+            # first nonzero coefficient's term is the least
+            j = next(j for j, p in enumerate(parts) if not p.is_zero())
+            v = self.base._value_unipoly(parts[j]).lift()
+            return v + self.assigned * j if j else v
         best = None
-        for j, p in enumerate(q_expansion(f, self.key)):
+        for j, p in enumerate(parts):
             if p.is_zero():
                 continue
             v = self.base._value_unipoly(p)
@@ -201,6 +184,12 @@ class Augmented(_Spec):
             if best is None or compare(v, best) < 0:
                 best = v
         return best
+
+
+def Composite(key: UniPoly, inner) -> Augmented:
+    """``Augmented(inner, key, e_0)``: value(P) = (n, inner(p_n)), where p_n is
+    the first nonzero coefficient of the key expansion of P."""
+    return Augmented(inner, key, inner.group.element(1, *[0] * inner.rank))
 
 
 # -- derived invariants --------------------------------------------------------

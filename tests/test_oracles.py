@@ -1,0 +1,120 @@
+"""valmono's values and step counts against classical formulas that share no
+code with it (the helpers in ``arc_oracle.py``).
+
+* The rank-1 towers s3 and s4 over (x, z) are arc valuations:
+  v(f) = ord_t f(t^N, phi(t) + T*t^m)/N with T transcendental. Seeded sums
+  of key products times monomials are valued both ways.
+* Monomializing z^p - x^q under an augmentation of the monomial valuation
+  x -> p, z -> q takes as many blow-ups as the partial quotients of q/p sum
+  to: the steps run the Euclidean algorithm on (p, q).
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from arc_oracle import initial_form, oracle_value, predicted_steps
+
+from valmono.exact_algebra import MultiPoly, UniPoly
+from valmono.ordered_value import standard_group
+from valmono.orchestrator import monomialize, steps_used
+from valmono.valuation_core import Augmented, Monomial
+
+SEED = 20261019
+
+G = standard_group()
+xt, Z = MultiPoly.variable(1, 0), UniPoly.x(1)
+K2 = Z**2 - xt**3
+K3 = K2**2 - Z * xt**5
+K4 = K3**2 - K2 * xt**10
+
+
+def t(a):
+    return G.element(G.scalar(value=Fraction(a)))
+
+
+S1 = Augmented(Monomial(G, [t(1), t(1)]), Z, t(Fraction(3, 2)))
+S2 = Augmented(S1, K2, t(Fraction(13, 4)))
+S3 = Augmented(S2, K3, t(Fraction(53, 8)))
+S4 = Augmented(S3, K4, t(Fraction(213, 16)))
+
+# (N, phi, m) of each tower's arc: x = t^N, z = phi(t) + T*t^m
+ARC_S3 = (8, {12: 1, 14: Fraction(1, 2)}, 15)
+ARC_S4 = (16, {24: 1, 28: Fraction(1, 2), 30: Fraction(-1, 4)}, 31)
+
+
+def _key_sum(rng, keys, caps, arc, cache) -> UniPoly:
+    """A nonzero sum of one to three terms c * x^a * prod keys[i]^b_i, b_i <= caps[i].
+
+    A later term takes, where a few draws allow it, the x power that gives it
+    the first term's value; when the two initial forms on the arc are then
+    proportional, half the time its coefficient cancels the first term's.
+    ``cache`` keeps each key product with its initial form.
+    """
+    while True:
+        f = UniPoly.zero(1)
+        for n in range(rng.randint(1, 3)):
+            for _ in range(8):
+                exps = tuple(rng.randint(0, cap) for cap in caps)
+                if exps not in cache:
+                    product = UniPoly.one(1)
+                    for key, e in zip(keys, exps):
+                        product = product * key**e
+                    cache[exps] = (product, *initial_form(product, *arc))
+                product, w, form = cache[exps]
+                tie = n > 0 and (target - w).denominator == 1
+                if n == 0 or tie:
+                    break
+            a = int(target - w) if tie else rng.randint(-2, 10)
+            c = rng.choice((-2, -1, 1, 1, Fraction(1, 2), 3))
+            if n == 0:
+                target, lead = w + a, {T: c * v for T, v in form.items()}
+            elif tie and form.keys() == lead.keys() and rng.randrange(2):
+                ratios = {lead[T] / v for T, v in form.items()}
+                if len(ratios) == 1:
+                    c = -ratios.pop()
+            f = f + product * (MultiPoly.monomial(1, (a,)) * c)
+        if not f.is_zero():
+            return f
+
+
+def _assert_arc_values(spec, arc, elements):
+    for f in elements:
+        assert spec.value(f) == t(oracle_value(f, *arc)), f
+
+
+def test_the_oracle_reads_the_keys_assigned_values():
+    for spec, arc in ((S3, ARC_S3), (S4, ARC_S4)):
+        assert t(oracle_value(spec.key, *arc)) == spec.assigned
+    # the two terms of K4 have value 53/4 on both arcs and cancel only on s4's
+    for arc in (ARC_S3, ARC_S4):
+        assert oracle_value(K3**2, *arc) == oracle_value(K2 * xt**10, *arc) == Fraction(53, 4)
+    assert oracle_value(K4, *ARC_S3) == Fraction(53, 4)
+    assert oracle_value(K4, *ARC_S4) == Fraction(213, 16)
+
+
+def test_s3_values_match_the_arc():
+    rng, cache = random.Random(SEED), {}
+    # K4's two terms tie at 53/4 here without cancelling
+    fixed = [K4, K4 + xt**14, K4 * Z - K3 * xt**12, K3**2 - K2 * xt**10 * 2]
+    elements = fixed + [_key_sum(rng, (Z, K2, K3), (3, 2, 2), ARC_S3, cache) for _ in range(200)]
+    _assert_arc_values(S3, ARC_S3, elements)
+
+
+def test_s4_values_match_the_arc():
+    rng, cache = random.Random(SEED + 1), {}
+    elements = [K4 * Z + xt**15, K4 + K3 * xt**7] + [
+        _key_sum(rng, (Z, K2, K3, K4), (2, 1, 1, 1), ARC_S4, cache) for _ in range(40)
+    ]
+    _assert_arc_values(S4, ARC_S4, elements)
+
+
+def test_level_one_step_count_is_the_partial_quotient_sum():
+    rng = random.Random(SEED + 2)
+    pairs = [(p, q) for p in range(1, 26) for q in range(1, 41) if gcd(p, q) == 1 and (p, q) != (1, 1)]
+    for p, q in rng.sample(pairs, 60):
+        key = Z**p - UniPoly.constant(1, xt**q)
+        base = Monomial(G, [t(p), t(q)])
+        spec = Augmented(base, key, t(p * q + rng.choice((1, 2, 7))))
+        out = monomialize(spec, key, 100, names=["x", "z"])
+        assert steps_used(out.state) == predicted_steps(p, q), (p, q)

@@ -138,7 +138,7 @@ def test_spec_json_round_trip_tower():
     obj = spec_to_json(nu3, names)
     assert obj["kind"] == "composite" and obj["key"] == "z^2 - x^2*y"
     rebuilt = load_problem({"group": group_to_json(group), "vars": names, "val": obj})[2]
-    assert isinstance(rebuilt, Composite)
+    assert isinstance(rebuilt, Augmented) and rebuilt.assigned == group.element(1, 0)
     assert rebuilt.value(key) == nu3.value(key)
 
     aug = Augmented(nu2, key, group.element(group.scalar(value=3, pi=3)))
@@ -146,6 +146,20 @@ def test_spec_json_round_trip_tower():
     rebuilt2 = load_problem({"group": group_to_json(group), "vars": names, "val": obj2})[2]
     assert rebuilt2.value(key) == aug.value(key)
     assert format_element(rebuilt2.assigned) == "3 + 3*pi"
+
+
+def test_composite_file_form_round_trips_as_the_rank_raising_augmentation():
+    group, names, nu2 = load_problem(NU2_JSON)
+    val = {"kind": "composite", "key": "z^2 - x^2*y", "inner": NU2_JSON["val"]}
+    spec = load_problem({**NU2_JSON, "val": val})[2]
+    assert spec.lifts and spec.base.weights == nu2.weights
+    assert spec_to_json(spec, names) == {**val, "inner": spec_to_json(nu2, names)}
+    # the key order needs the unit generator; without it the file is malformed
+    no_unit = {"generators": ["pi"]}
+    inner = {"kind": "monomial", "weights": {"x": "pi", "y": "2*pi", "z": "pi"}}
+    load_problem({**NU2_JSON, "group": no_unit, "val": inner})
+    with pytest.raises(ParseError, match="needs the generator '1'"):
+        load_problem({**NU2_JSON, "group": no_unit, "val": {**val, "inner": inner}})
 
 
 def test_problem_to_json_round_trip():

@@ -6,7 +6,9 @@ recorded traces: the valuation driver, only rational functions are divided
 with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
 in ``ordered_value`` builds no ``Fraction``, frames are built only where their
 values are proved positive, no module reads the environment (every setting
-is an argument), and one function opens files for writing."""
+is an argument), one function opens files for writing, and the spec shapes
+are ``Monomial`` and ``Augmented`` alone, with the composite file form named
+only in ``serde``."""
 
 import ast
 from fractions import Fraction
@@ -422,6 +424,51 @@ def test_the_file_writer_guard_sees_each_form(tmp_path):
     assert _file_writes(sample) == (
         ["sample.<module>:1"] + ["sample.f:3"] * 4 + ["sample.g:5"] * 4 + ["sample.h:7"] * 3 + ["sample.K.m.inner:12"]
     )
+
+
+def _spec_classes(path: Path) -> list:
+    """Classes in one source file that derive from ``_Spec``, directly or through another."""
+    specs, found = {"_Spec"}, []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+            if bases & specs:
+                specs.add(node.name)
+                found.append(node.name)
+    return found
+
+
+def _string_constants(path: Path, text: str) -> list:
+    """``file:line`` of every string constant equal to ``text`` in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == text]
+
+
+def test_the_spec_shapes_are_monomial_and_augmented():
+    # a composite is the rank-raising augmentation: every tower walk follows one recursion
+    package = Path(valmono.__file__).parent
+    assert _spec_classes(package / "valuation_core.py") == ["Monomial", "Augmented"]
+    found = [hit for path in sorted(package.glob("*.py")) if path.name != "serde.py"
+             for hit in _string_constants(path, "composite")]
+    assert found == [], "only the file form names a composite; test the spec's shape instead: " + ", ".join(found)
+
+
+def test_the_spec_guards_see_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class A(_Spec):\n"
+        "    kind = 'composite'\n"
+        "class B(A, object):\n"
+        "    pass\n"
+        "class C(core._Spec):\n"
+        "    pass\n"
+        "class D:\n"
+        "    'a composite'\n"
+        "def f(kind):\n"
+        "    return kind in ('composite', 'augmented')\n"
+    )
+    assert _spec_classes(sample) == ["A", "B", "C"]
+    assert _string_constants(sample, "composite") == ["sample.py:2", "sample.py:10"]
 
 
 def test_the_shared_one_survives_the_readme_problem():

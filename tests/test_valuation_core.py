@@ -198,6 +198,16 @@ def test_augmented_construction_guards():
         Composite(UniPoly.constant(2, x), NU2)
 
 
+def test_composite_is_the_augmentation_by_e0():
+    assert type(NU3) is Augmented and NU3.base is NU2 and NU3.key is Q
+    assert NU3.lifts and NU3.assigned == el((1,), (0,)) and NU3.rank == 2
+    assert not Augmented(NU2, Q, el((3, 2))).lifts
+    # one rank up, every assigned value other than e_0 is refused
+    for assigned in (el((2,), (0,)), el((1,), (1,)), el((1, 1), (0,)), el((1,), (0,), (0,))):
+        with pytest.raises(RankMismatch):
+            Augmented(NU2, Q, assigned)
+
+
 def test_augmented_value_rule():
     aug = Augmented(NU2, X, el((3, 1)))  # 3 + pi > 1 + pi
     # j=0 term: 2 + 2*pi; j=2 term: 2*(3 + pi) = 6 + 2*pi
@@ -333,9 +343,9 @@ def _value_from_definition(spec, f: UniPoly):
             key=lowest,
         )
     parts = q_expansion(f, spec.key)
-    if isinstance(spec, Composite):
+    if spec.lifts:
         n = next(j for j, p in enumerate(parts) if not p.is_zero())
-        return GroupElement((G.scalar(n),) + _value_from_definition(spec.inner, parts[n]).entries)
+        return GroupElement((G.scalar(n),) + _value_from_definition(spec.base, parts[n]).entries)
     return min(
         (_value_from_definition(spec.base, p) + spec.assigned * j for j, p in enumerate(parts) if not p.is_zero()),
         key=lowest,
