@@ -14,13 +14,11 @@ import argparse
 import functools
 import json
 import os
-import random
+import shlex
 import sys
-from fractions import Fraction
 
 from .blowup_engine import check_frame_values, divide_monomials, principalize
-from .errors import CertificationError, ParseError, ValmonoError
-from .exact_algebra import MultiPoly, RationalFunction, UniPoly, divided_derivative
+from .errors import ParseError, ValmonoError
 from .orchestrator import (
     _initial_frame,
     _variable_lattice,
@@ -29,8 +27,8 @@ from .orchestrator import (
     save_state,
     steps_used,
 )
-from .ordered_value import compare, format_element, is_sentinel, standard_group
-from .puiseux import monomialize_limit_successor, puiseux_package, valuation_driver
+from .ordered_value import format_element, parse_element, standard_group
+from .puiseux import puiseux_package, valuation_driver
 from .serde import (
     format_multipoly,
     format_rational,
@@ -42,9 +40,8 @@ from .serde import (
 )
 from .successors import next_successor, verify_immediate_successor
 from .trace import replay_trace, to_dot, trace_records, write_records
-from .valuation_core import Augmented, Composite, Monomial, epsilon, truncated_value
+from .valuation_core import Composite, Monomial, epsilon, truncated_value
 
-DEFAULT_SEED = 20260814
 DEFAULT_BUDGET = 10_000
 
 
@@ -315,133 +312,75 @@ def _cmd_uniformize(args, names, spec):
 
 # -- selftest ---------------------------------------------------------------------
 
+_README_NAMES = ("x", "y", "z")
 
-def _golden_problem():
+# The README problem's golden outputs, one row per verb: the case, the problem
+# ("nu2" is the monomial valuation x:1, y:2*pi, z:1+pi, "nu3" the composite one
+# over it with key z^2 - x^2*y), the command line, and the payload the command
+# prints with --format json. ``selftest`` runs each row in memory; the tests run
+# each through ``main`` on the same problem read from a file.
+GOLDEN = (
+    ("eval-key", "nu3", "eval --poly 'z^2 - x^2*y'", {"value": "(1, 0)", "verb": "eval"}),
+    ("epsilon-key", "nu3", "epsilon --poly 'z^2 - x^2*y'",
+     {"I": [1], "b": 1, "epsilon": "(1, -1 - pi)", "verb": "epsilon"}),
+    ("epsilon-z", "nu3", "epsilon --poly z", {"I": [1], "b": 1, "epsilon": "(0, 1 + pi)", "verb": "epsilon"}),
+    ("epsilon-x", "nu3", "epsilon --poly x", {"I": [], "b": None, "epsilon": "-inf", "verb": "epsilon"}),
+    ("truncate-key", "nu3", "truncate --key 'z^2 - x^2*y' --poly 'z^2 - x^2*y'",
+     {"S": [1], "delta": 1, "terms": ["+inf", "(1, 0)"], "value": "(1, 0)", "verb": "truncate"}),
+    ("truncate-2z", "nu3", "truncate --key 'z^2 - x^2*y' --poly '2*z'",
+     {"S": [0], "delta": 0, "terms": ["(0, 1 + pi)"], "value": "(0, 1 + pi)", "verb": "truncate"}),
+    ("successor-z", "nu2", "successor --key z",
+     {"alpha": 2, "base_value": "2 + 2*pi", "monomial": "x^2*y", "residue": "1",
+      "successor": "z^2 - x^2*y", "verb": "successor"}),
+    ("successor-check", "nu3", "successor --key z --check 'z^2 - x^2*y'",
+     {"alpha": 2, "degree_check": True, "passed": True, "truncated": "(0, 2 + 2*pi)", "value": "(1, 0)",
+      "value_check": True, "verb": "successor"}),
+    ("divide", "nu3", "divide --alpha 0,0,2 --gamma 2,1,0",
+     {"alpha": [2, 2, 0], "divider": "equal", "gamma": [2, 2, 0], "params": ["x", "y", "z'"], "steps": 3,
+      "verb": "divide"}),
+    ("principalize", "nu3", "principalize --gens '3,0,0;0,2,1'",
+     {"generators": [[3, 0, 0]], "index": 0, "steps": 1, "verb": "principalize"}),
+    ("puiseux", "nu3", "puiseux --poly 'z^2 - x^2*y'",
+     {"exponents": [2, 2, 1], "new_parameter": "z'", "params": ["x", "y", "z'"], "residue": "1", "steps": 3,
+      "unit": "z' + 1", "value": "(1, 0)", "verb": "puiseux"}),
+    ("monomialize", "nu3", "monomialize --poly 'z^2 - x^2*y'",
+     {"exponents": [2, 2, 1], "params": ["x", "y", "z'"], "steps": 3, "unit": "z' + 1", "value": "(1, 0)",
+      "verb": "monomialize"}),
+    ("uniformize", "nu3", "uniformize --polys 'x^2*y;z^2 - x^2*y'",
+     {"entries": [{"exponents": [2, 2, 0], "unit": "z' + 1", "value": "(0, 2 + 2*pi)"},
+                  {"exponents": [2, 2, 1], "unit": "z' + 1", "value": "(1, 0)"}],
+      "order": [0, 1], "params": ["x", "y", "z'"], "verb": "uniformize"}),
+)
+
+
+def _readme_specs() -> dict:
+    """The README problem's valuations by name, as ``load_problem`` reads them from its file."""
     G = standard_group()
-
-    def el(*pairs):
-        return G.element(*(G.scalar(value=Fraction(a), pi=Fraction(b)) for a, b in pairs))
-
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    X = UniPoly.x(2)
-    Q = X**2 - (x**2) * y
-    nu2 = Monomial(G, [el((1, 0)), el((0, 2)), el((1, 1))])
-    return G, el, x, y, X, Q, nu2, Composite(Q, nu2)
-
-
-def _check(ok, what: str) -> None:
-    """A selftest check that also runs under python -O."""
-    if not ok:
-        raise CertificationError(f"check failed: {what}")
-
-
-def _selftest_cases(seed: int):
-    G, el, x, y, X, Q, nu2, nu3 = _golden_problem()
-
-    def case_epsilon():
-        rep = epsilon(nu3, Q)
-        _check(compare(rep.epsilon, el((1, 0), (-1, -1))) == 0, "epsilon(Q)")
-        _check(compare(epsilon(nu3, X).epsilon, el((0, 0), (1, 1))) == 0, "epsilon(z)")
-        for plain in (x, y):
-            r = epsilon(nu3, UniPoly.constant(2, plain))
-            _check(is_sentinel(r.epsilon), "epsilon of a constant")
-
-    def case_truncation():
-        rep = truncated_value(nu3, Q, Q)
-        _check(compare(rep.value, el((1, 0), (0, 0))) == 0, "truncated value of Q")
-        dq = divided_derivative(Q, 1)
-        rep2 = truncated_value(nu3, Q, dq)
-        _check(compare(rep2.value, el((0, 0), (1, 1))) == 0, "truncated value of dQ")
-
-    def case_successor():
-        lattice = _variable_lattice(nu2, ["x", "y", "z"])
-        succ, cert = next_successor(nu2, X, lattice)
-        _check(succ == Q and cert.alpha == 2, "successor of z")
-        rep = verify_immediate_successor(nu3, X, Q, lattice)
-        _check(rep.passed and rep.alpha == 2, "immediate successor check")
-
-    def case_package():
-        frame = _initial_frame(nu3, ["x", "y", "z"])
-        f = MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1})
-        pkg = puiseux_package(frame, nu3, f=f, new_name="t")
-        _check(pkg.exponents == (2, 2, 1), "package exponents")
-        _check(pkg.residue == 1, "package residue")
-        _check(compare(pkg.value, el((1, 0), (0, 0))) == 0, "package value")
-        report = replay_trace(trace_records(pkg.frame))
-        _check(report["ok"] and report["steps"] == 3, "package trace replay")
-
-    def case_limit():
-        xx = MultiPoly.variable(1, 0)
-        U = UniPoly.x(1)
-        base = Monomial(G, [el((1, 0)), el((0, 1))])
-        spec_u4 = Augmented(base, U, el((4, 0)))
-        P2 = U + UniPoly.constant(1, xx**4)
-        spec = Augmented(spec_u4, P2, el((5, 0)))
-        frame = _initial_frame(spec, ["x", "u"])
-        res = monomialize_limit_successor(frame, spec, U, P2, new_name="t")
-        _check(res.exponents == (4, 1), "limit exponents")
-        _check(compare(res.value, el((5, 0))) == 0, "limit value")
-        report = replay_trace(trace_records(res.frame))
-        _check(report["ok"], "limit trace replay")
-
-    def case_monomialize():
-        out = monomialize(nu3, Q, DEFAULT_BUDGET, names=["x", "y", "z"])
-        _check(out.exponents == (2, 2, 1), "monomialize exponents")
-        recon = out.frame.pullback_of(RationalFunction(out.monomial()) * out.unit)
-        q3 = RationalFunction(MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1}))
-        _check(recon == q3, "monomial times unit pulls back to Q")
-
-    def case_multiplicative():
-        rng = random.Random(seed)
-        for _ in range(20):
-            p1 = _random_unipoly(rng)
-            p2 = _random_unipoly(rng)
-            lhs = truncated_value(nu3, Q, p1 * p2).value
-            rhs = truncated_value(nu3, Q, p1).value + truncated_value(nu3, Q, p2).value
-            _check(compare(lhs, rhs) == 0, "truncated value is multiplicative")
-
-    return [
-        ("epsilon-goldens", case_epsilon),
-        ("truncation-goldens", case_truncation),
-        ("successor-goldens", case_successor),
-        ("puiseux-package", case_package),
-        ("limit-successor", case_limit),
-        ("end-to-end-monomialize", case_monomialize),
-        ("truncation-multiplicative", case_multiplicative),
-    ]
-
-
-def _random_unipoly(rng) -> UniPoly:
-    while True:
-        coeffs = []
-        for _ in range(rng.randint(1, 3)):
-            terms = {}
-            for _ in range(rng.randint(0, 2)):
-                e = (rng.randint(0, 3), rng.randint(0, 3))
-                terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
-            coeffs.append(MultiPoly(2, terms))
-        p = UniPoly(2, coeffs)
-        if not p.is_zero():
-            return p
+    nu2 = Monomial(G, [parse_element(G, w) for w in ("1", "2*pi", "1+pi")])
+    return {"nu2": nu2, "nu3": Composite(parse_key("z^2 - x^2*y", _README_NAMES), nu2)}
 
 
 def _cmd_selftest(args, _names, _spec):
-    failures = 0
+    """Run every GOLDEN row's verb in memory; a trace verb checks and replays its trace but writes no file."""
+    specs = _readme_specs()
     results = []
-    for name, fn in _selftest_cases(args.seed):
+    for case, problem, command, expected in GOLDEN:
+        # --spec carries the problem's name here; no file is read
+        row = _parser().parse_args([*shlex.split(command), "--spec", problem])
         try:
-            fn()
+            got = json.dumps(_VERBS[row.verb][1](row, _README_NAMES, specs[problem])[0], sort_keys=True)
+            error = None if got == json.dumps(expected, sort_keys=True) else f"payload {got}"
         except Exception as exc:  # noqa: BLE001 - report and keep going
-            failures += 1
-            results.append({"case": name, "ok": False, "error": str(exc)})
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
+            error = str(exc)
+        if error is None:
+            results.append({"case": case, "ok": True})
         else:
-            results.append({"case": name, "ok": True})
+            results.append({"case": case, "ok": False, "error": error})
+            print(f"FAIL {case}: {error}", file=sys.stderr)
     payload = {"verb": "selftest", "results": results}
     lines = [f"PASS {r['case']}" for r in results if r["ok"]]
-    if failures:
-        return payload, lines, f"{failures} selftest case(s) failed"
+    if len(lines) < len(results):
+        return payload, lines, f"{len(results) - len(lines)} selftest case(s) failed"
     return payload, lines
 
 
@@ -461,7 +400,6 @@ _OPTIONS = {
     "--gamma": {"required": True, "help": "comma-separated exponents"},
     "--gens": {"required": True, "help": "semicolon-separated exponent lists"},
     "--polys": {"required": True, "help": "semicolon-separated, or a file"},
-    "--seed": {"type": int, "default": DEFAULT_SEED},
 }
 _QUERY = ("--spec", "--format")
 _TRACED = (*_QUERY, "--trace")
@@ -478,7 +416,7 @@ _VERBS = {
     "puiseux": ("Puiseux package of a decorated binomial", _cmd_puiseux, (*_TRACED, "--poly")),
     "monomialize": ("certified monomial times unit form", _cmd_monomialize, (*_RESUMABLE, "--poly")),
     "uniformize": ("shared-frame monomialization of a list", _cmd_uniformize, (*_RESUMABLE, "--polys")),
-    "selftest": ("run the golden example suite", _cmd_selftest, ("--format", "--seed")),
+    "selftest": ("run the golden example suite", _cmd_selftest, ("--format",)),
 }
 
 

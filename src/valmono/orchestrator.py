@@ -273,7 +273,7 @@ def _variable_weights(spec, width: int) -> list:
 def _variable_lattice(spec, names, weights=None) -> Lattice:
     if weights is None:
         weights = _variable_weights(spec, len(names) - 1)
-    return Lattice.from_variables(list(names[:-1]), weights)
+    return Lattice.from_variables(list(names[:-1]), weights, spec.rank)
 
 
 def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) -> tuple:

@@ -37,24 +37,30 @@ class LatticeGenerator:
 
 
 class Lattice:
-    """Finite list of value generators with labels and element payloads."""
+    """Finite list of value generators with labels and element payloads.
 
-    def __init__(self, generators: Sequence[LatticeGenerator]):
+    A lattice with no generator, such as the coefficient lattice of a
+    problem in one variable, is told its rank.
+    """
+
+    def __init__(self, generators: Sequence[LatticeGenerator], rank: int | None = None):
         self.generators = list(generators)
-        if not self.generators:
-            raise ValueError("empty lattice")
-        rank = self.generators[0].value.rank
-        if any(g.value.rank != rank for g in self.generators):
+        ranks = {g.value.rank for g in self.generators}
+        if rank is not None:
+            ranks.add(rank)
+        if not ranks:
+            raise ValueError("an empty lattice needs its rank")
+        if len(ranks) > 1:
             raise RankMismatch("lattice generators of mixed rank")
-        self.rank = rank
+        (self.rank,) = ranks
 
     @classmethod
-    def from_variables(cls, names, weights) -> "Lattice":
+    def from_variables(cls, names, weights, rank: int | None = None) -> "Lattice":
         gens = [
             LatticeGenerator(n, w, kind="variable", index=i)
             for i, (n, w) in enumerate(zip(names, weights))
         ]
-        return cls(gens)
+        return cls(gens, rank)
 
     def extended(self, gen: LatticeGenerator) -> "Lattice":
         if gen.value.rank != self.rank:
@@ -196,7 +202,7 @@ def lattice_multiplier(v: GroupElement, lattice: Lattice):
         term = g.value * xi
         acc = term if acc is None else acc + term
     if acc is None:
-        acc = lattice.generators[0].value * 0
+        acc = v * 0
     if compare(acc, v * h) != 0:
         raise CertificationError("lattice solver produced an invalid combination")
     return h, x
@@ -306,7 +312,7 @@ def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice)
     if lattice.rank < spec.rank:
         # base values embed into rank-raising towers by zero-prepending
         extra = spec.rank - lattice.rank
-        lattice = Lattice([replace(g, value=g.value.lift(extra)) for g in lattice.generators])
+        lattice = Lattice([replace(g, value=g.value.lift(extra)) for g in lattice.generators], spec.rank)
     rep = truncated_value(spec, q1, q2)
     v2 = spec.value(q2)
     value_check = compare(rep.value, v2) < 0

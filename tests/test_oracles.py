@@ -4,6 +4,10 @@ code with it (the helpers in ``arc_oracle.py``).
 * The rank-1 towers s3 and s4 over (x, z) are arc valuations:
   v(f) = ord_t f(t^N, phi(t) + T*t^m)/N with T transcendental. Seeded sums
   of key products times monomials are valued both ways.
+* Towers generated from Puiseux data (N, phi, m) by ``tower_from_puiseux``,
+  of depth 1 to 4, value seeded key sums as their arcs do, and
+  ``residue_of_unit`` finds a rational residue exactly where the two
+  initial forms on the arc are proportional.
 * Monomializing z^p - x^q under an augmentation of the monomial valuation
   x -> p, z -> q takes as many blow-ups as the partial quotients of q/p sum
   to: the steps run the Euclidean algorithm on (p, q).
@@ -11,13 +15,15 @@ code with it (the helpers in ``arc_oracle.py``).
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from arc_oracle import initial_form, oracle_value, predicted_steps
+from arc_oracle import initial_form, oracle_value, predicted_steps, residue_is_rational, tower_from_puiseux
 
-from valmono.exact_algebra import MultiPoly, UniPoly
+from valmono.errors import TranscendentalResidue
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly
 from valmono.ordered_value import standard_group
 from valmono.orchestrator import monomialize, steps_used
+from valmono.puiseux import residue_of_unit
 from valmono.valuation_core import Augmented, Monomial
 
 SEED = 20261019
@@ -107,6 +113,84 @@ def test_s4_values_match_the_arc():
         _key_sum(rng, (Z, K2, K3, K4), (2, 1, 1, 1), ARC_S4, cache) for _ in range(40)
     ]
     _assert_arc_values(S4, ARC_S4, elements)
+
+
+COEFFICIENTS = (1, -1, 2, Fraction(1, 2), -3)
+
+
+def _puiseux_data(rng, depth: int) -> tuple:
+    """(N, phi, m) of an arc whose tower has ``depth`` keys.
+
+    Each of the depth - 1 characteristic exponents divides gcd(N, the
+    exponents before it) by 2 or 3; now and then a term keeps that gcd.
+    """
+    factors = [2] * (depth - 1) if depth == 4 else [rng.choice((2, 2, 3)) for _ in range(depth - 1)]
+    phi, e, g = {}, 0, prod(factors)
+    for n in [1, *factors]:
+        if n > 1:
+            g //= n
+            a = e // g + rng.randint(1, 2)
+            while gcd(a, n) != 1:
+                a += 1
+            e = g * a
+            phi[e] = rng.choice(COEFFICIENTS)
+        if rng.random() < 0.3:
+            e = g * (e // g + rng.randint(1, 2))
+            phi[e] = rng.choice(COEFFICIENTS)
+    return prod(factors), phi, e + rng.randint(1, 3)
+
+
+def _generated_towers(rng, count: int):
+    """``count`` arcs with their towers, depths 1, 2, 3, 4, 1, ..."""
+    for i in range(count):
+        N, phi, m = arc = _puiseux_data(rng, 1 + i % 4)
+        spec, keys, _values = tower_from_puiseux(phi, N, m)
+        assert len(keys) == 1 + i % 4
+        yield arc, spec, keys
+
+
+def test_generated_tower_values_match_the_arc():
+    rng, count = random.Random(SEED + 3), 0
+    for arc, spec, keys in _generated_towers(rng, 20):
+        caps = ((2,), (2, 1), (2, 1, 1), (1, 1, 1, 1))[len(keys) - 1]
+        cache = {}
+        elements = [*keys, *(_key_sum(rng, keys, caps, arc, cache) for _ in range(8))]
+        _assert_arc_values(spec, arc, elements)
+        count += len(elements)
+    assert count >= 200
+
+
+def _unit(rng, keys, caps, arc, cache) -> tuple:
+    """(num, den) of equal value on the arc: two key sums whose values differ
+    by an integer, the lower one multiplied by the power of x that evens them."""
+    while True:
+        num, den = (_key_sum(rng, keys, caps, arc, cache) for _ in range(2))
+        v, w = oracle_value(num, *arc), oracle_value(den, *arc)
+        if (v - w).denominator == 1:
+            x = UniPoly.constant(1, MultiPoly.monomial(1, (abs(int(v - w)),)))
+            return (num, den * x) if v > w else (num * x, den)
+
+
+def test_residue_verdicts_match_the_arc():
+    # every verdict agrees here; a rational residue that residue_of_unit misses
+    # would be ROADMAP item 16's (residues read off initial forms)
+    rng, verdicts = random.Random(SEED + 5), []
+    for arc, spec, keys in _generated_towers(random.Random(SEED + 4), 20):
+        caps, cache = ((1,), (1, 1), (1, 1, 1), (1, 0, 0, 1))[len(keys) - 1], {}
+        for _ in range(5):
+            num, den = _unit(rng, keys, caps, arc, cache)
+            try:
+                residue, _ = residue_of_unit(spec, RationalFunction(to_multipoly(num), to_multipoly(den)))
+            except TranscendentalResidue:
+                residue = None
+            rational = residue_is_rational(num, den, *arc)
+            assert (residue is not None) == rational, (arc, num, den)
+            if rational:
+                (_, lead), (_, lead_den) = initial_form(num, *arc), initial_form(den, *arc)
+                assert residue == lead[min(lead)] / lead_den[min(lead)]
+            verdicts.append(rational)
+    # both verdicts are exercised
+    assert (verdicts.count(True), len(verdicts)) == (39, 100)
 
 
 def test_level_one_step_count_is_the_partial_quotient_sum():

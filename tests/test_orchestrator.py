@@ -22,6 +22,7 @@ from valmono.errors import (
     CertificationError,
     LimitSuccessorRequired,
     ParseError,
+    TranscendentalResidue,
     UnknownVariable,
     ZeroPolynomial,
 )
@@ -576,6 +577,51 @@ def test_tower_elements_certify(spec, f):
     assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(f))
     assert compare(out.value, spec.value(f)) == 0
     assert replay_trace(trace_records(out.frame))["steps"] == steps_used(out.state)
+
+
+# a tower of depth 5 over (x, y, z): Monomial(x:1, y:pi, z:1) augmented by the keys
+# K_n = z - (x + ... + x^n) at value n + 1, each with residue 1
+def c3(p):
+    return UniPoly.constant(2, p)
+
+
+def _depth_five_tower():
+    spec = Monomial(G, [el((1,)), el((0, 1)), el((1,))])
+    for n, key in KN.items():
+        spec = Augmented(spec, key, el((n + 1,)))
+    return spec
+
+
+KN = {n: X - c3(sum((x2**i for i in range(2, n + 1)), x2)) for n in range(1, 6)}
+T5 = _depth_five_tower()
+
+
+# element, blow-up steps, exponents over the final parameters
+DEEP_TOWER = {
+    "K5": (KN[5], 8, (5, 0, 1)),
+    "K3+x^3y": (KN[3] + c3(x2**3 * y2), 5, (4, 0, 0)),
+    "K4z+x^6y^2": (KN[4] * X + c3(x2**6 * y2**2), 7, (6, 0, 0)),
+    "K3K2+x^6y": (KN[3] * KN[2] + c3(x2**6 * y2), 5, (7, 0, 0)),
+    "K3+x^2y^2": (KN[3] + c3(x2**2 * y2**2), 5, (3, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("f, steps, exponents", DEEP_TOWER.values(), ids=DEEP_TOWER)
+def test_three_variable_tower_elements_certify(f, steps, exponents):
+    out = monomialize(T5, f, 10_000, names=NAMES)
+    assert (steps_used(out.state), out.exponents) == (steps, exponents)
+    T = RationalFunction(out.monomial()) * out.unit
+    assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(f))
+    assert compare(out.value, T5.value(f)) == 0
+    report = replay_trace(trace_records(out.frame))
+    assert report["ok"] and report["steps"] == steps
+
+
+def test_a_three_variable_tower_tie_has_no_rational_residue():
+    # K5's image meets x^4*y + x^7 at equal value: the residue is transcendental
+    # until value-zero parameters are certified
+    with pytest.raises(TranscendentalResidue):
+        monomialize(T5, KN[5] + c3(x2**4 * y2 + x2**7), 10_000, names=NAMES)
 
 
 def _frame_with(frame, **fields):

@@ -7,6 +7,7 @@ from valmono.errors import (
     MaximalKey,
     NonMonicKey,
     NotInDivisibleHull,
+    RankMismatch,
     ResidueUndefined,
 )
 from valmono.exact_algebra import MultiPoly, UniPoly
@@ -64,6 +65,19 @@ def test_multiplier_not_in_hull():
     just_x = Lattice.from_variables(["x"], [el((1,))])
     with pytest.raises(NotInDivisibleHull):
         lattice_multiplier(el((0, 1)), just_x)
+
+
+def test_an_empty_lattice_is_told_its_rank():
+    # the coefficient lattice of a problem in one variable has no generator
+    empty = Lattice.from_variables([], [], 1)
+    assert empty.rank == 1
+    assert lattice_multiplier(el((0,)), empty) == (1, [])
+    with pytest.raises(NotInDivisibleHull):
+        lattice_multiplier(el((1,)), empty)
+    with pytest.raises(ValueError):
+        Lattice([])
+    with pytest.raises(RankMismatch):
+        Lattice(VARS_XY.generators, 2)
 
 
 def test_multiplier_dependent_generators():
