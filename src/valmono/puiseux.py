@@ -6,15 +6,8 @@ until the element factors as monomial times certified unit. All steps but the
 last are combinatorial; the last one creates the new dependent parameter,
 whose shifted quotient carries the residue of the binomial relation.
 
-Residues are exact rationals, and they come only from coefficient
-comparisons: a candidate is the ratio of a coefficient shared by numerator
-and denominator at some level of the tower, and it is accepted only when an
-exact value computation certifies v(h - c) > 0. Every equal-value step,
-the package's terminal one included, takes its residue this way through
-``valuation_driver``. When no rational residue exists the step raises
-``TranscendentalResidue``; the package raises its parent
-``ResidueFieldExtension`` instead when the quotient is a rational power of
-the binomial relation, whose residue would then need a root.
+Every equal-value step, the package's terminal one included, takes its
+residue through ``valuation_driver`` from ``valuation_core.residue_of_unit``.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from .blowup_engine import (
     _factor_as_unit,
     divide_monomials,
     monomialize_nondegenerate,
-    tau,
     transform_exponents,
     transport,
     verify_forward,
@@ -38,7 +30,6 @@ from .errors import (
     DeltaNotOne,
     NonBinomialInput,
     NonMonicKey,
-    NonUnitFactor,
     NonPolynomialImage,
     ResidueFieldExtension,
     TranscendentalResidue,
@@ -49,7 +40,6 @@ from .exact_algebra import (
     RationalFunction,
     UniPoly,
     ev_add,
-    ev_gcd,
     ev_leq,
     ev_min,
     ev_scale,
@@ -58,66 +48,13 @@ from .exact_algebra import (
     normal_rational,
     q_expansion,
     to_multipoly,
-    to_unipoly,
 )
-from .ordered_value import PLUS_INFINITY, compare, is_sentinel
+from .ordered_value import compare, is_sentinel
 from .successors import check_limit_successor
+from .valuation_core import residue_of_unit
 
 
-# -- residues of value-zero elements -----------------------------------------
-
-
-def _multipoly_or_none(p):
-    if isinstance(p, MultiPoly):
-        return p
-    if isinstance(p, UniPoly):
-        if all(c.is_laurent_free() for c in p.coeffs):
-            return to_multipoly(p)
-    return None
-
-
-def _residue_candidates(spec, A, B) -> set:
-    """Rational candidates for the residue of A/B, every level of the tower."""
-    out: set = set()
-    Am, Bm = _multipoly_or_none(A), _multipoly_or_none(B)
-    if Am is None or Bm is None:
-        return out
-    for e in set(Am.terms) & set(Bm.terms):
-        out.add(Fraction(Am.terms[e], Bm.terms[e]))
-    if getattr(spec, "kind", "") == "augmented" and Am.is_laurent_free() and Bm.is_laurent_free():
-        pa = q_expansion(to_unipoly(Am), spec.key)
-        pb = q_expansion(to_unipoly(Bm), spec.key)
-        for j in range(min(len(pa), len(pb))):
-            if not pa[j].is_zero() and not pb[j].is_zero():
-                out |= _residue_candidates(spec.base, pa[j], pb[j])
-    return out
-
-
-def residue_of_unit(spec, h) -> tuple:
-    """Exact rational residue c of a value-zero element, with v(h - c).
-
-    The residue is the unique rational with v(h - c) > 0; candidates come
-    from shared monomials of numerator and denominator at every
-    key-expansion level. The value returned with it is the one that
-    certified it, plus infinity when h is the constant c.
-    """
-    if isinstance(h, MultiPoly):
-        h = RationalFunction(h)
-    # a folded Laurent numerator hides the shared supports; unfold it
-    num, den = h.laurent_free()
-    vden = spec.value(den)
-    if compare(spec.value(num), vden) != 0:
-        raise NonUnitFactor("residue of an element with nonzero value")
-    for c in sorted(_residue_candidates(spec, num, den)):
-        if c == 0:
-            continue
-        shifted = num - den * c
-        if shifted.is_zero():
-            return c, PLUS_INFINITY
-        v = spec.value(shifted) - vden
-        if v.is_positive():
-            return c, v
-    raise TranscendentalResidue("no rational residue matches the element")
+# -- equal-value step data --------------------------------------------------
 
 
 def valuation_driver(spec, new_name=None):
@@ -291,7 +228,6 @@ class PuiseuxPackage:
     residue: Fraction
     zbar: RationalFunction  # value-zero unit: new parameter + residue
     steps: tuple
-    reports: tuple  # one dict per step: tau, diff, gcd, J, j, monomial
 
     def monomial(self) -> MultiPoly:
         return MultiPoly.monomial(self.frame.width, self.exponents)
@@ -331,23 +267,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     T = transport(fr, problem.element, from_step=start)
     eps, unit, value = _factor_as_unit(fr, spec, T, problem.target_value)
 
-    reports = []
-    a_cur, g_cur = problem.delta, problem.gamma
-    for s in steps:
-        d = ev_sub(g_cur, a_cur)
-        reports.append(
-            {
-                "tau": tau(a_cur, g_cur)[0],
-                "diff": d,
-                "gcd": ev_gcd(d),
-                "J": s.J,
-                "j": s.j,
-                "monomial": s.monomial,
-            }
-        )
-        a_cur = transform_exponents(a_cur, (s,))
-        g_cur = transform_exponents(g_cur, (s,))
-
     return PuiseuxPackage(
         problem,
         fr,
@@ -359,7 +278,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
         residue,
         zbar,
         steps,
-        tuple(reports),
     )
 
 

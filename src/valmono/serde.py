@@ -18,7 +18,6 @@ from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_add, to_mult
 from .ordered_value import (
     IndependentGenerator,
     ValueGroup,
-    compare,
     format_element,
     is_sentinel,
     parse_element,
@@ -349,9 +348,10 @@ def spec_from_json(group: ValueGroup, names, obj):
         base = spec_from_json(group, names, _field(obj, "base"))
         key = parse_key(str(_field(obj, "key")), names)
         assigned = _finite_element(group, _field(obj, "value"), rank=base.rank)
-        if compare(assigned, base.value(key)) <= 0:
-            raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key")
-        return Augmented(base, key, assigned)
+        try:
+            return Augmented(base, key, assigned)
+        except ValueError:  # the constructor compares the value with the key's
+            raise ParseError(f"augmented value {obj['value']!r} must exceed the base value of its key") from None
     raise ParseError(f"unknown spec kind {kind!r}")
 
 

@@ -3,7 +3,8 @@
 The lattice solver answers "what is the least multiple of this value that
 the already-available values generate", by exact integer echelon reduction.
 On top of it: binomial successor construction, successor verification
-and the limit test.
+and the limit test. A successor's residue is the valuation's, read by
+``valuation_core.residue_of_unit``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from .errors import (
     NotInDivisibleHull,
     RankMismatch,
     ResidueUndefined,
+    TranscendentalResidue,
     ZeroPolynomial,
 )
-from .exact_algebra import MultiPoly, UniPoly, q_expansion
+from .exact_algebra import MultiPoly, RationalFunction, UniPoly, normal_rational, q_expansion, to_multipoly
 from .ordered_value import GroupElement, compare, is_sentinel
-from .valuation_core import truncated_value
+from .valuation_core import residue_of_unit, truncated_value
 
 
 @dataclass(frozen=True)
@@ -247,10 +249,12 @@ def _build_witness(lattice: Lattice, solution, width: int, q: UniPoly):
 
 
 def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
-    """Build the binomial successor q^alpha - f of minimal alpha.
+    """Build the binomial successor q^alpha - c*f of minimal alpha.
 
-    Returns (successor, certificate). The witness monomial has coefficient
-    one; the residue is 1 under the tower's monomial-split semantics.
+    Returns (successor, certificate). The witness f is a monomial with
+    coefficient one times key powers, and c is the residue of q^alpha/f.
+    When no key of the spec lies above q that residue is transcendental
+    and MacLane leaves it free: c is then 1.
     ``value``, when given, is the caller's value of q, not computed again.
     """
     if q.is_zero():
@@ -283,8 +287,12 @@ def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
         if alpha2 != alpha:
             raise
         f, mono, key_part = _build_witness(sub, solution2, width, q)
-    residue = 1
-    successor = q**alpha - f.scale(residue)
+    power = q**alpha
+    try:
+        residue = normal_rational(residue_of_unit(spec, RationalFunction(to_multipoly(power), to_multipoly(f)))[0])
+    except TranscendentalResidue:
+        residue = 1
+    successor = power - f.scale(residue)
     cert = SuccessorCertificate(
         kind="optimal",
         alpha=alpha,
@@ -304,7 +312,6 @@ class VerifyReport:
     alpha: int | None
     truncated: object
     value: object
-    leading_is_one: bool
 
 
 def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice) -> VerifyReport:
@@ -328,7 +335,7 @@ def verify_immediate_successor(spec, q1: UniPoly, q2: UniPoly, lattice: Lattice)
     passed = value_check and degree_check
     if passed and not leading:
         raise CertificationError("verified successor with non-monic leading expansion coefficient")
-    return VerifyReport(passed, value_check, degree_check, alpha, rep.value, v2, leading)
+    return VerifyReport(passed, value_check, degree_check, alpha, rep.value, v2)
 
 
 def check_limit_successor(spec, q: UniPoly, q_prime: UniPoly):

@@ -16,8 +16,15 @@ values each nonzero expansion coefficient, or an input below the key's
 degree, by calling the base's rule directly. The shared checks are made
 once, where the input enters: the coefficients have the input's width and
 are tested for zero on the way. On top of the specs: epsilon reports,
-truncation reports, and non-degeneracy against a frame's monomial
-valuation.
+truncation reports, residues of value-zero elements, and non-degeneracy
+against a frame's monomial valuation.
+
+Residues are exact rationals read off coefficient comparisons: a candidate
+is the ratio of a coefficient shared by numerator and denominator at some
+level of the tower, accepted only when an exact value computation certifies
+v(h - c) > 0. ``residue_of_unit`` is their one source, for every equal-value
+blow-up step and every successor ``q^alpha - c*f``; without a rational
+residue it raises ``TranscendentalResidue``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
+from .errors import (
+    NonMonicKey,
+    NonUnitFactor,
+    RankMismatch,
+    TranscendentalResidue,
+    UnknownVariable,
+    ZeroPolynomial,
+)
 from .exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -34,6 +48,7 @@ from .exact_algebra import (
     divided_derivative,
     ev_leq,
     q_expansion,
+    to_multipoly,
     to_unipoly,
 )
 from .ordered_value import (
@@ -100,8 +115,6 @@ class Monomial(_Spec):
     width n-1 use the first n-1 weights for their coefficients.
     """
 
-    kind = "monomial"
-
     def __init__(self, group: ValueGroup, weights: Sequence[GroupElement]):
         weights = tuple(weights)
         if not weights:
@@ -136,8 +149,6 @@ class Monomial(_Spec):
 class Augmented(_Spec):
     """Augmentation of ``base`` along ``key``: the assigned value exceeds the
     key's base value at the base's rank, or is e_0 one rank up (``lifts``)."""
-
-    kind = "augmented"
 
     def __init__(self, base, key: UniPoly, assigned: GroupElement):
         if key.degree < 1 or not key.is_monic():
@@ -253,6 +264,59 @@ def truncated_value(spec, q: UniPoly, p: UniPoly) -> TruncationReport:
             best = t
     S = tuple(j for j, t in enumerate(terms) if compare(t, best) == 0)
     return TruncationReport(best, S, max(S), tuple(terms))
+
+
+def _multipoly_or_none(p):
+    if isinstance(p, MultiPoly):
+        return p
+    if isinstance(p, UniPoly):
+        if all(c.is_laurent_free() for c in p.coeffs):
+            return to_multipoly(p)
+    return None
+
+
+def _residue_candidates(spec, A, B) -> set:
+    """Rational candidates for the residue of A/B, every level of the tower."""
+    out: set = set()
+    Am, Bm = _multipoly_or_none(A), _multipoly_or_none(B)
+    if Am is None or Bm is None:
+        return out
+    for e in set(Am.terms) & set(Bm.terms):
+        out.add(Fraction(Am.terms[e], Bm.terms[e]))
+    if isinstance(spec, Augmented) and Am.is_laurent_free() and Bm.is_laurent_free():
+        pa = q_expansion(to_unipoly(Am), spec.key)
+        pb = q_expansion(to_unipoly(Bm), spec.key)
+        for j in range(min(len(pa), len(pb))):
+            if not pa[j].is_zero() and not pb[j].is_zero():
+                out |= _residue_candidates(spec.base, pa[j], pb[j])
+    return out
+
+
+def residue_of_unit(spec, h) -> tuple:
+    """Exact rational residue c of a value-zero element, with v(h - c).
+
+    The residue is the unique rational with v(h - c) > 0; candidates come
+    from shared monomials of numerator and denominator at every
+    key-expansion level. The value returned with it is the one that
+    certified it, plus infinity when h is the constant c.
+    """
+    if isinstance(h, MultiPoly):
+        h = RationalFunction(h)
+    # a folded Laurent numerator hides the shared supports; unfold it
+    num, den = h.laurent_free()
+    vden = spec.value(den)
+    if compare(spec.value(num), vden) != 0:
+        raise NonUnitFactor("residue of an element with nonzero value")
+    for c in sorted(_residue_candidates(spec, num, den)):
+        if c == 0:
+            continue
+        shifted = num - den * c
+        if shifted.is_zero():
+            return c, PLUS_INFINITY
+        v = spec.value(shifted) - vden
+        if v.is_positive():
+            return c, v
+    raise TranscendentalResidue("no rational residue matches the element")
 
 
 def minimalize_monomials(exponents) -> list:

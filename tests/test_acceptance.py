@@ -22,7 +22,9 @@ from valmono.exact_algebra import (
     RationalFunction,
     UniPoly,
     divided_derivative,
+    ev_gcd,
     ev_leq,
+    ev_sub,
     euclid_div,
 )
 from valmono.ordered_value import MINUS_INFINITY, add, compare, standard_group
@@ -207,7 +209,11 @@ def test_criterion_5_binomial_package():
         for _, units in (fy, fz):
             for upb, power in units:
                 assert compare(NU3.value(upb), zero) == 0 and power != 0
-        assert all(r["gcd"] == 1 for r in pkg.reports)
+        # the reduced exponent difference stays primitive at every step
+        a, g = pkg.problem.delta, pkg.problem.gamma
+        for s in pkg.steps:
+            assert ev_gcd(ev_sub(g, a)) == 1
+            a, g = transform_exponents(a, [s]), transform_exponents(g, [s])
         EMITTED.append(("package", pkg.frame))
 
 

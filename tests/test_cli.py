@@ -78,6 +78,29 @@ def test_successor_build_and_check(specs, capsys):
     capsys.readouterr()
 
 
+# ROADMAP item 6's first grid row: the successor of z is z - c*x, c the residue of z/x
+GRID_ROW_1 = {
+    "group": {"generators": ["1"]},
+    "vars": ["x", "z"],
+    "val": {
+        "kind": "augmented",
+        "base": {"kind": "monomial", "weights": {"x": "1", "z": "1"}},
+        "key": "z - 2*x",
+        "value": "3/2",
+    },
+}
+
+
+def test_a_successor_residue_other_than_one(tmp_path, capsys):
+    problem = tmp_path / "grid1.json"
+    problem.write_text(json.dumps(GRID_ROW_1))
+    assert main(["successor", "--spec", str(problem), "--key", "z", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["successor"], payload["residue"]) == ("z - 2*x", "2")
+    assert main(["monomialize", "--spec", str(problem), "--poly", "z - 2*x", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 1
+
+
 def test_divide_trace_and_dot(specs, capsys):
     trace = specs["dir"] / "div.jsonl"
     rc = main(

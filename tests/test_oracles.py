@@ -8,6 +8,8 @@ code with it (the helpers in ``arc_oracle.py``).
   of depth 1 to 4, value seeded key sums as their arcs do, and
   ``residue_of_unit`` finds a rational residue exactly where the two
   initial forms on the arc are proportional.
+* ``monomialize`` on every key of twenty generated towers has a pinned
+  outcome, and each failure names the ROADMAP item behind it.
 * Monomializing z^p - x^q under an augmentation of the monomial valuation
   x -> p, z -> q takes as many blow-ups as the partial quotients of q/p sum
   to: the steps run the Euclidean algorithm on (p, q).
@@ -19,12 +21,11 @@ from math import gcd, prod
 
 from arc_oracle import initial_form, oracle_value, predicted_steps, residue_is_rational, tower_from_puiseux
 
-from valmono.errors import TranscendentalResidue
+from valmono.errors import CertificationError, ResidueUndefined, TranscendentalResidue
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly
 from valmono.ordered_value import standard_group
 from valmono.orchestrator import monomialize, steps_used
-from valmono.puiseux import residue_of_unit
-from valmono.valuation_core import Augmented, Monomial
+from valmono.valuation_core import Augmented, Monomial, residue_of_unit
 
 SEED = 20261019
 
@@ -191,6 +192,40 @@ def test_residue_verdicts_match_the_arc():
             verdicts.append(rational)
     # both verdicts are exercised
     assert (verdicts.count(True), len(verdicts)) == (39, 100)
+
+
+# the outcome of monomialize on each key of the towers drawn alone from
+# Random(SEED + 3): a step count where it certifies (29 of the 50 keys), else
+# the narrow error.
+# Every failure is ROADMAP item 9's: the echelon solver's witness for a key
+# past the second (DEGREE, NEGATIVE), and the key step after it (NO_CONSTANT)
+DEGREE = (ResidueUndefined, "witness degree reaches the key degree")
+NEGATIVE = (ResidueUndefined, "witness requires a negative key power")
+NO_CONSTANT = (CertificationError, "unit without constant term")
+GENERATED_OUTCOMES = [
+    (0,), (0, DEGREE), (1, NO_CONSTANT, DEGREE), (1, 4, DEGREE, DEGREE),
+    (0,), (0, 2), (0, DEGREE, DEGREE), (0, 3, DEGREE, DEGREE),
+    (0,), (0, 3), (2, 4, DEGREE), (2, 5, DEGREE, DEGREE),
+    (0,), (0, NEGATIVE), (1, DEGREE, DEGREE), (2, 4, DEGREE, DEGREE),
+    (2,), (0, 3), (0, DEGREE, DEGREE), (0, 3, DEGREE, DEGREE),
+]
+
+
+def test_generated_tower_keys_monomialize_as_pinned():
+    outcomes = []
+    for _arc, spec, keys in _generated_towers(random.Random(SEED + 3), 20):
+        row = []
+        for key in keys:
+            try:
+                out = monomialize(spec, key, 10_000, names=["x", "z"])
+            except (ResidueUndefined, CertificationError) as exc:
+                row.append((type(exc), str(exc)))
+                continue
+            T = RationalFunction(out.monomial()) * out.unit
+            assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(key))
+            row.append(steps_used(out.state))
+        outcomes.append(tuple(row))
+    assert outcomes == GENERATED_OUTCOMES
 
 
 def test_level_one_step_count_is_the_partial_quotient_sum():

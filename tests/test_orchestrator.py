@@ -553,16 +553,117 @@ def test_chain_extends_from_a_prefix():
     assert _chain_for(NU3, Q, NAMES, chain) == chain
 
 
-def test_chain_stalls_raise_limit_required():
+def _assert_certified(spec, f, out):
+    """The pullback identity, the value and the replayed step count of one run."""
+    T = RationalFunction(out.monomial()) * out.unit
+    assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(f))
+    assert compare(out.value, spec.value(f)) == 0
+    report = replay_trace(trace_records(out.frame))
+    assert report["ok"] and report["steps"] == steps_used(out.state)
+
+
+def test_a_successor_takes_its_residue_from_the_valuation():
+    # the successor of u is u - c*x^4 with c the residue of u/x^4, here -1: it
+    # is the key u + x^4 itself
     xx = MultiPoly.variable(1, 0)
     U = UniPoly.x(1)
     base = Monomial(G, [el((1,)), el((0, 1))])
-    spec_u4 = Augmented(base, U, el((4,)))
     P2 = U + UniPoly.constant(1, xx**4)
-    spec = Augmented(spec_u4, P2, el((5,)))
-    # the binomial successors u - c*x^4 never reach epsilon(P2): limit point
-    with pytest.raises(LimitSuccessorRequired):
-        monomialize(spec, P2, 10_000, names=["x", "u"])
+    spec = Augmented(Augmented(base, U, el((4,))), P2, el((5,)))
+    out = monomialize(spec, P2, 10_000, names=["x", "u"])
+    _assert_certified(spec, P2, out)
+    link = out.state.chain[-1]
+    assert link.key == P2 and link.certificate.residue == -1
+    assert (steps_used(out.state), out.exponents) == (4, (4, 1))
+
+
+def test_chain_stalls_raise_limit_required():
+    # under the key z^2 + x^2, z/x has no rational residue (y^2 + 1 has no
+    # rational root): the binomial successors z - x never dominate the key, and
+    # the chain stops at its fixed cap (ROADMAP item 21; the cap is item 14)
+    key = Z**2 + UniPoly.constant(1, XZ**2)
+    spec = Augmented(Monomial(G, [el((1,)), el((1,))]), key, el((3,)))
+    with pytest.raises(LimitSuccessorRequired, match="no key within 32 successors"):
+        monomialize(spec, key, 10_000, names=["x", "z"])
+
+
+def _z(p):
+    return UniPoly.constant(1, p)
+
+
+# ROADMAP item 6's grid: weights of x and z, the key, its assigned value and the
+# inputs beside the key; every key's successor residue differs from 1
+RESIDUE_GRID = {
+    "z-2x": ((1, 1), Z - _z(XZ * 2), Fraction(3, 2), []),
+    "z^2-5x^3": ((2, 3), Z**2 - _z(XZ**3 * 5), 7, []),
+    "z^2+x^3": ((2, 3), Z**2 + _z(XZ**3), 7, []),
+    "z^2-7/3x^3": ((2, 3), Z**2 - _z(XZ**3 * Fraction(7, 3)), Fraction(19, 3), []),
+    "z+4x^2": ((1, 2), Z + _z(XZ**2 * 4), 3, []),
+    "z^3-2x^2": ((3, 2), Z**3 - _z(XZ**2 * 2), Fraction(13, 2), [_z(XZ**3)]),
+}
+
+
+def _grid_cases():
+    for name, (weights, key, value, tails) in RESIDUE_GRID.items():
+        spec = Augmented(Monomial(G, [el((w,)) for w in weights]), key, el((value,)))
+        yield name, spec, key
+        for tail in tails:
+            yield f"{name}+tail", spec, key + tail
+    # the README tower's second key with a residue other than 1
+    for name, key in (("K2=z^2-2x^3", Z**2 - _z(XZ**3 * 2)), ("K2=z^2+3x^3", Z**2 + _z(XZ**3 * 3))):
+        spec = Augmented(S1, key, el((Fraction(13, 4),)))
+        yield name, spec, key
+        yield f"{name}+x^4", spec, key + _z(XZ**4)
+
+
+GRID_CASES = list(_grid_cases())
+GRID_STEPS = {
+    "z-2x": 1, "z^2-5x^3": 3, "z^2+x^3": 3, "z^2-7/3x^3": 3, "z+4x^2": 2, "z^3-2x^2": 3, "z^3-2x^2+tail": 4,
+    "K2=z^2-2x^3": 3, "K2=z^2-2x^3+x^4": 4, "K2=z^2+3x^3": 3, "K2=z^2+3x^3+x^4": 4,
+}
+
+
+@pytest.mark.parametrize("name, spec, f", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_keys_with_a_residue_other_than_one_certify(name, spec, f):
+    out = monomialize(spec, f, 10_000, names=["x", "z"])
+    _assert_certified(spec, f, out)
+    assert steps_used(out.state) == GRID_STEPS[name]
+
+
+def _arc_tower(depth: int):
+    """s_n = Augmented(s_{n-1}, z - phi_n, n + 1) over Monomial(x:1, z:1),
+    phi_n = x + x^2/2 + ... + x^n/n; the residue of (z - phi_{n-1})/x^n is 1/n."""
+    spec, keys = Monomial(G, [el((1,)), el((1,))]), []
+    for n in range(1, depth + 1):
+        keys.append(Z - _z(sum((XZ**i * Fraction(1, i) for i in range(2, n + 1)), XZ)))
+        spec = Augmented(spec, keys[-1], el((n + 1,)))
+    return spec, keys
+
+
+ARC3 = _arc_tower(3)
+ARC40 = _arc_tower(40)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_depth_three_arc_tower_certifies(k):
+    spec, keys = ARC3
+    out = monomialize(spec, keys[k - 1], 10_000, names=["x", "z"])
+    _assert_certified(spec, keys[k - 1], out)
+    assert [link.certificate.residue for link in out.state.chain[1:]] == [Fraction(1, n) for n in range(1, k + 1)]
+
+
+def test_a_thirty_two_link_arc_chain_certifies():
+    spec, keys = ARC40
+    out = monomialize(spec, keys[30], 10_000, names=["x", "z"])
+    _assert_certified(spec, keys[30], out)
+    assert len(out.state.chain) == 32 and steps_used(out.state) == 31
+
+
+def test_the_fixed_chain_cap_stops_the_arc_tower_at_thirty_two():
+    # z - phi_32 needs a 33rd link: the fixed cap raises a false limit (ROADMAP item 14)
+    spec, keys = ARC40
+    with pytest.raises(LimitSuccessorRequired, match="no key within 32 successors"):
+        monomialize(spec, keys[31], 10_000, names=["x", "z"])
 
 
 @pytest.mark.parametrize(

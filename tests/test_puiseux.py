@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from valmono import puiseux
-from valmono.blowup_engine import Frame, forward_image, transport
+from valmono.blowup_engine import Frame, forward_image, tau, transform_exponents, transport
 from valmono.errors import (
     CertificationError,
     DeltaNotOne,
@@ -21,7 +21,7 @@ from valmono.errors import (
     ResidueFieldExtension,
     TranscendentalResidue,
 )
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_gcd, ev_sub
 from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
     make_problem,
@@ -108,6 +108,16 @@ def test_make_problem_golden_fields():
     assert prob.target_value == el((1,), (0,))
 
 
+def _reduced_pairs(pkg) -> list:
+    """(tau, difference, its gcd) of the package's exponent pair before each step."""
+    out, a, g = [], pkg.problem.delta, pkg.problem.gamma
+    for s in pkg.steps:
+        d = ev_sub(g, a)
+        out.append((tau(a, g)[0], d, ev_gcd(d)))
+        a, g = transform_exponents(a, [s]), transform_exponents(g, [s])
+    return out
+
+
 def test_package_golden_run():
     fr = tower_frame()
     pkg = puiseux_package(fr, NU3, f=Q3, new_name="t")
@@ -122,9 +132,10 @@ def test_package_golden_run():
     assert [s.J for s in pkg.steps] == [(0, 2), (1, 2), (1, 2)]
     assert [s.j for s in pkg.steps] == [0, 2, 1]
     assert [s.monomial for s in pkg.steps] == [True, True, False]
-    assert [r["tau"] for r in pkg.reports] == [(2, 3), (1, 2), (1, 1)]
-    assert [r["diff"] for r in pkg.reports] == [(2, 1, -2), (0, 1, -2), (0, 1, -1)]
-    assert [r["gcd"] for r in pkg.reports] == [1, 1, 1]
+    reduced = _reduced_pairs(pkg)
+    assert [r[0] for r in reduced] == [(2, 3), (1, 2), (1, 1)]
+    assert [r[1] for r in reduced] == [(2, 1, -2), (0, 1, -2), (0, 1, -1)]
+    assert [r[2] for r in reduced] == [1, 1, 1]
     # final parameter values, the new one carrying the relation drop
     assert pkg.frame.betas[0] == el((0,), (1,))
     assert pkg.frame.betas[1] == el((0,), (0, 1))
@@ -151,7 +162,7 @@ def test_package_certificate_clauses():
     assert upb == RationalFunction(MultiPoly(3, {(0, 0, 2): 1}), MultiPoly(3, {(2, 1, 0): 1}))
     assert compare(NU3.value(upb), zero) == 0
     # gcd of the reduced difference stays 1 at every step
-    assert all(r["gcd"] == 1 for r in pkg.reports)
+    assert all(r[2] == 1 for r in _reduced_pairs(pkg))
     # the relation lattice of the entry values is generated by the binomial
     assert relation_lattice([fr.betas[0], fr.betas[1], fr.betas[2]]) == [(2, 1, -2)]
 

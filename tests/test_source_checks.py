@@ -2,7 +2,8 @@
 only ``ordered_value`` builds a scalar that skips canonicalisation, no module
 writes into a polynomial's ``terms`` map (every fraction with denominator 1 shares
 one polynomial 1 per width), equal-value residue data has one source besides
-recorded traces: the valuation driver, only rational functions are divided
+recorded traces: the valuation driver, every residue is read by
+``valuation_core.residue_of_unit``, only rational functions are divided
 with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
 in ``ordered_value`` builds no ``Fraction``, frames are built only where their
 values are proved positive, no module reads the environment (every setting
@@ -469,6 +470,114 @@ def test_the_spec_guards_see_each_form(tmp_path):
     )
     assert _spec_classes(sample) == ["A", "B", "C"]
     assert _string_constants(sample, "composite") == ["sample.py:2", "sample.py:10"]
+
+
+_RESIDUE_RULE = ("residue_of_unit", "_residue_candidates")
+
+
+def _numeric_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _residue_sites(path: Path) -> list:
+    """Where one source file defines, imports or fixes a residue: each definition
+    of ``residue_of_unit`` or its candidate search, each import of
+    ``residue_of_unit`` with the definition that holds it, and each number bound
+    to a name or keyword ``residue``, with the exception handler around it."""
+    found = []
+
+    def visit(node, owner, handler):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+            if node.name in _RESIDUE_RULE:
+                found.append(f"{path.stem}.{owner}: def")
+        elif isinstance(node, ast.ExceptHandler):
+            handler = ast.unparse(node.type) if node.type is not None else "everything"
+        where = f"{path.stem}.{owner or '<module>'}"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.endswith("residue_of_unit") for a in node.names):
+            origin = "." * getattr(node, "level", 0) + (getattr(node, "module", None) or "")
+            found.append(f"{where}: import residue_of_unit" + (f" from {origin}" if origin else ""))
+        bound = []
+        if isinstance(node, ast.Assign):
+            bound = [(t, node.value) for t in node.targets if isinstance(t, ast.Name) and t.id == "residue"]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and getattr(node.target, "id", None) == "residue":
+            bound = [(node.target, node.value)]
+        elif isinstance(node, ast.keyword) and node.arg == "residue":
+            bound = [(node, node.value)]
+        for _, value in bound:
+            if value is not None and _numeric_literal(value):
+                found.append(f"{where}: residue = {ast.unparse(value)}" + (f" in except {handler}" if handler else ""))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, handler)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "", None)
+    return found
+
+
+def _class_bindings(path: Path, name: str) -> list:
+    """``Class:line`` for every class body in one source file that binds ``name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                    found.append(f"{node.name}:{stmt.lineno}")
+    return found
+
+
+def test_the_valuation_owns_the_residue_rule():
+    # every residue, of an equal-value step or of a successor q^alpha - c*f, is
+    # read by valuation_core.residue_of_unit; a successor keeps 1 only where
+    # MacLane leaves the residue free, and a spec's shape is its class, not a tag
+    package = Path(valmono.__file__).parent
+    found = sorted(hit for path in sorted(package.glob("*.py")) for hit in _residue_sites(path))
+    assert found == [
+        "puiseux.<module>: import residue_of_unit from .valuation_core",
+        "successors.<module>: import residue_of_unit from .valuation_core",
+        "successors.next_successor: residue = 1 in except TranscendentalResidue",
+        "valuation_core._residue_candidates: def",
+        "valuation_core.residue_of_unit: def",
+    ], "read residues with valuation_core.residue_of_unit: " + ", ".join(found)
+    assert _class_bindings(package / "valuation_core.py", "kind") == []
+
+
+def test_the_residue_rule_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .valuation_core import residue_of_unit\n"
+        "def residue_of_unit(spec, h):\n"
+        "    def _residue_candidates():\n"
+        "        from valmono.puiseux import residue_of_unit as r\n"
+        "    residue = 1\n"
+        "    try:\n"
+        "        residue: int = -2\n"
+        "    except (TranscendentalResidue, ValueError):\n"
+        "        residue = 1.5\n"
+        "    except Exception:\n"
+        "        return Cert(residue=3, alpha=1), f(residue=c)\n"
+        "    residue, other = 1, 2\n"
+        "class Spec:\n"
+        "    kind = 'monomial'\n"
+        "    kind: str = 'augmented'\n"
+        "    def m(self, kind='x'):\n"
+        "        import valmono.valuation_core.residue_of_unit\n"
+        "        self.kind = kind\n"
+    )
+    assert _residue_sites(sample) == [
+        "sample.<module>: import residue_of_unit from .valuation_core",
+        "sample.residue_of_unit: def",
+        "sample.residue_of_unit._residue_candidates: def",
+        "sample.residue_of_unit._residue_candidates: import residue_of_unit from valmono.puiseux",
+        "sample.residue_of_unit: residue = 1",
+        "sample.residue_of_unit: residue = -2",
+        "sample.residue_of_unit: residue = 1.5 in except (TranscendentalResidue, ValueError)",
+        "sample.residue_of_unit: residue = 3 in except Exception",
+        "sample.Spec.m: import residue_of_unit",
+    ]
+    assert _class_bindings(sample, "kind") == ["Spec:14", "Spec:15"]
 
 
 def test_the_shared_one_survives_the_readme_problem():
