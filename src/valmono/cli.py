@@ -173,7 +173,7 @@ def _cmd_successor(args, names, spec):
         if not rep.passed:
             return payload, lines, "successor verification failed"
         return payload, lines
-    succ, cert = next_successor(spec, q, lattice)
+    succ, cert, _ = next_successor(spec, q, lattice)
     text = format_unipoly(succ, names[:-1], names[-1])
     payload = {
         "verb": "successor",

@@ -236,7 +236,8 @@ def _run_key(state: MasterState) -> MasterState:
     else:
         exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, prev.value)
         fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
-        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos)
+        power = to_multipoly(prev.key**link.certificate.alpha)
+        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(power, link))
         # the package's binomial pulls back to the new key, so both values agree
         if compare(pkg.problem.target_value, link.value) != 0:
             raise CertificationError("the package's binomial value differs from its key's value")
@@ -282,8 +283,8 @@ def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) ->
     ``links`` is a chain to extend; by default the chain starts at u_n.
     ``weights`` are the values of the coefficient variables, and ``value``
     the value of f, when the caller has them already. Each new link is
-    valued once, here; the lattice generators, epsilon of the keys and the
-    next successor read the value from the link.
+    valued once, by its successor's residue search; the lattice generators,
+    epsilon, the next successor and the key's package read it from the link.
     """
     z = UniPoly.x(f.width)
     chain = list(links) if links else [ChainLink(z, None, spec.value(z))]
@@ -303,11 +304,11 @@ def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) ->
                 f"no key within {MAX_CHAIN} successors dominates the target invariant"
             )
         try:
-            succ, cert = next_successor(spec, last.key, lattice, last.value)
+            link = ChainLink(*next_successor(spec, last.key, lattice, last.value))
         except MaximalKey as exc:
             raise LimitSuccessorRequired(str(exc)) from exc
         lattice = lattice.extended(LatticeGenerator(f"Q{len(chain)}", last.value, kind="key", key=last.key))
-        chain.append(ChainLink(succ, cert, spec.value(succ)))
+        chain.append(link)
 
 
 def _initial_frame(spec, names, weights=None) -> Frame:
@@ -508,11 +509,23 @@ def _link_json(link: ChainLink, names) -> dict:
 
 
 def _links_from(objs, group, spec, names) -> list:
-    """Chain links in order, each key valued once; each certificate is checked against the key before it."""
+    """Chain links in order, each key valued once; each link but the first has a certificate that fits both keys."""
     links = []
     for obj in objs:
-        cert = None if obj["certificate"] is None else _cert_from(obj["certificate"], group, names, links[-1].value)
+        raw = obj["certificate"]
+        cert = None if raw is None and not links else _cert_from(raw, group, names, links[-1].value)
         key = parse_unipoly(obj["key"], names)
+        if cert is not None and cert.kind != "limit":
+            prev, keys = links[-1].key, {f"Q{i}": link.key for i, link in enumerate(links, 1)}  # Q_i: link i - 1
+            # degrees first, so that no power is expanded past the key's own size
+            f_degree = sum(keys[label].degree * power for label, power in cert.key_powers)
+            if prev.degree * cert.alpha != key.degree or f_degree >= key.degree:
+                raise ParseError(f"chain key {obj['key']!r} does not have its certificate's degrees")
+            f = UniPoly.constant(key.width, cert.monomial)
+            for label, power in cert.key_powers:
+                f = f * keys[label] ** power
+            if key != prev**cert.alpha - f.scale(cert.residue):
+                raise ParseError(f"chain key {obj['key']!r} is not the successor its certificate builds")
         links.append(ChainLink(key, cert, spec.value(key)))
     return links
 

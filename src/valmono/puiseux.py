@@ -6,8 +6,9 @@ until the element factors as monomial times certified unit. All steps but the
 last are combinatorial; the last one creates the new dependent parameter,
 whose shifted quotient carries the residue of the binomial relation.
 
-Every equal-value step, the package's terminal one included, takes its
-residue through ``valuation_driver`` from ``valuation_core.residue_of_unit``.
+Every equal-value step takes its residue through ``valuation_driver`` from
+``valuation_core.residue_of_unit``, but a key package's terminal step whose
+quotient is exactly the chain link's q^alpha/f takes the link's certified one.
 """
 
 from __future__ import annotations
@@ -57,14 +58,24 @@ from .valuation_core import residue_of_unit
 # -- equal-value step data --------------------------------------------------
 
 
-def valuation_driver(spec, new_name=None):
+def valuation_driver(spec, new_name=None, link=None):
     """Equal-value step data taken straight from the valuation's residues.
 
     A new parameter is called ``new_name`` while no parameter has that name.
+    With ``link``, a key step's (q^alpha, chain link of Q' = q^alpha - c*f), a unit
+    h with h*(q^alpha - Q') == c*q^alpha takes c and v(Q') - v(f) when that is
+    positive; ``check_frame_values`` values h - c before any unit is accepted.
     """
+    if link is not None:
+        power, succ = link
+        c_link, v_link = succ.certificate.residue, succ.value - succ.certificate.base_value
+        c_f, c_power = power - to_multipoly(succ.key), power * c_link
 
     def driver(fr, q, j, h):
-        c, v = residue_of_unit(spec, h)
+        if link is not None and v_link.is_positive() and h.num * c_f == h.den * c_power:
+            c, v = c_link, v_link
+        else:
+            c, v = residue_of_unit(spec, h)
         if is_sentinel(v):
             raise CertificationError("shifted quotient value is not positive")
         return CStepData(c, v, new_name if new_name not in fr.names else None)
@@ -148,11 +159,12 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> Puise
     element = term_rfs[0] + term_rfs[1]
     if element.is_zero():
         raise NonBinomialInput("the two terms cancel exactly")
-    v1 = spec.value(frame.pullback_of(term_rfs[0]))
-    v2 = spec.value(frame.pullback_of(term_rfs[1]))
-    if compare(v1, v2) != 0:
+    # the pullback is a ring map: the element's is the sum of the terms'
+    p1, p2 = (frame.pullback_of(r) for r in term_rfs)
+    v1 = spec.value(p1)
+    if compare(v1, spec.value(p2)) != 0:
         raise CertificationError("binomial terms must share their value")
-    target = spec.value(frame.pullback_of(element))
+    target = spec.value(p1 + p2)
     if compare(target, v1) <= 0:
         raise CertificationError("the binomial carries no cancellation under the valuation")
 
@@ -189,15 +201,15 @@ def _parallel_ratio(m, rel):
     return t if t is not None else Fraction(0)
 
 
-def _package_driver(problem: PuiseuxProblem, new_name):
-    """The valuation driver, naming the new parameter ``new_name``.
+def _package_driver(problem: PuiseuxProblem, new_name, link):
+    """The valuation driver, naming the new parameter ``new_name``, of the key step ``link``.
 
     A quotient without a rational residue whose pullback exponent is a
     rational multiple t of the binomial relation raises
     ``ResidueFieldExtension``: its residue is a root of order t's
     denominator.
     """
-    driver = valuation_driver(problem.spec, new_name)
+    driver = valuation_driver(problem.spec, new_name, link)
 
     def package_driver(fr: Frame, q: int, j: int, h: RationalFunction):
         try:
@@ -233,7 +245,7 @@ class PuiseuxPackage:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_name=None) -> PuiseuxPackage:
+def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_name=None, link=None) -> PuiseuxPackage:
     """Resolve a decorated binomial into monomial times unit.
 
     Certifies the package shape: every step but the last is combinatorial,
@@ -242,7 +254,7 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     """
     problem = make_problem(frame, spec, f=f, parts=parts, position=position)
     start = len(frame.history)
-    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, new_name))
+    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, new_name, link))
     if result.divider != "equal":
         raise CertificationError("the package did not collapse the binomial")
     fr = result.frame

@@ -4,7 +4,7 @@ The lattice solver answers "what is the least multiple of this value that
 the already-available values generate", by exact integer echelon reduction.
 On top of it: binomial successor construction, successor verification
 and the limit test. A successor's residue is the valuation's, read by
-``valuation_core.residue_of_unit``.
+``valuation_core._residue_search`` from the pair (q^alpha, f).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .errors import (
     TranscendentalResidue,
     ZeroPolynomial,
 )
-from .exact_algebra import MultiPoly, RationalFunction, UniPoly, normal_rational, q_expansion, to_multipoly
+from .exact_algebra import MultiPoly, UniPoly, normal_rational, q_expansion
 from .ordered_value import GroupElement, compare, is_sentinel
-from .valuation_core import residue_of_unit, truncated_value
+from .valuation_core import _residue_search, truncated_value
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,10 @@ def _build_witness(lattice: Lattice, solution, width: int, q: UniPoly):
 def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
     """Build the binomial successor q^alpha - c*f of minimal alpha.
 
-    Returns (successor, certificate). The witness f is a monomial with
-    coefficient one times key powers, and c is the residue of q^alpha/f.
+    Returns (successor, certificate, value of the successor). The witness f
+    is a Laurent monomial with coefficient one times key powers, and c is the
+    residue of q^alpha/f, of value alpha*v(q) by the solver's cross-check:
+    the shifted numerator that certifies c is the successor.
     When no key of the spec lies above q that residue is transcendental
     and MacLane leaves it free: c is then 1.
     ``value``, when given, is the caller's value of q, not computed again.
@@ -288,10 +290,15 @@ def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
             raise
         f, mono, key_part = _build_witness(sub, solution2, width, q)
     power = q**alpha
+    # the search needs polynomials: m clears f's negative exponents, and m*Q' is its shifted numerator
+    m = UniPoly.constant(width, MultiPoly.monomial(width, [max(0, -a) for a in next(iter(mono.terms))]))
+    num, den, v_m = (power, f, v * 0) if mono.is_laurent_free() else (power * m, f * m, spec.value(m))
     try:
-        residue = normal_rational(residue_of_unit(spec, RationalFunction(to_multipoly(power), to_multipoly(f)))[0])
+        residue, succ_value = _residue_search(spec, num, den, v * alpha + v_m)
     except TranscendentalResidue:
         residue = 1
+        succ_value = None
+    residue = normal_rational(residue)
     successor = power - f.scale(residue)
     cert = SuccessorCertificate(
         kind="optimal",
@@ -301,7 +308,7 @@ def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
         residue=residue,
         base_value=v * alpha,
     )
-    return successor, cert
+    return successor, cert, spec.value(successor) if succ_value is None else succ_value - v_m
 
 
 @dataclass

@@ -22,9 +22,10 @@ against a frame's monomial valuation.
 Residues are exact rationals read off coefficient comparisons: a candidate
 is the ratio of a coefficient shared by numerator and denominator at some
 level of the tower, accepted only when an exact value computation certifies
-v(h - c) > 0. ``residue_of_unit`` is their one source, for every equal-value
-blow-up step and every successor ``q^alpha - c*f``; without a rational
-residue it raises ``TranscendentalResidue``.
+v(h - c) > 0. ``_residue_search`` is their one source: ``residue_of_unit``
+asks it for every equal-value blow-up step, and ``next_successor`` on the pair
+(q^alpha, f) of every successor q^alpha - c*f; without a rational residue it
+raises ``TranscendentalResidue``.
 """
 
 from __future__ import annotations
@@ -292,6 +293,20 @@ def _residue_candidates(spec, A, B) -> set:
     return out
 
 
+def _residue_search(spec, num, den, value) -> tuple:
+    """The residue c of polynomials num/den, both of value ``value``, with v(num - c*den), infinite where zero."""
+    for c in sorted(_residue_candidates(spec, num, den)):
+        if c == 0:
+            continue
+        shifted = num - den * c
+        if shifted.is_zero():
+            return c, PLUS_INFINITY
+        v = spec.value(shifted)
+        if (v - value).is_positive():
+            return c, v
+    raise TranscendentalResidue("no rational residue matches the element")
+
+
 def residue_of_unit(spec, h) -> tuple:
     """Exact rational residue c of a value-zero element, with v(h - c).
 
@@ -307,16 +322,8 @@ def residue_of_unit(spec, h) -> tuple:
     vden = spec.value(den)
     if compare(spec.value(num), vden) != 0:
         raise NonUnitFactor("residue of an element with nonzero value")
-    for c in sorted(_residue_candidates(spec, num, den)):
-        if c == 0:
-            continue
-        shifted = num - den * c
-        if shifted.is_zero():
-            return c, PLUS_INFINITY
-        v = spec.value(shifted) - vden
-        if v.is_positive():
-            return c, v
-    raise TranscendentalResidue("no rational residue matches the element")
+    c, v = _residue_search(spec, num, den, vden)
+    return c, v - vden
 
 
 def minimalize_monomials(exponents) -> list:

@@ -94,7 +94,7 @@ def test_criterion_1_golden_values():
 def test_criterion_2_successor_suite():
     with criterion(2, "successor construction and verification", limit=1.0):
         lat = Lattice.from_variables(["x", "y"], [el((1,)), el((0, 2))])
-        succ, cert = next_successor(NU2, X, lat)
+        succ, cert, _ = next_successor(NU2, X, lat)
         assert succ.degree == 2 and succ.degree == 2 * X.degree
         # two terms: X^2 and a rational multiple of x^2 y
         assert succ.coeffs[1].is_zero() and not succ.coeffs[0].is_zero()

@@ -101,6 +101,28 @@ def test_a_successor_residue_other_than_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["steps"] == 1
 
 
+# the witness of z's successor is the Laurent monomial y/x: the residue search
+# clears its negative exponent, and the residue is still the valuation's
+LAURENT_WITNESS = {
+    "group": {"generators": ["1"]},
+    "vars": ["x", "y", "z"],
+    "val": {
+        "kind": "augmented",
+        "base": {"kind": "monomial", "weights": {"x": "2", "y": "3", "z": "1"}},
+        "key": "z - 5*y*x^-1",
+        "value": "2",
+    },
+}
+
+
+def test_a_successor_with_a_laurent_witness(tmp_path, capsys):
+    problem = tmp_path / "laurent.json"
+    problem.write_text(json.dumps(LAURENT_WITNESS))
+    assert main(["successor", "--spec", str(problem), "--key", "z", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["successor"], payload["monomial"], payload["residue"]) == ("z - 5*x^-1*y", "x^-1*y", "5")
+
+
 def test_divide_trace_and_dot(specs, capsys):
     trace = specs["dir"] / "div.jsonl"
     rc = main(

@@ -24,6 +24,7 @@ from arc_oracle import initial_form, oracle_value, predicted_steps, residue_is_r
 from valmono.errors import CertificationError, ResidueUndefined, TranscendentalResidue
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly
 from valmono.ordered_value import standard_group
+from valmono import orchestrator, puiseux
 from valmono.orchestrator import monomialize, steps_used
 from valmono.valuation_core import Augmented, Monomial, residue_of_unit
 
@@ -211,7 +212,26 @@ GENERATED_OUTCOMES = [
 ]
 
 
-def test_generated_tower_keys_monomialize_as_pinned():
+def test_generated_tower_keys_monomialize_as_pinned(monkeypatch):
+    # a key package whose terminal quotient is not exactly the chain link's
+    # q^alpha/f searches for its residue; one such key keeps that path
+    # exercised: the successor (z + x)^2 - 9x^3 + 6x^4 of a generated tower,
+    # whose quotient carries the key image's unit and has residue -54, not -6
+    searches, searched, package, search = [0], [], orchestrator.puiseux_package, puiseux.residue_of_unit
+
+    def counted_search(*args):
+        searches[0] += 1
+        return search(*args)
+
+    def counted_package(*args, **kwargs):
+        before = searches[0]
+        try:
+            return package(*args, **kwargs)
+        finally:
+            searched.append(searches[0] > before)
+
+    monkeypatch.setattr(puiseux, "residue_of_unit", counted_search)
+    monkeypatch.setattr(orchestrator, "puiseux_package", counted_package)
     outcomes = []
     for _arc, spec, keys in _generated_towers(random.Random(SEED + 3), 20):
         row = []
@@ -226,6 +246,7 @@ def test_generated_tower_keys_monomialize_as_pinned():
             row.append(steps_used(out.state))
         outcomes.append(tuple(row))
     assert outcomes == GENERATED_OUTCOMES
+    assert (searched.count(True), len(searched)) == (1, 23)
 
 
 def test_level_one_step_count_is_the_partial_quotient_sum():

@@ -28,7 +28,7 @@ from valmono.errors import (
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
 from valmono.ordered_value import GroupElement, Scalar, compare, is_sentinel, standard_group
-from valmono import orchestrator
+from valmono import blowup_engine, exact_algebra, orchestrator, puiseux, successors, valuation_core
 from valmono.orchestrator import (
     ChainLink,
     MasterState,
@@ -242,6 +242,7 @@ STATE_TAMPERS = {
     "key-image-no-den": lambda blob: dict(blob, key_image={"num": blob["key_image"]["num"]}),
     "trace-empty": lambda blob: dict(blob, trace=[]),
     "chain-link-no-key": lambda blob: dict(blob, chain=[{"certificate": None}]),
+    "chain-link-no-certificate": lambda blob: dict(blob, chain=[*blob["chain"][:-1], dict(blob["chain"][-1], certificate=None)]),
     "not-an-object": lambda blob: list(blob),
     "alpha-fraction": _certificate(alpha=1.5),
     "alpha-zero": _certificate(alpha=0),
@@ -261,9 +262,67 @@ STATE_TAMPERS = {
 def test_state_rejects_a_malformed_field(tamper):
     blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
     assert blob["version"] == 2 and state_from_json(blob).key_pos == blob["key_pos"]
-    assert state_from_json(_certificate(key_powers=[["Q1", 2]])(blob)).chain[-1].certificate.key_powers == (("Q1", 2),)
     with pytest.raises(ParseError):
         state_from_json(tamper(blob))
+
+
+# one field of the certificate of K2 = z^2 - x^3 (alpha 2, witness x^3, residue 1)
+# that contradicts the key; a key step would read that residue
+KEY_TAMPERS = {
+    "residue": _certificate(residue="7"),
+    "monomial": _certificate(monomial="x^5"),
+    "key-powers": _certificate(key_powers=[["Q1", 1]]),
+}
+
+
+@pytest.mark.parametrize("tamper", KEY_TAMPERS.values(), ids=KEY_TAMPERS)
+def test_state_checks_each_certificate_against_its_key(tamper, tmp_path):
+    blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
+    assert blob["chain"][-1]["certificate"]["residue"] == "1" and state_from_json(blob).chain[-1].key == K2
+    refused = r"chain key 'z\^2 - x\^3' is not the successor its certificate builds"
+    with pytest.raises(ParseError, match=refused):
+        state_from_json(tamper(blob))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(tamper(blob)))
+    with pytest.raises(ParseError, match=refused):
+        load_state(path)
+
+
+# a certificate whose degrees do not fit its key is refused before any power is
+# expanded: alpha 10^9 (with its base value) or the key power Q1^(10^9)
+DEGREE_TAMPERS = {
+    "huge-alpha": _certificate(alpha=10**9, base_value=str(Fraction(3, 2) * 10**9)),
+    "huge-key-power": _certificate(key_powers=[["Q1", 10**9]]),
+}
+
+
+@pytest.mark.parametrize("tamper", DEGREE_TAMPERS.values(), ids=DEGREE_TAMPERS)
+def test_state_checks_a_certificate_s_degrees_before_expanding(tamper):
+    blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
+    assert blob["chain"][-1]["certificate"]["base_value"] == "3"
+    with pytest.raises(ParseError, match=r"chain key 'z\^2 - x\^3' does not have its certificate's degrees"):
+        state_from_json(tamper(blob))
+
+
+def test_state_rebuilds_a_key_from_its_key_powers():
+    # K3 = K2^2 - x^5*z has the witness x^5 times Q1, chain link 0 (z)
+    blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
+    k3 = {"key": "z^4 - 2*x^3*z^2 - x^5*z + x^6", "certificate": {
+        "kind": "optimal", "alpha": 2, "monomial": "x^5", "key_powers": [["Q1", 1]], "residue": "1", "base_value": "13/2"}}
+    (link,) = state_from_json(dict(blob, keys_pending=[k3])).keys_pending
+    assert link.key == K3 and link.certificate.key_powers == (("Q1", 1),)
+    # Q2 is K2, which rebuilds another key; Q3 and later name no earlier link
+    for label, refused in (("Q2", "is not the successor"), ("Q3", "KeyError: 'Q3'"), ("Q0", "KeyError: 'Q0'"),
+                           ("Q01", "KeyError: 'Q01'"), ("monomial", "KeyError: 'monomial'")):
+        bad = dict(k3, certificate=dict(k3["certificate"], key_powers=[[label, 1]]))
+        with pytest.raises(ParseError, match=refused):
+            state_from_json(dict(blob, keys_pending=[bad]))
+    for field in ("monomial", "residue"):
+        with pytest.raises(ParseError, match="malformed state"):
+            state_from_json(dict(blob, keys_pending=[dict(k3, certificate=dict(k3["certificate"], **{field: None}))]))
+    # the README problem's state still loads and saves to the same object
+    readme = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
+    assert state_to_json(state_from_json(readme)) == readme
 
 
 def test_enumerate_pairs_slices():
@@ -460,14 +519,13 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
     """Top-level values (those not inside another value) of the tower anchor s2/K2 + x^4.
 
     The element's value travels to epsilon, and each key's value travels
-    with its chain link. The initial frame is checked where its values come
-    from, so its variables are not valued again. (The Puiseux package
-    values its binomial's pullback, a rational function, as a check of its
-    own; that value is not one of these.) No expansion along the key z
-    divides.
+    with its chain link: a successor is valued once, as the shifted
+    numerator that certifies its residue. The initial frame is checked where
+    its values come from, so its variables are not valued again. (The
+    Puiseux package values its binomial's pullback, a rational function, as
+    a check of its own; that value is not one of these.) No expansion along
+    the key z divides.
     """
-    from valmono import exact_algebra
-
     f = K2 + UniPoly.constant(1, XZ**4)
     valued, depth, divisors = [], [0], []
     value, division_round = _Spec.value, exact_algebra._division_round
@@ -490,29 +548,92 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
     out = monomialize(S2, f, 10_000, names=["x", "z"])
     keys = [link.key for link in out.state.chain]
     assert keys == [Z, K2]
-    polys = [g for g in valued if isinstance(g, UniPoly)]
-    assert [sum(1 for g in polys if g == h) for h in [f] + keys] == [1, 1, 1]
+
+    def same(g, h):
+        # a key or the element, valued as a univariate or a plain polynomial
+        return g == h if type(g) is UniPoly else type(g) is MultiPoly and g == to_multipoly(h)
+
+    assert [sum(1 for g in valued if same(g, h)) for h in [f] + keys] == [1, 1, 1]
     variables = [MultiPoly.variable(2, k) for k in range(2)]
     assert not [g for g in valued if isinstance(g, MultiPoly) and g in variables]
     assert divisors and all(q != Z for q in divisors)
     assert [compare(link.value, S2.value(link.key)) for link in out.state.chain] == [0, 0]
 
 
+def _k2_step():
+    """The s2 state before its key step, and the chain [z, K2] of the anchor K2 + x^4."""
+    state = _fresh_state(S2, _initial_frame(S2, ["x", "z"]), 10_000)
+    return state, _chain_for(S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], state.chain)
+
+
 def test_a_key_step_refuses_a_link_value_off_its_package():
-    # the package's binomial pulls back to the new key, so the value the
-    # package certifies for it must be the value its chain link carries
-    names = ["x", "z"]
-    state = _fresh_state(S2, _initial_frame(S2, names), 10_000)
-    links = _chain_for(S2, K2 + UniPoly.constant(1, XZ**4), names, state.chain)
+    # the package's terminal step takes v(Q') - v(f) from the chain link, and
+    # check_frame_values compares that value with the valuation of the step's
+    # unit minus its residue, so a link value off the key's is refused there
+    state, links = _k2_step()
     assert [link.key for link in links] == [Z, K2]
     done = orchestrator._run_key(replace(state, keys_pending=links[1:]))
     assert done.chain[-1] is links[1] and not done.keys_pending
     for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
         tampered = replace(state, keys_pending=(replace(links[1], value=value),))
-        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+        with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
             orchestrator._run_key(tampered)
-        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+        with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
             advance(tampered)
+
+
+def _counted_work(monkeypatch) -> dict:
+    """Counts, from here on, of top-level spec values (those not inside another
+    value), ``q_expansion`` calls and residue searches, wherever valmono holds
+    ``q_expansion`` or the search."""
+    counts = {"values": 0, "q_expansion": 0, "searches": 0}
+    depth, value = [0], _Spec.value
+
+    def top_level_value(spec, g):
+        counts["values"] += not depth[0]
+        depth[0] += 1
+        try:
+            return value(spec, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Spec, "value", top_level_value)
+    for key, fn in (("q_expansion", exact_algebra.q_expansion), ("searches", valuation_core._residue_search)):
+        def counted(*args, _key=key, _fn=fn):
+            counts[_key] += 1
+            return _fn(*args)
+
+        for module in (exact_algebra, valuation_core, successors, blowup_engine, puiseux, orchestrator):
+            for name, held in list(vars(module).items()):
+                if held is fn:
+                    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
+    # the package's terminal quotient is the link's q^alpha/f, so it takes the
+    # residue the successor's search certified; a certificate whose residue is
+    # doubled fails the exact identity, and the step searches as before
+    state, links = _k2_step()
+    counts = _counted_work(monkeypatch)
+    cert = links[1].certificate
+    runs = []
+    for link in (links[1], replace(links[1], certificate=replace(cert, residue=cert.residue * 2))):
+        counts["searches"] = 0
+        done = orchestrator._run_key(replace(state, keys_pending=(link,)))
+        runs.append((counts["searches"], trace_records(done.frame)))
+    assert [n for n, _ in runs] == [0, 1]
+    assert runs[0][1] == runs[1][1]
+
+
+# top-level spec values, q_expansion calls and residue searches of monomialize
+# on the tower anchors; a key step that derives again a value or residue its
+# chain link certified raises them
+@pytest.mark.parametrize("f", [K2, K2 + UniPoly.constant(1, XZ**4)], ids=["s2/K2", "s2/K2 + x^4"])
+def test_the_tower_anchors_do_their_pinned_work(monkeypatch, f):
+    counts = _counted_work(monkeypatch)
+    monomialize(S2, f, 10_000, names=["x", "z"])
+    assert counts == {"values": 16, "q_expansion": 14, "searches": 1}
 
 
 def test_an_altered_initial_value_is_still_refused(tmp_path):

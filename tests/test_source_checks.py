@@ -472,7 +472,7 @@ def test_the_spec_guards_see_each_form(tmp_path):
     assert _string_constants(sample, "composite") == ["sample.py:2", "sample.py:10"]
 
 
-_RESIDUE_RULE = ("residue_of_unit", "_residue_candidates")
+_RESIDUE_RULE = ("residue_of_unit", "_residue_candidates", "_residue_search")
 
 
 def _numeric_literal(node) -> bool:
@@ -483,9 +483,9 @@ def _numeric_literal(node) -> bool:
 
 def _residue_sites(path: Path) -> list:
     """Where one source file defines, imports or fixes a residue: each definition
-    of ``residue_of_unit`` or its candidate search, each import of
-    ``residue_of_unit`` with the definition that holds it, and each number bound
-    to a name or keyword ``residue``, with the exception handler around it."""
+    of ``residue_of_unit`` or its searches, each import of one of them with the
+    definition that holds it, and each number bound to a name or keyword
+    ``residue``, with the exception handler around it."""
     found = []
 
     def visit(node, owner, handler):
@@ -496,9 +496,11 @@ def _residue_sites(path: Path) -> list:
         elif isinstance(node, ast.ExceptHandler):
             handler = ast.unparse(node.type) if node.type is not None else "everything"
         where = f"{path.stem}.{owner or '<module>'}"
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.endswith("residue_of_unit") for a in node.names):
-            origin = "." * getattr(node, "level", 0) + (getattr(node, "module", None) or "")
-            found.append(f"{where}: import residue_of_unit" + (f" from {origin}" if origin else ""))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in (a.name.rsplit(".", 1)[-1] for a in node.names):
+                if name in _RESIDUE_RULE or name.endswith("residue_of_unit"):
+                    origin = "." * getattr(node, "level", 0) + (getattr(node, "module", None) or "")
+                    found.append(f"{where}: import {name}" + (f" from {origin}" if origin else ""))
         bound = []
         if isinstance(node, ast.Assign):
             bound = [(t, node.value) for t in node.targets if isinstance(t, ast.Name) and t.id == "residue"]
@@ -529,16 +531,18 @@ def _class_bindings(path: Path, name: str) -> list:
 
 
 def test_the_valuation_owns_the_residue_rule():
-    # every residue, of an equal-value step or of a successor q^alpha - c*f, is
-    # read by valuation_core.residue_of_unit; a successor keeps 1 only where
-    # MacLane leaves the residue free, and a spec's shape is its class, not a tag
+    # every residue is read by valuation_core's one search: an equal-value
+    # step's through residue_of_unit, a successor q^alpha - c*f's from the pair
+    # (q^alpha, f), and a key package takes that one; a successor keeps 1 only
+    # where MacLane leaves the residue free, and a spec's shape is its class
     package = Path(valmono.__file__).parent
     found = sorted(hit for path in sorted(package.glob("*.py")) for hit in _residue_sites(path))
     assert found == [
         "puiseux.<module>: import residue_of_unit from .valuation_core",
-        "successors.<module>: import residue_of_unit from .valuation_core",
+        "successors.<module>: import _residue_search from .valuation_core",
         "successors.next_successor: residue = 1 in except TranscendentalResidue",
         "valuation_core._residue_candidates: def",
+        "valuation_core._residue_search: def",
         "valuation_core.residue_of_unit: def",
     ], "read residues with valuation_core.residue_of_unit: " + ", ".join(found)
     assert _class_bindings(package / "valuation_core.py", "kind") == []

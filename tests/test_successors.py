@@ -133,7 +133,7 @@ def test_multiplier_reconstruction_property():
 
 
 def test_next_successor_golden():
-    succ, cert = next_successor(NU2, X, VARS_XY)
+    succ, cert, _ = next_successor(NU2, X, VARS_XY)
     assert succ == Q
     assert cert.alpha == 2
     assert cert.residue == 1
@@ -149,10 +149,21 @@ def test_next_successor_golden():
 def test_next_successor_alpha_one():
     spec = Monomial(G, [el((1,)), el((0, 2)), el((2,))])
     lat = Lattice.from_variables(["x", "y"], [el((1,)), el((0, 2))])
-    succ, cert = next_successor(spec, X, lat)
+    succ, cert, _ = next_successor(spec, X, lat)
     assert cert.alpha == 1
     assert succ == X - x**2
     assert succ.degree == X.degree
+
+
+def test_next_successor_with_a_laurent_witness():
+    # v(x) = 2, v(y) = 3, v(z) = 1: z's witness is y/x or x^2/y, and the key
+    # z - 5*y/x sits at 2, so the residue is 5 and the value is the key's
+    spec = Augmented(Monomial(G, [el((2,)), el((3,)), el((1,))]), X - UniPoly.constant(2, MultiPoly.monomial(2, (-1, 1), 5)), el((2,)))
+    lat = Lattice.from_variables(["x", "y"], [el((2,)), el((3,))])
+    succ, cert, value = next_successor(spec, X, lat)
+    assert cert.monomial in (MultiPoly.monomial(2, (-1, 1)), MultiPoly.monomial(2, (2, -1)))
+    assert cert.residue == 5 and succ == X - UniPoly.constant(2, cert.monomial).scale(5)
+    assert compare(value, spec.value(succ)) == 0 and compare(value, cert.base_value) > 0
 
 
 def test_next_successor_maximal():
