@@ -586,8 +586,9 @@ def state_from_json(obj) -> MasterState:
 
 
 def save_state(state: MasterState, path, records=None) -> None:
-    """Write a state file; ``records`` as for ``state_to_json``. A failed encoding leaves the old file."""
-    _write_file(path, json.dumps(state_to_json(state, records), indent=1, sort_keys=True) + "\n")
+    """Write a state file as one line of compact JSON with sorted keys, which the C encoder writes
+    (``indent`` would not); ``records`` as for ``state_to_json``. A failed encoding leaves the old file."""
+    _write_file(path, json.dumps(state_to_json(state, records), sort_keys=True) + "\n")
 
 
 def load_state(path) -> MasterState:

@@ -16,7 +16,7 @@ import pytest
 import valmono
 from valmono import cli
 from valmono.cli import main
-from valmono.orchestrator import load_state
+from valmono.orchestrator import load_state, state_to_json
 from valmono.trace import verify_trace_file
 
 NU3 = {
@@ -568,18 +568,20 @@ OUTPUT_TABLE = [
      0, "8655bf50ce015c51", None, None, None),
     ("puiseux-not-certified", "puiseux --spec {nu2} --poly 'z^2 - x^2*y' --trace {trace}",
      3, None, "e5d324b14df09783", None, None),
+    # the state digests of the next six rows were re-recorded when states
+    # became compact JSON
     ("monomialize-text", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace} --state {state}",
-     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "31410e3cf033acb2"),
+     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "cf112994516d1859"),
     ("monomialize-json", "monomialize --spec {nu3} --poly '2*z + 3*x^2*y' --format json --trace {trace} --state {state}",
-     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "10676134fa3fce7f"),
+     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "c00c77ae857feae6"),
     ("monomialize-dot", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --format dot --state {state}",
-     0, "8655bf50ce015c51", None, None, "31410e3cf033acb2"),
+     0, "8655bf50ce015c51", None, None, "cf112994516d1859"),
     ("monomialize-budget-0", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --budget 0 --trace {trace} --state {state}",
-     3, None, "e6f86ffa89c64daa", None, "57c191005aee1448"),
+     3, None, "e6f86ffa89c64daa", None, "87f18a2b040d9753"),
     ("uniformize-text", "uniformize --spec {nu2} --polys 'x;x+y' --trace {trace} --state {state}",
-     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "acc79c09f41c6a47"),
+     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "0b53d27b2351c247"),
     ("uniformize-json", "uniformize --spec {nu3} --polys 'x^2*y;z^2 - x^2*y' --format json --trace {trace} --state {state}",
-     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "31410e3cf033acb2"),
+     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "cf112994516d1859"),
     ("uniformize-dot", "uniformize --spec {nu2} --polys 'x;x+y' --format dot",
      0, "8040302626e8cb19", None, None, None),
     ("missing-spec", "eval --spec {nu3}.missing --poly z",
@@ -674,12 +676,12 @@ def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
 
 def test_the_readme_run_writes_the_recorded_files(specs, capsys):
     # the README's monomialize run; the digests are those of the OUTPUT_TABLE
-    # monomialize rows, recorded before states were written in one piece
+    # monomialize rows (the state's re-recorded when states became compact JSON)
     trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "31410e3cf033acb2")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "cf112994516d1859")
 
 
 def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
@@ -692,8 +694,26 @@ def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "31410e3cf033acb2")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "cf112994516d1859")
     assert (trace.stat().st_ino, state.stat().st_ino) == inodes
+
+
+@pytest.mark.parametrize(
+    "budget, rc, indented_digest", [("10000", 0, "31410e3cf033acb2"), ("0", 3, "57c191005aee1448")]
+)
+def test_a_state_in_the_indented_layout_still_loads(specs, capsys, budget, rc, indented_digest):
+    # every state file written before states became compact JSON was indented;
+    # the digests are those the OUTPUT_TABLE monomialize rows recorded then
+    state, indented = specs["dir"] / "run-state.json", specs["dir"] / "indented-state.json"
+    assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", budget,
+                 "--state", str(state)]) == rc
+    capsys.readouterr()
+    assert state.read_text().count("\n") == 1
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(state.read_text()), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert _digest(indented.read_bytes()) == indented_digest
+    assert state_to_json(load_state(indented)) == state_to_json(load_state(state))
 
 
 def test_trace_and_state_can_go_to_a_device(specs, capsys):

@@ -1,6 +1,5 @@
 """Master-loop scheduling: chains, slices, budgets, resumable state."""
 
-import io
 import json
 import os
 from dataclasses import replace
@@ -626,6 +625,22 @@ def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
     assert runs[0][1] == runs[1][1]
 
 
+def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypatch):
+    # with the residue doubled the package searches, so check_frame_values sees
+    # the searched value, not the link's; only the comparison with the value of
+    # the package's own binomial then refuses a link value off the key's
+    state, links = _k2_step()
+    cert = links[1].certificate
+    searching = replace(links[1], certificate=replace(cert, residue=cert.residue * 2))
+    counts = _counted_work(monkeypatch)
+    assert orchestrator._run_key(replace(state, keys_pending=(searching,))).chain[-1] is searching
+    assert counts["searches"] == 1
+    for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
+        tampered = replace(state, keys_pending=(replace(searching, value=value),))
+        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+            orchestrator._run_key(tampered)
+
+
 # top-level spec values, q_expansion calls and residue searches of monomialize
 # on the tower anchors; a key step that derives again a value or residue its
 # chain link certified raises them
@@ -1011,9 +1026,7 @@ def test_a_state_that_fails_to_encode_leaves_the_old_file(tmp_path, monkeypatch)
     path = tmp_path / "state.json"
     save_state(out.state, path)
     before = path.read_bytes()
-    streamed = io.StringIO()
-    json.dump(state_to_json(out.state), streamed, indent=1, sort_keys=True)
-    assert before == (streamed.getvalue() + "\n").encode()
+    assert before == (json.dumps(state_to_json(out.state), sort_keys=True) + "\n").encode()
     monkeypatch.setattr(orchestrator, "state_to_json", lambda state, records=None: {"chain": [], "frame": object()})
     with pytest.raises(TypeError):
         save_state(out.state, path)
@@ -1026,7 +1039,7 @@ def test_a_shorter_state_is_written_over_a_longer_one_in_place(tmp_path):
     path, link = tmp_path / "state.json", tmp_path / "link.json"
     longer = monomialize(NU3, Q, 10_000, names=NAMES).state
     shorter = _fresh_state(NU3, _initial_frame(NU3, NAMES), 10)
-    encoded = [(json.dumps(state_to_json(s), indent=1, sort_keys=True) + "\n").encode() for s in (longer, shorter)]
+    encoded = [(json.dumps(state_to_json(s), sort_keys=True) + "\n").encode() for s in (longer, shorter)]
     assert len(encoded[1]) < len(encoded[0])
     save_state(longer, path)
     assert path.read_bytes() == encoded[0]

@@ -30,7 +30,7 @@ from valmono.puiseux import (
     puiseux_package,
     residue_of_unit,
 )
-from valmono.successors import relation_lattice
+from valmono.successors import check_limit_successor, relation_lattice
 from valmono.trace import replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial
 
@@ -387,6 +387,32 @@ def test_limit_without_drop_rejected():
     fr = Frame.initial(["x", "u"], [bx, bu])
     with pytest.raises(CertificationError):
         monomialize_limit_successor(fr, SPEC_U4, U1, P2)
+
+
+def _branch_key(n: int) -> UniPoly:
+    """z - phi_n with phi_n = sum_{k<n} binom(1/2, k)*x^(k+1), a truncation of x*sqrt(1 + x)."""
+    phi, coeff = MultiPoly.zero(1), Fraction(1)
+    for k in range(n):
+        phi = phi + xx1 ** (k + 1) * coeff
+        coeff = coeff * (Fraction(1, 2) - k) / (k + 1)
+    return U1 - UniPoly.constant(1, phi)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_limit_candidate_with_delta_one_and_no_drop_is_rejected(n):
+    # F = z^2 - x^2 - x^3 = (z - phi)(z + phi) over Q[[x]]; under the chain s_n of
+    # the keys z - phi_k at k + 1 its argmin along z - phi_n is {0, 1}, but the
+    # truncated value n + 2 is v(F): only the value drop refuses it
+    spec = Monomial(G, [el((1,)), el((1,))])
+    for k in range(1, n + 1):
+        spec = Augmented(spec, _branch_key(k), el((k + 1,)))
+    F = U1**2 - UniPoly.constant(1, xx1**2 + xx1**3)
+    ok, rep = check_limit_successor(spec, _branch_key(n), F)
+    assert not ok and rep.delta == 1 and rep.S == (0, 1)
+    assert compare(rep.value, el((n + 2,))) == 0 and compare(spec.value(F), el((n + 2,))) == 0
+    fr = Frame.initial(["x", "z"], [spec.value(UniPoly.constant(1, xx1)), spec.value(_branch_key(n))])
+    with pytest.raises(CertificationError, match="the candidate does not drop the key value"):
+        monomialize_limit_successor(fr, spec, _branch_key(n), F)
 
 
 def test_limit_trace_replays():

@@ -7,9 +7,10 @@ recorded traces: the valuation driver, every residue is read by
 with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
 in ``ordered_value`` builds no ``Fraction``, frames are built only where their
 values are proved positive, no module reads the environment (every setting
-is an argument), one function opens files for writing, and the spec shapes
-are ``Monomial`` and ``Augmented`` alone, with the composite file form named
-only in ``serde``."""
+is an argument), one function opens files for writing, JSON is encoded
+without ``indent`` (which bypasses the C encoder), and the spec shapes are
+``Monomial`` and ``Augmented`` alone, with the composite file form named only
+in ``serde``."""
 
 import ast
 from fractions import Fraction
@@ -274,23 +275,36 @@ def test_the_fraction_guard_sees_each_form(tmp_path):
     assert _fraction_constructions(sample) == ["sample.<module>:1", "sample.f:3", "sample.S.m.inner:7"]
 
 
-def _frame_builders(path: Path) -> list:
-    """``module.Qualified.owner:line`` for every ``Frame(...)`` call in one source file,
-    and every ``cls(...)`` call inside class ``Frame``."""
+def _owned_calls(path: Path) -> list:
+    """``(owner, call)`` for every call in one source file, in line order; the owner is the
+    dotted name of the innermost enclosing class or function, or ``""`` at module level."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}" if owner else node.name
         if isinstance(node, ast.Call):
-            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if callee == "Frame" or (callee == "cls" and owner.split(".")[0] == "Frame"):
-                found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
+            found.append((owner, node))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
-    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+    return sorted(found, key=lambda hit: hit[1].lineno)
+
+
+def _hit(path: Path, owner: str, node) -> str:
+    return f"{path.stem}.{owner or '<module>'}:{node.lineno}"
+
+
+def _frame_builders(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``Frame(...)`` call in one source file,
+    and every ``cls(...)`` call inside class ``Frame``."""
+    found = []
+    for owner, node in _owned_calls(path):
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if callee == "Frame" or (callee == "cls" and owner.split(".")[0] == "Frame"):
+            found.append(_hit(path, owner, node))
+    return found
 
 
 def test_frames_are_built_only_where_their_values_are_proved():
@@ -375,26 +389,18 @@ def _file_writes(path: Path) -> list:
     file for writing: ``os.open``, an ``open``/``fdopen`` whose mode may write, and
     ``write_text``/``write_bytes``; the owner is the innermost enclosing class or function."""
     found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = f"{owner}.{node.name}" if owner else node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            base = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else None
-            at = 1 if (callee, base) in _PATH_FIRST_OPENERS else 0
-            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
-            if mode is None and len(node.args) > at:
-                mode = node.args[at]
-            if (callee in ("write_text", "write_bytes") or (callee, base) == ("open", "os")
-                    or callee in ("open", "fdopen") and _may_write(mode)):
-                found.append(f"{path.stem}.{owner or '<module>'}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
-    return sorted(found, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+    for owner, node in _owned_calls(path):
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        base = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else None
+        at = 1 if (callee, base) in _PATH_FIRST_OPENERS else 0
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None and len(node.args) > at:
+            mode = node.args[at]
+        if (callee in ("write_text", "write_bytes") or (callee, base) == ("open", "os")
+                or callee in ("open", "fdopen") and _may_write(mode)):
+            found.append(_hit(path, owner, node))
+    return found
 
 
 def test_only_the_file_writer_opens_files_for_writing():
@@ -425,6 +431,41 @@ def test_the_file_writer_guard_sees_each_form(tmp_path):
     assert _file_writes(sample) == (
         ["sample.<module>:1"] + ["sample.f:3"] * 4 + ["sample.g:5"] * 4 + ["sample.h:7"] * 3 + ["sample.K.m.inner:12"]
     )
+
+
+def _indented_encodings(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``json.dump``/``json.dumps`` call in one
+    source file (or ``dump``/``dumps`` imported bare) that passes ``indent`` or ``**`` options."""
+    found = []
+    for owner, node in _owned_calls(path):
+        func = node.func
+        is_json = (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+                   and func.attr in ("dump", "dumps")) or getattr(func, "id", None) in ("dump", "dumps")
+        if is_json and any(k.arg in ("indent", None) for k in node.keywords):
+            found.append(_hit(path, owner, node))
+    return found
+
+
+def test_json_is_encoded_without_indent():
+    # any indent sends the standard library to its pure-Python encoder, about
+    # three times slower than the C one on a state file
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = [hit for path in sources for hit in _indented_encodings(path)]
+    assert found == [], "encode JSON compactly, without indent: " + ", ".join(found)
+
+
+def test_the_indent_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "S = json.dumps({}, indent=1, sort_keys=True)\n"
+        "def f(x, fh, opts):\n"
+        "    json.dump(x, fh, **opts), dumps(x, indent=None), json.dumps(x, sort_keys=True)\n"
+        "    return pickle.dump(x, fh), json.loads('{}'), json.dump(x, fh, separators=(',', ':'))\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return dump(x, self.fh, indent='  ')\n"
+    )
+    assert _indented_encodings(sample) == ["sample.<module>:1", "sample.f:3", "sample.f:3", "sample.K.m:7"]
 
 
 def _spec_classes(path: Path) -> list:
