@@ -1,15 +1,17 @@
-"""Master scheduling loop over divisibility slices and key polynomials.
+"""Master scheduling loop over key polynomials, with divisions on demand.
 
-The infinite interleaved sequence is realized as resumable macro-rounds
-under an explicit budget counted in blow-up steps. Each round processes
-one finite slice of monomial pairs and monomializes the next pending key
-polynomial. State files (version 2) store polynomials as the same text
-that problem files use.
+The interleaved sequence is realized as resumable rounds under an explicit
+budget counted in blow-up steps. Each round, ``advance``, monomializes the
+next pending key polynomial; the budget is checked before each round.
+Divisions are made where a step asks for them, never blind: a key's
+expansion coefficients divide their own denominators, and a degenerate
+element principalizes its least-value terms. State files (version 2) store
+polynomials as the same text that problem files use.
 
 One element loop serves both entry points: ``monomialize`` is its
 one-element case, and ``embedded_uniformize`` runs it over a list, the
 element of minimal value first, then makes that element's monomial divide
-the others. The slices and that divisibility phase share one pair divider.
+the others through the pair divider.
 
 The state is a value: ``advance`` returns a new state and never mutates
 its input, so callers may fork explorations by keeping old states. All
@@ -34,6 +36,7 @@ from .blowup_engine import (
     check_frame_values,
     divide_monomials,
     monomialize_nondegenerate,
+    principalize,
     transform_exponents,
     transport,
 )
@@ -47,7 +50,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, normal_rational, to_multipoly
-from .ordered_value import compare, format_element, is_sentinel, parse_element
+from .ordered_value import compare, format_element, is_sentinel, least_value, parse_element
 from .puiseux import (
     monomialize_limit_successor,
     prepare_successor,
@@ -92,7 +95,6 @@ class MasterState:
     spec: object
     frame: Frame
     budget: int
-    slice_index: int
     chain: tuple  # ChainLink entries already monomialized
     keys_pending: tuple  # ChainLink entries waiting for their package
     key_image: RationalFunction  # image of chain[-1].key over the current parameters
@@ -120,7 +122,6 @@ def _fresh_state(spec, frame: Frame, budget: int, pending=()) -> MasterState:
         spec=spec,
         frame=frame,
         budget=int(budget),
-        slice_index=0,
         chain=(ChainLink(UniPoly.x(pos), None, frame.init_betas[pos]),),
         keys_pending=tuple(pending),
         key_image=RationalFunction(MultiPoly.variable(frame.width, pos)),
@@ -134,69 +135,15 @@ def _after_steps(state: MasterState, frame: Frame) -> MasterState:
     return replace(state, frame=frame, key_image=image)
 
 
-# -- pair enumeration -----------------------------------------------------------
-
-
-def _graded_monomials(width: int, skip: int, count: int) -> list:
-    """First `count` exponent tuples over the coefficient positions.
-
-    Order: increasing total degree, then lexicographic. The position
-    `skip` (the key parameter) always carries exponent zero.
-    """
-    slots = [q for q in range(width) if q != skip]
-    out = []
-    total = 0
-    while len(out) < count:
-        for combo in _compositions(total, len(slots)):
-            e = [0] * width
-            for q, c in zip(slots, combo):
-                e[q] = c
-            out.append(tuple(e))
-            if len(out) == count:
-                return out
-        total += 1
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def enumerate_pairs(state: MasterState, j: int) -> list:
-    """The j-th finite slice: the j-th monomial against all earlier ones.
-
-    Each pair is value-sorted, so the first coordinate is the one that
-    must divide the second.
-    """
-    mons = _graded_monomials(state.frame.width, state.key_pos, j + 1)
-    sj = mons[j]
-    vj = state.frame.monomial_value(sj)
-    pairs = []
-    for m in mons:
-        if compare(state.frame.monomial_value(m), vj) <= 0:
-            pairs.append((m, sj))
-        else:
-            pairs.append((sj, m))
-    return pairs
-
-
-# -- macro-rounds ---------------------------------------------------------------
+# -- rounds ---------------------------------------------------------------------
 
 
 def _divide_pairs(state: MasterState, pairs) -> MasterState:
     """Blow up until a divides b for each queued (a, b, task), in queue order.
 
-    The steps of each division move the exponents still queued. A division
-    that would start past the budget raises BudgetExceeded naming its task.
+    ``embedded_uniformize``'s divisibility phase queues its pairs here. The
+    steps of each division move the exponents still queued. A division that
+    would start past the budget raises BudgetExceeded naming its task.
     """
     driver = valuation_driver(state.spec)
     queue = list(pairs)
@@ -217,9 +164,10 @@ def _divide_pairs(state: MasterState, pairs) -> MasterState:
     return state
 
 
-def _run_key(state: MasterState) -> MasterState:
-    """Monomialize the next pending key, if any, from the image of the last one.
+def advance(state: MasterState) -> MasterState:
+    """One round: monomialize the next pending key, if any, from the image of the last one.
 
+    The budget is checked before the round, so its steps may end past it.
     The key's package ends in the image of the new key, monomial times
     unit, which replaces the old image; the old one is not carried through
     the key's own steps.
@@ -227,7 +175,7 @@ def _run_key(state: MasterState) -> MasterState:
     if not state.keys_pending:
         return state
     if steps_used(state) >= state.budget:
-        raise _budget_error(state, "key monomialization")
+        raise _budget_error(state, "advance")
     link, prev = state.keys_pending[0], state.chain[-1]
     if link.certificate is not None and link.certificate.kind == "limit":
         res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key)
@@ -251,16 +199,6 @@ def _run_key(state: MasterState) -> MasterState:
         key_image=image,
         key_pos=pos,
     )
-
-
-def advance(state: MasterState) -> MasterState:
-    """One macro-round: a divisibility slice and one key."""
-    if steps_used(state) >= state.budget:
-        raise _budget_error(state, "advance")
-    task = f"slice {state.slice_index}"
-    st = _divide_pairs(state, [(a, b, task) for a, b in enumerate_pairs(state, state.slice_index)])
-    st = _run_key(st)
-    return replace(st, slice_index=st.slice_index + 1)
 
 
 # -- chain construction ----------------------------------------------------------
@@ -347,20 +285,32 @@ class MonomializeOutcome:
 
 
 def _finalize(state: MasterState, f: UniPoly, expected):
-    """Monomialize one element of value `expected` in the current frame, advancing on demand."""
+    """Monomialize one element of value `expected` in the current frame.
+
+    While the frame's monomial value of the element's image falls short of
+    `expected`, the image's least-value terms are principalized. Values are
+    positive, so two distinct terms of one value are incomparable and each
+    such round makes a step; a round that makes none raises.
+    """
     poly = to_multipoly(f)
+    driver = valuation_driver(state.spec)
     while True:
         img = transport(state.frame, RationalFunction(poly))
         if not img.den.is_single_term():
             raise CertificationError("element transported outside the parameter ring")
         # a single-term denominator is folded into the numerator, so img.num pulls back to f
         try:
-            cert = monomialize_nondegenerate(
-                state.frame, state.spec, img.num, expected, valuation_driver(state.spec)
-            )
+            cert = monomialize_nondegenerate(state.frame, state.spec, img.num, expected, driver)
             break
         except DegenerateInput:
-            state = advance(state)
+            if steps_used(state) >= state.budget:
+                raise _budget_error(state, "finalize")
+            low = least_value(state.frame.betas, img.num.terms)
+            least = [e for e in img.num.terms if compare(state.frame.monomial_value(e), low) == 0]
+            res = principalize(state.frame, least, driver)
+            if not res.steps:
+                raise CertificationError("a degenerate element has one term of least value")
+            state = _after_steps(state, res.frame)
     # _factor_as_unit proved cert.value equal to expected
     state = _after_steps(state, cert.frame)
     return state, (cert.exponents, cert.unit, cert.value)
@@ -539,7 +489,6 @@ def state_to_json(state: MasterState, records=None) -> dict:
         "version": STATE_VERSION,
         "problem": problem_to_json(group, names, state.spec),
         "budget": state.budget,
-        "slice_index": state.slice_index,
         "trace": trace.trace_records(state.frame) if records is None else records,
         "chain": [_link_json(l, names) for l in state.chain],
         "keys_pending": [_link_json(l, names) for l in state.keys_pending],
@@ -564,15 +513,13 @@ def state_from_json(obj) -> MasterState:
         if not chain:
             raise ParseError("state chain is empty")
         image = obj["key_image"]
-        budget, slice_index, key_pos = obj["budget"], obj["slice_index"], obj["key_pos"]
-        if ({type(budget), type(slice_index), type(key_pos)} != {int}
-                or budget < 0 or slice_index < 0 or key_pos not in range(frame.width)):
-            raise ParseError(f"state budget {budget!r}, slice_index {slice_index!r} or key_pos {key_pos!r} is invalid")
+        budget, key_pos = obj["budget"], obj["key_pos"]
+        if {type(budget), type(key_pos)} != {int} or budget < 0 or key_pos not in range(frame.width):
+            raise ParseError(f"state budget {budget!r} or key_pos {key_pos!r} is invalid")
         return MasterState(
             spec=spec,
             frame=frame,
             budget=budget,
-            slice_index=slice_index,
             chain=chain,
             keys_pending=tuple(links[len(chain):]),
             key_image=RationalFunction(

@@ -326,21 +326,29 @@ def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_
 def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
     """A key-expansion coefficient over the frame: (frame, (c, exps, unit)).
 
-    A single-term image is kept with no unit; a longer one is monomialized
-    in place, which extends the frame.
+    A term of the image with negative exponents is made polynomial by
+    dividing its denominator monomial into its numerator, which needs the
+    term's value positive. A single-term image is kept with no unit; a
+    longer one is monomialized in place. Both extend the frame.
     """
-    if not all(c.is_laurent_free() for c in coeff.coeffs):
-        raise NonPolynomialImage("expansion coefficient is not polynomial")
+    driver = valuation_driver(spec)
     img = transport(frame, RationalFunction(to_multipoly(coeff)))
+    while img.den == 1 and not img.num.is_laurent_free():
+        e = min(e for e in img.num.terms if min(e) < 0)
+        d = tuple(max(0, -x) for x in e)
+        start = len(frame.history)
+        res = divide_monomials(frame, d, ev_add(e, d), driver)
+        if res.divider != "alpha":
+            raise NonPolynomialImage("a Laurent term of the coefficient image has no positive value")
+        frame = res.frame
+        img = transport(frame, img, from_step=start)
     if img.den != 1:
         raise NonPolynomialImage("coefficient image is not polynomial over the frame")
     poly = img.num
     if poly.is_single_term():
         e, c = poly.single_term()
         return frame, (c, e, None)
-    if not poly.is_laurent_free():
-        raise NonPolynomialImage("coefficient image is not free of denominators")
-    cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), valuation_driver(spec))
+    cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), driver)
     return cert.frame, (1, cert.exponents, cert.unit)
 
 

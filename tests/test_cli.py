@@ -16,7 +16,10 @@ import pytest
 import valmono
 from valmono import cli
 from valmono.cli import main
-from valmono.orchestrator import load_state, state_to_json
+from valmono.exact_algebra import RationalFunction, to_multipoly
+from valmono.orchestrator import load_state, monomialize, state_to_json, steps_used
+from valmono.ordered_value import compare
+from valmono.serde import load_problem, parse_unipoly
 from valmono.trace import verify_trace_file
 
 NU3 = {
@@ -121,6 +124,26 @@ def test_a_successor_with_a_laurent_witness(tmp_path, capsys):
     assert main(["successor", "--spec", str(problem), "--key", "z", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["successor"], payload["monomial"], payload["residue"]) == ("z - 5*x^-1*y", "x^-1*y", "5")
+
+
+# the chain key z - 5*x^-1*y has the Laurent coefficient -5*y/x of value 1 > 0;
+# its key step divides x into y first, and the key's image is then a binomial
+@pytest.mark.parametrize("poly, steps", [("x*z - 5*y", 2), ("z*x^2 - 5*x*y", 2), ("x*z - 5*y + y^2", 3)])
+def test_a_chain_key_with_a_laurent_coefficient_certifies(tmp_path, capsys, poly, steps):
+    _, names, spec = load_problem(LAURENT_WITNESS)
+    f = parse_unipoly(poly, names)
+    out = monomialize(spec, f, 10_000, names=names)
+    assert steps_used(out.state) == steps
+    T = RationalFunction(out.monomial()) * out.unit
+    assert out.frame.pullback_of(T) == RationalFunction(to_multipoly(f))
+    assert compare(out.value, spec.value(f)) == 0
+    problem, trace = tmp_path / "laurent.json", tmp_path / "laurent.jsonl"
+    problem.write_text(json.dumps(LAURENT_WITNESS))
+    assert main(["monomialize", "--spec", str(problem), "--poly", poly, "--trace", str(trace), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["exponents"], payload["steps"]) == (list(out.exponents), steps)
+    report = verify_trace_file(str(trace))
+    assert report["ok"] and report["steps"] == steps
 
 
 def test_divide_trace_and_dot(specs, capsys):
@@ -569,19 +592,19 @@ OUTPUT_TABLE = [
     ("puiseux-not-certified", "puiseux --spec {nu2} --poly 'z^2 - x^2*y' --trace {trace}",
      3, None, "e5d324b14df09783", None, None),
     # the state digests of the next six rows were re-recorded when states
-    # became compact JSON
+    # became compact JSON, and again when the slice index left the state
     ("monomialize-text", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace} --state {state}",
-     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "cf112994516d1859"),
+     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "3aef9347bac8870d"),
     ("monomialize-json", "monomialize --spec {nu3} --poly '2*z + 3*x^2*y' --format json --trace {trace} --state {state}",
-     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "c00c77ae857feae6"),
+     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "6771a8f0baf522c5"),
     ("monomialize-dot", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --format dot --state {state}",
-     0, "8655bf50ce015c51", None, None, "cf112994516d1859"),
+     0, "8655bf50ce015c51", None, None, "3aef9347bac8870d"),
     ("monomialize-budget-0", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --budget 0 --trace {trace} --state {state}",
-     3, None, "e6f86ffa89c64daa", None, "87f18a2b040d9753"),
+     3, None, "e6f86ffa89c64daa", None, "4bd999dddd98a9b8"),
     ("uniformize-text", "uniformize --spec {nu2} --polys 'x;x+y' --trace {trace} --state {state}",
-     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "0b53d27b2351c247"),
+     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "834c400702a22238"),
     ("uniformize-json", "uniformize --spec {nu3} --polys 'x^2*y;z^2 - x^2*y' --format json --trace {trace} --state {state}",
-     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "cf112994516d1859"),
+     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "3aef9347bac8870d"),
     ("uniformize-dot", "uniformize --spec {nu2} --polys 'x;x+y' --format dot",
      0, "8040302626e8cb19", None, None, None),
     ("missing-spec", "eval --spec {nu3}.missing --poly z",
@@ -676,12 +699,13 @@ def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
 
 def test_the_readme_run_writes_the_recorded_files(specs, capsys):
     # the README's monomialize run; the digests are those of the OUTPUT_TABLE
-    # monomialize rows (the state's re-recorded when states became compact JSON)
+    # monomialize rows (the state's re-recorded when states became compact JSON
+    # and when the slice index left them)
     trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "cf112994516d1859")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "3aef9347bac8870d")
 
 
 def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
@@ -694,26 +718,34 @@ def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "cf112994516d1859")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "3aef9347bac8870d")
     assert (trace.stat().st_ino, state.stat().st_ino) == inodes
 
 
+# the slice index a state file held before the divisibility slices went: the
+# README run had done one slice, and its budget-0 run stopped before the first
+PARENT_SLICE_INDEX = {"10000": 1, "0": 0}
+
+
 @pytest.mark.parametrize(
-    "budget, rc, indented_digest", [("10000", 0, "31410e3cf033acb2"), ("0", 3, "57c191005aee1448")]
+    "budget, rc, parent_digest", [("10000", 0, "31410e3cf033acb2"), ("0", 3, "57c191005aee1448")]
 )
-def test_a_state_in_the_indented_layout_still_loads(specs, capsys, budget, rc, indented_digest):
-    # every state file written before states became compact JSON was indented;
-    # the digests are those the OUTPUT_TABLE monomialize rows recorded then
-    state, indented = specs["dir"] / "run-state.json", specs["dir"] / "indented-state.json"
+def test_a_state_in_the_indented_layout_still_loads(specs, capsys, budget, rc, parent_digest):
+    # every state file written before states became compact JSON was indented,
+    # and every one written before the slices went has a slice index; the
+    # digests are those the OUTPUT_TABLE monomialize rows recorded then
+    state, older = specs["dir"] / "run-state.json", specs["dir"] / "older-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", budget,
                  "--state", str(state)]) == rc
     capsys.readouterr()
     assert state.read_text().count("\n") == 1
-    with open(indented, "w", encoding="utf-8") as fh:
-        json.dump(json.loads(state.read_text()), fh, indent=1, sort_keys=True)
+    blob = json.loads(state.read_text())
+    assert "slice_index" not in blob
+    with open(older, "w", encoding="utf-8") as fh:
+        json.dump(dict(blob, slice_index=PARENT_SLICE_INDEX[budget]), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    assert _digest(indented.read_bytes()) == indented_digest
-    assert state_to_json(load_state(indented)) == state_to_json(load_state(state))
+    assert _digest(older.read_bytes()) == parent_digest
+    assert state_to_json(load_state(older)) == state_to_json(load_state(state)) == blob
 
 
 def test_trace_and_state_can_go_to_a_device(specs, capsys):

@@ -1,7 +1,9 @@
-"""Master-loop scheduling: chains, slices, budgets, resumable state."""
+"""Master-loop scheduling: chains, key rounds, budgets, resumable state."""
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -14,7 +16,6 @@ from valmono.blowup_engine import (
     _factor_as_unit,
     check_frame_values,
     principalize,
-    transform_exponents,
 )
 from valmono.errors import (
     BudgetExceeded,
@@ -36,7 +37,6 @@ from valmono.orchestrator import (
     _initial_frame,
     advance,
     embedded_uniformize,
-    enumerate_pairs,
     load_state,
     monomialize,
     save_state,
@@ -147,16 +147,13 @@ def test_budget_zero_and_resume():
     assert exc.value.state is st and exc.value.task == "advance"
 
     # resume the partial state with a real budget and finish the chain
-    tight = _fresh_state(NU3, _initial_frame(NU3, NAMES), 2, chain[1:])
-    with pytest.raises(BudgetExceeded) as exc2:
-        while True:
-            tight = advance(tight)
-    part = exc2.value.state
-    resumed = replace(part, budget=10_000)
-    while resumed.keys_pending:
-        resumed = advance(resumed)
-    assert len(resumed.chain) == 2
+    resumed = advance(replace(exc.value.state, budget=10_000))
+    assert len(resumed.chain) == 2 and not resumed.keys_pending
     assert steps_used(resumed) == 3
+    # the budget is checked before each round, so the key's round may end past it
+    assert state_to_json(advance(replace(st, budget=2))) == state_to_json(replace(resumed, budget=2))
+    # with no key pending, a round is the state itself
+    assert advance(resumed) is resumed
 
 
 def test_state_roundtrip_and_determinism():
@@ -171,8 +168,8 @@ def test_state_roundtrip_and_determinism():
     assert back.frame.names == out1.frame.names
     assert back.frame.betas == out1.frame.betas
     # the reloaded state keeps working
-    stepped = advance(replace(back, budget=back.budget + 10))
-    assert stepped.slice_index == back.slice_index + 1
+    more = replace(back, budget=back.budget + 10)
+    assert advance(more) is more
 
 
 def _assert_state_roundtrip(state):
@@ -230,10 +227,9 @@ STATE_TAMPERS = {
     "version-1": lambda blob: dict(blob, version=1),
     "chain-empty": lambda blob: dict(blob, chain=[]),
     **{f"no-{field}": _without(field) for field in
-       ("budget", "chain", "key_image", "key_pos", "slice_index", "trace", "keys_pending", "problem")},
+       ("budget", "chain", "key_image", "key_pos", "trace", "keys_pending", "problem")},
     "budget-text": lambda blob: dict(blob, budget="x"),
     "budget-fraction": lambda blob: dict(blob, budget=1.5),
-    "slice-index-negative": lambda blob: dict(blob, slice_index=-1),
     "budget-negative": lambda blob: dict(blob, budget=-7),
     "key-pos-past-the-frame": lambda blob: dict(blob, key_pos=99),
     "key-pos-negative": lambda blob: dict(blob, key_pos=-1),
@@ -322,33 +318,6 @@ def test_state_rebuilds_a_key_from_its_key_powers():
     # the README problem's state still loads and saves to the same object
     readme = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
     assert state_to_json(state_from_json(readme)) == readme
-
-
-def test_enumerate_pairs_slices():
-    chain = _chain_for(NU3, Q, NAMES)
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 100, chain[1:])
-    sizes = []
-    for j in range(5):
-        pairs = enumerate_pairs(st, j)
-        sizes.append(len(pairs))
-        for a, b in pairs:
-            assert compare(st.frame.monomial_value(a), st.frame.monomial_value(b)) <= 0
-            assert a[st.key_pos] == 0 and b[st.key_pos] == 0
-    assert sizes == [1, 2, 3, 4, 5]
-
-
-def test_processed_pairs_invariant():
-    chain = _chain_for(NU3, Q, NAMES)
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 500, chain[1:])
-    slices = []  # (pairs, step count when the slice started)
-    for _ in range(6):
-        slices.append((enumerate_pairs(st, st.slice_index), steps_used(st)))
-        st = advance(st)
-    assert sum(len(pairs) for pairs, _ in slices) == 1 + 2 + 3 + 4 + 5 + 6
-    for pairs, start in slices:
-        later = st.frame.history[start:]
-        for a, b in pairs:
-            assert ev_leq(transform_exponents(a, later), transform_exponents(b, later))
 
 
 def test_uniformize_golden_pair():
@@ -571,12 +540,10 @@ def test_a_key_step_refuses_a_link_value_off_its_package():
     # unit minus its residue, so a link value off the key's is refused there
     state, links = _k2_step()
     assert [link.key for link in links] == [Z, K2]
-    done = orchestrator._run_key(replace(state, keys_pending=links[1:]))
+    done = advance(replace(state, keys_pending=links[1:]))
     assert done.chain[-1] is links[1] and not done.keys_pending
     for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
         tampered = replace(state, keys_pending=(replace(links[1], value=value),))
-        with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
-            orchestrator._run_key(tampered)
         with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
             advance(tampered)
 
@@ -619,7 +586,7 @@ def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
     runs = []
     for link in (links[1], replace(links[1], certificate=replace(cert, residue=cert.residue * 2))):
         counts["searches"] = 0
-        done = orchestrator._run_key(replace(state, keys_pending=(link,)))
+        done = advance(replace(state, keys_pending=(link,)))
         runs.append((counts["searches"], trace_records(done.frame)))
     assert [n for n, _ in runs] == [0, 1]
     assert runs[0][1] == runs[1][1]
@@ -633,12 +600,12 @@ def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypat
     cert = links[1].certificate
     searching = replace(links[1], certificate=replace(cert, residue=cert.residue * 2))
     counts = _counted_work(monkeypatch)
-    assert orchestrator._run_key(replace(state, keys_pending=(searching,))).chain[-1] is searching
+    assert advance(replace(state, keys_pending=(searching,))).chain[-1] is searching
     assert counts["searches"] == 1
     for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
         tampered = replace(state, keys_pending=(replace(searching, value=value),))
         with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
-            orchestrator._run_key(tampered)
+            advance(tampered)
 
 
 # top-level spec values, q_expansion calls and residue searches of monomialize
@@ -833,13 +800,14 @@ KN = {n: X - c3(sum((x2**i for i in range(2, n + 1)), x2)) for n in range(1, 6)}
 T5 = _depth_five_tower()
 
 
-# element, blow-up steps, exponents over the final parameters
+# element, blow-up steps, exponents over the final parameters; re-pinned
+# (8, 5, 7, 5, 5 steps before) when the graded divisibility slices went
 DEEP_TOWER = {
-    "K5": (KN[5], 8, (5, 0, 1)),
-    "K3+x^3y": (KN[3] + c3(x2**3 * y2), 5, (4, 0, 0)),
-    "K4z+x^6y^2": (KN[4] * X + c3(x2**6 * y2**2), 7, (6, 0, 0)),
-    "K3K2+x^6y": (KN[3] * KN[2] + c3(x2**6 * y2), 5, (7, 0, 0)),
-    "K3+x^2y^2": (KN[3] + c3(x2**2 * y2**2), 5, (3, 0, 1)),
+    "K5": (KN[5], 5, (5, 0, 1)),
+    "K3+x^3y": (KN[3] + c3(x2**3 * y2), 4, (3, 0, 1)),
+    "K4z+x^6y^2": (KN[4] * X + c3(x2**6 * y2**2), 5, (5, 0, 1)),
+    "K3K2+x^6y": (KN[3] * KN[2] + c3(x2**6 * y2), 4, (6, 0, 1)),
+    "K3+x^2y^2": (KN[3] + c3(x2**2 * y2**2), 4, (4, 0, 0)),
 }
 
 
@@ -859,6 +827,39 @@ def test_a_three_variable_tower_tie_has_no_rational_residue():
     # until value-zero parameters are certified
     with pytest.raises(TranscendentalResidue):
         monomialize(T5, KN[5] + c3(x2**4 * y2 + x2**7), 10_000, names=NAMES)
+
+
+# a run whose element the frame never reads as non-degenerate: each _finalize
+# round principalizes the image's least-value terms, so it ends in that round's
+# error, in a round that makes no step, or at the budget
+FORCED_DEGENERATE = """
+import sys
+from valmono import blowup_engine
+from valmono.orchestrator import monomialize
+from valmono.serde import load_problem, parse_unipoly
+blowup_engine.is_non_degenerate = lambda *args: (False, None)
+_, names, spec = load_problem({"group": {"generators": ["1"]}, "vars": ["x", "z"],
+                               "val": {"kind": "monomial", "weights": {"x": "2", "z": "3"}}})
+for poly, budget in (("z^2 + x^3", 50), ("z^2 + x^4", 50), ("z^2 + x^3", 0)):
+    try:
+        monomialize(spec, parse_unipoly(poly, names), budget, names=names)
+    except Exception as exc:
+        print(poly, budget, type(exc).__name__, exc, getattr(exc, "task", None))
+"""
+
+
+def test_a_finalize_that_never_sees_a_non_degenerate_image_ends():
+    # each of these ran forever while a degenerate element advanced through
+    # the blind slices
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orchestrator.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FORCED_DEGENERATE], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout.splitlines() == [
+        # the two terms of value 6 tie at the second step, where z^2/x^3 has no rational residue
+        "z^2 + x^3 50 TranscendentalResidue no rational residue matches the element None",
+        "z^2 + x^4 50 CertificationError a degenerate element has one term of least value None",
+        "z^2 + x^3 0 BudgetExceeded budget of 0 blow-up steps exhausted at finalize finalize",
+    ], proc.stderr
 
 
 def _frame_with(frame, **fields):

@@ -17,6 +17,7 @@ from valmono.errors import (
     CertificationError,
     DeltaNotOne,
     NonBinomialInput,
+    NonPolynomialImage,
     NonUnitFactor,
     ResidueFieldExtension,
     TranscendentalResidue,
@@ -235,6 +236,18 @@ def test_prepare_successor_identity_chain():
     assert compare(pkg.value, el((1,), (0,))) == 0
 
 
+def test_prepare_successor_divides_a_laurent_coefficient_of_positive_value():
+    # under NU2, y/x has value 2*pi - 1 > 0: one division x | y makes it the
+    # frame monomial y; x/y has value 1 - 2*pi and no division makes it polynomial
+    values = [NU2.value(UniPoly.constant(2, RationalFunction(v))) for v in (x2, y2)] + [NU2.value(X)]
+    fr = Frame.initial(["x", "y", "z"], values)
+    fr2, parts, _ = prepare_successor(fr, NU2, X - UniPoly.constant(2, MultiPoly(2, {(-1, 1): 1})), X, (0, 0, 1))
+    assert len(fr2.history) == 1 and parts == ((1, (0, 0, 1), None), (-1, (0, 1, 0), None))
+    assert fr2.pullback_of(MultiPoly.monomial(3, (0, 1, 0), -1)) == RationalFunction(MultiPoly(3, {(-1, 1, 0): -1}))
+    with pytest.raises(NonPolynomialImage, match="has no positive value"):
+        prepare_successor(fr, NU2, X - UniPoly.constant(2, MultiPoly(2, {(1, -1): 1})), X, (0, 0, 1))
+
+
 def test_prepare_successor_rejects_middle_terms():
     fr = tower_frame()
     bad = X**3 - UniPoly.x(2) * UniPoly.constant(2, RationalFunction(x2)) - UniPoly.constant(2, RationalFunction(y2))
@@ -385,7 +398,7 @@ def test_limit_without_drop_rejected():
     bx = SPEC_U4.value(UniPoly.constant(1, RationalFunction(xx1)))
     bu = SPEC_U4.value(U1)
     fr = Frame.initial(["x", "u"], [bx, bu])
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="does not drop the key value"):
         monomialize_limit_successor(fr, SPEC_U4, U1, P2)
 
 
