@@ -56,13 +56,12 @@ from .exact_algebra import (
     RationalFunction,
     ev_add,
     ev_leq,
-    ev_min,
     ev_sub,
     ev_unit,
     normal_rational,
 )
 from .ordered_value import GroupElement, compare, least_value
-from .valuation_core import Monomial, is_non_degenerate, minimalize_monomials, monomial_value
+from .valuation_core import is_non_degenerate, minimalize_monomials, monomial_value
 
 
 @dataclass(frozen=True)
@@ -514,13 +513,13 @@ def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, value, c_provide
     """Factor a non-degenerate element as monomial times certified unit.
 
     ``value`` is the spec value of f's pullback, which the caller knows
-    from the element it transported into the frame.
+    from the element it transported into the frame. f's monomial value is
+    the least over its terms of the frame's values, which were proved
+    positive where they were made, so no ``Monomial`` spec re-proves them.
     """
     if f.width != frame.width:
         raise UnknownVariable("expression arity mismatch")
-    group = frame.betas[0].group
-    frame_val = Monomial(group, frame.betas)
-    ok, witness = is_non_degenerate(frame_val, f, value)
+    ok, witness = is_non_degenerate(frame.betas, f, value)
     if not ok:
         raise DegenerateInput("monomial value differs from the assigned value")
     start = len(frame.history)
@@ -558,6 +557,8 @@ def check_frame_values(frame: Frame, spec) -> None:
 def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
     """Split T into monomial times certified unit; exact value checks.
 
+    w^eps leaves by a shift of the numerator: T's denominator is already in
+    normal form, so the shifted numerator over it is T / w^eps in normal form.
     The unit's value is zero without pulling it back: once the frame's
     values are checked against the spec, each is the value of its
     parameter's pullback, and every term of the unit's numerator and
@@ -566,10 +567,8 @@ def _factor_as_unit(fr: Frame, spec, T: RationalFunction, target):
     one ``least_value`` pass: the least is positive exactly when each is.
     """
     check_frame_values(fr, spec)
-    eps = None
-    for e in T.num.terms:
-        eps = e if eps is None else ev_min(eps, e)
-    unit = T / RationalFunction(MultiPoly.monomial(fr.width, eps))
+    eps = tuple(map(min, zip(*T.num.terms)))
+    unit = RationalFunction(T.num.shift(tuple(-a for a in eps)), T.den)
     for part in (unit.num, unit.den):
         if not part.is_laurent_free():
             raise CertificationError("unit with negative parameter exponents")

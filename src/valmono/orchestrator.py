@@ -47,6 +47,7 @@ from .errors import (
     LimitSuccessorRequired,
     MaximalKey,
     ParseError,
+    ResidueUndefined,
     ZeroPolynomial,
 )
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, normal_rational, to_multipoly
@@ -186,9 +187,6 @@ def advance(state: MasterState) -> MasterState:
         fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
         power = to_multipoly(prev.key**link.certificate.alpha)
         pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(power, link))
-        # the package's binomial pulls back to the new key, so both values agree
-        if compare(pkg.problem.target_value, link.value) != 0:
-            raise CertificationError("the package's binomial value differs from its key's value")
         frame, image = pkg.frame, RationalFunction(pkg.monomial()) * pkg.unit
         pos = pkg.new_position
     return replace(
@@ -223,6 +221,7 @@ def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) ->
     the value of f, when the caller has them already. Each new link is
     valued once, by its successor's residue search; the lattice generators,
     epsilon, the next successor and the key's package read it from the link.
+    A link whose value does not rise above alpha*v(q) raises ResidueUndefined.
     """
     z = UniPoly.x(f.width)
     chain = list(links) if links else [ChainLink(z, None, spec.value(z))]
@@ -245,6 +244,8 @@ def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) ->
             link = ChainLink(*next_successor(spec, last.key, lattice, last.value))
         except MaximalKey as exc:
             raise LimitSuccessorRequired(str(exc)) from exc
+        if compare(link.value, link.certificate.base_value) <= 0:
+            raise ResidueUndefined("the successor's value does not rise above its base value")
         lattice = lattice.extended(LatticeGenerator(f"Q{len(chain)}", last.value, kind="key", key=last.key))
         chain.append(link)
 

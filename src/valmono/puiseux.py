@@ -7,8 +7,9 @@ last are combinatorial; the last one creates the new dependent parameter,
 whose shifted quotient carries the residue of the binomial relation.
 
 Every equal-value step takes its residue through ``valuation_driver`` from
-``valuation_core.residue_of_unit``, but a key package's terminal step whose
-quotient is exactly the chain link's q^alpha/f takes the link's certified one.
+``valuation_core.residue_of_unit``. A key package re-proves nothing its chain
+link proved: behind exact pullback identities it takes the binomial's values
+and, where its terminal quotient is exactly q^alpha/f, the residue from the link.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ def valuation_driver(spec, new_name=None, link=None):
 
     A new parameter is called ``new_name`` while no parameter has that name.
     With ``link``, a key step's (q^alpha, chain link of Q' = q^alpha - c*f), a unit
-    h with h*(q^alpha - Q') == c*q^alpha takes c and v(Q') - v(f) when that is
-    positive; ``check_frame_values`` values h - c before any unit is accepted.
+    h with h*(q^alpha - Q') == c*q^alpha takes c and v(Q') - v(f), positive by
+    ``make_problem``'s gate; ``check_frame_values`` values h - c before any unit is accepted.
     """
     if link is not None:
         power, succ = link
@@ -72,7 +73,7 @@ def valuation_driver(spec, new_name=None, link=None):
         c_f, c_power = power - to_multipoly(succ.key), power * c_link
 
     def driver(fr, q, j, h):
-        if link is not None and v_link.is_positive() and h.num * c_f == h.den * c_power:
+        if link is not None and h.num * c_f == h.den * c_power:
             c, v = c_link, v_link
         else:
             c, v = residue_of_unit(spec, h)
@@ -100,12 +101,15 @@ class PuiseuxProblem:
     target_value: object
 
 
-def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> PuiseuxProblem:
+def make_problem(frame: Frame, spec, f=None, parts=None, position=None, link=None) -> PuiseuxProblem:
     """Validate and orient a decorated binomial over the frame.
 
     Exactly one of ``f`` (a plain two-term polynomial) or ``parts``
     (two (coefficient, exponents, unit) triples, units over frame
-    parameters or None) must be given.
+    parameters or None) must be given. With a key step's ``link``,
+    (q^alpha, chain link of Q'), terms that pull back to exactly q^alpha and
+    Q' - q^alpha take their values from it: alpha*v(q) for both, the second by
+    the ultrametric rule as v(Q') > v(q^alpha), and the link's v(Q') as target.
     """
     m = frame.width
     if (f is None) == (parts is None):
@@ -161,10 +165,15 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> Puise
         raise NonBinomialInput("the two terms cancel exactly")
     # the pullback is a ring map: the element's is the sum of the terms'
     p1, p2 = (frame.pullback_of(r) for r in term_rfs)
-    v1 = spec.value(p1)
-    if compare(v1, spec.value(p2)) != 0:
-        raise CertificationError("binomial terms must share their value")
-    target = spec.value(p1 + p2)
+    if link is None:
+        v1, target = spec.value(p1), spec.value(p1 + p2)
+        if compare(v1, spec.value(p2)) != 0:
+            raise CertificationError("binomial terms must share their value")
+    else:
+        power, succ = link
+        if p1 != RationalFunction(power) or p1 + p2 != RationalFunction(to_multipoly(succ.key)):
+            raise CertificationError("the binomial does not pull back to its chain link")
+        v1, target = succ.certificate.base_value, succ.value
     if compare(target, v1) <= 0:
         raise CertificationError("the binomial carries no cancellation under the valuation")
 
@@ -187,18 +196,10 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None) -> Puise
 
 def _parallel_ratio(m, rel):
     """Fraction t with m == t*rel componentwise, else None."""
-    t = None
-    for a, b in zip(m, rel):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        s = Fraction(a, b)
-        if t is None:
-            t = s
-        elif s != t:
-            return None
-    return t if t is not None else Fraction(0)
+    ratios = {Fraction(a, b) for a, b in zip(m, rel) if b}
+    if len(ratios) > 1 or any(a for a, b in zip(m, rel) if not b):
+        return None
+    return ratios.pop() if ratios else Fraction(0)
 
 
 def _package_driver(problem: PuiseuxProblem, new_name, link):
@@ -251,27 +252,25 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     Certifies the package shape: every step but the last is combinatorial,
     the last creates exactly one dependent parameter whose shifted quotient
     is a value-zero unit, and the element's monomial carries its full value.
+    That unit h is not valued: ``framed_blowup`` proved its residue c nonzero
+    and beta positive, and ``check_frame_values``, run by ``_factor_as_unit``,
+    proves v(h - c) = beta, so v(h) = min(v(h - c), v(c)) = 0 (a minimum over
+    a key expansion, valid key or not, is strictly ultrametric if its base is).
     """
-    problem = make_problem(frame, spec, f=f, parts=parts, position=position)
+    problem = make_problem(frame, spec, f=f, parts=parts, position=position, link=link)
     start = len(frame.history)
     result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, new_name, link))
     if result.divider != "equal":
         raise CertificationError("the package did not collapse the binomial")
     fr = result.frame
     steps = tuple(result.steps)
-    for s in steps[:-1]:
-        if not s.monomial:
-            raise CertificationError("a non-terminal package step created a parameter")
+    if not all(s.monomial for s in steps[:-1]):
+        raise CertificationError("a non-terminal package step created a parameter")
     last = steps[-1]
     if last.monomial or len(last.C) != 1:
         raise CertificationError("the terminal step must create exactly one parameter")
     new_position = last.C[0]
     residue = dict(last.residues)[new_position]
-
-    # the terminal unit is the certificate that the relation was consumed
-    zero = spec.value(1)
-    if compare(spec.value(dict(last.units)[new_position]), zero) != 0:
-        raise CertificationError("terminal unit value is not zero")
     zbar = RationalFunction(MultiPoly.variable(fr.width, new_position)) + residue
     if not verify_forward(fr):
         raise CertificationError("forward images fail the substitution check")

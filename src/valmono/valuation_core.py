@@ -131,9 +131,6 @@ class Monomial(_Spec):
         self.rank = rank
         self.width = len(weights)
 
-    def monomial_value(self, exps) -> GroupElement:
-        return monomial_value(self.weights, exps)
-
     def _value_multipoly(self, p: MultiPoly):
         if p.is_zero():
             return PLUS_INFINITY
@@ -336,14 +333,14 @@ def minimalize_monomials(exponents) -> list:
     return out
 
 
-def is_non_degenerate(frame_val: Monomial, f: MultiPoly, value):
-    """Compare the frame's monomial value with ``value``, the spec value of f.
+def is_non_degenerate(weights, f: MultiPoly, value):
+    """Compare f's value under a frame's (positive) ``weights`` with ``value``, its spec value.
 
     Returns (flag, witness): the witness is the minimalized monomial
     support of f, and exists only when the values agree.
     """
     if f.is_zero():
         raise ZeroPolynomial("non-degeneracy of the zero polynomial")
-    if compare(frame_val.value(f), value) == 0:
+    if compare(least_value(weights, f.terms), value) == 0:
         return True, minimalize_monomials(f.terms.keys())
     return False, None

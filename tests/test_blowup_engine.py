@@ -374,6 +374,27 @@ def test_factor_as_unit_rejects_a_unit_it_cannot_certify():
         _factor_as_unit(fr, spec, T, el((0,)))
 
 
+@pytest.mark.parametrize(
+    "T, eps",
+    [
+        (RationalFunction(MultiPoly(2, {(2, 1): 1, (3, 1): 1})), (2, 1)),
+        (RationalFunction(MultiPoly(2, {(2, 1): 1, (3, 1): 1}), MultiPoly(2, {(0, 0): 3, (0, 1): 2, (1, 1): 1})), (2, 1)),
+        (RationalFunction(MultiPoly(2, {(0, 1): 1, (1, 1): 1}), MultiPoly(2, {(1, 0): 1})), (-1, 1)),
+    ],
+    ids=["over-1", "over-a-sum", "laurent"],
+)
+def test_factor_as_unit_shifts_the_monomial_out(T, eps):
+    # the denominator is already in normal form, so shifting the numerator by
+    # -eps gives T / w^eps in its normal form, numerator and denominator alike
+    fr = Frame.initial(["x", "y"], [el((1,)), el((0, 1))])
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    found, unit, _ = _factor_as_unit(fr, spec, T, fr.monomial_value(eps))
+    quotient = T / RationalFunction(MultiPoly.monomial(2, eps))
+    assert found == eps
+    assert (unit.num, unit.den) == (quotient.num, quotient.den)
+    assert unit.num.is_laurent_free() and unit.num.constant_value() != 0
+
+
 def test_monomialize_degenerate_rejected():
     # z^2 - x^2 y has tower value above its monomial value
     x = MultiPoly.variable(2, 0)

@@ -16,6 +16,7 @@ import pytest
 import valmono
 from valmono import cli
 from valmono.cli import main
+from valmono.errors import ResidueUndefined
 from valmono.exact_algebra import RationalFunction, to_multipoly
 from valmono.orchestrator import load_state, monomialize, state_to_json, steps_used
 from valmono.ordered_value import compare
@@ -144,6 +145,33 @@ def test_a_chain_key_with_a_laurent_coefficient_certifies(tmp_path, capsys, poly
     assert (payload["exponents"], payload["steps"]) == (list(out.exponents), steps)
     report = verify_trace_file(str(trace))
     assert report["ok"] and report["steps"] == steps
+
+
+# z - x has value 4 on the weights x: 1, y: 5/2, z: 1; the successor of z is
+# z - x^-4*y^2, whose residue search falls back to c = 1 and whose value is
+# that of z, so the chain refuses it as its first link instead of extending to
+# z - 2*x^-4*y^2, z - 3*x^-4*y^2, ... until the successor cap
+NON_RISING_SUCCESSOR = {
+    "group": {"generators": ["1"]},
+    "vars": ["x", "y", "z"],
+    "val": {
+        "kind": "augmented",
+        "key": "z - x",
+        "value": "4",
+        "base": {"kind": "monomial", "weights": {"x": "1", "y": "5/2", "z": "1"}},
+    },
+}
+
+
+def test_a_successor_whose_value_does_not_rise_is_refused_where_it_is_made(tmp_path, capsys):
+    _, names, spec = load_problem(NON_RISING_SUCCESSOR)
+    poly = "z^2 - x*z + x^5*y^3"
+    with pytest.raises(ResidueUndefined, match="the successor's value does not rise above its base value"):
+        monomialize(spec, parse_unipoly(poly, names), 10_000, names=names)
+    problem = tmp_path / "non-rising.json"
+    problem.write_text(json.dumps(NON_RISING_SUCCESSOR))
+    assert main(["monomialize", "--spec", str(problem), "--poly", poly]) == 3
+    assert capsys.readouterr().err == "not certified: the successor's value does not rise above its base value\n"
 
 
 def test_divide_trace_and_dot(specs, capsys):

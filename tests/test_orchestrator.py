@@ -22,6 +22,7 @@ from valmono.errors import (
     CertificationError,
     LimitSuccessorRequired,
     ParseError,
+    ResidueUndefined,
     TranscendentalResidue,
     UnknownVariable,
     ZeroPolynomial,
@@ -594,8 +595,9 @@ def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
 
 def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypatch):
     # with the residue doubled the package searches, so check_frame_values sees
-    # the searched value, not the link's; only the comparison with the value of
-    # the package's own binomial then refuses a link value off the key's
+    # the searched value, not the link's; the package takes its target value
+    # from the link, and the unit factoriser's comparison of the key monomial's
+    # frame value with it then refuses a link value off the key's
     state, links = _k2_step()
     cert = links[1].certificate
     searching = replace(links[1], certificate=replace(cert, residue=cert.residue * 2))
@@ -604,18 +606,27 @@ def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypat
     assert counts["searches"] == 1
     for value in (links[1].value * 2, links[1].value + el((Fraction(1, 4),))):
         tampered = replace(state, keys_pending=(replace(searching, value=value),))
-        with pytest.raises(CertificationError, match="the package's binomial value differs from its key's value"):
+        with pytest.raises(CertificationError, match="monomial value differs from the element value"):
             advance(tampered)
 
 
 # top-level spec values, q_expansion calls and residue searches of monomialize
-# on the tower anchors; a key step that derives again a value or residue its
-# chain link certified raises them
-@pytest.mark.parametrize("f", [K2, K2 + UniPoly.constant(1, XZ**4)], ids=["s2/K2", "s2/K2 + x^4"])
-def test_the_tower_anchors_do_their_pinned_work(monkeypatch, f):
+# on the tower anchors and the README's rank-2 running example; a key step that
+# derives again a value or residue its chain link certified, or a unit or frame
+# value a step check proved, raises them
+@pytest.mark.parametrize(
+    "spec, f, names, work",
+    [
+        (S2, K2, ["x", "z"], {"values": 10, "q_expansion": 11, "searches": 1}),
+        (S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], {"values": 10, "q_expansion": 11, "searches": 1}),
+        (NU3, Q, NAMES, {"values": 11, "q_expansion": 6, "searches": 1}),
+    ],
+    ids=["s2/K2", "s2/K2 + x^4", "nu3/Q"],
+)
+def test_the_tower_anchors_do_their_pinned_work(monkeypatch, spec, f, names, work):
     counts = _counted_work(monkeypatch)
-    monomialize(S2, f, 10_000, names=["x", "z"])
-    assert counts == {"values": 16, "q_expansion": 14, "searches": 1}
+    monomialize(spec, f, 10_000, names=names)
+    assert counts == work
 
 
 def test_an_altered_initial_value_is_still_refused(tmp_path):
@@ -682,11 +693,11 @@ def test_a_successor_takes_its_residue_from_the_valuation():
 
 def test_chain_stalls_raise_limit_required():
     # under the key z^2 + x^2, z/x has no rational residue (y^2 + 1 has no
-    # rational root): the binomial successors z - x never dominate the key, and
-    # the chain stops at its fixed cap (ROADMAP item 21; the cap is item 14)
+    # rational root): the binomial successor z - x has the value of z, and the
+    # chain refuses it where it is made (ROADMAP item 21)
     key = Z**2 + UniPoly.constant(1, XZ**2)
     spec = Augmented(Monomial(G, [el((1,)), el((1,))]), key, el((3,)))
-    with pytest.raises(LimitSuccessorRequired, match="no key within 32 successors"):
+    with pytest.raises(ResidueUndefined, match="the successor's value does not rise above its base value"):
         monomialize(spec, key, 10_000, names=["x", "z"])
 
 

@@ -22,7 +22,8 @@ from valmono.errors import (
     ResidueFieldExtension,
     TranscendentalResidue,
 )
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_gcd, ev_sub
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_gcd, ev_sub, to_multipoly
+from valmono.orchestrator import _chain_for
 from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
     make_problem,
@@ -182,7 +183,8 @@ def _with_terminal_unit_times(result, factor):
     [
         # still value zero: only the substitution check sees it
         (Fraction(2), "forward images fail the substitution check"),
-        (RationalFunction(MultiPoly.variable(3, 0)), "terminal unit value is not zero"),
+        # of value v(x): the package does not value it, and the substitution check comes first
+        (RationalFunction(MultiPoly.variable(3, 0)), "forward images fail the substitution check"),
     ],
     ids=["times-2", "times-x"],
 )
@@ -193,6 +195,33 @@ def test_package_rejects_a_tampered_terminal_unit(monkeypatch, factor, message):
     )
     with pytest.raises(CertificationError, match=message):
         puiseux_package(tower_frame(), NU3, f=Q3, new_name="t")
+
+
+def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypatch):
+    # the package does not value its terminal unit h: the frame check's
+    # v(h - c) = beta > 0 = v(c) implies v(h) = 0, so a unit of value v(x)
+    # that passed the substitution check is still refused, by that check
+    divide = puiseux.divide_monomials
+    x = RationalFunction(MultiPoly.variable(3, 0))
+    monkeypatch.setattr(puiseux, "divide_monomials", lambda *args: _with_terminal_unit_times(divide(*args), x))
+    monkeypatch.setattr(puiseux, "verify_forward", lambda frame: True)
+    with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
+        puiseux_package(tower_frame(), NU3, f=Q3, new_name="t")
+
+
+def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
+    # a key step's binomial takes its values from its chain link only when its
+    # terms pull back to exactly q^alpha and Q' - q^alpha
+    link = _chain_for(NU3, Q, ["x", "y", "z"])[1]
+    fr, parts, alpha = prepare_successor(tower_frame(), NU3, link.key, X, (0, 0, 1))
+    power = to_multipoly(X**alpha)
+    pkg = puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=(power, link))
+    assert pkg.problem.term_value is link.certificate.base_value and pkg.problem.target_value is link.value
+    assert pkg.exponents == (2, 2, 1)
+    other = dataclasses.replace(link, key=X**2 - UniPoly.constant(2, x2**2 * y2 * 2))
+    for bad in ((to_multipoly(X ** (alpha + 1)), link), (power, other)):
+        with pytest.raises(CertificationError, match="the binomial does not pull back to its chain link"):
+            puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=bad)
 
 
 def test_package_transport_consistency():

@@ -196,7 +196,6 @@ def _divisions(path: Path) -> list:
 
 # the functions that divide rational functions; a coefficient quotient is Fraction(a, b)
 RATIONAL_FUNCTION_DIVISIONS = {
-    "blowup_engine._factor_as_unit",
     "exact_algebra.RationalFunction.__rtruediv__",
     "puiseux.monomialize_limit_successor",
 }
@@ -296,12 +295,17 @@ def _hit(path: Path, owner: str, node) -> str:
     return f"{path.stem}.{owner or '<module>'}:{node.lineno}"
 
 
+def _callee(node) -> str | None:
+    """The called name: ``f`` of ``f(...)`` and of ``module.f(...)``."""
+    return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+
 def _frame_builders(path: Path) -> list:
     """``module.Qualified.owner:line`` for every ``Frame(...)`` call in one source file,
     and every ``cls(...)`` call inside class ``Frame``."""
     found = []
     for owner, node in _owned_calls(path):
-        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        callee = _callee(node)
         if callee == "Frame" or (callee == "cls" and owner.split(".")[0] == "Frame"):
             found.append(_hit(path, owner, node))
     return found
@@ -333,6 +337,36 @@ def test_the_frame_guard_sees_each_form(tmp_path):
         "        return cls(), Frame.initial((), ())\n"
     )
     assert _frame_builders(sample) == ["sample.<module>:1", "sample.f:3", "sample.Frame.make:7"]
+
+
+def _monomial_specs(path: Path) -> list:
+    """``module.Qualified.owner:line`` for every ``Monomial(...)`` call in one source file."""
+    return [_hit(path, owner, node) for owner, node in _owned_calls(path) if _callee(node) == "Monomial"]
+
+
+def test_frame_monomials_are_valued_without_a_monomial_spec():
+    # a Monomial spec proves every weight positive again; a frame's values were
+    # proved positive where they were made, so the modules that work in frames
+    # value a monomial by least_value or monomial_value of the frame's betas
+    package = Path(valmono.__file__).parent
+    found = [hit for name in ("blowup_engine", "puiseux", "orchestrator")
+             for hit in _monomial_specs(package / f"{name}.py")]
+    assert found == [], "value frame monomials by least_value or monomial_value of the betas: " + ", ".join(found)
+
+
+def test_the_monomial_spec_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "M = Monomial(G, ())\n"
+        "def f(fr):\n"
+        "    return valuation_core.Monomial(fr.betas[0].group, fr.betas)\n"
+        "class K:\n"
+        "    def m(self, fr):\n"
+        "        return MultiPoly.monomial(1, (1,)), fr.monomial_value((1,)), Monomial, monomial(1)\n"
+        "    def n(self):\n"
+        "        return [Monomial(*w) for w in self.ws]\n"
+    )
+    assert _monomial_specs(sample) == ["sample.<module>:1", "sample.f:3", "sample.K.n:8"]
 
 
 _ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")

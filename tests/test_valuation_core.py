@@ -165,26 +165,26 @@ def test_truncation_derivative_bound():
 
 def test_non_degenerate_witness():
     f = MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1)
-    ok, N = is_non_degenerate(NU2, f, NU2.value(f))
+    ok, N = is_non_degenerate(NU2.weights, f, NU2.value(f))
     assert ok and N == [(0, 1, 0), (1, 0, 0)]
     m = MultiPoly.monomial(3, (2, 1, 0))
-    ok2, N2 = is_non_degenerate(NU2, m, NU2.value(m))
+    ok2, N2 = is_non_degenerate(NU2.weights, m, NU2.value(m))
     assert ok2 and N2 == [(2, 1, 0)]
     # dominated exponents are pruned from the witness
     g = MultiPoly.monomial(3, (2, 0, 0)) + MultiPoly.monomial(3, (3, 1, 0))
-    ok3, N3 = is_non_degenerate(NU2, g, NU2.value(g))
+    ok3, N3 = is_non_degenerate(NU2.weights, g, NU2.value(g))
     assert ok3 and N3 == [(2, 0, 0)]
 
 
 def test_degenerate_detected():
     aug = Augmented(NU2, Q, el((3, 3)))
     f = MultiPoly(3, {(0, 0, 2): Fraction(1), (2, 1, 0): Fraction(-1)})
-    ok, N = is_non_degenerate(NU2, f, aug.value(f))
+    ok, N = is_non_degenerate(NU2.weights, f, aug.value(f))
     assert not ok and N is None
     # under the frame's own monomial value the same f is non-degenerate
-    assert is_non_degenerate(NU2, f, NU2.value(f)) == (True, [(0, 0, 2), (2, 1, 0)])
+    assert is_non_degenerate(NU2.weights, f, NU2.value(f)) == (True, [(0, 0, 2), (2, 1, 0)])
     with pytest.raises(ZeroPolynomial):
-        is_non_degenerate(NU2, MultiPoly.zero(3), PLUS_INFINITY)
+        is_non_degenerate(NU2.weights, MultiPoly.zero(3), PLUS_INFINITY)
 
 
 def test_augmented_construction_guards():
