@@ -152,7 +152,7 @@ def _cmd_truncate(args, names, spec):
 
 def _cmd_successor(args, names, spec):
     q = parse_key(_one_poly(args.key), names)
-    lattice = _variable_lattice(spec, names)
+    lattice = _variable_lattice(spec, _initial_frame(spec, names))
     if args.check:
         cand = parse_unipoly(_one_poly(args.check), names)
         rep = verify_immediate_successor(spec, q, cand, lattice)

@@ -103,4 +103,4 @@ class BudgetExceeded(ValmonoError):
 
 
 class LimitSuccessorRequired(ValmonoError):
-    """The chain hit a limit point; the caller must supply the next key."""
+    """A key is maximal: no binomial successor extends the chain, so the caller must supply a limit key."""

@@ -67,14 +67,10 @@ from .serde import (
     parse_unipoly,
     problem_to_json,
 )
-from .successors import Lattice, LatticeGenerator, SuccessorCertificate, next_successor
+from .successors import Lattice, LatticeGenerator, SuccessorCertificate, check_limit_successor, next_successor
 from .valuation_core import epsilon
 
 STATE_VERSION = 2
-
-# chain extension is capped: a run that keeps producing successors without
-# reaching the target invariant is treated as a limit point
-MAX_CHAIN = 32
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ class MasterState:
     budget: int
     chain: tuple  # ChainLink entries already monomialized
     keys_pending: tuple  # ChainLink entries waiting for their package
-    key_image: RationalFunction  # image of chain[-1].key over the current parameters
     key_pos: int  # frame position of the parameter carrying the key
 
 
@@ -115,25 +110,18 @@ def _budget_error(state: MasterState, task: str) -> BudgetExceeded:
     return exc
 
 
-def _fresh_state(spec, frame: Frame, budget: int, pending=()) -> MasterState:
+def _fresh_state(spec, frame: Frame, budget: int) -> MasterState:
     """The state before any round: the chain is the base link u_n, valued by
-    the frame's initial weight, and the ``pending`` links wait for their keys."""
+    the frame's initial weight, and no key is pending."""
     pos = frame.width - 1
     return MasterState(
         spec=spec,
         frame=frame,
         budget=int(budget),
         chain=(ChainLink(UniPoly.x(pos), None, frame.init_betas[pos]),),
-        keys_pending=tuple(pending),
-        key_image=RationalFunction(MultiPoly.variable(frame.width, pos)),
+        keys_pending=(),
         key_pos=pos,
     )
-
-
-def _after_steps(state: MasterState, frame: Frame) -> MasterState:
-    """Push the key image through the new steps."""
-    image = transport(frame, state.key_image, from_step=len(state.frame.history))
-    return replace(state, frame=frame, key_image=image)
 
 
 # -- rounds ---------------------------------------------------------------------
@@ -154,7 +142,7 @@ def _divide_pairs(state: MasterState, pairs) -> MasterState:
             if steps_used(state) >= state.budget:
                 raise _budget_error(state, task)
             res = divide_monomials(state.frame, a, b, driver)
-            state = _after_steps(state, res.frame)
+            state = replace(state, frame=res.frame)
             queue = [
                 (transform_exponents(p, res.steps), transform_exponents(q, res.steps), t)
                 for p, q, t in queue
@@ -169,9 +157,8 @@ def advance(state: MasterState) -> MasterState:
     """One round: monomialize the next pending key, if any, from the image of the last one.
 
     The budget is checked before the round, so its steps may end past it.
-    The key's package ends in the image of the new key, monomial times
-    unit, which replaces the old image; the old one is not carried through
-    the key's own steps.
+    The state carries no key image: the last key is transported afresh, and
+    that is the image its package ended in, the frame image of one polynomial.
     """
     if not state.keys_pending:
         return state
@@ -180,21 +167,19 @@ def advance(state: MasterState) -> MasterState:
     link, prev = state.keys_pending[0], state.chain[-1]
     if link.certificate is not None and link.certificate.kind == "limit":
         res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key)
-        frame, image = res.frame, RationalFunction(res.monomial()) * res.unit
-        pos = res.package.new_position
+        frame, pos = res.frame, res.package.new_position
     else:
-        exps, unit, _ = _factor_as_unit(state.frame, state.spec, state.key_image, prev.value)
+        image = transport(state.frame, RationalFunction(to_multipoly(prev.key)))
+        exps, unit, _ = _factor_as_unit(state.frame, state.spec, image, prev.value)
         fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
         power = to_multipoly(prev.key**link.certificate.alpha)
         pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(power, link))
-        frame, image = pkg.frame, RationalFunction(pkg.monomial()) * pkg.unit
-        pos = pkg.new_position
+        frame, pos = pkg.frame, pkg.new_position
     return replace(
         state,
         frame=frame,
         chain=state.chain + (link,),
         keys_pending=state.keys_pending[1:],
-        key_image=image,
         key_pos=pos,
     )
 
@@ -202,44 +187,40 @@ def advance(state: MasterState) -> MasterState:
 # -- chain construction ----------------------------------------------------------
 
 
-def _variable_weights(spec, width: int) -> list:
-    """Values of the coefficient variables u_1, ..., u_width."""
-    return [spec.value(UniPoly.constant(width, MultiPoly.variable(width, i))) for i in range(width)]
+def _variable_lattice(spec, frame: Frame) -> Lattice:
+    """The lattice of the coefficient variables, valued by the frame's starting values."""
+    return Lattice.from_variables(list(frame.original_names[:-1]), list(frame.init_betas[:-1]), spec.rank)
 
 
-def _variable_lattice(spec, names, weights=None) -> Lattice:
-    if weights is None:
-        weights = _variable_weights(spec, len(names) - 1)
-    return Lattice.from_variables(list(names[:-1]), weights, spec.rank)
+def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
+    """The state with links pending until the last key dominates epsilon(f); ``value`` is v(f).
 
-
-def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) -> tuple:
-    """Successor chain [u_n, Q_2, ...] whose last key dominates epsilon(f).
-
-    ``links`` is a chain to extend; by default the chain starts at u_n.
-    ``weights`` are the values of the coefficient variables, and ``value``
-    the value of f, when the caller has them already. Each new link is
-    valued once, by its successor's residue search; the lattice generators,
-    epsilon, the next successor and the key's package read it from the link.
-    A link whose value does not rise above alpha*v(q) raises ResidueUndefined.
+    The chain is the state's, pending links included. The variable weights
+    are the frame's starting values: the spec's, as ``_initial_frame`` takes
+    them and ``check_frame_values`` checks a loaded frame's. Each new link is
+    valued once, by its successor's residue search. A link whose value does
+    not rise above alpha*v(q) raises ResidueUndefined; a maximal key raises
+    LimitSuccessorRequired. The chain has no fixed length: every key package
+    ends in an equal-value step, so a link is made only while the pending
+    links do not exceed the steps left, and past that BudgetExceeded at
+    "chain" holds the state with them pending, for ``advance`` to resume.
     """
-    z = UniPoly.x(f.width)
-    chain = list(links) if links else [ChainLink(z, None, spec.value(z))]
+    spec, done = state.spec, len(state.chain)
+    chain = list(state.chain + state.keys_pending)
     target = epsilon(spec, f, value).epsilon
     if is_sentinel(target):
-        return tuple(chain)
-    lattice = _variable_lattice(spec, names, weights)
+        return state
+    lattice = _variable_lattice(spec, state.frame)
     for i, link in enumerate(chain[:-1], 1):
         lattice = lattice.extended(LatticeGenerator(f"Q{i}", link.value, kind="key", key=link.key))
     while True:
         last = chain[-1]
+        extended = replace(state, keys_pending=tuple(chain[done:]))
         cur = epsilon(spec, last.key, last.value).epsilon
         if not is_sentinel(cur) and compare(cur, target) >= 0:
-            return tuple(chain)
-        if len(chain) >= MAX_CHAIN:
-            raise LimitSuccessorRequired(
-                f"no key within {MAX_CHAIN} successors dominates the target invariant"
-            )
+            return extended
+        if len(chain) - done > state.budget - steps_used(state):
+            raise _budget_error(extended, "chain")
         try:
             link = ChainLink(*next_successor(spec, last.key, lattice, last.value))
         except MaximalKey as exc:
@@ -250,14 +231,13 @@ def _chain_for(spec, f: UniPoly, names, links=None, weights=None, value=None) ->
         chain.append(link)
 
 
-def _initial_frame(spec, names, weights=None) -> Frame:
-    """The chart of the original variables; ``weights`` as for ``_chain_for``.
+def _initial_frame(spec, names) -> Frame:
+    """The chart of the original variables, valued by the spec.
 
     Its values come from the spec, so the frame starts as checked under it.
     """
     width = len(names) - 1
-    if weights is None:
-        weights = _variable_weights(spec, width)
+    weights = [spec.value(UniPoly.constant(width, MultiPoly.variable(width, i))) for i in range(width)]
     frame = Frame.initial(list(names), weights + [spec.value(UniPoly.x(width))])
     frame.checked = (spec, 0)
     return frame
@@ -311,9 +291,9 @@ def _finalize(state: MasterState, f: UniPoly, expected):
             res = principalize(state.frame, least, driver)
             if not res.steps:
                 raise CertificationError("a degenerate element has one term of least value")
-            state = _after_steps(state, res.frame)
+            state = replace(state, frame=res.frame)
     # _factor_as_unit proved cert.value equal to expected
-    state = _after_steps(state, cert.frame)
+    state = replace(state, frame=cert.frame)
     return state, (cert.exponents, cert.unit, cert.value)
 
 
@@ -347,12 +327,10 @@ def _monomialize_in_turn(spec, fs, budget: int, names):
     first = min(range(len(fs)), key=cmp_to_key(lambda i, j: compare(values[i], values[j])))
     order = (first,) + tuple(i for i in range(len(fs)) if i != first)
 
-    weights = _variable_weights(spec, width)
-    state = _fresh_state(spec, _initial_frame(spec, names, weights), budget)
+    state = _fresh_state(spec, _initial_frame(spec, names), budget)
     done = {}
     for idx in order:
-        links = _chain_for(spec, fs[idx], names, state.chain + state.keys_pending, weights, values[idx])
-        state = replace(state, keys_pending=links[len(state.chain):])
+        state = _chain_for(state, fs[idx], values[idx])
         while state.keys_pending:
             state = advance(state)
         state, entry = _finalize(state, fs[idx], values[idx])
@@ -460,13 +438,18 @@ def _link_json(link: ChainLink, names) -> dict:
 
 
 def _links_from(objs, group, spec, names) -> list:
-    """Chain links in order, each key valued once; each link but the first has a certificate that fits both keys."""
+    """Chain links in order, each key valued once; each link but the first has a certificate that fits both keys.
+
+    A limit key must pass ``check_limit_successor`` against the previous key, as ``monomialize_limit_successor`` needs."""
     links = []
     for obj in objs:
         raw = obj["certificate"]
         cert = None if raw is None and not links else _cert_from(raw, group, names, links[-1].value)
         key = parse_unipoly(obj["key"], names)
-        if cert is not None and cert.kind != "limit":
+        if cert is not None and cert.kind == "limit":
+            if not check_limit_successor(spec, links[-1].key, key)[0]:
+                raise ParseError(f"chain key {obj['key']!r} is not a limit candidate of the previous key")
+        elif cert is not None:
             prev, keys = links[-1].key, {f"Q{i}": link.key for i, link in enumerate(links, 1)}  # Q_i: link i - 1
             # degrees first, so that no power is expanded past the key's own size
             f_degree = sum(keys[label].degree * power for label, power in cert.key_powers)
@@ -485,7 +468,6 @@ def state_to_json(state: MasterState, records=None) -> dict:
     """The JSON object of a state; ``records``, when given, must be ``trace.trace_records(state.frame)``."""
     group = state.frame.betas[0].group
     names = list(state.frame.original_names)
-    image = state.key_image
     return {
         "version": STATE_VERSION,
         "problem": problem_to_json(group, names, state.spec),
@@ -493,10 +475,6 @@ def state_to_json(state: MasterState, records=None) -> dict:
         "trace": trace.trace_records(state.frame) if records is None else records,
         "chain": [_link_json(l, names) for l in state.chain],
         "keys_pending": [_link_json(l, names) for l in state.keys_pending],
-        "key_image": {
-            "num": format_multipoly(image.num, state.frame.names),
-            "den": format_multipoly(image.den, state.frame.names),
-        },
         "key_pos": state.key_pos,
     }
 
@@ -513,7 +491,6 @@ def state_from_json(obj) -> MasterState:
         chain = tuple(links[:len(obj["chain"])])
         if not chain:
             raise ParseError("state chain is empty")
-        image = obj["key_image"]
         budget, key_pos = obj["budget"], obj["key_pos"]
         if {type(budget), type(key_pos)} != {int} or budget < 0 or key_pos not in range(frame.width):
             raise ParseError(f"state budget {budget!r} or key_pos {key_pos!r} is invalid")
@@ -523,10 +500,6 @@ def state_from_json(obj) -> MasterState:
             budget=budget,
             chain=chain,
             keys_pending=tuple(links[len(chain):]),
-            key_image=RationalFunction(
-                parse_polynomial(image["num"], frame.names),
-                parse_polynomial(image["den"], frame.names),
-            ),
             key_pos=key_pos,
         )
     except trace._MALFORMED as exc:

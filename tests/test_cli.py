@@ -82,6 +82,69 @@ def test_successor_build_and_check(specs, capsys):
     capsys.readouterr()
 
 
+# without "vars" the variable order is that of the innermost weight map: the
+# composite NU3 (x, y, z) and the tower s2 = [x: 1, z: 1; z, 3/2; z^2 - x^3, 13/4] (x, z)
+S2_TOWER = {
+    "group": {"generators": ["1"]},
+    "vars": ["x", "z"],
+    "val": {
+        "kind": "augmented",
+        "base": {
+            "kind": "augmented",
+            "base": {"kind": "monomial", "weights": {"x": "1", "z": "1"}},
+            "key": "z",
+            "value": "3/2",
+        },
+        "key": "z^2 - x^3",
+        "value": "13/4",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "problem, poly, value",
+    [(NU3, "z^2 - x^2*y", "(1, 0)"), (NU3, "y", "(0, 2*pi)"), (NU3, "x*z", "(0, 2 + pi)"),
+     (S2_TOWER, "z^2 - x^3", "13/4"), (S2_TOWER, "x^2*z", "7/2")],
+    ids=["nu3-key", "nu3-y", "nu3-xz", "s2-key", "s2-x2z"],
+)
+def test_a_problem_without_vars_takes_the_innermost_weight_order(tmp_path, capsys, problem, poly, value):
+    for k, obj in enumerate((problem, {key: v for key, v in problem.items() if key != "vars"})):
+        path = tmp_path / f"problem{k}.json"
+        path.write_text(json.dumps(obj))
+        assert main(["eval", "--spec", str(path), "--poly", poly]) == 0
+        assert capsys.readouterr().out == value + "\n"
+
+
+# a --poly or --polys argument that names a file: each layout it may hold
+POLY_FILES = {
+    "poly-object": ("eval", json.dumps({"poly": "z^2 - x^2*y"})),
+    "json-string": ("eval", json.dumps("z^2 - x^2*y")),
+    "raw-text": ("eval", "z^2 - x^2*y\n"),
+    "polys-object": ("uniformize", json.dumps({"polys": ["x^2*y", "z^2 - x^2*y"]})),
+    "json-list": ("uniformize", json.dumps(["x^2*y", "z^2 - x^2*y"])),
+    "raw-text-list": ("uniformize", "x^2*y; z^2 - x^2*y\n"),
+}
+INLINE = {"eval": ["--poly", "z^2 - x^2*y"], "uniformize": ["--polys", "x^2*y;z^2 - x^2*y"]}
+
+
+@pytest.mark.parametrize("verb, content", POLY_FILES.values(), ids=POLY_FILES)
+def test_a_polynomial_file_in_each_layout(specs, capsys, verb, content):
+    assert main([verb, "--spec", specs["nu3"], *INLINE[verb]]) == 0
+    inline = capsys.readouterr().out
+    path = specs["dir"] / "poly.json"
+    path.write_text(content)
+    assert main([verb, "--spec", specs["nu3"], INLINE[verb][0], str(path)]) == 0
+    assert capsys.readouterr().out == inline
+
+
+@pytest.mark.parametrize("content", [json.dumps({"polynomial": "z"}), "5", "null"], ids=["object", "number", "null"])
+def test_an_unsupported_polynomial_file_layout_exits_2(specs, capsys, content):
+    path = specs["dir"] / "poly.json"
+    path.write_text(content)
+    assert main(["eval", "--spec", specs["nu3"], "--poly", str(path)]) == 2
+    assert "unsupported polynomial file layout" in capsys.readouterr().err
+
+
 # ROADMAP item 6's first grid row: the successor of z is z - c*x, c the residue of z/x
 GRID_ROW_1 = {
     "group": {"generators": ["1"]},
@@ -620,19 +683,20 @@ OUTPUT_TABLE = [
     ("puiseux-not-certified", "puiseux --spec {nu2} --poly 'z^2 - x^2*y' --trace {trace}",
      3, None, "e5d324b14df09783", None, None),
     # the state digests of the next six rows were re-recorded when states
-    # became compact JSON, and again when the slice index left the state
+    # became compact JSON, when the slice index left the state, and when the
+    # key image left it
     ("monomialize-text", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace} --state {state}",
-     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "3aef9347bac8870d"),
+     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "37da8c25ff286ebb"),
     ("monomialize-json", "monomialize --spec {nu3} --poly '2*z + 3*x^2*y' --format json --trace {trace} --state {state}",
-     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "6771a8f0baf522c5"),
+     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "2a61b5f44d301b9f"),
     ("monomialize-dot", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --format dot --state {state}",
-     0, "8655bf50ce015c51", None, None, "3aef9347bac8870d"),
+     0, "8655bf50ce015c51", None, None, "37da8c25ff286ebb"),
     ("monomialize-budget-0", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --budget 0 --trace {trace} --state {state}",
-     3, None, "e6f86ffa89c64daa", None, "4bd999dddd98a9b8"),
+     3, None, "e6f86ffa89c64daa", None, "6ef315e0cf337bb8"),
     ("uniformize-text", "uniformize --spec {nu2} --polys 'x;x+y' --trace {trace} --state {state}",
-     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "834c400702a22238"),
+     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "e177c649c3cfb1f5"),
     ("uniformize-json", "uniformize --spec {nu3} --polys 'x^2*y;z^2 - x^2*y' --format json --trace {trace} --state {state}",
-     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "3aef9347bac8870d"),
+     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "37da8c25ff286ebb"),
     ("uniformize-dot", "uniformize --spec {nu2} --polys 'x;x+y' --format dot",
      0, "8040302626e8cb19", None, None, None),
     ("missing-spec", "eval --spec {nu3}.missing --poly z",
@@ -727,13 +791,13 @@ def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
 
 def test_the_readme_run_writes_the_recorded_files(specs, capsys):
     # the README's monomialize run; the digests are those of the OUTPUT_TABLE
-    # monomialize rows (the state's re-recorded when states became compact JSON
-    # and when the slice index left them)
+    # monomialize rows (the state's re-recorded when states became compact JSON,
+    # when the slice index left them and when the key image left them)
     trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "3aef9347bac8870d")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "37da8c25ff286ebb")
 
 
 def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
@@ -746,13 +810,19 @@ def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "3aef9347bac8870d")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "37da8c25ff286ebb")
     assert (trace.stat().st_ino, state.stat().st_ino) == inodes
 
 
 # the slice index a state file held before the divisibility slices went: the
 # README run had done one slice, and its budget-0 run stopped before the first
 PARENT_SLICE_INDEX = {"10000": 1, "0": 0}
+# the key image a state file held before the loop came to transport the last
+# key afresh: the README run's after its key step, the budget-0 run's z itself
+PARENT_KEY_IMAGE = {
+    "10000": {"num": "x^2*y^2*z'^2 + x^2*y^2*z'", "den": "1"},
+    "0": {"num": "z", "den": "1"},
+}
 
 
 @pytest.mark.parametrize(
@@ -760,17 +830,19 @@ PARENT_SLICE_INDEX = {"10000": 1, "0": 0}
 )
 def test_a_state_in_the_indented_layout_still_loads(specs, capsys, budget, rc, parent_digest):
     # every state file written before states became compact JSON was indented,
-    # and every one written before the slices went has a slice index; the
-    # digests are those the OUTPUT_TABLE monomialize rows recorded then
+    # every one written before the slices went has a slice index, and every
+    # one written before the key image left the state has one; the digests
+    # are those the OUTPUT_TABLE monomialize rows recorded then
     state, older = specs["dir"] / "run-state.json", specs["dir"] / "older-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", budget,
                  "--state", str(state)]) == rc
     capsys.readouterr()
     assert state.read_text().count("\n") == 1
     blob = json.loads(state.read_text())
-    assert "slice_index" not in blob
+    assert "slice_index" not in blob and "key_image" not in blob
     with open(older, "w", encoding="utf-8") as fh:
-        json.dump(dict(blob, slice_index=PARENT_SLICE_INDEX[budget]), fh, indent=1, sort_keys=True)
+        parent = dict(blob, slice_index=PARENT_SLICE_INDEX[budget], key_image=PARENT_KEY_IMAGE[budget])
+        json.dump(parent, fh, indent=1, sort_keys=True)
         fh.write("\n")
     assert _digest(older.read_bytes()) == parent_digest
     assert state_to_json(load_state(older)) == state_to_json(load_state(state)) == blob

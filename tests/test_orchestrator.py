@@ -16,11 +16,11 @@ from valmono.blowup_engine import (
     _factor_as_unit,
     check_frame_values,
     principalize,
+    transport,
 )
 from valmono.errors import (
     BudgetExceeded,
     CertificationError,
-    LimitSuccessorRequired,
     ParseError,
     ResidueUndefined,
     TranscendentalResidue,
@@ -140,9 +140,9 @@ def test_monomialize_rejects_zero():
 
 
 def test_budget_zero_and_resume():
-    chain = _chain_for(NU3, Q, NAMES)
-    assert [link.key.degree for link in chain] == [1, 2]
-    st = _fresh_state(NU3, _initial_frame(NU3, NAMES), 0, chain[1:])
+    # with no step left, the chain still makes the one link that costs its first
+    st = _chain_for(_fresh_state(NU3, _initial_frame(NU3, NAMES), 0), Q, NU3.value(Q))
+    assert [link.key.degree for link in st.chain + st.keys_pending] == [1, 2]
     with pytest.raises(BudgetExceeded) as exc:
         advance(st)
     assert exc.value.state is st and exc.value.task == "advance"
@@ -177,7 +177,6 @@ def _assert_state_roundtrip(state):
     blob = json.loads(json.dumps(state_to_json(state)))
     back = state_from_json(blob)
     assert state_to_json(back) == blob
-    assert back.key_image == state.key_image
     keys = [link.key for link in state.chain + state.keys_pending]
     assert [link.key for link in back.chain + back.keys_pending] == keys
     return blob
@@ -201,13 +200,6 @@ def test_state_roundtrip_partial_uniformize_and_tower():
     assert st.frame.names == ("x", "z'")
     blob = _assert_state_roundtrip(st)
     assert blob["chain"][1]["key"] == "z^2 - x^3"
-    assert blob["key_image"]["num"] == "x^6*z'^4 + 3*x^6*z'^3 + 3*x^6*z'^2 + x^6*z'"
-    # a Laurent image with a non-monomial denominator keeps its text form
-    xz = MultiPoly(2, {(7, 0): Fraction(-2, 3), (7, 1): Fraction(-2, 3)})
-    laurent = replace(st, key_image=st.key_image / RationalFunction(xz))
-    blob = _assert_state_roundtrip(laurent)
-    assert blob["key_image"]["den"] == "z' + 1"
-    assert "x^-1" in blob["key_image"]["num"]
 
 
 def _without(field):
@@ -228,14 +220,13 @@ STATE_TAMPERS = {
     "version-1": lambda blob: dict(blob, version=1),
     "chain-empty": lambda blob: dict(blob, chain=[]),
     **{f"no-{field}": _without(field) for field in
-       ("budget", "chain", "key_image", "key_pos", "trace", "keys_pending", "problem")},
+       ("budget", "chain", "key_pos", "trace", "keys_pending", "problem")},
     "budget-text": lambda blob: dict(blob, budget="x"),
     "budget-fraction": lambda blob: dict(blob, budget=1.5),
     "budget-negative": lambda blob: dict(blob, budget=-7),
     "key-pos-past-the-frame": lambda blob: dict(blob, key_pos=99),
     "key-pos-negative": lambda blob: dict(blob, key_pos=-1),
     "key-pos-bool": lambda blob: dict(blob, key_pos=True),
-    "key-image-no-den": lambda blob: dict(blob, key_image={"num": blob["key_image"]["num"]}),
     "trace-empty": lambda blob: dict(blob, trace=[]),
     "chain-link-no-key": lambda blob: dict(blob, chain=[{"certificate": None}]),
     "chain-link-no-certificate": lambda blob: dict(blob, chain=[*blob["chain"][:-1], dict(blob["chain"][-1], certificate=None)]),
@@ -460,7 +451,8 @@ def test_uniformize_budget_stops_at_the_divisibility_phase():
     assert exc.value.state.frame.history == ()
 
 
-def test_limit_link_through_master_loop():
+def _limit_link_state():
+    """Over [x: 1, u: 4; u + x^4, 5], the fresh state with the limit link u + x^4 pending."""
     xx = MultiPoly.variable(1, 0)
     U = UniPoly.x(1)
     base = Monomial(G, [el((1,)), el((0, 1))])
@@ -476,12 +468,49 @@ def test_limit_link_through_master_loop():
         base_value=el((4,)),
     )
     pending = (ChainLink(P2, limit_cert, spec.value(P2)),)
-    st = _fresh_state(spec, _initial_frame(spec, ["x", "u"]), 10_000, pending)
+    return replace(_fresh_state(spec, _initial_frame(spec, ["x", "u"]), 10_000), keys_pending=pending)
+
+
+def test_limit_link_through_master_loop():
+    st = _limit_link_state()
+    spec, P2 = st.spec, st.keys_pending[0].key
     while st.keys_pending:
         st = advance(st)
     assert st.key_pos == 1
     assert st.frame.names[1].startswith("u")
-    assert compare(spec.value(st.frame.pullback_of(st.key_image)), el((5,))) == 0
+    # the key transported afresh is the frame monomial x^4*u', of the key's value
+    image = transport(st.frame, RationalFunction(to_multipoly(P2)))
+    assert image == RationalFunction(MultiPoly.monomial(2, (4, 1)))
+    assert compare(spec.value(st.frame.pullback_of(image)), el((5,))) == 0
+
+
+def test_a_limit_link_survives_the_state_file():
+    pending = _limit_link_state()
+    for st in (pending, advance(pending)):
+        blob = _assert_state_roundtrip(st)
+        assert (blob["chain"] + blob["keys_pending"])[-1] == {
+            "key": "u + x^4",
+            "certificate": {"kind": "limit", "alpha": 1, "monomial": None, "key_powers": [],
+                            "residue": None, "base_value": "4"},
+        }
+        # a limit key must drop the previous key's value at argmin {0, 1}:
+        # u + 2*x^4 has the truncated value 4 of its own value
+        links = "chain" if st.chain[-1].certificate else "keys_pending"
+        tampered = json.loads(json.dumps(blob))
+        tampered[links][-1]["key"] = "u + 2*x^4"
+        with pytest.raises(ParseError, match=r"chain key 'u \+ 2\*x\^4' is not a limit candidate"):
+            state_from_json(tampered)
+
+
+@pytest.mark.parametrize("key", ["z^2 - x^2*y", "z^2 - 7*x^2*y", "z^2 + x^5"])
+def test_state_checks_a_limit_link_against_the_previous_key(key):
+    # the README chain's key marked as a limit link, as it is or replaced: its
+    # z-expansion tops out at index 2, so no key here is a limit candidate of z
+    blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
+    tamper = _certificate(kind="limit")(blob)
+    tamper["chain"][-1]["key"] = key
+    with pytest.raises(ParseError, match="is not a limit candidate of the previous key"):
+        state_from_json(tamper)
 
 
 def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
@@ -532,7 +561,9 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
 def _k2_step():
     """The s2 state before its key step, and the chain [z, K2] of the anchor K2 + x^4."""
     state = _fresh_state(S2, _initial_frame(S2, ["x", "z"]), 10_000)
-    return state, _chain_for(S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], state.chain)
+    f = K2 + UniPoly.constant(1, XZ**4)
+    extended = _chain_for(state, f, S2.value(f))
+    return state, extended.chain + extended.keys_pending
 
 
 def test_a_key_step_refuses_a_link_value_off_its_package():
@@ -661,10 +692,14 @@ def test_an_altered_initial_value_is_still_refused(tmp_path):
 
 
 def test_chain_extends_from_a_prefix():
-    chain = _chain_for(NU3, Q, NAMES)
-    assert len(chain) == 2
-    assert _chain_for(NU3, Q, NAMES, chain[:1]) == chain
-    assert _chain_for(NU3, Q, NAMES, chain) == chain
+    fresh = _fresh_state(NU3, _initial_frame(NU3, NAMES), 10)
+    st = _chain_for(fresh, Q, NU3.value(Q))
+    chain = st.chain + st.keys_pending
+    assert len(chain) == 2 and st.chain == fresh.chain
+    assert _chain_for(st, Q, NU3.value(Q)) == st
+    # a chain whose last key is done is extended by pending links only
+    done = replace(fresh, chain=chain)
+    assert _chain_for(done, Q, NU3.value(Q)) == done
 
 
 def _assert_certified(spec, f, out):
@@ -773,11 +808,34 @@ def test_a_thirty_two_link_arc_chain_certifies():
     assert len(out.state.chain) == 32 and steps_used(out.state) == 31
 
 
-def test_the_fixed_chain_cap_stops_the_arc_tower_at_thirty_two():
-    # z - phi_32 needs a 33rd link: the fixed cap raises a false limit (ROADMAP item 14)
+@pytest.mark.parametrize("k", [32, 40])
+def test_the_arc_tower_chain_has_no_fixed_length(k):
+    # z - phi_k needs k + 1 links: the chain's length comes from the valuation, and no limit is involved
     spec, keys = ARC40
-    with pytest.raises(LimitSuccessorRequired, match="no key within 32 successors"):
-        monomialize(spec, keys[31], 10_000, names=["x", "z"])
+    out = monomialize(spec, keys[k - 1], 10_000, names=["x", "z"])
+    _assert_certified(spec, keys[k - 1], out)
+    assert len(out.state.chain) == k + 1 and steps_used(out.state) == k
+
+
+def test_a_long_chain_stops_at_the_budget_and_resumes():
+    # each pending link costs at least one step: under budget 5 the chain for
+    # z - phi_40 stops with 6 links pending, and the state resumes to the full run
+    spec, keys = ARC40
+    f, names = keys[39], ["x", "z"]
+    full = monomialize(spec, f, 10_000, names=names)
+    with pytest.raises(BudgetExceeded) as exc:
+        monomialize(spec, f, 5, names=names)
+    st = exc.value.state
+    assert exc.value.task == "chain" and steps_used(st) == 0
+    assert st.chain == full.state.chain[:1] and st.keys_pending == full.state.chain[1:7]
+    st = replace(st, budget=10_000)
+    while st.keys_pending:
+        st = advance(st)
+    st = _chain_for(st, f, spec.value(f))
+    while st.keys_pending:
+        st = advance(st)
+    assert st.chain == full.state.chain
+    assert state_to_json(st) == state_to_json(replace(full.state, budget=10_000))
 
 
 @pytest.mark.parametrize(
@@ -950,7 +1008,7 @@ def _stored_rationals(obj):
         yield from _stored_rationals(obj.beta_after)
         yield from _stored_rationals([u for _, u in obj.units])
     elif isinstance(obj, MasterState):
-        yield from _stored_rationals((obj.frame, obj.chain, obj.keys_pending, obj.key_image))
+        yield from _stored_rationals((obj.frame, obj.chain, obj.keys_pending))
     elif isinstance(obj, ChainLink):
         yield from _stored_rationals((obj.key, obj.certificate, obj.value))
     elif isinstance(obj, SuccessorCertificate):

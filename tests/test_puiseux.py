@@ -23,7 +23,7 @@ from valmono.errors import (
     TranscendentalResidue,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_gcd, ev_sub, to_multipoly
-from valmono.orchestrator import _chain_for
+from valmono.orchestrator import _chain_for, _fresh_state, _initial_frame
 from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
     make_problem,
@@ -212,7 +212,8 @@ def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypa
 def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
     # a key step's binomial takes its values from its chain link only when its
     # terms pull back to exactly q^alpha and Q' - q^alpha
-    link = _chain_for(NU3, Q, ["x", "y", "z"])[1]
+    state = _fresh_state(NU3, _initial_frame(NU3, ["x", "y", "z"]), 10)
+    link = _chain_for(state, Q, NU3.value(Q)).keys_pending[0]
     fr, parts, alpha = prepare_successor(tower_frame(), NU3, link.key, X, (0, 0, 1))
     power = to_multipoly(X**alpha)
     pkg = puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=(power, link))

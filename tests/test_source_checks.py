@@ -8,9 +8,9 @@ with ``/`` (a quotient of int coefficients would be a float), scalar arithmetic
 in ``ordered_value`` builds no ``Fraction``, frames are built only where their
 values are proved positive, no module reads the environment (every setting
 is an argument), one function opens files for writing, JSON is encoded
-without ``indent`` (which bypasses the C encoder), and the spec shapes are
-``Monomial`` and ``Augmented`` alone, with the composite file form named only
-in ``serde``."""
+without ``indent`` (which bypasses the C encoder), ``LimitSuccessorRequired``
+is raised only for a ``MaximalKey``, and the spec shapes are ``Monomial`` and
+``Augmented`` alone, with the composite file form named only in ``serde``."""
 
 import ast
 from fractions import Fraction
@@ -500,6 +500,65 @@ def test_the_indent_guard_sees_each_form(tmp_path):
         "        return dump(x, self.fh, indent='  ')\n"
     )
     assert _indented_encodings(sample) == ["sample.<module>:1", "sample.f:3", "sample.f:3", "sample.K.m:7"]
+
+
+def _named(node) -> str | None:
+    """The name a ``Name`` or ``Attribute`` node ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _limit_raises_outside_maximal_key(path: Path) -> list:
+    """``file:line`` of every ``raise LimitSuccessorRequired`` in one source file that is not
+    inside the body of an ``except MaximalKey`` handler of its own function."""
+    found = []
+
+    def walk(node, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            guarded = False
+        elif isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            guarded = guarded or "MaximalKey" in {_named(t) for t in types if t is not None}
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _named(exc) == "LimitSuccessorRequired" and not guarded:
+                found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, guarded)
+
+    walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), False)
+    return found
+
+
+def test_a_limit_is_required_only_where_a_key_is_maximal():
+    # a chain cap or any other stop that is not a limit would raise a false
+    # LimitSuccessorRequired; the chain ends at the budget instead
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    found = [hit for path in sources for hit in _limit_raises_outside_maximal_key(path)]
+    assert found == [], "raise LimitSuccessorRequired only for a MaximalKey: " + ", ".join(found)
+
+
+def test_the_limit_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(n):\n"
+        "    if n > 32:\n"
+        "        raise LimitSuccessorRequired('cap')\n"
+        "    try:\n"
+        "        g()\n"
+        "    except MaximalKey as exc:\n"
+        "        raise LimitSuccessorRequired(str(exc)) from exc\n"
+        "    except (ValueError, errors.MaximalKey):\n"
+        "        raise errors.LimitSuccessorRequired\n"
+        "    except ValueError:\n"
+        "        raise LimitSuccessorRequired('other')\n"
+        "    try:\n"
+        "        g()\n"
+        "    except MaximalKey:\n"
+        "        def h():\n"
+        "            raise LimitSuccessorRequired('later')\n"
+        "    raise LimitSuccessorRequired\n"
+    )
+    assert _limit_raises_outside_maximal_key(sample) == ["sample.py:3", "sample.py:11", "sample.py:16", "sample.py:17"]
 
 
 def _spec_classes(path: Path) -> list:
