@@ -505,9 +505,6 @@ class MonomializeCertificate:
     value: GroupElement  # common value of f and the monomial
     steps: tuple
 
-    def monomial(self) -> MultiPoly:
-        return MultiPoly.monomial(self.frame.width, self.exponents)
-
 
 def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, value, c_provider=None) -> MonomializeCertificate:
     """Factor a non-degenerate element as monomial times certified unit.

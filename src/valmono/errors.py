@@ -1,8 +1,8 @@
 """Error taxonomy shared by every module.
 
 Each class marks one contract violation; callers are expected to catch the
-narrow type, never the base.  ``BudgetExceeded`` carries the partial state so
-a run can resume.
+narrow type, never the base.  ``BudgetExceeded`` carries the partial state,
+which a caller may inspect or save; no public function resumes a run from it.
 """
 
 
@@ -95,7 +95,7 @@ class NonPolynomialImage(ValmonoError):
 
 
 class BudgetExceeded(ValmonoError):
-    """Blow-up step budget ran out; ``state`` holds the resumable snapshot."""
+    """Blow-up step budget ran out; ``state`` holds the partial state where the run stopped."""
 
     def __init__(self, message: str, state=None):
         super().__init__(message)

@@ -29,7 +29,7 @@ polynomials with their operands.  Sharing the 1 relies on this.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import NonMonicDivisor
@@ -70,13 +70,6 @@ def ev_leq(a: ExponentVector, b: ExponentVector) -> bool:
 
 def ev_support(a: ExponentVector) -> tuple:
     return tuple(i for i, x in enumerate(a) if x)
-
-
-def ev_gcd(a: ExponentVector) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
 
 
 def _grlex_key(e: ExponentVector):
@@ -218,9 +211,6 @@ class MultiPoly:
             terms[e] = -c if old is None else old - c
         return MultiPoly(self.width, terms)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = normal_rational(other)
@@ -261,9 +251,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.width == other.width and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.width, frozenset(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -401,9 +388,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return RationalFunction.of(other, self.width) / self
-
     def __pow__(self, k: int):
         if k < 0:
             return RationalFunction(self.den, self.num) ** (-k)
@@ -467,10 +451,6 @@ class UniPoly:
     def x(cls, width: int) -> "UniPoly":
         return cls(width, [0, 1])
 
-    @classmethod
-    def x_power(cls, width: int, k: int) -> "UniPoly":
-        return cls(width, [0] * k + [1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -498,9 +478,6 @@ class UniPoly:
 
     def __sub__(self, other):
         return self + (-_as_unipoly(other, self.width))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = _as_unipoly(other, self.width)
@@ -624,16 +601,6 @@ def _division_round(cs: list, q: UniPoly, lower: list) -> tuple:
             for k, b in lower:
                 cs[i - m + k] = cs[i - m + k] - c * b
     return cs[m:], cs[:m]
-
-
-def from_q_expansion(coeffs: Sequence[UniPoly], q: UniPoly) -> UniPoly:
-    width = q.width
-    out = UniPoly.zero(width)
-    power = UniPoly.one(width)
-    for c in coeffs:
-        out = out + c * power
-        power = power * q
-    return out
 
 
 def to_unipoly(p: MultiPoly) -> UniPoly:

@@ -171,9 +171,9 @@ def advance(state: MasterState) -> MasterState:
     else:
         image = transport(state.frame, RationalFunction(to_multipoly(prev.key)))
         exps, unit, _ = _factor_as_unit(state.frame, state.spec, image, prev.value)
-        fr2, parts, _ = prepare_successor(state.frame, state.spec, link.key, prev.key, exps, unit)
-        power = to_multipoly(prev.key**link.certificate.alpha)
-        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(power, link))
+        power = prev.key**link.certificate.alpha
+        fr2, parts = prepare_successor(state.frame, state.spec, link, power, exps, unit)
+        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(to_multipoly(power), link))
         frame, pos = pkg.frame, pkg.new_position
     return replace(
         state,
@@ -190,6 +190,16 @@ def advance(state: MasterState) -> MasterState:
 def _variable_lattice(spec, frame: Frame) -> Lattice:
     """The lattice of the coefficient variables, valued by the frame's starting values."""
     return Lattice.from_variables(list(frame.original_names[:-1]), list(frame.init_betas[:-1]), spec.rank)
+
+
+def _key_generators(chain) -> list:
+    """The keys a successor of the last link may take powers of: Q_i is link i - 1, the last link excluded."""
+    return [LatticeGenerator(f"Q{i}", link.value, kind="key", key=link.key) for i, link in enumerate(chain[:-1], 1)]
+
+
+def _rises(link: ChainLink) -> bool:
+    """Whether the link's value rises above its certificate's base value alpha*v(q), as a package needs."""
+    return compare(link.value, link.certificate.base_value) > 0
 
 
 def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
@@ -211,8 +221,8 @@ def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
     if is_sentinel(target):
         return state
     lattice = _variable_lattice(spec, state.frame)
-    for i, link in enumerate(chain[:-1], 1):
-        lattice = lattice.extended(LatticeGenerator(f"Q{i}", link.value, kind="key", key=link.key))
+    for gen in _key_generators(chain):
+        lattice = lattice.extended(gen)
     while True:
         last = chain[-1]
         extended = replace(state, keys_pending=tuple(chain[done:]))
@@ -225,10 +235,10 @@ def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
             link = ChainLink(*next_successor(spec, last.key, lattice, last.value))
         except MaximalKey as exc:
             raise LimitSuccessorRequired(str(exc)) from exc
-        if compare(link.value, link.certificate.base_value) <= 0:
+        if not _rises(link):
             raise ResidueUndefined("the successor's value does not rise above its base value")
-        lattice = lattice.extended(LatticeGenerator(f"Q{len(chain)}", last.value, kind="key", key=last.key))
         chain.append(link)
+        lattice = lattice.extended(_key_generators(chain)[-1])
 
 
 def _initial_frame(spec, names) -> Frame:
@@ -414,7 +424,7 @@ def _positive_int(value, what: str) -> int:
 
 def _cert_from(obj, group, names, prev_value):
     """The certificate ``obj`` holds; ``prev_value`` is the value of the previous chain key."""
-    if obj["kind"] not in ("ordinary", "optimal", "limit"):
+    if obj["kind"] not in ("optimal", "limit"):
         raise ParseError(f"unknown certificate kind {obj['kind']!r}")
     alpha = _positive_int(obj["alpha"], "alpha")
     base_value = parse_element(group, obj["base_value"])
@@ -440,7 +450,9 @@ def _link_json(link: ChainLink, names) -> dict:
 def _links_from(objs, group, spec, names) -> list:
     """Chain links in order, each key valued once; each link but the first has a certificate that fits both keys.
 
-    A limit key must pass ``check_limit_successor`` against the previous key, as ``monomialize_limit_successor`` needs."""
+    A limit key must pass ``check_limit_successor`` against the previous key, as ``monomialize_limit_successor`` needs.
+    Any other key is rebuilt from its certificate as ``_chain_for`` builds it: its witness takes powers of the
+    keys ``_key_generators`` labels, has degree below the previous key's, and its value must rise."""
     links = []
     for obj in objs:
         raw = obj["certificate"]
@@ -450,17 +462,20 @@ def _links_from(objs, group, spec, names) -> list:
             if not check_limit_successor(spec, links[-1].key, key)[0]:
                 raise ParseError(f"chain key {obj['key']!r} is not a limit candidate of the previous key")
         elif cert is not None:
-            prev, keys = links[-1].key, {f"Q{i}": link.key for i, link in enumerate(links, 1)}  # Q_i: link i - 1
+            prev, keys = links[-1].key, {g.label: g.key for g in _key_generators(links)}
             # degrees first, so that no power is expanded past the key's own size
             f_degree = sum(keys[label].degree * power for label, power in cert.key_powers)
-            if prev.degree * cert.alpha != key.degree or f_degree >= key.degree:
+            if prev.degree * cert.alpha != key.degree or f_degree >= prev.degree:
                 raise ParseError(f"chain key {obj['key']!r} does not have its certificate's degrees")
             f = UniPoly.constant(key.width, cert.monomial)
             for label, power in cert.key_powers:
                 f = f * keys[label] ** power
             if key != prev**cert.alpha - f.scale(cert.residue):
                 raise ParseError(f"chain key {obj['key']!r} is not the successor its certificate builds")
-        links.append(ChainLink(key, cert, spec.value(key)))
+        link = ChainLink(key, cert, spec.value(key))
+        if cert is not None and cert.kind != "limit" and not _rises(link):
+            raise ParseError(f"chain key {obj['key']!r} does not rise above its base value")
+        links.append(link)
     return links
 
 

@@ -217,12 +217,6 @@ class ValueGroup:
     def zero(self, rank: int) -> "GroupElement":
         return GroupElement._canonical(self, rank, self._zero * rank, 1)
 
-    def __eq__(self, other):
-        return isinstance(other, ValueGroup) and self._by_name is other._by_name
-
-    def __hash__(self):
-        return id(self._by_name)
-
     def __repr__(self):
         return f"ValueGroup({', '.join(self.names)})"
 
@@ -402,27 +396,10 @@ class _Sentinel:
     def __repr__(self):
         return "PLUS_INFINITY" if self._sign > 0 else "MINUS_INFINITY"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(("sentinel", self._sign))
-
     def __lt__(self, other):
         if self is other:
             return False
         return self._sign < 0
-
-    def __le__(self, other):
-        return self is other or self._sign < 0
-
-    def __gt__(self, other):
-        if self is other:
-            return False
-        return self._sign > 0
-
-    def __ge__(self, other):
-        return self is other or self._sign > 0
 
     def __add__(self, other):
         if isinstance(other, _Sentinel) and other is not self:
@@ -435,9 +412,6 @@ class _Sentinel:
         if isinstance(other, _Sentinel):
             raise ValueError("cannot subtract infinities")
         return self
-
-    def __neg__(self):
-        return MINUS_INFINITY if self._sign > 0 else PLUS_INFINITY
 
 
 PLUS_INFINITY = _Sentinel(1)

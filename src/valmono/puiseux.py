@@ -31,7 +31,6 @@ from .errors import (
     CertificationError,
     DeltaNotOne,
     NonBinomialInput,
-    NonMonicKey,
     NonPolynomialImage,
     ResidueFieldExtension,
     TranscendentalResidue,
@@ -92,12 +91,10 @@ class PuiseuxProblem:
     frame: Frame
     spec: object
     terms: tuple  # ((c1, e1, u1), (c2, e2, u2)), distinguished side first
-    shift: tuple  # common exponent part of the two terms
     delta: tuple  # reduced exponents, distinguished side
     gamma: tuple  # reduced exponents, other side
     rel0: tuple  # delta - gamma in original coordinates
     element: RationalFunction  # the exact element over frame parameters
-    term_value: object
     target_value: object
 
 
@@ -184,12 +181,10 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None, link=Non
         frame,
         spec,
         ((c1, e1, u1), (c2, e2, u2)),
-        shift,
         d1,
         d2,
         rel0,
         element,
-        v1,
         target,
     )
 
@@ -239,7 +234,6 @@ class PuiseuxPackage:
     new_position: int
     new_name: str
     residue: Fraction
-    zbar: RationalFunction  # value-zero unit: new parameter + residue
     steps: tuple
 
     def monomial(self) -> MultiPoly:
@@ -271,7 +265,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
         raise CertificationError("the terminal step must create exactly one parameter")
     new_position = last.C[0]
     residue = dict(last.residues)[new_position]
-    zbar = RationalFunction(MultiPoly.variable(fr.width, new_position)) + residue
     if not verify_forward(fr):
         raise CertificationError("forward images fail the substitution check")
 
@@ -287,7 +280,6 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
         new_position,
         fr.names[new_position],
         residue,
-        zbar,
         steps,
     )
 
@@ -295,31 +287,24 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
 # -- successors over frames --------------------------------------------------
 
 
-def prepare_successor(frame: Frame, spec, successor: UniPoly, key: UniPoly, key_exps, key_unit=None):
-    """Binomial parts over the frame for a successor q^alpha - f.
+def prepare_successor(frame: Frame, spec, link, power: UniPoly, key_exps, key_unit=None):
+    """Binomial parts over the frame for the chain link of Q' = q^alpha - c*f; ``power`` is q^alpha.
 
     key_exps/key_unit give the frame factorization of the current key q.
-    A multi-term f is monomialized in place, extending the frame; the key
-    exponents are pushed through those steps. Returns (frame, parts, alpha).
+    The second part is Q' - q^alpha: the link's certificate builds Q' with
+    deg f < deg q, so that is -c*f, and ``make_problem`` checks that the two
+    parts pull back to q^alpha and Q' - q^alpha. A multi-term f is
+    monomialized in place, extending the frame; the key exponents are
+    pushed through those steps. Returns (frame, parts).
     """
-    parts_key = q_expansion(successor, key)
-    if len(parts_key) < 2 or parts_key[-1] != UniPoly.one(successor.width):
-        raise NonMonicKey("successor must be monic in the key")
-    for p in parts_key[1:-1]:
-        if not p.is_zero():
-            raise NonBinomialInput("successor has middle key-expansion terms")
-    p0 = parts_key[0]
-    if p0.is_zero():
-        raise NonBinomialInput("successor is a pure key power")
-    alpha = len(parts_key) - 1
-
+    alpha = link.certificate.alpha
     key_exps = tuple(int(x) for x in key_exps)
     start = len(frame.history)
-    frame, part0 = _coefficient_part(frame, spec, p0)
+    frame, part0 = _coefficient_part(frame, spec, link.key - power)
     _, key_exps, key_unit = _moved_part(frame, (1, key_exps, key_unit), start)
     u1 = key_unit**alpha if key_unit is not None else None
     parts = ((1, ev_scale(key_exps, alpha), u1), part0)
-    return frame, parts, alpha
+    return frame, parts
 
 
 def _coefficient_part(frame: Frame, spec, coeff: UniPoly):

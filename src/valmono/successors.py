@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -161,31 +161,6 @@ def _column_echelon_solve(cols: list, target: list):
     return h, x
 
 
-def relation_lattice(values) -> list:
-    """Primitive integer basis of the relations sum e_q * v_q = 0."""
-    vals = list(values)
-    if not vals:
-        return []
-    names = vals[0].group.names
-    cols = [_flatten(v, names) for v in vals]
-    den = _common_denominator(cols)
-    A, U, _ = _hermite([[int(a * den) for a in col] for col in cols])
-    out = []
-    for a_col, vec in zip(A, U):
-        if any(a_col):
-            continue
-        g = 0
-        for a in vec:
-            g = gcd(g, a)
-        if g:
-            vec = [a // g for a in vec]
-        lead = next((a for a in vec if a), 0)
-        if lead < 0:
-            vec = [-a for a in vec]
-        out.append(tuple(vec))
-    return sorted(out)
-
-
 def lattice_multiplier(v: GroupElement, lattice: Lattice):
     """Least h >= 1 with h*v in the integer span, plus one solution vector."""
     if is_sentinel(v):
@@ -212,7 +187,7 @@ def lattice_multiplier(v: GroupElement, lattice: Lattice):
 
 @dataclass
 class SuccessorCertificate:
-    kind: str  # ordinary | optimal | limit
+    kind: str  # optimal | limit
     alpha: int
     monomial: MultiPoly | None  # Laurent monomial part of the witness f
     key_powers: tuple  # (label, exponent) pairs for key factors of f

@@ -19,8 +19,9 @@ from valmono.successors import (
     _flatten,
     _hermite,
     lattice_multiplier,
-    relation_lattice,
 )
+
+from reference_algebra import relation_lattice
 
 G = standard_group()
 SEED = 20260814

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -254,19 +255,20 @@ def test_state_rejects_a_malformed_field(tamper):
 
 
 # one field of the certificate of K2 = z^2 - x^3 (alpha 2, witness x^3, residue 1)
-# that contradicts the key; a key step would read that residue
+# that contradicts the key; a key step would read that residue. Q1 is z, the
+# key K2 succeeds, which no witness of K2 may take a power of
+NOT_BUILT = r"chain key 'z\^2 - x\^3' is not the successor its certificate builds"
 KEY_TAMPERS = {
-    "residue": _certificate(residue="7"),
-    "monomial": _certificate(monomial="x^5"),
-    "key-powers": _certificate(key_powers=[["Q1", 1]]),
+    "residue": (_certificate(residue="7"), NOT_BUILT),
+    "monomial": (_certificate(monomial="x^5"), NOT_BUILT),
+    "key-powers": (_certificate(key_powers=[["Q1", 1]]), "KeyError: 'Q1'"),
 }
 
 
-@pytest.mark.parametrize("tamper", KEY_TAMPERS.values(), ids=KEY_TAMPERS)
-def test_state_checks_each_certificate_against_its_key(tamper, tmp_path):
+@pytest.mark.parametrize("tamper, refused", KEY_TAMPERS.values(), ids=KEY_TAMPERS)
+def test_state_checks_each_certificate_against_its_key(tamper, refused, tmp_path):
     blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
     assert blob["chain"][-1]["certificate"]["residue"] == "1" and state_from_json(blob).chain[-1].key == K2
-    refused = r"chain key 'z\^2 - x\^3' is not the successor its certificate builds"
     with pytest.raises(ParseError, match=refused):
         state_from_json(tamper(blob))
     path = tmp_path / "state.json"
@@ -275,31 +277,40 @@ def test_state_checks_each_certificate_against_its_key(tamper, tmp_path):
         load_state(path)
 
 
+# K3 = K2^2 - x^5*z pending after K2: its witness is x^5 times Q1, chain link 0 (z)
+K3_LINK = {"key": "z^4 - 2*x^3*z^2 - x^5*z + x^6", "certificate": {
+    "kind": "optimal", "alpha": 2, "monomial": "x^5", "key_powers": [["Q1", 1]], "residue": "1", "base_value": "13/2"}}
+
+
+def _pending_k3(**fields):
+    """The state with K3 pending, these fields of its certificate replaced."""
+    return lambda blob: dict(blob, keys_pending=[dict(K3_LINK, certificate=dict(K3_LINK["certificate"], **fields))])
+
+
 # a certificate whose degrees do not fit its key is refused before any power is
 # expanded: alpha 10^9 (with its base value) or the key power Q1^(10^9)
 DEGREE_TAMPERS = {
-    "huge-alpha": _certificate(alpha=10**9, base_value=str(Fraction(3, 2) * 10**9)),
-    "huge-key-power": _certificate(key_powers=[["Q1", 10**9]]),
+    "huge-alpha": (_certificate(alpha=10**9, base_value=str(Fraction(3, 2) * 10**9)), "z^2 - x^3"),
+    "huge-key-power": (_pending_k3(key_powers=[["Q1", 10**9]]), K3_LINK["key"]),
 }
 
 
-@pytest.mark.parametrize("tamper", DEGREE_TAMPERS.values(), ids=DEGREE_TAMPERS)
-def test_state_checks_a_certificate_s_degrees_before_expanding(tamper):
+@pytest.mark.parametrize("tamper, key", DEGREE_TAMPERS.values(), ids=DEGREE_TAMPERS)
+def test_state_checks_a_certificate_s_degrees_before_expanding(tamper, key):
     blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
     assert blob["chain"][-1]["certificate"]["base_value"] == "3"
-    with pytest.raises(ParseError, match=r"chain key 'z\^2 - x\^3' does not have its certificate's degrees"):
+    with pytest.raises(ParseError, match=re.escape(f"chain key {key!r} does not have its certificate's degrees")):
         state_from_json(tamper(blob))
 
 
 def test_state_rebuilds_a_key_from_its_key_powers():
-    # K3 = K2^2 - x^5*z has the witness x^5 times Q1, chain link 0 (z)
-    blob = json.loads(json.dumps(state_to_json(monomialize(S2, K2, 10_000, names=["x", "z"]).state)))
-    k3 = {"key": "z^4 - 2*x^3*z^2 - x^5*z + x^6", "certificate": {
-        "kind": "optimal", "alpha": 2, "monomial": "x^5", "key_powers": [["Q1", 1]], "residue": "1", "base_value": "13/2"}}
+    # under s3 K3 rises above its base value 13/2, to 53/8
+    blob = json.loads(json.dumps(state_to_json(monomialize(S3, K2, 10_000, names=["x", "z"]).state)))
+    k3 = K3_LINK
     (link,) = state_from_json(dict(blob, keys_pending=[k3])).keys_pending
     assert link.key == K3 and link.certificate.key_powers == (("Q1", 1),)
-    # Q2 is K2, which rebuilds another key; Q3 and later name no earlier link
-    for label, refused in (("Q2", "is not the successor"), ("Q3", "KeyError: 'Q3'"), ("Q0", "KeyError: 'Q0'"),
+    # Q2 is K2, the key K3 succeeds, and Q3 and later name no earlier link: only keys before K2 are labelled
+    for label, refused in (("Q2", "KeyError: 'Q2'"), ("Q3", "KeyError: 'Q3'"), ("Q0", "KeyError: 'Q0'"),
                            ("Q01", "KeyError: 'Q01'"), ("monomial", "KeyError: 'monomial'")):
         bad = dict(k3, certificate=dict(k3["certificate"], key_powers=[[label, 1]]))
         with pytest.raises(ParseError, match=refused):
@@ -310,6 +321,27 @@ def test_state_rebuilds_a_key_from_its_key_powers():
     # the README problem's state still loads and saves to the same object
     readme = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
     assert state_to_json(state_from_json(readme)) == readme
+
+
+def test_state_refuses_a_link_whose_value_does_not_rise():
+    # under the README's monomial valuation, z^2 - x^2*y has the value 2 + 2*pi of z^2:
+    # it does not rise, so its package would find no cancellation
+    blob = json.loads(json.dumps(state_to_json(monomialize(NU2, X, 10_000, names=NAMES).state)))
+    assert [link["key"] for link in blob["chain"]] == ["z"]
+    flat = {"key": "z^2 - x^2*y", "certificate": {
+        "kind": "optimal", "alpha": 2, "monomial": "x^2*y", "key_powers": [], "residue": "1", "base_value": "2 + 2*pi"}}
+    with pytest.raises(ParseError, match=r"chain key 'z\^2 - x\^2\*y' does not rise above its base value"):
+        state_from_json(dict(blob, keys_pending=[flat]))
+
+
+def test_state_refuses_a_witness_power_of_the_key_it_succeeds():
+    # after the README chain (z, Q), Q2 is Q itself, which no witness of Q's successor may take a power of
+    readme = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
+    assert [link["key"] for link in readme["chain"]] == ["z", "z^2 - x^2*y"]
+    own = {"key": "z^4 - 2*x^2*y*z^2 - x*z^2 + x^4*y^2 + x^3*y", "certificate": {
+        "kind": "optimal", "alpha": 2, "monomial": "x", "key_powers": [["Q2", 1]], "residue": "1", "base_value": "(2, 0)"}}
+    with pytest.raises(ParseError, match="KeyError: 'Q2'"):
+        state_from_json(dict(readme, keys_pending=[own]))
 
 
 def test_uniformize_golden_pair():
@@ -324,6 +356,20 @@ def test_uniformize_golden_pair():
     assert u0 == RationalFunction.one(2)
     assert ev_leq(e0, e1)
     assert compare(v0, v1) == 0
+
+
+def test_omitted_names_default_to_u_i_and_z():
+    # a library caller may omit names: the coefficient variables are u1, u2, ... and the last is z
+    named = monomialize(NU3, Q, 10_000, names=NAMES)
+    out = monomialize(NU3, Q, 10_000)
+    assert out.frame.original_names == ("u1", "u2", "z")
+    assert (out.exponents, out.unit, out.value) == (named.exponents, named.unit, named.value)
+    assert [(s.J, s.j) for s in out.frame.history] == [(s.J, s.j) for s in named.frame.history]
+    spec = Monomial(G, [el((1,)), el((0, 1))])
+    fs = [UniPoly.constant(1, RationalFunction(MultiPoly.variable(1, 0))), UniPoly.x(1)]
+    pair = embedded_uniformize(spec, fs, 10_000)
+    assert pair.frame.original_names == ("u1", "z")
+    assert pair.entries == embedded_uniformize(spec, fs, 10_000, names=["x", "y"]).entries
 
 
 def test_uniformize_reorders_by_value():
@@ -648,9 +694,9 @@ def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypat
 @pytest.mark.parametrize(
     "spec, f, names, work",
     [
-        (S2, K2, ["x", "z"], {"values": 10, "q_expansion": 11, "searches": 1}),
-        (S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], {"values": 10, "q_expansion": 11, "searches": 1}),
-        (NU3, Q, NAMES, {"values": 11, "q_expansion": 6, "searches": 1}),
+        (S2, K2, ["x", "z"], {"values": 10, "q_expansion": 10, "searches": 1}),
+        (S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], {"values": 10, "q_expansion": 10, "searches": 1}),
+        (NU3, Q, NAMES, {"values": 11, "q_expansion": 5, "searches": 1}),
     ],
     ids=["s2/K2", "s2/K2 + x^4", "nu3/Q"],
 )

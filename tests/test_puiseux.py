@@ -22,8 +22,8 @@ from valmono.errors import (
     ResidueFieldExtension,
     TranscendentalResidue,
 )
-from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_gcd, ev_sub, to_multipoly
-from valmono.orchestrator import _chain_for, _fresh_state, _initial_frame
+from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_sub, to_multipoly
+from valmono.orchestrator import ChainLink, _chain_for, _fresh_state, _initial_frame
 from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
     make_problem,
@@ -32,9 +32,11 @@ from valmono.puiseux import (
     puiseux_package,
     residue_of_unit,
 )
-from valmono.successors import check_limit_successor, relation_lattice
+from valmono.successors import SuccessorCertificate, check_limit_successor
 from valmono.trace import replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial
+
+from reference_algebra import ev_gcd, relation_lattice
 
 G = standard_group()
 
@@ -63,6 +65,12 @@ def tower_frame() -> Frame:
     by = NU3.value(UniPoly.constant(2, RationalFunction(y2)))
     bz = NU3.value(X)
     return Frame.initial(["x", "y", "z"], [bx, by, bz])
+
+
+def readme_link() -> ChainLink:
+    """The chain link of Q = z^2 - x^2*y, the successor of z under NU3, as ``_chain_for`` makes it."""
+    state = _fresh_state(NU3, _initial_frame(NU3, ["x", "y", "z"]), 10)
+    return _chain_for(state, Q, NU3.value(Q)).keys_pending[0]
 
 
 def test_residue_of_unit_through_the_tower():
@@ -104,9 +112,7 @@ def test_make_problem_golden_fields():
     prob = make_problem(fr, NU3, f=Q3)
     assert prob.delta == (0, 0, 2)
     assert prob.gamma == (2, 1, 0)
-    assert prob.shift == (0, 0, 0)
     assert prob.rel0 == (-2, -1, 2)
-    assert prob.term_value == el((0,), (2, 2))
     assert prob.target_value == el((1,), (0,))
 
 
@@ -130,7 +136,7 @@ def test_package_golden_run():
     assert compare(pkg.value, el((1,), (0,))) == 0
     # unit 1 + t
     assert pkg.unit == RationalFunction(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 1): 1}))
-    assert pkg.zbar == pkg.unit
+    assert pkg.unit == RationalFunction(MultiPoly.variable(3, pkg.new_position)) + pkg.residue
     assert [s.J for s in pkg.steps] == [(0, 2), (1, 2), (1, 2)]
     assert [s.j for s in pkg.steps] == [0, 2, 1]
     assert [s.monomial for s in pkg.steps] == [True, True, False]
@@ -151,7 +157,8 @@ def test_package_certificate_clauses():
     assert all(s.monomial for s in pkg.steps[:-1]) and not pkg.steps[-1].monomial
     # (2) the terminal unit has certified value zero
     zero = NU3.value(1)
-    assert compare(NU3.value(pkg.frame.pullback_of(pkg.zbar)), zero) == 0
+    zbar = RationalFunction(MultiPoly.variable(3, pkg.new_position)) + pkg.residue
+    assert compare(NU3.value(pkg.frame.pullback_of(zbar)), zero) == 0
     # (3) substitution oracle: monomial times unit equals the element
     recon = pkg.frame.pullback_of(RationalFunction(pkg.monomial()) * pkg.unit)
     assert recon == RationalFunction(Q3)
@@ -212,12 +219,12 @@ def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypa
 def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
     # a key step's binomial takes its values from its chain link only when its
     # terms pull back to exactly q^alpha and Q' - q^alpha
-    state = _fresh_state(NU3, _initial_frame(NU3, ["x", "y", "z"]), 10)
-    link = _chain_for(state, Q, NU3.value(Q)).keys_pending[0]
-    fr, parts, alpha = prepare_successor(tower_frame(), NU3, link.key, X, (0, 0, 1))
+    link = readme_link()
+    alpha = link.certificate.alpha
+    fr, parts = prepare_successor(tower_frame(), NU3, link, X**alpha, (0, 0, 1))
     power = to_multipoly(X**alpha)
     pkg = puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=(power, link))
-    assert pkg.problem.term_value is link.certificate.base_value and pkg.problem.target_value is link.value
+    assert pkg.problem.target_value is link.value
     assert pkg.exponents == (2, 2, 1)
     other = dataclasses.replace(link, key=X**2 - UniPoly.constant(2, x2**2 * y2 * 2))
     for bad in ((to_multipoly(X ** (alpha + 1)), link), (power, other)):
@@ -257,9 +264,10 @@ def test_package_orientation_free():
 
 def test_prepare_successor_identity_chain():
     fr = tower_frame()
-    fr2, parts, alpha = prepare_successor(fr, NU3, Q, X, (0, 0, 1))
+    link = readme_link()
+    assert link.key == Q and link.certificate.alpha == 2
+    fr2, parts = prepare_successor(fr, NU3, link, X**2, (0, 0, 1))
     assert fr2 is fr  # single-term coefficient: no extra blow-ups
-    assert alpha == 2
     assert parts == ((Fraction(1), (0, 0, 2), None), (Fraction(-1), (2, 1, 0), None))
     pkg = puiseux_package(fr2, NU3, parts=parts, position=2, new_name="t")
     assert pkg.exponents == (2, 2, 1)
@@ -271,18 +279,16 @@ def test_prepare_successor_divides_a_laurent_coefficient_of_positive_value():
     # frame monomial y; x/y has value 1 - 2*pi and no division makes it polynomial
     values = [NU2.value(UniPoly.constant(2, RationalFunction(v))) for v in (x2, y2)] + [NU2.value(X)]
     fr = Frame.initial(["x", "y", "z"], values)
-    fr2, parts, _ = prepare_successor(fr, NU2, X - UniPoly.constant(2, MultiPoly(2, {(-1, 1): 1})), X, (0, 0, 1))
+    fr2, parts = prepare_successor(fr, NU2, _degree_one_link(MultiPoly(2, {(-1, 1): 1})), X, (0, 0, 1))
     assert len(fr2.history) == 1 and parts == ((1, (0, 0, 1), None), (-1, (0, 1, 0), None))
     assert fr2.pullback_of(MultiPoly.monomial(3, (0, 1, 0), -1)) == RationalFunction(MultiPoly(3, {(-1, 1, 0): -1}))
     with pytest.raises(NonPolynomialImage, match="has no positive value"):
-        prepare_successor(fr, NU2, X - UniPoly.constant(2, MultiPoly(2, {(1, -1): 1})), X, (0, 0, 1))
+        prepare_successor(fr, NU2, _degree_one_link(MultiPoly(2, {(1, -1): 1})), X, (0, 0, 1))
 
 
-def test_prepare_successor_rejects_middle_terms():
-    fr = tower_frame()
-    bad = X**3 - UniPoly.x(2) * UniPoly.constant(2, RationalFunction(x2)) - UniPoly.constant(2, RationalFunction(y2))
-    with pytest.raises(NonBinomialInput):
-        prepare_successor(fr, NU3, bad, X, (0, 0, 1))
+def _degree_one_link(f: MultiPoly) -> ChainLink:
+    """The link of z - f with alpha 1; ``prepare_successor`` reads only its key and alpha."""
+    return ChainLink(X - UniPoly.constant(2, f), SuccessorCertificate("optimal", 1, f, (), 1, None), None)
 
 
 def test_residue_field_extension_rejected():

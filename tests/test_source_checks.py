@@ -196,7 +196,6 @@ def _divisions(path: Path) -> list:
 
 # the functions that divide rational functions; a coefficient quotient is Fraction(a, b)
 RATIONAL_FUNCTION_DIVISIONS = {
-    "exact_algebra.RationalFunction.__rtruediv__",
     "puiseux.monomialize_limit_successor",
 }
 
