@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import sub
 from typing import Callable
 
 from .errors import (
@@ -122,8 +123,9 @@ class Frame:
         betas = tuple(betas)
         if not all(b.is_positive() for b in betas):
             raise CertificationError("parameter value must stay positive")
-        ident = tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m))
-        return cls(names, names, betas, betas, (), ident)
+        # row i of the identity is the slice of one 1 between m - 1 zeros each side
+        unit = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
+        return cls(names, names, betas, betas, (), tuple(unit[m - 1 - i:2 * m - 1 - i] for i in range(m)))
 
     @property
     def width(self) -> int:
@@ -176,12 +178,13 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
     Members whose value drops to zero are the equal-value set C; each needs
     residue data from ``c_provider(frame, q, j, unit)``, given its unit
     old_q/old_j over the originals, and is replaced by its shifted quotient.
+    A step with C empty is monomial: it keeps every name and makes no unit.
     """
     m = frame.width
-    J = sorted(set(int(q) for q in J))
+    J = sorted(set(map(int, J)))
     if len(J) < 2:
         raise EmptyCenter("center needs at least two parameters")
-    if any(q < 0 or q >= m for q in J):
+    if J[0] < 0 or J[-1] >= m:
         raise UnknownVariable("center position out of range")
 
     # one difference per member against the chart index: its sign moves the
@@ -194,6 +197,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
             j, diffs = q, {}
         else:
             diffs[q] = d, sg
+    betas = list(frame.betas)
     B, C = [], []
     for q in J:
         if q == j:
@@ -204,36 +208,36 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         d, sg = diffs[q]
         if sg < 0:
             raise CertificationError("center index does not minimize the value")
-        (B if sg else C).append(q)
-
-    c_data, units = {}, {}
-    for q in C:
-        # the value-zero unit old_q/old_j over the originals
-        units[q] = frame.pullback_of(MultiPoly.monomial(m, ev_sub(ev_unit(m, q), ev_unit(m, j))))
-        data = c_provider(frame, q, j, units[q]) if c_provider is not None else None
-        if data is None:
-            raise ResidueUndefined(
-                "equal-value center member needs residue data from the value tower"
-            )
-        if data.residue == 0:
-            raise CertificationError("zero residue at an equal-value member")
-        if not data.beta_new.is_positive():
-            raise CertificationError("shifted parameter value must be positive")
-        c_data[q] = data
-
-    # values
-    betas = list(frame.betas)
-    for q in B:
-        betas[q] = diffs[q][0]
-    for q in C:
-        betas[q] = c_data[q].beta_new
-
-    # names: stable except C replacements
-    names = list(frame.names)
-    for q in C:
-        names[q] = c_data[q].new_name or _primed(frame.names, q)
-        if names[q] in frame.names or list(names).count(names[q]) > 1:
-            raise ValueError(f"replacement name {names[q]!r} collides")
+        if sg:
+            B.append(q)
+            betas[q] = d
+        else:
+            C.append(q)
+    names, residues, units = frame.names, (), ()
+    if C:  # units, residue data and new names: equal-value members only
+        c_data, units = [], []
+        for q in C:
+            # the value-zero unit old_q/old_j over the originals
+            unit = frame.pullback_of(MultiPoly.monomial(m, ev_sub(ev_unit(m, q), ev_unit(m, j))))
+            data = c_provider(frame, q, j, unit) if c_provider is not None else None
+            if data is None:
+                raise ResidueUndefined(
+                    "equal-value center member needs residue data from the value tower"
+                )
+            if data.residue == 0:
+                raise CertificationError("zero residue at an equal-value member")
+            if not data.beta_new.is_positive():
+                raise CertificationError("shifted parameter value must be positive")
+            betas[q] = data.beta_new
+            c_data.append(data)
+            units.append((q, unit))
+        # names: stable except C replacements
+        names = list(names)
+        for q, data in zip(C, c_data):
+            names[q] = data.new_name or _primed(frame.names, q)
+            if names[q] in frame.names or names.count(names[q]) > 1:
+                raise ValueError(f"replacement name {names[q]!r} collides")
+        residues = tuple((q, normal_rational(data.residue)) for q, data in zip(C, c_data))
 
     step = TraceStep(
         J=tuple(J),
@@ -241,20 +245,20 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         B=tuple(B),
         C=tuple(C),
         monomial=not C,
-        residues=tuple((q, normal_rational(c_data[q].residue)) for q in C),
+        residues=residues,
         names_after=tuple(names),
         beta_after=tuple(betas),
-        units=tuple((q, units[q]) for q in C),
+        units=tuple(units),
     )
 
     # exponent rows act on the right (e_current = e_original @ M); the step's
     # inverse subtracts row j from every other center row of M^-1
-    inv = [list(row) for row in frame.matrix_inv]
-    for q in B + C:
-        inv[q] = [a - b for a, b in zip(inv[q], inv[j])]
+    inv = list(frame.matrix_inv)
+    for q in J:
+        if q != j:
+            inv[q] = tuple(map(sub, inv[q], inv[j]))
 
-    out = Frame(names, frame.original_names, frame.init_betas, betas,
-                frame.history + (step,), tuple(tuple(row) for row in inv))
+    out = Frame(names, frame.original_names, frame.init_betas, betas, frame.history + (step,), tuple(inv))
     out.checked = frame.checked  # the history only grows, so checked steps stay checked
     return out
 
@@ -317,11 +321,12 @@ def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
     power k >= 0 of each equal-value member q becomes (x_q + r)^k forward or
     (x_q - r*x_j)^k back, r its residue, built once per distinct power tuple.
     """
-    m, j = p.width, step.j
+    m, j, C = p.width, step.j, step.C
+    sign = 1 if forward else -1
     factors, terms = {}, {}
     for e, c in p.terms.items():
-        base = _transform_exponents(e, step, 1 if forward else -1)
-        powers = tuple(e[q] for q in step.C)
+        base = _transform_exponents(e, step, sign)
+        powers = tuple(map(e.__getitem__, C))
         if not any(powers):
             old = terms.get(base)
             terms[base] = c if old is None else old + c
@@ -348,6 +353,15 @@ def _step_image(p: MultiPoly, step: TraceStep, forward: bool) -> MultiPoly:
 
 
 # -- tau and the divisibility loop -------------------------------------------------
+#
+# ``divide_monomials`` blows up the center ``_center_from_tau`` picks from the
+# reduced pair until the smaller reduced vector is zero, moving both exponent
+# vectors through each step by ``_transform_exponents``; ``principalize``
+# divides its least-tau incomparable pair until one generator is left. The
+# exponent vectors are plain int tuples, handled whole by ``map``, and the
+# steps are monomial ones (no unit, residue or new name) unless two values tie.
+# Each call checks its own work exactly: tau strictly decreases, the lower
+# value divides, and both monomial values are the same before and after.
 
 
 def tau(alpha, gamma):
@@ -355,22 +369,20 @@ def tau(alpha, gamma):
 
     Returns ((a, b), alpha_red, gamma_red, delta, swapped) with a <= b.
     """
-    alpha = tuple(alpha)
-    gamma = tuple(gamma)
-    delta = tuple(min(a, g) for a, g in zip(alpha, gamma))
-    at = ev_sub(alpha, delta)
-    gt = ev_sub(gamma, delta)
-    swapped = False
-    if sum(at) > sum(gt):
-        at, gt = gt, at
-        swapped = True
-    return (sum(at), sum(gt)), at, gt, delta, swapped
+    delta = tuple(map(min, alpha, gamma))
+    at = tuple(map(sub, alpha, delta))
+    gt = tuple(map(sub, gamma, delta))
+    a, b = sum(at), sum(gt)
+    if a > b:
+        return (b, a), gt, at, delta, True
+    return (a, b), at, gt, delta, False
 
 
 def _transform_exponents(e, step: TraceStep, sign=1):
     """Exponents after the step; with sign -1, before it. Equal-value members drop out."""
     out = list(e)
-    out[step.j] += sign * sum(e[q] for q in step.J if q != step.j)
+    j = step.j
+    out[j] += sign * (sum(map(e.__getitem__, step.J)) - e[j])
     for q in step.C:
         out[q] = 0
     return tuple(out)
@@ -382,22 +394,17 @@ def transform_exponents(e, steps) -> tuple:
     return tuple(e)
 
 
-def _center_from_tau(frame: Frame, at, gt):
+def _center_from_tau(at, gt):
     """supp(at) plus a minimal greedy subset of supp(gt) covering |at|."""
     need = sum(at)
-    base = [q for q, v in enumerate(at) if v]
-    pool = sorted(
-        (q for q, v in enumerate(gt) if v),
-        key=lambda q: (-gt[q], q),
-    )
-    K = []
-    total = 0
-    for q in pool:
-        if total >= need:
+    J = {q for q, v in enumerate(at) if v}
+    # the largest entries of gt first, ties by position, until they cover |at|
+    for v, q in sorted((-v, q) for q, v in enumerate(gt) if v):
+        if need <= 0:
             break
-        K.append(q)
-        total += gt[q]
-    return sorted(set(base) | set(K))
+        J.add(q)
+        need += v
+    return sorted(J)
 
 
 @dataclass
@@ -415,8 +422,8 @@ def divide_monomials(frame: Frame, alpha, gamma, c_provider=None) -> DivideResul
     The tau character strictly decreases at each step; on exit the
     divisibility direction is cross-checked against the value inequality.
     """
-    alpha = tuple(int(a) for a in alpha)
-    gamma = tuple(int(g) for g in gamma)
+    alpha = tuple(map(int, alpha))
+    gamma = tuple(map(int, gamma))
     if len(alpha) != frame.width or len(gamma) != frame.width:
         raise UnknownVariable("exponent arity mismatch")
     value_alpha = frame.monomial_value(alpha)
@@ -430,7 +437,7 @@ def divide_monomials(frame: Frame, alpha, gamma, c_provider=None) -> DivideResul
         if prev_tau is not None and not (a, b) < prev_tau:
             raise CertificationError("tau character failed to decrease")
         prev_tau = (a, b)
-        J = _center_from_tau(frame, at, gt)
+        J = _center_from_tau(at, gt)
         frame = framed_blowup(frame, J, c_provider)
         step = frame.history[-1]
         alpha = _transform_exponents(alpha, step)
@@ -468,7 +475,7 @@ def principalize(frame: Frame, N, c_provider=None) -> PrincipalizeResult:
     Pair selection: among componentwise-incomparable pairs, the one with
     the smallest tau character (ties by index).
     """
-    gens = [tuple(int(a) for a in e) for e in N]
+    gens = [tuple(map(int, e)) for e in N]
     if not gens:
         raise EmptyIdeal("no generators")
     gens = minimalize_monomials(gens)

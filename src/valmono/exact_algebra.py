@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import NonMonicDivisor
@@ -65,7 +66,7 @@ def ev_scale(a: ExponentVector, k: int) -> ExponentVector:
 
 def ev_leq(a: ExponentVector, b: ExponentVector) -> bool:
     """Componentwise order: a divides b as monomials."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def ev_support(a: ExponentVector) -> tuple:

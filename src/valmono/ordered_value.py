@@ -30,21 +30,27 @@ decided.
 
 A generator fixes its sign when it is built: a rational one from its value, an
 enclosure one by refining until the enclosure excludes zero (``ArithmeticError``
-after ``_MAX_REFINE`` levels).  A group holds its rational generators' values
-as integers over one common denominator, so the rational terms of a scalar sum
-to an integer ``exact`` over a positive denominator.  The sign is decided by
-the first rule that applies:
+after ``_MAX_REFINE`` levels).  An enclosure generator keeps every level it has
+refined to as four integers, the bounds' numerators and denominators; a level
+is asked of its callback, and its ``lo < hi`` checked, once, the first time a
+decision needs it.  A group holds its rational generators' values as integers
+over one common denominator, so the rational terms of a scalar sum to an
+integer ``exact`` over a positive denominator.  ``Scalar.sign`` reads the block
+in one pass: it sums ``exact`` and notes the first enclosure term, whether
+there is another, and whether any other has the opposite sign.  The sign is
+decided by the first rule that applies:
 
 * no coefficients: sign 0;
 * no enclosure generator: the sign of ``exact``;
 * ``exact`` and every enclosure term ``c * g`` of one sign (a zero ``exact``
   aside): that sign, as for one coefficient ``c`` on ``g``, ``sign(c) * sign(g)``;
+  no level is read;
 * one enclosure generator ``g`` with coefficient ``c``: the side of
-  ``t = -exact / c`` on which ``g``'s enclosures fall, refined level by level
-  and decided by integer cross-multiplication with the bounds' numerators and
-  denominators; these are exactly the levels at which the interval sum would
-  exclude zero;
-* otherwise the sum of the enclosures, refined until it excludes zero.
+  ``t = -exact / c`` on which ``g``'s kept levels fall, read level by level
+  and decided by integer cross-multiplication; these are exactly the levels
+  at which the interval sum would exclude zero;
+* otherwise the sum of the enclosures, level by level, as an integer fraction
+  for each bound, until it excludes zero.
 
 Arithmetic and comparisons work in the left operand's group.  An operand that
 carries a generator name the result's group does not declare raises
@@ -101,12 +107,18 @@ class IndependentGenerator:
     """One scalar-field generator: an exact rational or a refinable enclosure.
 
     ``enclose(level)`` must return rational bounds ``lo < hi`` (ints or
-    Fractions) that strictly shrink as ``level`` grows.  ``sign`` is fixed
-    when the generator is built; an enclosure that never excludes zero raises
-    ``ArithmeticError`` then.
+    Fractions) that strictly shrink as ``level`` grows.  ``enclosure(level)``
+    asks the callback and raises ``ValueError`` unless ``lo < hi``.  The sign
+    path asks each level through ``enclosure`` once, the first time a
+    decision needs it, levels in order, and keeps it as integers
+    ``(lo_num, lo_den, hi_num, hi_den)`` on the generator; later decisions
+    read the kept level and neither call the callback nor check it again.
+    A level that fails the check is not kept, so each decision that needs it
+    raises.  ``sign`` is fixed when the generator is built; an enclosure that
+    never excludes zero raises ``ArithmeticError`` then.
     """
 
-    __slots__ = ("name", "rational", "_enclose", "sign")
+    __slots__ = ("name", "rational", "_enclose", "_levels", "sign")
 
     def __init__(
         self,
@@ -119,6 +131,7 @@ class IndependentGenerator:
         self.name = name
         self.rational = None if rational is None else normal_rational(rational)
         self._enclose = enclose
+        self._levels = []
         if self.rational is not None:
             self.sign = (self.rational > 0) - (self.rational < 0)
         else:
@@ -132,13 +145,21 @@ class IndependentGenerator:
             raise ValueError(f"enclosure for {self.name!r} must satisfy lo < hi")
         return lo, hi
 
+    def _level(self, level: int) -> tuple:
+        """The kept bounds of ``level`` as ``(lo_num, lo_den, hi_num, hi_den)``, made through ``enclosure`` when new."""
+        levels = self._levels
+        while len(levels) <= level:
+            lo, hi = self.enclosure(len(levels))
+            levels.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+        return levels[level]
+
     def _side(self, a: int, b: int) -> int:
         """Sign of ``g - a/b`` (``b > 0``) for an enclosure generator: refine until an enclosure excludes a/b."""
         for level in range(_MAX_REFINE):
-            lo, hi = self.enclosure(level)
-            if lo.numerator * b > a * lo.denominator:
+            ln, ld, hn, hd = self._level(level)
+            if ln * b > a * ld:
                 return 1
-            if hi.numerator * b < a * hi.denominator:
+            if hn * b < a * hd:
                 return -1
         g = gcd(a, b)
         t = a // g if g == b else f"{a // g}/{b // g}"
@@ -320,52 +341,55 @@ class Scalar:
         )
 
     def sign(self) -> int:
-        """The one place a scalar's sign is decided.
+        """The one place a scalar's sign is decided, in one pass over the block.
 
         The rational terms sum to ``exact / (R * den)``, ``R`` the group's
         common denominator; every decision below is on ``R * den`` times the
-        scalar.
+        scalar.  The pass sums ``exact`` and keeps the first enclosure term,
+        whether there is another (``several``) and whether any other has the
+        opposite sign (``mixed``).
         """
-        nums = self.nums
-        if not any(nums):
-            return 0
         group = self.group
         exact = 0
-        irr = []
-        for n, r, g in zip(nums, group._rat_nums, group._gens):
+        g1 = None  # the first enclosure generator, its numerator n1 and the sign s1 of its term
+        several = mixed = False
+        for n, r, g in zip(self.nums, group._rat_nums, group._gens):
             if n:
-                if r is None:
-                    irr.append((n, g))
-                else:
+                if r is not None:
                     exact += n * r
-        if not irr:
+                elif g1 is None:
+                    g1, n1, s1 = g, n, g.sign if n > 0 else -g.sign
+                else:
+                    several = True
+                    if (g.sign if n > 0 else -g.sign) != s1:
+                        mixed = True
+        if g1 is None:
             return (exact > 0) - (exact < 0)
         # terms of one sign, the rational part counted as one term, need no enclosure
-        signs = {g.sign if n > 0 else -g.sign for n, g in irr}
-        if exact:
-            signs.add(1 if exact > 0 else -1)
-        if len(signs) == 1:
-            return signs.pop()
+        if not mixed and (not exact or (exact > 0) == (s1 > 0)):
+            return s1
         R = group._rat_den
-        if len(irr) == 1:
-            n, g = irr[0]
+        if not several:
             # exact + c*g > 0 exactly when g lies on the side of t = -exact/c that c's sign picks
-            c = n * R
+            c = n1 * R
             if c > 0:
-                return g._side(-exact, c)
-            return -g._side(exact, -c)
+                return g1._side(-exact, c)
+            return -g1._side(exact, -c)
+        # the interval sum lo_n/lo_d .. hi_n/hi_d of exact and every c*g, level by level
         for level in range(_MAX_REFINE):
-            lo = hi = exact
-            for n, g in irr:
-                glo, ghi = g.enclosure(level)
-                c = n * R
-                if c > 0:
-                    lo, hi = lo + c * glo, hi + c * ghi
-                else:
-                    lo, hi = lo + c * ghi, hi + c * glo
-            if lo > 0:
+            lo_n = hi_n = exact
+            lo_d = hi_d = 1
+            for n, r, g in zip(self.nums, group._rat_nums, group._gens):
+                if n and r is None:
+                    ln, ld, hn, hd = g._level(level)
+                    c = n * R
+                    if c < 0:
+                        ln, ld, hn, hd = hn, hd, ln, ld
+                    lo_n, lo_d = lo_n * ld + c * ln * lo_d, lo_d * ld
+                    hi_n, hi_d = hi_n * hd + c * hn * hi_d, hi_d * hd
+            if lo_n > 0:
                 return 1
-            if hi < 0:
+            if hi_n < 0:
                 return -1
         raise ArithmeticError(
             "interval refinement failed to separate from zero; "
@@ -655,7 +679,7 @@ def div_by_positive_int(a, n: int):
     """Exact division in the divisible hull."""
     if isinstance(a, _Sentinel):
         raise ValueError("cannot divide a sentinel")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise DivideByNonPositive(f"divisor must be a positive integer, got {n!r}")
     return _reduced(a.group, a.rank, a.nums, a.den * n)
 

@@ -1,17 +1,51 @@
-"""The blow-up substitution as it stood before a step only relabelled what it does not change.
+"""The blow-up substitution and the divisibility loop's exponent helpers as they stood before their lean forms.
 
 The reference for the differential tests in ``test_blowup_engine.py``:
 ``step_image`` multiplies every term by its binomial factor, the shared 1
 when the term has no power of an equal-value member, and ``pullback_of``
 shifts both polynomials by the clearing vector before every undone step,
 zero or not. ``transport`` pushes an expression through the same kernel.
+``tau``, ``center_from_tau`` and ``transform_exponents`` go element by
+element through the ``ev_*`` helpers, lists and sets.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from valmono.exact_algebra import MultiPoly, RationalFunction, ev_add
+from valmono.exact_algebra import MultiPoly, RationalFunction, ev_add, ev_sub
+
+
+def tau(alpha, gamma):
+    """Reduced pair sizes: ((a, b), alpha_red, gamma_red, delta, swapped) with a <= b."""
+    alpha = tuple(alpha)
+    gamma = tuple(gamma)
+    delta = tuple(min(a, g) for a, g in zip(alpha, gamma))
+    at = ev_sub(alpha, delta)
+    gt = ev_sub(gamma, delta)
+    swapped = False
+    if sum(at) > sum(gt):
+        at, gt = gt, at
+        swapped = True
+    return (sum(at), sum(gt)), at, gt, delta, swapped
+
+
+def center_from_tau(at, gt):
+    """supp(at) plus a minimal greedy subset of supp(gt) covering |at|."""
+    need = sum(at)
+    base = [q for q, v in enumerate(at) if v]
+    pool = sorted(
+        (q for q, v in enumerate(gt) if v),
+        key=lambda q: (-gt[q], q),
+    )
+    K = []
+    total = 0
+    for q in pool:
+        if total >= need:
+            break
+        K.append(q)
+        total += gt[q]
+    return sorted(set(base) | set(K))
 
 
 def transform_exponents(e, step, sign=1):

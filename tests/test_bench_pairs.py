@@ -116,3 +116,38 @@ def test_the_summary_carries_the_verdicts_when_bounds_are_given():
     assert rows["metrics"]["ops_per_s"]["verdict"] == "worse beyond bound"
     assert rows["metrics"]["op_ms_p50"]["verdict"] == "within bound"
     assert "verdict" not in bench_pairs.summarize(parent, change, BETTER, NO_FAILURES)["metrics"]["ops_per_s"]
+
+
+def test_the_aa_copy_holds_src_and_perfbench_and_is_removed(tmp_path):
+    checkout = tmp_path / "checkout"
+    files = {
+        "src/valmono/__init__.py": b"VERSION = 1\n",
+        "src/valmono/kernel.py": b"def f():\n    return 2\n",
+        "perfbench/run.py": b"print('run')\n",
+        "perfbench/contract.json": b"{}\n",
+    }
+    for rel, data in files.items():
+        (checkout / rel).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / rel).write_bytes(data)
+    (checkout / "src/valmono/__pycache__").mkdir()
+    (checkout / "src/valmono/__pycache__/kernel.cpython.pyc").write_bytes(b"stale")
+    (checkout / "README.md").write_text("not run\n")
+    with bench_pairs.aa_copy(checkout) as copy:
+        assert copy.resolve() != checkout.resolve() and copy.is_dir()
+        copied = sorted(str(f.relative_to(copy)) for f in copy.rglob("*") if f.is_file())
+        assert copied == sorted(files)  # byte-identical sources; no bytecode and nothing else
+        assert all((copy / rel).read_bytes() == data for rel, data in files.items())
+    assert not copy.exists()
+    # the copy is removed also when the runs raise
+    with pytest.raises(RuntimeError):
+        with bench_pairs.aa_copy(checkout) as copy:
+            raise RuntimeError("a run failed")
+    assert not copy.exists()
+    assert (checkout / "src/valmono/__pycache__/kernel.cpython.pyc").exists()  # the checkout is left as it was
+
+
+def test_aa_takes_no_change_checkout(capsys):
+    for argv in (["P", "C", "--aa"], ["P"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(argv + ["--workload", "queries", "--seed", "1"])
+    assert "give CHANGE or --aa" in capsys.readouterr().err

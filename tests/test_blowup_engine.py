@@ -8,9 +8,12 @@ import reference_blowup as ref
 
 from valmono.blowup_engine import (
     CStepData,
+    DivideResult,
     Frame,
+    _center_from_tau,
     _factor_as_unit,
     _step_image,
+    _transform_exponents,
     divide_monomials,
     forward_image,
     framed_blowup,
@@ -689,7 +692,97 @@ def test_divide_rejects_a_center_that_does_not_lower_tau(monkeypatch):
     # must stop with a certification error, also under python -O
     import valmono.blowup_engine as engine
 
-    monkeypatch.setattr(engine, "_center_from_tau", lambda frame, at, gt: [0, 2])
+    monkeypatch.setattr(engine, "_center_from_tau", lambda at, gt: [0, 2])
     fr = Frame.initial(["x", "y", "z"], [el((1, 0)), el((0, 1)), el((1, 1))])
     with pytest.raises(CertificationError, match="tau character failed to decrease"):
         divide_monomials(fr, (1, 0, 0), (0, 1, 0))
+
+
+# -- the divisibility loop's exponent helpers against reference_blowup.py ----------
+
+# the queries workload's frame: x, y, z valued (0, 1), (0, pi) and (1, 0)
+QUERY_WEIGHTS = (el((0,), (1,)), el((0,), (0, 1)), el((1,), (0,)))
+
+
+def _with_reference_helpers(monkeypatch):
+    import valmono.blowup_engine as engine
+
+    monkeypatch.setattr(engine, "tau", ref.tau)
+    monkeypatch.setattr(engine, "_center_from_tau", ref.center_from_tau)
+    monkeypatch.setattr(engine, "_transform_exponents", ref.transform_exponents)
+
+
+def _loop_output(run):
+    """What a divide or principalize run returns, with each step's fields; or its refusal."""
+    try:
+        res = run()
+    except CertificationError as exc:
+        return f"CertificationError: {exc}"
+    fields = [dataclasses.astuple(step) for step in res.steps]
+    if isinstance(res, DivideResult):
+        return res.alpha, res.gamma, res.divider, fields, res.frame.matrix_inv
+    return res.generators, res.index, fields, res.frame.matrix_inv
+
+
+def _loop_inputs(rng):
+    """500 (frame, c_provider, "divide", pair) and 500 (..., "principalize", ideal) cases.
+
+    Half on the queries frame with the queries workload's draws, half on a
+    rational 2-variable frame, whose ties make equal-value steps.
+    """
+    cases = []
+    for i in range(500):
+        if i % 2 == 0:
+            fr, provide = Frame.initial(["x", "y", "z"], QUERY_WEIGHTS), None
+            pair = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(2)]
+            ideal = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(3)]
+        else:
+            fr = Frame.initial(["x", "y"], [el((rng.randint(1, 3),)), el((rng.randint(1, 3),))])
+            provide = lambda f, q, j, unit: CStepData(Fraction(1), el((1,)))  # noqa: E731
+            pair = [(0, 0), (0, 0)]
+            while ev_leq(*pair) or ev_leq(*pair[::-1]):  # an incomparable pair, so at least one step
+                pair = [tuple(rng.randint(0, 4) for _ in range(2)) for _ in range(2)]
+            ideal = [tuple(rng.randint(0, 3) for _ in range(2)) for _ in range(rng.randint(2, 3))]
+        cases.append((fr, provide, "divide", pair))
+        cases.append((fr, provide, "principalize", ideal))
+    return cases
+
+
+def test_loop_helpers_match_the_reference():
+    # tau, the center and the exponent moves on every seeded pair, and on
+    # each pair's steps in both directions
+    rng = random.Random(SEED + 46)
+    checked = 0
+    for fr, provide, kind, data in _loop_inputs(rng):
+        if kind != "divide":
+            continue
+        alpha, gamma = data
+        out = tau(alpha, gamma)
+        assert out == ref.tau(alpha, gamma), (alpha, gamma)
+        assert _center_from_tau(out[1], out[2]) == ref.center_from_tau(out[1], out[2])
+        assert _center_from_tau(out[2], out[1]) == ref.center_from_tau(out[2], out[1])
+        for step in divide_monomials(fr, alpha, gamma, provide).steps:
+            for e in (alpha, gamma, out[3]):
+                for sign in (1, -1):
+                    assert _transform_exponents(e, step, sign) == ref.transform_exponents(e, step, sign)
+        checked += 1
+    assert checked == 500
+
+
+def test_divide_and_principalize_match_the_reference_loop(monkeypatch):
+    # the same 500 pairs and 500 ideals, once through the lean helpers and
+    # once through the reference ones: the same steps, exponents and refusals
+    rng = random.Random(SEED + 47)
+    cases = _loop_inputs(rng)
+    runs = []
+    for fr, provide, kind, data in cases:
+        if kind == "divide":
+            runs.append(lambda fr=fr, p=provide, d=data: divide_monomials(fr, d[0], d[1], p))
+        else:
+            runs.append(lambda fr=fr, p=provide, d=data: principalize(fr, d, p))
+    lean = [_loop_output(run) for run in runs]
+    _with_reference_helpers(monkeypatch)
+    assert [_loop_output(run) for run in runs] == lean
+    steps = [out[-2] for out in lean if not isinstance(out, str)]
+    kinds = {step[4] for fields in steps for step in fields}
+    assert len(lean) == 1000 and kinds == {True, False}  # monomial and equal-value steps

@@ -128,6 +128,10 @@ def test_div_errors(group):
         div_by_positive_int(a, 0)
     with pytest.raises(DivideByNonPositive):
         div_by_positive_int(a, -3)
+    # a bool is no divisor, though it is an int to isinstance
+    for flag in (True, False):
+        with pytest.raises(DivideByNonPositive):
+            div_by_positive_int(a, flag)
 
 
 def _random_scalar(group, rng):
@@ -371,7 +375,11 @@ def _reference_sign(s):
 
 
 def _recording(name, enclose):
-    """A generator that logs the level of every enclosure asked of it after it is built."""
+    """A fresh generator that logs the level of every enclosure asked of it after it is built.
+
+    The levels its own sign needed are dropped with the log, so each level a
+    later decision reads is asked once more, and logged, the first time.
+    """
     levels = []
 
     def logged(level):
@@ -379,6 +387,7 @@ def _recording(name, enclose):
         return enclose(level)
 
     g = IndependentGenerator(name, enclose=logged)
+    g._levels.clear()
     levels.clear()
     return g, levels
 
@@ -422,45 +431,102 @@ def _near_141(level):
 
 
 def test_sign_refines_to_the_level_the_interval_sum_needs():
-    pi, levels = _recording("pi", pi_generator().enclosure)
-    group = ValueGroup([unit_generator(), pi])
+    # each case on a fresh generator: a decision asks levels 0 .. the one
+    # that separates, each once, in order
     for t, level in PI_CONVERGENTS:
         for k in (1, -3, Fraction(2, 5)):
-            s = group.scalar(k * t, pi=-k)
-            levels.clear()
+            pi, levels = _recording("pi", pi_generator().enclosure)
+            s = ValueGroup([unit_generator(), pi]).scalar(k * t, pi=-k)
             sign = s.sign()
-            assert max(levels) == level, (t, k)
+            assert levels == list(range(level + 1)), (t, k)
             assert (sign, level) == _reference_sign(s)
             assert sign == (1 if t > Fraction(314159265358979, 10 ** 14) else -1) * (1 if k > 0 else -1)
-    levels.clear()
+            # asked again, the kept levels decide: the callback is not asked
+            del levels[:]
+            assert s.sign() == sign and levels == []
+    pi, levels = _recording("pi", pi_generator().enclosure)
+    group = ValueGroup([unit_generator(), pi])
     assert group.scalar(0, pi=-2).sign() == -1 and not levels  # one coefficient: the generator's own sign
     # t is a level-0 bound itself: level 0 does not exclude it, level 1 does
-    g, levels = _recording("g", _near_141)
-    group = ValueGroup([unit_generator(), g])
     for t, side in ((Fraction(131, 100), -1), (Fraction(152, 100), 1)):
         for k in (1, -2):
-            s = group.scalar(k * t, g=-k)
-            levels.clear()
-            assert (s.sign(), max(levels)) == _reference_sign(s) == (side if k > 0 else -side, 1)
+            g, levels = _recording("g", _near_141)
+            s = ValueGroup([unit_generator(), g]).scalar(k * t, g=-k)
+            sign = s.sign()
+            assert levels == [0, 1]
+            assert (sign, 1) == _reference_sign(s) == (side if k > 0 else -side, 1)
 
 
 def test_terms_of_one_sign_ask_no_enclosure():
     # the rational part and every enclosure term share a sign: that sign, with
     # no refinement; mixed signs still refine
-    pi, levels = _recording("pi", pi_generator().enclosure)
-    r, r_levels = _recording("r", _sqrt2_enclosure)
-    group = ValueGroup([unit_generator(), IndependentGenerator("m", rational=Fraction(-7, 3)), pi, r])
-    for s, want in ((group.scalar(1, pi=1), 1), (group.scalar(-2, pi=Fraction(-3, 4)), -1),
-                    (group.scalar(0, m=-1, pi=2), 1), (group.scalar(7, m=3, pi=-1), -1),
-                    (group.scalar(0, pi=1, r=5), 1), (group.scalar(-1, m=1, pi=-1, r=-2), -1)):
-        levels.clear()
-        r_levels.clear()
+    def fresh():
+        pi, levels = _recording("pi", pi_generator().enclosure)
+        r, r_levels = _recording("r", _sqrt2_enclosure)
+        group = ValueGroup([unit_generator(), IndependentGenerator("m", rational=Fraction(-7, 3)), pi, r])
+        return group, levels, r_levels
+
+    for coeffs, want in (((1, {"pi": 1}), 1), ((-2, {"pi": Fraction(-3, 4)}), -1),
+                         ((0, {"m": -1, "pi": 2}), 1), ((7, {"m": 3, "pi": -1}), -1),
+                         ((0, {"pi": 1, "r": 5}), 1), ((-1, {"m": 1, "pi": -1, "r": -2}), -1)):
+        group, levels, r_levels = fresh()
+        s = group.scalar(coeffs[0], **coeffs[1])
         assert s.sign() == want and levels == r_levels == [], s
         assert _reference_sign(s)[0] == want, s
-    for s in (group.scalar(4, pi=-1), group.scalar(0, pi=1, r=-2)):
-        levels.clear()
+    for coeffs in ((4, {"pi": -1}), (0, {"pi": 1, "r": -2})):
+        group, levels, r_levels = fresh()
+        s = group.scalar(coeffs[0], **coeffs[1])
         sign = s.sign()
         assert levels and sign == _reference_sign(s)[0], s
+
+
+def test_sign_matches_the_interval_sum_on_deep_convergents():
+    # multiples of the convergents that need levels 1 and 2, alone against
+    # pi and beside a second enclosure term r - u, u a rational close to
+    # sqrt(2): one-generator side tests and interval sums that refine; each
+    # case on the groups as kept and on fresh ones
+    rng = random.Random(SEED + 14)
+    deep = [t for t, level in PI_CONVERGENTS if level]
+    roots = (Fraction(14142, 10000), Fraction(141422, 100000), Fraction(99, 70))
+    rows = 0
+    for index, kept in enumerate(_sign_groups()):
+        for _ in range(60):
+            k = rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            t = rng.choice(deep)
+            coeffs = {"pi": -k}
+            exact = k * t
+            if "r" in kept.names and rng.randrange(2):
+                c = rng.choice((1, -1)) * Fraction(1, 10 ** rng.randint(6, 14))
+                coeffs["r"] = c
+                exact -= c * rng.choice(roots)
+            for group in (kept, _sign_groups()[index]):
+                s = group.scalar(exact, **coeffs)
+                assert s.sign() == _reference_sign(s)[0], s
+                rows += 1
+    assert rows == 360
+
+
+def test_inverted_bounds_raise_when_their_level_is_first_needed():
+    # bounds of sqrt(2) that invert at level 2: levels 0 and 1 are checked
+    # and kept once; the first decision that needs level 2 raises
+    asked = []
+
+    def enclose(level):
+        asked.append(level)
+        lo, hi = _sqrt2_enclosure(level)
+        return (hi, lo) if level == 2 else (lo, hi)
+
+    g = IndependentGenerator("r", enclose=enclose)
+    group = ValueGroup([unit_generator(), g])
+    assert asked == [0]
+    needs_1 = group.scalar(Fraction(14145, 10000), r=-1)  # inside level 0's bounds, outside level 1's
+    needs_2 = group.scalar(Fraction(141425, 100000), r=-1)  # inside level 1's bounds, outside level 2's
+    assert needs_1.sign() == 1 and asked == [0, 1]
+    with pytest.raises(ValueError, match="lo < hi"):
+        needs_2.sign()
+    assert asked == [0, 1, 2]
+    assert needs_1.sign() == 1 and group.scalar(0, r=-3).sign() == -1
+    assert asked == [0, 1, 2]  # no level is asked twice
 
 
 def test_sign_raises_where_no_enclosure_separates():

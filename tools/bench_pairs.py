@@ -1,6 +1,7 @@
 """Run the benchmark in two checkouts in alternating pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed N --pairs K --seconds S [--claim METRIC]
+    python3 tools/bench_pairs.py PARENT --aa --workload W --seed N --pairs K --seconds S
 
 Each pair runs ``perfbench/run.py --workload W --seed N --seconds S`` once in
 each checkout, the parent first in even pairs and the change first in odd
@@ -9,8 +10,8 @@ removed and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so neither side
 imports bytecode that an earlier run compiled (``setup_s`` and
 ``peak_rss_mb`` depend on it).  Only the directories under ``src/`` and
 ``perfbench/``, the code a run imports, are searched; apart from that
-bytecode the tool removes or writes no file, and the benchmark writes its
-outputs under ``.perfbench_out/``.
+bytecode and the ``--aa`` copy below the tool removes or writes no file,
+and the benchmark writes its outputs under ``.perfbench_out/``.
 
 For each end-to-end metric it prints each side's median and quartiles,
 how many pairs the change won, ties counting for neither side, and a
@@ -25,17 +26,24 @@ by the pair rule: at least ten pairs ran, the change wins at least nine
 tenths of them, the medians differ, in the better direction, by more than
 the distance between the parent's quartiles, and the change failed no
 larger share of its operations than the parent.
+
+With ``--aa`` there is no CHANGE: PARENT runs against a temporary copy of
+its own ``src/`` and ``perfbench/`` at a second path, and the table, with
+the copy as the change, shows how far two byte-identical checkouts differ
+by their paths alone.  The copy is removed when the runs end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +130,22 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"no result from {checkout} (exit {proc.returncode}):\n{proc.stderr}") from None
 
 
+@contextlib.contextmanager
+def aa_copy(checkout: Path):
+    """A copy of ``checkout``'s ``src/`` and ``perfbench/``, without bytecode, in a new temporary directory.
+
+    Yields the copy's root; the directory is removed on exit, also when the
+    runs raise.
+    """
+    copy = Path(tempfile.mkdtemp(prefix="bench-aa-"))
+    try:
+        for part in ("src", "perfbench"):
+            shutil.copytree(checkout / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        yield copy
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+
+
 def _format(name: str, row: dict) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -132,7 +156,8 @@ def _format(name: str, row: dict) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("change", type=Path, nargs="?", help="checkout of the change; omitted with --aa")
+    ap.add_argument("--aa", action="store_true", help="run PARENT against a temporary copy of itself")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
@@ -141,13 +166,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.aa == (args.change is not None):
+        ap.error("give CHANGE or --aa, not both or neither")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
     if args.claim is not None and args.claim not in better:
         ap.error(f"--claim must be one of {', '.join(better)}")
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.aa:
+        with aa_copy(args.parent.resolve()) as copy:
+            print(f"A/A: {args.parent.resolve()} against its copy at {copy}", flush=True)
+            return _pairs(args, args.parent.resolve(), copy, better, bounds)
+    return _pairs(args, args.parent.resolve(), args.change.resolve(), better, bounds)
+
+
+def _pairs(args, parent: Path, change: Path, better: dict, bounds: dict) -> int:
+    """Run the pairs, then print the summary table and the claim verdict."""
+    sides = {"parent": parent, "change": change}
     runs = {"parent": [], "change": []}
     failures = {"parent": (0, 0), "change": (0, 0)}
     for i in range(args.pairs):
