@@ -1,8 +1,7 @@
 """Framed blow-ups and the divisibility machinery built on them.
 
 A Frame is an immutable snapshot of a coordinate chart: parameter names
-with their values, the step history and the inverse of the running
-exponent matrix.
+with their values and the step history.
 
 The history is the one record of what each blow-up did: its center, chart
 index, residues and, for each equal-value member, the value-zero unit
@@ -92,23 +91,23 @@ class TraceStep:
 
 
 class Frame:
+    """A chart: its parameters' names and values, and the step history, its one record of the originals."""
+
     __slots__ = (
         "names",
         "original_names",
         "init_betas",
         "betas",
         "history",
-        "matrix_inv",
         "checked",
     )
 
-    def __init__(self, names, original_names, init_betas, betas, history, matrix_inv):
+    def __init__(self, names, original_names, init_betas, betas, history):
         self.names = tuple(names)
         self.original_names = tuple(original_names)
         self.init_betas = tuple(init_betas)
         self.betas = tuple(betas)
         self.history = tuple(history)
-        self.matrix_inv = matrix_inv
         self.checked = None  # (spec, n): the first n steps passed check_frame_values
 
     # -- construction -----------------------------------------------------------
@@ -117,15 +116,12 @@ class Frame:
     def initial(cls, names, betas) -> "Frame":
         """The chart of the original parameters; the one way in for outside values."""
         names = tuple(names)
-        m = len(names)
-        if len(set(names)) != m:
+        if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         betas = tuple(betas)
         if not all(b.is_positive() for b in betas):
             raise CertificationError("parameter value must stay positive")
-        # row i of the identity is the slice of one 1 between m - 1 zeros each side
-        unit = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
-        return cls(names, names, betas, betas, (), tuple(unit[m - 1 - i:2 * m - 1 - i] for i in range(m)))
+        return cls(names, names, betas, betas, ())
 
     @property
     def width(self) -> int:
@@ -250,15 +246,7 @@ def framed_blowup(frame: Frame, J, c_provider: Callable | None = None) -> Frame:
         beta_after=tuple(betas),
         units=tuple(units),
     )
-
-    # exponent rows act on the right (e_current = e_original @ M); the step's
-    # inverse subtracts row j from every other center row of M^-1
-    inv = list(frame.matrix_inv)
-    for q in J:
-        if q != j:
-            inv[q] = tuple(map(sub, inv[q], inv[j]))
-
-    out = Frame(names, frame.original_names, frame.init_betas, betas, frame.history + (step,), tuple(inv))
+    out = Frame(names, frame.original_names, frame.init_betas, betas, frame.history + (step,))
     out.checked = frame.checked  # the history only grows, so checked steps stay checked
     return out
 

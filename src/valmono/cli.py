@@ -392,7 +392,8 @@ _OPTIONS = {
     "--format": {"choices": ["json", "text"], "default": "text"},
     "--trace": {"help": "write the JSONL blow-up trace here"},
     "--budget": {"type": int, "default": DEFAULT_BUDGET},
-    "--state": {"help": "write the resumable state JSON here"},
+    "--state": {"help": "write the run's state JSON here: problem, budget, trace and key chain; "
+                        "no verb resumes from it yet"},
     "--poly": {"required": True},
     "--key": {"required": True},
     "--check": {"help": "candidate successor to verify instead"},

@@ -148,8 +148,6 @@ class MultiPoly:
         return self.terms.get(ev_zero(self.width), 0)
 
     def is_one(self) -> bool:
-        if self is _ONES.get(self.width):
-            return True
         return len(self.terms) == 1 and self.terms.get(ev_zero(self.width)) == 1
 
     def is_single_term(self) -> bool:
@@ -268,9 +266,9 @@ class RationalFunction:
     denominator is made Laurent-free with no common monomial factor and
     scaled so its graded-lex leading coefficient is 1.  Denominator 1 is
     always the shared ``MultiPoly.one(width)``: a fraction built with no
-    denominator or with that object skips normalisation, and ``is_one``,
-    sums, differences and products of fractions with denominator 1 skip
-    the denominator products, which would give the same result.
+    denominator or with that object skips normalisation, and sums and
+    products of fractions with denominator 1 skip the denominator products,
+    which would give the same result.
     Polynomials are immutable values, so fractions share them freely.
     """
 
@@ -336,8 +334,6 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        if self.den.is_one():
-            return self.num.is_one()
         return self.num == self.den
 
     def laurent_free(self) -> tuple:
@@ -364,21 +360,15 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        other = RationalFunction.of(other, self.width)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction(self.num - other.num)
-        return self + (-other)
+        return self + (-RationalFunction.of(other, self.width))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = RationalFunction.of(other, self.width)
-        if other.den.is_one():
-            if other.num.is_one():
-                return self
-            if self.den.is_one():
-                return RationalFunction(self.num * other.num)
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -512,10 +502,12 @@ class UniPoly:
         return UniPoly(self.width, [a * c for a in self.coeffs])
 
     def __eq__(self, other):
-        other = _as_unipoly(other, self.width)
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        # another base width differs; an operand that is no polynomial is left to its own __eq__
+        if isinstance(other, UniPoly):
+            return self.width == other.width and self.coeffs == other.coeffs
+        if not isinstance(other, (int, Fraction, MultiPoly, RationalFunction)):
+            return NotImplemented
+        return self.coeffs == UniPoly(self.width, [other]).coeffs
 
     __hash__ = None
 

@@ -512,8 +512,6 @@ class GroupElement:
         # self + other or self - other, in self's group
         if other.rank != self.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        if not any(other.nums):
-            return self
         b = other.nums if other.group is self.group else _aligned(other, self.group)
         da, db = self.den, other.den
         sb = -da if subtract else da
@@ -541,8 +539,6 @@ class GroupElement:
             k = normal_rational(k)
         if k == 1:
             return self
-        if not k:
-            return self.group.zero(self.rank)
         p, q = (k, 1) if type(k) is int else (k.numerator, k.denominator)
         return _reduced(self.group, self.rank, [n * p for n in self.nums], self.den * q)
 
@@ -661,12 +657,12 @@ def least_value(weights, exponent_vectors) -> GroupElement:
             raise RankMismatch(f"rank {rank} vs {w.rank}")
         nums = w.nums if w.group is group else _aligned(w, group)
         m = den // w.den
-        rows.append(nums if m == 1 else [n * m for n in nums])
+        rows.append([n * m for n in nums])
     cols = list(zip(*rows))
     best = None
     for e in exponent_vectors:
         row = [sum(map(mul, e, c)) for c in cols]
-        if best is None or row != best and _lead_sign(group, [a - b for a, b in zip(row, best)], den) < 0:
+        if best is None or _lead_sign(group, [a - b for a, b in zip(row, best)], den) < 0:
             best = row
     return _reduced(group, rank, best, den)
 

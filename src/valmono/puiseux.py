@@ -46,6 +46,7 @@ from .exact_algebra import (
     ev_scale,
     ev_sub,
     ev_support,
+    ev_unit,
     normal_rational,
     q_expansion,
     to_multipoly,
@@ -58,11 +59,11 @@ from .valuation_core import residue_of_unit
 # -- equal-value step data --------------------------------------------------
 
 
-def valuation_driver(spec, new_name=None, link=None):
+def valuation_driver(spec, link=None):
     """Equal-value step data taken straight from the valuation's residues.
 
-    A new parameter is called ``new_name`` while no parameter has that name.
-    With ``link``, a key step's (q^alpha, chain link of Q' = q^alpha - c*f), a unit
+    A new parameter takes the primed name of the one it replaces. With
+    ``link``, a key step's (q^alpha, chain link of Q' = q^alpha - c*f), a unit
     h with h*(q^alpha - Q') == c*q^alpha takes c and v(Q') - v(f), positive by
     ``make_problem``'s gate; ``check_frame_values`` values h - c before any unit is accepted.
     """
@@ -78,7 +79,7 @@ def valuation_driver(spec, new_name=None, link=None):
             c, v = residue_of_unit(spec, h)
         if is_sentinel(v):
             raise CertificationError("shifted quotient value is not positive")
-        return CStepData(c, v, new_name if new_name not in fr.names else None)
+        return CStepData(c, v)
 
     return driver
 
@@ -88,12 +89,12 @@ def valuation_driver(spec, new_name=None, link=None):
 
 @dataclass
 class PuiseuxProblem:
+    """A binomial over ``frame``, oriented: each side's reduced exponents, its element and target value."""
+
     frame: Frame
     spec: object
-    terms: tuple  # ((c1, e1, u1), (c2, e2, u2)), distinguished side first
     delta: tuple  # reduced exponents, distinguished side
     gamma: tuple  # reduced exponents, other side
-    rel0: tuple  # delta - gamma in original coordinates
     element: RationalFunction  # the exact element over frame parameters
     target_value: object
 
@@ -173,20 +174,7 @@ def make_problem(frame: Frame, spec, f=None, parts=None, position=None, link=Non
         v1, target = succ.certificate.base_value, succ.value
     if compare(target, v1) <= 0:
         raise CertificationError("the binomial carries no cancellation under the valuation")
-
-    rel = ev_sub(d1, d2)
-    n = len(frame.original_names)
-    rel0 = tuple(sum(rel[i] * frame.matrix_inv[i][k] for i in range(m)) for k in range(n))
-    return PuiseuxProblem(
-        frame,
-        spec,
-        ((c1, e1, u1), (c2, e2, u2)),
-        d1,
-        d2,
-        rel0,
-        element,
-        target,
-    )
+    return PuiseuxProblem(frame, spec, d1, d2, element, target)
 
 
 def _parallel_ratio(m, rel):
@@ -197,21 +185,33 @@ def _parallel_ratio(m, rel):
     return ratios.pop() if ratios else Fraction(0)
 
 
-def _package_driver(problem: PuiseuxProblem, new_name, link):
-    """The valuation driver, naming the new parameter ``new_name``, of the key step ``link``.
+def _original_exponents(e, history) -> tuple:
+    """``e`` times the inverse exponent matrix of ``history``: its exponents over the originals, units aside.
 
-    A quotient without a rational residue whose pullback exponent is a
-    rational multiple t of the binomial relation raises
+    Undoing each step, newest first, lowers the chart index's exponent by the other center members'."""
+    e = list(e)
+    for step in reversed(history):
+        e[step.j] -= sum(e[q] for q in step.J if q != step.j)
+    return tuple(e)
+
+
+def _package_driver(problem: PuiseuxProblem, link):
+    """The valuation driver of the key step ``link``.
+
+    A quotient without a rational residue whose exponent over the original
+    parameters is a rational multiple t of the binomial relation's raises
     ``ResidueFieldExtension``: its residue is a root of order t's
-    denominator.
+    denominator. Both exponent vectors are read off the step histories.
     """
-    driver = valuation_driver(problem.spec, new_name, link)
+    driver = valuation_driver(problem.spec, link)
 
     def package_driver(fr: Frame, q: int, j: int, h: RationalFunction):
         try:
             return driver(fr, q, j, h)
         except TranscendentalResidue:
-            t = _parallel_ratio(ev_sub(fr.matrix_inv[q], fr.matrix_inv[j]), problem.rel0)
+            quotient = _original_exponents(ev_sub(ev_unit(fr.width, q), ev_unit(fr.width, j)), fr.history)
+            relation = _original_exponents(ev_sub(problem.delta, problem.gamma), problem.frame.history)
+            t = _parallel_ratio(quotient, relation)
             if t is None:
                 raise
             raise ResidueFieldExtension(
@@ -240,12 +240,13 @@ class PuiseuxPackage:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_name=None, link=None) -> PuiseuxPackage:
+def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, link=None) -> PuiseuxPackage:
     """Resolve a decorated binomial into monomial times unit.
 
     Certifies the package shape: every step but the last is combinatorial,
     the last creates exactly one dependent parameter whose shifted quotient
     is a value-zero unit, and the element's monomial carries its full value.
+    The new parameter takes the primed name of the one it replaces.
     That unit h is not valued: ``framed_blowup`` proved its residue c nonzero
     and beta positive, and ``check_frame_values``, run by ``_factor_as_unit``,
     proves v(h - c) = beta, so v(h) = min(v(h - c), v(c)) = 0 (a minimum over
@@ -253,7 +254,7 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, new_n
     """
     problem = make_problem(frame, spec, f=f, parts=parts, position=position, link=link)
     start = len(frame.history)
-    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, new_name, link))
+    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, link))
     if result.divider != "equal":
         raise CertificationError("the package did not collapse the binomial")
     fr = result.frame
@@ -357,7 +358,7 @@ class LimitMonomialization:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, new_name=None) -> LimitMonomialization:
+def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly) -> LimitMonomialization:
     """Monomialize a degree-one limit candidate b1*q + b0 (+ absorbed tail).
 
     Requires truncation argmin {0, 1} with a strict value drop; higher
@@ -412,7 +413,7 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly, ne
     if len(ev_support(k_exps)) == 1:
         position = ev_support(k_exps)[0]
     parts = ((c1 * k_coeff, ev_add(e1, k_exps), u1), (c0, e0, u0))
-    pkg = puiseux_package(fr, spec, parts=parts, position=position, new_name=new_name)
+    pkg = puiseux_package(fr, spec, parts=parts, position=position)
 
     # exact re-expansion of the full candidate in the new parameter
     T = transport(pkg.frame, RationalFunction(to_multipoly(P)))

@@ -6,12 +6,15 @@ when the term has no power of an equal-value member, and ``pullback_of``
 shifts both polynomials by the clearing vector before every undone step,
 zero or not. ``transport`` pushes an expression through the same kernel.
 ``tau``, ``center_from_tau`` and ``transform_exponents`` go element by
-element through the ``ev_*`` helpers, lists and sets.
+element through the ``ev_*`` helpers, lists and sets. ``matrix_inv`` is the
+inverse of the running exponent matrix as frames once carried it, updated
+row by row at each step.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import sub
 
 from valmono.exact_algebra import MultiPoly, RationalFunction, ev_add, ev_sub
 
@@ -54,6 +57,22 @@ def transform_exponents(e, step, sign=1):
     for q in step.C:
         out[q] = 0
     return tuple(out)
+
+
+def matrix_inv(frame) -> tuple:
+    """The inverse of the exponent matrix M of ``frame``'s steps, rows over the originals.
+
+    Exponent rows act on the right (e_current = e_original @ M); each step's
+    inverse subtracts row j from every other center row, starting from the
+    identity.
+    """
+    m = frame.width
+    inv = [tuple(1 if i == k else 0 for k in range(m)) for i in range(m)]
+    for step in frame.history:
+        for q in step.J:
+            if q != step.j:
+                inv[q] = tuple(map(sub, inv[q], inv[step.j]))
+    return tuple(inv)
 
 
 def step_image(p: MultiPoly, step, forward: bool) -> MultiPoly:

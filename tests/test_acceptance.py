@@ -192,7 +192,7 @@ def test_criterion_5_binomial_package():
     fr = Frame.initial(["x", "y", "z"], [bx, by, NU3.value(X)])
     q3 = MultiPoly(3, {(0, 0, 2): 1, (2, 1, 0): -1})
     with criterion(5, "binomial package clauses", limit=5.0):
-        pkg = puiseux_package(fr, NU3, f=q3, new_name="t")
+        pkg = puiseux_package(fr, NU3, f=q3)
         assert pkg.exponents == (2, 2, 1)
         assert compare(pkg.value, el((1,), (0,))) == 0
         # clause 1: every step but the last stays monomial
@@ -233,7 +233,7 @@ def test_criterion_6_limit_recipe():
             assert ok and rep.delta == 1 and rep.S == (0, 1)
             bx = spec.value(UniPoly.constant(1, RationalFunction(xx1)))
             fr = Frame.initial(["x", "u"], [bx, spec.value(U1)])
-            res = monomialize_limit_successor(fr, spec, U1, P, new_name="t")
+            res = monomialize_limit_successor(fr, spec, U1, P)
             assert res.exponents == (deg, 1)
             assert compare(res.value, el((deg + 1,))) == 0
             # the new last parameter is the package candidate itself

@@ -33,6 +33,7 @@ from valmono.errors import (
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
 from valmono.ordered_value import GroupElement, compare, standard_group
+from valmono.puiseux import _original_exponents
 from valmono.serde import parse_polynomial
 from valmono.valuation_core import Composite, Monomial
 
@@ -60,7 +61,7 @@ def test_initial_frame():
     assert forward_image(fr, 0) == ((1, 0), ())
     assert forward_image(fr, 1) == ((0, 1), ())
     assert fr.pullback_of(MultiPoly.variable(2, 0)) == rf_var(2, 0)
-    assert fr.matrix_inv == ((1, 0), (0, 1))
+    assert ref.matrix_inv(fr) == ((1, 0), (0, 1))
     assert fr.monomial_value((2, 3)) == el((2, 3))
     with pytest.raises(ValueError):
         Frame.initial(["x", "x"], [el((1,)), el((1,))])
@@ -126,7 +127,7 @@ def test_single_blowup_strict():
     # the second parameter pulls back to y/x
     assert fr2.pullback_of(MultiPoly.variable(2, 1)) == rf_var(2, 1) / rf_var(2, 0)
     assert tuple(forward_image(fr2, k)[0] for k in range(2)) == ((1, 0), (1, 1))
-    assert fr2.matrix_inv == ((1, 0), (-1, 1))
+    assert ref.matrix_inv(fr2) == ((1, 0), (-1, 1))
 
 
 def test_center_guards():
@@ -197,7 +198,7 @@ def test_verify_forward_rejects_a_tampered_step(tamper):
     fr = Frame.initial(["x", "y"], [el((1,)), el((1,))])
     fr2 = framed_blowup(fr, [0, 1], lambda f, q, j, unit: CStepData(Fraction(1), el((2,))))
     bad = dataclasses.replace(fr2.history[0], units=tamper(fr2.history[0].units))
-    tampered = Frame(fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, (bad,), fr2.matrix_inv)
+    tampered = Frame(fr2.names, fr2.original_names, fr2.init_betas, fr2.betas, (bad,))
     assert verify_forward(fr2)
     assert not verify_forward(tampered)
 
@@ -272,11 +273,12 @@ def test_divide_random_property():
             assert ev_leq(res.alpha, res.gamma)
         elif c > 0:
             assert ev_leq(res.gamma, res.alpha)
-        # on monomial histories the forward exponent rows invert matrix_inv
+        # on monomial histories the forward exponent rows invert the history's inverse matrix
         m = res.frame.width
         rows = [forward_image(res.frame, k)[0] for k in range(m)]
+        inv = ref.matrix_inv(res.frame)
         prod = [
-            [sum(rows[a][k] * res.frame.matrix_inv[k][b] for k in range(m)) for b in range(m)]
+            [sum(rows[a][k] * inv[k][b] for k in range(m)) for b in range(m)]
             for a in range(m)
         ]
         assert prod == [[1 if a == b else 0 for b in range(m)] for a in range(m)]
@@ -358,16 +360,15 @@ def test_factor_as_unit_rejects_a_unit_it_cannot_certify():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     spec = Monomial(G, [el((1,)), el((0, 1))])
-    ident = ((1, 0), (0, 1))
     # Frame.initial and framed_blowup keep values positive; a frame built
     # directly may not, and then a unit's non-constant term may not be
     # above its constant: every such term must have positive value
     for y_value in (el((0,)), el((0, -1))):
-        fr = Frame(["x", "y"], ["x", "y"], spec.weights, [el((1,)), y_value], (), ident)
+        fr = Frame(["x", "y"], ["x", "y"], spec.weights, [el((1,)), y_value], ())
         for T in (RationalFunction(x + x * y), RationalFunction(x + x * x + x * y), RationalFunction(x, y + 1)):
             with pytest.raises(CertificationError, match="unit term of non-positive value"):
                 _factor_as_unit(fr, spec, T, el((1,)))
-    fr = Frame(["x", "y"], ["x", "y"], spec.weights, spec.weights, (), ident)
+    fr = Frame(["x", "y"], ["x", "y"], spec.weights, spec.weights, ())
     assert _factor_as_unit(fr, spec, RationalFunction(x + x * x + x * y), el((1,)))[0] == (1, 0)
     # RationalFunction's normal form never leaves a monomial factor in a
     # denominator; an object that skips it makes the unit Laurent
@@ -720,8 +721,8 @@ def _loop_output(run):
         return f"CertificationError: {exc}"
     fields = [dataclasses.astuple(step) for step in res.steps]
     if isinstance(res, DivideResult):
-        return res.alpha, res.gamma, res.divider, fields, res.frame.matrix_inv
-    return res.generators, res.index, fields, res.frame.matrix_inv
+        return res.alpha, res.gamma, res.divider, fields
+    return res.generators, res.index, fields
 
 
 def _loop_inputs(rng):
@@ -783,6 +784,90 @@ def test_divide_and_principalize_match_the_reference_loop(monkeypatch):
     lean = [_loop_output(run) for run in runs]
     _with_reference_helpers(monkeypatch)
     assert [_loop_output(run) for run in runs] == lean
-    steps = [out[-2] for out in lean if not isinstance(out, str)]
+    steps = [out[-1] for out in lean if not isinstance(out, str)]
     kinds = {step[4] for fields in steps for step in fields}
     assert len(lean) == 1000 and kinds == {True, False}  # monomial and equal-value steps
+
+
+def test_history_exponents_match_the_carried_inverse_matrix():
+    # the exponents a package's residue-field test reads off the step history
+    # equal e times the inverse exponent matrix frames once carried, row by
+    # row update, on every prefix of 500 seeded frames' histories
+    rng = random.Random(SEED + 48)
+    frames, kinds = 0, set()
+    for fr, provide, kind, data in _loop_inputs(rng):
+        if kind != "divide":
+            continue
+        res = divide_monomials(fr, data[0], data[1], provide)
+        m = res.frame.width
+        for n in range(len(res.frame.history) + 1):
+            prefix = Frame(res.frame.names, res.frame.original_names, res.frame.init_betas,
+                           res.frame.betas, res.frame.history[:n])
+            inv = ref.matrix_inv(prefix)
+            for k in range(m):
+                e = tuple(1 if i == k else 0 for i in range(m))
+                assert _original_exponents(e, prefix.history) == inv[k]
+            e = tuple(rng.randint(-4, 4) for _ in range(m))
+            assert _original_exponents(e, prefix.history) == tuple(
+                sum(e[i] * inv[i][k] for i in range(m)) for k in range(m)
+            )
+        kinds |= {step.monomial for step in res.frame.history}
+        frames += 1
+    assert frames == 500 and kinds == {True, False}
+
+
+# -- checks that no valid input reaches, each fired by a faulty producer -----------
+
+
+def test_a_center_index_that_does_not_minimize_is_refused(monkeypatch):
+    # a sign that calls both differences negative moves the chart index past
+    # the member of least value; the second pass over the center refuses it
+    fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
+    monkeypatch.setattr(GroupElement, "sign", lambda self: -1)
+    with pytest.raises(CertificationError, match="center index does not minimize the value"):
+        framed_blowup(fr, [0, 1])
+
+
+def test_divide_refuses_two_monomials_of_equal_value(monkeypatch):
+    import valmono.blowup_engine as engine
+
+    monkeypatch.setattr(engine, "compare", lambda a, b: 0)
+    fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
+    with pytest.raises(CertificationError, match="equal values must collapse to one monomial"):
+        divide_monomials(fr, (1, 0), (0, 1))
+
+
+def test_divide_refuses_a_direction_the_values_contradict(monkeypatch):
+    import valmono.blowup_engine as engine
+
+    real = engine.compare
+    monkeypatch.setattr(engine, "compare", lambda a, b: -real(a, b))
+    fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
+    with pytest.raises(CertificationError, match="division direction contradicts the values"):
+        divide_monomials(fr, (1, 0), (0, 1))
+
+
+def test_divide_refuses_a_step_that_changes_a_monomial_value(monkeypatch):
+    import valmono.blowup_engine as engine
+
+    real = engine.framed_blowup
+
+    def doubling(frame, J, c_provider=None):
+        out = real(frame, J, c_provider)
+        out.betas = tuple(b * 2 for b in out.betas)
+        return out
+
+    monkeypatch.setattr(engine, "framed_blowup", doubling)
+    fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
+    with pytest.raises(CertificationError, match="a blow-up changed the value of a monomial"):
+        divide_monomials(fr, (1, 0), (0, 1))
+
+
+def test_principalize_refuses_two_generators_left(monkeypatch):
+    # without minimalization two comparable generators stay, and no pair is left to divide
+    import valmono.blowup_engine as engine
+
+    monkeypatch.setattr(engine, "minimalize_monomials", list)
+    fr = Frame.initial(["x", "y"], [el((1,)), el((2,))])
+    with pytest.raises(CertificationError, match="principal generator fails to divide"):
+        principalize(fr, [(1, 0), (2, 0)])

@@ -67,3 +67,88 @@ def test_the_report_names_what_no_run_and_what_only_tier1_called(tmp_path):
         "NEVER         2  pkg/mod.py:K.never.<locals>.inner",
         "4 functions in src/, 11 lines; NEVER 2 (6 lines)",
     ]
+
+
+LINES_SOURCE = '''
+def run(flag):
+    """A docstring is no statement."""
+    total = 0
+    for i in range(2):
+        if flag:
+            total += (
+                i
+            )
+        else:
+            total -= i
+    try:
+        raise ValueError
+    except ValueError:
+        pass
+    except KeyError:
+        total = None
+    while True:
+        break
+
+    def inner():
+        return 1
+    return total
+
+
+class K:
+    x = 1
+
+    def never(self):
+        return 2
+'''
+
+
+def _lines_tree(tmp_path):
+    """A source tree of one module for the line tracer; (src, module file, module)."""
+    path = tmp_path / "src" / "pkg" / "lines.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(LINES_SOURCE)
+    spec = importlib.util.spec_from_file_location("pkg_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return tmp_path / "src", os.path.realpath(path), module
+
+
+def test_statements_are_those_of_function_bodies_with_the_lines_they_span(tmp_path):
+    src, file, _ = _lines_tree(tmp_path)
+    statements = call_trace.source_statements(src)
+    firsts = sorted(line for _, line in statements)
+    # no docstring, no module or class body statement; except clauses count
+    assert firsts == [4, 5, 6, 7, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 23, 30]
+    assert statements[(file, 7)] == (range(7, 10), "total += (")
+    assert statements[(file, 6)][0] == range(6, 12)
+    assert statements[(file, 21)][1] == "def inner():"
+
+
+def test_the_line_tracer_records_the_lines_of_the_tree_that_ran(tmp_path):
+    src, file, module = _lines_tree(tmp_path)
+    seen = set()
+    with call_trace.recording_lines(seen, src):
+        module.run(True)
+    assert {f for f, _ in seen} == {file}  # this test's own lines are outside the tree
+    statements = call_trace.source_statements(src)
+    report = call_trace.line_report(statements, seen, None, src)
+    assert report == [
+        "NEVER      pkg/lines.py:11  total -= i",
+        "NEVER      pkg/lines.py:16  except KeyError:",  # the first clause matched
+        "NEVER      pkg/lines.py:17  total = None",
+        "NEVER      pkg/lines.py:22  return 1",
+        "NEVER      pkg/lines.py:30  return 2",
+        "17 statements in src/; NEVER 5",
+    ]
+    workloads = set()
+    with call_trace.recording_lines(workloads, src):
+        module.run(False)
+        module.K().never()
+    report = call_trace.line_report(statements, seen, workloads, src)
+    assert report == [
+        "NEVER      pkg/lines.py:16  except KeyError:",
+        "NEVER      pkg/lines.py:17  total = None",
+        "NEVER      pkg/lines.py:22  return 1",
+        "TIER1-ONLY pkg/lines.py:7  total += (",
+        "17 statements in src/; NEVER 3; TIER1-ONLY 1",
+    ]

@@ -155,6 +155,21 @@ def test_unipoly_basics():
     assert (X + 1) * (X - 1) == X**2 - 1
 
 
+def test_unipoly_equality_with_other_operands():
+    # another width or an operand that is no polynomial is unequal, as for MultiPoly
+    X = UniPoly.x(X2)
+    for other in (None, "z", 1.5, object(), UniPoly.x(3), UniPoly.zero(1)):
+        assert not X == other and X != other
+    assert X.__eq__(None) is NotImplemented and X.__eq__("z") is NotImplemented
+    assert X.__eq__(UniPoly.x(3)) is False and x.__eq__(MultiPoly.variable(3, 0)) is False
+    assert x.__eq__(None) is NotImplemented
+    # constants, polynomials and fractions over 1 compare as the constant UniPoly, as before
+    assert UniPoly.constant(X2, 3) == 3 and UniPoly.constant(X2, Fraction(1, 2)) == Fraction(1, 2)
+    assert UniPoly.constant(X2, x * y) == x * y and UniPoly.constant(X2, x) == rf(x)
+    assert UniPoly.zero(X2) == 0 and X != x and X != 0
+    assert UniPoly(X2, [x, 1]) == UniPoly(X2, [rf(x), MultiPoly.one(X2)])
+
+
 def test_unipoly_coefficients_are_polynomials():
     """A coefficient is a MultiPoly, a rational constant, or a fraction over 1, which is unwrapped."""
     p = x * y - 2

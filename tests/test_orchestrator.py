@@ -978,7 +978,7 @@ def test_a_finalize_that_never_sees_a_non_degenerate_image_ends():
 
 
 def _frame_with(frame, **fields):
-    slots = ("names", "original_names", "init_betas", "betas", "history", "matrix_inv")
+    slots = ("names", "original_names", "init_betas", "betas", "history")
     return Frame(**{**{k: getattr(frame, k) for k in slots}, **fields})
 
 
@@ -1165,3 +1165,42 @@ def test_a_shorter_state_is_written_over_a_longer_one_in_place(tmp_path):
     assert path.read_bytes() == link.read_bytes() == encoded[1]
     assert path.stat().st_ino == inode
     assert state_to_json(load_state(link)) == state_to_json(shorter)
+
+
+# -- checks that no valid input reaches, each fired by a faulty producer -----------
+
+XY_SPEC = Monomial(G, [el((1,)), el((0, 1))])
+FX = UniPoly.constant(1, RationalFunction(MultiPoly.variable(1, 0)))
+FY = UniPoly(1, [RationalFunction.zero(1), RationalFunction.one(1)])
+
+
+def test_a_pair_that_does_not_divide_is_refused(monkeypatch):
+    # the element of least value comes first and divides the rest; with y
+    # (value pi) put first the division of y by x goes the other way
+    real = orchestrator._monomialize_in_turn
+
+    def reversed_order(*args):
+        state, order, done = real(*args)
+        return state, tuple(reversed(order)), done
+
+    monkeypatch.setattr(orchestrator, "_monomialize_in_turn", reversed_order)
+    with pytest.raises(CertificationError, match="pair failed to divide at divisibility of element 1"):
+        embedded_uniformize(XY_SPEC, [FY, FX], 10_000, names=["x", "y"])
+
+
+def test_a_minimal_element_that_does_not_divide_is_refused(monkeypatch):
+    monkeypatch.setattr(orchestrator, "_divide_pairs", lambda state, pairs: state)
+    with pytest.raises(CertificationError, match="minimal element fails to divide"):
+        embedded_uniformize(XY_SPEC, [FY, FX], 10_000, names=["x", "y"])
+
+
+def test_an_image_with_a_polynomial_denominator_is_refused(monkeypatch):
+    real = orchestrator.transport
+
+    def over_one_plus_x(frame, expr, from_step=0):
+        image = real(frame, expr, from_step)
+        return image / (RationalFunction(MultiPoly.variable(image.width, 0)) + 1)
+
+    monkeypatch.setattr(orchestrator, "transport", over_one_plus_x)
+    with pytest.raises(CertificationError, match="element transported outside the parameter ring"):
+        monomialize(XY_SPEC, FX, 10_000, names=["x", "y"])

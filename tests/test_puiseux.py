@@ -112,7 +112,7 @@ def test_make_problem_golden_fields():
     prob = make_problem(fr, NU3, f=Q3)
     assert prob.delta == (0, 0, 2)
     assert prob.gamma == (2, 1, 0)
-    assert prob.rel0 == (-2, -1, 2)
+    assert puiseux._original_exponents(ev_sub(prob.delta, prob.gamma), prob.frame.history) == (-2, -1, 2)
     assert prob.target_value == el((1,), (0,))
 
 
@@ -128,8 +128,8 @@ def _reduced_pairs(pkg) -> list:
 
 def test_package_golden_run():
     fr = tower_frame()
-    pkg = puiseux_package(fr, NU3, f=Q3, new_name="t")
-    assert pkg.frame.names == ("x", "y", "t")
+    pkg = puiseux_package(fr, NU3, f=Q3)
+    assert pkg.frame.names == ("x", "y", "z'")
     assert pkg.new_position == 2
     assert pkg.residue == 1
     assert pkg.exponents == (2, 2, 1)
@@ -152,7 +152,7 @@ def test_package_golden_run():
 
 def test_package_certificate_clauses():
     fr = tower_frame()
-    pkg = puiseux_package(fr, NU3, f=Q3, new_name="t")
+    pkg = puiseux_package(fr, NU3, f=Q3)
     # (1) every step but the last is combinatorial
     assert all(s.monomial for s in pkg.steps[:-1]) and not pkg.steps[-1].monomial
     # (2) the terminal unit has certified value zero
@@ -181,7 +181,7 @@ def _with_terminal_unit_times(result, factor):
     fr = result.frame
     units = tuple((q, u * factor) for q, u in fr.history[-1].units)
     last = dataclasses.replace(fr.history[-1], units=units)
-    frame = Frame(fr.names, fr.original_names, fr.init_betas, fr.betas, fr.history[:-1] + (last,), fr.matrix_inv)
+    frame = Frame(fr.names, fr.original_names, fr.init_betas, fr.betas, fr.history[:-1] + (last,))
     return dataclasses.replace(result, frame=frame, steps=result.steps[:-1] + (last,))
 
 
@@ -201,7 +201,7 @@ def test_package_rejects_a_tampered_terminal_unit(monkeypatch, factor, message):
         puiseux, "divide_monomials", lambda *args: _with_terminal_unit_times(divide(*args), factor)
     )
     with pytest.raises(CertificationError, match=message):
-        puiseux_package(tower_frame(), NU3, f=Q3, new_name="t")
+        puiseux_package(tower_frame(), NU3, f=Q3)
 
 
 def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypatch):
@@ -213,7 +213,7 @@ def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypa
     monkeypatch.setattr(puiseux, "divide_monomials", lambda *args: _with_terminal_unit_times(divide(*args), x))
     monkeypatch.setattr(puiseux, "verify_forward", lambda frame: True)
     with pytest.raises(CertificationError, match="equal-value parameter value differs from the valuation"):
-        puiseux_package(tower_frame(), NU3, f=Q3, new_name="t")
+        puiseux_package(tower_frame(), NU3, f=Q3)
 
 
 def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
@@ -223,18 +223,18 @@ def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
     alpha = link.certificate.alpha
     fr, parts = prepare_successor(tower_frame(), NU3, link, X**alpha, (0, 0, 1))
     power = to_multipoly(X**alpha)
-    pkg = puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=(power, link))
+    pkg = puiseux_package(fr, NU3, parts=parts, position=2, link=(power, link))
     assert pkg.problem.target_value is link.value
     assert pkg.exponents == (2, 2, 1)
     other = dataclasses.replace(link, key=X**2 - UniPoly.constant(2, x2**2 * y2 * 2))
     for bad in ((to_multipoly(X ** (alpha + 1)), link), (power, other)):
         with pytest.raises(CertificationError, match="the binomial does not pull back to its chain link"):
-            puiseux_package(fr, NU3, parts=parts, position=2, new_name="t", link=bad)
+            puiseux_package(fr, NU3, parts=parts, position=2, link=bad)
 
 
 def test_package_transport_consistency():
     fr = tower_frame()
-    pkg = puiseux_package(fr, NU3, f=Q3, new_name="t")
+    pkg = puiseux_package(fr, NU3, f=Q3)
     image = transport(pkg.frame, RationalFunction(Q3))
     # x^2 y^2 t (t + 1), written over (x, y, t)
     expected = RationalFunction(MultiPoly(3, {(2, 2, 1): 1, (2, 2, 2): 1}))
@@ -244,19 +244,19 @@ def test_package_transport_consistency():
 
 def test_package_trace_replays():
     fr = tower_frame()
-    pkg = puiseux_package(fr, NU3, f=Q3, new_name="t")
+    pkg = puiseux_package(fr, NU3, f=Q3)
     records = trace_records(pkg.frame)
     report = replay_trace(records)
     assert report["ok"] and report["steps"] == 3
-    assert report["params"] == ["x", "y", "t"]
+    assert report["params"] == ["x", "y", "z'"]
 
 
 def test_package_orientation_free():
-    """Reversing the term order flips rho and rel0 but not the result."""
+    """Reversing the term order flips the binomial relation but not the result."""
     fr = tower_frame()
     reversed_parts = ((Fraction(-1), (2, 1, 0), None), (Fraction(1), (0, 0, 2), None))
-    a = puiseux_package(fr, NU3, f=Q3, new_name="t")
-    b = puiseux_package(fr, NU3, parts=reversed_parts, new_name="t")
+    a = puiseux_package(fr, NU3, f=Q3)
+    b = puiseux_package(fr, NU3, parts=reversed_parts)
     assert a.exponents == b.exponents
     assert a.unit == b.unit
     assert a.residue == b.residue
@@ -269,7 +269,7 @@ def test_prepare_successor_identity_chain():
     fr2, parts = prepare_successor(fr, NU3, link, X**2, (0, 0, 1))
     assert fr2 is fr  # single-term coefficient: no extra blow-ups
     assert parts == ((Fraction(1), (0, 0, 2), None), (Fraction(-1), (2, 1, 0), None))
-    pkg = puiseux_package(fr2, NU3, parts=parts, position=2, new_name="t")
+    pkg = puiseux_package(fr2, NU3, parts=parts, position=2)
     assert pkg.exponents == (2, 2, 1)
     assert compare(pkg.value, el((1,), (0,))) == 0
 
@@ -393,8 +393,8 @@ def limit_frame() -> Frame:
 def test_limit_successor_golden():
     fr = limit_frame()
     assert fr.betas == (el((1,)), el((4,)))
-    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2, new_name="t")
-    assert res.frame.names == ("x", "t")
+    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2)
+    assert res.frame.names == ("x", "u'")
     assert res.exponents == (4, 1)
     assert compare(res.value, el((5,))) == 0
     assert res.unit == RationalFunction.one(2)
@@ -412,7 +412,7 @@ def test_limit_successor_golden():
 
 def test_limit_successor_transport_oracle():
     fr = limit_frame()
-    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2, new_name="t")
+    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2)
     # substitution oracle: monomial times unit pulls back to P exactly
     recon = res.frame.pullback_of(RationalFunction(res.monomial()) * res.unit)
     assert recon == RationalFunction(MultiPoly(2, {(0, 1): 1, (4, 0): 1}))
@@ -466,7 +466,53 @@ def test_a_limit_candidate_with_delta_one_and_no_drop_is_rejected(n):
 
 def test_limit_trace_replays():
     fr = limit_frame()
-    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2, new_name="t")
+    res = monomialize_limit_successor(fr, LIMIT_SPEC, U1, P2)
     report = replay_trace(trace_records(res.frame))
     assert report["ok"] and report["steps"] == 4
-    assert report["params"] == ["x", "t"]
+    assert report["params"] == ["x", "u'"]
+
+
+# -- checks that no valid input reaches, each fired by a faulty producer -----------
+
+
+def test_a_residue_of_infinite_value_is_refused(monkeypatch):
+    monkeypatch.setattr(puiseux, "residue_of_unit", lambda spec, h: (Fraction(1), PLUS_INFINITY))
+    with pytest.raises(CertificationError, match="shifted quotient value is not positive"):
+        puiseux_package(tower_frame(), NU3, f=Q3)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda res: dataclasses.replace(res, divider="alpha"), "the package did not collapse the binomial"),
+        (
+            lambda res: dataclasses.replace(res, steps=res.steps[-1:] + res.steps),
+            "a non-terminal package step created a parameter",
+        ),
+        (
+            lambda res: dataclasses.replace(res, steps=res.steps[:-1]),
+            "the terminal step must create exactly one parameter",
+        ),
+    ],
+    ids=["not-collapsed", "early-parameter", "no-terminal-step"],
+)
+def test_package_refuses_a_division_of_the_wrong_shape(monkeypatch, change, message):
+    divide = puiseux.divide_monomials
+    monkeypatch.setattr(puiseux, "divide_monomials", lambda *args: change(divide(*args)))
+    with pytest.raises(CertificationError, match=message):
+        puiseux_package(tower_frame(), NU3, f=Q3)
+
+
+def test_a_new_parameter_that_is_not_the_candidate_is_refused(monkeypatch):
+    # an image of the candidate twice too large makes b'_1 twice too large,
+    # and the new parameter then pulls back to twice P / b'_1
+    real = puiseux.transport
+    candidate = RationalFunction(to_multipoly(P2))
+
+    def doubled(frame, expr, from_step=0):
+        image = real(frame, expr, from_step)
+        return image * 2 if expr == candidate else image
+
+    monkeypatch.setattr(puiseux, "transport", doubled)
+    with pytest.raises(CertificationError, match="the new parameter is not the normalized candidate"):
+        monomialize_limit_successor(limit_frame(), LIMIT_SPEC, U1, P2)

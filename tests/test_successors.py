@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from valmono import successors
 from valmono.errors import (
+    CertificationError,
     MaximalKey,
     NonMonicKey,
     NotInDivisibleHull,
@@ -231,3 +233,30 @@ def test_check_limit_successor():
     aug3 = Augmented(spec2, P3, el((9,)))
     ok3, rep3 = check_limit_successor(aug3, U, P3)
     assert not ok3 and rep3.delta == 2
+
+
+# -- checks that no valid input reaches, each fired by a faulty producer -----------
+
+
+def test_a_solution_that_does_not_rebuild_the_value_is_refused(monkeypatch):
+    real = successors._column_echelon_solve
+
+    def off_by_one(cols, target):
+        h, x = real(cols, target)
+        return h, [xi + 1 for xi in x]
+
+    monkeypatch.setattr(successors, "_column_echelon_solve", off_by_one)
+    with pytest.raises(CertificationError, match="lattice solver produced an invalid combination"):
+        lattice_multiplier(el((1, 1)), VARS_XY)
+
+
+def test_a_verified_successor_with_a_non_monic_leading_coefficient_is_refused(monkeypatch):
+    real = successors.q_expansion
+
+    def doubled_lead(p, q):
+        parts = real(p, q)
+        return parts[:-1] + [parts[-1].scale(2)]
+
+    monkeypatch.setattr(successors, "q_expansion", doubled_lead)
+    with pytest.raises(CertificationError, match="verified successor with non-monic leading expansion coefficient"):
+        verify_immediate_successor(Composite(Q, NU2), X, Q, VARS_XY)

@@ -129,7 +129,7 @@ def tampering_sources() -> dict:
             blobs[f"divide-{alpha}-{gamma}"] = _fresh_blob(Monomial(G, betas), frame)
     _, names, nu3 = load_problem(README_PROBLEM)
     q = parse_polynomial("z^2 - x^2*y", names)
-    package = puiseux_package(_initial_frame(nu3, names), nu3, f=q, new_name="t")
+    package = puiseux_package(_initial_frame(nu3, names), nu3, f=q)
     blobs["puiseux"] = _fresh_blob(nu3, package.frame)
     blobs["readme-monomialize"] = _monomialize_blob(README_PROBLEM, "z^2 - x^2*y")
     blobs["tower-monomialize"] = _monomialize_blob(TOWER_PROBLEM, "z^2 - x^3")
