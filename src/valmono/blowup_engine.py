@@ -44,12 +44,13 @@ from operator import sub
 from typing import Callable
 
 from .errors import (
+    BudgetExceeded,
     CertificationError,
-    DegenerateInput,
     EmptyCenter,
     EmptyIdeal,
     ResidueUndefined,
     UnknownVariable,
+    ZeroPolynomial,
 )
 from .exact_algebra import (
     MultiPoly,
@@ -61,7 +62,7 @@ from .exact_algebra import (
     normal_rational,
 )
 from .ordered_value import GroupElement, compare, least_value
-from .valuation_core import is_non_degenerate, minimalize_monomials, monomial_value
+from .valuation_core import minimalize_monomials, monomial_value
 
 
 @dataclass(frozen=True)
@@ -489,7 +490,9 @@ def principalize(frame: Frame, N, c_provider=None) -> PrincipalizeResult:
     return PrincipalizeResult(frame, tuple(gens), 0, frame.history[start:])
 
 
-# -- non-degenerate monomialization -------------------------------------------------
+# -- the reduction loop ------------------------------------------------------------
+
+DEFAULT_BUDGET = 10_000  # blow-up steps, for callers outside a run
 
 
 @dataclass
@@ -501,26 +504,45 @@ class MonomializeCertificate:
     steps: tuple
 
 
-def monomialize_nondegenerate(frame: Frame, spec, f: MultiPoly, value, c_provider=None) -> MonomializeCertificate:
-    """Factor a non-degenerate element as monomial times certified unit.
+def monomialize_nondegenerate(
+    frame: Frame, spec, f, value, c_provider=None, budget=DEFAULT_BUDGET
+) -> MonomializeCertificate:
+    """The one reduction loop: a chart element as monomial times certified unit.
 
-    ``value`` is the spec value of f's pullback, which the caller knows
-    from the element it transported into the frame. f's monomial value is
-    the least over its terms of the frame's values, which were proved
-    positive where they were made, so no ``Monomial`` spec re-proves them.
+    ``f`` is a polynomial, or a rational function whose denominator
+    ``_factor_as_unit`` checks, and ``value`` the spec value of its pullback.
+    A round ends the loop when the numerator's componentwise least exponents
+    are a term. Else it principalizes the whole support if the least monomial
+    value (read off the frame's values, proved positive where made) is
+    ``value``, and otherwise the least-value terms, raising BudgetExceeded
+    with the ``frame`` reached once it has ``budget`` steps. Values are
+    positive, so two terms of one value are incomparable: a round that makes
+    no step raises. The image is pushed through each round's steps.
     """
-    if f.width != frame.width:
+    T = RationalFunction.of(f)
+    if T.width != frame.width:
         raise UnknownVariable("expression arity mismatch")
-    ok, witness = is_non_degenerate(frame.betas, f, value)
-    if not ok:
-        raise DegenerateInput("monomial value differs from the assigned value")
+    if T.is_zero():
+        raise ZeroPolynomial("reduction of the zero polynomial")
     start = len(frame.history)
-    result = principalize(frame, witness, c_provider)
-    f_new = transport(result.frame, RationalFunction(f), from_step=start)
-    eps, unit, value = _factor_as_unit(result.frame, spec, f_new, value)
-    return MonomializeCertificate(
-        result.frame, eps, unit, value, result.frame.history[start:]
-    )
+    while True:
+        terms = T.num.terms
+        if tuple(map(min, zip(*terms))) in terms:
+            break
+        low = least_value(frame.betas, terms)
+        if compare(low, value) == 0:
+            N = terms
+        elif len(frame.history) >= budget:
+            raise BudgetExceeded(f"budget of {budget} blow-up steps exhausted", frame=frame)
+        else:
+            N = [e for e in terms if compare(frame.monomial_value(e), low) == 0]
+        res = principalize(frame, N, c_provider)
+        if not res.steps:
+            raise CertificationError("monomial value differs from the element value")
+        T = transport(res.frame, T, from_step=len(frame.history))
+        frame = res.frame
+    eps, unit, value = _factor_as_unit(frame, spec, T, value)
+    return MonomializeCertificate(frame, eps, unit, value, frame.history[start:])
 
 
 def check_frame_values(frame: Frame, spec) -> None:

@@ -17,7 +17,7 @@ import os
 import shlex
 import sys
 
-from .blowup_engine import check_frame_values, divide_monomials, principalize
+from .blowup_engine import DEFAULT_BUDGET, check_frame_values, divide_monomials, principalize
 from .errors import ParseError, ValmonoError
 from .orchestrator import (
     _initial_frame,
@@ -41,8 +41,6 @@ from .serde import (
 from .successors import next_successor, verify_immediate_successor
 from .trace import replay_trace, to_dot, trace_records, write_records
 from .valuation_core import Composite, Monomial, epsilon, truncated_value
-
-DEFAULT_BUDGET = 10_000
 
 
 def _read_source(value: str):

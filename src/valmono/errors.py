@@ -66,10 +66,6 @@ class EmptyIdeal(ValmonoError):
     """Principalization of an ideal with no generators."""
 
 
-class DegenerateInput(ValmonoError):
-    """Monomialization shortcut applied to a degenerate element."""
-
-
 class UnknownVariable(ValmonoError):
     """Substitution input mentions a variable the frame does not know."""
 
@@ -95,11 +91,12 @@ class NonPolynomialImage(ValmonoError):
 
 
 class BudgetExceeded(ValmonoError):
-    """Blow-up step budget ran out; ``state`` holds the partial state where the run stopped."""
+    """Blow-up step budget ran out; ``state`` holds the partial state where a run stopped, ``frame`` the loop's."""
 
-    def __init__(self, message: str, state=None):
+    def __init__(self, message: str, state=None, frame=None):
         super().__init__(message)
         self.state = state
+        self.frame = frame
 
 
 class LimitSuccessorRequired(ValmonoError):

@@ -4,9 +4,10 @@ The interleaved sequence is realized as resumable rounds under an explicit
 budget counted in blow-up steps. Each round, ``advance``, monomializes the
 next pending key polynomial; the budget is checked before each round.
 Divisions are made where a step asks for them, never blind: a key's
-expansion coefficients divide their own denominators, and a degenerate
-element principalizes its least-value terms. State files (version 2) store
-polynomials as the same text that problem files use.
+expansion coefficients divide their own denominators, and every chart image
+(an element, a coefficient, what a key package leaves) principalizes its
+least-value terms in the one reduction loop, ``monomialize_nondegenerate``.
+State files (version 2) store polynomials as the same text that problem files use.
 
 One element loop serves both entry points: ``monomialize`` is its
 one-element case, and ``embedded_uniformize`` runs it over a list, the
@@ -36,14 +37,12 @@ from .blowup_engine import (
     check_frame_values,
     divide_monomials,
     monomialize_nondegenerate,
-    principalize,
     transform_exponents,
     transport,
 )
 from .errors import (
     BudgetExceeded,
     CertificationError,
-    DegenerateInput,
     LimitSuccessorRequired,
     MaximalKey,
     ParseError,
@@ -51,7 +50,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, normal_rational, to_multipoly
-from .ordered_value import compare, format_element, is_sentinel, least_value, parse_element
+from .ordered_value import compare, format_element, is_sentinel, parse_element
 from .puiseux import (
     monomialize_limit_successor,
     prepare_successor,
@@ -156,25 +155,31 @@ def _divide_pairs(state: MasterState, pairs) -> MasterState:
 def advance(state: MasterState) -> MasterState:
     """One round: monomialize the next pending key, if any, from the image of the last one.
 
-    The budget is checked before the round, so its steps may end past it.
-    The state carries no key image: the last key is transported afresh, and
-    that is the image its package ended in, the frame image of one polynomial.
+    The budget is checked before the round, so its steps may end past it; a
+    stop in a reduction loop of the round raises BudgetExceeded at "advance"
+    with this input state, never half a package. The state carries no key image:
+    the last key is transported afresh, and that is the image its package ended
+    in, the frame image of one polynomial.
     """
     if not state.keys_pending:
         return state
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "advance")
     link, prev = state.keys_pending[0], state.chain[-1]
-    if link.certificate is not None and link.certificate.kind == "limit":
-        res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key)
-        frame, pos = res.frame, res.package.new_position
-    else:
-        image = transport(state.frame, RationalFunction(to_multipoly(prev.key)))
-        exps, unit, _ = _factor_as_unit(state.frame, state.spec, image, prev.value)
-        power = prev.key**link.certificate.alpha
-        fr2, parts = prepare_successor(state.frame, state.spec, link, power, exps, unit)
-        pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos, link=(to_multipoly(power), link))
-        frame, pos = pkg.frame, pkg.new_position
+    try:
+        if link.certificate is not None and link.certificate.kind == "limit":
+            res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key, state.budget)
+            frame, pos = res.frame, res.package.new_position
+        else:
+            image = transport(state.frame, RationalFunction(to_multipoly(prev.key)))
+            exps, unit, _ = _factor_as_unit(state.frame, state.spec, image, prev.value)
+            power = prev.key**link.certificate.alpha
+            fr2, parts = prepare_successor(state.frame, state.spec, link, power, exps, unit, state.budget)
+            pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos,
+                                  link=(to_multipoly(power), link), budget=state.budget)
+            frame, pos = pkg.frame, pkg.new_position
+    except BudgetExceeded as exc:
+        raise _budget_error(state, "advance") from exc
     return replace(
         state,
         frame=frame,
@@ -276,35 +281,21 @@ class MonomializeOutcome:
 
 
 def _finalize(state: MasterState, f: UniPoly, expected):
-    """Monomialize one element of value `expected` in the current frame.
+    """Monomialize one element of value `expected` in the current frame, through the reduction loop.
 
-    While the frame's monomial value of the element's image falls short of
-    `expected`, the image's least-value terms are principalized. Values are
-    positive, so two distinct terms of one value are incomparable and each
-    such round makes a step; a round that makes none raises.
+    A stop at the budget raises BudgetExceeded at "finalize" with the frame the loop reached.
     """
-    poly = to_multipoly(f)
+    img = transport(state.frame, RationalFunction(to_multipoly(f)))
+    if not img.den.is_single_term():
+        raise CertificationError("element transported outside the parameter ring")
+    # a single-term denominator is folded into the numerator, so img.num pulls back to f
     driver = valuation_driver(state.spec)
-    while True:
-        img = transport(state.frame, RationalFunction(poly))
-        if not img.den.is_single_term():
-            raise CertificationError("element transported outside the parameter ring")
-        # a single-term denominator is folded into the numerator, so img.num pulls back to f
-        try:
-            cert = monomialize_nondegenerate(state.frame, state.spec, img.num, expected, driver)
-            break
-        except DegenerateInput:
-            if steps_used(state) >= state.budget:
-                raise _budget_error(state, "finalize")
-            low = least_value(state.frame.betas, img.num.terms)
-            least = [e for e in img.num.terms if compare(state.frame.monomial_value(e), low) == 0]
-            res = principalize(state.frame, least, driver)
-            if not res.steps:
-                raise CertificationError("a degenerate element has one term of least value")
-            state = replace(state, frame=res.frame)
+    try:
+        cert = monomialize_nondegenerate(state.frame, state.spec, img.num, expected, driver, state.budget)
+    except BudgetExceeded as exc:
+        raise _budget_error(replace(state, frame=exc.frame), "finalize") from exc
     # _factor_as_unit proved cert.value equal to expected
-    state = replace(state, frame=cert.frame)
-    return state, (cert.exponents, cert.unit, cert.value)
+    return replace(state, frame=cert.frame), (cert.exponents, cert.unit, cert.value)
 
 
 def _monomialize_in_turn(spec, fs, budget: int, names):

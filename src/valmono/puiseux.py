@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowup_engine import (
+    DEFAULT_BUDGET,
     CStepData,
     Frame,
     _factor_as_unit,
@@ -240,21 +241,28 @@ class PuiseuxPackage:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, link=None) -> PuiseuxPackage:
+def puiseux_package(
+    frame: Frame, spec, f=None, parts=None, position=None, link=None, budget=DEFAULT_BUDGET
+) -> PuiseuxPackage:
     """Resolve a decorated binomial into monomial times unit.
 
     Certifies the package shape: every step but the last is combinatorial,
     the last creates exactly one dependent parameter whose shifted quotient
-    is a value-zero unit, and the element's monomial carries its full value.
-    The new parameter takes the primed name of the one it replaces.
-    That unit h is not valued: ``framed_blowup`` proved its residue c nonzero
-    and beta positive, and ``check_frame_values``, run by ``_factor_as_unit``,
-    proves v(h - c) = beta, so v(h) = min(v(h - c), v(c)) = 0 (a minimum over
-    a key expansion, valid key or not, is strictly ultrametric if its base is).
+    is a value-zero unit. The new parameter takes the primed name of the one
+    it replaces. The image then ends through the reduction loop, with the
+    package's driver: parts whose units are not constants can leave terms
+    over, and the loop's steps follow ``steps``, the package's own. Its
+    ``_factor_as_unit`` proves the monomial carries the element's full value.
+    The terminal unit h is not valued: ``framed_blowup`` proved its residue c
+    nonzero and beta positive, and ``check_frame_values``, run by
+    ``_factor_as_unit``, proves v(h - c) = beta, so v(h) = min(v(h - c), v(c))
+    = 0 (a minimum over a key expansion, valid key or not, is strictly
+    ultrametric if its base is).
     """
     problem = make_problem(frame, spec, f=f, parts=parts, position=position, link=link)
     start = len(frame.history)
-    result = divide_monomials(frame, problem.delta, problem.gamma, _package_driver(problem, link))
+    driver = _package_driver(problem, link)
+    result = divide_monomials(frame, problem.delta, problem.gamma, driver)
     if result.divider != "equal":
         raise CertificationError("the package did not collapse the binomial")
     fr = result.frame
@@ -270,14 +278,15 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, link=
         raise CertificationError("forward images fail the substitution check")
 
     T = transport(fr, problem.element, from_step=start)
-    eps, unit, value = _factor_as_unit(fr, spec, T, problem.target_value)
+    cert = monomialize_nondegenerate(fr, spec, T, problem.target_value, driver, budget)
+    fr = cert.frame
 
     return PuiseuxPackage(
         problem,
         fr,
-        eps,
-        unit,
-        value,
+        cert.exponents,
+        cert.unit,
+        cert.value,
         new_position,
         fr.names[new_position],
         residue,
@@ -288,33 +297,33 @@ def puiseux_package(frame: Frame, spec, f=None, parts=None, position=None, link=
 # -- successors over frames --------------------------------------------------
 
 
-def prepare_successor(frame: Frame, spec, link, power: UniPoly, key_exps, key_unit=None):
+def prepare_successor(frame: Frame, spec, link, power: UniPoly, key_exps, key_unit=None, budget=DEFAULT_BUDGET):
     """Binomial parts over the frame for the chain link of Q' = q^alpha - c*f; ``power`` is q^alpha.
 
     key_exps/key_unit give the frame factorization of the current key q.
     The second part is Q' - q^alpha: the link's certificate builds Q' with
     deg f < deg q, so that is -c*f, and ``make_problem`` checks that the two
-    parts pull back to q^alpha and Q' - q^alpha. A multi-term f is
-    monomialized in place, extending the frame; the key exponents are
-    pushed through those steps. Returns (frame, parts).
+    parts pull back to q^alpha and Q' - q^alpha. A multi-term f goes
+    through the reduction loop under ``budget``, extending the frame; the
+    key exponents are pushed through those steps. Returns (frame, parts).
     """
     alpha = link.certificate.alpha
     key_exps = tuple(int(x) for x in key_exps)
     start = len(frame.history)
-    frame, part0 = _coefficient_part(frame, spec, link.key - power)
+    frame, part0 = _coefficient_part(frame, spec, link.key - power, budget)
     _, key_exps, key_unit = _moved_part(frame, (1, key_exps, key_unit), start)
     u1 = key_unit**alpha if key_unit is not None else None
     parts = ((1, ev_scale(key_exps, alpha), u1), part0)
     return frame, parts
 
 
-def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
+def _coefficient_part(frame: Frame, spec, coeff: UniPoly, budget):
     """A key-expansion coefficient over the frame: (frame, (c, exps, unit)).
 
     A term of the image with negative exponents is made polynomial by
     dividing its denominator monomial into its numerator, which needs the
     term's value positive. A single-term image is kept with no unit; a
-    longer one is monomialized in place. Both extend the frame.
+    longer one ends through the reduction loop. Both extend the frame.
     """
     driver = valuation_driver(spec)
     img = transport(frame, RationalFunction(to_multipoly(coeff)))
@@ -333,7 +342,7 @@ def _coefficient_part(frame: Frame, spec, coeff: UniPoly):
     if poly.is_single_term():
         e, c = poly.single_term()
         return frame, (c, e, None)
-    cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), driver)
+    cert = monomialize_nondegenerate(frame, spec, poly, spec.value(coeff), driver, budget)
     return cert.frame, (1, cert.exponents, cert.unit)
 
 
@@ -358,7 +367,9 @@ class LimitMonomialization:
         return MultiPoly.monomial(self.frame.width, self.exponents)
 
 
-def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly) -> LimitMonomialization:
+def monomialize_limit_successor(
+    frame: Frame, spec, key: UniPoly, P: UniPoly, budget=DEFAULT_BUDGET
+) -> LimitMonomialization:
     """Monomialize a degree-one limit candidate b1*q + b0 (+ absorbed tail).
 
     Requires truncation argmin {0, 1} with a strict value drop; higher
@@ -380,7 +391,7 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly) ->
         if bj.is_zero():
             continue
         start = len(fr.history)
-        fr, part = _coefficient_part(fr, spec, bj)
+        fr, part = _coefficient_part(fr, spec, bj, budget)
         rec = {i: _moved_part(fr, other, start) for i, other in rec.items()}
         rec[idx] = part
     if 0 not in rec or 1 not in rec:
@@ -413,7 +424,7 @@ def monomialize_limit_successor(frame: Frame, spec, key: UniPoly, P: UniPoly) ->
     if len(ev_support(k_exps)) == 1:
         position = ev_support(k_exps)[0]
     parts = ((c1 * k_coeff, ev_add(e1, k_exps), u1), (c0, e0, u0))
-    pkg = puiseux_package(fr, spec, parts=parts, position=position)
+    pkg = puiseux_package(fr, spec, parts=parts, position=position, budget=budget)
 
     # exact re-expansion of the full candidate in the new parameter
     T = transport(pkg.frame, RationalFunction(to_multipoly(P)))

@@ -65,8 +65,6 @@ class Lattice:
         return cls(gens, rank)
 
     def extended(self, gen: LatticeGenerator) -> "Lattice":
-        if gen.value.rank != self.rank:
-            gen = replace(gen, value=gen.value.lift(self.rank - gen.value.rank))
         return Lattice(self.generators + [gen])
 
 

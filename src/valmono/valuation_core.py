@@ -16,8 +16,7 @@ values each nonzero expansion coefficient, or an input below the key's
 degree, by calling the base's rule directly. The shared checks are made
 once, where the input enters: the coefficients have the input's width and
 are tested for zero on the way. On top of the specs: epsilon reports,
-truncation reports, residues of value-zero elements, and non-degeneracy
-against a frame's monomial valuation.
+truncation reports and residues of value-zero elements.
 
 Residues are exact rationals read off coefficient comparisons: a candidate
 is the ratio of a coefficient shared by numerator and denominator at some
@@ -274,7 +273,7 @@ def _multipoly_or_none(p):
 
 
 def _residue_candidates(spec, A, B) -> set:
-    """Rational candidates for the residue of A/B, every level of the tower."""
+    """Rational candidates for the residue of A/B, every level of the tower: ratios of nonzero coefficients."""
     out: set = set()
     Am, Bm = _multipoly_or_none(A), _multipoly_or_none(B)
     if Am is None or Bm is None:
@@ -293,8 +292,6 @@ def _residue_candidates(spec, A, B) -> set:
 def _residue_search(spec, num, den, value) -> tuple:
     """The residue c of polynomials num/den, both of value ``value``, with v(num - c*den), infinite where zero."""
     for c in sorted(_residue_candidates(spec, num, den)):
-        if c == 0:
-            continue
         shifted = num - den * c
         if shifted.is_zero():
             return c, PLUS_INFINITY
@@ -312,8 +309,6 @@ def residue_of_unit(spec, h) -> tuple:
     key-expansion level. The value returned with it is the one that
     certified it, plus infinity when h is the constant c.
     """
-    if isinstance(h, MultiPoly):
-        h = RationalFunction(h)
     # a folded Laurent numerator hides the shared supports; unfold it
     num, den = h.laurent_free()
     vden = spec.value(den)
@@ -331,16 +326,3 @@ def minimalize_monomials(exponents) -> list:
         if not any(ev_leq(m, e) for m in out):
             out.append(e)
     return out
-
-
-def is_non_degenerate(weights, f: MultiPoly, value):
-    """Compare f's value under a frame's (positive) ``weights`` with ``value``, its spec value.
-
-    Returns (flag, witness): the witness is the minimalized monomial
-    support of f, and exists only when the values agree.
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("non-degeneracy of the zero polynomial")
-    if compare(least_value(weights, f.terms), value) == 0:
-        return True, minimalize_monomials(f.terms.keys())
-    return False, None

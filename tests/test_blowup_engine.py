@@ -25,15 +25,15 @@ from valmono.blowup_engine import (
     verify_forward,
 )
 from valmono.errors import (
+    BudgetExceeded,
     CertificationError,
-    DegenerateInput,
     EmptyCenter,
     EmptyIdeal,
     ResidueUndefined,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq
 from valmono.ordered_value import GroupElement, compare, standard_group
-from valmono.puiseux import _original_exponents
+from valmono.puiseux import _original_exponents, valuation_driver
 from valmono.serde import parse_polynomial
 from valmono.valuation_core import Composite, Monomial
 
@@ -399,8 +399,10 @@ def test_factor_as_unit_shifts_the_monomial_out(T, eps):
     assert unit.num.is_laurent_free() and unit.num.constant_value() != 0
 
 
-def test_monomialize_degenerate_rejected():
-    # z^2 - x^2 y has tower value above its monomial value
+def test_monomialize_reduces_a_degenerate_element():
+    # z^2 - x^2 y has tower value above its monomial value: the loop
+    # principalizes its two terms of least value, and the equal-value step
+    # needs the tower's residue
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     X = UniPoly.x(2)
@@ -412,8 +414,20 @@ def test_monomialize_degenerate_rejected():
     z3 = MultiPoly.variable(3, 2)
     x3 = MultiPoly.variable(3, 0)
     y3 = MultiPoly.variable(3, 1)
-    with pytest.raises(DegenerateInput):
-        monomialize_nondegenerate(fr, nu3, z3**2 - x3**2 * y3, nu3.value(z3**2 - x3**2 * y3))
+    f = z3**2 - x3**2 * y3
+    with pytest.raises(ResidueUndefined):
+        monomialize_nondegenerate(fr, nu3, f, nu3.value(f))
+    cert = monomialize_nondegenerate(fr, nu3, f, nu3.value(f), valuation_driver(nu3))
+    assert (cert.exponents, cert.value, len(cert.steps)) == ((2, 2, 1), el((1,), (0,)), 3)
+    assert cert.frame.names == ("x", "y", "z'")
+    assert cert.unit == RationalFunction(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 1): 1}))
+    assert cert.frame.pullback_of(RationalFunction(MultiPoly.monomial(3, cert.exponents)) * cert.unit) == (
+        RationalFunction(f)
+    )
+    # its first round is budgeted: at a budget of 0 steps the loop stops in the frame it was given
+    with pytest.raises(BudgetExceeded) as exc:
+        monomialize_nondegenerate(fr, nu3, f, nu3.value(f), valuation_driver(nu3), budget=0)
+    assert exc.value.frame is fr and exc.value.state is None
     # while x + y stays non-degenerate under the same tower
     cert = monomialize_nondegenerate(fr, nu3, x3 + y3, nu3.value(x3 + y3))
     assert cert.exponents == (1, 0, 0)

@@ -265,6 +265,15 @@ def test_puiseux_verb(specs, capsys):
     capsys.readouterr()
 
 
+def test_truncating_zero_reports_an_infinite_value(specs, capsys):
+    argv = ["truncate", "--spec", specs["nu3"], "--key", "z", "--poly", "0"]
+    assert main([*argv, "--format", "json"]) == 0
+    payload = {"verb": "truncate", "value": "+inf", "S": [], "delta": None, "terms": []}
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "value = +inf\nS = []\ndelta = None\n"
+
+
 def test_monomialize_with_artifacts(specs, capsys):
     trace = specs["dir"] / "mono.jsonl"
     state = specs["dir"] / "mono-state.json"

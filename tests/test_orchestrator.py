@@ -323,6 +323,43 @@ def test_state_rebuilds_a_key_from_its_key_powers():
     assert state_to_json(state_from_json(readme)) == readme
 
 
+def _k3_pending(budget=10_000) -> MasterState:
+    """The s3 state after K2's round, with K3's link (its witness x^5 times Q1) pending."""
+    blob = json.loads(json.dumps(state_to_json(monomialize(S3, K2, 10_000, names=["x", "z"]).state)))
+    return replace(state_from_json(dict(blob, keys_pending=[K3_LINK])), budget=budget)
+
+
+def test_a_third_key_package_ends_through_the_reduction_loop():
+    # after K2's package z is no chart monomial, so the parts of K3 carry units
+    # that are not constants, and K3's package leaves x^26*(z''*A - x*B) with
+    # v(z'') < v(x): the reduction loop principalizes it in one more step
+    state = advance(_k3_pending())
+    state, (exps, unit, value) = orchestrator._finalize(state, K3, S3.value(K3))
+    assert (steps_used(state), value) == (6, el((Fraction(53, 8),)))
+    T = RationalFunction(MultiPoly.monomial(state.frame.width, exps)) * unit
+    assert state.frame.pullback_of(T) == RationalFunction(to_multipoly(K3))
+    report = replay_trace(trace_records(state.frame))
+    assert report["ok"] and report["steps"] == 6
+
+
+def test_a_stop_inside_a_package_raises_at_advance_with_the_state_before_the_round(monkeypatch):
+    # the loop that ends K3's package, told twice the link's value, reads the
+    # image as degenerate and checks the budget; the package hands it a
+    # rational function, the coefficient part a polynomial
+    reduce = puiseux.monomialize_nondegenerate
+
+    def degenerate_package_image(frame, spec, f, value, *rest):
+        return reduce(frame, spec, f, value * 2 if isinstance(f, RationalFunction) else value, *rest)
+
+    state = _k3_pending(budget=4)
+    monkeypatch.setattr(puiseux, "monomialize_nondegenerate", degenerate_package_image)
+    with pytest.raises(BudgetExceeded, match="^budget of 4 blow-up steps exhausted at advance$") as exc:
+        advance(state)
+    assert exc.value.state is state and exc.value.task == "advance"
+    # the loop stopped where the package's two steps left the frame
+    assert len(exc.value.__cause__.frame.history) == 5
+
+
 def test_state_refuses_a_link_whose_value_does_not_rise():
     # under the README's monomial valuation, z^2 - x^2*y has the value 2 + 2*pi of z^2:
     # it does not rise, so its package would find no cancellation
@@ -944,15 +981,17 @@ def test_a_three_variable_tower_tie_has_no_rational_residue():
         monomialize(T5, KN[5] + c3(x2**4 * y2 + x2**7), 10_000, names=NAMES)
 
 
-# a run whose element the frame never reads as non-degenerate: each _finalize
-# round principalizes the image's least-value terms, so it ends in that round's
-# error, in a round that makes no step, or at the budget
+# a run whose element the reduction loop never reads as non-degenerate: told
+# twice the element's value, which no monomial of the chart reaches, each round
+# principalizes the image's least-value terms once the budget allows, so the
+# run ends in that round's error, in a round that makes no step, or at the budget
 FORCED_DEGENERATE = """
 import sys
-from valmono import blowup_engine
+from valmono import orchestrator
 from valmono.orchestrator import monomialize
 from valmono.serde import load_problem, parse_unipoly
-blowup_engine.is_non_degenerate = lambda *args: (False, None)
+reduce = orchestrator.monomialize_nondegenerate
+orchestrator.monomialize_nondegenerate = lambda frame, spec, f, value, *rest: reduce(frame, spec, f, value * 2, *rest)
 _, names, spec = load_problem({"group": {"generators": ["1"]}, "vars": ["x", "z"],
                                "val": {"kind": "monomial", "weights": {"x": "2", "z": "3"}}})
 for poly, budget in (("z^2 + x^3", 50), ("z^2 + x^4", 50), ("z^2 + x^3", 0)):
@@ -972,7 +1011,7 @@ def test_a_finalize_that_never_sees_a_non_degenerate_image_ends():
     assert proc.stdout.splitlines() == [
         # the two terms of value 6 tie at the second step, where z^2/x^3 has no rational residue
         "z^2 + x^3 50 TranscendentalResidue no rational residue matches the element None",
-        "z^2 + x^4 50 CertificationError a degenerate element has one term of least value None",
+        "z^2 + x^4 50 CertificationError monomial value differs from the element value None",
         "z^2 + x^3 0 BudgetExceeded budget of 0 blow-up steps exhausted at finalize finalize",
     ], proc.stderr
 

@@ -9,8 +9,9 @@ in ``ordered_value`` builds no ``Fraction``, frames are built only where their
 values are proved positive, no module reads the environment (every setting
 is an argument), one function opens files for writing, JSON is encoded
 without ``indent`` (which bypasses the C encoder), ``LimitSuccessorRequired``
-is raised only for a ``MaximalKey``, and the spec shapes are ``Monomial`` and
-``Augmented`` alone, with the composite file form named only in ``serde``."""
+is raised only for a ``MaximalKey``, the spec shapes are ``Monomial`` and
+``Augmented`` alone, with the composite file form named only in ``serde``, and
+chart images are principalized only by the one reduction loop."""
 
 import ast
 from fractions import Fraction
@@ -273,15 +274,15 @@ def test_the_fraction_guard_sees_each_form(tmp_path):
     assert _fraction_constructions(sample) == ["sample.<module>:1", "sample.f:3", "sample.S.m.inner:7"]
 
 
-def _owned_calls(path: Path) -> list:
-    """``(owner, call)`` for every call in one source file, in line order; the owner is the
-    dotted name of the innermost enclosing class or function, or ``""`` at module level."""
+def _owned_calls(path: Path, kinds=ast.Call) -> list:
+    """``(owner, call)`` for every call (or node of ``kinds``) in one source file, in line order; the
+    owner is the dotted name of the innermost enclosing class or function, or ``""`` at module level."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}" if owner else node.name
-        if isinstance(node, ast.Call):
+        if isinstance(node, kinds):
             found.append((owner, node))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -728,3 +729,56 @@ def test_the_shared_one_survives_the_readme_problem():
     for width in (2, 3):
         assert MultiPoly.one(width) is MultiPoly.one(width)
         assert MultiPoly.one(width).terms == {(0,) * width: Fraction(1)}
+
+
+def _uses(path: Path, name: str) -> list:
+    """``module.Qualified.owner:line`` for every use of the function ``name`` in one source file:
+    a call, plain or through its module, or the function passed on as a value. Imports are no use."""
+    return [
+        _hit(path, owner, node)
+        for owner, node in _owned_calls(path, (ast.Name, ast.Attribute))
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+    ]
+
+
+def _users(name: str) -> list:
+    sources = sorted(Path(valmono.__file__).parent.glob("*.py"))
+    return sorted({hit.rsplit(":", 1)[0] for path in sources for hit in _uses(path, name)})
+
+
+def test_only_the_reduction_loop_principalizes_a_chart_image():
+    # every chart image (an element, a key-expansion coefficient, what a key
+    # package leaves) goes through the one reduction loop; the principalize
+    # verb principalizes the ideal it is given
+    assert _users("principalize") == ["blowup_engine.monomialize_nondegenerate", "cli._cmd_principalize"]
+
+
+def test_only_the_reduction_loop_and_finished_images_are_factored():
+    # the others factor an image that is already monomial times unit: the last
+    # key's, each element's after the divisibility phase, and a limit candidate's
+    assert _users("_factor_as_unit") == [
+        "blowup_engine.monomialize_nondegenerate",
+        "orchestrator.advance",
+        "orchestrator.embedded_uniformize",
+        "puiseux.monomialize_limit_successor",
+    ]
+
+
+def test_the_use_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from blowup_engine import principalize\n"
+        "X = principalize(F, N)\n"
+        "def f(fr, n):\n"
+        "    def g():\n"
+        "        return blowup_engine.principalize(fr, n)\n"
+        "    return g, map(principalize, n)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        factor = blowup_engine._factor_as_unit\n"
+        "        return factor\n"
+        "def principalize(frame, N):\n"
+        "    return frame\n"
+    )
+    assert _uses(sample, "principalize") == ["sample.<module>:2", "sample.f.g:5", "sample.f:6"]
+    assert _uses(sample, "_factor_as_unit") == ["sample.K.m:9"]

@@ -82,6 +82,16 @@ def test_an_empty_lattice_is_told_its_rank():
         Lattice(VARS_XY.generators, 2)
 
 
+def test_an_extension_keeps_the_lattice_rank():
+    # chain keys are valued by the spec, at its rank; a generator of another
+    # rank is refused, not lifted
+    key = LatticeGenerator("k", el((Fraction(1, 3),)))
+    assert VARS_XY.extended(key).generators == [*VARS_XY.generators, key]
+    rank_two = Lattice([LatticeGenerator("p", el((0,), (1, 0)))])
+    with pytest.raises(RankMismatch):
+        rank_two.extended(key)
+
+
 def test_multiplier_dependent_generators():
     """gcd arithmetic, not a naive rational solve: <2, 3> contains 1."""
     L = Lattice(

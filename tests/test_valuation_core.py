@@ -4,7 +4,16 @@ from functools import cmp_to_key
 
 import pytest
 
-from valmono.errors import NonMonicKey, RankMismatch, UnknownVariable, ZeroPolynomial
+from valmono.blowup_engine import Frame, monomialize_nondegenerate
+from valmono.errors import (
+    BudgetExceeded,
+    CertificationError,
+    NonMonicKey,
+    RankMismatch,
+    TranscendentalResidue,
+    UnknownVariable,
+    ZeroPolynomial,
+)
 from valmono.exact_algebra import (
     MultiPoly,
     RationalFunction,
@@ -23,12 +32,12 @@ from valmono.ordered_value import (
     neg,
     standard_group,
 )
+from valmono.puiseux import valuation_driver
 from valmono.valuation_core import (
     Augmented,
     Composite,
     Monomial,
     epsilon,
-    is_non_degenerate,
     monomial_value,
     truncated_value,
 )
@@ -163,28 +172,44 @@ def test_truncation_derivative_bound():
             assert compare(vd, bound) >= 0
 
 
+def _reduced(spec, f, budget=10_000):
+    """The reduction loop on f from the chart of NU2's weights: (exponents, steps, unit numerator)."""
+    frame = Frame.initial(["x", "y", "z"], NU2.weights)
+    cert = monomialize_nondegenerate(frame, spec, f, spec.value(f), valuation_driver(spec), budget)
+    return cert.exponents, len(cert.steps), cert.unit.num
+
+
 def test_non_degenerate_witness():
+    # a non-degenerate element's minimal support is principalized: x + y in one step
     f = MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1)
-    ok, N = is_non_degenerate(NU2.weights, f, NU2.value(f))
-    assert ok and N == [(0, 1, 0), (1, 0, 0)]
+    assert _reduced(NU2, f) == ((1, 0, 0), 1, MultiPoly(3, {(0, 0, 0): 1, (0, 1, 0): 1}))
+    # a monomial, or a sum whose least exponents are a term, needs no step
     m = MultiPoly.monomial(3, (2, 1, 0))
-    ok2, N2 = is_non_degenerate(NU2.weights, m, NU2.value(m))
-    assert ok2 and N2 == [(2, 1, 0)]
-    # dominated exponents are pruned from the witness
+    assert _reduced(NU2, m) == ((2, 1, 0), 0, MultiPoly.one(3))
     g = MultiPoly.monomial(3, (2, 0, 0)) + MultiPoly.monomial(3, (3, 1, 0))
-    ok3, N3 = is_non_degenerate(NU2.weights, g, NU2.value(g))
-    assert ok3 and N3 == [(2, 0, 0)]
+    assert _reduced(NU2, g) == ((2, 0, 0), 0, MultiPoly(3, {(0, 0, 0): 1, (1, 1, 0): 1}))
 
 
 def test_degenerate_detected():
     aug = Augmented(NU2, Q, el((3, 3)))
     f = MultiPoly(3, {(0, 0, 2): Fraction(1), (2, 1, 0): Fraction(-1)})
-    ok, N = is_non_degenerate(NU2.weights, f, aug.value(f))
-    assert not ok and N is None
-    # under the frame's own monomial value the same f is non-degenerate
-    assert is_non_degenerate(NU2.weights, f, NU2.value(f)) == (True, [(0, 0, 2), (2, 1, 0)])
+    # above its monomial value f is degenerate: its least-value terms are
+    # principalized in a round the budget allows
+    assert _reduced(aug, f) == ((2, 2, 1), 3, MultiPoly(3, {(0, 0, 0): 1, (0, 0, 1): 1}))
+    with pytest.raises(BudgetExceeded):
+        _reduced(aug, f, budget=0)
+    # under the frame's own monomial value the same f is non-degenerate: its
+    # whole support is principalized, with no budget check, and the tie of
+    # z^2 with x^2*y has no rational residue
+    with pytest.raises(TranscendentalResidue):
+        _reduced(NU2, f, budget=0)
+    # told a value no monomial reaches, x + y has one least-value term, x: the
+    # round makes no step
+    g = MultiPoly.variable(3, 0) + MultiPoly.variable(3, 1)
+    with pytest.raises(CertificationError, match="^monomial value differs from the element value$"):
+        monomialize_nondegenerate(Frame.initial(["x", "y", "z"], NU2.weights), NU2, g, NU2.value(g) * 2)
     with pytest.raises(ZeroPolynomial):
-        is_non_degenerate(NU2.weights, MultiPoly.zero(3), PLUS_INFINITY)
+        _reduced(NU2, MultiPoly.zero(3))
 
 
 def test_augmented_construction_guards():
