@@ -4,8 +4,9 @@ Subpackages follow the pipeline: ordered_value (value groups), exact_algebra
 (Laurent polynomials, polynomials over them in the distinguished variable,
 and the rational functions of blow-up frames), valuation_core (valuations
 and their invariants), successors (key-polynomial chains), blowup_engine
-(framed blow-ups and the divisibility loop), puiseux (packages and successor
-preparation), orchestrator (the interleaved master sequence), cli.
+(framed blow-ups and the divisibility loop), puiseux (binomial packages,
+the limit recipe and the valuation driver), orchestrator (the interleaved
+master sequence), cli.
 """
 
 __version__ = "0.1.0"

@@ -87,7 +87,7 @@ class DeltaNotOne(ValmonoError):
 
 
 class NonPolynomialImage(ValmonoError):
-    """An image over a frame is not a polynomial, or not a monomial, of the required shape."""
+    """An image over a frame is not a polynomial of the required shape."""
 
 
 class BudgetExceeded(ValmonoError):

@@ -3,11 +3,10 @@
 The interleaved sequence is realized as resumable rounds under an explicit
 budget counted in blow-up steps. Each round, ``advance``, monomializes the
 next pending key polynomial; the budget is checked before each round.
-Divisions are made where a step asks for them, never blind: a key's
-expansion coefficients divide their own denominators, and every chart image
-(an element, a coefficient, what a key package leaves) principalizes its
-least-value terms in the one reduction loop, ``monomialize_nondegenerate``.
-State files (version 2) store polynomials as the same text that problem files use.
+Divisions are made where a step asks for them, never blind: every chart
+image (an element, a pending key) principalizes its least-value terms in
+the one reduction loop, ``monomialize_nondegenerate``.
+State files (version 3) store polynomials as the same text that problem files use.
 
 One element loop serves both entry points: ``monomialize`` is its
 one-element case, and ``embedded_uniformize`` runs it over a list, the
@@ -39,6 +38,7 @@ from .blowup_engine import (
     monomialize_nondegenerate,
     transform_exponents,
     transport,
+    verify_forward,
 )
 from .errors import (
     BudgetExceeded,
@@ -51,12 +51,7 @@ from .errors import (
 )
 from .exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, normal_rational, to_multipoly
 from .ordered_value import compare, format_element, is_sentinel, parse_element
-from .puiseux import (
-    monomialize_limit_successor,
-    prepare_successor,
-    puiseux_package,
-    valuation_driver,
-)
+from .puiseux import valuation_driver
 from .serde import (
     _write_file,
     format_multipoly,
@@ -69,7 +64,7 @@ from .serde import (
 from .successors import Lattice, LatticeGenerator, SuccessorCertificate, check_limit_successor, next_successor
 from .valuation_core import epsilon
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,7 @@ class MasterState:
     frame: Frame
     budget: int
     chain: tuple  # ChainLink entries already monomialized
-    keys_pending: tuple  # ChainLink entries waiting for their package
-    key_pos: int  # frame position of the parameter carrying the key
+    keys_pending: tuple  # ChainLink entries waiting for their round
 
 
 def steps_used(state: MasterState) -> int:
@@ -119,7 +113,6 @@ def _fresh_state(spec, frame: Frame, budget: int) -> MasterState:
         budget=int(budget),
         chain=(ChainLink(UniPoly.x(pos), None, frame.init_betas[pos]),),
         keys_pending=(),
-        key_pos=pos,
     )
 
 
@@ -153,40 +146,33 @@ def _divide_pairs(state: MasterState, pairs) -> MasterState:
 
 
 def advance(state: MasterState) -> MasterState:
-    """One round: monomialize the next pending key, if any, from the image of the last one.
+    """One round: the next pending key, transported into the frame, through the reduction loop.
 
-    The budget is checked before the round, so its steps may end past it; a
-    stop in a reduction loop of the round raises BudgetExceeded at "advance"
-    with this input state, never half a package. The state carries no key image:
-    the last key is transported afresh, and that is the image its package ended
-    in, the frame image of one polynomial.
+    A key element is a chart element: the round hands the frame image of the
+    link's key Q' to ``monomialize_nondegenerate`` at the link's value, with
+    the link's driver for an optimal link (a terminal quotient exactly
+    q^alpha/f takes the link's residue) and the valuation's for a limit link,
+    then checks the forward images by substitution. The budget is checked
+    before the round, so its steps may end past it; a stop in the loop raises
+    BudgetExceeded at "advance" with this input state, never half a round.
     """
     if not state.keys_pending:
         return state
     if steps_used(state) >= state.budget:
         raise _budget_error(state, "advance")
-    link, prev = state.keys_pending[0], state.chain[-1]
+    link, spec = state.keys_pending[0], state.spec
+    if link.certificate.kind == "limit":
+        driver = valuation_driver(spec)
+    else:
+        driver = valuation_driver(spec, (to_multipoly(state.chain[-1].key**link.certificate.alpha), link))
+    image = transport(state.frame, RationalFunction(to_multipoly(link.key)))
     try:
-        if link.certificate is not None and link.certificate.kind == "limit":
-            res = monomialize_limit_successor(state.frame, state.spec, prev.key, link.key, state.budget)
-            frame, pos = res.frame, res.package.new_position
-        else:
-            image = transport(state.frame, RationalFunction(to_multipoly(prev.key)))
-            exps, unit, _ = _factor_as_unit(state.frame, state.spec, image, prev.value)
-            power = prev.key**link.certificate.alpha
-            fr2, parts = prepare_successor(state.frame, state.spec, link, power, exps, unit, state.budget)
-            pkg = puiseux_package(fr2, state.spec, parts=parts, position=state.key_pos,
-                                  link=(to_multipoly(power), link), budget=state.budget)
-            frame, pos = pkg.frame, pkg.new_position
+        frame = monomialize_nondegenerate(state.frame, spec, image, link.value, driver, state.budget).frame
     except BudgetExceeded as exc:
         raise _budget_error(state, "advance") from exc
-    return replace(
-        state,
-        frame=frame,
-        chain=state.chain + (link,),
-        keys_pending=state.keys_pending[1:],
-        key_pos=pos,
-    )
+    if not verify_forward(frame):
+        raise CertificationError("forward images fail the substitution check")
+    return replace(state, frame=frame, chain=state.chain + (link,), keys_pending=state.keys_pending[1:])
 
 
 # -- chain construction ----------------------------------------------------------
@@ -203,7 +189,7 @@ def _key_generators(chain) -> list:
 
 
 def _rises(link: ChainLink) -> bool:
-    """Whether the link's value rises above its certificate's base value alpha*v(q), as a package needs."""
+    """Whether the link's value rises above its certificate's base value alpha*v(q), as its round needs."""
     return compare(link.value, link.certificate.base_value) > 0
 
 
@@ -215,8 +201,8 @@ def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
     them and ``check_frame_values`` checks a loaded frame's. Each new link is
     valued once, by its successor's residue search. A link whose value does
     not rise above alpha*v(q) raises ResidueUndefined; a maximal key raises
-    LimitSuccessorRequired. The chain has no fixed length: every key package
-    ends in an equal-value step, so a link is made only while the pending
+    LimitSuccessorRequired. The chain has no fixed length: every key round
+    makes a step, so a link is made only while the pending
     links do not exceed the steps left, and past that BudgetExceeded at
     "chain" holds the state with them pending, for ``advance`` to resume.
     """
@@ -418,6 +404,8 @@ def _cert_from(obj, group, names, prev_value):
     if obj["kind"] not in ("optimal", "limit"):
         raise ParseError(f"unknown certificate kind {obj['kind']!r}")
     alpha = _positive_int(obj["alpha"], "alpha")
+    if obj["kind"] == "limit" and (alpha, obj["monomial"], obj["key_powers"], obj["residue"]) != (1, None, [], None):
+        raise ParseError("a limit certificate has alpha 1 and no monomial, key powers or residue")
     base_value = parse_element(group, obj["base_value"])
     if base_value != prev_value * alpha:
         raise ParseError(f"certificate base value {obj['base_value']!r} is not {alpha} times the previous key's value")
@@ -481,7 +469,6 @@ def state_to_json(state: MasterState, records=None) -> dict:
         "trace": trace.trace_records(state.frame) if records is None else records,
         "chain": [_link_json(l, names) for l in state.chain],
         "keys_pending": [_link_json(l, names) for l in state.keys_pending],
-        "key_pos": state.key_pos,
     }
 
 
@@ -497,16 +484,15 @@ def state_from_json(obj) -> MasterState:
         chain = tuple(links[:len(obj["chain"])])
         if not chain:
             raise ParseError("state chain is empty")
-        budget, key_pos = obj["budget"], obj["key_pos"]
-        if {type(budget), type(key_pos)} != {int} or budget < 0 or key_pos not in range(frame.width):
-            raise ParseError(f"state budget {budget!r} or key_pos {key_pos!r} is invalid")
+        budget = obj["budget"]
+        if type(budget) is not int or budget < 0:
+            raise ParseError(f"state budget {budget!r} is invalid")
         return MasterState(
             spec=spec,
             frame=frame,
             budget=budget,
             chain=chain,
             keys_pending=tuple(links[len(chain):]),
-            key_pos=key_pos,
         )
     except trace._MALFORMED as exc:
         raise ParseError(f"malformed state: {type(exc).__name__}: {exc}") from exc

@@ -236,8 +236,8 @@ def test_criterion_6_limit_recipe():
             res = monomialize_limit_successor(fr, spec, U1, P)
             assert res.exponents == (deg, 1)
             assert compare(res.value, el((deg + 1,))) == 0
-            # the new last parameter is the package candidate itself
-            assert res.frame.pullback_of(MultiPoly.variable(2, res.package.new_position)) == res.candidate
+            # the new last parameter is the candidate itself
+            assert res.frame.pullback_of(MultiPoly.variable(2, res.new_position)) == res.candidate
             recon = res.frame.pullback_of(RationalFunction(res.monomial()) * res.unit)
             assert recon == RationalFunction(
                 MultiPoly(2, {(0, 1): 1, (deg, 0): 1})

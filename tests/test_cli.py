@@ -16,7 +16,7 @@ import pytest
 import valmono
 from valmono import cli
 from valmono.cli import main
-from valmono.errors import ResidueUndefined
+from valmono.errors import ParseError, ResidueUndefined
 from valmono.exact_algebra import RationalFunction, to_multipoly
 from valmono.orchestrator import load_state, monomialize, state_to_json, steps_used
 from valmono.ordered_value import compare
@@ -692,20 +692,20 @@ OUTPUT_TABLE = [
     ("puiseux-not-certified", "puiseux --spec {nu2} --poly 'z^2 - x^2*y' --trace {trace}",
      3, None, "e5d324b14df09783", None, None),
     # the state digests of the next six rows were re-recorded when states
-    # became compact JSON, when the slice index left the state, and when the
-    # key image left it
+    # became compact JSON, when the slice index left the state, when the key
+    # image left it, and when the key position left it (version 3)
     ("monomialize-text", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --trace {trace} --state {state}",
-     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "37da8c25ff286ebb"),
+     0, "8e597d6376787bd4", None, "38c13a3513a62b55", "408ca65c6bfc5786"),
     ("monomialize-json", "monomialize --spec {nu3} --poly '2*z + 3*x^2*y' --format json --trace {trace} --state {state}",
-     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "2a61b5f44d301b9f"),
+     0, "3160f8fbdf6efbcf", None, "9e91c0cb5f6396b2", "6d9575a63e1ecfc1"),
     ("monomialize-dot", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --format dot --state {state}",
-     0, "8655bf50ce015c51", None, None, "37da8c25ff286ebb"),
+     0, "8655bf50ce015c51", None, None, "408ca65c6bfc5786"),
     ("monomialize-budget-0", "monomialize --spec {nu3} --poly 'z^2 - x^2*y' --budget 0 --trace {trace} --state {state}",
-     3, None, "e6f86ffa89c64daa", None, "6ef315e0cf337bb8"),
+     3, None, "e6f86ffa89c64daa", None, "ce85d07585448f9a"),
     ("uniformize-text", "uniformize --spec {nu2} --polys 'x;x+y' --trace {trace} --state {state}",
-     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "e177c649c3cfb1f5"),
+     0, "8dedbc8f898087d3", None, "8605e112bcf04eef", "14965c02003b19c2"),
     ("uniformize-json", "uniformize --spec {nu3} --polys 'x^2*y;z^2 - x^2*y' --format json --trace {trace} --state {state}",
-     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "37da8c25ff286ebb"),
+     0, "27cd916fe8fb2419", None, "38c13a3513a62b55", "408ca65c6bfc5786"),
     ("uniformize-dot", "uniformize --spec {nu2} --polys 'x;x+y' --format dot",
      0, "8040302626e8cb19", None, None, None),
     ("missing-spec", "eval --spec {nu3}.missing --poly z",
@@ -801,12 +801,13 @@ def test_the_cli_builds_each_trace_once(specs, capsys, monkeypatch):
 def test_the_readme_run_writes_the_recorded_files(specs, capsys):
     # the README's monomialize run; the digests are those of the OUTPUT_TABLE
     # monomialize rows (the state's re-recorded when states became compact JSON,
-    # when the slice index left them and when the key image left them)
+    # when the slice index left them, when the key image left them and when the
+    # key position left them)
     trace, state = specs["dir"] / "run.jsonl", specs["dir"] / "run-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "37da8c25ff286ebb")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "408ca65c6bfc5786")
 
 
 def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
@@ -819,7 +820,7 @@ def test_a_rerun_over_longer_files_writes_the_recorded_files(specs, capsys):
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", "10000",
                  "--trace", str(trace), "--state", str(state), "--format", "json"]) == 0
     capsys.readouterr()
-    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "37da8c25ff286ebb")
+    assert (_digest(trace.read_bytes()), _digest(state.read_bytes())) == ("38c13a3513a62b55", "408ca65c6bfc5786")
     assert (trace.stat().st_ino, state.stat().st_ino) == inodes
 
 
@@ -832,6 +833,15 @@ PARENT_KEY_IMAGE = {
     "10000": {"num": "x^2*y^2*z'^2 + x^2*y^2*z'", "den": "1"},
     "0": {"num": "z", "den": "1"},
 }
+# the key position a version-2 state file held: z' after the README run's key
+# step, z before the budget-0 run's first round
+PARENT_KEY_POS = {"10000": 2, "0": 2}
+
+
+def _write_indented(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.mark.parametrize(
@@ -841,19 +851,21 @@ def test_a_state_in_the_indented_layout_still_loads(specs, capsys, budget, rc, p
     # every state file written before states became compact JSON was indented,
     # every one written before the slices went has a slice index, and every
     # one written before the key image left the state has one; the digests
-    # are those the OUTPUT_TABLE monomialize rows recorded then
+    # are those the OUTPUT_TABLE monomialize rows recorded then, at version 2
+    # with the key position. That version is refused; its layout still loads
     state, older = specs["dir"] / "run-state.json", specs["dir"] / "older-state.json"
     assert main(["monomialize", "--spec", specs["nu3"], "--poly", "z^2 - x^2*y", "--budget", budget,
                  "--state", str(state)]) == rc
     capsys.readouterr()
     assert state.read_text().count("\n") == 1
     blob = json.loads(state.read_text())
-    assert "slice_index" not in blob and "key_image" not in blob
-    with open(older, "w", encoding="utf-8") as fh:
-        parent = dict(blob, slice_index=PARENT_SLICE_INDEX[budget], key_image=PARENT_KEY_IMAGE[budget])
-        json.dump(parent, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    assert blob["version"] == 3 and not {"slice_index", "key_image", "key_pos"} & set(blob)
+    layout = dict(blob, slice_index=PARENT_SLICE_INDEX[budget], key_image=PARENT_KEY_IMAGE[budget])
+    _write_indented(older, dict(layout, version=2, key_pos=PARENT_KEY_POS[budget]))
     assert _digest(older.read_bytes()) == parent_digest
+    with pytest.raises(ParseError, match="unsupported state version 2"):
+        load_state(older)
+    _write_indented(older, layout)
     assert state_to_json(load_state(older)) == state_to_json(load_state(state)) == blob
 
 

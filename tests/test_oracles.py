@@ -199,8 +199,8 @@ def test_residue_verdicts_match_the_arc():
 # Random(SEED + 3): a step count where it certifies (30 of the 50 keys), else
 # the narrow error.
 # Every failure is ROADMAP item 9's: the echelon solver's witness for a key
-# past the second (DEGREE, NEGATIVE). The second key of row 2 ends its package
-# with terms left over, which the reduction loop principalizes (6 steps)
+# past the second (DEGREE, NEGATIVE). The second key of row 2 certifies in 6
+# steps, its round principalizing what its equal-value step left
 DEGREE = (ResidueUndefined, "witness degree reaches the key degree")
 NEGATIVE = (ResidueUndefined, "witness requires a negative key power")
 GENERATED_OUTCOMES = [
@@ -213,25 +213,25 @@ GENERATED_OUTCOMES = [
 
 
 def test_generated_tower_keys_monomialize_as_pinned(monkeypatch):
-    # a key package whose terminal quotient is not exactly the chain link's
+    # a key round whose terminal quotient is not exactly the chain link's
     # q^alpha/f searches for its residue; one such key keeps that path
     # exercised: the successor (z + x)^2 - 9x^3 + 6x^4 of a generated tower,
     # whose quotient carries the key image's unit and has residue -54, not -6
-    searches, searched, package, search = [0], [], orchestrator.puiseux_package, puiseux.residue_of_unit
+    searches, searched, advance, search = [0], [], orchestrator.advance, puiseux.residue_of_unit
 
     def counted_search(*args):
         searches[0] += 1
         return search(*args)
 
-    def counted_package(*args, **kwargs):
+    def counted_advance(*args, **kwargs):
         before = searches[0]
         try:
-            return package(*args, **kwargs)
+            return advance(*args, **kwargs)
         finally:
             searched.append(searches[0] > before)
 
     monkeypatch.setattr(puiseux, "residue_of_unit", counted_search)
-    monkeypatch.setattr(orchestrator, "puiseux_package", counted_package)
+    monkeypatch.setattr(orchestrator, "advance", counted_advance)
     outcomes = []
     for _arc, spec, keys in _generated_towers(random.Random(SEED + 3), 20):
         row = []

@@ -29,7 +29,7 @@ from valmono.errors import (
     ZeroPolynomial,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_leq, to_multipoly, to_unipoly
-from valmono.ordered_value import GroupElement, Scalar, compare, is_sentinel, standard_group
+from valmono.ordered_value import GroupElement, Scalar, compare, format_element, is_sentinel, standard_group
 from valmono import blowup_engine, exact_algebra, orchestrator, puiseux, successors, valuation_core
 from valmono.orchestrator import (
     ChainLink,
@@ -46,7 +46,7 @@ from valmono.orchestrator import (
     state_to_json,
     steps_used,
 )
-from valmono.puiseux import valuation_driver
+from valmono.puiseux import monomialize_limit_successor, valuation_driver
 from valmono.successors import SuccessorCertificate
 from valmono.trace import _frame_from_records, replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial, _Spec
@@ -219,15 +219,13 @@ def _certificate(**fields):
 # one malformed field of a saved state; each must load as ParseError, not a bare KeyError or ValueError
 STATE_TAMPERS = {
     "version-1": lambda blob: dict(blob, version=1),
+    "version-2": lambda blob: dict(blob, version=2),
     "chain-empty": lambda blob: dict(blob, chain=[]),
     **{f"no-{field}": _without(field) for field in
-       ("budget", "chain", "key_pos", "trace", "keys_pending", "problem")},
+       ("budget", "chain", "trace", "keys_pending", "problem")},
     "budget-text": lambda blob: dict(blob, budget="x"),
     "budget-fraction": lambda blob: dict(blob, budget=1.5),
     "budget-negative": lambda blob: dict(blob, budget=-7),
-    "key-pos-past-the-frame": lambda blob: dict(blob, key_pos=99),
-    "key-pos-negative": lambda blob: dict(blob, key_pos=-1),
-    "key-pos-bool": lambda blob: dict(blob, key_pos=True),
     "trace-empty": lambda blob: dict(blob, trace=[]),
     "chain-link-no-key": lambda blob: dict(blob, chain=[{"certificate": None}]),
     "chain-link-no-certificate": lambda blob: dict(blob, chain=[*blob["chain"][:-1], dict(blob["chain"][-1], certificate=None)]),
@@ -249,7 +247,7 @@ STATE_TAMPERS = {
 @pytest.mark.parametrize("tamper", STATE_TAMPERS.values(), ids=STATE_TAMPERS)
 def test_state_rejects_a_malformed_field(tamper):
     blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
-    assert blob["version"] == 2 and state_from_json(blob).key_pos == blob["key_pos"]
+    assert blob["version"] == 3 and state_to_json(state_from_json(blob)) == blob
     with pytest.raises(ParseError):
         state_from_json(tamper(blob))
 
@@ -330,9 +328,10 @@ def _k3_pending(budget=10_000) -> MasterState:
 
 
 def test_a_third_key_package_ends_through_the_reduction_loop():
-    # after K2's package z is no chart monomial, so the parts of K3 carry units
-    # that are not constants, and K3's package leaves x^26*(z''*A - x*B) with
-    # v(z'') < v(x): the reduction loop principalizes it in one more step
+    # after K2's round z is no chart monomial, so K3's image carries units that
+    # are not constants; its round, the one reduction loop, makes a monomial
+    # step, the equal-value step and a monomial step that principalizes what
+    # the equal-value step left
     state = advance(_k3_pending())
     state, (exps, unit, value) = orchestrator._finalize(state, K3, S3.value(K3))
     assert (steps_used(state), value) == (6, el((Fraction(53, 8),)))
@@ -343,26 +342,25 @@ def test_a_third_key_package_ends_through_the_reduction_loop():
 
 
 def test_a_stop_inside_a_package_raises_at_advance_with_the_state_before_the_round(monkeypatch):
-    # the loop that ends K3's package, told twice the link's value, reads the
-    # image as degenerate and checks the budget; the package hands it a
-    # rational function, the coefficient part a polynomial
-    reduce = puiseux.monomialize_nondegenerate
+    # the loop that reduces K3's image, told twice the link's value, never reads
+    # the least value as the element's and checks the budget before each round
+    reduce = orchestrator.monomialize_nondegenerate
 
-    def degenerate_package_image(frame, spec, f, value, *rest):
-        return reduce(frame, spec, f, value * 2 if isinstance(f, RationalFunction) else value, *rest)
+    def doubled_value(frame, spec, f, value, *rest):
+        return reduce(frame, spec, f, value * 2, *rest)
 
     state = _k3_pending(budget=4)
-    monkeypatch.setattr(puiseux, "monomialize_nondegenerate", degenerate_package_image)
+    monkeypatch.setattr(orchestrator, "monomialize_nondegenerate", doubled_value)
     with pytest.raises(BudgetExceeded, match="^budget of 4 blow-up steps exhausted at advance$") as exc:
         advance(state)
     assert exc.value.state is state and exc.value.task == "advance"
-    # the loop stopped where the package's two steps left the frame
+    # the loop stopped where its first round's two steps left the frame
     assert len(exc.value.__cause__.frame.history) == 5
 
 
 def test_state_refuses_a_link_whose_value_does_not_rise():
     # under the README's monomial valuation, z^2 - x^2*y has the value 2 + 2*pi of z^2:
-    # it does not rise, so its package would find no cancellation
+    # it does not rise, so its round would find no cancellation
     blob = json.loads(json.dumps(state_to_json(monomialize(NU2, X, 10_000, names=NAMES).state)))
     assert [link["key"] for link in blob["chain"]] == ["z"]
     flat = {"key": "z^2 - x^2*y", "certificate": {
@@ -559,7 +557,10 @@ def test_limit_link_through_master_loop():
     spec, P2 = st.spec, st.keys_pending[0].key
     while st.keys_pending:
         st = advance(st)
-    assert st.key_pos == 1
+    # the round is the limit recipe's reduction loop, step for step
+    start = _limit_link_state()
+    recipe = monomialize_limit_successor(start.frame, spec, start.chain[-1].key, P2)
+    assert json.dumps(trace_records(st.frame)) == json.dumps(trace_records(recipe.frame))
     assert st.frame.names[1].startswith("u")
     # the key transported afresh is the frame monomial x^4*u', of the key's value
     image = transport(st.frame, RationalFunction(to_multipoly(P2)))
@@ -585,12 +586,33 @@ def test_a_limit_link_survives_the_state_file():
             state_from_json(tampered)
 
 
+# a limit certificate carries no witness: alpha 1, and no monomial, key powers or residue
+LIMIT_TAMPERS = {
+    "alpha-2": {"alpha": 2, "base_value": "8"},
+    "residue": {"residue": "5"},
+    "monomial": {"monomial": "x"},
+    "key-powers": {"key_powers": [["Q1", 3]]},
+}
+
+
+@pytest.mark.parametrize("fields", LIMIT_TAMPERS.values(), ids=LIMIT_TAMPERS)
+def test_state_refuses_a_limit_certificate_with_witness_fields(fields):
+    blob = json.loads(json.dumps(state_to_json(_limit_link_state())))
+    (link,) = blob["keys_pending"]
+    tampered = dict(blob, keys_pending=[dict(link, certificate=dict(link["certificate"], **fields))])
+    with pytest.raises(ParseError, match="a limit certificate has alpha 1 and no monomial, key powers or residue"):
+        state_from_json(tampered)
+
+
 @pytest.mark.parametrize("key", ["z^2 - x^2*y", "z^2 - 7*x^2*y", "z^2 + x^5"])
 def test_state_checks_a_limit_link_against_the_previous_key(key):
-    # the README chain's key marked as a limit link, as it is or replaced: its
-    # z-expansion tops out at index 2, so no key here is a limit candidate of z
+    # the README chain's key under a limit certificate of the right shape, as it
+    # is or replaced: its z-expansion tops out at index 2, so no key here is a
+    # limit candidate of z
     blob = json.loads(json.dumps(state_to_json(monomialize(NU3, Q, 10_000, names=NAMES).state)))
-    tamper = _certificate(kind="limit")(blob)
+    limit = {"kind": "limit", "alpha": 1, "monomial": None, "key_powers": [], "residue": None,
+             "base_value": format_element(NU3.value(X))}
+    tamper = _certificate(**limit)(blob)
     tamper["chain"][-1]["key"] = key
     with pytest.raises(ParseError, match="is not a limit candidate of the previous key"):
         state_from_json(tamper)
@@ -602,10 +624,8 @@ def test_the_element_and_each_chain_key_are_valued_once(monkeypatch):
     The element's value travels to epsilon, and each key's value travels
     with its chain link: a successor is valued once, as the shifted
     numerator that certifies its residue. The initial frame is checked where
-    its values come from, so its variables are not valued again. (The
-    Puiseux package values its binomial's pullback, a rational function, as
-    a check of its own; that value is not one of these.) No expansion along
-    the key z divides.
+    its values come from, so its variables are not valued again. No
+    expansion along the key z divides.
     """
     f = K2 + UniPoly.constant(1, XZ**4)
     valued, depth, divisors = [], [0], []
@@ -650,7 +670,7 @@ def _k2_step():
 
 
 def test_a_key_step_refuses_a_link_value_off_its_package():
-    # the package's terminal step takes v(Q') - v(f) from the chain link, and
+    # the round's equal-value step takes v(Q') - v(f) from the chain link, and
     # check_frame_values compares that value with the valuation of the step's
     # unit minus its residue, so a link value off the key's is refused there
     state, links = _k2_step()
@@ -692,7 +712,7 @@ def _counted_work(monkeypatch) -> dict:
 
 
 def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
-    # the package's terminal quotient is the link's q^alpha/f, so it takes the
+    # the round's terminal quotient is the link's q^alpha/f, so it takes the
     # residue the successor's search certified; a certificate whose residue is
     # doubled fails the exact identity, and the step searches as before
     state, links = _k2_step()
@@ -708,8 +728,8 @@ def test_a_key_step_takes_its_residue_from_the_link_once(monkeypatch):
 
 
 def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypatch):
-    # with the residue doubled the package searches, so check_frame_values sees
-    # the searched value, not the link's; the package takes its target value
+    # with the residue doubled the round searches, so check_frame_values sees
+    # the searched value, not the link's; the round takes its target value
     # from the link, and the unit factoriser's comparison of the key monomial's
     # frame value with it then refuses a link value off the key's
     state, links = _k2_step()

@@ -17,22 +17,19 @@ from valmono.errors import (
     CertificationError,
     DeltaNotOne,
     NonBinomialInput,
-    NonPolynomialImage,
     NonUnitFactor,
     ResidueFieldExtension,
     TranscendentalResidue,
 )
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, ev_sub, to_multipoly
-from valmono.orchestrator import ChainLink, _chain_for, _fresh_state, _initial_frame
 from valmono.ordered_value import PLUS_INFINITY, compare, standard_group
 from valmono.puiseux import (
     make_problem,
     monomialize_limit_successor,
-    prepare_successor,
     puiseux_package,
     residue_of_unit,
 )
-from valmono.successors import SuccessorCertificate, check_limit_successor
+from valmono.successors import check_limit_successor
 from valmono.trace import replay_trace, trace_records
 from valmono.valuation_core import Augmented, Composite, Monomial
 
@@ -67,12 +64,6 @@ def tower_frame() -> Frame:
     return Frame.initial(["x", "y", "z"], [bx, by, bz])
 
 
-def readme_link() -> ChainLink:
-    """The chain link of Q = z^2 - x^2*y, the successor of z under NU3, as ``_chain_for`` makes it."""
-    state = _fresh_state(NU3, _initial_frame(NU3, ["x", "y", "z"]), 10)
-    return _chain_for(state, Q, NU3.value(Q)).keys_pending[0]
-
-
 def test_residue_of_unit_through_the_tower():
     # z^2/(x^2 y) has value zero; the key relation pins its residue to 1
     h = RationalFunction(MultiPoly(3, {(0, 0, 2): 1}), MultiPoly(3, {(2, 1, 0): 1}))
@@ -94,9 +85,6 @@ def test_make_problem_validation():
     three = Q3 + MultiPoly(3, {(5, 5, 5): 1})
     with pytest.raises(NonBinomialInput):
         make_problem(fr, NU3, f=three)
-    shared = ((Fraction(1), (1, 0, 0), None), (Fraction(2), (1, 0, 0), None))
-    with pytest.raises(NonBinomialInput):
-        make_problem(fr, NU3, parts=shared)
     # terms of unequal value; the second pair differs by a dividing monomial
     with pytest.raises(CertificationError):
         make_problem(fr, NU3, f=MultiPoly(3, {(0, 0, 2): 1, (1, 0, 0): -1}))
@@ -216,22 +204,6 @@ def test_a_terminal_unit_of_nonzero_value_is_refused_by_the_frame_check(monkeypa
         puiseux_package(tower_frame(), NU3, f=Q3)
 
 
-def test_a_package_refuses_a_link_its_terms_do_not_pull_back_to():
-    # a key step's binomial takes its values from its chain link only when its
-    # terms pull back to exactly q^alpha and Q' - q^alpha
-    link = readme_link()
-    alpha = link.certificate.alpha
-    fr, parts = prepare_successor(tower_frame(), NU3, link, X**alpha, (0, 0, 1))
-    power = to_multipoly(X**alpha)
-    pkg = puiseux_package(fr, NU3, parts=parts, position=2, link=(power, link))
-    assert pkg.problem.target_value is link.value
-    assert pkg.exponents == (2, 2, 1)
-    other = dataclasses.replace(link, key=X**2 - UniPoly.constant(2, x2**2 * y2 * 2))
-    for bad in ((to_multipoly(X ** (alpha + 1)), link), (power, other)):
-        with pytest.raises(CertificationError, match="the binomial does not pull back to its chain link"):
-            puiseux_package(fr, NU3, parts=parts, position=2, link=bad)
-
-
 def test_package_transport_consistency():
     fr = tower_frame()
     pkg = puiseux_package(fr, NU3, f=Q3)
@@ -249,46 +221,6 @@ def test_package_trace_replays():
     report = replay_trace(records)
     assert report["ok"] and report["steps"] == 3
     assert report["params"] == ["x", "y", "z'"]
-
-
-def test_package_orientation_free():
-    """Reversing the term order flips the binomial relation but not the result."""
-    fr = tower_frame()
-    reversed_parts = ((Fraction(-1), (2, 1, 0), None), (Fraction(1), (0, 0, 2), None))
-    a = puiseux_package(fr, NU3, f=Q3)
-    b = puiseux_package(fr, NU3, parts=reversed_parts)
-    assert a.exponents == b.exponents
-    assert a.unit == b.unit
-    assert a.residue == b.residue
-
-
-def test_prepare_successor_identity_chain():
-    fr = tower_frame()
-    link = readme_link()
-    assert link.key == Q and link.certificate.alpha == 2
-    fr2, parts = prepare_successor(fr, NU3, link, X**2, (0, 0, 1))
-    assert fr2 is fr  # single-term coefficient: no extra blow-ups
-    assert parts == ((Fraction(1), (0, 0, 2), None), (Fraction(-1), (2, 1, 0), None))
-    pkg = puiseux_package(fr2, NU3, parts=parts, position=2)
-    assert pkg.exponents == (2, 2, 1)
-    assert compare(pkg.value, el((1,), (0,))) == 0
-
-
-def test_prepare_successor_divides_a_laurent_coefficient_of_positive_value():
-    # under NU2, y/x has value 2*pi - 1 > 0: one division x | y makes it the
-    # frame monomial y; x/y has value 1 - 2*pi and no division makes it polynomial
-    values = [NU2.value(UniPoly.constant(2, RationalFunction(v))) for v in (x2, y2)] + [NU2.value(X)]
-    fr = Frame.initial(["x", "y", "z"], values)
-    fr2, parts = prepare_successor(fr, NU2, _degree_one_link(MultiPoly(2, {(-1, 1): 1})), X, (0, 0, 1))
-    assert len(fr2.history) == 1 and parts == ((1, (0, 0, 1), None), (-1, (0, 1, 0), None))
-    assert fr2.pullback_of(MultiPoly.monomial(3, (0, 1, 0), -1)) == RationalFunction(MultiPoly(3, {(-1, 1, 0): -1}))
-    with pytest.raises(NonPolynomialImage, match="has no positive value"):
-        prepare_successor(fr, NU2, _degree_one_link(MultiPoly(2, {(1, -1): 1})), X, (0, 0, 1))
-
-
-def _degree_one_link(f: MultiPoly) -> ChainLink:
-    """The link of z - f with alpha 1; ``prepare_successor`` reads only its key and alpha."""
-    return ChainLink(X - UniPoly.constant(2, f), SuccessorCertificate("optimal", 1, f, (), 1, None), None)
 
 
 def test_residue_field_extension_rejected():
@@ -400,13 +332,13 @@ def test_limit_successor_golden():
     assert res.unit == RationalFunction.one(2)
     assert res.coefficient == MultiPoly(2, {(4, 0): 1})
     # the new parameter is exactly P / b1': certified by pullback identity
-    assert res.frame.pullback_of(MultiPoly.variable(2, res.package.new_position)) == res.candidate
+    assert res.frame.pullback_of(MultiPoly.variable(2, res.new_position)) == res.candidate
     expected = RationalFunction(
         MultiPoly(2, {(0, 1): 1, (4, 0): 1}), MultiPoly(2, {(4, 0): 1})
     )
     assert res.candidate == expected
-    assert res.package.residue == -1
-    assert [s.monomial for s in res.package.steps] == [True, True, True, False]
+    assert res.residue == -1
+    assert [s.monomial for s in res.steps] == [True, True, True, False]
     assert res.frame.betas == (el((1,)), el((1,)))
 
 

@@ -754,14 +754,44 @@ def test_only_the_reduction_loop_principalizes_a_chart_image():
 
 
 def test_only_the_reduction_loop_and_finished_images_are_factored():
-    # the others factor an image that is already monomial times unit: the last
-    # key's, each element's after the divisibility phase, and a limit candidate's
+    # the other factors an image that is already monomial times unit: each
+    # element's after the divisibility phase
     assert _users("_factor_as_unit") == [
         "blowup_engine.monomialize_nondegenerate",
-        "orchestrator.advance",
         "orchestrator.embedded_uniformize",
-        "puiseux.monomialize_limit_successor",
     ]
+
+
+def _imported_from(path: Path, module: str) -> list:
+    """The names one source file imports from ``module``, at any package level, or the module itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == module:
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(alias.name for alias in node.names if alias.name.rsplit(".", 1)[-1] == module)
+    return found
+
+
+def test_only_the_puiseux_verb_runs_a_package():
+    # a key round is the reduction loop on its transported key: the orchestrator
+    # takes nothing from puiseux but the valuation driver
+    assert _users("puiseux_package") == ["cli._cmd_puiseux"]
+    assert _imported_from(Path(valmono.__file__).parent / "orchestrator.py", "puiseux") == ["valuation_driver"]
+
+
+def test_the_import_guard_sees_each_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .puiseux import valuation_driver, puiseux_package as package\n"
+        "import valmono.puiseux\n"
+        "from valmono import puiseux\n"
+        "from .puiseuxx import other\n"
+        "def f():\n"
+        "    from valmono.puiseux import make_problem\n"
+    )
+    assert sorted(_imported_from(sample, "puiseux")) == [
+        "make_problem", "puiseux", "puiseux_package", "valmono.puiseux", "valuation_driver"]
 
 
 def test_the_use_guard_sees_each_form(tmp_path):
