@@ -199,7 +199,7 @@ def _chain_for(state: MasterState, f: UniPoly, value) -> MasterState:
     The chain is the state's, pending links included. The variable weights
     are the frame's starting values: the spec's, as ``_initial_frame`` takes
     them and ``check_frame_values`` checks a loaded frame's. Each new link is
-    valued once, by its successor's residue search. A link whose value does
+    valued once, by its successor's residue check. A link whose value does
     not rise above alpha*v(q) raises ResidueUndefined; a maximal key raises
     LimitSuccessorRequired. The chain has no fixed length: every key round
     makes a step, so a link is made only while the pending
@@ -494,6 +494,8 @@ def state_from_json(obj) -> MasterState:
             chain=chain,
             keys_pending=tuple(links[len(chain):]),
         )
+    except ParseError:
+        raise
     except trace._MALFORMED as exc:
         raise ParseError(f"malformed state: {type(exc).__name__}: {exc}") from exc
 

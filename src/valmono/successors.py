@@ -4,7 +4,8 @@ The lattice solver answers "what is the least multiple of this value that
 the already-available values generate", by exact integer echelon reduction.
 On top of it: binomial successor construction, successor verification
 and the limit test. A successor's residue is the valuation's, read by
-``valuation_core._residue_search`` from the pair (q^alpha, f).
+``valuation_core._residue_search`` from the pair (q^alpha, f): the one
+ratio of their least-value terms, Laurent coefficients of f included.
 """
 
 from __future__ import annotations
@@ -263,11 +264,8 @@ def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
             raise
         f, mono, key_part = _build_witness(sub, solution2, width, q)
     power = q**alpha
-    # the search needs polynomials: m clears f's negative exponents, and m*Q' is its shifted numerator
-    m = UniPoly.constant(width, MultiPoly.monomial(width, [max(0, -a) for a in next(iter(mono.terms))]))
-    num, den, v_m = (power, f, v * 0) if mono.is_laurent_free() else (power * m, f * m, spec.value(m))
     try:
-        residue, succ_value = _residue_search(spec, num, den, v * alpha + v_m)
+        residue, succ_value = _residue_search(spec, power, f, v * alpha)
     except TranscendentalResidue:
         residue = 1
         succ_value = None
@@ -281,7 +279,7 @@ def next_successor(spec, q: UniPoly, lattice: Lattice, value=None):
         residue=residue,
         base_value=v * alpha,
     )
-    return successor, cert, spec.value(successor) if succ_value is None else succ_value - v_m
+    return successor, cert, spec.value(successor) if succ_value is None else succ_value
 
 
 @dataclass

@@ -11,20 +11,22 @@ Two spec shapes form towers:
   first nonzero expansion coefficient gives the least term.
 
 Both take their input through one shared ``value``; each keeps only its own
-rule, ``_value_unipoly``. ``Augmented`` expands its input along its key and
-values each nonzero expansion coefficient, or an input below the key's
-degree, by calling the base's rule directly. The shared checks are made
+rules, ``_value_unipoly`` and ``_least_terms``. ``Augmented`` expands its
+input along its key and values each nonzero expansion coefficient, or an
+input below the key's degree, by calling the base's rule directly. The shared checks are made
 once, where the input enters: the coefficients have the input's width and
 are tested for zero on the way. On top of the specs: epsilon reports,
 truncation reports and residues of value-zero elements.
 
-Residues are exact rationals read off coefficient comparisons: a candidate
-is the ratio of a coefficient shared by numerator and denominator at some
-level of the tower, accepted only when an exact value computation certifies
-v(h - c) > 0. ``_residue_search`` is their one source: ``residue_of_unit``
-asks it for every equal-value blow-up step, and ``next_successor`` on the pair
-(q^alpha, f) of every successor q^alpha - c*f; without a rational residue it
-raises ``TranscendentalResidue``.
+A residue is decided, not searched. The value of A - c*B is the least term
+of the difference of the two key expansions, so a rational c with
+v(A - c*B) > v(B) exists exactly when the least-value terms of A and B sit
+at the same places with one ratio of coefficients, a number under
+``Monomial`` and a base residue under ``Augmented``; it is unique.
+``_residue_search`` reads it by that rule and checks the rise exactly:
+``residue_of_unit`` asks it for every equal-value blow-up step, and
+``next_successor`` on the pair (q^alpha, f) of every successor q^alpha - c*f;
+without a rational residue it raises ``TranscendentalResidue``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    CertificationError,
     NonMonicKey,
     NonUnitFactor,
     RankMismatch,
@@ -48,7 +51,6 @@ from .exact_algebra import (
     divided_derivative,
     ev_leq,
     q_expansion,
-    to_multipoly,
     to_unipoly,
 )
 from .ordered_value import (
@@ -142,6 +144,12 @@ class Monomial(_Spec):
         # one pass over every term, with its degree in the last variable appended
         return least_value(self.weights, [e + (i,) for i, c in enumerate(f.coeffs) for e in c.terms])
 
+    def _least_terms(self, f: UniPoly) -> tuple:
+        """(value, terms, exponents): f's terms by exponent, and the exponents of those that attain the value."""
+        terms = {e + (i,): a for i, c in enumerate(f.coeffs) for e, a in c.terms.items()}
+        low = least_value(self.weights, terms)
+        return low, terms, {e for e in terms if compare(monomial_value(self.weights, e), low) == 0}
+
 
 class Augmented(_Spec):
     """Augmentation of ``base`` along ``key``: the assigned value exceeds the
@@ -170,28 +178,32 @@ class Augmented(_Spec):
         self.width = base.width
 
     def _value_unipoly(self, f: UniPoly):
-        # Below the key's degree f is its own expansion, so the base value
-        # stands (MacLane 1936).
-        if f.degree < self.key.degree:
-            v = self.base._value_unipoly(f)
-            return v.lift() if self.lifts else v
-        parts = q_expansion(f, self.key)
+        return self._least_terms(f)[0]
+
+    def _least_terms(self, f: UniPoly) -> tuple:
+        """(value, parts, indices): f's key expansion with the indices of its
+        least-value terms. Below the key's degree f is its own expansion, so
+        the base value stands (MacLane 1936)."""
+        parts = [f] if f.degree < self.key.degree else q_expansion(f, self.key)
         if self.lifts:
             # term j leads with j and a lifted base value with 0, so the
             # first nonzero coefficient's term is the least
             j = next(j for j, p in enumerate(parts) if not p.is_zero())
             v = self.base._value_unipoly(parts[j]).lift()
-            return v + self.assigned * j if j else v
-        best = None
+            return (v + self.assigned * j if j else v), parts, [j]
+        best, at = None, []
         for j, p in enumerate(parts):
             if p.is_zero():
                 continue
             v = self.base._value_unipoly(p)
             if j:
                 v = v + self.assigned * j
-            if best is None or compare(v, best) < 0:
-                best = v
-        return best
+            c = -1 if best is None else compare(v, best)
+            if c < 0:
+                best, at = v, [j]
+            elif c == 0:
+                at.append(j)
+        return best, parts, at
 
 
 def Composite(key: UniPoly, inner) -> Augmented:
@@ -263,53 +275,40 @@ def truncated_value(spec, q: UniPoly, p: UniPoly) -> TruncationReport:
     return TruncationReport(best, S, max(S), tuple(terms))
 
 
-def _multipoly_or_none(p):
-    if isinstance(p, MultiPoly):
-        return p
-    if isinstance(p, UniPoly):
-        if all(c.is_laurent_free() for c in p.coeffs):
-            return to_multipoly(p)
-    return None
-
-
-def _residue_candidates(spec, A, B) -> set:
-    """Rational candidates for the residue of A/B, every level of the tower: ratios of nonzero coefficients."""
-    out: set = set()
-    Am, Bm = _multipoly_or_none(A), _multipoly_or_none(B)
-    if Am is None or Bm is None:
-        return out
-    for e in set(Am.terms) & set(Bm.terms):
-        out.add(Fraction(Am.terms[e], Bm.terms[e]))
-    if isinstance(spec, Augmented) and Am.is_laurent_free() and Bm.is_laurent_free():
-        pa = q_expansion(to_unipoly(Am), spec.key)
-        pb = q_expansion(to_unipoly(Bm), spec.key)
-        for j in range(min(len(pa), len(pb))):
-            if not pa[j].is_zero() and not pb[j].is_zero():
-                out |= _residue_candidates(spec.base, pa[j], pb[j])
-    return out
+def _residue(spec, A, B) -> Fraction:
+    """The one rational c with v(A - c*B) > v(B), for polynomials of equal value: the
+    one ratio of their least-value terms, which must sit at the same places, read
+    as numbers under a monomial spec and as base residues under an augmented one."""
+    if type(A) is MultiPoly:
+        A, B = to_unipoly(A), to_unipoly(B)
+    while type(spec) is Augmented and max(A.degree, B.degree) < spec.key.degree:
+        spec = spec.base  # below the key's degree a polynomial is its own expansion
+    (_, pa, at), (_, pb, bt) = spec._least_terms(A), spec._least_terms(B)
+    ratio = Fraction if type(spec) is Monomial else lambda a, b: _residue(spec.base, a, b)
+    cs = {ratio(pa[j], pb[j]) for j in at} if at == bt else ()
+    if len(cs) != 1:
+        raise TranscendentalResidue("no rational residue matches the element")
+    return cs.pop()
 
 
 def _residue_search(spec, num, den, value) -> tuple:
     """The residue c of polynomials num/den, both of value ``value``, with v(num - c*den), infinite where zero."""
-    for c in sorted(_residue_candidates(spec, num, den)):
-        shifted = num - den * c
-        if shifted.is_zero():
-            return c, PLUS_INFINITY
-        v = spec.value(shifted)
-        if (v - value).is_positive():
-            return c, v
-    raise TranscendentalResidue("no rational residue matches the element")
+    c = _residue(spec, num, den)
+    v = spec.value(num - den * c)
+    if compare(v, value) <= 0:
+        raise CertificationError("the residue does not raise the value of the element")
+    return c, v
 
 
 def residue_of_unit(spec, h) -> tuple:
     """Exact rational residue c of a value-zero element, with v(h - c).
 
-    The residue is the unique rational with v(h - c) > 0; candidates come
-    from shared monomials of numerator and denominator at every
-    key-expansion level. The value returned with it is the one that
-    certified it, plus infinity when h is the constant c.
+    The residue is the one rational with v(h - c) > 0: the common ratio of
+    the least-value terms of numerator and denominator, level by level down
+    the tower. The value returned with it is the one that certified it, plus
+    infinity when h is the constant c.
     """
-    # a folded Laurent numerator hides the shared supports; unfold it
+    # a folded Laurent numerator cannot be split along the key; unfold it
     num, den = h.laurent_free()
     vden = spec.value(den)
     if compare(spec.value(num), vden) != 0:

@@ -10,6 +10,11 @@ code with it (the helpers in ``arc_oracle.py``).
   initial forms on the arc are proportional.
 * ``monomialize`` on every key of twenty generated towers has a pinned
   outcome, and each failure names the ROADMAP item behind it.
+* ``valuation_core._residue`` reads the residue the candidate search it
+  replaced (``reference_algebra.candidate_residue``) finds, or both find
+  none, on seeded quotients over arc towers of depth 3 to 12, the
+  generated towers, the README tower and Laurent successor pairs; 94 of
+  them expand along two or more keys.
 * Monomializing z^p - x^q under an augmentation of the monomial valuation
   x -> p, z -> q takes as many blow-ups as the partial quotients of q/p sum
   to: the steps run the Euclidean algorithm on (p, q).
@@ -19,14 +24,17 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
+
 from arc_oracle import initial_form, oracle_value, predicted_steps, residue_is_rational, tower_from_puiseux
+from reference_algebra import candidate_residue
 
 from valmono.errors import CertificationError, ResidueUndefined, TranscendentalResidue
 from valmono.exact_algebra import MultiPoly, RationalFunction, UniPoly, to_multipoly
 from valmono.ordered_value import standard_group
-from valmono import orchestrator, puiseux
+from valmono import orchestrator, puiseux, valuation_core
 from valmono.orchestrator import monomialize, steps_used
-from valmono.valuation_core import Augmented, Monomial, residue_of_unit
+from valmono.valuation_core import Augmented, Composite, Monomial, _residue, residue_of_unit
 
 SEED = 20261019
 
@@ -193,6 +201,112 @@ def test_residue_verdicts_match_the_arc():
             verdicts.append(rational)
     # both verdicts are exercised
     assert (verdicts.count(True), len(verdicts)) == (39, 100)
+
+
+def _arc_tower(depth: int) -> tuple:
+    """(arc, spec, keys) of s_n = Augmented(s_{n-1}, z - phi_n, n + 1) over
+    Monomial(x:1, z:1), phi_n = x + x^2/2 + ... + x^n/n, up to n = depth: the
+    arc x = t, z = phi_depth(t) + T*t^(depth + 1)."""
+    phi = {n: Fraction(1, n) for n in range(1, depth + 1)}
+    spec, keys = Monomial(G, [t(1), t(1)]), []
+    for n in range(1, depth + 1):
+        keys.append(Z - sum((xt**i * phi[i] for i in range(2, n + 1)), xt))
+        spec = Augmented(spec, keys[-1], t(n + 1))
+    return (1, phi, depth + 1), spec, keys
+
+
+def _readme_pairs(rng, count: int) -> list:
+    """``count`` pairs of equal value under the README tower: sums of one or two
+    terms c * x^a * y^b * z^k * Q^j, matched by value; every other den is num
+    scaled and given a term of higher value, so its residue is rational."""
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    z, key = UniPoly.x(2), UniPoly.x(2) ** 2 - x**2 * y
+    # x -> 1, y -> 2*pi, z -> 1 + pi
+    spec = Composite(key, Monomial(G, [t(1), G.element(G.scalar(pi=2)), G.element(G.scalar(value=1, pi=1))]))
+    by_value, pairs = {}, []
+    while len(pairs) < count:
+        f = UniPoly.zero(2)
+        for _ in range(rng.randint(1, 2)):
+            a, b, k, j = (rng.randint(0, 3) for _ in range(4))
+            f = f + z ** (k % 3) * key**(j % 3) * (x**a * y**b * rng.choice(COEFFICIENTS))
+        if f.is_zero():
+            continue
+        v = spec.value(f)
+        if len(pairs) % 2:
+            higher = f * (x * rng.choice(COEFFICIENTS))
+            pairs.append((spec, f, f * rng.choice(COEFFICIENTS) + higher))
+        elif v in by_value:
+            pairs.append((spec, f, by_value.pop(v)))
+        else:
+            by_value[v] = f
+    return pairs
+
+
+def _laurent_pairs(rng, count: int) -> list:
+    """Successor pairs (q^alpha, f) whose witness f has a Laurent coefficient,
+    as in ``test_a_successor_with_a_laurent_witness``, times seeded Laurent monomials."""
+    x, y, z = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), UniPoly.x(2)
+    base = Monomial(G, [t(2), t(3), t(1)])
+    key = z - UniPoly.constant(2, MultiPoly.monomial(2, (-1, 1), 5))
+    laurent = Augmented(base, key, t(2))
+    # z - x at 4 on x: 1, y: 5/2, z: 1 leaves the residue of z / (y^2/x^4) free
+    free = Augmented(Monomial(G, [t(1), t(Fraction(5, 2)), t(1)]), z - UniPoly.constant(2, x), t(4))
+    pairs = [(laurent, z, UniPoly.constant(2, MultiPoly.monomial(2, (-1, 1)))),
+             (laurent, z, UniPoly.constant(2, MultiPoly.monomial(2, (2, -1)))),
+             (laurent, z**2, UniPoly.constant(2, MultiPoly.monomial(2, (-2, 2)))),
+             (free, z, UniPoly.constant(2, MultiPoly.monomial(2, (-4, 2))))]
+    while len(pairs) < count:
+        spec, num, den = rng.choice(pairs[:4])
+        exps = (rng.randint(-3, 3), rng.randint(-3, 3))
+        m = UniPoly.constant(2, MultiPoly.monomial(2, exps, rng.choice(COEFFICIENTS)))
+        pairs.append((spec, num * m, den * (m * rng.choice(COEFFICIENTS))))
+    return pairs
+
+
+def _residue_cases(rng) -> list:
+    """(spec, num, den) quotients of value zero over every kind of tower."""
+    cases = [(S1, Z**2, UniPoly.constant(1, xt**3)), (S2, Z**2, UniPoly.constant(1, xt**3)),
+             (S3, K2**2, Z * xt**5), (S3, Z**2, UniPoly.constant(1, xt**3))]
+    for depth in range(3, 13):
+        arc, spec, keys = _arc_tower(depth)
+        cases += [(spec, keys[n - 2], UniPoly.constant(1, xt**n)) for n in (2, depth)]
+        cache, chosen = {}, rng.sample(range(depth), 3)
+        caps = tuple(int(i in chosen) for i in range(depth))
+        cases += [(spec, *_unit(rng, keys, caps, arc, cache)) for _ in range(4)]
+    for arc, spec, keys in _generated_towers(random.Random(SEED + 6), 20):
+        caps, cache = ((2,), (1, 1), (1, 1, 1), (1, 0, 1, 1))[len(keys) - 1], {}
+        cases += [(spec, *_unit(rng, keys, caps, arc, cache)) for _ in range(8)]
+    return cases + _readme_pairs(rng, 40) + _laurent_pairs(rng, 20)
+
+
+def test_the_residue_rule_agrees_with_the_candidate_search(monkeypatch):
+    # the rule decides what the search tried candidates for; the levels of a
+    # case are the keys the rule expands its quotient along
+    expanded, expand = [], valuation_core.q_expansion
+    monkeypatch.setattr(valuation_core, "q_expansion", lambda p, q: expanded.append(q) or expand(p, q))
+    verdicts = []
+    for spec, num, den in _residue_cases(random.Random(SEED + 7)):
+        try:
+            expected = candidate_residue(spec, num, den)
+        except TranscendentalResidue:
+            expected = None
+        expanded.clear()
+        try:
+            residue = _residue(spec, num, den)
+        except TranscendentalResidue:
+            residue = None
+        assert residue == expected, (spec, num, den)
+        verdicts.append((residue is not None, len({id(q) for q in expanded})))
+    deep = [rational for rational, levels in verdicts if levels >= 2]
+    assert (len(verdicts), sum(r for r, _ in verdicts)) == (284, 136)
+    assert (len(deep), sum(deep)) == (94, 19)
+    # the pinned residues among them: 1/n on the arc towers, 1 on s2 and s3, none on s1
+    for depth in range(3, 13):
+        _, spec, keys = _arc_tower(depth)
+        assert _residue(spec, keys[depth - 2], UniPoly.constant(1, xt**depth)) == Fraction(1, depth)
+    assert _residue(S2, Z**2, UniPoly.constant(1, xt**3)) == _residue(S3, K2**2, Z * xt**5) == 1
+    with pytest.raises(TranscendentalResidue):
+        _residue(S1, Z**2, UniPoly.constant(1, xt**3))
 
 
 # the outcome of monomialize on each key of the towers drawn alone from

@@ -358,15 +358,17 @@ def test_a_stop_inside_a_package_raises_at_advance_with_the_state_before_the_rou
     assert len(exc.value.__cause__.frame.history) == 5
 
 
+# under the README's monomial valuation, z^2 - x^2*y has the value 2 + 2*pi of z^2:
+# it does not rise, so its round would find no cancellation
+FLAT_LINK = {"key": "z^2 - x^2*y", "certificate": {
+    "kind": "optimal", "alpha": 2, "monomial": "x^2*y", "key_powers": [], "residue": "1", "base_value": "2 + 2*pi"}}
+
+
 def test_state_refuses_a_link_whose_value_does_not_rise():
-    # under the README's monomial valuation, z^2 - x^2*y has the value 2 + 2*pi of z^2:
-    # it does not rise, so its round would find no cancellation
     blob = json.loads(json.dumps(state_to_json(monomialize(NU2, X, 10_000, names=NAMES).state)))
     assert [link["key"] for link in blob["chain"]] == ["z"]
-    flat = {"key": "z^2 - x^2*y", "certificate": {
-        "kind": "optimal", "alpha": 2, "monomial": "x^2*y", "key_powers": [], "residue": "1", "base_value": "2 + 2*pi"}}
     with pytest.raises(ParseError, match=r"chain key 'z\^2 - x\^2\*y' does not rise above its base value"):
-        state_from_json(dict(blob, keys_pending=[flat]))
+        state_from_json(dict(blob, keys_pending=[FLAT_LINK]))
 
 
 def test_state_refuses_a_witness_power_of_the_key_it_succeeds():
@@ -604,6 +606,24 @@ def test_state_refuses_a_limit_certificate_with_witness_fields(fields):
         state_from_json(tampered)
 
 
+def test_a_state_refusal_is_not_wrapped_again():
+    # the loader's own ParseError is the refusal, its message unchanged; any
+    # other fault is wrapped as a malformed state
+    limit = json.loads(json.dumps(state_to_json(_limit_link_state())))
+    (link,) = limit["keys_pending"]
+    readme = json.loads(json.dumps(state_to_json(monomialize(NU2, X, 10_000, names=NAMES).state)))
+    refusals = [
+        (dict(limit, keys_pending=[dict(link, certificate=dict(link["certificate"], residue="5"))]),
+         "a limit certificate has alpha 1 and no monomial, key powers or residue"),
+        (dict(readme, keys_pending=[FLAT_LINK]), "chain key 'z^2 - x^2*y' does not rise above its base value"),
+        ({k: v for k, v in readme.items() if k != "chain"}, "malformed state: KeyError: 'chain'"),
+    ]
+    for blob, message in refusals:
+        with pytest.raises(ParseError) as exc:
+            state_from_json(blob)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("key", ["z^2 - x^2*y", "z^2 - 7*x^2*y", "z^2 + x^5"])
 def test_state_checks_a_limit_link_against_the_previous_key(key):
     # the README chain's key under a limit certificate of the right shape, as it
@@ -751,9 +771,9 @@ def test_a_key_step_that_searches_refuses_a_link_value_off_its_package(monkeypat
 @pytest.mark.parametrize(
     "spec, f, names, work",
     [
-        (S2, K2, ["x", "z"], {"values": 10, "q_expansion": 10, "searches": 1}),
-        (S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], {"values": 10, "q_expansion": 10, "searches": 1}),
-        (NU3, Q, NAMES, {"values": 11, "q_expansion": 5, "searches": 1}),
+        (S2, K2, ["x", "z"], {"values": 10, "q_expansion": 7, "searches": 1}),
+        (S2, K2 + UniPoly.constant(1, XZ**4), ["x", "z"], {"values": 10, "q_expansion": 7, "searches": 1}),
+        (NU3, Q, NAMES, {"values": 11, "q_expansion": 4, "searches": 1}),
     ],
     ids=["s2/K2", "s2/K2 + x^4", "nu3/Q"],
 )
@@ -1251,6 +1271,14 @@ def test_a_minimal_element_that_does_not_divide_is_refused(monkeypatch):
     monkeypatch.setattr(orchestrator, "_divide_pairs", lambda state, pairs: state)
     with pytest.raises(CertificationError, match="minimal element fails to divide"):
         embedded_uniformize(XY_SPEC, [FY, FX], 10_000, names=["x", "y"])
+
+
+def test_a_key_round_whose_forward_images_fail_is_refused(monkeypatch):
+    # advance checks the loop's forward images by substitution, as the limit recipe does
+    state, links = _k2_step()
+    monkeypatch.setattr(orchestrator, "verify_forward", lambda frame: False)
+    with pytest.raises(CertificationError, match="^forward images fail the substitution check$"):
+        advance(replace(state, keys_pending=(links[1],)))
 
 
 def test_an_image_with_a_polynomial_denominator_is_refused(monkeypatch):

@@ -17,6 +17,7 @@ from valmono.errors import (
     CertificationError,
     DeltaNotOne,
     NonBinomialInput,
+    NonPolynomialImage,
     NonUnitFactor,
     ResidueFieldExtension,
     TranscendentalResidue,
@@ -448,3 +449,49 @@ def test_a_new_parameter_that_is_not_the_candidate_is_refused(monkeypatch):
     monkeypatch.setattr(puiseux, "transport", doubled)
     with pytest.raises(CertificationError, match="the new parameter is not the normalized candidate"):
         monomialize_limit_successor(limit_frame(), LIMIT_SPEC, U1, P2)
+
+
+def _limit_refusal(monkeypatch, name, fault, message, error=CertificationError):
+    """The limit recipe on P2, with ``puiseux.<name>`` replaced by ``fault``, refuses with exactly ``message``."""
+    monkeypatch.setattr(puiseux, name, fault)
+    with pytest.raises(error, match=f"^{message}$"):
+        monomialize_limit_successor(limit_frame(), LIMIT_SPEC, U1, P2)
+
+
+def test_a_limit_loop_that_creates_no_parameter_is_refused(monkeypatch):
+    loop = puiseux.monomialize_nondegenerate
+
+    def without_new_parameters(*args):
+        cert = loop(*args)
+        return dataclasses.replace(cert, steps=tuple(step for step in cert.steps if not step.C))
+
+    _limit_refusal(monkeypatch, "monomialize_nondegenerate", without_new_parameters,
+                   "the candidate's loop created no parameter")
+
+
+def test_a_limit_frame_whose_forward_images_fail_is_refused(monkeypatch):
+    _limit_refusal(monkeypatch, "verify_forward", lambda frame: False, "forward images fail the substitution check")
+
+
+def _after_the_loop(change):
+    """``puiseux.transport`` with ``change`` applied to its images in every frame but the starting one."""
+    real, start = puiseux.transport, limit_frame().history
+
+    def transport(frame, expr, from_step=0):
+        image = real(frame, expr, from_step)
+        return image if frame.history == start else change(image)
+
+    return transport
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda image: image / (RationalFunction(MultiPoly.variable(image.width, 0)) + 1),
+         "candidate image is not polynomial over the frame"),
+        (lambda image: image + 1, "re-expansion in the new parameter is not linear"),
+    ],
+    ids=["not-polynomial", "not-linear"],
+)
+def test_a_limit_image_of_the_wrong_shape_is_refused(monkeypatch, change, message):
+    _limit_refusal(monkeypatch, "transport", _after_the_loop(change), message, NonPolynomialImage)

@@ -606,7 +606,7 @@ def test_the_spec_guards_see_each_form(tmp_path):
     assert _string_constants(sample, "composite") == ["sample.py:2", "sample.py:10"]
 
 
-_RESIDUE_RULE = ("residue_of_unit", "_residue_candidates", "_residue_search")
+_RESIDUE_RULE = ("residue_of_unit", "_residue", "_residue_search", "_least_terms")
 
 
 def _numeric_literal(node) -> bool:
@@ -617,7 +617,7 @@ def _numeric_literal(node) -> bool:
 
 def _residue_sites(path: Path) -> list:
     """Where one source file defines, imports or fixes a residue: each definition
-    of ``residue_of_unit`` or its searches, each import of one of them with the
+    of ``residue_of_unit`` or its rule, each import of one of them with the
     definition that holds it, and each number bound to a name or keyword
     ``residue``, with the exception handler around it."""
     found = []
@@ -665,17 +665,20 @@ def _class_bindings(path: Path, name: str) -> list:
 
 
 def test_the_valuation_owns_the_residue_rule():
-    # every residue is read by valuation_core's one search: an equal-value
-    # step's through residue_of_unit, a successor q^alpha - c*f's from the pair
-    # (q^alpha, f), and a key package takes that one; a successor keeps 1 only
-    # where MacLane leaves the residue free, and a spec's shape is its class
+    # every residue is read by valuation_core's one rule over the least-value
+    # terms: an equal-value step's through residue_of_unit, a successor
+    # q^alpha - c*f's from the pair (q^alpha, f), and a key package takes that
+    # one; a successor keeps 1 only where MacLane leaves the residue free, and
+    # a spec's shape is its class
     package = Path(valmono.__file__).parent
     found = sorted(hit for path in sorted(package.glob("*.py")) for hit in _residue_sites(path))
     assert found == [
         "puiseux.<module>: import residue_of_unit from .valuation_core",
         "successors.<module>: import _residue_search from .valuation_core",
         "successors.next_successor: residue = 1 in except TranscendentalResidue",
-        "valuation_core._residue_candidates: def",
+        "valuation_core.Augmented._least_terms: def",
+        "valuation_core.Monomial._least_terms: def",
+        "valuation_core._residue: def",
         "valuation_core._residue_search: def",
         "valuation_core.residue_of_unit: def",
     ], "read residues with valuation_core.residue_of_unit: " + ", ".join(found)
@@ -687,7 +690,7 @@ def test_the_residue_rule_guard_sees_each_form(tmp_path):
     sample.write_text(
         "from .valuation_core import residue_of_unit\n"
         "def residue_of_unit(spec, h):\n"
-        "    def _residue_candidates():\n"
+        "    def _residue():\n"
         "        from valmono.puiseux import residue_of_unit as r\n"
         "    residue = 1\n"
         "    try:\n"
@@ -707,8 +710,8 @@ def test_the_residue_rule_guard_sees_each_form(tmp_path):
     assert _residue_sites(sample) == [
         "sample.<module>: import residue_of_unit from .valuation_core",
         "sample.residue_of_unit: def",
-        "sample.residue_of_unit._residue_candidates: def",
-        "sample.residue_of_unit._residue_candidates: import residue_of_unit from valmono.puiseux",
+        "sample.residue_of_unit._residue: def",
+        "sample.residue_of_unit._residue: import residue_of_unit from valmono.puiseux",
         "sample.residue_of_unit: residue = 1",
         "sample.residue_of_unit: residue = -2",
         "sample.residue_of_unit: residue = 1.5 in except (TranscendentalResidue, ValueError)",

@@ -32,13 +32,16 @@ from valmono.ordered_value import (
     neg,
     standard_group,
 )
+from valmono import valuation_core
 from valmono.puiseux import valuation_driver
+from valmono.successors import Lattice, next_successor
 from valmono.valuation_core import (
     Augmented,
     Composite,
     Monomial,
     epsilon,
     monomial_value,
+    residue_of_unit,
     truncated_value,
 )
 
@@ -421,3 +424,20 @@ def test_tower_values_match_the_definition():
             for _ in range(4):
                 f = _seeded_of_degree(rng, spec.width - 1, degree)
                 assert spec.value(f) == _value_from_definition(spec, f), (spec.kind, degree)
+
+
+# -- checks that no valid input reaches, each fired by a faulty producer -----------
+
+
+def test_a_residue_that_does_not_raise_the_value_is_refused(monkeypatch):
+    # the rule's residue is certified by v(num - c*den) > v(den): c + 1 fails
+    # that check, in an equal-value step's residue and in a successor's
+    _, s2, _ = _tower()
+    h = RationalFunction(MultiPoly(3, {(0, 0, 2): 1}), MultiPoly(3, {(2, 1, 0): 1}))
+    lattice = Lattice.from_variables(["x"], [el((1,))])
+    calls = (lambda: residue_of_unit(NU3, h)[0], lambda: next_successor(s2, UniPoly.x(1), lattice)[1].residue)
+    assert [call() for call in calls] == [1, 1]
+    monkeypatch.setattr(valuation_core, "_residue", lambda spec, A, B: Fraction(2))
+    for call in calls:
+        with pytest.raises(CertificationError, match="^the residue does not raise the value of the element$"):
+            call()
